@@ -10,11 +10,9 @@ ground-state solver.
 from .model import (
     FourierHamiltonian,
     ModelError,
-    ModelSpec,
     ValidationReport,
     builtin_model,
     combine,
-    eval_at_time,
     load_model,
     model_hash,
     validate,
@@ -35,7 +33,6 @@ from .sambe import (
     build_sambe,
     certify_truncation,
     diagonalize,
-    fold,
     group_degeneracies,
     quasi_energy_functional,
     replica_overlap,

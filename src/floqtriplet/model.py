@@ -112,20 +112,29 @@ def validate(h: FourierHamiltonian) -> ValidationReport:
 
     Returns a report rather than raising, so that deliberately broken
     inputs can be inspected.  A passing report certifies
-    H(t)^dagger = H(t) for all t, omega > 0 and consistent matrix shapes.
+    H(t)^dagger = H(t) for all t, a finite omega > 0, finite entries and
+    consistent matrix shapes.
     """
     violations: list[str] = []
     if h.dim < 1:
         violations.append("dim(nonpositive)")
-    if not (h.omega > 0.0):
+    if not np.isfinite(h.omega):
+        violations.append("omega(nonfinite)")
+    elif h.omega <= 0.0:
         violations.append("omega(nonpositive)")
+    nonfinite = set()
     for m, mat in sorted(h.harmonics.items()):
         if mat.shape != (h.dim, h.dim):
             violations.append(f"shape(m={m})")
+        if not np.isfinite(mat).all():
+            nonfinite.add(m)
+            violations.append(f"finite(m={m})")
     for m in sorted(k for k in h.harmonics if k >= 0):
         partner = h.harmonics.get(-m)
         if partner is None:
             violations.append(f"hermiticity(m={m})")
+        elif m in nonfinite or -m in nonfinite:
+            continue  # NaN != NaN: reported as finite(m), not as hermiticity
         elif not np.array_equal(partner, h.harmonics[m].conj().T):
             violations.append(f"hermiticity(m={m})")
     for m in sorted(k for k in h.harmonics if k < 0):
@@ -140,10 +149,6 @@ def require_valid(h: FourierHamiltonian) -> FourierHamiltonian:
     if not report.passed:
         raise ModelError(f"invalid Hamiltonian: {', '.join(report.violations)}")
     return h
-
-
-def eval_at_time(h: FourierHamiltonian, t: float) -> np.ndarray:
-    return h.eval_at_time(t)
 
 
 def combine(h: FourierHamiltonian, v: FourierHamiltonian, weight: float = 1.0) -> FourierHamiltonian:
@@ -173,17 +178,6 @@ MODEL_DEFAULTS: dict[str, dict] = {
     "two_level_linear": {"delta": 1.0, "v": 0.4, "omega": 1.5},
     "driven_ring": {"sites": 6, "hopping": 1.0, "v": 0.5, "omega": 2.3},
 }
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """A named built-in model plus its parameter map."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def resolve(self) -> FourierHamiltonian:
-        return builtin_model(self.name, self.params)
 
 
 def _check_omega(params: dict) -> float:

@@ -25,18 +25,23 @@ freedom).
 
 Pipeline
 --------
-Each eigenvalue of S belongs to a replica ladder lam + k*omega of a single
-physical state.  `select_representatives` folds eigenvalues to one
-Brillouin zone [0, omega), clusters them, and keeps, per physical state,
-the ladder rung whose Fourier-weight centroid sum_m m*||phi^(m)||^2 is
-nearest zero (least truncation contamination).  Degenerate quasi-energies
-are then resolved by diagonalizing the average-energy block
+With N the number operator (m on block m), S = T + omega*N, so on an exact
+eigenspace of S with raw eigenvalue lam the average energy is
+
+    Ebar = lam - omega*<N>,   <N> = sum_m m*||phi^(m)||^2 (the centroid).
+
+After one dense eigensolve, `select_representatives` clusters the raw
+(unfolded) eigenvalues, diagonalizes N inside each cluster and keeps, per
+physical state, the one replica with centroid in [-1/2, 1/2).  States whose
+folded quasi-energies coincide are grouped, aligned to one replica and
+resolved by diagonalizing the average-energy block
 
     Hbar[i, j] = sum_{m,m'} <phi_i^(m)| H_{m-m'} |phi_j^(m')>,
 
 which equals the one-period average (1/T) int <Phi_i(t)|H(t)|Phi_j(t)> dt.
-The result is the eigentriplet spectrum (mode, quasi-energy, average
-energy), ordered by average energy.
+These later stages apply S and T through the harmonics, never as n x n
+matrices.  The result is the eigentriplet spectrum (mode, quasi-energy,
+average energy), ordered by average energy.
 """
 
 from __future__ import annotations
@@ -56,11 +61,6 @@ class TruncationError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Raised when the dense eigensolver fails or leaves large residuals."""
-
-
-def fold(value: float | np.ndarray, omega: float):
-    """Fold an energy into the quasi-energy Brillouin zone [0, omega)."""
-    return np.mod(value, omega)
 
 
 def fold_reported(value: float, omega: float, seam_tol: float = 1e-12) -> float:
@@ -133,9 +133,10 @@ class FloquetMode:
         """Shift harmonic indices by k (multiply by e^{+i k omega t}).
 
         Returns the shifted mode and the squared weight lost past the
-        truncation edge.
+        truncation edge (all of it once |k| reaches 2M+1).
         """
         nb = self.coeffs.shape[0]
+        k = max(-nb, min(nb, k))
         out = np.zeros_like(self.coeffs)
         if k >= 0:
             out[k:] = self.coeffs[: nb - k]
@@ -178,47 +179,57 @@ def replica_overlap(a: FloquetMode, b: FloquetMode) -> tuple[float, int]:
 
 # --- extended-space matrices ----------------------------------------------
 
-def build_sambe(h: FourierHamiltonian, truncation: int) -> np.ndarray:
-    """Hermitian Floquet matrix of size (2M+1)*d for H(t) - i d/dt.
-
-    Block (m, m') = H_{m-m'} + m*omega*delta_{mm'}*I.  M below the largest
-    stored harmonic index would silently drop physics and is rejected.
-    """
+def _require_truncation(h: FourierHamiltonian, truncation: int):
     require_valid(h)
     if truncation < h.max_harmonic:
         raise TruncationError(
             f"truncation M={truncation} is below the largest harmonic index "
             f"{h.max_harmonic} of the model"
         )
-    nb = 2 * truncation + 1
-    size = nb * h.dim
-    s = np.zeros((size, size), dtype=complex)
-    for k, mat in h.harmonics.items():
-        s += np.kron(np.eye(nb, k=-k), mat)
-    block_energies = np.arange(-truncation, truncation + 1) * h.omega
-    s += np.kron(np.diag(block_energies), np.eye(h.dim))
-    return s
+
+
+def _number_diagonal(truncation: int, dim: int) -> np.ndarray:
+    """Diagonal of the number operator N: harmonic index m of each entry."""
+    return np.repeat(np.arange(-truncation, truncation + 1), dim)
 
 
 def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     """Block-Toeplitz matrix of the one-period averaged energy form.
 
     x^H T x equals (1/T) int_0^T <Phi(t)|H(t)|Phi(t)> dt for the mode with
-    stacked coefficients x; it is the Sambe matrix without the m*omega
-    diagonal.
+    stacked coefficients x; block (m, m') = H_{m-m'}.  M below the largest
+    stored harmonic index would silently drop physics and is rejected.
     """
-    require_valid(h)
-    if truncation < h.max_harmonic:
-        raise TruncationError(
-            f"truncation M={truncation} is below the largest harmonic index "
-            f"{h.max_harmonic} of the model"
-        )
+    _require_truncation(h, truncation)
     nb = 2 * truncation + 1
     size = nb * h.dim
     t = np.zeros((size, size), dtype=complex)
     for k, mat in h.harmonics.items():
         t += np.kron(np.eye(nb, k=-k), mat)
     return t
+
+
+def build_sambe(h: FourierHamiltonian, truncation: int) -> np.ndarray:
+    """Hermitian Floquet matrix S = T + omega*N of size (2M+1)*d for H(t) - i d/dt:
+    block (m, m') = H_{m-m'} + m*omega*delta_{mm'}*I."""
+    s = build_energy_matrix(h, truncation)
+    s[np.diag_indices_from(s)] += h.omega * _number_diagonal(truncation, h.dim)
+    return s
+
+
+def _apply_blocks(h: FourierHamiltonian, x: np.ndarray, number_weight: float) -> np.ndarray:
+    """(T + number_weight * N) @ x through the harmonics: T for weight 0,
+    S for weight omega.  x holds stacked coefficients, shape (n,) or (n, k);
+    no n x n matrix is formed."""
+    nb = x.shape[0] // h.dim
+    truncation = (nb - 1) // 2
+    _require_truncation(h, truncation)
+    blocks = x.reshape(nb, h.dim, -1)
+    out = number_weight * np.arange(-truncation, truncation + 1)[:, None, None] * blocks
+    for m, mat in h.harmonics.items():
+        # block row p collects H_m @ phi^(p - m)
+        out[max(m, 0) : nb + min(m, 0)] += mat @ blocks[max(-m, 0) : nb - max(m, 0)]
+    return out.reshape(x.shape)
 
 
 def diagonalize(s: np.ndarray, residual_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +268,7 @@ class Representative:
 
     quasi_energy is folded into [0, omega); quasi_energy_raw is the actual
     Sambe eigenvalue of the stored mode (quasi_energy + k*omega for the
-    selected ladder rung).
+    selected replica).
     """
 
     mode: FloquetMode
@@ -292,60 +303,39 @@ def select_representatives(
 ) -> list[Representative]:
     """Pick exactly d physical states from the raw Sambe spectrum.
 
-    Raw eigenvalues are folded into [0, omega) and clustered (wrap-aware)
-    into physical quasi-energy families.  Within each family the raw
-    eigenvalues stack into ladder rungs separated by omega; the rung whose
-    mean Fourier-weight centroid is nearest zero is kept, so degenerate
-    members come from one consistent replica.  Too few detected families
-    means the truncation is eating states; that raises TruncationError with
-    the advice to increase M.
+    Raw (unfolded) eigenvalues within tol_deg of each other form a cluster.
+    N restricted to a cluster is diagonalized, which resolves
+    Ebar = lam - omega*<N> there; a k-harmonic shift moves the centroid <N>
+    by exactly k, so per physical state the one replica with centroid in
+    [-1/2, 1/2) is kept.  Anything but d kept states means the truncation
+    is eating states; that raises TruncationError with the advice to
+    increase M.
     """
     omega, d = h.omega, h.dim
     if tol_deg is None:
         tol_deg = 1e-8 * omega
-    nb = 2 * truncation + 1
-    s = build_sambe(h, truncation)
-
-    centroids = np.array(
-        [
-            FloquetMode.from_flat(eigvecs[:, j], d).centroid()
-            for j in range(eigvals.size)
-        ]
-    )
-    folded = fold(eigvals, omega)
-    clusters = _circular_clusters(folded, omega, tol_deg)
-
-    min_rungs = max(2, nb // 3)
+    number = _number_diagonal(truncation, d)
+    order = np.argsort(eigvals, kind="stable")
+    breaks = np.flatnonzero(np.diff(eigvals[order]) > tol_deg) + 1
     reps: list[Representative] = []
-    for cluster in clusters:
-        idx = cluster[np.argsort(eigvals[cluster], kind="stable")]
-        vals = eigvals[idx]
-        # ladder rungs are omega apart; split at gaps past the half-way mark
-        breaks = np.where(np.diff(vals) > omega / 2)[0]
-        rungs = np.split(idx, breaks + 1)
-        if len(rungs) < min_rungs:
-            continue  # truncation-contaminated corner states, not a family
-        # degenerate families' ladders may overlap only partially within the
-        # truncation window; only rungs carrying the full multiplicity hold
-        # one consistent replica of every member family
-        max_mult = max(len(r) for r in rungs)
-        full_rungs = [r for r in rungs if len(r) == max_mult]
-        def rung_key(r):
-            c = float(np.mean(centroids[r]))
-            lam = float(np.mean(eigvals[r]))
-            return (round(abs(c), 9), abs(lam), lam)
-        chosen = min(full_rungs, key=rung_key)
-        lam_anchor = float(np.mean(eigvals[chosen]))
-        for j in chosen:
-            x = eigvecs[:, j]
-            res = float(np.linalg.norm(s @ x - eigvals[j] * x))
-            mode = FloquetMode.from_flat(x, d).normalized()
+    for cluster in np.split(order, breaks):
+        basis = eigvecs[:, cluster]
+        centroids, rotation = np.linalg.eigh(basis.conj().T @ (number[:, None] * basis))
+        # round: of seam replicas (centroids -1/2, +1/2 at resonance) keep one
+        centroids = np.round(centroids, 9)
+        keep = (centroids >= -0.5) & (centroids < 0.5)
+        if not keep.any():
+            continue
+        lam = float(np.mean(eigvals[cluster]))
+        modes = basis @ rotation[:, keep]
+        residuals = np.linalg.norm(_apply_blocks(h, modes, omega) - lam * modes, axis=0)
+        for x, res in zip(modes.T, residuals):
             reps.append(
                 Representative(
-                    mode=mode,
-                    quasi_energy=fold_reported(lam_anchor, omega),
-                    quasi_energy_raw=float(eigvals[j]),
-                    residual=res,
+                    mode=FloquetMode.from_flat(x, d).normalized(),
+                    quasi_energy=fold_reported(lam, omega),
+                    quasi_energy_raw=lam,
+                    residual=float(res),
                 )
             )
     if len(reps) != d:
@@ -385,9 +375,10 @@ def group_degeneracies(
     """Cluster representatives with |eps_i - eps_j| <= tol_deg (wrapped).
 
     The Brillouin-zone boundary is treated as wrapped, so eps near 0 and
-    near omega may form one group.  Members of a group are shifted to a
-    common replica (same raw eigenvalue) before the average-energy block is
-    evaluated; singleton groups are allowed.
+    near omega may form one group.  Members of a group are shifted to the
+    common replica (same raw eigenvalue) that drops the least weight past
+    the truncation edge before the average-energy block is evaluated;
+    singleton groups are allowed.
     """
     omega = h.omega
     if tol_deg is None:
@@ -399,28 +390,32 @@ def group_degeneracies(
     groups: list[DegenerateGroup] = []
     for cluster in clusters:
         members = [reps[int(i)] for i in np.sort(cluster)]
-        anchor = members[0]
-        aligned: list[Representative] = [anchor]
-        for member in members[1:]:
-            k = int(np.round((member.quasi_energy_raw - anchor.quasi_energy_raw) / omega))
-            if k != 0:
-                shifted, lost = member.mode.shift(-k)
-                if lost > 1e-6:
-                    raise TruncationError(
-                        f"replica alignment by k={-k} loses weight {lost:.2e}; "
-                        f"increase M"
-                    )
-                member = replace(
-                    member,
-                    mode=shifted.normalized(),
-                    quasi_energy_raw=member.quasi_energy_raw - k * omega,
-                )
-            aligned.append(member)
+        lam0 = members[0].quasi_energy_raw
+        ks = [int(np.round((m.quasi_energy_raw - lam0) / omega)) for m in members]
+        # a shifted mode is an eigenvector only up to a residual of about
+        # ||H|| * sqrt(lost): keep that inside the 1e-10 residual certificate
+        # of `diagonalize`, where certification cannot see it
+        lost, target = min(
+            (sum(m.mode.shift(t - k)[1] for m, k in zip(members, ks)), t)
+            for t in range(min(ks), max(ks) + 1)
+        )
+        if lost > 1e-20:
+            raise TruncationError(
+                f"replica alignment loses weight {lost:.2e}; increase M"
+            )
+        aligned = [
+            m if k == target else replace(
+                m,
+                mode=m.mode.shift(target - k)[0].normalized(),
+                quasi_energy_raw=m.quasi_energy_raw + (target - k) * omega,
+            )
+            for m, k in zip(members, ks)
+        ]
         block = average_energy_block([m.mode for m in aligned], h)
         groups.append(
             DegenerateGroup(
                 members=tuple(aligned),
-                quasi_energy=anchor.quasi_energy,
+                quasi_energy=members[0].quasi_energy,
                 block=block,
             )
         )
@@ -437,9 +432,8 @@ def average_energy_block(modes: list[FloquetMode], h: FourierHamiltonian) -> np.
     """
     if not modes:
         return np.zeros((0, 0), dtype=complex)
-    t = build_energy_matrix(h, modes[0].truncation)
     basis = np.column_stack([m.flat() for m in modes])
-    block = basis.conj().T @ t @ basis
+    block = basis.conj().T @ _apply_blocks(h, basis, 0.0)
     return 0.5 * (block + block.conj().T)
 
 
@@ -534,10 +528,6 @@ class Spectrum:
         return Spectrum(triplets=triplets, metadata=dict(payload["metadata"]))
 
 
-def _largest_coeff_index(mode: FloquetMode) -> int:
-    return int(np.argmax(np.abs(mode.flat())))
-
-
 def resolve_degeneracies(
     groups: list[DegenerateGroup],
     h: FourierHamiltonian,
@@ -555,37 +545,34 @@ def resolve_degeneracies(
     """
     if not groups:
         return Spectrum(triplets=[], metadata=metadata or {})
-    truncation = groups[0].members[0].mode.truncation
-    s = build_sambe(h, truncation)
     triplets: list[EigenTriplet] = []
     for gid, group in enumerate(groups):
         ebars, rotation = np.linalg.eigh(group.block)
         basis = np.column_stack([m.mode.flat() for m in group.members])
         rotated = basis @ rotation
+        rotated /= np.linalg.norm(rotated, axis=0)
         scale = max(1.0, float(np.abs(ebars).max()) if ebars.size else 1.0)
         tied = np.zeros(group.size, dtype=bool)
         for a in range(group.size - 1):
             if abs(ebars[a + 1] - ebars[a]) <= ebar_tie_tol * scale:
                 tied[a] = tied[a + 1] = True
         lam = float(np.mean([m.quasi_energy_raw for m in group.members]))
+        residuals = np.linalg.norm(_apply_blocks(h, rotated, h.omega) - lam * rotated, axis=0)
         for a in range(group.size):
-            x = rotated[:, a]
-            x = x / np.linalg.norm(x)
-            res = float(np.linalg.norm(s @ x - lam * x))
             triplets.append(
                 EigenTriplet(
-                    mode=FloquetMode.from_flat(x, h.dim),
+                    mode=FloquetMode.from_flat(rotated[:, a], h.dim),
                     quasi_energy=group.quasi_energy,
                     avg_energy=float(ebars[a]),
                     quasi_energy_raw=lam,
-                    residual=res,
+                    residual=float(residuals[a]),
                     group_id=gid,
                     group_size=group.size,
                     ebar_degenerate=bool(tied[a]),
                 )
             )
     triplets.sort(
-        key=lambda t: (t.avg_energy, t.quasi_energy, _largest_coeff_index(t.mode))
+        key=lambda t: (t.avg_energy, t.quasi_energy, int(np.argmax(np.abs(t.mode.flat()))))
     )
     meta = dict(metadata or {})
     meta.setdefault("residual_max", max(t.residual for t in triplets))
@@ -607,9 +594,8 @@ def quasi_energy_functional(mode: FloquetMode, h: FourierHamiltonian) -> float:
     shift k*omega of the stored replica.
     """
     _check_normalized(mode)
-    s = build_sambe(h, mode.truncation)
     x = mode.flat()
-    return float(np.real(np.vdot(x, s @ x)))
+    return float(np.real(np.vdot(x, _apply_blocks(h, x, h.omega))))
 
 
 def average_energy_functional(mode: FloquetMode, h: FourierHamiltonian) -> float:
@@ -618,9 +604,8 @@ def average_energy_functional(mode: FloquetMode, h: FourierHamiltonian) -> float
     Replica-invariant: harmonic-index shifts leave the value unchanged.
     """
     _check_normalized(mode)
-    t = build_energy_matrix(h, mode.truncation)
     x = mode.flat()
-    return float(np.real(np.vdot(x, t @ x)))
+    return float(np.real(np.vdot(x, _apply_blocks(h, x, 0.0))))
 
 
 # --- assembled operators (Ritz bound, block-structure checks) --------------
@@ -711,18 +696,31 @@ def certify_truncation(
     sorting).  The harmonic cutoff is the one approximation in the whole
     construction, so it is certified rather than guessed.
     """
+    spectrum = _certified_spectrum(h, None, start, quasi_tol, max_truncation)
+    return spectrum.metadata["truncation"]
+
+
+def _certified_spectrum(
+    h: FourierHamiltonian,
+    tol_deg: float | None,
+    start: int | None = None,
+    quasi_tol: float = 1e-9,
+    max_truncation: int = 64,
+) -> Spectrum:
+    """The doubling loop of `certify_truncation`, returning its last solve."""
     require_valid(h)
     m = max(1, h.max_harmonic) if start is None else max(start, h.max_harmonic, 1)
     prev: np.ndarray | None = None
     while m <= max_truncation:
         try:
-            eps = np.sort(solve_at_truncation(h, m).quasi_energies)
+            spectrum = solve_at_truncation(h, m, tol_deg)
+            eps = np.sort(spectrum.quasi_energies)
         except TruncationError:
             eps = None
         if eps is not None and prev is not None:
             drift = wrap_distance(eps, prev, h.omega).max()
             if drift < quasi_tol:
-                return m
+                return spectrum
         prev = eps
         m *= 2
     raise TruncationError(
@@ -736,14 +734,13 @@ def solve_spectrum(
     tol_deg: float | None = None,
     timestamp: bool = False,
 ) -> Spectrum:
-    """Full pipeline: certify M (if 'auto'), diagonalize, fold, resolve."""
-    if truncation == "auto":
-        m = certify_truncation(h)
-        auto = True
+    """Full pipeline: diagonalize, select, resolve; 'auto' returns the
+    certifying solve, so the certified cutoff is solved once."""
+    auto = truncation == "auto"
+    if auto:
+        spectrum = _certified_spectrum(h, tol_deg)
     else:
-        m = int(truncation)
-        auto = False
-    spectrum = solve_at_truncation(h, m, tol_deg)
+        spectrum = solve_at_truncation(h, int(truncation), tol_deg)
     spectrum.metadata["truncation_auto"] = auto
     if timestamp:
         spectrum.metadata["timestamp"] = datetime.datetime.now().isoformat()

@@ -147,6 +147,37 @@ def test_compare_starved_selection_exits_nonconvergence(tmp_path, capsys):
     assert err["kind"] == "convergence"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_solve_nonfinite_omega_exits_config(tmp_path, capsys, value):
+    code = main(
+        ["solve", "--builtin", "two_level_linear", "--param", f"omega={value}",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "omega(nonfinite)" in err["message"]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_solve_nonfinite_harmonic_exits_config(tmp_path, capsys, value):
+    path = tmp_path / "model.json"
+    payload = {
+        "dim": 2,
+        "omega": 1.0,
+        "harmonics": [
+            {"m": 0, "re": [[value, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        ],
+    }
+    path.write_text(json.dumps(payload))
+    code = main(["solve", "--model", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "finite(m=0)" in err["message"]
+    assert "hermiticity" not in err["message"]
+
+
 def test_variational_matches_solve_ground(tmp_path):
     out_s = tmp_path / "solve"
     out_v = tmp_path / "var"

@@ -33,6 +33,24 @@ def test_validate_flags_nonpositive_omega():
     assert "omega(nonpositive)" in report.violations
 
 
+@pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
+def test_validate_flags_nonfinite_omega(omega):
+    h = FourierHamiltonian(dim=1, omega=omega, harmonics={0: np.array([[1.0]])})
+    report = ft.validate(h)
+    assert report.violations == ("omega(nonfinite)",)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_validate_flags_nonfinite_entries(bad):
+    # a NaN is not equal to itself; it must not read as broken hermiticity
+    h0 = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    h1 = np.array([[0.0, bad], [0.0, 0.0]], dtype=complex)
+    report = ft.validate(FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0, 1: h1}))
+    assert report.violations == ("finite(m=-1)", "finite(m=0)", "finite(m=1)")
+    with pytest.raises(ft.ModelError, match=r"finite\(m=0\)"):
+        ft.solve_spectrum(FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0}), 2)
+
+
 def test_circular_model_passes_and_matches_hand_expansion():
     h = ft.builtin_model("two_level_circular", {"delta": 1.0, "v": 0.4, "omega": 1.5})
     assert ft.validate(h).passed

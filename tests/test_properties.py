@@ -1,0 +1,57 @@
+"""Property tests of the extended-space solve over random Fourier models.
+
+Each model is a static block of levels spaced by integer multiples of
+omega (exact folded degeneracies) beside a randomly driven Hermitian block
+with harmonics |m| <= 2 and entries in [-1, 1].
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import floqtriplet as ft
+
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def complex_block(draw, n):
+    flat = np.asarray(draw(st.lists(unit, min_size=2 * n * n, max_size=2 * n * n)))
+    return (flat[: n * n] + 1j * flat[n * n :]).reshape(n, n)
+
+
+@st.composite
+def driven_models(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    omega = draw(st.floats(min_value=0.8, max_value=3.0, allow_nan=False))
+    n_static = draw(st.integers(min_value=0, max_value=dim))
+    n_driven = dim - n_static
+    base = draw(unit)
+    shifts = draw(st.lists(st.integers(-1, 1), min_size=n_static, max_size=n_static))
+    harmonics = {m: np.zeros((dim, dim), dtype=complex) for m in range(3)}
+    harmonics[0][range(n_static), range(n_static)] = [base + k * omega for k in shifts]
+    if n_driven:
+        driven = slice(n_static, dim)
+        h0 = complex_block(draw, n_driven)
+        harmonics[0][driven, driven] = 0.5 * (h0 + h0.conj().T)
+        for m in range(1, draw(st.integers(min_value=0, max_value=2)) + 1):
+            harmonics[m][driven, driven] = complex_block(draw, n_driven)
+    return ft.FourierHamiltonian(dim=dim, omega=omega, harmonics=harmonics)
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=driven_models())
+def test_random_models_give_consistent_triplets(h):
+    spec = ft.solve_spectrum(h, "auto")
+    trace = float(np.real(np.trace(h.harmonics.get(0, np.zeros((h.dim, h.dim))))))
+    assert len(spec) == h.dim
+    # the modes are a basis at every t, so their average energies sum to Tr H_0
+    assert abs(spec.avg_energies.sum() - trace) <= 1e-9
+    # det U(T) = exp(-i T Tr H_0): quasi-energies sum to Tr H_0 modulo omega
+    assert ft.wrap_distance(spec.quasi_energies.sum(), trace, h.omega) <= 1e-9
+    assert spec.metadata["residual_max"] <= 1e-8
+    for t in spec:
+        for k in (-1, 1):
+            shifted, lost = t.mode.shift(k)
+            if lost <= 1e-12:
+                ebar = ft.average_energy_functional(shifted.normalized(), h)
+                assert abs(ebar - t.avg_energy) <= 1e-9

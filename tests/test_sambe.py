@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
+from floqtriplet import sambe
 from floqtriplet.sambe import Representative, fold_reported
 
 from conftest import CIRCULAR_DEFAULT, random_mode
@@ -45,6 +46,20 @@ def test_build_sambe_rejects_small_truncation():
     h = ft.builtin_model("two_level_linear")
     with pytest.raises(ft.TruncationError):
         ft.build_sambe(h, 0)
+
+
+@pytest.mark.parametrize("name", ["two_level_circular", "driven_ring"])
+def test_matrix_free_products_match_dense_matrices(name):
+    # the pipeline applies S and T through the harmonics after the eigensolve
+    h = ft.builtin_model(name)
+    m = 4
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=((2 * m + 1) * h.dim, 3)) + 1j * rng.normal(size=((2 * m + 1) * h.dim, 3))
+    s, t = ft.build_sambe(h, m), ft.build_energy_matrix(h, m)
+    assert_allclose(sambe._apply_blocks(h, x, h.omega), s @ x, atol=1e-13)
+    assert_allclose(sambe._apply_blocks(h, x, 0.0), t @ x, atol=1e-13)
+    assert_allclose(sambe._apply_blocks(h, x[:, 0], 0.0), t @ x[:, 0], atol=1e-13)
+    assert np.array_equal(s - t, np.diag(np.repeat(np.arange(-m, m + 1), h.dim) * h.omega))
 
 
 def test_diagonalize_static_ladder():
@@ -105,6 +120,14 @@ def test_select_representatives_errors_when_starved():
         ft.select_representatives(vals, vecs, h, 1)
 
 
+@pytest.mark.parametrize("k", [-5, -3, 3, 7])
+def test_shift_past_the_window_drops_everything(k):
+    mode = ft.FloquetMode.from_block([0.6, 0.8], 0, 1)
+    shifted, lost = mode.shift(k)
+    assert not shifted.coeffs.any()
+    assert abs(lost - 1.0) <= 1e-15
+
+
 def test_replica_ladder_of_selected_mode():
     h = ft.builtin_model("two_level_circular")
     m = 8
@@ -118,6 +141,48 @@ def test_replica_ladder_of_selected_mode():
         j = int(np.argmin(np.abs(vals - target)))
         assert abs(vals[j] - target) <= 1e-9
         assert abs(np.vdot(vecs[:, j], shifted.flat())) >= 1.0 - 1e-6
+
+
+def test_select_representatives_keeps_centered_replicas():
+    # every kept mode is the replica whose Fourier centroid lies in [-1/2, 1/2)
+    cases = [
+        (ft.builtin_model("driven_ring"), 8),
+        (ft.builtin_model("two_level_linear", {"delta": 1.0, "v": 3.0, "omega": 0.9}), 32),
+        (ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5}), 3),
+    ]
+    for h, m in cases:
+        vals, vecs = ft.diagonalize(ft.build_sambe(h, m))
+        reps = ft.select_representatives(vals, vecs, h, m)
+        assert len(reps) == h.dim
+        for rep in reps:
+            assert -0.5 <= rep.mode.centroid() < 0.5
+
+
+def test_select_representatives_accepts_converged_small_cutoff():
+    # M=4 already matches M=16; a rung-counting rule used to reject it
+    h = ft.builtin_model("driven_ring", {"sites": 6, "v": 0.45, "omega": 2.2})
+    small = sambe.solve_at_truncation(h, 4)
+    large = sambe.solve_at_truncation(h, 16)
+    assert len(small) == 6
+    assert np.max(ft.wrap_distance(small.quasi_energies, large.quasi_energies, h.omega)) <= 1e-9
+    assert np.max(np.abs(small.avg_energies - large.avg_energies)) <= 1e-9
+
+
+@pytest.mark.parametrize("omega", [0.7, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("truncation", [1, 2, 5, 8, "auto"])
+def test_resonant_drive_keeps_one_replica_per_state(omega, truncation):
+    # at delta == omega every Floquet state has its centroids exactly on the
+    # seam, -1/2 and +1/2; exactly one replica of each must be kept
+    v = 0.4
+    h = ft.builtin_model("two_level_circular", {"delta": omega, "v": v, "omega": omega})
+    spec = ft.solve_spectrum(h, truncation)
+    assert len(spec) == 2
+    assert sambe.replica_overlap(spec[0].mode, spec[1].mode)[0] <= 1e-8
+    assert_allclose(spec.avg_energies, [-v / 2, v / 2], atol=1e-12)
+    assert abs(spec.avg_energies.sum()) <= 1e-12
+    expected = np.sort(np.mod([omega / 2 - v / 2, omega / 2 + v / 2], omega))
+    assert_allclose(np.sort(spec.quasi_energies), expected, atol=1e-12)
+    assert spec.metadata["residual_max"] <= 1e-10
 
 
 def test_group_degeneracies_singletons():
@@ -488,6 +553,21 @@ def test_certify_truncation_caps_out():
     h = ft.builtin_model("two_level_linear")
     with pytest.raises(ft.TruncationError):
         ft.certify_truncation(h, max_truncation=1)
+
+
+def test_auto_solve_solves_each_cutoff_once(monkeypatch):
+    h = ft.builtin_model("driven_ring")
+    seen = []
+    solve = sambe.solve_at_truncation
+
+    def counting(h, truncation, tol_deg=None):
+        seen.append(truncation)
+        return solve(h, truncation, tol_deg)
+
+    monkeypatch.setattr(sambe, "solve_at_truncation", counting)
+    spec = ft.solve_spectrum(h, "auto")
+    assert seen == [2**k for k in range(len(seen))]
+    assert seen[-1] == spec.metadata["truncation"]
 
 
 def test_auto_solve_is_converged(spectra):
