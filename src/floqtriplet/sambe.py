@@ -30,11 +30,20 @@ eigenspace of S with raw eigenvalue lam the average energy is
 
     Ebar = lam - omega*<N>,   <N> = sum_m m*||phi^(m)||^2 (the centroid).
 
-After one dense eigensolve, `select_representatives` clusters the raw
-(unfolded) eigenvalues, diagonalizes N inside each cluster and keeps, per
-physical state, the one replica with centroid in [-1/2, 1/2).  States whose
-folded quasi-energies coincide are grouped, aligned to one replica and
-resolved by diagonalizing the average-energy block
+The kept replica has centroid <N> in [-1/2, 1/2), and its Ebar = <T> lies
+inside the instantaneous spectrum of H(t), because T is a compression of
+multiplication by H(t).  Weyl's inequality bounds that spectrum by
+[lambda_min(H_0) - D, lambda_max(H_0) + D] with D = sum_{m != 0} ||H_m||_2,
+so every raw eigenvalue that can hold a kept replica lies within
+omega/2 of that range.  The one dense eigensolve per cutoff therefore
+computes only the eigenpairs inside this window (LAPACK zheevr, MRRR),
+padded so that no tol_deg cluster holding a kept replica is cut at an
+edge (see `_energy_window`), and certifies the residuals of those pairs
+alone.  `select_representatives` then clusters the raw (unfolded)
+eigenvalues, diagonalizes N inside each cluster and keeps, per physical
+state, the one replica with centroid in [-1/2, 1/2).  States whose folded
+quasi-energies coincide are grouped, aligned to one replica and resolved
+by diagonalizing the average-energy block
 
     Hbar[i, j] = sum_{m,m'} <phi_i^(m)| H_{m-m'} |phi_j^(m')>,
 
@@ -51,8 +60,9 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
-from .model import FourierHamiltonian, model_hash, require_valid
+from .model import FourierHamiltonian, ModelError, model_hash, require_valid
 
 
 class TruncationError(RuntimeError):
@@ -61,6 +71,10 @@ class TruncationError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Raised when the dense eigensolver fails or leaves large residuals."""
+
+
+# Largest dense extended-space matrix (16 * n^2 bytes) that will be built.
+MAX_DENSE_BYTES = 2 * 1024**3
 
 
 def fold_reported(value: float, omega: float, seam_tol: float = 1e-12) -> float:
@@ -198,11 +212,19 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
 
     x^H T x equals (1/T) int_0^T <Phi(t)|H(t)|Phi(t)> dt for the mode with
     stacked coefficients x; block (m, m') = H_{m-m'}.  M below the largest
-    stored harmonic index would silently drop physics and is rejected.
+    stored harmonic index would silently drop physics and is rejected, and
+    so is a matrix above MAX_DENSE_BYTES (ModelError, before allocating).
     """
     _require_truncation(h, truncation)
     nb = 2 * truncation + 1
     size = nb * h.dim
+    nbytes = 16 * size**2
+    if nbytes > MAX_DENSE_BYTES:
+        raise ModelError(
+            f"truncation M={truncation} needs a dense {size} x {size} matrix of "
+            f"{nbytes / 1024**3:.2f} GiB, above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB "
+            f"limit; lower M or the model dimension"
+        )
     t = np.zeros((size, size), dtype=complex)
     for k, mat in h.harmonics.items():
         t += np.kron(np.eye(nb, k=-k), mat)
@@ -232,32 +254,65 @@ def _apply_blocks(h: FourierHamiltonian, x: np.ndarray, number_weight: float) ->
     return out.reshape(x.shape)
 
 
-def diagonalize(s: np.ndarray, residual_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a Hermitian matrix with a residual certificate.
+def diagonalize(
+    s: np.ndarray,
+    residual_tol: float = 1e-10,
+    window: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix with a residual certificate.
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  Residuals
-    ||S v - lam v|| are checked against residual_tol * ||S||.
+    LAPACK zheevr (MRRR) computes the full spectrum, or with window =
+    (lo, hi) only the eigenpairs with lo < lam <= hi; `solve_at_truncation`
+    passes `_energy_window`, which holds every pair that replica selection
+    can keep.  Returns (eigenvalues ascending, eigenvectors as columns).
+    Residuals ||S v - lam v|| of the returned pairs are checked against
+    residual_tol * max(|lam|, 1), the maximum taken over the returned
+    eigenvalues.
     """
     s = np.asarray(s)
     herm_defect = np.linalg.norm(s - s.conj().T)
     if herm_defect > 1e-12 * max(1.0, np.linalg.norm(s)):
         raise SolverError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     try:
-        vals, vecs = np.linalg.eigh(s)
+        vals, vecs = scipy.linalg.eigh(
+            s, subset_by_value=window, driver="evr", check_finite=False
+        )
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"eigensolver failed: {exc}; size={s.shape[0]}, "
             f"norm={np.linalg.norm(s):.3e}"
         ) from exc
-    scale = max(np.abs(vals).max(), 1.0)
+    scale = max(float(np.abs(vals).max(initial=0.0)), 1.0)
     residuals = np.linalg.norm(s @ vecs - vecs * vals, axis=0)
-    worst = float(residuals.max())
+    worst = float(residuals.max(initial=0.0))
     if worst > residual_tol * scale:
         raise SolverError(
             f"eigensolver residual {worst:.3e} exceeds {residual_tol:.1e} * "
             f"{scale:.3e}; matrix size {s.shape[0]}"
         )
     return vals, vecs
+
+
+def _energy_window(
+    h: FourierHamiltonian, truncation: int, tol_deg: float
+) -> tuple[float, float]:
+    """Raw-eigenvalue window holding every pair `select_representatives` keeps.
+
+    A kept vector has Ebar inside [E_lo, E_hi] = lambda_min/max(H_0) -+
+    sum_{m != 0} ||H_m||_2 (Weyl) and centroid in [-1/2, 1/2), so its raw
+    eigenvalue lies in [E_lo - omega/2, E_hi + omega/2].  The pad of
+    n*tol_deg + 1e-9*omega covers the 9-decimal centroid rounding and a
+    transitive tol_deg cluster (at most n members) around a kept vector,
+    so no such cluster is cut at an edge.  The members of a cluster that is
+    cut and lie inside the window are still outside the unpadded range, so
+    none of them passes the centroid test.
+    """
+    h0 = h.harmonics.get(0, np.zeros((h.dim, h.dim)))
+    levels = np.linalg.eigvalsh(h0)
+    drive = sum(np.linalg.norm(mat, 2) for m, mat in h.harmonics.items() if m != 0)
+    pad = (2 * truncation + 1) * h.dim * tol_deg + 1e-9 * h.omega
+    reach = drive + 0.5 * h.omega + pad
+    return float(levels[0] - reach), float(levels[-1] + reach)
 
 
 # --- representative selection ---------------------------------------------
@@ -664,12 +719,16 @@ def average_energy_matrix(
 def solve_at_truncation(
     h: FourierHamiltonian, truncation: int, tol_deg: float | None = None
 ) -> Spectrum:
-    """Solve the eigentriplet spectrum at a fixed harmonic cutoff."""
+    """Solve the eigentriplet spectrum at a fixed harmonic cutoff.
+
+    metadata["edge_weight_max"] is the largest weight a returned mode keeps
+    in the |m| = M blocks; it is reported, not checked.
+    """
     require_valid(h)
     if tol_deg is None:
         tol_deg = 1e-8 * h.omega
     s = build_sambe(h, truncation)
-    vals, vecs = diagonalize(s)
+    vals, vecs = diagonalize(s, window=_energy_window(h, truncation, tol_deg))
     reps = select_representatives(vals, vecs, h, truncation, tol_deg)
     groups = group_degeneracies(reps, h, tol_deg)
     metadata = {
@@ -680,7 +739,14 @@ def solve_at_truncation(
         "omega": h.omega,
         "model_hash": model_hash(h),
     }
-    return resolve_degeneracies(groups, h, metadata)
+    spectrum = resolve_degeneracies(groups, h, metadata)
+    # weight left in the |m| = M blocks: large means M is below convergence
+    coeffs = np.stack([t.mode.coeffs for t in spectrum])
+    edge = np.abs(np.arange(-truncation, truncation + 1)) == truncation
+    spectrum.metadata["edge_weight_max"] = float(
+        np.sum(np.abs(coeffs[:, edge]) ** 2, axis=(1, 2)).max()
+    )
+    return spectrum
 
 
 def certify_truncation(

@@ -64,3 +64,29 @@ def random_mode(rng: np.random.Generator, truncation: int, dim: int) -> ft.Floqu
         size=(2 * truncation + 1, dim)
     )
     return ft.FloquetMode(coeffs).normalized()
+
+
+def full_solve(h: ft.FourierHamiltonian, truncation: int, tol_deg: float | None = None):
+    """The fixed-cutoff pipeline on the full Sambe spectrum (no value window)."""
+    if tol_deg is None:
+        tol_deg = 1e-8 * h.omega
+    vals, vecs = ft.diagonalize(ft.build_sambe(h, truncation))
+    reps = ft.select_representatives(vals, vecs, h, truncation, tol_deg)
+    return ft.resolve_degeneracies(ft.group_degeneracies(reps, h, tol_deg), h)
+
+
+def assert_same_triplets(a, b, omega: float, tol: float):
+    """Every (eps, Ebar) of `a` matched one-to-one in `b` within tol (eps wrapped)."""
+    assert len(a) == len(b)
+    unused = list(b)
+    for t in a:
+        match = next(
+            (
+                u for u in unused
+                if abs(u.avg_energy - t.avg_energy) <= tol
+                and ft.wrap_distance(u.quasi_energy, t.quasi_energy, omega) <= tol
+            ),
+            None,
+        )
+        assert match is not None, (t.quasi_energy, t.avg_energy)
+        unused.remove(match)

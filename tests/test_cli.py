@@ -159,6 +159,17 @@ def test_solve_nonfinite_omega_exits_config(tmp_path, capsys, value):
     assert "omega(nonfinite)" in err["message"]
 
 
+def test_solve_oversized_dense_matrix_exits_config(tmp_path, capsys):
+    code = main(
+        ["solve", "--builtin", "driven_ring", "--param", "sites=96", "--harmonics", "64",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "M=64" in err["message"] and "GiB" in err["message"]
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_solve_nonfinite_harmonic_exits_config(tmp_path, capsys, value):
     path = tmp_path / "model.json"

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floqtriplet as ft
+from floqtriplet import sambe
+
+from conftest import assert_same_triplets, full_solve
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -55,3 +58,20 @@ def test_random_models_give_consistent_triplets(h):
             if lost <= 1e-12:
                 ebar = ft.average_energy_functional(shifted.normalized(), h)
                 assert abs(ebar - t.avg_energy) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=driven_models(), truncation=st.integers(1, 6), loose=st.booleans())
+def test_windowed_solve_matches_full_spectrum(h, truncation, loose):
+    tol_deg = 1e-3 * h.omega if loose else None
+    outcomes = []
+    for solve in (sambe.solve_at_truncation, full_solve):
+        try:
+            outcomes.append(solve(h, max(truncation, h.max_harmonic), tol_deg))
+        except ft.TruncationError as exc:
+            outcomes.append(type(exc))
+    windowed, full = outcomes
+    if isinstance(windowed, ft.Spectrum) and isinstance(full, ft.Spectrum):
+        assert_same_triplets(windowed, full, h.omega, 1e-12)
+    else:
+        assert windowed == full

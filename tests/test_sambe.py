@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -10,7 +12,7 @@ import floqtriplet as ft
 from floqtriplet import sambe
 from floqtriplet.sambe import Representative, fold_reported
 
-from conftest import CIRCULAR_DEFAULT, random_mode
+from conftest import CIRCULAR_DEFAULT, assert_same_triplets, full_solve, random_mode
 
 
 def test_build_sambe_static_block_structure():
@@ -88,6 +90,88 @@ def test_diagonalize_circular_matches_rotating_frame_ladder():
         for k in range(-m // 2, m // 2):
             target = base + k * 1.5
             assert np.min(np.abs(vals - target)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["static", "two_level_circular", "two_level_linear", "driven_ring"])
+def test_windowed_eigenvalues_lie_in_window(name, monkeypatch):
+    h = ft.builtin_model(name)
+    seen = []
+    diagonalize = sambe.diagonalize
+
+    def recording(s, residual_tol=1e-10, window=None):
+        vals, vecs = diagonalize(s, residual_tol, window)
+        seen.append((s.shape[0], window, vals))
+        return vals, vecs
+
+    monkeypatch.setattr(sambe, "diagonalize", recording)
+    for m in (4, 8):
+        sambe.solve_at_truncation(h, m)
+    assert len(seen) == 2
+    for size, (lo, hi), vals in seen:
+        assert 0 < vals.size <= size
+        assert np.all((vals > lo) & (vals <= hi))
+    if name == "driven_ring":
+        # the window holds about one replica of each state, not all 2M+1
+        assert seen[-1][2].size < seen[-1][0] // 4
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("static", {}),
+        ("two_level_circular", {}),
+        ("two_level_linear", {}),
+        ("driven_ring", {}),
+        # the benchmark's solve-large input: n = 816 at its certified M = 8
+        ("driven_ring", {"sites": 48, "v": 0.5, "omega": 2.3}),
+    ],
+)
+def test_windowed_solve_matches_full_spectrum(name, params):
+    h = ft.builtin_model(name, params)
+    m = ft.certify_truncation(h)
+    assert_same_triplets(sambe.solve_at_truncation(h, m), full_solve(h, m), h.omega, 1e-12)
+
+
+def test_windowed_eigensolve_certifies_residuals(monkeypatch):
+    h = ft.builtin_model("driven_ring")
+    eigh = scipy.linalg.eigh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        vecs = vecs.copy()
+        vecs[:, 0] += 1e-6 * vecs[:, -1]
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    with pytest.raises(ft.SolverError, match="residual"):
+        sambe.solve_at_truncation(h, 4)
+
+
+def test_diagonalize_empty_window_reaches_count_check():
+    h = ft.builtin_model("static")
+    vals, vecs = ft.diagonalize(ft.build_sambe(h, 2), window=(100.0, 101.0))
+    assert vals.shape == (0,) and vecs.shape == (5 * h.dim, 0)
+    with pytest.raises(ft.TruncationError, match="found 0 replica families"):
+        ft.select_representatives(vals, vecs, h, 2)
+
+
+def test_dense_build_guard_raises_before_allocating():
+    # 96 sites at M = 64: n = 129 * 96 = 12384, a 2.29 GiB complex matrix
+    h = ft.builtin_model("driven_ring", {"sites": 96})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ft.ModelError, match=r"M=64 .* 12384 x 12384 .* 2\.29 GiB"):
+            sambe.solve_at_truncation(h, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_edge_weight_reported_below_convergence():
+    h = ft.builtin_model("two_level_linear", {"v": 2.5, "omega": 0.9})
+    assert ft.solve_spectrum(h, 3).metadata["edge_weight_max"] >= 1e-3
+    assert ft.solve_spectrum(h, "auto").metadata["edge_weight_max"] <= 1e-15
 
 
 def test_select_representatives_static():
