@@ -57,7 +57,6 @@ from .variational import (
     minimize_excited,
     minimize_ground,
     objective,
-    objective_gradient,
 )
 from .analysis import (
     TrackingReport,

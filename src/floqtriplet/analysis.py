@@ -36,10 +36,6 @@ class TruncatedSpectrum:
     total: int
     discarded_avg_energies: np.ndarray
 
-    @property
-    def discarded_weight(self) -> int:
-        return self.total - self.kept
-
 
 def order_and_truncate(
     spectrum: Spectrum, keep: int | None = None, ebar_max: float | None = None

@@ -78,7 +78,18 @@ def _resolve_model(args) -> FourierHamiltonian:
 
 
 def _truncation_arg(text: str):
-    return text if text == "auto" else int(text)
+    if text == "auto":
+        return text
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _gate_arg(text: str) -> float:
+    gate = float(text)
+    if not (np.isfinite(gate) and gate > 0):
+        raise argparse.ArgumentTypeError(f"gate must be finite and > 0, got {text!r}")
+    return gate
 
 
 def _write_json(path: Path, payload: dict):
@@ -254,7 +265,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
     )
     parser.add_argument("--tol-deg", type=float, default=None)
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="cross-validate against propagation")
     _add_model_arguments(p_compare)
-    p_compare.add_argument("--gate", type=float, default=1e-6)
+    p_compare.add_argument("--gate", type=_gate_arg, default=1e-6)
     p_compare.add_argument("--steps", type=int, default=4096)
     p_compare.set_defaults(func=cmd_compare)
 
@@ -278,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p_var)
     p_var.add_argument("--max-iters", type=int, default=5000)
     p_var.add_argument("--restarts", type=int, default=8)
+    p_var.add_argument("--seed", type=int, default=0, help="first random-restart seed")
     p_var.set_defaults(func=cmd_variational)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep with label continuity")

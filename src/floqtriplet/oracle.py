@@ -8,10 +8,11 @@ midpoint-exponential steps
 each factor unitary because H(t_mid) is Hermitian; a final polar
 correction strips the accumulated factor roundoff (a few 1e-12 over 4096
 steps) so the result is unitary to working precision.  The
-eigenphases of U(T) give the quasi-energies folded into [0, omega), the
-eigenvectors are the Floquet modes at t = 0, and average energies come from
-explicit Simpson averages of <Psi(t)|H(t)|Psi(t)> along the propagated
-trajectories.  Degenerate eigenphases are resolved by diagonalizing the
+eigenphases of U(T) give the quasi-energies folded into [0, omega), its
+complex Schur vectors (orthonormal eigenvectors, U(T) being unitary) are the
+Floquet modes at t = 0, and average energies come from explicit Simpson
+averages of <Psi_i(t)|H(t)|Psi_j(t)> along the propagated trajectories.
+Degenerate eigenphases are resolved by diagonalizing the
 time-averaged-energy matrix inside the degenerate subspace, the direct
 time-domain mirror of the extended-space construction in `sambe` - which
 is exactly what makes this an independent check.
@@ -23,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import simpson
 
 from .model import FourierHamiltonian, require_valid
@@ -31,6 +33,7 @@ from .sambe import (
     Spectrum,
     EigenTriplet,
     _circular_clusters,
+    _resolve_tol_deg,
     fold_reported,
 )
 
@@ -42,7 +45,6 @@ class PropagationError(RuntimeError):
 @dataclass(frozen=True)
 class PropagationConfig:
     steps_per_period: int = 4096
-    order: int = 2  # midpoint-exponential scheme marker
     unitarity_tol: float = 1e-12
     richardson: bool = False
 
@@ -95,9 +97,10 @@ def propagate_period(
 ) -> MonodromyResult:
     """Monodromy operator U(T) and its eigenphase decomposition.
 
-    Eigenvectors within degenerate eigenphase clusters are orthonormalized,
-    since a generic eigensolver leaves that basis arbitrary.  With
-    config.richardson, the largest eigenphase shift against a half-step
+    The eigenvectors are the complex Schur vectors of U(T), sorted by
+    eigenphase: for a unitary matrix the Schur form is diagonal, so they are
+    orthonormal eigenvectors, inside degenerate eigenphase clusters too.
+    With config.richardson, the largest eigenphase shift against a half-step
     solve is reported as a step error estimate.
     """
     require_valid(h)
@@ -108,16 +111,10 @@ def propagate_period(
             f"unitarity drift {defect:.3e} exceeds {config.unitarity_tol:.1e} "
             f"(steps={config.steps_per_period}, dim={h.dim})"
         )
-    ev, vecs = np.linalg.eig(u)
-    theta = np.mod(-np.angle(ev), 2.0 * np.pi)
+    schur, vecs = scipy.linalg.schur(u, output="complex")
+    theta = np.mod(-np.angle(np.diag(schur)), 2.0 * np.pi)
     order = np.argsort(theta, kind="stable")
     theta, vecs = theta[order], vecs[:, order]
-    # orthonormalize within eigenphase clusters (wrap-aware on the circle)
-    clusters = _circular_clusters(theta, 2.0 * np.pi, 1e-7)
-    for cluster in clusters:
-        cluster = np.sort(cluster)
-        q, _ = np.linalg.qr(vecs[:, cluster])
-        vecs[:, cluster] = q
     estimate = None
     if config.richardson:
         coarse = _monodromy_matrix(h, config.steps_per_period // 2)
@@ -157,16 +154,15 @@ def mode_from_propagation(
     eigenphase: float,
     truncation: int,
     config: PropagationConfig = PropagationConfig(),
-    tail_tol: float = 1e-6,
 ) -> tuple[FloquetMode, float]:
     """Floquet mode from a propagated monodromy eigenvector.
 
     The trajectory Psi(t) is rephased to Phi(t) = e^{+i eps t} Psi(t) with
     eps = eigenphase / T in [0, omega), then discrete-Fourier-transformed
     into coefficients phi^(m), |m| <= truncation.  Returns the normalized
-    mode and the tail weight left beyond the truncation; a tail above
-    tail_tol emits a truncation warning (the mode is degraded, the
-    eigenphase is not).
+    mode and the tail weight left beyond the truncation; a tail above 1e-6
+    emits a truncation warning (the mode is degraded, the eigenphase is
+    not).
     """
     period = h.period
     eps = fold_reported(eigenphase / period, h.omega)
@@ -181,7 +177,7 @@ def mode_from_propagation(
     total = float(np.sum(np.abs(coeffs_all) ** 2))
     kept = float(np.sum(np.abs(coeffs) ** 2))
     tail = total - kept
-    if tail > tail_tol:
+    if tail > 1e-6:
         warnings.warn(
             f"Fourier tail weight {tail:.3e} beyond |m| <= {truncation}; "
             f"increase the truncation",
@@ -191,38 +187,28 @@ def mode_from_propagation(
     return FloquetMode(coeffs).normalized(), tail
 
 
-def time_averaged_energy(
-    h: FourierHamiltonian,
-    trajectory: np.ndarray,
-    config: PropagationConfig = PropagationConfig(),
-    periodicity_tol: float = 1e-6,
-) -> float:
+def time_averaged_energy(h: FourierHamiltonian, trajectory: np.ndarray) -> float:
     """Simpson average (1/T) int <Psi(t)|H(t)|Psi(t)> dt over one period.
 
     The trajectory must hold N+1 samples on the uniform grid including both
-    endpoints; the integrand is checked to be periodic at the endpoints.
-    For a strictly periodic integrand the one-period average equals the
-    infinite-time average.
+    endpoints; the integrand is checked to be periodic at the endpoints, to
+    1e-6 relative.  For a strictly periodic integrand the one-period average
+    equals the infinite-time average.
     """
-    trajectory = np.asarray(trajectory)
-    n = trajectory.shape[0] - 1
-    tgrid = np.linspace(0.0, h.period, n + 1)
-    values = np.empty(n + 1)
-    for j, t in enumerate(tgrid):
-        values[j] = float(np.real(np.vdot(trajectory[j], h.eval_at_time(t) @ trajectory[j])))
-    if abs(values[-1] - values[0]) > periodicity_tol * max(1.0, abs(values[0])):
+    average, integrand = _cross_energy_matrix(h, [np.asarray(trajectory)])
+    first, last = integrand[0, 0, [0, -1]].real
+    if abs(last - first) > 1e-6 * max(1.0, abs(first)):
         raise PropagationError(
-            f"integrand is not periodic at the endpoints: "
-            f"{values[0]:.6e} vs {values[-1]:.6e}"
+            f"integrand is not periodic at the endpoints: {first:.6e} vs {last:.6e}"
         )
-    return float(simpson(values, x=tgrid) / h.period)
+    return float(average[0, 0].real)
 
 
 def _cross_energy_matrix(
     h: FourierHamiltonian, trajectories: list[np.ndarray]
-) -> np.ndarray:
-    """Simpson matrix (1/T) int <Psi_i(t)|H(t)|Psi_j(t)> dt, Hermitized."""
-    k = len(trajectories)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson matrix (1/T) int <Psi_i(t)|H(t)|Psi_j(t)> dt, Hermitized,
+    with its integrand on the N+1 grid nodes, shape (k, k, N+1)."""
     n = trajectories[0].shape[0] - 1
     tgrid = np.linspace(0.0, h.period, n + 1)
     stack = np.stack(trajectories)  # (k, N+1, d)
@@ -232,7 +218,7 @@ def _cross_energy_matrix(
         hpsi[:, j, :] = stack[:, j, :] @ ht.T
     integrand = np.einsum("int,jnt->ijn", stack.conj(), hpsi)
     out = simpson(integrand, x=tgrid, axis=-1) / h.period
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + out.conj().T), integrand
 
 
 def oracle_spectrum(
@@ -249,8 +235,7 @@ def oracle_spectrum(
     information, so no Brillouin-zone bookkeeping is needed here.
     """
     require_valid(h)
-    if tol_deg is None:
-        tol_deg = 1e-8 * h.omega
+    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     mono = propagate_period(h, config)
     eps = mono.quasi_energies(h.period)
     clusters = _circular_clusters(eps, h.omega, tol_deg)
@@ -260,7 +245,7 @@ def oracle_spectrum(
         trajectories = [
             propagate_trajectory(h, mono.eigenvectors[:, i], config) for i in cluster
         ]
-        block = _cross_energy_matrix(h, trajectories)
+        block, _ = _cross_energy_matrix(h, trajectories)
         ebars, rotation = np.linalg.eigh(block)
         eps_group = fold_reported(eps[cluster[0]], h.omega)
         theta_group = float(mono.eigenphases[cluster[0]])

@@ -56,7 +56,6 @@ average energy), ordered by average energy.
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,15 +75,27 @@ class SolverError(RuntimeError):
 # Largest dense extended-space matrix (16 * n^2 bytes) that will be built.
 MAX_DENSE_BYTES = 2 * 1024**3
 
+# Folded quasi-energy drift below which the larger of two cutoffs is certified.
+QUASI_TOL = 1e-9
 
-def fold_reported(value: float, omega: float, seam_tol: float = 1e-12) -> float:
-    """Fold with the zone seam snapped: values within seam_tol * omega below
+
+def fold_reported(value: float, omega: float) -> float:
+    """Fold with the zone seam snapped: values within 1e-12 * omega below
     omega report as 0.0, so floating-point noise around an integer multiple
     of omega cannot flip a state across the Brillouin-zone boundary."""
     f = float(np.mod(value, omega))
-    if omega - f <= seam_tol * omega:
+    if omega - f <= 1e-12 * omega:
         return 0.0
     return f
+
+
+def _resolve_tol_deg(tol_deg: float | None, omega: float) -> float:
+    """The degeneracy tolerance: 1e-8 * omega by default, else finite and > 0."""
+    if tol_deg is None:
+        return 1e-8 * omega
+    if not (np.isfinite(tol_deg) and tol_deg > 0):
+        raise ModelError(f"tol_deg must be finite and > 0, got {tol_deg!r}")
+    return tol_deg
 
 
 def wrap_distance(a, b, omega: float):
@@ -161,11 +172,6 @@ class FloquetMode:
         lost = float(np.sum(np.abs(dropped) ** 2))
         return FloquetMode(out), lost
 
-    def at_time(self, t: float, omega: float) -> np.ndarray:
-        """Synthesize Phi(t) = sum_m phi^(m) e^{+i m omega t}."""
-        phases = np.exp(1j * self.harmonic_indices * omega * t)
-        return phases @ self.coeffs
-
     @staticmethod
     def from_flat(x: np.ndarray, dim: int) -> "FloquetMode":
         return FloquetMode(np.asarray(x, dtype=complex).reshape(-1, dim))
@@ -180,15 +186,36 @@ class FloquetMode:
 
 
 def replica_overlap(a: FloquetMode, b: FloquetMode) -> tuple[float, int]:
-    """max_k |<<shift_k(a)|b>>| over all harmonic shifts, with the argmax."""
+    """max_k |<<shift_k(a)|b>>| over all harmonic shifts, with the argmax.
+
+    With the block Gram matrix G = conj(A) B^T of the coefficient rows, the
+    overlap at shift k is trace(G, offset=k).  Ties go to the smallest k;
+    when every overlap is 0 the result is (0.0, 0).
+    """
     nb = a.coeffs.shape[0]
-    best, best_k = 0.0, 0
-    for k in range(-(nb - 1), nb):
-        shifted, _ = a.shift(k)
-        val = abs(np.vdot(shifted.flat(), b.flat()))
-        if val > best:
-            best, best_k = val, k
-    return best, best_k
+    gram = a.coeffs.conj() @ b.coeffs.T
+    overlaps = np.abs([np.trace(gram, offset=k) for k in range(-(nb - 1), nb)])
+    i = int(np.argmax(overlaps))
+    if not overlaps[i] > 0.0:
+        return 0.0, 0
+    return float(overlaps[i]), i - (nb - 1)
+
+
+def _replica_ladder(
+    modes: list[FloquetMode], tail_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every harmonic shift of every mode that drops at most tail_tol of
+    weight past the truncation edge, normalized, as columns; plus the index
+    of the mode each column came from."""
+    columns, owners = [], []
+    for i, mode in enumerate(modes):
+        nb = mode.coeffs.shape[0]
+        for k in range(-(nb - 1), nb):
+            shifted, lost = mode.shift(k)
+            if lost <= tail_tol:
+                columns.append(shifted.normalized().flat())
+                owners.append(i)
+    return np.column_stack(columns), np.asarray(owners)
 
 
 # --- extended-space matrices ----------------------------------------------
@@ -367,8 +394,7 @@ def select_representatives(
     increase M.
     """
     omega, d = h.omega, h.dim
-    if tol_deg is None:
-        tol_deg = 1e-8 * omega
+    tol_deg = _resolve_tol_deg(tol_deg, omega)
     number = _number_diagonal(truncation, d)
     order = np.argsort(eigvals, kind="stable")
     breaks = np.flatnonzero(np.diff(eigvals[order]) > tol_deg) + 1
@@ -436,8 +462,7 @@ def group_degeneracies(
     singleton groups are allowed.
     """
     omega = h.omega
-    if tol_deg is None:
-        tol_deg = 1e-8 * omega
+    tol_deg = _resolve_tol_deg(tol_deg, omega)
     if not reps:
         return []
     folded = np.array([r.quasi_energy for r in reps])
@@ -587,7 +612,6 @@ def resolve_degeneracies(
     groups: list[DegenerateGroup],
     h: FourierHamiltonian,
     metadata: dict | None = None,
-    ebar_tie_tol: float = 1e-10,
 ) -> Spectrum:
     """Diagonalize each group's average-energy block into eigentriplets.
 
@@ -595,8 +619,9 @@ def resolve_degeneracies(
     states remain quasi-energy eigenstates because the members share one
     raw eigenvalue.  Triplets are ordered by average energy ascending, with
     ties broken by quasi-energy and then by the index of the
-    largest-magnitude coefficient (reproducibility; residual average-energy
-    degeneracies are flagged, not interpreted).
+    largest-magnitude coefficient (reproducibility).  Residual average-energy
+    degeneracies, neighbours in a group within 1e-10 * max(|Ebar|, 1) of
+    each other, are flagged, not interpreted.
     """
     if not groups:
         return Spectrum(triplets=[], metadata=metadata or {})
@@ -609,7 +634,7 @@ def resolve_degeneracies(
         scale = max(1.0, float(np.abs(ebars).max()) if ebars.size else 1.0)
         tied = np.zeros(group.size, dtype=bool)
         for a in range(group.size - 1):
-            if abs(ebars[a + 1] - ebars[a]) <= ebar_tie_tol * scale:
+            if abs(ebars[a + 1] - ebars[a]) <= 1e-10 * scale:
                 tied[a] = tied[a + 1] = True
         lam = float(np.mean([m.quasi_energy_raw for m in group.members]))
         residuals = np.linalg.norm(_apply_blocks(h, rotated, h.omega) - lam * rotated, axis=0)
@@ -665,31 +690,19 @@ def average_energy_functional(mode: FloquetMode, h: FourierHamiltonian) -> float
 
 # --- assembled operators (Ritz bound, block-structure checks) --------------
 
-def assembled_average_energy(
-    spectrum: Spectrum, h: FourierHamiltonian, tail_tol: float = 1e-12
-) -> np.ndarray:
+def assembled_average_energy(spectrum: Spectrum, h: FourierHamiltonian) -> np.ndarray:
     """The operator sum_n Hbar_n on the truncated Floquet space.
 
     Assembled from the resolved spectrum: every triplet contributes its
     replica ladder  sum_k ebar |shift_k Phi><shift_k Phi|, keeping shifts
-    whose truncation loss is below tail_tol.  Its expectation value on any
+    whose truncation loss is at most 1e-12.  Its expectation value on any
     normalized mode realizes the average-energy functional of the Ritz
     bound; its lowest eigenvalue is the ground average energy.
     """
     if not spectrum.triplets:
         raise ValueError("empty spectrum")
-    truncation = spectrum[0].mode.truncation
-    nb = 2 * truncation + 1
-    size = nb * h.dim
-    columns, weights = [], []
-    for t in spectrum:
-        for k in range(-(nb - 1), nb):
-            shifted, lost = t.mode.shift(k)
-            if lost <= tail_tol:
-                columns.append(shifted.normalized().flat())
-                weights.append(t.avg_energy)
-    basis = np.column_stack(columns)
-    a = (basis * np.asarray(weights)) @ basis.conj().T
+    basis, owners = _replica_ladder(spectrum.modes, 1e-12)
+    a = (basis * spectrum.avg_energies[owners]) @ basis.conj().T
     return 0.5 * (a + a.conj().T)
 
 
@@ -725,8 +738,7 @@ def solve_at_truncation(
     in the |m| = M blocks; it is reported, not checked.
     """
     require_valid(h)
-    if tol_deg is None:
-        tol_deg = 1e-8 * h.omega
+    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     s = build_sambe(h, truncation)
     vals, vecs = diagonalize(s, window=_energy_window(h, truncation, tol_deg))
     reps = select_representatives(vals, vecs, h, truncation, tol_deg)
@@ -749,33 +761,24 @@ def solve_at_truncation(
     return spectrum
 
 
-def certify_truncation(
-    h: FourierHamiltonian,
-    start: int | None = None,
-    quasi_tol: float = 1e-9,
-    max_truncation: int = 64,
-) -> int:
+def certify_truncation(h: FourierHamiltonian, *, max_truncation: int = 64) -> int:
     """Smallest certified cutoff: double M until quasi-energies settle.
 
-    Returns the first M = 2*M_prev at which every folded quasi-energy moved
-    less than quasi_tol from the M_prev solve (wrap-aware, matched after
+    Starting from the largest harmonic index of the model (at least 1),
+    returns the first M = 2*M_prev at which every folded quasi-energy moved
+    less than QUASI_TOL from the M_prev solve (wrap-aware, matched after
     sorting).  The harmonic cutoff is the one approximation in the whole
     construction, so it is certified rather than guessed.
     """
-    spectrum = _certified_spectrum(h, None, start, quasi_tol, max_truncation)
-    return spectrum.metadata["truncation"]
+    return _certified_spectrum(h, None, max_truncation).metadata["truncation"]
 
 
 def _certified_spectrum(
-    h: FourierHamiltonian,
-    tol_deg: float | None,
-    start: int | None = None,
-    quasi_tol: float = 1e-9,
-    max_truncation: int = 64,
+    h: FourierHamiltonian, tol_deg: float | None, max_truncation: int = 64
 ) -> Spectrum:
     """The doubling loop of `certify_truncation`, returning its last solve."""
     require_valid(h)
-    m = max(1, h.max_harmonic) if start is None else max(start, h.max_harmonic, 1)
+    m = max(1, h.max_harmonic)
     prev: np.ndarray | None = None
     while m <= max_truncation:
         try:
@@ -785,12 +788,12 @@ def _certified_spectrum(
             eps = None
         if eps is not None and prev is not None:
             drift = wrap_distance(eps, prev, h.omega).max()
-            if drift < quasi_tol:
+            if drift < QUASI_TOL:
                 return spectrum
         prev = eps
         m *= 2
     raise TruncationError(
-        f"quasi-energies did not settle below {quasi_tol} up to M={max_truncation}"
+        f"quasi-energies did not settle below {QUASI_TOL} up to M={max_truncation}"
     )
 
 
@@ -811,11 +814,3 @@ def solve_spectrum(
     if timestamp:
         spectrum.metadata["timestamp"] = datetime.datetime.now().isoformat()
     return spectrum
-
-
-def spectrum_to_json(spectrum: Spectrum) -> str:
-    return json.dumps(spectrum.to_json_dict(), indent=1)
-
-
-def spectrum_from_json(text: str) -> Spectrum:
-    return Spectrum.from_json_dict(json.loads(text))

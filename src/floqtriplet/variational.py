@@ -12,8 +12,9 @@ enforced as a residual penalty and the unit norm as a quadratic penalty:
 Quasi-energy stationarity is equivalent to x being an eigenvector of the
 Sambe matrix S, so the feasible set of the penalty formulation is exactly
 the eigenstate manifold, on which F reduces to the average energy.  The
-penalty weight mu_res is grown geometrically (continuation) until the
-eigen-residual of the iterate is below tolerance.
+penalty weight mu_res is grown tenfold per stage (continuation) until the
+eigen-residual of the iterate is below tolerance; the deflation weight is
+mu_orth = 100.
 
 The gradient is analytic.  With eps(x) the Rayleigh quotient, the residual
 r = (S - eps) x is orthogonal to x, which collapses the chain-rule term,
@@ -37,32 +38,32 @@ from scipy.optimize import minimize
 from .model import FourierHamiltonian, require_valid
 from .sambe import (
     FloquetMode,
+    _replica_ladder,
     build_energy_matrix,
     build_sambe,
     fold_reported,
 )
 
+MU_ORTH = 100.0
+
 
 @dataclass(frozen=True)
 class VariationalConfig:
     mu_res_init: float = 1e3
-    mu_res_growth: float = 10.0
     mu_res_max: float = 1e12
     mu_norm: float = 10.0
-    mu_orth: float = 100.0
     # an order below the 1e-8 contract so functional-equivalence holds with
     # margin at every converged result
     residual_tol: float = 1e-9
-    grad_tol: float = 1e-10
     max_iterations: int = 2000
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.mu_res_init, self.mu_norm, self.mu_orth) <= 0:
+        if min(self.mu_res_init, self.mu_norm) <= 0:
             raise ValueError("penalty weights must be positive")
-        if self.residual_tol <= 0 or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -127,8 +128,8 @@ class _Workspace:
         grad = tx + mu_res * (self.s @ r - eps * r) + 2.0 * cfg.mu_norm * (n - 1.0) * x
         if self.deflation is not None and self.deflation.shape[1]:
             proj = self.deflation.conj().T @ x
-            value += cfg.mu_orth * float(np.real(np.vdot(proj, proj)))
-            grad = grad + cfg.mu_orth * (self.deflation @ proj)
+            value += MU_ORTH * float(np.real(np.vdot(proj, proj)))
+            grad = grad + MU_ORTH * (self.deflation @ proj)
         return value, grad
 
     def real_objective(self, y: np.ndarray, mu_res: float) -> tuple[float, np.ndarray]:
@@ -154,41 +155,14 @@ def objective(
     At any exact eigenstate the penalties vanish and the value is the
     average energy itself.
     """
-    ws = _Workspace(
-        h, mode.truncation, config, _deflation_basis(found, config) if found else None
-    )
+    ws = _Workspace(h, mode.truncation, config, _deflation_basis(found))
     value, _ = ws.value_and_gradient(mode.flat(), config.mu_res_init)
     return value
 
 
-def objective_gradient(
-    mode: FloquetMode,
-    h: FourierHamiltonian,
-    config: VariationalConfig = VariationalConfig(),
-    mu_res: float | None = None,
-) -> np.ndarray:
-    """Analytic gradient of F in the real parametrization [Re x; Im x]."""
-    ws = _Workspace(h, mode.truncation, config)
-    x = mode.flat()
-    y = np.concatenate([x.real, x.imag])
-    _, grad = ws.real_objective(y, config.mu_res_init if mu_res is None else mu_res)
-    return grad
-
-
-def _deflation_basis(
-    found: list[FloquetMode] | None, config: VariationalConfig, tail_tol: float = 1e-6
-) -> np.ndarray | None:
-    """Stack found modes with all their clean replica shifts as columns."""
-    if not found:
-        return None
-    columns = []
-    nb = 2 * found[0].truncation + 1
-    for mode in found:
-        for k in range(-(nb - 1), nb):
-            shifted, lost = mode.shift(k)
-            if lost <= tail_tol:
-                columns.append(shifted.normalized().flat())
-    return np.column_stack(columns)
+def _deflation_basis(found: list[FloquetMode] | None) -> np.ndarray | None:
+    """Found modes with their replica shifts that lose at most 1e-6, as columns."""
+    return _replica_ladder(found, 1e-6)[0] if found else None
 
 
 def _random_start(rng: np.random.Generator, truncation: int, dim: int) -> np.ndarray:
@@ -234,7 +208,7 @@ def _minimize_one(
             args=(mu,),
             jac=True,
             method="BFGS",
-            options={"maxiter": remaining, "gtol": config.grad_tol},
+            options={"maxiter": remaining, "gtol": 1e-10},
         )
         y = res.x
         x = y[: ws.size] + 1j * y[ws.size :]
@@ -253,7 +227,7 @@ def _minimize_one(
             break
         if mu >= config.mu_res_max or remaining <= 0:
             break
-        mu *= config.mu_res_growth
+        mu *= 10.0
     return x, converged, trace
 
 
@@ -283,7 +257,7 @@ def _search(
     found: list[FloquetMode] | None,
 ) -> VariationalResult:
     require_valid(h)
-    deflation = _deflation_basis(found, config)
+    deflation = _deflation_basis(found)
     ws = _Workspace(h, truncation, config, deflation)
     level = len(found) if found else 0
     starts: list[tuple[np.ndarray, int | None]] = [

@@ -1,12 +1,14 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet.cli import main
+from floqtriplet.cli import build_parser, main
 
 from conftest import CIRCULAR_DEFAULT
 
@@ -310,7 +312,7 @@ def test_determinism_identical_runs(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
         assert main(
-            ["solve", "--builtin", "driven_ring", "--seed", "7", "--out", str(out)]
+            ["solve", "--builtin", "driven_ring", "--out", str(out)]
         ) == 0
         payload = json.loads((out / "spectrum.json").read_text())
         payload["metadata"].pop("timestamp", None)
@@ -322,3 +324,62 @@ def test_unknown_builtin_exits_config(tmp_path, capsys):
     assert main(["solve", "--builtin", "bogus", "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config"
+
+
+@pytest.mark.parametrize("gate", ["nan", "inf", "-1", "0"])
+def test_compare_invalid_gate_exits_config(tmp_path, capsys, gate):
+    out = tmp_path / "o"
+    assert main(["compare", "--builtin", "static", "--gate", gate, "--out", str(out)]) == 2
+    assert "gate must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_invalid_tol_deg_exits_config(tmp_path, capsys, command, value):
+    code = main(
+        [command, "--builtin", "driven_ring", "--tol-deg", value, "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "tol_deg must be finite and > 0" in err["message"]
+
+
+@pytest.mark.parametrize("value", ["-3", "-0.5", "1.5", "many"])
+def test_invalid_harmonics_exits_config(tmp_path, capsys, value):
+    code = main(
+        ["solve", "--builtin", "static", "--harmonics", value, "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "--harmonics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--builtin", "static"],
+        ["compare", "--builtin", "static"],
+        ["sweep", "--builtin", "static", "--sweep-param", "omega",
+         "--sweep-start", "0.6", "--sweep-stop", "0.7", "--sweep-count", "2"],
+        ["perturb"],
+    ],
+)
+def test_seed_only_on_variational(tmp_path, capsys, argv):
+    assert main(argv + ["--seed", "7", "--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("floqtriplet ")
+    ]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]

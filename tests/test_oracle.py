@@ -167,6 +167,35 @@ def test_step_halving_stability(name, spectra):
     assert np.max(np.abs(eps[4096] - eps[8192])) <= 1e-8
 
 
+def test_propagate_period_degenerate_pair_orthonormal():
+    # levels 0 and 1 = 2 omega fold onto one eigenphase: U(T) is the identity
+    h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5})
+    vecs = ft.propagate_period(h).eigenvectors
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(2)) <= 1e-12
+
+
+def test_propagate_period_rotated_degenerate_eigenvectors():
+    # the same fold in a random basis, next to a non-degenerate level
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)) + 0j)
+    h0 = q @ np.diag([0.0, 1.0, 0.3]) @ q.conj().T
+    h = ft.FourierHamiltonian(dim=3, omega=0.5, harmonics={0: 0.5 * (h0 + h0.conj().T)})
+    mono = ft.propagate_period(h)
+    vecs = mono.eigenvectors
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(3)) <= 1e-12
+    phases = np.exp(-1j * mono.eigenphases)
+    assert np.linalg.norm(mono.u_matrix @ vecs - vecs * phases) <= 1e-10
+    # quasi-energies 0, 0 (one of them possibly just below the seam at omega) and 0.3
+    distance = ft.wrap_distance(mono.quasi_energies(h.period), 0.0, h.omega)
+    assert_allclose(np.sort(distance), [0.0, 0.0, 0.2], atol=1e-10)
+
+
+@pytest.mark.parametrize("tol_deg", [float("inf"), float("nan"), -1.0, 0.0])
+def test_oracle_spectrum_rejects_invalid_tol_deg(tol_deg):
+    h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5})
+    with pytest.raises(ft.ModelError, match="tol_deg must be finite and > 0"):
+        ft.oracle_spectrum(h, truncation=3, tol_deg=tol_deg)
+
+
 def test_oracle_resolves_degenerate_static_pair():
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5})
     spec = ft.oracle_spectrum(h, truncation=3)

@@ -747,3 +747,42 @@ def test_static_models_recover_levels(levels, omega):
     expected = [fold_reported(lv, omega) for lv in levels]
     for eps in spec.quasi_energies:
         assert min(ft.wrap_distance(eps, e, omega) for e in expected) <= 1e-9
+
+
+def _shift_loop_overlap(a, b):
+    """replica_overlap by building every shifted mode (the definition)."""
+    nb = a.coeffs.shape[0]
+    best, best_k = 0.0, 0
+    for k in range(-(nb - 1), nb):
+        val = abs(np.vdot(a.shift(k)[0].flat(), b.flat()))
+        if val > best:
+            best, best_k = val, k
+    return best, best_k
+
+
+def test_replica_overlap_matches_shift_loop():
+    rng = np.random.default_rng(11)
+    for truncation in (0, 1, 3):
+        for dim in (1, 3):
+            for _ in range(5):
+                a, b = random_mode(rng, truncation, dim), random_mode(rng, truncation, dim)
+                value, k = ft.replica_overlap(a, b)
+                want_value, want_k = _shift_loop_overlap(a, b)
+                assert k == want_k
+                assert value == pytest.approx(want_value, rel=1e-13, abs=1e-15)
+    # disjoint supports: only the shift from m = -2 onto m = +2 overlaps
+    a = ft.FloquetMode.from_block([1.0, 1.0j], -2, 2)
+    b = ft.FloquetMode.from_block([0.0, 2.0], 2, 2)
+    assert ft.replica_overlap(a, b) == _shift_loop_overlap(a, b) == (2.0, 4)
+    zero = ft.FloquetMode(np.zeros((5, 2)))
+    assert ft.replica_overlap(zero, random_mode(rng, 2, 2)) == (0.0, 0)
+    assert _shift_loop_overlap(zero, random_mode(rng, 2, 2)) == (0.0, 0)
+
+
+@pytest.mark.parametrize("tol_deg", [float("inf"), float("nan"), -1.0, 0.0])
+def test_solve_rejects_invalid_tol_deg(tol_deg):
+    h = ft.builtin_model("driven_ring")
+    with pytest.raises(ft.ModelError, match="tol_deg must be finite and > 0"):
+        sambe.solve_at_truncation(h, 4, tol_deg)
+    with pytest.raises(ft.ModelError, match="tol_deg must be finite and > 0"):
+        ft.solve_spectrum(h, "auto", tol_deg)
