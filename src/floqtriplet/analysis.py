@@ -24,7 +24,7 @@ from .model import (
     builtin_model,
     combine,
 )
-from .sambe import Spectrum, replica_overlap, solve_spectrum, wrap_distance
+from .sambe import Spectrum, _resolve_tol_deg, replica_overlap, solve_spectrum, wrap_distance
 
 
 @dataclass(eq=False)
@@ -89,12 +89,6 @@ def overlap_matrix(spec_a: Spectrum, spec_b: Spectrum) -> np.ndarray:
 class TrackingReport:
     """Per-state label drifts and overlaps under a perturbation."""
 
-    perturbation: str
-    strength: float
-    eps0: np.ndarray
-    ebar0: np.ndarray
-    eps: np.ndarray
-    ebar: np.ndarray
     overlap_qorder: np.ndarray
     overlap_label: np.ndarray
     rows: list[dict] = field(default_factory=list)
@@ -144,46 +138,28 @@ def perturb_and_track(
     hp = combine(h, v, strength)
     spec1 = solve_spectrum(hp, spec0.metadata["truncation"], tol_deg)
 
-    omega = h.omega
     order0 = np.argsort(spec0.quasi_energies, kind="stable")
     order1 = np.argsort(spec1.quasi_energies, kind="stable")
     qorder_assignment = np.empty(len(spec0), dtype=int)
     qorder_assignment[order0] = order1
-    label_assignment = _label_assignment(spec0, spec1, omega)
+    label_assignment = _label_assignment(spec0, spec1, h.omega)
 
-    d = len(spec0)
-    eps0, ebar0 = spec0.quasi_energies, spec0.avg_energies
-    over_q = np.empty(d)
-    over_l = np.empty(d)
-    eps1 = np.empty(d)
-    ebar1 = np.empty(d)
     rows = []
-    for i in range(d):
-        jq, jl = int(qorder_assignment[i]), int(label_assignment[i])
-        over_q[i], _ = replica_overlap(spec0[i].mode, spec1[jq].mode)
-        over_l[i], _ = replica_overlap(spec0[i].mode, spec1[jl].mode)
-        eps1[i] = spec1[jl].quasi_energy
-        ebar1[i] = spec1[jl].avg_energy
+    for i, (jq, jl) in enumerate(zip(qorder_assignment, label_assignment)):
         rows.append(
             {
                 "state": i,
-                "eps0": float(eps0[i]),
-                "ebar0": float(ebar0[i]),
-                "eps": float(eps1[i]),
-                "ebar": float(ebar1[i]),
-                "overlap_qorder": float(over_q[i]),
-                "overlap_label": float(over_l[i]),
+                "eps0": spec0[i].quasi_energy,
+                "ebar0": spec0[i].avg_energy,
+                "eps": spec1[jl].quasi_energy,
+                "ebar": spec1[jl].avg_energy,
+                "overlap_qorder": replica_overlap(spec0[i].mode, spec1[jq].mode)[0],
+                "overlap_label": replica_overlap(spec0[i].mode, spec1[jl].mode)[0],
             }
         )
     return TrackingReport(
-        perturbation=f"strength={strength!r}",
-        strength=strength,
-        eps0=eps0,
-        ebar0=ebar0,
-        eps=eps1,
-        ebar=ebar1,
-        overlap_qorder=over_q,
-        overlap_label=over_l,
+        overlap_qorder=np.array([r["overlap_qorder"] for r in rows]),
+        overlap_label=np.array([r["overlap_label"] for r in rows]),
         rows=rows,
     )
 
@@ -205,41 +181,28 @@ def degeneracy_contrast_fixture() -> tuple[FourierHamiltonian, FourierHamiltonia
     return h, v, strength
 
 
-def truncation_convergence_curve(
-    h: FourierHamiltonian | None = None,
-    reference_seed: int = 7,
-    keeps: tuple[int, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def truncation_convergence_curve() -> tuple[np.ndarray, np.ndarray]:
     """Completeness of keep-k truncated bases for the driven-ring fixture.
 
     Projects a fixed reference mode (seeded random vector in the m = 0
-    block) onto the span of the k lowest average-energy states and reports
-    the captured weight against the full-basis value.  The captured weight
-    is monotone in k by construction; the fixture asserts the error to the
-    full-basis value shrinks at each doubling of k.
+    block) onto the span of the k lowest average-energy states of the
+    8-site ring, for k = 1, 2, 4 and 8, and reports the captured weight
+    against the full-basis value.  The captured weight is monotone in k by
+    construction; the fixture asserts the error to the full-basis value
+    shrinks at each doubling of k.
     """
-    if h is None:
-        h = builtin_model("driven_ring", {"sites": 8})
+    h = builtin_model("driven_ring", {"sites": 8})
     spectrum = solve_spectrum(h, "auto")
-    d = h.dim
-    if keeps is None:
-        ks = [1]
-        while ks[-1] * 2 < d:
-            ks.append(ks[-1] * 2)
-        ks.append(d)
-        keeps = tuple(ks)
-    rng = np.random.default_rng(reference_seed)
-    ref = rng.normal(size=d) + 1j * rng.normal(size=d)
+    keeps = (1, 2, 4, 8)
+    rng = np.random.default_rng(7)
+    ref = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
     ref /= np.linalg.norm(ref)
-    truncation = spectrum[0].mode.truncation
-    center = truncation  # block m = 0
-    weights = []
-    for keep in keeps:
-        kept = order_and_truncate(spectrum, keep=keep).retained
-        total = 0.0
-        for t in kept:
-            total += abs(np.vdot(t.mode.coeffs[center], ref)) ** 2
-        weights.append(total)
+    center = spectrum[0].mode.truncation  # block m = 0
+    weights = [
+        sum(abs(np.vdot(t.mode.coeffs[center], ref)) ** 2
+            for t in order_and_truncate(spectrum, keep=keep).retained)
+        for keep in keeps
+    ]
     return np.asarray(keeps), np.asarray(weights)
 
 
@@ -257,10 +220,11 @@ def sweep_values(
     arrays reordered so that state i at one point continues state i at the
     previous point (nearest-label assignment).  Dotted axis names such as
     "levels.1" index into list-valued parameters.  Per-point failures are
-    recorded and the sweep continues.
+    recorded and the sweep continues; a bad tol_deg fails the whole sweep.
     """
     if name not in MODEL_DEFAULTS:
         raise ModelError(f"unknown model {name!r}")
+    _resolve_tol_deg(tol_deg, 1.0)  # checks a given tol_deg; omega only sets the default
     merged = {**MODEL_DEFAULTS[name], **base_params}
     records: list[dict] = []
     previous: Spectrum | None = None

@@ -23,7 +23,7 @@ from .model import (
     builtin_model,
     load_model,
 )
-from .oracle import PropagationConfig, PropagationError
+from .oracle import PropagationError
 from .sambe import SolverError, TruncationError, wrap_distance
 from .variational import VariationalConfig
 
@@ -134,10 +134,7 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     h = _resolve_model(args)
     spec_s = sambe.solve_spectrum(h, args.harmonics, args.tol_deg)
-    config = PropagationConfig(steps_per_period=args.steps)
-    spec_o = oracle.oracle_spectrum(
-        h, spec_s.metadata["truncation"], config, args.tol_deg
-    )
+    spec_o = oracle.oracle_spectrum(h, spec_s.metadata["truncation"], tol_deg=args.tol_deg)
     overlaps = analysis.overlap_matrix(spec_s, spec_o)
     from scipy.optimize import linear_sum_assignment
 
@@ -171,8 +168,9 @@ def cmd_compare(args) -> int:
 
 def cmd_variational(args) -> int:
     h = _resolve_model(args)
+    tol_deg = sambe._resolve_tol_deg(args.tol_deg, h.omega)
     if args.harmonics == "auto":
-        truncation = sambe.certify_truncation(h)
+        truncation = sambe.solve_spectrum(h, "auto", tol_deg).metadata["truncation"]
     else:
         truncation = int(args.harmonics)
     config = VariationalConfig(
@@ -208,10 +206,7 @@ def cmd_sweep(args) -> int:
     params = _parse_params(args.param)
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
-    if args.sweep_count == 1:
-        values = np.array([args.sweep_start])
-    else:
-        values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)
+    values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)
     records = analysis.sweep_values(
         args.builtin, params, args.sweep_param, values, args.harmonics, args.tol_deg
     )
@@ -281,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="cross-validate against propagation")
     _add_model_arguments(p_compare)
     p_compare.add_argument("--gate", type=_gate_arg, default=1e-6)
-    p_compare.add_argument("--steps", type=int, default=4096)
     p_compare.set_defaults(func=cmd_compare)
 
     p_var = sub.add_parser("variational", help="variational ground state")

@@ -32,7 +32,7 @@ from .sambe import (
     FloquetMode,
     Spectrum,
     EigenTriplet,
-    _circular_clusters,
+    _gap_clusters,
     _resolve_tol_deg,
     fold_reported,
 )
@@ -238,7 +238,7 @@ def oracle_spectrum(
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     mono = propagate_period(h, config)
     eps = mono.quasi_energies(h.period)
-    clusters = _circular_clusters(eps, h.omega, tol_deg)
+    clusters = _gap_clusters(eps, tol_deg, h.omega)
     triplets: list[EigenTriplet] = []
     for gid, cluster in enumerate(sorted(clusters, key=lambda c: eps[np.sort(c)[0]])):
         cluster = np.sort(cluster)

@@ -359,21 +359,25 @@ class Representative:
     residual: float
 
 
-def _circular_clusters(folded: np.ndarray, omega: float, tol: float) -> list[np.ndarray]:
-    """Transitive clustering of folded quasi-energies, wrap-aware."""
-    order = np.argsort(folded, kind="stable")
-    values = folded[order]
-    clusters: list[list[int]] = [[int(order[0])]]
-    for prev, idx in zip(values[:-1], order[1:]):
-        if folded[idx] - prev <= tol:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    if len(clusters) > 1:
-        gap = (omega - values[-1]) + values[0]
-        if gap <= tol:
-            clusters[0] = clusters.pop() + clusters[0]
-    return [np.asarray(c) for c in clusters]
+def _gap_clusters(
+    values: np.ndarray, tol: float, period: float | None = None
+) -> list[np.ndarray]:
+    """Index sets of values joined, transitively, by gaps <= tol.
+
+    Clusters come in ascending value order and list their indices by value
+    (stable argsort).  With a period the values lie on a circle of that
+    length in [0, period), so the seam gap period - max + min is one more
+    gap; a cluster across the seam lists its members above the seam first.
+    """
+    if values.size == 0:
+        return []
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    clusters = np.split(order, np.flatnonzero(np.diff(ordered) > tol) + 1)
+    if period is not None and len(clusters) > 1:
+        if (period - ordered[-1]) + ordered[0] <= tol:
+            clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
+    return clusters
 
 
 def select_representatives(
@@ -396,10 +400,8 @@ def select_representatives(
     omega, d = h.omega, h.dim
     tol_deg = _resolve_tol_deg(tol_deg, omega)
     number = _number_diagonal(truncation, d)
-    order = np.argsort(eigvals, kind="stable")
-    breaks = np.flatnonzero(np.diff(eigvals[order]) > tol_deg) + 1
     reps: list[Representative] = []
-    for cluster in np.split(order, breaks):
+    for cluster in _gap_clusters(eigvals, tol_deg):
         basis = eigvecs[:, cluster]
         centroids, rotation = np.linalg.eigh(basis.conj().T @ (number[:, None] * basis))
         # round: of seam replicas (centroids -1/2, +1/2 at resonance) keep one
@@ -463,12 +465,9 @@ def group_degeneracies(
     """
     omega = h.omega
     tol_deg = _resolve_tol_deg(tol_deg, omega)
-    if not reps:
-        return []
     folded = np.array([r.quasi_energy for r in reps])
-    clusters = _circular_clusters(folded, omega, tol_deg)
     groups: list[DegenerateGroup] = []
-    for cluster in clusters:
+    for cluster in _gap_clusters(folded, tol_deg, omega):
         members = [reps[int(i)] for i in np.sort(cluster)]
         lam0 = members[0].quasi_energy_raw
         ks = [int(np.round((m.quasi_energy_raw - lam0) / omega)) for m in members]
@@ -633,9 +632,8 @@ def resolve_degeneracies(
         rotated /= np.linalg.norm(rotated, axis=0)
         scale = max(1.0, float(np.abs(ebars).max()) if ebars.size else 1.0)
         tied = np.zeros(group.size, dtype=bool)
-        for a in range(group.size - 1):
-            if abs(ebars[a + 1] - ebars[a]) <= 1e-10 * scale:
-                tied[a] = tied[a + 1] = True
+        for ties in _gap_clusters(ebars, 1e-10 * scale):
+            tied[ties] = ties.size > 1
         lam = float(np.mean([m.quasi_energy_raw for m in group.members]))
         residuals = np.linalg.norm(_apply_blocks(h, rotated, h.omega) - lam * rotated, axis=0)
         for a in range(group.size):

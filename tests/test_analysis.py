@@ -160,6 +160,14 @@ def test_sweep_values_records_failures():
     assert "error" in records[1]
 
 
+def test_sweep_values_bad_tol_deg_fails_whole_sweep():
+    from floqtriplet.analysis import sweep_values
+    from floqtriplet.model import ModelError
+
+    with pytest.raises(ModelError, match="tol_deg must be finite and > 0"):
+        sweep_values("static", {}, "omega", np.array([0.6, 0.7]), 2, float("inf"))
+
+
 def test_sweep_values_unknown_axis():
     from floqtriplet.analysis import sweep_values
     from floqtriplet.model import ModelError

@@ -334,16 +334,36 @@ def test_compare_invalid_gate_exits_config(tmp_path, capsys, gate):
     assert not out.exists()
 
 
+SWEEP_ARGS = ["--sweep-param", "omega", "--sweep-start", "2.0", "--sweep-stop", "2.3",
+              "--sweep-count", "2"]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
-@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep", "variational"])
 def test_invalid_tol_deg_exits_config(tmp_path, capsys, command, value):
+    out = tmp_path / "o"
+    extra = SWEEP_ARGS if command == "sweep" else []
     code = main(
-        [command, "--builtin", "driven_ring", "--tol-deg", value, "--out", str(tmp_path / "o")]
+        [command, "--builtin", "driven_ring", *extra, "--tol-deg", value, "--out", str(out)]
     )
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config"
     assert "tol_deg must be finite and > 0" in err["message"]
+    assert not out.exists()
+
+
+def test_variational_fixed_truncation_checks_tol_deg(tmp_path):
+    out = tmp_path / "o"
+    argv = ["variational", "--builtin", "static", "--harmonics", "2", "--tol-deg", "nan"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_compare_has_no_steps_option(tmp_path, capsys):
+    argv = ["compare", "--builtin", "static", "--steps", "4096", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "unrecognized arguments: --steps 4096" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-3", "-0.5", "1.5", "many"])

@@ -6,7 +6,7 @@ with harmonics |m| <= 2 and entries in [-1, 1].
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import floqtriplet as ft
@@ -75,3 +75,46 @@ def test_windowed_solve_matches_full_spectrum(h, truncation, loose):
         assert_same_triplets(windowed, full, h.omega, 1e-12)
     else:
         assert windowed == full
+
+
+def brute_force_clusters(values, tol, period):
+    """Connected components of the graph joining values at distance <= tol."""
+    n = len(values)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(n):
+            dist = abs(values[i] - values[j])
+            if period is not None:
+                dist = min(dist, period - dist)
+            if dist <= tol:
+                old, new = label[j], label[i]
+                label = [new if x == old else x for x in label]
+    return {frozenset(k for k in range(n) if label[k] == c) for c in set(label)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    period=st.integers(min_value=1, max_value=30),
+    points=st.lists(st.integers(min_value=0, max_value=29), max_size=12),
+    tol=st.integers(min_value=0, max_value=30),
+    circle=st.booleans(),
+)
+@example(period=10, points=[0, 9, 5], tol=1, circle=True)  # a cluster across the seam
+def test_gap_clusters_match_connected_components(period, points, tol, circle):
+    # integer values keep every gap exact, so ties at tol are tested exactly
+    values = np.array([p % period for p in points], dtype=float)
+    clusters = sambe._gap_clusters(values, float(tol), float(period) if circle else None)
+    assert {frozenset(c.tolist()) for c in clusters} == brute_force_clusters(
+        values, tol, period if circle else None
+    )
+    assert sum(c.size for c in clusters) == values.size
+    for c in clusters:
+        # ascending by value (stable), members above a crossed seam first, so
+        # each member is reached from the one before by one gap <= tol
+        first = values[c[0]]
+        assert c.tolist() == sorted(c, key=lambda i: (values[i] < first, values[i], i))
+        steps = np.diff(values[c])
+        assert np.all((steps % period if circle else steps) <= tol)
+    if not circle:
+        starts = [values[c[0]] for c in clusters]
+        assert starts == sorted(starts)
