@@ -78,11 +78,19 @@ def overlap_matrix(spec_a: Spectrum, spec_b: Spectrum) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {spec_a[0].mode.dim} vs {spec_b[0].mode.dim}"
         )
-    out = np.empty((len(spec_a), len(spec_b)))
-    for i, ta in enumerate(spec_a):
-        for j, tb in enumerate(spec_b):
-            out[i, j], _ = replica_overlap(ta.mode, tb.mode)
-    return out
+    a = np.stack([t.mode.coeffs for t in spec_a])  # (states, blocks, dim)
+    b = np.stack([t.mode.coeffs for t in spec_b])
+    nb = a.shape[1]
+    # the block Gram matrices of all pairs in one batched product, each the
+    # product replica_overlap forms for its pair; the overlap at shift k is
+    # trace(gram[i, j], offset=k), and only the largest modulus is kept
+    # (0.0 when every overlap is 0)
+    gram = a.conj()[:, None] @ b.transpose(0, 2, 1)[None]
+    overlaps = np.stack(
+        [np.trace(gram, offset=k, axis1=2, axis2=3) for k in range(-(nb - 1), nb)],
+        axis=-1,
+    )
+    return np.abs(overlaps).max(axis=-1)
 
 
 @dataclass(eq=False)

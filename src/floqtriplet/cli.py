@@ -169,13 +169,13 @@ def cmd_compare(args) -> int:
 def cmd_variational(args) -> int:
     h = _resolve_model(args)
     tol_deg = sambe._resolve_tol_deg(args.tol_deg, h.omega)
+    config = VariationalConfig(
+        max_iterations=args.max_iters, restarts=args.restarts, seed=args.seed
+    )
     if args.harmonics == "auto":
         truncation = sambe.solve_spectrum(h, "auto", tol_deg).metadata["truncation"]
     else:
         truncation = int(args.harmonics)
-    config = VariationalConfig(
-        max_iterations=args.max_iters, restarts=args.restarts, seed=args.seed
-    )
     result = variational.minimize_ground(h, truncation, config)
     out = Path(args.out)
     _write_json(out / "variational.json", result.to_json_dict())

@@ -73,6 +73,45 @@ def test_overlap_matrix_cross_method(spectra, oracle_spectra):
     assert np.abs(ov - np.eye(2)).max() <= 1e-6
 
 
+def _with_modes(spec, modes):
+    return ft.Spectrum(
+        triplets=[
+            ft.EigenTriplet(
+                mode=mode,
+                quasi_energy=t.quasi_energy,
+                avg_energy=t.avg_energy,
+                quasi_energy_raw=t.quasi_energy_raw,
+                residual=t.residual,
+                group_id=t.group_id,
+                group_size=t.group_size,
+            )
+            for t, mode in zip(spec, modes)
+        ],
+        metadata=dict(spec.metadata),
+    )
+
+
+def _pairwise_overlaps(spec_a, spec_b):
+    return np.array([[ft.replica_overlap(a.mode, b.mode)[0] for b in spec_b] for a in spec_a])
+
+
+def test_overlap_matrix_equals_pairwise_replica_overlap(spectra, oracle_spectra):
+    spec_s, spec_o = spectra["driven_ring"], oracle_spectra["driven_ring"]
+    rng = np.random.default_rng(43)
+    # a phase and a replica shift per state, so the maxima sit at k != 0
+    rotated = _with_modes(
+        spec_s,
+        [
+            ft.FloquetMode(np.exp(1j * rng.uniform(0, 2 * np.pi)) * t.mode.shift(k)[0].coeffs)
+            for t, k in zip(spec_s, rng.integers(-2, 3, size=len(spec_s)))
+        ],
+    )
+    zero = _with_modes(spec_s, [ft.FloquetMode(np.zeros_like(t.mode.coeffs)) for t in spec_s])
+    for a, b in [(spec_s, spec_o), (spec_s, rotated), (rotated, spec_o), (spec_s, zero)]:
+        assert np.abs(ft.overlap_matrix(a, b) - _pairwise_overlaps(a, b)).max() <= 1e-15
+    assert not ft.overlap_matrix(spec_s, zero).any()
+
+
 def test_overlap_matrix_dimension_mismatch(spectra):
     with pytest.raises(ValueError):
         ft.overlap_matrix(spectra["two_level_circular"], spectra["driven_ring"])

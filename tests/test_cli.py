@@ -360,6 +360,16 @@ def test_variational_fixed_truncation_checks_tol_deg(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [["--restarts", "-1"], ["--max-iters", "0"]])
+def test_variational_invalid_budget_exits_config(tmp_path, capsys, option):
+    out = tmp_path / "o"
+    code = main(["variational", "--builtin", "static", *option, "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert not out.exists()
+
+
 def test_compare_has_no_steps_option(tmp_path, capsys):
     argv = ["compare", "--builtin", "static", "--steps", "4096", "--out", str(tmp_path / "o")]
     assert main(argv) == 2

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,33 @@ def test_nonconvergence_is_flagged_with_trace():
     assert result.residual > cfg.residual_tol
 
 
+def test_stall_at_mu_max_is_flagged_after_every_stage():
+    # a residual tolerance no start can reach drives the continuation
+    # through every penalty stage, into the line-search stall at large mu
+    h = ft.builtin_model("two_level_linear")
+    cfg = VariationalConfig(residual_tol=1e-300, restarts=1)
+    start = time.perf_counter()
+    result = ft.minimize_ground(h, 4, cfg)
+    elapsed = time.perf_counter() - start
+    assert not result.converged
+    mus = [stage["mu_res"] for stage in result.trace]
+    assert mus == [1e3 * 10.0**k for k in range(10)]
+    assert mus[-1] == cfg.mu_res_max
+    assert np.isfinite(result.residual)
+    assert elapsed < 60.0
+
+
+def test_minimize_excited_linear(ground_results, spectra):
+    h = ft.builtin_model("two_level_linear")
+    ground = ground_results["two_level_linear"]
+    spec = spectra["two_level_linear"]
+    excited = ft.minimize_excited(h, spec.metadata["truncation"], found=[ground.mode])
+    assert excited.converged
+    assert abs(excited.avg_energy - spec[1].avg_energy) <= 1e-6
+    overlap, _ = ft.replica_overlap(excited.mode, spec[1].mode)
+    assert overlap >= 1.0 - 1e-5
+
+
 def test_stationarity_implies_functional_equivalence(ground_results, spectra):
     for name, result in ground_results.items():
         h = ft.builtin_model(name)
@@ -154,6 +183,12 @@ def test_config_validation():
         VariationalConfig(max_iterations=0)
     with pytest.raises(ValueError):
         VariationalConfig(residual_tol=0.0)
+
+
+def test_config_rejects_negative_restarts():
+    with pytest.raises(ValueError, match="restarts"):
+        VariationalConfig(restarts=-1)
+    assert VariationalConfig(restarts=0).restarts == 0
 
 
 def test_results_record_seed_and_trace(ground_results):
