@@ -24,7 +24,7 @@ from .model import (
     builtin_model,
     combine,
 )
-from .sambe import Spectrum, _resolve_tol_deg, replica_overlap, solve_spectrum, wrap_distance
+from .sambe import Spectrum, _replica_overlaps, _resolve_tol_deg, solve_spectrum, wrap_distance
 
 
 @dataclass(eq=False)
@@ -80,17 +80,7 @@ def overlap_matrix(spec_a: Spectrum, spec_b: Spectrum) -> np.ndarray:
         )
     a = np.stack([t.mode.coeffs for t in spec_a])  # (states, blocks, dim)
     b = np.stack([t.mode.coeffs for t in spec_b])
-    nb = a.shape[1]
-    # the block Gram matrices of all pairs in one batched product, each the
-    # product replica_overlap forms for its pair; the overlap at shift k is
-    # trace(gram[i, j], offset=k), and only the largest modulus is kept
-    # (0.0 when every overlap is 0)
-    gram = a.conj()[:, None] @ b.transpose(0, 2, 1)[None]
-    overlaps = np.stack(
-        [np.trace(gram, offset=k, axis1=2, axis2=3) for k in range(-(nb - 1), nb)],
-        axis=-1,
-    )
-    return np.abs(overlaps).max(axis=-1)
+    return _replica_overlaps(a[:, None], b[None]).max(axis=-1)
 
 
 @dataclass(eq=False)
@@ -151,6 +141,7 @@ def perturb_and_track(
     qorder_assignment = np.empty(len(spec0), dtype=int)
     qorder_assignment[order0] = order1
     label_assignment = _label_assignment(spec0, spec1, h.omega)
+    overlaps = overlap_matrix(spec0, spec1)
 
     rows = []
     for i, (jq, jl) in enumerate(zip(qorder_assignment, label_assignment)):
@@ -161,8 +152,8 @@ def perturb_and_track(
                 "ebar0": spec0[i].avg_energy,
                 "eps": spec1[jl].quasi_energy,
                 "ebar": spec1[jl].avg_energy,
-                "overlap_qorder": replica_overlap(spec0[i].mode, spec1[jq].mode)[0],
-                "overlap_label": replica_overlap(spec0[i].mode, spec1[jl].mode)[0],
+                "overlap_qorder": float(overlaps[i, jq]),
+                "overlap_label": float(overlaps[i, jl]),
             }
         )
     return TrackingReport(

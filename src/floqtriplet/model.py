@@ -7,17 +7,22 @@ components
 
 with hbar = 1 and all energies in the same unit as omega.  Hermiticity of
 H(t) at every t is equivalent to H_{-m} = H_m^dagger for every stored
-harmonic; constructors complete missing partners so the pair condition
-holds exactly.  The e^{+i m omega t} sign convention is fixed here once and
-shared by every module in the package (see `sambe` for the matching mode
-convention).
+harmonic; the constructor completes missing partners so the pair condition
+holds exactly.  A FourierHamiltonian is validated once, when it is built
+(finite omega > 0, finite entries, H_{-m} = H_m^dagger), and raises
+ModelError otherwise; its harmonics are read-only copies, so every other
+module can trust an instance without checking it again.  The
+e^{+i m omega t} sign convention is fixed here once and shared by every
+module in the package (see `sambe` for the matching mode convention).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,7 +32,7 @@ class ModelError(ValueError):
 
 
 def _as_matrix(a, dim: int) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    m = np.array(a, dtype=complex)  # a copy: the caller's array stays writable and unshared
     if m.shape != (dim, dim):
         raise ValueError(f"harmonic matrix has shape {m.shape}, expected {(dim, dim)}")
     m.setflags(write=False)
@@ -48,12 +53,16 @@ class FourierHamiltonian:
         Map from harmonic index m to the d x d matrix H_m.  If only one of
         the pair (m, -m) is given, the partner is filled in as the conjugate
         transpose, which enforces H(t)^dagger = H(t) exactly.  Matrices that
-        are exactly zero are dropped.
+        are exactly zero are dropped.  Stored as a read-only mapping of
+        read-only copies.
+
+    Raises ModelError("invalid Hamiltonian: ...") unless the completed
+    model passes `validate`.
     """
 
     dim: int
     omega: float
-    harmonics: dict[int, np.ndarray] = field(default_factory=dict)
+    harmonics: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if int(self.dim) < 1:
@@ -71,7 +80,10 @@ class FourierHamiltonian:
         for m in list(completed):
             if not completed[m].any():
                 del completed[m]
-        object.__setattr__(self, "harmonics", completed)
+        object.__setattr__(self, "harmonics", MappingProxyType(completed))
+        report = validate(self)
+        if not report.passed:
+            raise ModelError(f"invalid Hamiltonian: {', '.join(report.violations)}")
 
     @property
     def period(self) -> float:
@@ -110,22 +122,18 @@ class ValidationReport:
 def validate(h: FourierHamiltonian) -> ValidationReport:
     """Check the physical constraints of a Fourier Hamiltonian.
 
-    Returns a report rather than raising, so that deliberately broken
-    inputs can be inspected.  A passing report certifies
-    H(t)^dagger = H(t) for all t, a finite omega > 0, finite entries and
-    consistent matrix shapes.
+    The check that construction runs: a passing report certifies
+    H(t)^dagger = H(t) for all t, a finite omega > 0 and finite entries.
+    A harmonic whose partner was given but pruned as exactly zero fails
+    hermiticity; a NaN entry is reported as finite(m), not as hermiticity.
     """
     violations: list[str] = []
-    if h.dim < 1:
-        violations.append("dim(nonpositive)")
     if not np.isfinite(h.omega):
         violations.append("omega(nonfinite)")
     elif h.omega <= 0.0:
         violations.append("omega(nonpositive)")
     nonfinite = set()
     for m, mat in sorted(h.harmonics.items()):
-        if mat.shape != (h.dim, h.dim):
-            violations.append(f"shape(m={m})")
         if not np.isfinite(mat).all():
             nonfinite.add(m)
             violations.append(f"finite(m={m})")
@@ -143,21 +151,13 @@ def validate(h: FourierHamiltonian) -> ValidationReport:
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
-def require_valid(h: FourierHamiltonian) -> FourierHamiltonian:
-    """Raise ModelError unless `h` passes validation."""
-    report = validate(h)
-    if not report.passed:
-        raise ModelError(f"invalid Hamiltonian: {', '.join(report.violations)}")
-    return h
-
-
 def combine(h: FourierHamiltonian, v: FourierHamiltonian, weight: float = 1.0) -> FourierHamiltonian:
     """Return h + weight * v as a new FourierHamiltonian."""
     if v.dim != h.dim:
         raise ModelError(f"dimension mismatch: {h.dim} vs {v.dim}")
     if v.omega != h.omega:
         raise ModelError(f"drive frequency mismatch: {h.omega} vs {v.omega}")
-    harmonics: dict[int, np.ndarray] = {m: mat.copy() for m, mat in h.harmonics.items()}
+    harmonics = dict(h.harmonics)
     for m, mat in v.harmonics.items():
         if m in harmonics:
             harmonics[m] = harmonics[m] + weight * mat
@@ -180,38 +180,28 @@ MODEL_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _check_omega(params: dict) -> float:
-    omega = float(params["omega"])
-    if omega <= 0.0:
-        raise ModelError(f"omega must be > 0, got {omega}")
-    return omega
-
-
 def _static(params: dict) -> FourierHamiltonian:
     levels = [float(x) for x in np.atleast_1d(params["levels"])]
     if not levels:
         raise ModelError("static model needs at least one level")
-    omega = _check_omega(params)
     h0 = np.diag(np.asarray(levels, dtype=complex))
-    return FourierHamiltonian(dim=len(levels), omega=omega, harmonics={0: h0})
+    return FourierHamiltonian(dim=len(levels), omega=params["omega"], harmonics={0: h0})
 
 
 def _two_level_circular(params: dict) -> FourierHamiltonian:
     delta, v = float(params["delta"]), float(params["v"])
-    omega = _check_omega(params)
     # (V/2)(sx cos wt + sy sin wt) collects to (V/4)(sx - i sy) e^{+i w t} + h.c.
     h1 = (v / 4.0) * (SIGMA_X - 1j * SIGMA_Y)
     return FourierHamiltonian(
-        dim=2, omega=omega, harmonics={0: (delta / 2.0) * SIGMA_Z, 1: h1}
+        dim=2, omega=params["omega"], harmonics={0: (delta / 2.0) * SIGMA_Z, 1: h1}
     )
 
 
 def _two_level_linear(params: dict) -> FourierHamiltonian:
     delta, v = float(params["delta"]), float(params["v"])
-    omega = _check_omega(params)
     return FourierHamiltonian(
         dim=2,
-        omega=omega,
+        omega=params["omega"],
         harmonics={0: (delta / 2.0) * SIGMA_Z, 1: (v / 2.0) * SIGMA_X, -1: (v / 2.0) * SIGMA_X},
     )
 
@@ -221,7 +211,6 @@ def _driven_ring(params: dict) -> FourierHamiltonian:
     if sites < 3:
         raise ModelError(f"driven_ring needs sites >= 3, got {sites}")
     hopping, v = float(params["hopping"]), float(params["v"])
-    omega = _check_omega(params)
     h0 = np.zeros((sites, sites), dtype=complex)
     for i in range(sites):
         h0[i, (i + 1) % sites] = -hopping
@@ -229,7 +218,7 @@ def _driven_ring(params: dict) -> FourierHamiltonian:
     # on-site potential with a spatial cosine profile, modulated as cos(w t)
     profile = np.diag(np.cos(2.0 * np.pi * np.arange(sites) / sites)).astype(complex)
     h1 = (v / 2.0) * profile
-    return FourierHamiltonian(dim=sites, omega=omega, harmonics={0: h0, 1: h1, -1: h1})
+    return FourierHamiltonian(dim=sites, omega=params["omega"], harmonics={0: h0, 1: h1, -1: h1})
 
 
 _BUILDERS = {

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import simpson
 
-from .model import FourierHamiltonian, require_valid
+from .model import FourierHamiltonian
 from .sambe import (
     FloquetMode,
     Spectrum,
@@ -103,7 +103,6 @@ def propagate_period(
     With config.richardson, the largest eigenphase shift against a half-step
     solve is reported as a step error estimate.
     """
-    require_valid(h)
     u = _monodromy_matrix(h, config.steps_per_period)
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(h.dim)))
     if defect > config.unitarity_tol:
@@ -136,7 +135,6 @@ def propagate_trajectory(
     config: PropagationConfig = PropagationConfig(),
 ) -> np.ndarray:
     """Samples Psi(t_j), j = 0..N, on the uniform step grid over one period."""
-    require_valid(h)
     steps = config.steps_per_period
     factors = _step_propagators(h, steps)
     samples = np.empty((steps + 1, h.dim), dtype=complex)
@@ -234,7 +232,6 @@ def oracle_spectrum(
     energy matrix within the cluster.  Trajectory phases carry the replica
     information, so no Brillouin-zone bookkeeping is needed here.
     """
-    require_valid(h)
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     mono = propagate_period(h, config)
     eps = mono.quasi_energies(h.period)

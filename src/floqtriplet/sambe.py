@@ -61,7 +61,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .model import FourierHamiltonian, ModelError, model_hash, require_valid
+from .model import FourierHamiltonian, ModelError, model_hash
 
 
 class TruncationError(RuntimeError):
@@ -72,7 +72,9 @@ class SolverError(RuntimeError):
     """Raised when the dense eigensolver fails or leaves large residuals."""
 
 
-# Largest dense extended-space matrix (16 * n^2 bytes) that will be built.
+# Largest dense extended-space solve that will be started: S (16 * n^2
+# bytes) plus the eigensolver's copy (zheevr allocates about 2x S), so
+# 3 * 16 * n^2 bytes are counted against it.
 MAX_DENSE_BYTES = 2 * 1024**3
 
 # Folded quasi-energy drift below which the larger of two cutoffs is certified.
@@ -185,20 +187,29 @@ class FloquetMode:
         return FloquetMode(coeffs)
 
 
+def _replica_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<<shift_k(a)|b>>| for k = -(nb-1) .. nb-1 along a new last axis.
+
+    a and b are coefficient stacks of shape (..., nb, d) that broadcast
+    against each other.  With the block Gram matrix G = conj(A) B^T of the
+    coefficient rows, the overlap at shift k is trace(G, offset=k).
+    """
+    nb = a.shape[-2]
+    gram = a.conj() @ np.swapaxes(b, -1, -2)
+    overlaps = [np.trace(gram, offset=k, axis1=-2, axis2=-1) for k in range(-(nb - 1), nb)]
+    return np.abs(np.stack(overlaps, axis=-1))
+
+
 def replica_overlap(a: FloquetMode, b: FloquetMode) -> tuple[float, int]:
     """max_k |<<shift_k(a)|b>>| over all harmonic shifts, with the argmax.
 
-    With the block Gram matrix G = conj(A) B^T of the coefficient rows, the
-    overlap at shift k is trace(G, offset=k).  Ties go to the smallest k;
-    when every overlap is 0 the result is (0.0, 0).
+    Ties go to the smallest k; when every overlap is 0 the result is (0.0, 0).
     """
-    nb = a.coeffs.shape[0]
-    gram = a.coeffs.conj() @ b.coeffs.T
-    overlaps = np.abs([np.trace(gram, offset=k) for k in range(-(nb - 1), nb)])
+    overlaps = _replica_overlaps(a.coeffs, b.coeffs)
     i = int(np.argmax(overlaps))
     if not overlaps[i] > 0.0:
         return 0.0, 0
-    return float(overlaps[i]), i - (nb - 1)
+    return float(overlaps[i]), i - (a.coeffs.shape[0] - 1)
 
 
 def _replica_ladder(
@@ -221,7 +232,6 @@ def _replica_ladder(
 # --- extended-space matrices ----------------------------------------------
 
 def _require_truncation(h: FourierHamiltonian, truncation: int):
-    require_valid(h)
     if truncation < h.max_harmonic:
         raise TruncationError(
             f"truncation M={truncation} is below the largest harmonic index "
@@ -240,17 +250,18 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     x^H T x equals (1/T) int_0^T <Phi(t)|H(t)|Phi(t)> dt for the mode with
     stacked coefficients x; block (m, m') = H_{m-m'}.  M below the largest
     stored harmonic index would silently drop physics and is rejected, and
-    so is a matrix above MAX_DENSE_BYTES (ModelError, before allocating).
+    so is a solve above MAX_DENSE_BYTES (ModelError, before allocating).
     """
     _require_truncation(h, truncation)
     nb = 2 * truncation + 1
     size = nb * h.dim
     nbytes = 16 * size**2
-    if nbytes > MAX_DENSE_BYTES:
+    if 3 * nbytes > MAX_DENSE_BYTES:
         raise ModelError(
             f"truncation M={truncation} needs a dense {size} x {size} matrix of "
-            f"{nbytes / 1024**3:.2f} GiB, above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB "
-            f"limit; lower M or the model dimension"
+            f"{nbytes / 1024**3:.2f} GiB, {3 * nbytes / 1024**3:.2f} GiB for the solve, "
+            f"above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB limit; lower M or the "
+            f"model dimension"
         )
     t = np.zeros((size, size), dtype=complex)
     for k, mat in h.harmonics.items():
@@ -735,7 +746,6 @@ def solve_at_truncation(
     metadata["edge_weight_max"] is the largest weight a returned mode keeps
     in the |m| = M blocks; it is reported, not checked.
     """
-    require_valid(h)
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     s = build_sambe(h, truncation)
     vals, vecs = diagonalize(s, window=_energy_window(h, truncation, tol_deg))
@@ -775,7 +785,6 @@ def _certified_spectrum(
     h: FourierHamiltonian, tol_deg: float | None, max_truncation: int = 64
 ) -> Spectrum:
     """The doubling loop of `certify_truncation`, returning its last solve."""
-    require_valid(h)
     m = max(1, h.max_harmonic)
     prev: np.ndarray | None = None
     while m <= max_truncation:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import FourierHamiltonian, require_valid
+from .model import FourierHamiltonian
 from .sambe import (
     FloquetMode,
     _replica_ladder,
@@ -264,7 +264,6 @@ def _search(
     config: VariationalConfig,
     found: list[FloquetMode] | None,
 ) -> VariationalResult:
-    require_valid(h)
     deflation = _deflation_basis(found)
     ws = _Workspace(h, truncation, config, deflation)
     level = len(found) if found else 0

@@ -19,25 +19,21 @@ def test_validate_static_passes():
 
 def test_validate_flags_broken_hermiticity():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
-    h = FourierHamiltonian(
-        dim=2, omega=1.0, harmonics={1: bad, -1: bad}  # -1 partner is not bad^dagger
-    )
-    report = ft.validate(h)
-    assert not report.passed
-    assert "hermiticity(m=1)" in report.violations
+    with pytest.raises(ft.ModelError, match=r"^invalid Hamiltonian: hermiticity\(m=1\)$"):
+        FourierHamiltonian(
+            dim=2, omega=1.0, harmonics={1: bad, -1: bad}  # -1 partner is not bad^dagger
+        )
 
 
 def test_validate_flags_nonpositive_omega():
-    h = FourierHamiltonian(dim=1, omega=-0.3, harmonics={0: np.array([[1.0]])})
-    report = ft.validate(h)
-    assert "omega(nonpositive)" in report.violations
+    with pytest.raises(ft.ModelError, match=r"^invalid Hamiltonian: omega\(nonpositive\)$"):
+        FourierHamiltonian(dim=1, omega=-0.3, harmonics={0: np.array([[1.0]])})
 
 
 @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
 def test_validate_flags_nonfinite_omega(omega):
-    h = FourierHamiltonian(dim=1, omega=omega, harmonics={0: np.array([[1.0]])})
-    report = ft.validate(h)
-    assert report.violations == ("omega(nonfinite)",)
+    with pytest.raises(ft.ModelError, match=r"^invalid Hamiltonian: omega\(nonfinite\)$"):
+        FourierHamiltonian(dim=1, omega=omega, harmonics={0: np.array([[1.0]])})
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -45,10 +41,53 @@ def test_validate_flags_nonfinite_entries(bad):
     # a NaN is not equal to itself; it must not read as broken hermiticity
     h0 = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
     h1 = np.array([[0.0, bad], [0.0, 0.0]], dtype=complex)
-    report = ft.validate(FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0, 1: h1}))
-    assert report.violations == ("finite(m=-1)", "finite(m=0)", "finite(m=1)")
-    with pytest.raises(ft.ModelError, match=r"finite\(m=0\)"):
-        ft.solve_spectrum(FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0}), 2)
+    with pytest.raises(
+        ft.ModelError,
+        match=r"^invalid Hamiltonian: finite\(m=-1\), finite\(m=0\), finite\(m=1\)$",
+    ):
+        FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0, 1: h1})
+    with pytest.raises(ft.ModelError, match=r"^invalid Hamiltonian: finite\(m=0\)$"):
+        FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0})
+
+
+@pytest.mark.parametrize("given, zero", [(1, -1), (-1, 1)])
+def test_pruned_partner_is_not_hermitian(given, zero):
+    # the zero member of a given pair is pruned, leaving H_m without H_{-m}
+    x = np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex)
+    with pytest.raises(ft.ModelError, match=r"^invalid Hamiltonian: hermiticity\(m=1\)$"):
+        FourierHamiltonian(
+            dim=2, omega=1.0, harmonics={0: np.eye(2), given: x, zero: np.zeros((2, 2))}
+        )
+
+
+def test_harmonics_are_read_only():
+    h = ft.builtin_model("two_level_linear")
+    with pytest.raises(TypeError):
+        h.harmonics[2] = np.eye(2)
+    with pytest.raises(ValueError):
+        h.harmonics[0][0, 0] = 5.0
+    assert set(h.harmonics) == {-1, 0, 1}
+
+
+def test_caller_array_is_copied():
+    h0 = np.diag([0.25, -0.25]).astype(complex)
+    h = FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0})
+    h0[0, 0] = np.nan  # still the caller's own writable array
+    assert np.array_equal(h.harmonics[0], np.diag([0.25, -0.25]))
+
+
+def test_model_validated_once_at_construction(monkeypatch):
+    from floqtriplet import model
+
+    calls = []
+    real = model.validate
+    monkeypatch.setattr(model, "validate", lambda h: calls.append(h) or real(h))
+    h = ft.builtin_model("two_level_linear")
+    assert len(calls) == 1
+    ft.solve_spectrum(h, "auto")
+    ft.oracle_spectrum(h, 4, ft.PropagationConfig(steps_per_period=64))
+    ft.minimize_ground(h, 4, ft.VariationalConfig(restarts=0))
+    assert len(calls) == 1
 
 
 def test_circular_model_passes_and_matches_hand_expansion():

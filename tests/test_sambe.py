@@ -168,6 +168,24 @@ def test_dense_build_guard_raises_before_allocating():
     assert peak < 16 * 2**20
 
 
+def test_dense_guard_counts_the_eigensolver_copy(monkeypatch):
+    # 3-site ring at M = 8: n = 51; a limit between one matrix (16 n^2) and
+    # the solve (S plus zheevr's copy, 3 * 16 n^2) must refuse the solve
+    h = ft.builtin_model("driven_ring", {"sites": 3})
+    n = 17 * 3
+    monkeypatch.setattr(sambe, "MAX_DENSE_BYTES", 32 * n**2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ft.ModelError, match=r"51 x 51 matrix of .* GiB for the solve"):
+            sambe.solve_at_truncation(h, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n**2
+    monkeypatch.setattr(sambe, "MAX_DENSE_BYTES", 48 * n**2)
+    assert len(sambe.solve_at_truncation(h, 8)) == 3
+
+
 def test_edge_weight_reported_below_convergence():
     h = ft.builtin_model("two_level_linear", {"v": 2.5, "omega": 0.9})
     assert ft.solve_spectrum(h, 3).metadata["edge_weight_max"] >= 1e-3
