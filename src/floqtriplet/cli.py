@@ -10,6 +10,7 @@ bitwise.
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import sys
 from pathlib import Path
@@ -106,25 +107,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
             fh.write("\n")
 
 
-def _spectrum_rows(spectrum: sambe.Spectrum) -> list[list]:
-    rows = []
-    for i, t in enumerate(spectrum):
-        rows.append(
-            [i, t.quasi_energy, t.avg_energy, t.residual, t.mode.centroid()]
-        )
-    return rows
+def _state_rows(states) -> tuple[list[str], list[list]]:
+    """CSV header and one row per state, for eigentriplets and variational
+    results alike."""
+    rows = [
+        [i, s.quasi_energy, s.avg_energy, s.residual, s.mode.centroid()]
+        for i, s in enumerate(states)
+    ]
+    return ["state", "eps", "ebar", "residual", "centroid"], rows
 
 
 def cmd_solve(args) -> int:
     h = _resolve_model(args)
-    spectrum = sambe.solve_spectrum(h, args.harmonics, args.tol_deg, timestamp=True)
+    spectrum = sambe.solve_spectrum(h, args.harmonics, args.tol_deg)
+    spectrum.metadata["timestamp"] = datetime.datetime.now().isoformat()
     out = Path(args.out)
     _write_json(out / "spectrum.json", spectrum.to_json_dict())
-    _write_csv(
-        out / "spectrum.csv",
-        ["state", "eps", "ebar", "residual", "centroid"],
-        _spectrum_rows(spectrum),
-    )
+    _write_csv(out / "spectrum.csv", *_state_rows(spectrum))
     print(f"solved {len(spectrum)} states at M={spectrum.metadata['truncation']}")
     return EXIT_OK
 
@@ -177,12 +176,7 @@ def cmd_variational(args) -> int:
     result = variational.minimize_ground(h, truncation, config)
     out = Path(args.out)
     _write_json(out / "variational.json", result.to_json_dict())
-    _write_csv(
-        out / "variational.csv",
-        ["state", "eps", "ebar", "residual", "centroid"],
-        [[0, result.quasi_energy, result.avg_energy, result.residual,
-          result.mode.centroid()]],
-    )
+    _write_csv(out / "variational.csv", *_state_rows([result]))
     if not result.converged:
         print(
             json.dumps(

@@ -41,9 +41,12 @@ padded so that no tol_deg cluster holding a kept replica is cut at an
 edge (see `_energy_window`), and certifies the residuals of those pairs
 alone.  `select_representatives` then clusters the raw (unfolded)
 eigenvalues, diagonalizes N inside each cluster and keeps, per physical
-state, the one replica with centroid in [-1/2, 1/2).  States whose folded
-quasi-energies coincide are grouped, aligned to one replica and resolved
-by diagonalizing the average-energy block
+state, the one replica with centroid in [-1/2, 1/2); each kept vector x
+carries its own Rayleigh quotient x^H S x as raw eigenvalue.  States whose
+folded quasi-energies coincide are grouped and aligned to one replica, and
+`group_degeneracies` gives every member the mean of the aligned raw
+eigenvalues (the only mean taken).  Each group is resolved by
+diagonalizing the average-energy block
 
     Hbar[i, j] = sum_{m,m'} <phi_i^(m)| H_{m-m'} |phi_j^(m')>,
 
@@ -55,8 +58,7 @@ average energy), ordered by average energy.
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -359,9 +361,9 @@ def _energy_window(
 class Representative:
     """One physical state per Brillouin zone, before degeneracy resolution.
 
-    quasi_energy is folded into [0, omega); quasi_energy_raw is the actual
-    Sambe eigenvalue of the stored mode (quasi_energy + k*omega for the
-    selected replica).
+    quasi_energy_raw is the Rayleigh quotient x^H S x of the stored mode,
+    the eigenvalue of the selected replica; quasi_energy is its fold into
+    [0, omega).
     """
 
     mode: FloquetMode
@@ -404,9 +406,10 @@ def select_representatives(
     N restricted to a cluster is diagonalized, which resolves
     Ebar = lam - omega*<N> there; a k-harmonic shift moves the centroid <N>
     by exactly k, so per physical state the one replica with centroid in
-    [-1/2, 1/2) is kept.  Anything but d kept states means the truncation
-    is eating states; that raises TruncationError with the advice to
-    increase M.
+    [-1/2, 1/2) is kept.  Each kept vector x gets its own raw eigenvalue,
+    the Rayleigh quotient lam = Re(x^H S x), and residual ||S x - lam x||.
+    Anything but d kept states means the truncation is eating states; that
+    raises TruncationError with the advice to increase M.
     """
     omega, d = h.omega, h.dim
     tol_deg = _resolve_tol_deg(tol_deg, omega)
@@ -420,15 +423,16 @@ def select_representatives(
         keep = (centroids >= -0.5) & (centroids < 0.5)
         if not keep.any():
             continue
-        lam = float(np.mean(eigvals[cluster]))
         modes = basis @ rotation[:, keep]
-        residuals = np.linalg.norm(_apply_blocks(h, modes, omega) - lam * modes, axis=0)
-        for x, res in zip(modes.T, residuals):
+        sx = _apply_blocks(h, modes, omega)
+        lams = np.real(np.sum(modes.conj() * sx, axis=0))
+        residuals = np.linalg.norm(sx - lams * modes, axis=0)
+        for x, lam, res in zip(modes.T, lams, residuals):
             reps.append(
                 Representative(
                     mode=FloquetMode.from_flat(x, d).normalized(),
                     quasi_energy=fold_reported(lam, omega),
-                    quasi_energy_raw=lam,
+                    quasi_energy_raw=float(lam),
                     residual=float(res),
                 )
             )
@@ -445,16 +449,16 @@ def select_representatives(
 
 @dataclass(frozen=True, eq=False)
 class DegenerateGroup:
-    """Representatives sharing a quasi-energy, plus their energy block.
+    """Representatives sharing a quasi-energy.
 
-    Member modes are replica-aligned: all carry the same raw Sambe
-    eigenvalue (within tolerance), so the block below is the matrix of the
-    physical average-energy operator restricted to the degenerate subspace.
+    Member modes are replica-aligned and all carry the group's raw
+    eigenvalue, the mean of their aligned Rayleigh quotients, so their
+    average-energy block is the physical average-energy operator restricted
+    to the degenerate subspace.  quasi_energy is the fold of that mean.
     """
 
     members: tuple[Representative, ...]
     quasi_energy: float
-    block: np.ndarray
 
     @property
     def size(self) -> int:
@@ -470,9 +474,11 @@ def group_degeneracies(
 
     The Brillouin-zone boundary is treated as wrapped, so eps near 0 and
     near omega may form one group.  Members of a group are shifted to the
-    common replica (same raw eigenvalue) that drops the least weight past
-    the truncation edge before the average-energy block is evaluated;
-    singleton groups are allowed.
+    common replica that drops the least weight past the truncation edge;
+    the mean lam of their shifted raw eigenvalues then becomes every
+    member's quasi_energy_raw, with quasi_energy = fold_reported(lam).  This
+    is the one place raw eigenvalues are averaged.  Singleton groups are
+    allowed.
     """
     omega = h.omega
     tol_deg = _resolve_tol_deg(tol_deg, omega)
@@ -493,22 +499,19 @@ def group_degeneracies(
             raise TruncationError(
                 f"replica alignment loses weight {lost:.2e}; increase M"
             )
-        aligned = [
-            m if k == target else replace(
+        lam = float(np.mean([m.quasi_energy_raw + (target - k) * omega
+                             for m, k in zip(members, ks)]))
+        eps = fold_reported(lam, omega)
+        aligned = tuple(
+            replace(
                 m,
-                mode=m.mode.shift(target - k)[0].normalized(),
-                quasi_energy_raw=m.quasi_energy_raw + (target - k) * omega,
+                mode=m.mode if k == target else m.mode.shift(target - k)[0].normalized(),
+                quasi_energy=eps,
+                quasi_energy_raw=lam,
             )
             for m, k in zip(members, ks)
-        ]
-        block = average_energy_block([m.mode for m in aligned], h)
-        groups.append(
-            DegenerateGroup(
-                members=tuple(aligned),
-                quasi_energy=members[0].quasi_energy,
-                block=block,
-            )
         )
+        groups.append(DegenerateGroup(members=aligned, quasi_energy=eps))
     groups.sort(key=lambda g: g.quasi_energy)
     return groups
 
@@ -533,11 +536,11 @@ def average_energy_block(modes: list[FloquetMode], h: FourierHamiltonian) -> np.
 class EigenTriplet:
     """(mode, quasi-energy, average energy) with solver provenance.
 
-    quasi_energy is the group-shared folded value in [0, omega);
-    quasi_energy_raw is the Sambe eigenvalue of the stored mode (they
-    differ by an integer multiple of omega).  group_id indexes the
-    degenerate group the state was resolved in; ebar_degenerate flags a
-    residual average-energy degeneracy inside that group.
+    quasi_energy_raw is the raw eigenvalue the degenerate group shares
+    (set in `group_degeneracies`) and quasi_energy is its fold_reported
+    value in [0, omega).  group_id indexes the degenerate group the state
+    was resolved in; ebar_degenerate flags a residual average-energy
+    degeneracy inside that group.
     """
 
     mode: FloquetMode
@@ -579,43 +582,27 @@ class Spectrum:
         return [t.mode for t in self.triplets]
 
     def to_json_dict(self) -> dict:
-        states = []
-        for t in self.triplets:
-            states.append(
-                {
-                    "quasi_energy": t.quasi_energy,
-                    "avg_energy": t.avg_energy,
-                    "quasi_energy_raw": t.quasi_energy_raw,
-                    "residual": t.residual,
-                    "group_id": t.group_id,
-                    "group_size": t.group_size,
-                    "ebar_degenerate": t.ebar_degenerate,
-                    "coeffs_re": t.mode.coeffs.real.tolist(),
-                    "coeffs_im": t.mode.coeffs.imag.tolist(),
-                }
-            )
-        return {"states": states, "metadata": self.metadata}
+        return {"states": [_record(t) for t in self.triplets], "metadata": self.metadata}
 
     @staticmethod
     def from_json_dict(payload: dict) -> "Spectrum":
         triplets = []
-        for st in payload["states"]:
-            coeffs = np.asarray(st["coeffs_re"], dtype=float) + 1j * np.asarray(
-                st["coeffs_im"], dtype=float
+        for record in payload["states"]:
+            rest = dict(record)
+            coeffs = np.asarray(rest.pop("coeffs_re"), dtype=float) + 1j * np.asarray(
+                rest.pop("coeffs_im"), dtype=float
             )
-            triplets.append(
-                EigenTriplet(
-                    mode=FloquetMode(coeffs),
-                    quasi_energy=st["quasi_energy"],
-                    avg_energy=st["avg_energy"],
-                    quasi_energy_raw=st["quasi_energy_raw"],
-                    residual=st["residual"],
-                    group_id=st["group_id"],
-                    group_size=st["group_size"],
-                    ebar_degenerate=st["ebar_degenerate"],
-                )
-            )
+            triplets.append(EigenTriplet(mode=FloquetMode(coeffs), **rest))
         return Spectrum(triplets=triplets, metadata=dict(payload["metadata"]))
+
+
+def _record(obj) -> dict:
+    """JSON record of a state: the dataclass's fields other than mode, in
+    declaration order, then the mode as coeffs_re and coeffs_im."""
+    record = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "mode"}
+    record["coeffs_re"] = obj.mode.coeffs.real.tolist()
+    record["coeffs_im"] = obj.mode.coeffs.imag.tolist()
+    return record
 
 
 def resolve_degeneracies(
@@ -625,11 +612,12 @@ def resolve_degeneracies(
 ) -> Spectrum:
     """Diagonalize each group's average-energy block into eigentriplets.
 
-    Members are rotated into the eigenbasis of the block; the rotated
-    states remain quasi-energy eigenstates because the members share one
-    raw eigenvalue.  Triplets are ordered by average energy ascending, with
-    ties broken by quasi-energy and then by the index of the
-    largest-magnitude coefficient (reproducibility).  Residual average-energy
+    Members are rotated into the eigenbasis of their average-energy block;
+    the rotated states remain quasi-energy eigenstates because the members
+    share one raw eigenvalue, which every triplet of the group reports.
+    Triplets are ordered by average energy ascending, with ties broken by
+    quasi-energy and then by the index of the largest-magnitude coefficient
+    (reproducibility).  Residual average-energy
     degeneracies, neighbours in a group within 1e-10 * max(|Ebar|, 1) of
     each other, are flagged, not interpreted.
     """
@@ -637,15 +625,16 @@ def resolve_degeneracies(
         return Spectrum(triplets=[], metadata=metadata or {})
     triplets: list[EigenTriplet] = []
     for gid, group in enumerate(groups):
-        ebars, rotation = np.linalg.eigh(group.block)
-        basis = np.column_stack([m.mode.flat() for m in group.members])
+        modes = [m.mode for m in group.members]
+        ebars, rotation = np.linalg.eigh(average_energy_block(modes, h))
+        basis = np.column_stack([m.flat() for m in modes])
         rotated = basis @ rotation
         rotated /= np.linalg.norm(rotated, axis=0)
         scale = max(1.0, float(np.abs(ebars).max()) if ebars.size else 1.0)
         tied = np.zeros(group.size, dtype=bool)
         for ties in _gap_clusters(ebars, 1e-10 * scale):
             tied[ties] = ties.size > 1
-        lam = float(np.mean([m.quasi_energy_raw for m in group.members]))
+        lam = group.members[0].quasi_energy_raw
         residuals = np.linalg.norm(_apply_blocks(h, rotated, h.omega) - lam * rotated, axis=0)
         for a in range(group.size):
             triplets.append(
@@ -808,7 +797,6 @@ def solve_spectrum(
     h: FourierHamiltonian,
     truncation: int | str = "auto",
     tol_deg: float | None = None,
-    timestamp: bool = False,
 ) -> Spectrum:
     """Full pipeline: diagonalize, select, resolve; 'auto' returns the
     certifying solve, so the certified cutoff is solved once."""
@@ -818,6 +806,4 @@ def solve_spectrum(
     else:
         spectrum = solve_at_truncation(h, int(truncation), tol_deg)
     spectrum.metadata["truncation_auto"] = auto
-    if timestamp:
-        spectrum.metadata["timestamp"] = datetime.datetime.now().isoformat()
     return spectrum

@@ -9,12 +9,14 @@ enforced as a residual penalty and the unit norm as a quadratic penalty:
          + mu_norm * (x^H x - 1)^2
          + mu_orth * sum_b |<u_b, x>|^2        (deflation, excited states)
 
-Quasi-energy stationarity is equivalent to x being an eigenvector of the
-Sambe matrix S, so the feasible set of the penalty formulation is exactly
-the eigenstate manifold, on which F reduces to the average energy.  The
-penalty weight mu_res is grown tenfold per stage (continuation) until the
-eigen-residual of the iterate is below tolerance; the deflation weight is
-mu_orth = 100.  Each stage is an unconstrained minimization over the real
+The Sambe matrix is S = T + omega*N with N the diagonal number operator
+(m on block m), so S x is one dense T product plus a diagonal scaling, and
+the result reports eps_raw = x^H T x + x^H omega N x.  Quasi-energy
+stationarity is equivalent to x being an eigenvector of S, so the feasible
+set of the penalty formulation is exactly the eigenstate manifold, on
+which F reduces to the average energy.  The penalty weight mu_res is grown
+tenfold per stage (continuation) until the eigen-residual of the iterate
+is below tolerance; the deflation weight is mu_orth = 100.  Each stage is an unconstrained minimization over the real
 and imaginary parts of x by limited-memory BFGS (scipy's L-BFGS-B without
 bounds, 30 stored correction pairs), warm-started from the previous stage.
 
@@ -40,9 +42,10 @@ from scipy.optimize import minimize
 from .model import FourierHamiltonian
 from .sambe import (
     FloquetMode,
+    _number_diagonal,
+    _record,
     _replica_ladder,
     build_energy_matrix,
-    build_sambe,
     fold_reported,
 )
 
@@ -81,26 +84,16 @@ class VariationalResult:
     avg_energy: float
     residual: float
     converged: bool
-    objective: float
-    trace: list[dict] = field(default_factory=list)
     seed: int | None = None
+    trace: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "quasi_energy": self.quasi_energy,
-            "avg_energy": self.avg_energy,
-            "residual": self.residual,
-            "converged": self.converged,
-            "objective": self.objective,
-            "seed": self.seed,
-            "trace": self.trace,
-            "coeffs_re": self.mode.coeffs.real.tolist(),
-            "coeffs_im": self.mode.coeffs.imag.tolist(),
-        }
+        return _record(self)
 
 
 class _Workspace:
-    """Shared matrices plus the objective/gradient evaluations."""
+    """Dense T and the diagonal omega*N, plus the objective/gradient
+    evaluations; S x is applied as t @ x + wn * x."""
 
     def __init__(
         self,
@@ -112,9 +105,9 @@ class _Workspace:
         self.h = h
         self.truncation = truncation
         self.config = config
-        self.s = build_sambe(h, truncation)
         self.t = build_energy_matrix(h, truncation)
-        self.size = self.s.shape[0]
+        self.wn = h.omega * _number_diagonal(truncation, h.dim)
+        self.size = self.t.shape[0]
         self.deflation = deflation  # columns to repel, or None
 
     def value_and_gradient(
@@ -124,14 +117,15 @@ class _Workspace:
         n = float(np.real(np.vdot(x, x)))
         if n == 0.0:  # line searches may probe the origin, a stationary point
             return cfg.mu_norm, np.zeros_like(x)
-        sx = self.s @ x
         tx = self.t @ x
+        sx = tx + self.wn * x
         eps = float(np.real(np.vdot(x, sx))) / n
         r = sx - eps * x
         value = float(np.real(np.vdot(x, tx)))
         value += mu_res * float(np.real(np.vdot(r, r)))
         value += cfg.mu_norm * (n - 1.0) ** 2
-        grad = tx + mu_res * (self.s @ r - eps * r) + 2.0 * cfg.mu_norm * (n - 1.0) * x
+        grad = tx + mu_res * (self.t @ r + (self.wn - eps) * r)
+        grad += 2.0 * cfg.mu_norm * (n - 1.0) * x
         if self.deflation is not None and self.deflation.shape[1]:
             proj = self.deflation.conj().T @ x
             value += MU_ORTH * float(np.real(np.vdot(proj, proj)))
@@ -145,7 +139,7 @@ class _Workspace:
 
     def residual_of(self, x: np.ndarray) -> float:
         x = x / np.linalg.norm(x)
-        sx = self.s @ x
+        sx = self.t @ x + self.wn * x
         eps = float(np.real(np.vdot(x, sx)))
         return float(np.linalg.norm(sx - eps * x))
 
@@ -245,16 +239,15 @@ def _finish(
     x = x / np.linalg.norm(x)
     mode = FloquetMode.from_flat(x, ws.h.dim)
     ebar = float(np.real(np.vdot(x, ws.t @ x)))
-    eps_raw = float(np.real(np.vdot(x, ws.s @ x)))
+    eps_raw = ebar + float(np.dot(ws.wn, np.abs(x) ** 2))
     return VariationalResult(
         mode=mode,
         quasi_energy=fold_reported(eps_raw, ws.h.omega),
         avg_energy=ebar,
         residual=ws.residual_of(x),
         converged=converged,
-        objective=ebar,
-        trace=trace,
         seed=seed,
+        trace=trace,
     )
 
 
@@ -288,7 +281,7 @@ def _search(
         results.append(candidate)
     converged = [r for r in results if r.converged]
     if converged:
-        return min(converged, key=lambda r: r.objective)
+        return min(converged, key=lambda r: r.avg_energy)
     # never a silent wrong answer: return the best remaining trace, flagged
     if not results:
         best = min(collapsed, key=lambda r: r.residual)

@@ -43,16 +43,29 @@ def driven_models(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(h=driven_models())
+# a static level 1 (= 0 mod omega) and a driven level 1e-8 fold exactly tol_deg apart
+@example(h=ft.FourierHamiltonian(
+    dim=2, omega=1.0, harmonics={0: np.diag([1.0, 1e-8]), 1: np.diag([0.0, 1j])}
+))
 def test_random_models_give_consistent_triplets(h):
     spec = ft.solve_spectrum(h, "auto")
-    trace = float(np.real(np.trace(h.harmonics.get(0, np.zeros((h.dim, h.dim))))))
+    h0 = h.harmonics.get(0, np.zeros((h.dim, h.dim)))
+    trace = float(np.real(np.trace(h0)))
     assert len(spec) == h.dim
     # the modes are a basis at every t, so their average energies sum to Tr H_0
     assert abs(spec.avg_energies.sum() - trace) <= 1e-9
     # det U(T) = exp(-i T Tr H_0): quasi-energies sum to Tr H_0 modulo omega
     assert ft.wrap_distance(spec.quasi_energies.sum(), trace, h.omega) <= 1e-9
     assert spec.metadata["residual_max"] <= 1e-8
+    # every Ebar lies in the instantaneous spectrum, inside the Weyl bound
+    # [lambda_min(H_0) - D, lambda_max(H_0) + D], D = sum_{m != 0} ||H_m||_2
+    levels = np.linalg.eigvalsh(h0)
+    drive = sum(np.linalg.norm(mat, 2) for m, mat in h.harmonics.items() if m != 0)
+    assert np.all(np.diff(spec.avg_energies) >= 0)
+    assert spec.avg_energies.min() >= levels[0] - drive - 1e-9
+    assert spec.avg_energies.max() <= levels[-1] + drive + 1e-9
     for t in spec:
+        assert ft.wrap_distance(t.quasi_energy_raw, t.quasi_energy, h.omega) <= 1e-12 * h.omega
         for k in (-1, 1):
             shifted, lost = t.mode.shift(k)
             if lost <= 1e-12:
