@@ -10,8 +10,9 @@ H(t) at every t is equivalent to H_{-m} = H_m^dagger for every stored
 harmonic; the constructor completes missing partners so the pair condition
 holds exactly.  A FourierHamiltonian is validated once, when it is built
 (finite omega > 0, finite entries, H_{-m} = H_m^dagger), and raises
-ModelError otherwise; its harmonics are read-only copies, so every other
-module can trust an instance without checking it again.  The
+ModelError otherwise; its harmonics are read-only copies, stored in
+ascending m, so every other module can trust an instance without checking
+it again and sums over the harmonics in one fixed order.  The
 e^{+i m omega t} sign convention is fixed here once and shared by every
 module in the package (see `sambe` for the matching mode convention).
 """
@@ -54,7 +55,8 @@ class FourierHamiltonian:
         the pair (m, -m) is given, the partner is filled in as the conjugate
         transpose, which enforces H(t)^dagger = H(t) exactly.  Matrices that
         are exactly zero are dropped.  Stored as a read-only mapping of
-        read-only copies.
+        read-only copies in ascending m, so every sum over the harmonics
+        runs in the same order however the model was given.
 
     Raises ModelError("invalid Hamiltonian: ...") unless the completed
     model passes `validate`.
@@ -77,10 +79,8 @@ class FourierHamiltonian:
                 partner = completed[m].conj().T.copy()
                 partner.setflags(write=False)
                 completed[-m] = partner
-        for m in list(completed):
-            if not completed[m].any():
-                del completed[m]
-        object.__setattr__(self, "harmonics", MappingProxyType(completed))
+        ordered = {m: completed[m] for m in sorted(completed) if completed[m].any()}
+        object.__setattr__(self, "harmonics", MappingProxyType(ordered))
         report = validate(self)
         if not report.passed:
             raise ModelError(f"invalid Hamiltonian: {', '.join(report.violations)}")
@@ -260,10 +260,16 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
     harmonics: dict[int, np.ndarray] = {}
-    for entry in entries:
-        m = int(entry["m"])
-        mat = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"], dtype=float)
-        harmonics[m] = mat
+    try:
+        for entry in entries:
+            m = int(entry["m"])
+            harmonics[m] = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(
+                entry["im"], dtype=float
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(
+            f"malformed model JSON: harmonics must be a list of {{m, re, im}} entries ({exc!r})"
+        ) from exc
     return FourierHamiltonian(dim=dim, omega=omega, harmonics=harmonics)
 
 

@@ -36,10 +36,19 @@ multiplication by H(t).  Weyl's inequality bounds that spectrum by
 [lambda_min(H_0) - D, lambda_max(H_0) + D] with D = sum_{m != 0} ||H_m||_2,
 so every raw eigenvalue that can hold a kept replica lies within
 omega/2 of that range.  The one dense eigensolve per cutoff therefore
-computes only the eigenpairs inside this window (LAPACK zheevr, MRRR),
-padded so that no tol_deg cluster holding a kept replica is cut at an
-edge (see `_energy_window`), and certifies the residuals of those pairs
-alone.  `select_representatives` then clusters the raw (unfolded)
+computes only the eigenpairs inside this window (LAPACK MRRR), padded
+so that no tol_deg cluster holding a kept replica is cut at an edge (see
+`_energy_window`), and certifies the residuals of those pairs alone.
+
+When every harmonic H_m is real, H(t)* = H(-t) (the drive is symmetric
+under time reversal about t = 0) and S is real symmetric: it is built as
+float64 and the one eigh call dispatches to dsyevr, the real MRRR routine,
+at about a quarter of the flops and half the memory of zheevr.  Any
+complex H_m gives a complex128 S.  The model alone decides, in
+`build_energy_matrix`; the dense-memory guard counts complex entries
+either way, which is conservative for a real S.
+
+`select_representatives` then clusters the raw (unfolded)
 eigenvalues, diagonalizes N inside each cluster and keeps, per physical
 state, the one replica with centroid in [-1/2, 1/2); each kept vector x
 carries its own Rayleigh quotient x^H S x as raw eigenvalue.  States whose
@@ -76,7 +85,8 @@ class SolverError(RuntimeError):
 
 # Largest dense extended-space solve that will be started: S (16 * n^2
 # bytes) plus the eigensolver's copy (zheevr allocates about 2x S), so
-# 3 * 16 * n^2 bytes are counted against it.
+# 3 * 16 * n^2 bytes are counted against it.  A real S needs half of that;
+# the guard counts complex entries either way, which is conservative.
 MAX_DENSE_BYTES = 2 * 1024**3
 
 # Folded quasi-energy drift below which the larger of two cutoffs is certified.
@@ -250,13 +260,18 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     """Block-Toeplitz matrix of the one-period averaged energy form.
 
     x^H T x equals (1/T) int_0^T <Phi(t)|H(t)|Phi(t)> dt for the mode with
-    stacked coefficients x; block (m, m') = H_{m-m'}.  M below the largest
-    stored harmonic index would silently drop physics and is rejected, and
-    so is a solve above MAX_DENSE_BYTES (ModelError, before allocating).
+    stacked coefficients x; block (m, m') = H_{m-m'}.  The result is float64
+    when every harmonic has an exactly zero imaginary part (real H_m, i.e.
+    H(t)* = H(-t), make T real symmetric) and complex128 otherwise; this is
+    the one place that choice is made.  M below the largest stored harmonic
+    index would silently drop physics and is rejected, and so is a solve
+    above MAX_DENSE_BYTES (ModelError, before allocating).  The guard counts
+    16 bytes per entry for either dtype, which is conservative for a real T.
     """
     _require_truncation(h, truncation)
     nb = 2 * truncation + 1
-    size = nb * h.dim
+    d = h.dim
+    size = nb * d
     nbytes = 16 * size**2
     if 3 * nbytes > MAX_DENSE_BYTES:
         raise ModelError(
@@ -265,15 +280,20 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
             f"above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB limit; lower M or the "
             f"model dimension"
         )
-    t = np.zeros((size, size), dtype=complex)
-    for k, mat in h.harmonics.items():
-        t += np.kron(np.eye(nb, k=-k), mat)
+    real = not any(mat.imag.any() for mat in h.harmonics.values())
+    t = np.zeros((size, size), dtype=float if real else complex)
+    blocks = t.reshape(nb, d, nb, d)  # blocks[p, :, q, :] is block (p, q), a view
+    for m, mat in h.harmonics.items():
+        rows = np.arange(max(m, 0), nb + min(m, 0))
+        blocks[rows, :, rows - m, :] = mat.real if real else mat
     return t
 
 
 def build_sambe(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     """Hermitian Floquet matrix S = T + omega*N of size (2M+1)*d for H(t) - i d/dt:
-    block (m, m') = H_{m-m'} + m*omega*delta_{mm'}*I."""
+    block (m, m') = H_{m-m'} + m*omega*delta_{mm'}*I.  Real symmetric
+    (float64) when every H_m is real, complex128 otherwise, as decided by
+    `build_energy_matrix`."""
     s = build_energy_matrix(h, truncation)
     s[np.diag_indices_from(s)] += h.omega * _number_diagonal(truncation, h.dim)
     return s
@@ -287,7 +307,10 @@ def _apply_blocks(h: FourierHamiltonian, x: np.ndarray, number_weight: float) ->
     truncation = (nb - 1) // 2
     _require_truncation(h, truncation)
     blocks = x.reshape(nb, h.dim, -1)
-    out = number_weight * np.arange(-truncation, truncation + 1)[:, None, None] * blocks
+    dtype = np.result_type(x, *h.harmonics.values())  # a real x may meet complex H_m
+    out = (number_weight * np.arange(-truncation, truncation + 1)[:, None, None] * blocks).astype(
+        dtype, copy=False
+    )
     for m, mat in h.harmonics.items():
         # block row p collects H_m @ phi^(p - m)
         out[max(m, 0) : nb + min(m, 0)] += mat @ blocks[max(-m, 0) : nb - max(m, 0)]
@@ -301,7 +324,8 @@ def diagonalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix with a residual certificate.
 
-    LAPACK zheevr (MRRR) computes the full spectrum, or with window =
+    LAPACK MRRR (dsyevr for a real symmetric s, zheevr for a complex one;
+    scipy picks by dtype) computes the full spectrum, or with window =
     (lo, hi) only the eigenpairs with lo < lam <= hi; `solve_at_truncation`
     passes `_energy_window`, which holds every pair that replica selection
     can keep.  Returns (eigenvalues ascending, eigenvectors as columns).

@@ -93,7 +93,9 @@ class VariationalResult:
 
 class _Workspace:
     """Dense T and the diagonal omega*N, plus the objective/gradient
-    evaluations; S x is applied as t @ x + wn * x."""
+    evaluations; S x is applied as t @ x + wn * x.  T is held complex even
+    for a real model: the iterates are complex, and a complex T times a
+    complex vector is faster than a real T times one."""
 
     def __init__(
         self,
@@ -105,7 +107,7 @@ class _Workspace:
         self.h = h
         self.truncation = truncation
         self.config = config
-        self.t = build_energy_matrix(h, truncation)
+        self.t = build_energy_matrix(h, truncation).astype(complex, copy=False)
         self.wn = h.omega * _number_diagonal(truncation, h.dim)
         self.size = self.t.shape[0]
         self.deflation = deflation  # columns to repel, or None

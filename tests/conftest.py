@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy is first imported: the dense solves here
+# are small, and a thread pool on a few shared cores makes them many times
+# slower (the criterion 06 variational fixture most of all).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
@@ -64,6 +72,19 @@ def random_mode(rng: np.random.Generator, truncation: int, dim: int) -> ft.Floqu
         size=(2 * truncation + 1, dim)
     )
     return ft.FloquetMode(coeffs).normalized()
+
+
+def time_shifted(h: ft.FourierHamiltonian, tau: float) -> ft.FourierHamiltonian:
+    """The drive shifted in time, H'(t) = H(t + tau): H_m -> H_m e^{i m omega tau}.
+
+    The shift maps modes to modes unitarily, so every quasi-energy and
+    average energy is unchanged, but real harmonics become complex.  The
+    m < 0 partners are completed by the constructor.
+    """
+    harmonics = {
+        m: mat * np.exp(1j * m * h.omega * tau) for m, mat in h.harmonics.items() if m >= 0
+    }
+    return ft.FourierHamiltonian(dim=h.dim, omega=h.omega, harmonics=harmonics)
 
 
 def full_solve(h: ft.FourierHamiltonian, truncation: int, tol_deg: float | None = None):

@@ -78,6 +78,25 @@ def test_solve_missing_model_file_exits_config(tmp_path, capsys):
     assert err["kind"] == "config"
 
 
+@pytest.mark.parametrize(
+    "harmonics",
+    [
+        {"0": 1},  # a mapping instead of a list of entries
+        [{"m": 0, "re": [[1.0]]}],  # no "im"
+        [{"m": 0, "re": [[1.0]], "im": [[0.0], [1.0, 2.0]]}],  # ragged rows
+        3,
+    ],
+)
+def test_solve_malformed_model_json_exits_config(tmp_path, capsys, harmonics):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": 1, "omega": 1.0, "harmonics": harmonics}))
+    code = main(["solve", "--model", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "malformed model JSON" in err["message"]
+
+
 def test_solve_requires_exactly_one_source(tmp_path, capsys):
     code = main(
         ["solve", "--builtin", "static", "--model", "x.json", "--out", str(tmp_path / "o")]

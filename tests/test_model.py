@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet.model import SIGMA_X, SIGMA_Y, SIGMA_Z, FourierHamiltonian
+from floqtriplet.model import SIGMA_X, SIGMA_Y, SIGMA_Z, FourierHamiltonian, from_json_dict
 
 
 def test_validate_static_passes():
@@ -173,6 +173,25 @@ def test_json_round_trip_explicit_schema(tmp_path):
     for m in h.harmonics:
         assert np.array_equal(back.harmonics[m], h.harmonics[m])
     assert ft.model_hash(back) == ft.model_hash(h)
+
+
+def test_harmonics_stored_in_ascending_order():
+    h1 = np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex)
+    h = FourierHamiltonian(dim=2, omega=1.0, harmonics={2: h1, 0: np.eye(2), -1: h1.T})
+    assert list(h.harmonics) == [-2, -1, 0, 1, 2]
+
+
+def test_solve_independent_of_harmonic_order():
+    # the static level 1 and the driven level 1e-8 fold exactly tol_deg apart,
+    # so the last bit of every sum over the harmonics decides the cutoff
+    h = FourierHamiltonian(
+        dim=2, omega=1.0, harmonics={0: np.diag([1.0, 1e-8]), 1: np.diag([0.0, 1j])}
+    )
+    back = from_json_dict(json.loads(json.dumps(h.to_json_dict())))
+    a, b = ft.solve_spectrum(h, "auto"), ft.solve_spectrum(back, "auto")
+    assert a.metadata["truncation"] == b.metadata["truncation"]
+    assert np.array_equal(a.quasi_energies, b.quasi_energies)
+    assert np.array_equal(a.avg_energies, b.avg_energies)
 
 
 def test_json_builtin_schema(tmp_path):

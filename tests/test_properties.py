@@ -2,7 +2,8 @@
 
 Each model is a static block of levels spaced by integer multiples of
 omega (exact folded degeneracies) beside a randomly driven Hermitian block
-with harmonics |m| <= 2 and entries in [-1, 1].
+with harmonics |m| <= 2 and entries in [-1, 1], complex or (real=True)
+real.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import floqtriplet as ft
 from floqtriplet import sambe
 
-from conftest import assert_same_triplets, full_solve
+from conftest import assert_same_triplets, full_solve, time_shifted
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -22,8 +23,13 @@ def complex_block(draw, n):
     return (flat[: n * n] + 1j * flat[n * n :]).reshape(n, n)
 
 
+def real_block(draw, n):
+    return np.asarray(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
 @st.composite
-def driven_models(draw):
+def driven_models(draw, real=False):
+    block = real_block if real else complex_block
     dim = draw(st.integers(min_value=1, max_value=4))
     omega = draw(st.floats(min_value=0.8, max_value=3.0, allow_nan=False))
     n_static = draw(st.integers(min_value=0, max_value=dim))
@@ -34,10 +40,10 @@ def driven_models(draw):
     harmonics[0][range(n_static), range(n_static)] = [base + k * omega for k in shifts]
     if n_driven:
         driven = slice(n_static, dim)
-        h0 = complex_block(draw, n_driven)
+        h0 = block(draw, n_driven)
         harmonics[0][driven, driven] = 0.5 * (h0 + h0.conj().T)
         for m in range(1, draw(st.integers(min_value=0, max_value=2)) + 1):
-            harmonics[m][driven, driven] = complex_block(draw, n_driven)
+            harmonics[m][driven, driven] = block(draw, n_driven)
     return ft.FourierHamiltonian(dim=dim, omega=omega, harmonics=harmonics)
 
 
@@ -71,6 +77,21 @@ def test_random_models_give_consistent_triplets(h):
             if lost <= 1e-12:
                 ebar = ft.average_energy_functional(shifted.normalized(), h)
                 assert abs(ebar - t.avg_energy) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(h=driven_models(real=True), tau=st.floats(min_value=0.05, max_value=0.95))
+def test_real_model_matches_its_time_shifted_complex_copy(h, tau):
+    # H(t + tau) has the same triplets; its harmonics H_m e^{i m omega tau} are
+    # complex, so the real (dsyevr) solve is checked against the complex one
+    shifted = time_shifted(h, tau * h.period)
+    truncation = max(1, h.max_harmonic)
+    assert ft.build_sambe(h, truncation).dtype == np.float64
+    if h.max_harmonic:
+        assert ft.build_sambe(shifted, truncation).dtype == np.complex128
+    real, cplx = ft.solve_spectrum(h, "auto"), ft.solve_spectrum(shifted, "auto")
+    assert real.metadata["truncation"] == cplx.metadata["truncation"]
+    assert_same_triplets(real, cplx, h.omega, 1e-12)
 
 
 @settings(max_examples=25, deadline=None)

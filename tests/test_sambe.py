@@ -12,7 +12,14 @@ import floqtriplet as ft
 from floqtriplet import sambe
 from floqtriplet.sambe import Representative, fold_reported
 
-from conftest import CIRCULAR_DEFAULT, assert_same_triplets, full_solve, random_mode
+from conftest import (
+    BUILTIN_NAMES,
+    CIRCULAR_DEFAULT,
+    assert_same_triplets,
+    full_solve,
+    random_mode,
+    time_shifted,
+)
 
 
 def test_build_sambe_static_block_structure():
@@ -130,6 +137,60 @@ def test_windowed_solve_matches_full_spectrum(name, params):
     h = ft.builtin_model(name, params)
     m = ft.certify_truncation(h)
     assert_same_triplets(sambe.solve_at_truncation(h, m), full_solve(h, m), h.omega, 1e-12)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_real_harmonics_solve_as_real_matrices(name, models, spectra):
+    # real H_m mean H(t)* = H(-t): S is real symmetric and solved as float64;
+    # the drive shifted in time has the same triplets but complex H_m
+    h = models[name]
+    shifted = time_shifted(h, 0.3 * h.period)
+    assert ft.build_sambe(h, 3).dtype == np.float64
+    assert ft.build_energy_matrix(h, 3).dtype == np.float64
+    # a static model has no drive to shift, so it stays real
+    assert ft.build_sambe(shifted, 3).dtype == (np.float64 if name == "static" else np.complex128)
+    complex_solve = ft.solve_spectrum(shifted, "auto")
+    assert complex_solve.metadata["truncation"] == spectra[name].metadata["truncation"]
+    assert_same_triplets(spectra[name], complex_solve, h.omega, 1e-12)
+
+
+def test_apply_blocks_takes_real_vectors():
+    # real eigenvectors of a real S meet complex harmonics downstream
+    real = ft.builtin_model("driven_ring")
+    x = np.random.default_rng(5).normal(size=(9 * real.dim, 2))
+    for h in (real, time_shifted(real, 0.3 * real.period)):
+        s, t = ft.build_sambe(h, 4), ft.build_energy_matrix(h, 4)
+        assert_allclose(sambe._apply_blocks(h, x, h.omega), s @ x, atol=1e-13)
+        assert_allclose(sambe._apply_blocks(h, x, 0.0), t @ x, atol=1e-13)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3], ids=["real", "complex"])
+def test_diagonalize_checks_hold_in_both_dtypes(tau, monkeypatch):
+    h = ft.builtin_model("driven_ring")
+    s = ft.build_sambe(time_shifted(h, tau * h.period), 2)
+    assert s.dtype == (np.float64 if tau == 0.0 else np.complex128)
+    skewed = s.copy()
+    skewed[0, 1] += 1e-6
+    with pytest.raises(ft.SolverError, match="not Hermitian"):
+        ft.diagonalize(skewed)
+
+    eigh = scipy.linalg.eigh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        vecs = vecs.copy()
+        vecs[:, 0] += 1e-6 * vecs[:, -1]
+        return vals, vecs
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    with pytest.raises(ft.SolverError, match="residual"):
+        ft.diagonalize(s)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    with pytest.raises(ft.SolverError, match="eigensolver failed"):
+        ft.diagonalize(s)
 
 
 def test_windowed_eigensolve_certifies_residuals(monkeypatch):
