@@ -132,6 +132,30 @@ def test_compare_circular_within_gate(tmp_path):
         assert float(row["delta_ebar"]) <= 1e-6
 
 
+# compare.csv of the default 6-site ring, recorded from the per-step oracle
+# before its step factors were batched
+RING_COMPARE_ROWS = [
+    (0, 2.831012257953347e-09, 1.269257143832192e-09, 1.0000000000000002),
+    (1, 5.417436055310532e-09, 3.1078405848816715e-08, 0.9999999999999999),
+    (2, 7.393838208358261e-09, 2.2829437673621555e-08, 1.0),
+    (3, 7.393838874492076e-09, 2.2829503065757706e-08, 0.9999999999999999),
+    (4, 5.4174362773551366e-09, 3.107838220106629e-08, 1.0),
+    (5, 2.8310118693752884e-09, 1.2692549233861428e-09, 1.0000000000000002),
+]
+
+
+def test_compare_ring_rows_unchanged(tmp_path):
+    out = tmp_path / "run"
+    assert main(["compare", "--builtin", "driven_ring", "--out", str(out)]) == 0
+    rows = read_csv(out / "compare.csv")
+    assert [int(r["state"]) for r in rows] == [r[0] for r in RING_COMPARE_ROWS]
+    got = [(float(r["delta_eps"]), float(r["delta_ebar"]), float(r["overlap"])) for r in rows]
+    # the file is byte-identical on the machine that recorded it; 1e-12 leaves
+    # room for another LAPACK build while any change of the propagation
+    # scheme moves these ~1e-8 deltas by far more
+    assert_allclose(got, [r[1:] for r in RING_COMPARE_ROWS], rtol=0, atol=1e-12)
+
+
 @pytest.mark.filterwarnings("ignore:Fourier tail weight")
 def test_compare_forced_truncation_exits_gate(tmp_path, capsys):
     # deliberately small M (with the clustering tolerance loosened so the

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet.oracle import PropagationConfig, PropagationError
+from floqtriplet.oracle import PropagationConfig, PropagationError, _step_propagators
 
-from conftest import CIRCULAR_DEFAULT
+from conftest import BUILTIN_NAMES, CIRCULAR_DEFAULT
 
 
 def test_monodromy_static_diagonal():
@@ -65,6 +65,14 @@ def test_propagation_config_domain():
         PropagationConfig(steps_per_period=32)
     with pytest.raises(ValueError):
         PropagationConfig(unitarity_tol=0.0)
+    # a nan or infinite tolerance would switch the unitarity check off
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PropagationConfig(unitarity_tol=tol)
+    with pytest.raises(ValueError, match="integer"):
+        PropagationConfig(steps_per_period=100.5)
+    config = PropagationConfig(steps_per_period=np.int64(128))
+    assert type(config.steps_per_period) is int and config.steps_per_period == 128
 
 
 def test_richardson_estimate_small():
@@ -72,6 +80,35 @@ def test_richardson_estimate_small():
     mono = ft.propagate_period(h, PropagationConfig(richardson=True))
     assert mono.step_error_estimate is not None
     assert mono.step_error_estimate <= 1e-6
+
+
+@pytest.mark.parametrize("offset", [1e-10, -1e-10])
+def test_richardson_estimate_across_seam(offset):
+    # shift H_0 so that one quasi-energy sits 1e-10 from the 0 / omega seam:
+    # the half-step solve may put it on the other side of 2*pi
+    h = ft.builtin_model("two_level_linear", {"v": 1.5, "omega": 1.1})
+    eps0 = ft.propagate_period(h).quasi_energies(h.period)[0]
+    harmonics = dict(h.harmonics)
+    harmonics[0] = harmonics[0] - (eps0 - offset) * np.eye(2)
+    shifted = ft.FourierHamiltonian(dim=2, omega=h.omega, harmonics=harmonics)
+    mono = ft.propagate_period(shifted, PropagationConfig(richardson=True))
+    distance = ft.wrap_distance(mono.quasi_energies(h.period), 0.0, h.omega)
+    assert np.min(distance) <= 2e-10
+    assert mono.step_error_estimate <= 1e-6
+
+
+@pytest.mark.parametrize("steps", [64, 300, 4096])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_step_propagators_match_per_step_loop(name, steps):
+    # the stacked eigh and matmul give each step exactly the single-call
+    # result; 300 steps end in a partial block
+    h = ft.builtin_model(name)
+    dt = h.period / steps
+    expected = np.empty((steps, h.dim, h.dim), dtype=complex)
+    for j in range(steps):
+        lam, q = np.linalg.eigh(h.eval_at_time((j + 0.5) * dt))
+        expected[j] = (q * np.exp(-1j * lam * dt)) @ q.conj().T
+    assert np.array_equal(_step_propagators(h, steps), expected)
 
 
 def test_mode_from_propagation_static_single_block():
