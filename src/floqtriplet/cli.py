@@ -74,8 +74,25 @@ def _resolve_model(args) -> FourierHamiltonian:
         path = Path(args.model)
         if not path.exists():
             raise ModelError(f"model file not found: {path}")
-        return load_model(str(path))
-    return builtin_model(args.builtin, _parse_params(args.param))
+        h = load_model(str(path))
+    else:
+        h = builtin_model(args.builtin, _parse_params(args.param))
+    _check_harmonics(args, h)
+    return h
+
+
+def _check_harmonics(args, *models: FourierHamiltonian):
+    """A fixed --harmonics below a model's largest harmonic index is a bad
+    input (exit 2), not a convergence failure; the library raises
+    TruncationError for it, which would exit 4."""
+    if args.harmonics == "auto":
+        return
+    order = max(h.max_harmonic for h in models)
+    if args.harmonics < order:
+        raise ModelError(
+            f"--harmonics {args.harmonics} is below the largest harmonic index "
+            f"{order} of the model"
+        )
 
 
 def _truncation_arg(text: str):
@@ -229,6 +246,7 @@ def cmd_perturb(args) -> int:
         h, v, strength = analysis.degeneracy_contrast_fixture()
         if args.strength is not None:
             strength = args.strength
+    _check_harmonics(args, h, v)
     report = analysis.perturb_and_track(h, v, strength, args.harmonics, args.tol_deg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,9 +16,21 @@ stationarity is equivalent to x being an eigenvector of S, so the feasible
 set of the penalty formulation is exactly the eigenstate manifold, on
 which F reduces to the average energy.  The penalty weight mu_res is grown
 tenfold per stage (continuation) until the eigen-residual of the iterate
-is below tolerance; the deflation weight is mu_orth = 100.  Each stage is an unconstrained minimization over the real
-and imaginary parts of x by limited-memory BFGS (scipy's L-BFGS-B without
-bounds, 30 stored correction pairs), warm-started from the previous stage.
+is below tolerance; the deflation weight is mu_orth = 100.  Each stage is
+an unconstrained minimization by limited-memory BFGS (scipy's L-BFGS-B
+without bounds, 30 stored correction pairs), warm-started from the previous
+stage.
+
+The search runs over a real x of length n when the model is real (every H_m
+real, so `build_energy_matrix` returns a float64 T) and the deflation basis
+is absent or exactly real; otherwise it runs over the real and imaginary
+parts of x, 2n unknowns.  The real search is exact, not an approximation:
+with S and T real symmetric every eigenspace of S has a real orthonormal
+basis V, and on it the average energy c^H (V^T T V) c of x = V c is
+minimized by a real c, so the real minimum is the complex one.  It also
+drops the flat global-phase direction of the complex search.  A complex
+deflation basis (say a found mode that is a complex mix inside a
+degenerate eigenspace) breaks that argument and keeps the complex search.
 
 The gradient is analytic.  With eps(x) the Rayleigh quotient, the residual
 r = (S - eps) x is orthogonal to x, which collapses the chain-rule term,
@@ -34,6 +46,7 @@ replica copy instead of the next triplet.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +80,18 @@ class VariationalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.mu_res_init, self.mu_norm) <= 0:
-            raise ValueError("penalty weights must be positive")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        # `not (0 < v < inf)` also refuses nan, which every comparison fails
+        for name in ("mu_res_init", "mu_res_max", "mu_norm", "residual_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.mu_res_max < self.mu_res_init:
+            raise ValueError("mu_res_max must be >= mu_res_init")
+        for name in ("max_iterations", "restarts"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 0:
@@ -93,9 +114,12 @@ class VariationalResult:
 
 class _Workspace:
     """Dense T and the diagonal omega*N, plus the objective/gradient
-    evaluations; S x is applied as t @ x + wn * x.  T is held complex even
-    for a real model: the iterates are complex, and a complex T times a
-    complex vector is faster than a real T times one."""
+    evaluations; S x is applied as t @ x + wn * x.
+
+    `real` says whether the search runs over a real x (see the module
+    docstring): then T and the deflation basis are held float64.  For the
+    complex search T is held complex even for a real model, since a complex
+    T times a complex vector is faster than a real T times one."""
 
     def __init__(
         self,
@@ -107,10 +131,15 @@ class _Workspace:
         self.h = h
         self.truncation = truncation
         self.config = config
-        self.t = build_energy_matrix(h, truncation).astype(complex, copy=False)
+        t = build_energy_matrix(h, truncation)
+        self.real = t.dtype == np.float64 and (
+            deflation is None or not deflation.imag.any()
+        )
+        self.t = t if self.real else t.astype(complex, copy=False)
         self.wn = h.omega * _number_diagonal(truncation, h.dim)
         self.size = self.t.shape[0]
-        self.deflation = deflation  # columns to repel, or None
+        # columns to repel, or None
+        self.deflation = deflation.real if self.real and deflation is not None else deflation
 
     def value_and_gradient(
         self, x: np.ndarray, mu_res: float
@@ -138,6 +167,20 @@ class _Workspace:
         x = y[: self.size] + 1j * y[self.size :]
         value, g = self.value_and_gradient(x, mu_res)
         return value, np.concatenate([2.0 * g.real, 2.0 * g.imag])
+
+    def search_objective(self, y: np.ndarray, mu_res: float) -> tuple[float, np.ndarray]:
+        """The objective L-BFGS sees: over x itself when the search is real
+        (the real gradient is 2 dF/d(x*)), else `real_objective`."""
+        if not self.real:
+            return self.real_objective(y, mu_res)
+        value, g = self.value_and_gradient(y, mu_res)
+        return value, 2.0 * g
+
+    def pack(self, x: np.ndarray) -> np.ndarray:
+        return x.real if self.real else np.concatenate([x.real, x.imag])
+
+    def unpack(self, y: np.ndarray) -> np.ndarray:
+        return y if self.real else y[: self.size] + 1j * y[self.size :]
 
     def residual_of(self, x: np.ndarray) -> float:
         x = x / np.linalg.norm(x)
@@ -167,22 +210,30 @@ def _deflation_basis(found: list[FloquetMode] | None) -> np.ndarray | None:
     return _replica_ladder(found, 1e-6)[0] if found else None
 
 
-def _random_start(rng: np.random.Generator, truncation: int, dim: int) -> np.ndarray:
-    """Random mode with weight filtered toward small harmonic indices."""
+def _random_start(
+    rng: np.random.Generator, truncation: int, dim: int, real: bool
+) -> np.ndarray:
+    """Random mode with weight filtered toward small harmonic indices; for a
+    real search, the real part of the same draw, so the seed names the start."""
     ms = np.arange(-truncation, truncation + 1)
     envelope = np.exp(-((ms / max(1.0, truncation / 3.0)) ** 2))
     coeffs = rng.normal(size=(2 * truncation + 1, dim)) + 1j * rng.normal(
         size=(2 * truncation + 1, dim)
     )
+    if real:
+        coeffs = coeffs.real
     coeffs *= envelope[:, None]
     x = coeffs.reshape(-1)
     return x / np.linalg.norm(x)
 
 
-def _static_start(h: FourierHamiltonian, truncation: int, level: int) -> np.ndarray:
-    """Deterministic start: eigenvector #level of H_0 placed at m = 0."""
+def _static_start(
+    h: FourierHamiltonian, truncation: int, level: int, real: bool
+) -> np.ndarray:
+    """Deterministic start: eigenvector #level of H_0 placed at m = 0 (of
+    Re H_0, a real vector, for a real search)."""
     h0 = h.harmonics.get(0, np.zeros((h.dim, h.dim), dtype=complex))
-    _, vecs = np.linalg.eigh(h0)
+    _, vecs = np.linalg.eigh(h0.real if real else h0)
     mode = FloquetMode.from_block(vecs[:, level % h.dim], 0, truncation)
     return mode.flat()
 
@@ -195,19 +246,19 @@ def _minimize_one(
     config.max_iterations is the total quasi-Newton budget across all
     continuation stages of this start.
     """
-    y = np.concatenate([x0.real, x0.imag])
+    y = ws.pack(x0)
     mu = config.mu_res_init
     trace: list[dict] = []
     converged = False
     remaining = config.max_iterations
     while True:
         # limited-memory BFGS: on the 3-site ring at M = 8 (102 real
-        # parameters) dense BFGS spent 1.5 s of a 1.8 s ground state inside
-        # scipy, outside the objective; L-BFGS-B spends 0.5 s, meets the same
-        # residual tolerance, and still returns cleanly when the line search
-        # stalls at mu_res_max
+        # parameters in the complex search) dense BFGS spent 1.5 s of a 1.8 s
+        # ground state inside scipy, outside the objective; L-BFGS-B spends
+        # 0.5 s, meets the same residual tolerance, and still returns cleanly
+        # when the line search stalls at mu_res_max
         res = minimize(
-            ws.real_objective,
+            ws.search_objective,
             y,
             args=(mu,),
             jac=True,
@@ -215,7 +266,7 @@ def _minimize_one(
             options=LBFGS_OPTIONS | {"maxiter": remaining},
         )
         y = res.x
-        x = y[: ws.size] + 1j * y[ws.size :]
+        x = ws.unpack(y)
         residual = ws.residual_of(x)
         trace.append(
             {
@@ -263,12 +314,12 @@ def _search(
     ws = _Workspace(h, truncation, config, deflation)
     level = len(found) if found else 0
     starts: list[tuple[np.ndarray, int | None]] = [
-        (_static_start(h, truncation, level), None)
+        (_static_start(h, truncation, level, ws.real), None)
     ]
     for i in range(config.restarts):
         seed = config.seed + i
         rng = np.random.default_rng(seed)
-        starts.append((_random_start(rng, truncation, h.dim), seed))
+        starts.append((_random_start(rng, truncation, h.dim, ws.real), seed))
     results: list[VariationalResult] = []
     collapsed: list[VariationalResult] = []
     for x0, seed in starts:

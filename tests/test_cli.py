@@ -456,3 +456,21 @@ def test_readme_cli_examples_parse():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "variational", "compare"])
+def test_harmonics_below_model_order_exits_config(tmp_path, capsys, command):
+    # M = 0 cannot hold the m = +-1 drive at all: a bad input, not a
+    # convergence failure of the solver
+    out = tmp_path / "o"
+    code = main([command, "--builtin", "two_level_linear", "--harmonics", "0", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "below the largest harmonic index 1" in err["message"]
+    assert not out.exists()
+
+
+def test_harmonics_at_model_order_is_accepted(tmp_path):
+    # the static model has no drive, so M = 0 is its own order
+    assert main(["solve", "--builtin", "static", "--harmonics", "0", "--out", str(tmp_path / "o")]) == 0
