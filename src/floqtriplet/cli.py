@@ -290,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_var = sub.add_parser("variational", help="variational ground state")
     _add_model_arguments(p_var)
-    p_var.add_argument("--max-iters", type=int, default=5000)
-    p_var.add_argument("--restarts", type=int, default=8)
-    p_var.add_argument("--seed", type=int, default=0, help="first random-restart seed")
+    defaults = VariationalConfig()
+    p_var.add_argument("--max-iters", type=int, default=defaults.max_iterations)
+    p_var.add_argument("--restarts", type=int, default=defaults.restarts)
+    p_var.add_argument("--seed", type=int, default=defaults.seed, help="first random-restart seed")
     p_var.set_defaults(func=cmd_variational)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep with label continuity")

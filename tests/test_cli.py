@@ -403,6 +403,14 @@ def test_variational_fixed_truncation_checks_tol_deg(tmp_path):
     assert not out.exists()
 
 
+def test_variational_budget_defaults_come_from_the_config():
+    args = build_parser().parse_args(["variational", "--builtin", "static", "--out", "o"])
+    config = ft.VariationalConfig()
+    assert args.max_iters == config.max_iterations
+    assert args.restarts == config.restarts
+    assert args.seed == config.seed
+
+
 @pytest.mark.parametrize("option", [["--restarts", "-1"], ["--max-iters", "0"]])
 def test_variational_invalid_budget_exits_config(tmp_path, capsys, option):
     out = tmp_path / "o"

@@ -5,7 +5,7 @@ import pytest
 
 import floqtriplet as ft
 from floqtriplet.variational import VariationalConfig, _Workspace
-from floqtriplet.variational import _deflation_basis
+from floqtriplet.variational import _deflation_basis, _minimize_one, _static_start
 
 from conftest import CIRCULAR_DEFAULT, random_mode
 from conftest import time_shifted
@@ -238,6 +238,80 @@ def test_real_search_gradient_matches_finite_differences(name):
             fd = (fp - fm) / (2.0 * step)
             scale = max(1.0, abs(fd), abs(grad[idx]))
             assert abs(fd - grad[idx]) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("deflated", [False, True], ids=["plain", "deflated"])
+@pytest.mark.parametrize("search", ["real", "complex"])
+def test_search_hessian_matches_finite_differences(search, deflated):
+    h = ft.builtin_model("two_level_linear")
+    if search == "complex":
+        h = time_shifted(h, 0.7 / h.omega)  # H_1 -> H_1 e^{0.7 i}
+    m = 3
+    rng = np.random.default_rng(43)
+    found = None
+    if deflated:
+        # a block mode: the whole replica ladder is in the basis
+        vec = rng.normal(size=h.dim) + (1j * rng.normal(size=h.dim) if search == "complex" else 0.0)
+        found = [ft.FloquetMode.from_block(vec / np.linalg.norm(vec), 0, m)]
+    cfg = VariationalConfig()
+    ws = _Workspace(h, m, cfg, _deflation_basis(found))
+    assert ws.real == (search == "real")
+    assert (ws.orth_hessian is not None) == deflated
+    step = 1e-5
+    for _ in range(3):
+        y = ws.pack(random_mode(rng, m, h.dim).flat())
+        hess = ws.search_hessian(y, cfg.mu_res_init)
+        if not ws.real:
+            # the documented phase term 8 mu_norm v v^T, v = i x / |x|
+            v = ws.pack(1j * ws.unpack(y)) / np.linalg.norm(y)
+            hess = hess - 8.0 * cfg.mu_norm * np.outer(v, v)
+        fd = np.empty_like(hess)
+        for idx in range(y.size):
+            yp, ym = y.copy(), y.copy()
+            yp[idx] += step
+            ym[idx] -= step
+            _, gp = ws.search_objective(yp, cfg.mu_res_init)
+            _, gm = ws.search_objective(ym, cfg.mu_res_init)
+            fd[:, idx] = (gp - gm) / (2.0 * step)
+        assert np.abs(fd - hess).max() <= 1e-8 * np.abs(hess).max()
+
+
+def test_start_fallen_into_origin_ends_after_its_stage():
+    # F is even in x and eps(x) is scale-free, so the origin is stationary at
+    # every mu; a start there is ended instead of run up to mu_res_max
+    h = ft.builtin_model("two_level_linear")
+    cfg = VariationalConfig()
+    ws = _Workspace(h, 4, cfg)
+    x, converged, trace = _minimize_one(ws, 1e-20 * _static_start(h, 4, 0, ws.real), cfg)
+    assert not converged
+    assert len(trace) == 1 and trace[0]["iterations"] == 0
+    assert np.linalg.norm(x) <= 1e-8
+
+
+def test_excited_search_survives_collapsing_starts():
+    # two of the nine starts fall into the origin here; the others still
+    # find the second Sambe state
+    h = ft.builtin_model("two_level_linear", {"v": 0.974, "omega": 1.210})
+    m = 16
+    ground = ft.minimize_ground(h, m)
+    excited = ft.minimize_excited(h, m, found=[ground.mode])
+    ebars = sorted(ft.solve_spectrum(h, m).avg_energies)
+    assert ground.converged and excited.converged
+    assert abs(excited.avg_energy - ebars[1]) <= 1e-6
+
+
+def test_excited_search_finds_second_state_on_three_site_ring():
+    # every L-BFGS start ended in the third state (Ebar = 1) here
+    h = ft.builtin_model(
+        "driven_ring", {"sites": 3, "v": 0.5101498357623357, "omega": 2.205737801674389}
+    )
+    cfg = VariationalConfig(seed=673)
+    ground = ft.minimize_ground(h, 8, cfg)
+    excited = ft.minimize_excited(h, 8, cfg, found=[ground.mode])
+    ebars = sorted(ft.solve_spectrum(h, 8).avg_energies)
+    assert ground.converged and excited.converged
+    assert abs(ground.avg_energy - ebars[0]) <= 1e-6
+    assert abs(excited.avg_energy - ebars[1]) <= 1e-6
 
 
 def test_complex_deflation_basis_takes_complex_search(ground_results, spectra):
