@@ -53,7 +53,12 @@ There F is flat along the global phase, v = i x / |x|, and the Hessian
 handed to the solver adds the curvature 8 mu_norm v v^T, the radial
 curvature at unit norm: the gradient has no component along v, so the
 steps are unchanged, but the Hessian is no longer singular, which keeps
-trust-exact off its slow hard-case path.
+trust-exact off its slow hard-case path.  Degenerate states (a ring's
++k and -k pairs, say) leave other directions in which F is flat to
+rounding, or curved and nearly flat: every Hessian gets a diagonal shift of
+y.size * eps times its largest diagonal entry, so that it factors, and
+each stage stops after STAGE_ITERATIONS Newton iterations, so that a stage
+creeping along such a valley hands over to the next, stiffer one.
 
 F is even in x and eps(x) is scale-free, so the origin is a stationary
 point at every mu_res; a start whose iterate falls into it cannot leave
@@ -84,6 +89,10 @@ from .sambe import (
 )
 
 MU_ORTH = 100.0
+# Newton iterations per penalty stage: a stage that converges takes at most
+# about 25, from a random start; a longer one creeps along a nearly flat
+# valley between degenerate states, which the next, stiffer stage settles
+STAGE_ITERATIONS = 30
 
 
 @dataclass(frozen=True)
@@ -219,7 +228,8 @@ class _Workspace:
     def search_hessian(self, y: np.ndarray, mu_res: float) -> np.ndarray:
         """Hessian of `search_objective` in the search variables, plus the
         curvature 8 mu_norm v v^T along the global phase v = i x / |x| in the
-        complex search, where F itself is flat (see module docstring)."""
+        complex search, where F itself is flat, and a diagonal shift at the
+        rounding level of the largest entry (see module docstring)."""
         mu_norm = self.config.mu_norm
         q = float(y @ y)
         t = self.t_search
@@ -248,6 +258,10 @@ class _Workspace:
         hess += (u * weights) @ u.T
         if self.orth_hessian is not None:
             hess += self.orth_hessian
+        # rounding-level shift, so that a Hessian singular to rounding
+        # factors without trust-exact's hard-case search
+        diag = hess.diagonal()
+        hess[np.diag_indices_from(hess)] += y.size * np.finfo(float).eps * np.abs(diag).max()
         return hess
 
     def pack(self, x: np.ndarray) -> np.ndarray:
@@ -339,7 +353,7 @@ def _minimize_one(
             jac=True,
             hess=ws.search_hessian,
             method="trust-exact",
-            options={"gtol": 1e-10, "maxiter": remaining},
+            options={"gtol": 1e-10, "maxiter": min(remaining, STAGE_ITERATIONS)},
         )
         y = res.x
         x = ws.unpack(y)

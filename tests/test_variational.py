@@ -288,18 +288,6 @@ def test_start_fallen_into_origin_ends_after_its_stage():
     assert np.linalg.norm(x) <= 1e-8
 
 
-def test_excited_search_survives_collapsing_starts():
-    # two of the nine starts fall into the origin here; the others still
-    # find the second Sambe state
-    h = ft.builtin_model("two_level_linear", {"v": 0.974, "omega": 1.210})
-    m = 16
-    ground = ft.minimize_ground(h, m)
-    excited = ft.minimize_excited(h, m, found=[ground.mode])
-    ebars = sorted(ft.solve_spectrum(h, m).avg_energies)
-    assert ground.converged and excited.converged
-    assert abs(excited.avg_energy - ebars[1]) <= 1e-6
-
-
 def test_excited_search_finds_second_state_on_three_site_ring():
     # every L-BFGS start ended in the third state (Ebar = 1) here
     h = ft.builtin_model(
