@@ -252,7 +252,7 @@ class _Workspace:
             cols.append(sy - eps * y)
             weights.append(-8.0 * mu_res / q)
             if not self.real:
-                cols.append(np.concatenate([-y[self.size :], y[: self.size]]))
+                cols.append(self.pack(1j * self.unpack(y)))
                 weights.append(8.0 * mu_norm / q)
         u = np.stack(cols, axis=1)
         hess += (u * weights) @ u.T
