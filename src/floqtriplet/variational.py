@@ -260,8 +260,8 @@ class _Workspace:
             hess += self.orth_hessian
         # rounding-level shift, so that a Hessian singular to rounding
         # factors without trust-exact's hard-case search
-        diag = hess.diagonal()
-        hess[np.diag_indices_from(hess)] += y.size * np.finfo(float).eps * np.abs(diag).max()
+        shift = y.size * np.finfo(float).eps * np.abs(hess.diagonal()).max()
+        hess[np.diag_indices_from(hess)] += shift
         return hess
 
     def pack(self, x: np.ndarray) -> np.ndarray:
