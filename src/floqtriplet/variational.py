@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -175,26 +176,34 @@ class _Workspace:
         self.size = self.t.shape[0]
         # columns to repel, or None
         self.deflation = deflation.real if self.real and deflation is not None else deflation
-        # the Hessian works in the search variables: on the real x, or
-        # realified on [Re x; Im x], where the columns of a realified
-        # deflation basis are the pairs (u, i u)
-        if self.real:
-            self.t_search, self.wn_search = self.t, self.wn
-        else:
-            self.t_search = _realified(self.t)
-            self.wn_search = np.concatenate([self.wn, self.wn])
-        self.t_sq = self.t_search @ self.t_search
-        self.orth_hessian = None
-        if self.deflation is not None and self.deflation.shape[1]:
-            u = self.deflation if self.real else _realified(self.deflation)
-            self.orth_hessian = 2.0 * MU_ORTH * (u @ u.T)
+        self.wn_search = self.wn if self.real else np.concatenate([self.wn, self.wn])
+
+    # The Hessian works in the search variables: on the real x, or realified
+    # on [Re x; Im x], where the columns of a realified deflation basis are
+    # the pairs (u, i u).  Its matrices are formed on first use, so that
+    # `objective` does not pay for T^2.
+
+    @cached_property
+    def t_search(self) -> np.ndarray:
+        return self.t if self.real else _realified(self.t)
+
+    @cached_property
+    def t_sq(self) -> np.ndarray:
+        return self.t_search @ self.t_search
+
+    @cached_property
+    def orth_hessian(self) -> np.ndarray | None:
+        if self.deflation is None or not self.deflation.shape[1]:
+            return None
+        u = self.deflation if self.real else _realified(self.deflation)
+        return 2.0 * MU_ORTH * (u @ u.T)
 
     def value_and_gradient(
         self, x: np.ndarray, mu_res: float
     ) -> tuple[float, np.ndarray]:
         cfg = self.config
         n = float(np.real(np.vdot(x, x)))
-        if n == 0.0:  # line searches may probe the origin, a stationary point
+        if n == 0.0:  # the origin, a stationary point, has no Rayleigh quotient
             return cfg.mu_norm, np.zeros_like(x)
         tx = self.t @ x
         sx = tx + self.wn * x
