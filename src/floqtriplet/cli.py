@@ -292,7 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p_var)
     defaults = VariationalConfig()
     p_var.add_argument("--max-iters", type=int, default=defaults.max_iterations)
-    p_var.add_argument("--restarts", type=int, default=defaults.restarts)
+    p_var.add_argument(
+        "--restarts",
+        type=int,
+        default=defaults.restarts,
+        help="random starts beyond one per Floquet state",
+    )
     p_var.add_argument("--seed", type=int, default=defaults.seed, help="first random-restart seed")
     p_var.set_defaults(func=cmd_variational)
 

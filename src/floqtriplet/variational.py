@@ -7,7 +7,7 @@ enforced as a residual penalty and the unit norm as a quadratic penalty:
     F(x) = x^H T x
          + mu_res  * || (S - eps(x)) x ||^2,   eps(x) = x^H S x / x^H x
          + mu_norm * (x^H x - 1)^2
-         + mu_orth * sum_b |<u_b, x>|^2        (deflation, excited states)
+         + mu_orth * sum_b |<u_b, x>|^2        (deflation of known states)
 
 The Sambe matrix is S = T + omega*N with N the diagonal number operator
 (m on block m), so S x is one dense T product plus a diagonal scaling, and
@@ -60,14 +60,42 @@ y.size * eps times its largest diagonal entry, so that it factors, and
 each stage stops after STAGE_ITERATIONS Newton iterations, so that a stage
 creeping along such a valley hands over to the next, stiffer one.
 
-F is even in x and eps(x) is scale-free, so the origin is a stationary
-point at every mu_res; a start whose iterate falls into it cannot leave
-and is ended after that stage, unconverged.
+Two states whose quasi-energies nearly coincide (a 12-site ring has a
+pair 6e-7 apart) are separated by the penalty only once mu_res exceeds
+their Ebar gap over the square of their quasi-energy gap, and the Newton
+stages creep there.  A start that ends its stages unconverged with a
+residual below POLISH_RESIDUAL is finished by POLISH_ITERATIONS
+Rayleigh-quotient iterations on S, which converge cubically to one state
+of such a pair.
+
+Every eigenstate is a local minimum of F at large mu_res, and which one a
+start reaches is close to a draw: on a 5-site ring about one random start
+in seven reaches the lowest state, so the lowest of nine independent
+starts was often a higher one.  A search therefore runs its starts one
+after another, each begun orthogonal to and repelling (by the deflation
+term) every state the earlier ones reached, so that each start can only
+add a new state, and it stops once all d = h.dim Floquet states, the
+found ones included, are reached.  Only then is the lowest of them
+certainly the answer and the result converged; a search that misses a
+state returns the lowest one it reached flagged unconverged, never a
+silent wrong answer.  The starts are the static start and random ones, at
+most config.restarts more than there are states to reach, so the cost
+grows with d.
 
 Deflation covers whole replica ladders: every found mode is orthogonal to
 its own harmonic shifts, which carry the same average energy, so
 penalizing only the found mode itself would let the minimizer escape to a
 replica copy instead of the next triplet.
+
+F is even in x and eps(x) is scale-free, so the origin is a stationary
+point at every mu_res; a start whose iterate falls into it cannot leave
+and is ended after that stage, unconverged.  Along a unit direction the
+radial minimum of F is at the origin whenever its Ebar plus mu_res times
+its squared residual plus mu_orth times its weight on the repelled
+ladders exceeds 2 mu_norm: true of every random start at mu_res = 1e3,
+which survives only because Newton turns it toward an eigenstate faster
+than it shrinks.  A start with weight on the repelled ladders lost that
+race most of the time, which is why starts begin orthogonal to them.
 """
 
 from __future__ import annotations
@@ -94,6 +122,12 @@ MU_ORTH = 100.0
 # about 25, from a random start; a longer one creeps along a nearly flat
 # valley between degenerate states, which the next, stiffer stage settles
 STAGE_ITERATIONS = 30
+# a start that ends its stages with an eigen-residual below POLISH_RESIDUAL
+# sits at a pair of nearly degenerate states, and POLISH_ITERATIONS
+# Rayleigh-quotient iterations take it to one of them (on the 12-site ring
+# such starts stall near 1e-7 and reach rounding level)
+POLISH_RESIDUAL = 1e-5
+POLISH_ITERATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -104,8 +138,11 @@ class VariationalConfig:
     # an order below the 1e-8 contract so functional-equivalence holds with
     # margin at every converged result
     residual_tol: float = 1e-9
-    # Newton iterations per start, summed over its penalty stages
+    # Newton iterations per start, summed over its penalty stages; a stage
+    # stops after STAGE_ITERATIONS, so a start of the default ten stages
+    # runs at most 300 and only a budget below that binds
     max_iterations: int = 2000
+    # random starts beyond one per Floquet state still to reach
     restarts: int = 8
     seed: int = 0
 
@@ -174,9 +211,14 @@ class _Workspace:
         self.t = t if self.real else t.astype(complex, copy=False)
         self.wn = h.omega * _number_diagonal(truncation, h.dim)
         self.size = self.t.shape[0]
-        # columns to repel, or None
-        self.deflation = deflation.real if self.real and deflation is not None else deflation
         self.wn_search = self.wn if self.real else np.concatenate([self.wn, self.wn])
+        self.deflate(deflation)
+
+    def deflate(self, deflation: np.ndarray | None) -> None:
+        """Set the columns to repel (None for none); a real search keeps
+        their real part, which is all of them (see `real`)."""
+        self.deflation = deflation.real if self.real and deflation is not None else deflation
+        self.__dict__.pop("orth_hessian", None)  # formed again on first use
 
     # The Hessian works in the search variables: on the real x, or realified
     # on [Re x; Im x], where the columns of a realified deflation basis are
@@ -341,7 +383,9 @@ def _minimize_one(
     """Penalty continuation from one start; returns (x, converged, trace).
 
     config.max_iterations is the total budget of Newton iterations across
-    all continuation stages of this start.
+    all continuation stages of this start.  A start that ends nearly
+    converged is polished by `_rayleigh_polish`, which the trace, a record
+    of the stages, leaves out.
     """
     y = ws.pack(x0)
     mu = config.mu_res_init
@@ -385,7 +429,23 @@ def _minimize_one(
         if mu >= config.mu_res_max or remaining <= 0 or collapsed:
             break
         mu *= 10.0
+    if not converged and residual <= POLISH_RESIDUAL:
+        x = _rayleigh_polish(ws, x)
+        converged = ws.residual_of(x) <= config.residual_tol
     return x, converged, trace
+
+
+def _rayleigh_polish(ws: _Workspace, x: np.ndarray) -> np.ndarray:
+    """Rayleigh-quotient iterations on S from x (see module docstring)."""
+    s = ws.t + np.diag(ws.wn)
+    for _ in range(POLISH_ITERATIONS):
+        x = x / np.linalg.norm(x)
+        eps = float(np.real(np.vdot(x, s @ x)))
+        try:
+            x = np.linalg.solve(s - eps * np.eye(ws.size), x)
+        except np.linalg.LinAlgError:
+            break
+    return x / np.linalg.norm(x)
 
 
 def _finish(
@@ -406,43 +466,69 @@ def _finish(
     )
 
 
+def _starts(
+    h: FourierHamiltonian, truncation: int, config: VariationalConfig, level: int, real: bool
+):
+    """The static start, then random starts of seeds config.seed, +1, ...:
+    one for each state still to find and config.restarts more."""
+    yield _static_start(h, truncation, level, real), None
+    for i in range(h.dim - level - 1 + config.restarts):
+        seed = config.seed + i
+        yield _random_start(np.random.default_rng(seed), truncation, h.dim, real), seed
+
+
 def _search(
     h: FourierHamiltonian,
     truncation: int,
     config: VariationalConfig,
-    found: list[FloquetMode] | None,
+    found: list[FloquetMode],
 ) -> VariationalResult:
-    deflation = _deflation_basis(found)
-    ws = _Workspace(h, truncation, config, deflation)
-    level = len(found) if found else 0
-    starts: list[tuple[np.ndarray, int | None]] = [
-        (_static_start(h, truncation, level, ws.real), None)
-    ]
-    for i in range(config.restarts):
-        seed = config.seed + i
-        rng = np.random.default_rng(seed)
-        starts.append((_random_start(rng, truncation, h.dim, ws.real), seed))
-    results: list[VariationalResult] = []
-    collapsed: list[VariationalResult] = []
-    for x0, seed in starts:
+    if len(found) >= h.dim:
+        raise ValueError(f"all {h.dim} Floquet states are already found")
+    ws = _Workspace(h, truncation, config, _deflation_basis(found))
+    states: list[VariationalResult] = []  # one per Floquet state reached
+    stalled: list[VariationalResult] = []
+    repeats: list[VariationalResult] = []
+    for x0, seed in _starts(h, truncation, config, len(found), ws.real):
+        known = found + [r.mode for r in states]
+        if len(known) == h.dim:
+            break
+        # each start repels every state reached so far, so that it can only
+        # add a new one
+        ws.deflate(_deflation_basis(known))
+        if known:
+            x0 = _orthogonal_start(x0, ws.deflation)
         x, ok, trace = _minimize_one(ws, x0, config)
         candidate = _finish(ws, x, ok, trace, seed)
-        if found and ok:
-            # reject collapses onto already-found ladders
-            proj = deflation.conj().T @ candidate.mode.flat()
-            if float(np.real(np.vdot(proj, proj))) > 0.5:
-                collapsed.append(candidate)
-                continue
-        results.append(candidate)
-    converged = [r for r in results if r.converged]
-    if converged:
-        return min(converged, key=lambda r: r.avg_energy)
-    # never a silent wrong answer: return the best remaining trace, flagged
-    if not results:
-        best = min(collapsed, key=lambda r: r.residual)
-        best.converged = False
-        return best
-    return min(results, key=lambda r: r.residual)
+        if not ok:
+            stalled.append(candidate)
+        elif known and _weight_on(ws.deflation, candidate) > 0.5:
+            repeats.append(candidate)  # converged onto a repelled ladder
+        else:
+            states.append(candidate)
+    if len(found) + len(states) == h.dim:
+        # every Floquet state is reached, so the lowest is the answer
+        return min(states, key=lambda r: r.avg_energy)
+    # never a silent wrong answer: with a state missed, even the lowest one
+    # reached may not be the answer; return it, or failing that the start
+    # closest to convergence, flagged
+    if states:
+        best = min(states, key=lambda r: r.avg_energy)
+    else:
+        best = min(stalled or repeats, key=lambda r: r.residual)
+    best.converged = False
+    return best
+
+
+def _orthogonal_start(x0: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    q, _ = np.linalg.qr(basis)
+    x = x0 - q @ (q.conj().T @ x0)
+    return x / np.linalg.norm(x)
+
+
+def _weight_on(basis: np.ndarray, result: VariationalResult) -> float:
+    proj = basis.conj().T @ result.mode.flat()
+    return float(np.real(np.vdot(proj, proj)))
 
 
 def minimize_ground(
@@ -452,11 +538,13 @@ def minimize_ground(
 ) -> VariationalResult:
     """Lowest average-energy triplet by penalized minimization.
 
-    Runs the deterministic static start plus config.restarts random
-    restarts and returns the lowest converged result; if nothing converges
-    the best non-converged candidate is returned with converged=False.
+    Runs starts one after another, each repelling the states the earlier
+    ones reached, until all h.dim Floquet states are reached, and returns
+    the lowest; the starts are the deterministic static start and random
+    ones, at most config.restarts more than there are states.  If a state
+    is missed the result has converged=False (see `_search`).
     """
-    return _search(h, truncation, config, None)
+    return _search(h, truncation, config, [])
 
 
 def minimize_excited(
@@ -465,5 +553,7 @@ def minimize_excited(
     config: VariationalConfig = VariationalConfig(),
     found: list[FloquetMode] | None = None,
 ) -> VariationalResult:
-    """Next triplet above the given mutually-orthonormal found modes."""
+    """Next triplet above the given mutually-orthonormal found modes: the
+    lowest of the other h.dim - len(found) states, reached as in
+    `minimize_ground`."""
     return _search(h, truncation, config, list(found or []))

@@ -5,7 +5,7 @@ import pytest
 
 import floqtriplet as ft
 from floqtriplet.variational import VariationalConfig, _Workspace
-from floqtriplet.variational import _deflation_basis, _minimize_one, _static_start
+from floqtriplet.variational import _deflation_basis, _minimize_one, _random_start, _static_start
 
 from conftest import CIRCULAR_DEFAULT, random_mode
 from conftest import time_shifted
@@ -300,6 +300,84 @@ def test_excited_search_finds_second_state_on_three_site_ring():
     assert ground.converged and excited.converged
     assert abs(ground.avg_energy - ebars[0]) <= 1e-6
     assert abs(excited.avg_energy - ebars[1]) <= 1e-6
+
+
+def test_ground_search_reaches_the_lowest_of_five_states():
+    # all nine independent starts of the previous search converged to
+    # higher states here (Ebar -0.776, 1.195, 1.537) and the lowest of them
+    # came back as converged
+    h = ft.builtin_model(
+        "driven_ring", {"sites": 5, "v": 1.1199789981489323, "omega": 1.5990336758266157}
+    )
+    result = ft.minimize_ground(h, 16, VariationalConfig(seed=22189))
+    assert result.converged
+    assert abs(result.avg_energy - min(ft.solve_spectrum(h, 16).avg_energies)) <= 1e-6
+
+
+def _record_starts(monkeypatch, fail_start=None):
+    """Wrap _minimize_one to record each start's converged flag, reporting
+    start number fail_start as unconverged."""
+    from floqtriplet import variational
+
+    flags = []
+    real = variational._minimize_one
+
+    def wrapped(ws, x0, config):
+        x, ok, trace = real(ws, x0, config)
+        if len(flags) == fail_start:
+            ok = False
+        flags.append(ok)
+        return x, ok, trace
+
+    monkeypatch.setattr(variational, "_minimize_one", wrapped)
+    return flags
+
+
+def test_every_start_of_a_deflated_search_reaches_a_new_state(monkeypatch):
+    # begun with weight on the repelled ladders, nine of the twelve starts
+    # of this excited search fell into the origin and the last state was
+    # never reached
+    h = ft.builtin_model(
+        "driven_ring", {"sites": 5, "v": 0.9007667642428454, "omega": 1.5656479128037204}
+    )
+    cfg = VariationalConfig(seed=17403)
+    ground = ft.minimize_ground(h, 16, cfg)
+    flags = _record_starts(monkeypatch)
+    excited = ft.minimize_excited(h, 16, cfg, found=[ground.mode])
+    assert flags == [True] * (h.dim - 1)
+    assert excited.converged
+    assert abs(excited.avg_energy - sorted(ft.solve_spectrum(h, 16).avg_energies)[1]) <= 1e-6
+
+
+def test_missed_state_flags_the_result(monkeypatch):
+    # with one of the two states never reached, the lower one reached
+    # cannot be known to be the ground
+    h = ft.builtin_model("two_level_linear")
+    flags = _record_starts(monkeypatch, fail_start=1)
+    result = ft.minimize_ground(h, 8, VariationalConfig(restarts=0))
+    assert flags == [True, False]
+    assert not result.converged
+    assert result.residual <= VariationalConfig().residual_tol
+
+
+def test_search_needs_a_state_left_to_find():
+    h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
+    modes = [ft.FloquetMode.from_block(v, 0, 2) for v in ([1.0, 0.0], [0.0, 1.0])]
+    with pytest.raises(ValueError):
+        ft.minimize_excited(h, 2, found=modes)
+
+
+def test_stalled_start_at_a_near_degenerate_pair_is_polished():
+    # two states of the 12-site ring lie 6e-7 apart in quasi-energy; this
+    # start ends its stages at residual 5e-8 in a mix of them
+    h = ft.builtin_model("driven_ring", {"sites": 12})
+    cfg = VariationalConfig()
+    ws = _Workspace(h, 8, cfg)
+    x0 = _random_start(np.random.default_rng(4), 8, h.dim, ws.real)
+    x, converged, trace = _minimize_one(ws, x0, cfg)
+    assert trace[-1]["residual"] > cfg.residual_tol
+    assert converged
+    assert ws.residual_of(x) <= cfg.residual_tol
 
 
 def test_complex_deflation_basis_takes_complex_search(ground_results, spectra):
