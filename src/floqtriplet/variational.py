@@ -70,8 +70,8 @@ of such a pair.
 
 Every eigenstate is a local minimum of F at large mu_res, and which one a
 start reaches is close to a draw: on a 5-site ring about one random start
-in seven reaches the lowest state, so the lowest of nine independent
-starts was often a higher one.  A search therefore runs its starts one
+in seven reaches the lowest state, so nine independent starts miss it
+about a quarter of the time.  A search therefore runs its starts one
 after another, each begun orthogonal to and repelling (by the deflation
 term) every state the earlier ones reached, so that each start can only
 add a new state, and it stops once all d = h.dim Floquet states, the
@@ -101,6 +101,7 @@ race most of the time, which is why starts begin orthogonal to them.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -468,7 +469,7 @@ def _finish(
 
 def _starts(
     h: FourierHamiltonian, truncation: int, config: VariationalConfig, level: int, real: bool
-):
+) -> Iterator[tuple[np.ndarray, int | None]]:
     """The static start, then random starts of seeds config.seed, +1, ...:
     one for each state still to find and config.restarts more."""
     yield _static_start(h, truncation, level, real), None
@@ -555,5 +556,5 @@ def minimize_excited(
 ) -> VariationalResult:
     """Next triplet above the given mutually-orthonormal found modes: the
     lowest of the other h.dim - len(found) states, reached as in
-    `minimize_ground`."""
+    `minimize_ground`.  Raises ValueError when found holds h.dim modes."""
     return _search(h, truncation, config, list(found or []))
