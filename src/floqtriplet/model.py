@@ -23,6 +23,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -111,6 +112,13 @@ class FourierHamiltonian:
                 {"m": m, "re": (mat.real + 0.0).tolist(), "im": (mat.imag + 0.0).tolist()}
             )
         return {"dim": self.dim, "omega": self.omega, "harmonics": entries}
+
+    @cached_property
+    def _hash(self) -> str:
+        # cached per instance: the harmonics are a read-only mapping of
+        # write-protected arrays, so the serialized model never changes
+        canonical = json.dumps(self.to_json_dict(), sort_keys=True)
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -279,6 +287,6 @@ def load_model(path: str) -> FourierHamiltonian:
 
 
 def model_hash(h: FourierHamiltonian) -> str:
-    """Stable content hash of the model, recorded in spectrum metadata."""
-    canonical = json.dumps(h.to_json_dict(), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    """Stable content hash of the model, recorded in spectrum metadata;
+    serialized once per model and cached on it."""
+    return h._hash

@@ -60,9 +60,17 @@ diagonalizing the average-energy block
     Hbar[i, j] = sum_{m,m'} <phi_i^(m)| H_{m-m'} |phi_j^(m')>,
 
 which equals the one-period average (1/T) int <Phi_i(t)|H(t)|Phi_j(t)> dt.
-These later stages apply S and T through the harmonics, never as n x n
-matrices.  The result is the eigentriplet spectrum (mode, quasi-energy,
-average energy), ordered by average energy.
+These later stages work on all states at once and apply S and T through
+the harmonics, never as n x n matrices.  Nearly every cluster and group
+has one member, the 1 x 1 case of its eigh with rotation 1: the centroids
+N|v|^2 of all single-vector clusters come from one product, a singleton
+group keeps its raw eigenvalue with no replica alignment, and eigh runs
+only on clusters and groups of two or more.  One application of S to the
+kept vectors gives every raw eigenvalue and selection residual; one
+application of T to the stacked group members X gives every block
+X_g^H (T X)_g, and with it the residuals ||(T X + omega N X) R - lam X R||
+of the rotated states.  The result is the eigentriplet spectrum (mode,
+quasi-energy, average energy), ordered by average energy.
 """
 
 from __future__ import annotations
@@ -417,6 +425,13 @@ def _gap_clusters(
     return clusters
 
 
+def _in_zone(centroids: np.ndarray) -> np.ndarray:
+    """Which centroids <N> lie in [-1/2, 1/2), the kept replica's zone."""
+    # round: of seam replicas (centroids -1/2, +1/2 at resonance) keep one
+    centroids = np.round(centroids, 9)
+    return (centroids >= -0.5) & (centroids < 0.5)
+
+
 def select_representatives(
     eigvals: np.ndarray,
     eigvecs: np.ndarray,
@@ -430,41 +445,46 @@ def select_representatives(
     N restricted to a cluster is diagonalized, which resolves
     Ebar = lam - omega*<N> there; a k-harmonic shift moves the centroid <N>
     by exactly k, so per physical state the one replica with centroid in
-    [-1/2, 1/2) is kept.  Each kept vector x gets its own raw eigenvalue,
-    the Rayleigh quotient lam = Re(x^H S x), and residual ||S x - lam x||.
-    Anything but d kept states means the truncation is eating states; that
-    raises TruncationError with the advice to increase M.
+    [-1/2, 1/2) is kept.  A cluster of one eigenvector v is the 1 x 1 case,
+    with rotation 1 and centroid N @ |v|^2: the centroids of all such
+    clusters come from one product, and eigh runs only on clusters of two
+    or more.  One application of S to all kept vectors x then gives each
+    its own raw eigenvalue, the Rayleigh quotient lam = Re(x^H S x), and
+    residual ||S x - lam x||.  Anything but d kept states means the
+    truncation is eating states; that raises TruncationError with the
+    advice to increase M.
     """
     omega, d = h.omega, h.dim
     tol_deg = _resolve_tol_deg(tol_deg, omega)
     number = _number_diagonal(truncation, d)
-    reps: list[Representative] = []
-    for cluster in _gap_clusters(eigvals, tol_deg):
-        basis = eigvecs[:, cluster]
-        centroids, rotation = np.linalg.eigh(basis.conj().T @ (number[:, None] * basis))
-        # round: of seam replicas (centroids -1/2, +1/2 at resonance) keep one
-        centroids = np.round(centroids, 9)
-        keep = (centroids >= -0.5) & (centroids < 0.5)
-        if not keep.any():
-            continue
-        modes = basis @ rotation[:, keep]
-        sx = _apply_blocks(h, modes, omega)
-        lams = np.real(np.sum(modes.conj() * sx, axis=0))
-        residuals = np.linalg.norm(sx - lams * modes, axis=0)
-        for x, lam, res in zip(modes.T, lams, residuals):
-            reps.append(
-                Representative(
-                    mode=FloquetMode.from_flat(x, d).normalized(),
-                    quasi_energy=fold_reported(lam, omega),
-                    quasi_energy_raw=float(lam),
-                    residual=float(res),
-                )
-            )
-    if len(reps) != d:
+    clusters = _gap_clusters(eigvals, tol_deg)
+    singles = eigvecs[:, [c[0] for c in clusters if c.size == 1]]
+    parts = [singles[:, _in_zone(number @ np.abs(singles) ** 2)]]
+    for cluster in clusters:
+        if cluster.size > 1:
+            basis = eigvecs[:, cluster]
+            centroids, rotation = np.linalg.eigh(basis.conj().T @ (number[:, None] * basis))
+            parts.append(basis @ rotation[:, _in_zone(centroids)])
+    modes = np.concatenate(parts, axis=1)
+    if modes.shape[1] != d:
         raise TruncationError(
-            f"found {len(reps)} replica families, expected {d}: "
+            f"found {modes.shape[1]} replica families, expected {d}: "
             f"truncation M={truncation} is too small, increase M"
         )
+    sx = _apply_blocks(h, modes, omega)
+    lams = np.real(np.sum(modes.conj() * sx, axis=0))
+    residuals = np.linalg.norm(sx - lams * modes, axis=0)
+    # each mode is divided by its own norm, as FloquetMode.normalized does,
+    # into an array of its own
+    reps = [
+        Representative(
+            mode=FloquetMode.from_flat(x / np.linalg.norm(x), d),
+            quasi_energy=fold_reported(lam, omega),
+            quasi_energy_raw=float(lam),
+            residual=float(res),
+        )
+        for x, lam, res in zip(np.ascontiguousarray(modes.T, dtype=complex), lams, residuals)
+    ]
     reps.sort(key=lambda r: (r.quasi_energy, r.quasi_energy_raw))
     return reps
 
@@ -501,14 +521,19 @@ def group_degeneracies(
     common replica that drops the least weight past the truncation edge;
     the mean lam of their shifted raw eigenvalues then becomes every
     member's quasi_energy_raw, with quasi_energy = fold_reported(lam).  This
-    is the one place raw eigenvalues are averaged.  Singleton groups are
-    allowed.
+    is the one place raw eigenvalues are averaged.  A singleton group is
+    its representative as given: the mean of one raw eigenvalue is that
+    eigenvalue, and there is nothing to align.
     """
     omega = h.omega
     tol_deg = _resolve_tol_deg(tol_deg, omega)
     folded = np.array([r.quasi_energy for r in reps])
     groups: list[DegenerateGroup] = []
     for cluster in _gap_clusters(folded, tol_deg, omega):
+        if cluster.size == 1:
+            rep = reps[int(cluster[0])]
+            groups.append(DegenerateGroup(members=(rep,), quasi_energy=rep.quasi_energy))
+            continue
         members = [reps[int(i)] for i in np.sort(cluster)]
         lam0 = members[0].quasi_energy_raw
         ks = [int(np.round((m.quasi_energy_raw - lam0) / omega)) for m in members]
@@ -636,48 +661,64 @@ def resolve_degeneracies(
 ) -> Spectrum:
     """Diagonalize each group's average-energy block into eigentriplets.
 
-    Members are rotated into the eigenbasis of their average-energy block;
-    the rotated states remain quasi-energy eigenstates because the members
-    share one raw eigenvalue, which every triplet of the group reports.
+    One application of T to the stacked member modes X gives T X for every
+    group; a group's block is X_g^H (T X)_g, and a singleton's block is its
+    1 x 1 Ebar, which needs no eigh.  Members are rotated into the
+    eigenbasis R of their block; the rotated states remain quasi-energy
+    eigenstates because the members share one raw eigenvalue lam, which
+    every triplet of the group reports, and their residuals
+    ||(T X + omega N X) R - lam X R|| need no second application.
     Triplets are ordered by average energy ascending, with ties broken by
     quasi-energy and then by the index of the largest-magnitude coefficient
-    (reproducibility).  Residual average-energy
-    degeneracies, neighbours in a group within 1e-10 * max(|Ebar|, 1) of
-    each other, are flagged, not interpreted.
+    (reproducibility).  Residual average-energy degeneracies, neighbours in
+    a group within 1e-10 * max(|Ebar|, 1) of each other, are flagged, not
+    interpreted.
     """
     if not groups:
         return Spectrum(triplets=[], metadata=metadata or {})
-    triplets: list[EigenTriplet] = []
-    for gid, group in enumerate(groups):
-        modes = [m.mode for m in group.members]
-        ebars, rotation = np.linalg.eigh(average_energy_block(modes, h))
-        basis = np.column_stack([m.flat() for m in modes])
-        rotated = basis @ rotation
-        rotated /= np.linalg.norm(rotated, axis=0)
-        scale = max(1.0, float(np.abs(ebars).max()) if ebars.size else 1.0)
-        tied = np.zeros(group.size, dtype=bool)
-        for ties in _gap_clusters(ebars, 1e-10 * scale):
-            tied[ties] = ties.size > 1
-        lam = group.members[0].quasi_energy_raw
-        residuals = np.linalg.norm(_apply_blocks(h, rotated, h.omega) - lam * rotated, axis=0)
-        for a in range(group.size):
-            triplets.append(
-                EigenTriplet(
-                    mode=FloquetMode.from_flat(rotated[:, a], h.dim),
-                    quasi_energy=group.quasi_energy,
-                    avg_energy=float(ebars[a]),
-                    quasi_energy_raw=lam,
-                    residual=float(residuals[a]),
-                    group_id=gid,
-                    group_size=group.size,
-                    ebar_degenerate=bool(tied[a]),
-                )
+    gids = [gid for gid, group in enumerate(groups) for _ in group.members]
+    x = np.column_stack([m.mode.flat() for group in groups for m in group.members])
+    tx = _apply_blocks(h, x, 0.0)
+    truncation = groups[0].members[0].mode.truncation
+    sx = tx + h.omega * _number_diagonal(truncation, h.dim)[:, None] * x
+    ebars = np.real(np.sum(x.conj() * tx, axis=0))
+    tied = np.zeros(len(gids), dtype=bool)
+    start = 0
+    for group in groups:
+        g = slice(start, start + group.size)
+        start = g.stop
+        if group.size == 1:
+            continue
+        block = x[:, g].conj().T @ tx[:, g]
+        ebars[g], rotation = np.linalg.eigh(0.5 * (block + block.conj().T))
+        x[:, g] = x[:, g] @ rotation
+        sx[:, g] = sx[:, g] @ rotation
+        scale = max(1.0, float(np.abs(ebars[g]).max()))
+        for ties in _gap_clusters(ebars[g], 1e-10 * scale):
+            tied[g.start + ties] = ties.size > 1
+    lams = np.array([groups[gid].members[0].quasi_energy_raw for gid in gids])
+    norms = np.linalg.norm(x, axis=0)
+    residuals = np.linalg.norm(sx - lams * x, axis=0) / norms
+    x /= norms
+    peaks = np.argmax(np.abs(x), axis=0)
+    order = np.lexsort((peaks, [groups[gid].quasi_energy for gid in gids], ebars))
+    triplets = []
+    for a in order:
+        group = groups[gids[a]]
+        triplets.append(
+            EigenTriplet(
+                mode=FloquetMode.from_flat(x[:, a].copy(), h.dim),
+                quasi_energy=group.quasi_energy,
+                avg_energy=float(ebars[a]),
+                quasi_energy_raw=group.members[0].quasi_energy_raw,
+                residual=float(residuals[a]),
+                group_id=gids[a],
+                group_size=group.size,
+                ebar_degenerate=bool(tied[a]),
             )
-    triplets.sort(
-        key=lambda t: (t.avg_energy, t.quasi_energy, int(np.argmax(np.abs(t.mode.flat()))))
-    )
+        )
     meta = dict(metadata or {})
-    meta.setdefault("residual_max", max(t.residual for t in triplets))
+    meta.setdefault("residual_max", float(residuals.max()))
     return Spectrum(triplets=triplets, metadata=meta)
 
 
@@ -760,8 +801,10 @@ def solve_at_truncation(
     in the |m| = M blocks; it is reported, not checked.
     """
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
-    s = build_sambe(h, truncation)
-    vals, vecs = diagonalize(s, window=_energy_window(h, truncation, tol_deg))
+    # S is not held past the eigensolve: the later stages apply it through
+    # the harmonics, and their batched work reuses its memory
+    window = _energy_window(h, truncation, tol_deg)
+    vals, vecs = diagonalize(build_sambe(h, truncation), window=window)
     reps = select_representatives(vals, vecs, h, truncation, tol_deg)
     groups = group_degeneracies(reps, h, tol_deg)
     metadata = {

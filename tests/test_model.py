@@ -175,6 +175,23 @@ def test_json_round_trip_explicit_schema(tmp_path):
     assert ft.model_hash(back) == ft.model_hash(h)
 
 
+def test_auto_solve_serializes_the_model_once(monkeypatch):
+    # the ring certifies at M = 8 after four rungs; the hash is computed once
+    calls = []
+    to_json_dict = FourierHamiltonian.to_json_dict
+
+    def counted(self):
+        calls.append(self)
+        return to_json_dict(self)
+
+    monkeypatch.setattr(FourierHamiltonian, "to_json_dict", counted)
+    h = ft.builtin_model("driven_ring")
+    spec = ft.solve_spectrum(h, "auto")
+    assert spec.metadata["truncation"] == 8
+    assert calls == [h]
+    assert spec.metadata["model_hash"] == ft.model_hash(ft.builtin_model("driven_ring"))
+
+
 def test_harmonics_stored_in_ascending_order():
     h1 = np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex)
     h = FourierHamiltonian(dim=2, omega=1.0, harmonics={2: h1, 0: np.eye(2), -1: h1.T})

@@ -79,6 +79,24 @@ def test_random_models_give_consistent_triplets(h):
                 assert abs(ebar - t.avg_energy) <= 1e-9
 
 
+@settings(max_examples=25, deadline=None)
+@given(h=st.booleans().flatmap(lambda real: driven_models(real=real)), loose=st.booleans())
+def test_reported_residuals_and_average_energies_match_dense_matrices(h, loose):
+    # the batched stages against the dense S and T of the certified cutoff
+    spec = ft.solve_spectrum(h, "auto", 1e-3 * h.omega if loose else None)
+    truncation = spec.metadata["truncation"]
+    s = ft.build_sambe(h, truncation)
+    t_mat = ft.build_energy_matrix(h, truncation)
+    for t in spec:
+        x = t.mode.flat()
+        assert abs(t.residual - np.linalg.norm(s @ x - t.quasi_energy_raw * x)) <= 1e-12
+        assert abs(t.avg_energy - np.real(np.vdot(x, t_mat @ x))) <= 1e-12
+    raws = {}
+    for t in spec:
+        raws.setdefault(t.group_id, set()).add(t.quasi_energy_raw)
+    assert all(len(values) == 1 for values in raws.values())
+
+
 @settings(max_examples=50, deadline=None)
 @given(h=driven_models(real=True), tau=st.floats(min_value=0.05, max_value=0.95))
 def test_real_model_matches_its_time_shifted_complex_copy(h, tau):
