@@ -95,11 +95,18 @@ class FourierHamiltonian:
         return max((abs(m) for m in self.harmonics), default=0)
 
     def eval_at_time(self, t: float) -> np.ndarray:
-        """Return H(t) = sum_m H_m e^{+i m omega t}."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for m, mat in self.harmonics.items():
-            out += mat * np.exp(1j * m * self.omega * t)
-        return out
+        """Return H(t) = sum_m H_m e^{+i m omega t}.
+
+        One product of the phase vector e^{+i m omega t} with the cached
+        (K, d*d) stack of the K stored harmonics; a fresh array per call.
+        """
+        rates, stack = self._harmonic_stack
+        return np.dot(np.exp(rates * t), stack).reshape(self.dim, self.dim)
+
+    def __reduce__(self):
+        # rebuilt (and validated) from its parts: the read-only mapping cannot
+        # be pickled, and the cached hash and harmonic stack need not be
+        return (type(self), (self.dim, self.omega, dict(self.harmonics)))
 
     def to_json_dict(self) -> dict:
         entries = []
@@ -112,6 +119,16 @@ class FourierHamiltonian:
                 {"m": m, "re": (mat.real + 0.0).tolist(), "im": (mat.imag + 0.0).tolist()}
             )
         return {"dim": self.dim, "omega": self.omega, "harmonics": entries}
+
+    @cached_property
+    def _harmonic_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        # (i m omega per stored m, the harmonics as rows of a (K, d*d) stack),
+        # in ascending m; cached like _hash, the harmonics never change
+        rates = 1j * np.array([m * self.omega for m in self.harmonics], dtype=float)
+        stack = np.array(
+            [mat.ravel() for mat in self.harmonics.values()], dtype=complex
+        ).reshape(len(rates), self.dim * self.dim)
+        return rates, stack
 
     @cached_property
     def _hash(self) -> str:

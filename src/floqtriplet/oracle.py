@@ -8,17 +8,24 @@ midpoint-exponential steps
 each factor unitary because H(t_mid) is Hermitian.  The factors are
 computed in fixed blocks of steps, one stacked eigh per block: the result
 is bit-identical to one eigh per step, and the block size bounds the
-batched temporaries and so the peak memory.  A final polar correction
-strips the accumulated factor roundoff (a few 1e-12 over 4096 steps) so
-the result is unitary to working precision.  The eigenphases of U(T) give
-the quasi-energies folded into [0, omega), its complex Schur vectors
-(orthonormal eigenvectors, U(T) being unitary) are the Floquet modes at
-t = 0, and average energies come from explicit Simpson averages of
-<Psi_i(t)|H(t)|Psi_j(t)> along the propagated trajectories.  Degenerate
-eigenphases are resolved by diagonalizing the time-averaged-energy matrix
-inside the degenerate subspace, the direct time-domain mirror of the
-extended-space construction in `sambe` - which is exactly what makes this
-an independent check.
+batched temporaries and so the peak memory.  Their sequential product,
+for U(T) and for each propagated trajectory alike, is formed blockwise
+(`_chain`): the products inside blocks of steps are batched over all
+blocks, and only the carry across block boundaries is sequential, so the
+product makes no Python call per step; U(T) keeps only the final product.
+A final polar correction strips the accumulated factor roundoff (a few
+1e-12 over 4096 steps) so the result is unitary to working precision.
+The eigenphases of U(T) give the quasi-energies folded into [0, omega),
+its complex Schur vectors (orthonormal eigenvectors, U(T) being unitary)
+are the Floquet modes at t = 0, and average energies come from explicit
+Simpson averages of <Psi_i(t)|H(t)|Psi_j(t)> along the propagated
+trajectories, with H(t) Psi(t) formed for all trajectories of a cluster
+in one batched product per block of nodes.  Degenerate eigenphases are
+resolved by diagonalizing the time-averaged-energy matrix inside the
+degenerate subspace, the direct time-domain mirror of the extended-space
+construction in `sambe` - which is exactly what makes this an independent
+check.  A cluster of merged eigenphases reports its wrap-aware mean
+quasi-energy, the value `sambe` reports for a merged group.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ from .sambe import (
 # per-call overhead, small enough that the batched temporaries stay far below
 # the (steps, d, d) factor array itself
 _STEP_BLOCK = 256
+
+# steps per block of the blocked sequential product in _chain: about the
+# square root of the default 4096 steps, which balances the batched products
+# inside the blocks against the sequential carry across them
+_CHAIN_BLOCK = 64
 
 
 class PropagationError(RuntimeError):
@@ -113,10 +125,47 @@ def _step_propagators(h: FourierHamiltonian, steps: int) -> np.ndarray:
     return out
 
 
+def _chain(
+    factors: np.ndarray, start: np.ndarray, samples: np.ndarray | None = None
+) -> np.ndarray:
+    """The sequential product F_{N-1} ... F_1 F_0 @ start, blocked.
+
+    factors has shape (N, d, d) and start (d, k).  The first N - N % B steps
+    (B = _CHAIN_BLOCK) form whole blocks: their products come from B - 1
+    matmuls batched over all blocks, and the state is carried across the
+    block boundaries by one small product per block; the last N % B steps
+    run one by one.  With samples of shape (N + 1, d, k), every partial
+    product F_{j-1} ... F_0 @ start is written to samples[j]: each block is
+    filled from its start state by B more matmuls batched over blocks.  No
+    partial products of the factors themselves are kept.
+    """
+    full = factors.shape[0] - factors.shape[0] % _CHAIN_BLOCK
+    blocks = factors[:full].reshape(-1, _CHAIN_BLOCK, *factors.shape[1:])
+    products = blocks[:, 0]
+    for k in range(1, _CHAIN_BLOCK):
+        products = blocks[:, k] @ products
+    starts = np.empty((len(products) + 1, *start.shape), dtype=complex)
+    starts[0] = start
+    for b, product in enumerate(products):
+        starts[b + 1] = product @ starts[b]
+    if samples is not None:
+        samples[0] = start
+        filled = starts[:-1]
+        for k in range(_CHAIN_BLOCK):
+            filled = blocks[:, k] @ filled
+            samples[k + 1 : full + 1 : _CHAIN_BLOCK] = filled
+    cur = starts[-1]
+    for j in range(full, factors.shape[0]):
+        cur = factors[j] @ cur
+        if samples is not None:
+            samples[j + 1] = cur
+    return cur
+
+
 def _monodromy_matrix(h: FourierHamiltonian, steps: int) -> np.ndarray:
-    u = np.eye(h.dim, dtype=complex)
-    for factor in _step_propagators(h, steps):
-        u = factor @ u
+    """U(T) as the blocked product of the step factors (only U(T) is kept),
+    then one polar step."""
+    u = _chain(_step_propagators(h, steps), np.eye(h.dim, dtype=complex))
     # one Newton-Schulz polar step removes the accumulated factor roundoff
     return u @ (3.0 * np.eye(h.dim) - u.conj().T @ u) / 2.0
 
@@ -175,15 +224,15 @@ def propagate_trajectory(
     initial: np.ndarray,
     config: PropagationConfig = PropagationConfig(),
 ) -> np.ndarray:
-    """Samples Psi(t_j), j = 0..N, on the uniform step grid over one period."""
+    """Samples Psi(t_j), j = 0..N, on the uniform step grid over one period.
+
+    The samples are the partial products of the step factors applied to
+    the initial state, formed by the blocked product of `_chain`.
+    """
     steps = config.steps_per_period
-    factors = _step_propagators(h, steps)
     samples = np.empty((steps + 1, h.dim), dtype=complex)
-    samples[0] = np.asarray(initial, dtype=complex)
-    cur = samples[0]
-    for j in range(steps):
-        cur = factors[j] @ cur
-        samples[j + 1] = cur
+    start = np.asarray(initial, dtype=complex).reshape(h.dim, 1)
+    _chain(_step_propagators(h, steps), start, samples[:, :, None])
     return samples
 
 
@@ -247,17 +296,39 @@ def _cross_energy_matrix(
     h: FourierHamiltonian, trajectories: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simpson matrix (1/T) int <Psi_i(t)|H(t)|Psi_j(t)> dt, Hermitized,
-    with its integrand on the N+1 grid nodes, shape (k, k, N+1)."""
+    with its integrand on the N+1 grid nodes, shape (k, k, N+1).
+
+    H(t_j) is evaluated once per node into blocks of at most _STEP_BLOCK
+    nodes; one batched product per block gives H(t_j) Psi_i(t_j) for every
+    trajectory i.
+    """
     n = trajectories[0].shape[0] - 1
     tgrid = np.linspace(0.0, h.period, n + 1)
     stack = np.stack(trajectories)  # (k, N+1, d)
     hpsi = np.empty_like(stack)
-    for j, t in enumerate(tgrid):
-        ht = h.eval_at_time(t)
-        hpsi[:, j, :] = stack[:, j, :] @ ht.T
+    hblock = np.empty((_STEP_BLOCK, h.dim, h.dim), dtype=complex)
+    for lo in range(0, n + 1, _STEP_BLOCK):
+        nodes = tgrid[lo : lo + _STEP_BLOCK]
+        for j, t in enumerate(nodes):
+            hblock[j] = h.eval_at_time(t)
+        # (nodes, d, d) @ (nodes, d, k) -> H(t_j) Psi_i(t_j), back to (k, nodes, d)
+        psi = stack[:, lo : lo + nodes.size].transpose(1, 2, 0)
+        hpsi[:, lo : lo + nodes.size] = (hblock[: nodes.size] @ psi).transpose(2, 0, 1)
     integrand = np.einsum("int,jnt->ijn", stack.conj(), hpsi)
     out = simpson(integrand, x=tgrid, axis=-1) / h.period
     return 0.5 * (out + out.conj().T), integrand
+
+
+def _wrapped_mean(values: np.ndarray, omega: float) -> float:
+    """Group quasi-energy of a `_gap_clusters` cluster of folded values.
+
+    The members are unwrapped relative to the first (a cluster across the
+    zone seam lists its members above the seam first), averaged and folded
+    by `fold_reported`: the mean raw eigenvalue that `sambe` reports for a
+    merged group, and a singleton's own value.
+    """
+    unwrapped = values + omega * np.round((values[0] - values) / omega)
+    return fold_reported(float(np.mean(unwrapped)), omega)
 
 
 def oracle_spectrum(
@@ -270,22 +341,24 @@ def oracle_spectrum(
 
     Quasi-energies come from the eigenphases of U(T); degenerate eigenphase
     clusters are resolved by diagonalizing the explicit time-averaged
-    energy matrix within the cluster.  Trajectory phases carry the replica
-    information, so no Brillouin-zone bookkeeping is needed here.
+    energy matrix within the cluster, and every member reports the
+    cluster's wrap-aware mean quasi-energy, as `sambe` does.  Trajectory
+    phases carry the replica information, so no Brillouin-zone bookkeeping
+    is needed here.
     """
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     mono = propagate_period(h, config)
     eps = mono.quasi_energies(h.period)
     clusters = _gap_clusters(eps, tol_deg, h.omega)
     triplets: list[EigenTriplet] = []
-    for gid, cluster in enumerate(sorted(clusters, key=lambda c: eps[np.sort(c)[0]])):
-        cluster = np.sort(cluster)
+    for gid, members in enumerate(sorted(clusters, key=lambda c: eps[np.sort(c)[0]])):
+        eps_group = _wrapped_mean(eps[members], h.omega)
+        cluster = np.sort(members)
         trajectories = [
             propagate_trajectory(h, mono.eigenvectors[:, i], config) for i in cluster
         ]
         block, _ = _cross_energy_matrix(h, trajectories)
         ebars, rotation = np.linalg.eigh(block)
-        eps_group = fold_reported(eps[cluster[0]], h.omega)
         theta_group = float(mono.eigenphases[cluster[0]])
         for a in range(cluster.size):
             vec0 = mono.eigenvectors[:, cluster] @ rotation[:, a]

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -111,6 +112,24 @@ def test_eval_at_time_circular_at_zero():
     assert_allclose(h.eval_at_time(0.0), expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_eval_at_time_matches_explicit_sum(seed):
+    # the cached (K, d*d) stack times the phase vector is the sum over the
+    # harmonics, up to the rounding of its K terms
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 7))
+    harmonics = {
+        m: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for m in (1, 2, 3)
+    }
+    h0 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    harmonics[0] = h0 + h0.conj().T
+    h = FourierHamiltonian(dim=dim, omega=float(rng.uniform(0.3, 3.0)), harmonics=harmonics)
+    scale = sum(np.linalg.norm(mat) for mat in h.harmonics.values())
+    for t in rng.uniform(-50.0, 50.0, size=10):
+        expected = sum(mat * np.exp(1j * m * h.omega * t) for m, mat in h.harmonics.items())
+        assert np.linalg.norm(h.eval_at_time(t) - expected) <= 1e-15 * scale
+
+
 @pytest.mark.parametrize("name", ["static", "two_level_circular", "two_level_linear", "driven_ring"])
 def test_builtin_hermitian_and_periodic_on_grid(name):
     h = ft.builtin_model(name)
@@ -173,6 +192,21 @@ def test_json_round_trip_explicit_schema(tmp_path):
     for m in h.harmonics:
         assert np.array_equal(back.harmonics[m], h.harmonics[m])
     assert ft.model_hash(back) == ft.model_hash(h)
+
+
+@pytest.mark.parametrize("name", ["static", "two_level_circular", "two_level_linear", "driven_ring"])
+def test_pickle_round_trip(name):
+    # a model can be sent to a worker process: it is rebuilt from its parts
+    h = ft.builtin_model(name)
+    h.eval_at_time(0.0)  # fill the cached harmonic stack before pickling
+    back = pickle.loads(pickle.dumps(h))
+    assert back.dim == h.dim and back.omega == h.omega
+    assert list(back.harmonics) == list(h.harmonics)
+    for m in h.harmonics:
+        assert np.array_equal(back.harmonics[m], h.harmonics[m])
+    assert ft.model_hash(back) == ft.model_hash(h)
+    for t in (0.0, 0.37, 5.1):
+        assert np.array_equal(back.eval_at_time(t), h.eval_at_time(t))
 
 
 def test_auto_solve_serializes_the_model_once(monkeypatch):

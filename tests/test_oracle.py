@@ -3,7 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet.oracle import PropagationConfig, PropagationError, _step_propagators
+from floqtriplet.oracle import (
+    PropagationConfig,
+    PropagationError,
+    _monodromy_matrix,
+    _step_propagators,
+)
 
 from conftest import BUILTIN_NAMES, CIRCULAR_DEFAULT
 
@@ -109,6 +114,26 @@ def test_step_propagators_match_per_step_loop(name, steps):
         lam, q = np.linalg.eigh(h.eval_at_time((j + 0.5) * dt))
         expected[j] = (q * np.exp(-1j * lam * dt)) @ q.conj().T
     assert np.array_equal(_step_propagators(h, steps), expected)
+
+
+@pytest.mark.parametrize("steps", [64, 300, 4096])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_blocked_products_match_sequential_loop(name, steps):
+    # the blocked product of the step factors reassociates the plain
+    # sequential one; 300 steps end in a partial block of 44
+    h = ft.builtin_model(name)
+    initial = np.linspace(1.0, 2.0, h.dim) + 0.5j
+    initial /= np.linalg.norm(initial)
+    u = np.eye(h.dim, dtype=complex)
+    expected = np.empty((steps + 1, h.dim), dtype=complex)
+    expected[0] = initial
+    for j, factor in enumerate(_step_propagators(h, steps)):
+        u = factor @ u
+        expected[j + 1] = factor @ expected[j]
+    u = u @ (3.0 * np.eye(h.dim) - u.conj().T @ u) / 2.0
+    assert np.abs(_monodromy_matrix(h, steps) - u).max() <= 1e-13
+    samples = ft.propagate_trajectory(h, initial, PropagationConfig(steps_per_period=steps))
+    assert np.abs(samples - expected).max() <= 1e-13
 
 
 def test_mode_from_propagation_static_single_block():
@@ -239,6 +264,17 @@ def test_oracle_resolves_degenerate_static_pair():
     assert_allclose(spec.quasi_energies, [0.0, 0.0], atol=1e-9)
     assert_allclose(spec.avg_energies, [0.0, 1.0], atol=1e-9)
     assert [t.group_size for t in spec] == [2, 2]
+
+
+def test_oracle_group_quasi_energy_across_seam_matches_sambe():
+    # two levels 4e-9 omega apart straddle the zone seam and merge into one
+    # group: both routes report its wrap-aware mean, 0, not a member's value
+    omega = 0.7
+    h = ft.builtin_model("static", {"levels": (-2e-9 * omega, 2e-9 * omega), "omega": omega})
+    spec_o, spec_s = ft.oracle_spectrum(h, truncation=1), ft.solve_spectrum(h)
+    assert [t.group_size for t in spec_o] == [2, 2]
+    distance = ft.wrap_distance(spec_o.quasi_energies, spec_s.quasi_energies, omega)
+    assert np.all(distance <= 1e-14 * omega)
 
 
 @pytest.mark.parametrize("name", ["static", "two_level_circular", "two_level_linear", "driven_ring"])

@@ -194,18 +194,65 @@ def test_diagonalize_checks_hold_in_both_dtypes(tau, monkeypatch):
 
 
 def test_windowed_eigensolve_certifies_residuals(monkeypatch):
+    # the middle pair lies inside the window in the windowed solve and in
+    # its full-spectrum fallback, so the bad pair reaches the check either way
     h = ft.builtin_model("driven_ring")
     eigh = scipy.linalg.eigh
 
     def perturbed(*args, **kwargs):
         vals, vecs = eigh(*args, **kwargs)
         vecs = vecs.copy()
-        vecs[:, 0] += 1e-6 * vecs[:, -1]
+        vecs[:, vals.size // 2] += 1e-6 * vecs[:, -1]
         return vals, vecs
 
     monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
     with pytest.raises(ft.SolverError, match="residual"):
         sambe.solve_at_truncation(h, 4)
+
+
+def test_failed_windowed_solve_falls_back_to_full_spectrum(monkeypatch):
+    # a windowed solve that returns a bad pair is redone on the full spectrum
+    s = ft.build_sambe(ft.builtin_model("driven_ring"), 2)
+    window = (-1.0, 1.5)
+    vals_full, vecs_full = scipy.linalg.eigh(s)
+    eigh = scipy.linalg.eigh
+
+    def bad_window(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        if kwargs.get("subset_by_value") is not None:
+            vecs = vecs.copy()
+            vecs[:, 0] += 1e-6 * vecs[:, -1]
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", bad_window)
+    vals, vecs = ft.diagonalize(s, window=window)
+    inside = (vals_full > window[0]) & (vals_full <= window[1])
+    assert 0 < vals.size < s.shape[0]
+    assert_allclose(vals, vals_full[inside], atol=1e-12)
+    assert np.linalg.norm(s @ vecs - vecs * vals, axis=0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tol_scale", [1e-3, None], ids=["tol_deg=1e-3*omega", "default"])
+def test_windowed_solve_on_split_real_matrix(tol_scale):
+    # a real S that splits into exactly degenerate blocks: the windowed dsyevr
+    # returned a pair with residual 2.2e-5 at M = 2 on this model, which
+    # failed its auto solve at tol_deg = 1e-3 * omega
+    omega = 1.2695056077187155
+    h = ft.FourierHamiltonian(
+        dim=4,
+        omega=omega,
+        harmonics={
+            0: np.diag([omega, 1.2970376566390712e-37, 1.2970376566390712e-37, -0.83736873154567659]),
+            1: np.diag([0.0, 0.0, 0.0, 1.0]),
+            2: np.diag([0.0, 0.0, 0.0, -0.09981224240877817]),
+        },
+    )
+    tol_deg = None if tol_scale is None else tol_scale * omega
+    fixed = sambe.solve_at_truncation(h, 2, tol_deg)
+    assert max(t.residual for t in fixed) <= 1e-12
+    spec = ft.solve_spectrum(h, "auto", tol_deg)
+    assert spec.metadata["truncation"] == 16
+    assert max(t.residual for t in spec) <= 1e-13
 
 
 def test_diagonalize_empty_window_reaches_count_check():
