@@ -110,6 +110,13 @@ def _gate_arg(text: str) -> float:
     return gate
 
 
+def _finite_arg(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
@@ -304,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="parameter sweep with label continuity")
     _add_model_arguments(p_sweep)
     p_sweep.add_argument("--sweep-param", required=True)
-    p_sweep.add_argument("--sweep-start", type=float, required=True)
-    p_sweep.add_argument("--sweep-stop", type=float, required=True)
+    p_sweep.add_argument("--sweep-start", type=_finite_arg, required=True)
+    p_sweep.add_argument("--sweep-stop", type=_finite_arg, required=True)
     p_sweep.add_argument("--sweep-count", type=int, required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -132,15 +132,15 @@ def test_compare_circular_within_gate(tmp_path):
         assert float(row["delta_ebar"]) <= 1e-6
 
 
-# compare.csv of the default 6-site ring, recorded from the per-step oracle
-# before its step factors were batched
+# compare.csv of the default 6-site ring, recorded from the oracle with
+# Taylor step factors, whose U(T) test_oracle checks against extended precision
 RING_COMPARE_ROWS = [
-    (0, 2.831012257953347e-09, 1.269257143832192e-09, 1.0000000000000002),
-    (1, 5.417436055310532e-09, 3.1078405848816715e-08, 0.9999999999999999),
-    (2, 7.393838208358261e-09, 2.2829437673621555e-08, 1.0),
-    (3, 7.393838874492076e-09, 2.2829503065757706e-08, 0.9999999999999999),
-    (4, 5.4174362773551366e-09, 3.107838220106629e-08, 1.0),
-    (5, 2.8310118693752884e-09, 1.2692549233861428e-09, 1.0000000000000002),
+    (0, 2.830957746002838e-09, 1.27077370848383e-09, 1.0),
+    (1, 5.417431170329223e-09, 3.1078701612230475e-08, 0.9999999999999998),
+    (2, 7.393837542224446e-09, 2.2829556578507493e-08, 1.0),
+    (3, 7.393837986313656e-09, 2.2829559020998147e-08, 0.9999999999999999),
+    (4, 5.417431836463038e-09, 3.1078698947695216e-08, 1.0),
+    (5, 2.830957246402477e-09, 1.2707745966622497e-09, 0.9999999999999997),
 ]
 
 
@@ -340,6 +340,21 @@ def test_sweep_single_point(tmp_path):
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == 2
     assert {r["lambda"] for r in rows} == {"1.0"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("endpoint", ["--sweep-start", "--sweep-stop"])
+def test_sweep_nonfinite_endpoint_exits_config(tmp_path, capsys, endpoint, value):
+    # linspace over a non-finite range gives nan points: refused while parsing
+    args = {"--sweep-start": "0.5", "--sweep-stop": "2", endpoint: value}
+    out = tmp_path / "o"
+    code = main(
+        ["sweep", "--builtin", "static", "--sweep-param", "omega", "--sweep-count", "3",
+         *(f"{key}={text}" for key, text in args.items()), "--out", str(out)]
+    )
+    assert code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_perturb_fixture_reproduces_contrast(tmp_path):

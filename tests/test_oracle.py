@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 import floqtriplet as ft
 from floqtriplet.oracle import (
     PropagationConfig,
     PropagationError,
+    _chain,
     _monodromy_matrix,
     _step_propagators,
 )
@@ -46,8 +48,6 @@ def test_monodromy_circular_matches_rotating_frame_operator():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     h_rot = ((params["delta"] - params["omega"]) / 2.0) * sz + (params["v"] / 2.0) * sx
     lam, q = np.linalg.eigh(h_rot)
-    from scipy.linalg import expm
-
     expected = expm(-1j * np.pi * sz) @ (q * np.exp(-1j * lam * h.period)) @ q.conj().T
     assert np.abs(mono.u_matrix - expected).max() <= 1e-7
 
@@ -102,18 +102,60 @@ def test_richardson_estimate_across_seam(offset):
     assert mono.step_error_estimate <= 1e-6
 
 
+def _assert_factors_match_expm(h, steps, tol):
+    dt = h.period / steps
+    factors = _step_propagators(h, steps)
+    assert factors.shape == (steps, h.dim, h.dim)
+    for j, factor in enumerate(factors):
+        expected = expm(-1j * dt * h.eval_at_time((j + 0.5) * dt))
+        assert np.abs(factor - expected).max() <= tol
+        assert np.abs(factor.conj().T @ factor - np.eye(h.dim)).max() <= tol
+
+
 @pytest.mark.parametrize("steps", [64, 300, 4096])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_step_propagators_match_per_step_loop(name, steps):
-    # the stacked eigh and matmul give each step exactly the single-call
-    # result; 300 steps end in a partial block
-    h = ft.builtin_model(name)
-    dt = h.period / steps
-    expected = np.empty((steps, h.dim, h.dim), dtype=complex)
-    for j in range(steps):
-        lam, q = np.linalg.eigh(h.eval_at_time((j + 0.5) * dt))
-        expected[j] = (q * np.exp(-1j * lam * dt)) @ q.conj().T
-    assert np.array_equal(_step_propagators(h, steps), expected)
+    # every Taylor factor is the per-step matrix exponential and unitary to a
+    # few ulps; 300 steps end in a partial block.  A Taylor order two below
+    # the chosen one misses by 1e-14 to 1e-10 at these step sizes.
+    _assert_factors_match_expm(ft.builtin_model(name), steps, 2e-15)
+
+
+@pytest.mark.parametrize(
+    "params", [{"delta": 200.0}, {"v": 40.0, "omega": 0.3}], ids=["delta200", "v40"]
+)
+def test_step_propagators_match_expm_when_squaring(params):
+    # ||dt H||_1 reaches 6.6 and 13 here: 8 and 9 squarings, each of which
+    # can double the roundoff of the scaled factor, so the bound is 2^9 times
+    # 1e-15, the unscaled factors' worst error
+    h = ft.builtin_model("two_level_linear", params)
+    _assert_factors_match_expm(h, 64, 5e-13)
+
+
+def test_monodromy_matches_extended_precision():
+    # the same midpoint scheme in extended precision: H(t_mid) from the
+    # harmonics, an order-12 Taylor exponential (the dropped term is below
+    # 1e-40 at this step) and the sequential product, all in clongdouble
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("long double has no more precision than float64 here")
+    h = ft.builtin_model("driven_ring")
+    steps = 4096
+    dt = np.longdouble(h.period) / steps
+    mids = (np.arange(steps, dtype=np.longdouble) + 0.5) * dt
+    a = np.zeros((steps, h.dim, h.dim), dtype=np.clongdouble)
+    for m, mat in h.harmonics.items():
+        phase = np.exp(1j * m * np.longdouble(h.omega) * mids)
+        a += phase[:, None, None] * mat.astype(np.clongdouble)
+    a *= -1j * dt
+    eye = np.eye(h.dim, dtype=np.clongdouble)
+    factors = a / 12 + eye
+    for k in range(11, 0, -1):
+        factors = a @ factors / k + eye
+    expected = eye
+    for factor in factors:
+        expected = factor @ expected
+    u = _chain(_step_propagators(h, steps), np.eye(h.dim, dtype=complex))
+    assert np.abs(u - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("steps", [64, 300, 4096])
