@@ -206,7 +206,8 @@ def cmd_variational(args) -> int:
             json.dumps(
                 {
                     "kind": "convergence",
-                    "message": "variational solver did not converge",
+                    "message": "variational solver did not reach every Floquet state; "
+                    "increase --restarts or --harmonics",
                     "residual": result.residual,
                 }
             )

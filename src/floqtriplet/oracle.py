@@ -275,14 +275,15 @@ def mode_from_propagation(
     """Floquet mode from a propagated monodromy eigenvector.
 
     The trajectory Psi(t) is rephased to Phi(t) = e^{+i eps t} Psi(t) with
-    eps = eigenphase / T in [0, omega), then discrete-Fourier-transformed
-    into coefficients phi^(m), |m| <= truncation.  Returns the normalized
-    mode and the tail weight left beyond the truncation; a tail above 1e-6
-    emits a truncation warning (the mode is degraded, the eigenphase is
-    not).
+    eps = eigenphase / T, unfolded, then discrete-Fourier-transformed into
+    coefficients phi^(m), |m| <= truncation: the eigenphase picks the
+    replica, and eps + k omega gives the mode shifted by k harmonics.
+    Returns the normalized mode and the tail weight left beyond the
+    truncation; a tail above 1e-6 emits a truncation warning (the mode is
+    degraded, the eigenphase is not).
     """
     period = h.period
-    eps = fold_reported(eigenphase / period, h.omega)
+    eps = eigenphase / period
     samples = propagate_trajectory(h, initial, config)
     n = config.steps_per_period
     tgrid = np.arange(n) * (period / n)
@@ -371,9 +372,13 @@ def oracle_spectrum(
     Quasi-energies come from the eigenphases of U(T); degenerate eigenphase
     clusters are resolved by diagonalizing the explicit time-averaged
     energy matrix within the cluster, and every member reports the
-    cluster's wrap-aware mean quasi-energy, as `sambe` does.  Trajectory
-    phases carry the replica information, so no Brillouin-zone bookkeeping
-    is needed here.
+    cluster's wrap-aware mean quasi-energy, as `sambe` does.  Each mode is
+    taken on the replica that the state's own Simpson Ebar selects: the
+    trajectory is rephased by eps_raw = eps - k omega with
+    k = round((eps - Ebar) / omega), so that by eps_raw = Ebar + omega <N>
+    its Fourier centroid <N> lies within 1/2 of m = 0, the zone the Sambe
+    route keeps.  A level far from 0 (a static offset of many omega) puts
+    its weight near m = 0 all the same.
     """
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     mono = propagate_period(h, config)
@@ -391,8 +396,9 @@ def oracle_spectrum(
         theta_group = float(mono.eigenphases[cluster[0]])
         for a in range(cluster.size):
             vec0 = mono.eigenvectors[:, cluster] @ rotation[:, a]
+            k = round((theta_group / h.period - ebars[a]) / h.omega)
             mode, tail = mode_from_propagation(
-                h, vec0, theta_group, truncation, config
+                h, vec0, theta_group - 2.0 * np.pi * k, truncation, config
             )
             triplets.append(
                 EigenTriplet(

@@ -23,36 +23,35 @@ from the previous stage.  The minimizer's residual falls as 1/mu_res, so
 after the first stage a Newton step lands each stage in one or two
 iterations.
 
-The search runs over a real x of length n when the model is real (every H_m
-real, so `build_energy_matrix` returns a float64 T) and the deflation basis
-is absent or exactly real; otherwise it runs over the real and imaginary
-parts of x, 2n unknowns.  The real search is exact, not an approximation:
-with S and T real symmetric every eigenspace of S has a real orthonormal
-basis V, and on it the average energy c^H (V^T T V) c of x = V c is
-minimized by a real c, so the real minimum is the complex one.  It also
-drops the flat global-phase direction of the complex search.  A complex
-deflation basis (say a found mode that is a complex mix inside a
-degenerate eigenspace) breaks that argument and keeps the complex search.
+Everything is computed in real search variables y, chosen once per
+workspace: y = x when the model is real (every H_m real, so
+`build_energy_matrix` returns a float64 T) and the deflation basis is
+absent or exactly real, else y = [Re x; Im x].  There T is held realified,
+[[Re T, -Im T], [Im T, Re T]], omega N twice, and each deflation column u
+as the pair [Re u; Im u], [-Im u; Re u] (u and i u), so that F has one real
+form: x^H T x = y^T T y, x^H x = y^T y, sum_b |<u_b, x>|^2 = |U^T y|^2.
+The real search is exact, not an approximation: with S and T real symmetric every
+eigenspace of S has a real orthonormal basis V, and on it the average
+energy c^H (V^T T V) c of x = V c is minimized by a real c, so the real
+minimum is the complex one.  It also drops the flat global-phase direction
+of the complex search.  A complex deflation basis (say a found mode that is
+a complex mix inside a degenerate eigenspace) breaks that argument and
+keeps the complex search.
 
-The gradient is analytic.  With eps(x) the Rayleigh quotient, the residual
-r = (S - eps) x is orthogonal to x, which collapses the chain-rule term,
-leaving the Wirtinger gradient
+The gradient and Hessian are analytic.  With eps(y) the Rayleigh quotient,
+the residual r = (S - eps) y is orthogonal to y, which collapses the
+chain-rule term; with q = y^T y
 
-    dF/d(x*) = T x + mu_res (S - eps) r + 2 mu_norm (n - 1) x + mu_orth P x.
-
-So is the Hessian.  In the real search variables y (x itself, n = y^T y)
-
-    d2F/dy2 = 2 T + 2 mu_res [(S - eps)^2 - (4/n) r r^T]
-            + 4 mu_norm [(n - 1) I + 2 y y^T] + 2 mu_orth U U^T,
+    dF/dy   = 2 [T y + mu_res (S - eps) r + 2 mu_norm (q - 1) y + mu_orth U U^T y],
+    d2F/dy2 = 2 T + 2 mu_res [(S - eps)^2 - (4/q) r r^T]
+            + 4 mu_norm [(q - 1) I + 2 y y^T] + 2 mu_orth U U^T,
 
 where (S - eps)^2 = T^2 + D T + T D + D^2 with D = diag(omega N - eps), so
-with T^2 formed once per workspace each Hessian costs O(n^2).  The complex
-search uses the same formula on y = [Re x; Im x], with T and S realified
-as [[Re, -Im], [Im, Re]] and U holding the realified pairs (u_b, i u_b).
-There F is flat along the global phase, v = i x / |x|, and the Hessian
-handed to the solver adds the curvature 8 mu_norm v v^T, the radial
-curvature at unit norm: the gradient has no component along v, so the
-steps are unchanged, but the Hessian is no longer singular, which keeps
+with T^2 formed once per workspace each Hessian costs O(n^2).  In the
+complex search F is flat along the global phase, v = pack(i x) / |x|, and
+the Hessian handed to the solver adds the curvature 8 mu_norm v v^T, the
+radial curvature at unit norm: the gradient has no component along v, so
+the steps are unchanged, but the Hessian is no longer singular, which keeps
 trust-exact off its slow hard-case path.  Degenerate states (a ring's
 +k and -k pairs, say) leave other directions in which F is flat to
 rounding, or curved and nearly flat: every Hessian gets a diagonal shift of
@@ -78,9 +77,13 @@ add a new state, and it stops once all d = h.dim Floquet states, the
 found ones included, are reached.  Only then is the lowest of them
 certainly the answer and the result converged; a search that misses a
 state returns the lowest one it reached flagged unconverged, never a
-silent wrong answer.  The starts are the static start and random ones, at
-most config.restarts more than there are states to reach, so the cost
-grows with d.
+silent wrong answer.  A converged start counts only if it is a physical
+state: an eigenvector of the truncated S can be a replica cut by the
+truncation edge, whose Ebar is no state's, so a start is rejected when the
+shift to its replica with centroid in [-1/2, 1/2) loses more than
+REPLICA_LOSS_TOL of weight past the edge.  The starts are the static start
+and random ones, at most config.restarts more than there are states to
+reach, so the cost grows with d.
 
 Deflation covers whole replica ladders: every found mode is orthogonal to
 its own harmonic shifts, which carry the same average energy, so
@@ -129,6 +132,10 @@ STAGE_ITERATIONS = 30
 # such starts stall near 1e-7 and reach rounding level)
 POLISH_RESIDUAL = 1e-5
 POLISH_ITERATIONS = 3
+# a converged state that loses more weight than this in the shift to the
+# centroid zone is cut by the truncation edge: the root of the weight cut,
+# about its relative residual in the untruncated space, is held to 1e-6
+REPLICA_LOSS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -187,13 +194,10 @@ def _realified(a: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Dense T and the diagonal omega*N, plus the objective, gradient and
-    Hessian evaluations; S x is applied as t @ x + wn * x.
-
-    `real` says whether the search runs over a real x (see the module
-    docstring): then T and the deflation basis are held float64.  For the
-    complex search T is held complex even for a real model, since a complex
-    T times a complex vector is faster than a real T times one."""
+    """T, omega*N and the deflation basis in the search variables y (see
+    the module docstring), with the objective, gradient and Hessian; S y is
+    t @ y + wn * y.  `real` says whether y is x itself, else [Re x; Im x];
+    `complex_search` asks for the latter whatever the model."""
 
     def __init__(
         self,
@@ -201,81 +205,60 @@ class _Workspace:
         truncation: int,
         config: VariationalConfig,
         deflation: np.ndarray | None = None,
+        complex_search: bool = False,
     ):
         self.h = h
-        self.truncation = truncation
         self.config = config
         t = build_energy_matrix(h, truncation)
-        self.real = t.dtype == np.float64 and (
+        wn = h.omega * _number_diagonal(truncation, h.dim)
+        self.real = not complex_search and t.dtype == np.float64 and (
             deflation is None or not deflation.imag.any()
         )
-        self.t = t if self.real else t.astype(complex, copy=False)
-        self.wn = h.omega * _number_diagonal(truncation, h.dim)
-        self.size = self.t.shape[0]
-        self.wn_search = self.wn if self.real else np.concatenate([self.wn, self.wn])
+        self.t = t if self.real else _realified(t)
+        self.wn = wn if self.real else np.concatenate([wn, wn])
         self.deflate(deflation)
 
     def deflate(self, deflation: np.ndarray | None) -> None:
-        """Set the columns to repel (None for none); a real search keeps
-        their real part, which is all of them (see `real`)."""
-        self.deflation = deflation.real if self.real and deflation is not None else deflation
+        """Set the columns u to repel (None for none): in a real search
+        their real part, which is all of them (see `real`), else the pairs
+        pack(u), pack(i u), which span the complex line of u."""
+        if deflation is not None:
+            deflation = deflation.real if self.real else _realified(deflation)
+        self.deflation = deflation
         self.__dict__.pop("orth_hessian", None)  # formed again on first use
 
-    # The Hessian works in the search variables: on the real x, or realified
-    # on [Re x; Im x], where the columns of a realified deflation basis are
-    # the pairs (u, i u).  Its matrices are formed on first use, so that
+    # The Hessian's fixed matrices are formed on first use, so that
     # `objective` does not pay for T^2.
 
     @cached_property
-    def t_search(self) -> np.ndarray:
-        return self.t if self.real else _realified(self.t)
-
-    @cached_property
     def t_sq(self) -> np.ndarray:
-        return self.t_search @ self.t_search
+        return self.t @ self.t
 
     @cached_property
     def orth_hessian(self) -> np.ndarray | None:
-        if self.deflation is None or not self.deflation.shape[1]:
+        if self.deflation is None:
             return None
-        u = self.deflation if self.real else _realified(self.deflation)
-        return 2.0 * MU_ORTH * (u @ u.T)
-
-    def value_and_gradient(
-        self, x: np.ndarray, mu_res: float
-    ) -> tuple[float, np.ndarray]:
-        cfg = self.config
-        n = float(np.real(np.vdot(x, x)))
-        if n == 0.0:  # the origin, a stationary point, has no Rayleigh quotient
-            return cfg.mu_norm, np.zeros_like(x)
-        tx = self.t @ x
-        sx = tx + self.wn * x
-        eps = float(np.real(np.vdot(x, sx))) / n
-        r = sx - eps * x
-        value = float(np.real(np.vdot(x, tx)))
-        value += mu_res * float(np.real(np.vdot(r, r)))
-        value += cfg.mu_norm * (n - 1.0) ** 2
-        grad = tx + mu_res * (self.t @ r + (self.wn - eps) * r)
-        grad += 2.0 * cfg.mu_norm * (n - 1.0) * x
-        if self.deflation is not None and self.deflation.shape[1]:
-            proj = self.deflation.conj().T @ x
-            value += MU_ORTH * float(np.real(np.vdot(proj, proj)))
-            grad = grad + MU_ORTH * (self.deflation @ proj)
-        return value, grad
-
-    def real_objective(self, y: np.ndarray, mu_res: float) -> tuple[float, np.ndarray]:
-        x = y[: self.size] + 1j * y[self.size :]
-        value, g = self.value_and_gradient(x, mu_res)
-        return value, np.concatenate([2.0 * g.real, 2.0 * g.imag])
+        return 2.0 * MU_ORTH * (self.deflation @ self.deflation.T)
 
     def search_objective(self, y: np.ndarray, mu_res: float) -> tuple[float, np.ndarray]:
-        """The objective the Newton solver sees: over x itself when the
-        search is real (the real gradient is 2 dF/d(x*)), else
-        `real_objective`; its Hessian is `search_hessian`."""
-        if not self.real:
-            return self.real_objective(y, mu_res)
-        value, g = self.value_and_gradient(y, mu_res)
-        return value, 2.0 * g
+        """F and its gradient in the search variables (2 dF/d(x*), packed);
+        its Hessian is `search_hessian`."""
+        cfg = self.config
+        q = float(y @ y)
+        if q == 0.0:  # the origin, a stationary point, has no Rayleigh quotient
+            return cfg.mu_norm, np.zeros_like(y)
+        ty = self.t @ y
+        sy = ty + self.wn * y
+        eps = float(y @ sy) / q
+        r = sy - eps * y
+        value = float(y @ ty) + mu_res * float(r @ r) + cfg.mu_norm * (q - 1.0) ** 2
+        grad = ty + mu_res * (self.t @ r + (self.wn - eps) * r)
+        grad += 2.0 * cfg.mu_norm * (q - 1.0) * y
+        if self.deflation is not None:
+            proj = self.deflation.T @ y
+            value += MU_ORTH * float(proj @ proj)
+            grad = grad + MU_ORTH * (self.deflation @ proj)
+        return value, 2.0 * grad
 
     def search_hessian(self, y: np.ndarray, mu_res: float) -> np.ndarray:
         """Hessian of `search_objective` in the search variables, plus the
@@ -284,10 +267,10 @@ class _Workspace:
         rounding level of the largest entry (see module docstring)."""
         mu_norm = self.config.mu_norm
         q = float(y @ y)
-        t = self.t_search
-        sy = t @ y + self.wn_search * y
+        t = self.t
+        sy = t @ y + self.wn * y
         eps = float(y @ sy) / q if q else 0.0
-        d = self.wn_search - eps
+        d = self.wn - eps
         # 2T + 2 mu (S - eps)^2 with (S - eps)^2 = T^2 + D T + T D + D^2,
         # D = diag(omega N - eps): the first three terms as one Hadamard
         # product, D^2 on the diagonal below
@@ -320,13 +303,13 @@ class _Workspace:
         return x.real if self.real else np.concatenate([x.real, x.imag])
 
     def unpack(self, y: np.ndarray) -> np.ndarray:
-        return y if self.real else y[: self.size] + 1j * y[self.size :]
+        return y if self.real else y[: y.size // 2] + 1j * y[y.size // 2 :]
 
-    def residual_of(self, x: np.ndarray) -> float:
-        x = x / np.linalg.norm(x)
-        sx = self.t @ x + self.wn * x
-        eps = float(np.real(np.vdot(x, sx)))
-        return float(np.linalg.norm(sx - eps * x))
+    def residual_of(self, y: np.ndarray) -> float:
+        y = y / np.linalg.norm(y)
+        sy = self.t @ y + self.wn * y
+        eps = float(y @ sy)
+        return float(np.linalg.norm(sy - eps * y))
 
 
 def objective(
@@ -340,8 +323,9 @@ def objective(
     At any exact eigenstate the penalties vanish and the value is the
     average energy itself.
     """
-    ws = _Workspace(h, mode.truncation, config, _deflation_basis(found))
-    value, _ = ws.value_and_gradient(mode.flat(), config.mu_res_init)
+    # the mode may be complex on a real model: search space [Re x; Im x]
+    ws = _Workspace(h, mode.truncation, config, _deflation_basis(found), complex_search=True)
+    value, _ = ws.search_objective(ws.pack(mode.flat()), config.mu_res_init)
     return value
 
 
@@ -374,21 +358,22 @@ def _static_start(
     Re H_0, a real vector, for a real search)."""
     h0 = h.harmonics.get(0, np.zeros((h.dim, h.dim), dtype=complex))
     _, vecs = np.linalg.eigh(h0.real if real else h0)
-    mode = FloquetMode.from_block(vecs[:, level % h.dim], 0, truncation)
-    return mode.flat()
+    x = np.zeros((2 * truncation + 1, h.dim), dtype=vecs.dtype)
+    x[truncation] = vecs[:, level % h.dim]
+    return x.reshape(-1)
 
 
 def _minimize_one(
-    ws: _Workspace, x0: np.ndarray, config: VariationalConfig
+    ws: _Workspace, y: np.ndarray, config: VariationalConfig
 ) -> tuple[np.ndarray, bool, list[dict]]:
-    """Penalty continuation from one start; returns (x, converged, trace).
+    """Penalty continuation from one start y in the search variables;
+    returns (y, converged, trace).
 
     config.max_iterations is the total budget of Newton iterations across
     all continuation stages of this start.  A start that ends nearly
     converged is polished by `_rayleigh_polish`, which the trace, a record
     of the stages, leaves out.
     """
-    y = ws.pack(x0)
     mu = config.mu_res_init
     trace: list[dict] = []
     converged = False
@@ -410,8 +395,7 @@ def _minimize_one(
             options={"gtol": 1e-10, "maxiter": min(remaining, STAGE_ITERATIONS)},
         )
         y = res.x
-        x = ws.unpack(y)
-        residual = ws.residual_of(x)
+        residual = ws.residual_of(y)
         trace.append(
             {
                 "mu_res": mu,
@@ -431,36 +415,35 @@ def _minimize_one(
             break
         mu *= 10.0
     if not converged and residual <= POLISH_RESIDUAL:
-        x = _rayleigh_polish(ws, x)
-        converged = ws.residual_of(x) <= config.residual_tol
-    return x, converged, trace
+        y = _rayleigh_polish(ws, y)
+        converged = ws.residual_of(y) <= config.residual_tol
+    return y, converged, trace
 
 
-def _rayleigh_polish(ws: _Workspace, x: np.ndarray) -> np.ndarray:
-    """Rayleigh-quotient iterations on S from x (see module docstring)."""
+def _rayleigh_polish(ws: _Workspace, y: np.ndarray) -> np.ndarray:
+    """Rayleigh-quotient iterations on S from y (see module docstring)."""
     s = ws.t + np.diag(ws.wn)
     for _ in range(POLISH_ITERATIONS):
-        x = x / np.linalg.norm(x)
-        eps = float(np.real(np.vdot(x, s @ x)))
+        y = y / np.linalg.norm(y)
+        eps = float(y @ (s @ y))
         try:
-            x = np.linalg.solve(s - eps * np.eye(ws.size), x)
+            y = np.linalg.solve(s - eps * np.eye(y.size), y)
         except np.linalg.LinAlgError:
             break
-    return x / np.linalg.norm(x)
+    return y / np.linalg.norm(y)
 
 
 def _finish(
-    ws: _Workspace, x: np.ndarray, converged: bool, trace: list[dict], seed: int | None
+    ws: _Workspace, y: np.ndarray, converged: bool, trace: list[dict], seed: int | None
 ) -> VariationalResult:
-    x = x / np.linalg.norm(x)
-    mode = FloquetMode.from_flat(x, ws.h.dim)
-    ebar = float(np.real(np.vdot(x, ws.t @ x)))
-    eps_raw = ebar + float(np.dot(ws.wn, np.abs(x) ** 2))
+    y = y / np.linalg.norm(y)
+    ebar = float(y @ (ws.t @ y))
+    eps_raw = ebar + float(np.dot(ws.wn, y * y))
     return VariationalResult(
-        mode=mode,
+        mode=FloquetMode.from_flat(ws.unpack(y), ws.h.dim),
         quasi_energy=fold_reported(eps_raw, ws.h.omega),
         avg_energy=ebar,
-        residual=ws.residual_of(x),
+        residual=ws.residual_of(y),
         converged=converged,
         seed=seed,
         trace=trace,
@@ -489,7 +472,7 @@ def _search(
     ws = _Workspace(h, truncation, config, _deflation_basis(found))
     states: list[VariationalResult] = []  # one per Floquet state reached
     stalled: list[VariationalResult] = []
-    repeats: list[VariationalResult] = []
+    rejected: list[VariationalResult] = []
     for x0, seed in _starts(h, truncation, config, len(found), ws.real):
         known = found + [r.mode for r in states]
         if len(known) == h.dim:
@@ -497,14 +480,18 @@ def _search(
         # each start repels every state reached so far, so that it can only
         # add a new one
         ws.deflate(_deflation_basis(known))
+        y0 = ws.pack(x0)
         if known:
-            x0 = _orthogonal_start(x0, ws.deflation)
-        x, ok, trace = _minimize_one(ws, x0, config)
-        candidate = _finish(ws, x, ok, trace, seed)
+            y0 = _orthogonal_start(y0, ws.deflation)
+        y, ok, trace = _minimize_one(ws, y0, config)
+        candidate = _finish(ws, y, ok, trace, seed)
         if not ok:
             stalled.append(candidate)
-        elif known and _weight_on(ws.deflation, candidate) > 0.5:
-            repeats.append(candidate)  # converged onto a repelled ladder
+        elif _replica_loss(candidate.mode) > REPLICA_LOSS_TOL or (
+            known and _weight_on(ws.deflation, y) > 0.5
+        ):
+            # truncation-damaged, or converged onto a repelled ladder
+            rejected.append(candidate)
         else:
             states.append(candidate)
     if len(found) + len(states) == h.dim:
@@ -516,20 +503,26 @@ def _search(
     if states:
         best = min(states, key=lambda r: r.avg_energy)
     else:
-        best = min(stalled or repeats, key=lambda r: r.residual)
+        best = min(stalled or rejected, key=lambda r: r.residual)
     best.converged = False
     return best
 
 
-def _orthogonal_start(x0: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _orthogonal_start(y0: np.ndarray, basis: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(basis)
-    x = x0 - q @ (q.conj().T @ x0)
-    return x / np.linalg.norm(x)
+    y = y0 - q @ (q.T @ y0)
+    return y / np.linalg.norm(y)
 
 
-def _weight_on(basis: np.ndarray, result: VariationalResult) -> float:
-    proj = basis.conj().T @ result.mode.flat()
-    return float(np.real(np.vdot(proj, proj)))
+def _weight_on(basis: np.ndarray, y: np.ndarray) -> float:
+    proj = basis.T @ (y / np.linalg.norm(y))
+    return float(proj @ proj)
+
+
+def _replica_loss(mode: FloquetMode) -> float:
+    """Weight the mode loses past the truncation edge when shifted to its
+    replica with centroid in [-1/2, 1/2), the zone the Sambe route keeps."""
+    return mode.shift(-int(np.floor(mode.centroid() + 0.5)))[1]
 
 
 def minimize_ground(

@@ -164,7 +164,7 @@ def test_criterion_06_variational(spectra, ground_results):
         # analytic gradient against central finite differences
         m = spec.metadata["truncation"]
         cfg = VariationalConfig()
-        ws = _Workspace(h, m, cfg)
+        ws = _Workspace(h, m, cfg, complex_search=True)
         rng = np.random.default_rng(103)
         step = 1e-6
         for _ in range(20):
@@ -172,13 +172,13 @@ def test_criterion_06_variational(spectra, ground_results):
                 [random_mode(rng, m, h.dim).flat().real,
                  random_mode(rng, m, h.dim).flat().imag]
             )
-            _, grad = ws.real_objective(y, cfg.mu_res_init)
+            _, grad = ws.search_objective(y, cfg.mu_res_init)
             for idx in rng.integers(0, y.size, size=4):
                 yp, ym = y.copy(), y.copy()
                 yp[idx] += step
                 ym[idx] -= step
-                fp, _ = ws.real_objective(yp, cfg.mu_res_init)
-                fm, _ = ws.real_objective(ym, cfg.mu_res_init)
+                fp, _ = ws.search_objective(yp, cfg.mu_res_init)
+                fm, _ = ws.search_objective(ym, cfg.mu_res_init)
                 fd = (fp - fm) / (2.0 * step)
                 assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(fd), abs(grad[idx]))
 

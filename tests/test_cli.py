@@ -156,6 +156,18 @@ def test_compare_ring_rows_unchanged(tmp_path):
     assert_allclose(got, [r[1:] for r in RING_COMPARE_ROWS], rtol=0, atol=1e-12)
 
 
+def test_compare_far_levels_take_modes_on_the_sambe_replica(tmp_path, recwarn):
+    # levels at +-100, 67 omega from zero: the oracle once kept the
+    # coefficients around m = 0, all roundoff (tail weight 1, overlaps 0.3)
+    out = tmp_path / "run"
+    argv = ["compare", "--builtin", "two_level_linear", "--param", "delta=200",
+            "--param", "v=3.0", "--out", str(out)]
+    assert main(argv) == 0
+    assert not [w for w in recwarn if "tail weight" in str(w.message)]
+    for row in read_csv(out / "compare.csv"):
+        assert float(row["overlap"]) >= 1.0 - 1e-9
+
+
 @pytest.mark.filterwarnings("ignore:Fourier tail weight")
 def test_compare_forced_truncation_exits_gate(tmp_path, capsys):
     # deliberately small M (with the clustering tolerance loosened so the

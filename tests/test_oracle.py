@@ -206,6 +206,17 @@ def test_mode_from_propagation_circular_two_components():
         assert set(nonzero) <= {0, 1}
 
 
+def test_mode_from_propagation_takes_the_replica_of_its_eigenphase():
+    # eps + omega is the same state shifted by one harmonic, not refolded
+    h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
+    mono = ft.propagate_period(h)
+    vec, theta = mono.eigenvectors[:, 1], mono.eigenphases[1]
+    mode, _ = ft.mode_from_propagation(h, vec, theta, truncation=3)
+    up, tail = ft.mode_from_propagation(h, vec, theta + 2.0 * np.pi, truncation=3)
+    assert tail <= 1e-12
+    assert np.abs(up.coeffs - mode.shift(1)[0].coeffs).max() <= 1e-12
+
+
 def test_mode_overlap_against_sambe(spectra):
     h = ft.builtin_model("two_level_circular")
     spec = spectra["two_level_circular"]

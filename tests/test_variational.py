@@ -6,6 +6,7 @@ import pytest
 import floqtriplet as ft
 from floqtriplet.variational import VariationalConfig, _Workspace
 from floqtriplet.variational import _deflation_basis, _minimize_one, _random_start, _static_start
+from floqtriplet.variational import REPLICA_LOSS_TOL, _replica_loss
 
 from conftest import CIRCULAR_DEFAULT, random_mode
 from conftest import time_shifted
@@ -30,6 +31,25 @@ def test_objective_scaling_rule():
     assert abs(f2 - (4.0 * f1 + cfg.mu_norm * 9.0)) <= 1e-10
 
 
+@pytest.mark.parametrize("search", ["real", "complex"])
+def test_objective_ignores_global_phase(search):
+    # F depends on x only through |x|, x^H T x, the residual and |<u, x>|:
+    # a complex mode on a real model must be scored over [Re x; Im x]
+    h = ft.builtin_model("two_level_linear")
+    if search == "complex":
+        h = time_shifted(h, 0.3)
+    m = 3
+    rng = np.random.default_rng(47)
+    found = [random_mode(rng, m, h.dim).normalized()]
+    for _ in range(5):
+        mode = random_mode(rng, m, h.dim)
+        phased = ft.FloquetMode(np.exp(0.9j) * mode.coeffs)
+        for deflated in (None, found):
+            value = ft.objective(mode, h, found=deflated)
+            phased_value = ft.objective(phased, h, found=deflated)
+            assert abs(phased_value - value) <= 1e-12 * max(1.0, abs(value))
+
+
 def test_objective_dominates_ground_on_random_modes(spectra):
     h = ft.builtin_model("two_level_circular")
     spec = spectra["two_level_circular"]
@@ -48,20 +68,20 @@ def test_gradient_matches_finite_differences(name):
     h = ft.builtin_model(name)
     m = max(2, h.max_harmonic + 1)
     cfg = VariationalConfig()
-    ws = _Workspace(h, m, cfg)
+    ws = _Workspace(h, m, cfg, complex_search=True)
     rng = np.random.default_rng(37)
     step = 1e-6
     for _ in range(20):
         x = random_mode(rng, m, h.dim).flat()
-        y = np.concatenate([x.real, x.imag])
-        _, grad = ws.real_objective(y, cfg.mu_res_init)
+        y = ws.pack(x)
+        _, grad = ws.search_objective(y, cfg.mu_res_init)
         probes = rng.integers(0, y.size, size=6)
         for idx in probes:
             yp, ym = y.copy(), y.copy()
             yp[idx] += step
             ym[idx] -= step
-            fp, _ = ws.real_objective(yp, cfg.mu_res_init)
-            fm, _ = ws.real_objective(ym, cfg.mu_res_init)
+            fp, _ = ws.search_objective(yp, cfg.mu_res_init)
+            fm, _ = ws.search_objective(ym, cfg.mu_res_init)
             fd = (fp - fm) / (2.0 * step)
             scale = max(1.0, abs(fd), abs(grad[idx]))
             assert abs(fd - grad[idx]) <= 1e-5 * scale
@@ -380,6 +400,35 @@ def test_stalled_start_at_a_near_degenerate_pair_is_polished():
     assert ws.residual_of(x) <= cfg.residual_tol
 
 
+def _scalar_drive():
+    """d = 1 under a strong scalar drive: its one Floquet state has
+    Ebar = H_0 exactly, and Sambe certifies M = 2 although the mode, a
+    Bessel series, needs M of about 8."""
+    return ft.FourierHamiltonian(
+        dim=1, omega=1.818, harmonics={0: [[-0.317]], 1: [[-0.929 + 0.875j]]}
+    )
+
+
+def test_truncation_damaged_state_is_not_counted():
+    # the one start converges to a replica cut by the truncation edge
+    # (centroid 0.84, 2.2e-3 of weight lost in the shift to the centroid
+    # zone), which was counted as the ground, Ebar = 0.104
+    h = _scalar_drive()
+    result = ft.minimize_ground(h, 2, VariationalConfig(restarts=0))
+    assert result.residual <= VariationalConfig().residual_tol
+    assert _replica_loss(result.mode) > REPLICA_LOSS_TOL
+    assert not result.converged
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_scalar_drive_ground_is_h0(m):
+    # at M = 2 and 4 a damaged replica came back converged, 0.42 and 4.2e-3
+    # above H_0; the later starts now reach the physical state
+    result = ft.minimize_ground(_scalar_drive(), m)
+    assert result.converged
+    assert abs(result.avg_energy - (-0.317)) <= 1e-6
+
+
 def test_complex_deflation_basis_takes_complex_search(ground_results, spectra):
     h = ft.builtin_model("two_level_linear")
     m = spectra["two_level_linear"].metadata["truncation"]
@@ -400,7 +449,9 @@ def test_complex_harmonics_take_complex_search(spectra):
     m = spectra["two_level_linear"].metadata["truncation"]
     ws = _Workspace(h, m, VariationalConfig())
     assert not ws.real
-    assert ws.t.dtype == np.complex128
+    # T realified: the search variables are [Re x; Im x]
+    n = (2 * m + 1) * h.dim
+    assert ws.t.dtype == np.float64 and ws.t.shape == (2 * n, 2 * n)
     result = ft.minimize_ground(h, m)
     assert result.converged
     assert result.mode.coeffs.imag.any()
