@@ -190,9 +190,7 @@ def cmd_compare(args) -> int:
 def cmd_variational(args) -> int:
     h = _resolve_model(args)
     tol_deg = sambe._resolve_tol_deg(args.tol_deg, h.omega)
-    config = VariationalConfig(
-        max_iterations=args.max_iters, restarts=args.restarts, seed=args.seed
-    )
+    config = VariationalConfig(restarts=args.restarts, seed=args.seed)
     if args.harmonics == "auto":
         truncation = sambe.solve_spectrum(h, "auto", tol_deg).metadata["truncation"]
     else:
@@ -250,6 +248,8 @@ def cmd_perturb(args) -> int:
             raise ModelError("perturb needs --pert-model when a model is given")
         v = load_model(args.pert_model)
         strength = args.strength if args.strength is not None else 1e-6 * h.omega
+    elif args.pert_model:
+        raise ModelError("perturb --pert-model needs --model or --builtin for the model to perturb")
     else:
         h, v, strength = analysis.degeneracy_contrast_fixture()
         if args.strength is not None:
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_var = sub.add_parser("variational", help="variational ground state")
     _add_model_arguments(p_var)
     defaults = VariationalConfig()
-    p_var.add_argument("--max-iters", type=int, default=defaults.max_iterations)
     p_var.add_argument(
         "--restarts",
         type=int,

@@ -33,6 +33,18 @@ class ModelError(ValueError):
     """Raised for unknown model names or out-of-domain parameters."""
 
 
+def _whole_number(value, name: str) -> int:
+    """value as an int if it is integral (3 and 3.0 alike), else ModelError:
+    a size of 3.5 is refused, not truncated to 3."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not number.is_integer():
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _as_matrix(a, dim: int) -> np.ndarray:
     m = np.array(a, dtype=complex)  # a copy: the caller's array stays writable and unshared
     if m.shape != (dim, dim):
@@ -68,9 +80,10 @@ class FourierHamiltonian:
     harmonics: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if int(self.dim) < 1:
+        dim = _whole_number(self.dim, "dim")
+        if dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "omega", float(self.omega))
         completed: dict[int, np.ndarray] = {}
         for m, mat in self.harmonics.items():
@@ -232,7 +245,7 @@ def _two_level_linear(params: dict) -> FourierHamiltonian:
 
 
 def _driven_ring(params: dict) -> FourierHamiltonian:
-    sites = int(params["sites"])
+    sites = _whole_number(params["sites"], "sites")
     if sites < 3:
         raise ModelError(f"driven_ring needs sites >= 3, got {sites}")
     hopping, v = float(params["hopping"]), float(params["v"])
@@ -279,7 +292,7 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
     if "builtin" in payload:
         return builtin_model(payload["builtin"], payload.get("params") or {})
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         omega = float(payload["omega"])
         entries = payload["harmonics"]
     except (KeyError, TypeError) as exc:

@@ -70,6 +70,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 # inside the blocks against the sequential carry across them
 _CHAIN_BLOCK = 64
 
+# largest Frobenius defect ||U^H U - 1|| of U(T) that propagation accepts
+UNITARITY_TOL = 1e-12
+
 
 class PropagationError(RuntimeError):
     """Raised when unitarity or periodicity drifts beyond tolerance."""
@@ -78,7 +81,6 @@ class PropagationError(RuntimeError):
 @dataclass(frozen=True)
 class PropagationConfig:
     steps_per_period: int = 4096
-    unitarity_tol: float = 1e-12
     richardson: bool = False
 
     def __post_init__(self):
@@ -91,9 +93,6 @@ class PropagationConfig:
         if steps < 64:
             raise ValueError("steps_per_period must be >= 64")
         object.__setattr__(self, "steps_per_period", steps)
-        # a nan tolerance would make the defect test never fire
-        if not (math.isfinite(self.unitarity_tol) and self.unitarity_tol > 0):
-            raise ValueError("unitarity tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +211,9 @@ def propagate_period(
     """
     u = _monodromy_matrix(h, config.steps_per_period)
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(h.dim)))
-    if defect > config.unitarity_tol:
+    if defect > UNITARITY_TOL:
         raise PropagationError(
-            f"unitarity drift {defect:.3e} exceeds {config.unitarity_tol:.1e} "
+            f"unitarity drift {defect:.3e} exceeds {UNITARITY_TOL:.1e} "
             f"(steps={config.steps_per_period}, dim={h.dim})"
         )
     schur, vecs = scipy.linalg.schur(u, output="complex")

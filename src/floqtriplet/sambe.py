@@ -100,6 +100,13 @@ MAX_DENSE_BYTES = 2 * 1024**3
 # Folded quasi-energy drift below which the larger of two cutoffs is certified.
 QUASI_TOL = 1e-9
 
+# Largest cutoff M the doubling loop of `certify_truncation` tries.
+MAX_TRUNCATION = 64
+
+# Largest eigenpair residual ||S v - lam v|| `diagonalize` accepts, relative
+# to max(|lam|, 1).
+EIGEN_RESIDUAL_TOL = 1e-10
+
 
 def fold_reported(value: float, omega: float) -> float:
     """Fold with the zone seam snapped: values within 1e-12 * omega below
@@ -326,9 +333,7 @@ def _apply_blocks(h: FourierHamiltonian, x: np.ndarray, number_weight: float) ->
 
 
 def diagonalize(
-    s: np.ndarray,
-    residual_tol: float = 1e-10,
-    window: tuple[float, float] | None = None,
+    s: np.ndarray, window: tuple[float, float] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix with a residual certificate.
 
@@ -338,7 +343,7 @@ def diagonalize(
     passes `_energy_window`, which holds every pair that replica selection
     can keep.  Returns (eigenvalues ascending, eigenvectors as columns).
     Residuals ||S v - lam v|| of the returned pairs are checked against
-    residual_tol * max(|lam|, 1), the maximum taken over the returned
+    EIGEN_RESIDUAL_TOL * max(|lam|, 1), the maximum taken over the returned
     eigenvalues.  A windowed solve that fails this check is done again on
     the full spectrum, keeping the pairs inside the window: the windowed
     MRRR can return a bad pair (on a real S that splits into exactly
@@ -350,14 +355,14 @@ def diagonalize(
         raise SolverError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     vals, vecs = _eigh(s, window)
     worst, scale = _worst_residual(s, vals, vecs)
-    if worst > residual_tol * scale and window is not None:
+    if worst > EIGEN_RESIDUAL_TOL * scale and window is not None:
         vals, vecs = _eigh(s, None)
         keep = (vals > window[0]) & (vals <= window[1])
         vals, vecs = vals[keep], vecs[:, keep]
         worst, scale = _worst_residual(s, vals, vecs)
-    if worst > residual_tol * scale:
+    if worst > EIGEN_RESIDUAL_TOL * scale:
         raise SolverError(
-            f"eigensolver residual {worst:.3e} exceeds {residual_tol:.1e} * "
+            f"eigensolver residual {worst:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * "
             f"{scale:.3e}; matrix size {s.shape[0]}"
         )
     return vals, vecs
@@ -843,25 +848,24 @@ def solve_at_truncation(
     return spectrum
 
 
-def certify_truncation(h: FourierHamiltonian, *, max_truncation: int = 64) -> int:
+def certify_truncation(h: FourierHamiltonian) -> int:
     """Smallest certified cutoff: double M until quasi-energies settle.
 
     Starting from the largest harmonic index of the model (at least 1),
     returns the first M = 2*M_prev at which every folded quasi-energy moved
     less than QUASI_TOL from the M_prev solve (wrap-aware, matched after
-    sorting).  The harmonic cutoff is the one approximation in the whole
+    sorting), and raises TruncationError when none up to MAX_TRUNCATION
+    does.  The harmonic cutoff is the one approximation in the whole
     construction, so it is certified rather than guessed.
     """
-    return _certified_spectrum(h, None, max_truncation).metadata["truncation"]
+    return _certified_spectrum(h, None).metadata["truncation"]
 
 
-def _certified_spectrum(
-    h: FourierHamiltonian, tol_deg: float | None, max_truncation: int = 64
-) -> Spectrum:
+def _certified_spectrum(h: FourierHamiltonian, tol_deg: float | None) -> Spectrum:
     """The doubling loop of `certify_truncation`, returning its last solve."""
     m = max(1, h.max_harmonic)
     prev: np.ndarray | None = None
-    while m <= max_truncation:
+    while m <= MAX_TRUNCATION:
         try:
             spectrum = solve_at_truncation(h, m, tol_deg)
             eps = np.sort(spectrum.quasi_energies)
@@ -874,7 +878,7 @@ def _certified_spectrum(
         prev = eps
         m *= 2
     raise TruncationError(
-        f"quasi-energies did not settle below {QUASI_TOL} up to M={max_truncation}"
+        f"quasi-energies did not settle below {QUASI_TOL} up to M={MAX_TRUNCATION}"
     )
 
 

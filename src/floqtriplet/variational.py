@@ -14,14 +14,15 @@ The Sambe matrix is S = T + omega*N with N the diagonal number operator
 the result reports eps_raw = x^H T x + x^H omega N x.  Quasi-energy
 stationarity is equivalent to x being an eigenvector of S, so the feasible
 set of the penalty formulation is exactly the eigenstate manifold, on
-which F reduces to the average energy.  The penalty weight mu_res is grown
-tenfold per stage (continuation) until the eigen-residual of the iterate
-is below tolerance; the deflation weight is mu_orth = 100.  Each stage is
-an unconstrained minimization by trust-region Newton (scipy's trust-exact,
-Moré & Sorensen subproblems) with the analytic Hessian below, warm-started
-from the previous stage.  The minimizer's residual falls as 1/mu_res, so
-after the first stage a Newton step lands each stage in one or two
-iterations.
+which F reduces to the average energy.  The weights are constants of the
+method, not inputs: mu_res starts at MU_RES_INIT = 1e3 and is grown tenfold
+per stage (continuation), up to MU_RES_MAX = 1e12, until the eigen-residual
+of the iterate is at most RESIDUAL_TOL = 1e-9; mu_norm = MU_NORM = 10 and
+mu_orth = MU_ORTH = 100.  Each stage is an unconstrained minimization by
+trust-region Newton (scipy's trust-exact, Moré & Sorensen subproblems)
+with the analytic Hessian below, warm-started from the previous stage.
+The minimizer's residual falls as 1/mu_res, so after the first stage a
+Newton step lands each stage in one or two iterations.
 
 Everything is computed in real search variables y, chosen once per
 workspace: y = x when the model is real (every H_m real, so
@@ -121,7 +122,14 @@ from .sambe import (
     fold_reported,
 )
 
+# the penalty schedule (module docstring): ten stages, mu_res = 1e3 ... 1e12;
+# RESIDUAL_TOL is an order below the 1e-8 contract so that functional
+# equivalence holds with margin at every converged result
+MU_RES_INIT = 1e3
+MU_RES_MAX = 1e12
+MU_NORM = 10.0
 MU_ORTH = 100.0
+RESIDUAL_TOL = 1e-9
 # Newton iterations per penalty stage: a stage that converges takes at most
 # about 25, from a random start; a longer one creeps along a nearly flat
 # valley between degenerate states, which the next, stiffer stage settles
@@ -140,35 +148,15 @@ REPLICA_LOSS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class VariationalConfig:
-    mu_res_init: float = 1e3
-    mu_res_max: float = 1e12
-    mu_norm: float = 10.0
-    # an order below the 1e-8 contract so functional-equivalence holds with
-    # margin at every converged result
-    residual_tol: float = 1e-9
-    # Newton iterations per start, summed over its penalty stages; a stage
-    # stops after STAGE_ITERATIONS, so a start of the default ten stages
-    # runs at most 300 and only a budget below that binds
-    max_iterations: int = 2000
     # random starts beyond one per Floquet state still to reach
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        # `not (0 < v < inf)` also refuses nan, which every comparison fails
-        for name in ("mu_res_init", "mu_res_max", "mu_norm", "residual_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.mu_res_max < self.mu_res_init:
-            raise ValueError("mu_res_max must be >= mu_res_init")
-        for name in ("max_iterations", "restarts"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        try:
+            object.__setattr__(self, "restarts", operator.index(self.restarts))
+        except TypeError:
+            raise ValueError(f"restarts must be an integer, got {self.restarts!r}") from None
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
 
@@ -203,12 +191,10 @@ class _Workspace:
         self,
         h: FourierHamiltonian,
         truncation: int,
-        config: VariationalConfig,
         deflation: np.ndarray | None = None,
         complex_search: bool = False,
     ):
         self.h = h
-        self.config = config
         t = build_energy_matrix(h, truncation)
         wn = h.omega * _number_diagonal(truncation, h.dim)
         self.real = not complex_search and t.dtype == np.float64 and (
@@ -243,17 +229,16 @@ class _Workspace:
     def search_objective(self, y: np.ndarray, mu_res: float) -> tuple[float, np.ndarray]:
         """F and its gradient in the search variables (2 dF/d(x*), packed);
         its Hessian is `search_hessian`."""
-        cfg = self.config
         q = float(y @ y)
         if q == 0.0:  # the origin, a stationary point, has no Rayleigh quotient
-            return cfg.mu_norm, np.zeros_like(y)
+            return MU_NORM, np.zeros_like(y)
         ty = self.t @ y
         sy = ty + self.wn * y
         eps = float(y @ sy) / q
         r = sy - eps * y
-        value = float(y @ ty) + mu_res * float(r @ r) + cfg.mu_norm * (q - 1.0) ** 2
+        value = float(y @ ty) + mu_res * float(r @ r) + MU_NORM * (q - 1.0) ** 2
         grad = ty + mu_res * (self.t @ r + (self.wn - eps) * r)
-        grad += 2.0 * cfg.mu_norm * (q - 1.0) * y
+        grad += 2.0 * MU_NORM * (q - 1.0) * y
         if self.deflation is not None:
             proj = self.deflation.T @ y
             value += MU_ORTH * float(proj @ proj)
@@ -265,7 +250,6 @@ class _Workspace:
         curvature 8 mu_norm v v^T along the global phase v = i x / |x| in the
         complex search, where F itself is flat, and a diagonal shift at the
         rounding level of the largest entry (see module docstring)."""
-        mu_norm = self.config.mu_norm
         q = float(y @ y)
         t = self.t
         sy = t @ y + self.wn * y
@@ -278,17 +262,17 @@ class _Workspace:
         hess = np.add.outer(a, a)
         hess *= t
         hess += (2.0 * mu_res) * self.t_sq
-        hess[np.diag_indices_from(hess)] += 2.0 * mu_res * d * d + 4.0 * mu_norm * (q - 1.0)
+        hess[np.diag_indices_from(hess)] += 2.0 * mu_res * d * d + 4.0 * MU_NORM * (q - 1.0)
         # rank-one terms: -(8 mu / q) r r^T, 8 mu_norm y y^T and, in the
         # complex search, the phase term (8 mu_norm / q) v v^T
         cols = [y]
-        weights = [8.0 * mu_norm]
+        weights = [8.0 * MU_NORM]
         if q:
             cols.append(sy - eps * y)
             weights.append(-8.0 * mu_res / q)
             if not self.real:
                 cols.append(self.pack(1j * self.unpack(y)))
-                weights.append(8.0 * mu_norm / q)
+                weights.append(8.0 * MU_NORM / q)
         u = np.stack(cols, axis=1)
         hess += (u * weights) @ u.T
         if self.orth_hessian is not None:
@@ -315,17 +299,17 @@ class _Workspace:
 def objective(
     mode: FloquetMode,
     h: FourierHamiltonian,
-    config: VariationalConfig = VariationalConfig(),
     found: list[FloquetMode] | None = None,
 ) -> float:
-    """Penalty objective F at a mode (see module docstring).
+    """Penalty objective F at a mode (see module docstring), at mu_res =
+    MU_RES_INIT.
 
     At any exact eigenstate the penalties vanish and the value is the
     average energy itself.
     """
     # the mode may be complex on a real model: search space [Re x; Im x]
-    ws = _Workspace(h, mode.truncation, config, _deflation_basis(found), complex_search=True)
-    value, _ = ws.search_objective(ws.pack(mode.flat()), config.mu_res_init)
+    ws = _Workspace(h, mode.truncation, _deflation_basis(found), complex_search=True)
+    value, _ = ws.search_objective(ws.pack(mode.flat()), MU_RES_INIT)
     return value
 
 
@@ -363,21 +347,17 @@ def _static_start(
     return x.reshape(-1)
 
 
-def _minimize_one(
-    ws: _Workspace, y: np.ndarray, config: VariationalConfig
-) -> tuple[np.ndarray, bool, list[dict]]:
+def _minimize_one(ws: _Workspace, y: np.ndarray) -> tuple[np.ndarray, bool, list[dict]]:
     """Penalty continuation from one start y in the search variables;
     returns (y, converged, trace).
 
-    config.max_iterations is the total budget of Newton iterations across
-    all continuation stages of this start.  A start that ends nearly
-    converged is polished by `_rayleigh_polish`, which the trace, a record
-    of the stages, leaves out.
+    Each stage runs at most STAGE_ITERATIONS Newton iterations.  A start
+    that ends nearly converged is polished by `_rayleigh_polish`, which the
+    trace, a record of the stages, leaves out.
     """
-    mu = config.mu_res_init
+    mu = MU_RES_INIT
     trace: list[dict] = []
     converged = False
-    remaining = config.max_iterations
     while True:
         # trust-region Newton on the analytic Hessian: on the 3-site ring at
         # M = 8 L-BFGS-B took 35-250 iterations per stage and spent three
@@ -392,7 +372,7 @@ def _minimize_one(
             jac=True,
             hess=ws.search_hessian,
             method="trust-exact",
-            options={"gtol": 1e-10, "maxiter": min(remaining, STAGE_ITERATIONS)},
+            options={"gtol": 1e-10, "maxiter": STAGE_ITERATIONS},
         )
         y = res.x
         residual = ws.residual_of(y)
@@ -404,19 +384,18 @@ def _minimize_one(
                 "iterations": int(res.nit),
             }
         )
-        remaining -= max(1, int(res.nit))
-        if residual <= config.residual_tol:
+        if residual <= RESIDUAL_TOL:
             converged = True
             break
         # a start that has fallen into the origin stays there (see module
         # docstring)
         collapsed = float(y @ y) <= np.finfo(float).eps
-        if mu >= config.mu_res_max or remaining <= 0 or collapsed:
+        if mu >= MU_RES_MAX or collapsed:
             break
         mu *= 10.0
     if not converged and residual <= POLISH_RESIDUAL:
         y = _rayleigh_polish(ws, y)
-        converged = ws.residual_of(y) <= config.residual_tol
+        converged = ws.residual_of(y) <= RESIDUAL_TOL
     return y, converged, trace
 
 
@@ -469,7 +448,7 @@ def _search(
 ) -> VariationalResult:
     if len(found) >= h.dim:
         raise ValueError(f"all {h.dim} Floquet states are already found")
-    ws = _Workspace(h, truncation, config, _deflation_basis(found))
+    ws = _Workspace(h, truncation, _deflation_basis(found))
     states: list[VariationalResult] = []  # one per Floquet state reached
     stalled: list[VariationalResult] = []
     rejected: list[VariationalResult] = []
@@ -483,7 +462,7 @@ def _search(
         y0 = ws.pack(x0)
         if known:
             y0 = _orthogonal_start(y0, ws.deflation)
-        y, ok, trace = _minimize_one(ws, y0, config)
+        y, ok, trace = _minimize_one(ws, y0)
         candidate = _finish(ws, y, ok, trace, seed)
         if not ok:
             stalled.append(candidate)

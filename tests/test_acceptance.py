@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 import floqtriplet as ft
 from floqtriplet.cli import main
 from floqtriplet.sambe import Representative
-from floqtriplet.variational import VariationalConfig, _Workspace
+from floqtriplet.variational import MU_RES_INIT, _Workspace
 
 from conftest import BUILTIN_NAMES, CIRCULAR_DEFAULT, random_mode
 
@@ -163,8 +163,7 @@ def test_criterion_06_variational(spectra, ground_results):
 
         # analytic gradient against central finite differences
         m = spec.metadata["truncation"]
-        cfg = VariationalConfig()
-        ws = _Workspace(h, m, cfg, complex_search=True)
+        ws = _Workspace(h, m, complex_search=True)
         rng = np.random.default_rng(103)
         step = 1e-6
         for _ in range(20):
@@ -172,13 +171,13 @@ def test_criterion_06_variational(spectra, ground_results):
                 [random_mode(rng, m, h.dim).flat().real,
                  random_mode(rng, m, h.dim).flat().imag]
             )
-            _, grad = ws.search_objective(y, cfg.mu_res_init)
+            _, grad = ws.search_objective(y, MU_RES_INIT)
             for idx in rng.integers(0, y.size, size=4):
                 yp, ym = y.copy(), y.copy()
                 yp[idx] += step
                 ym[idx] -= step
-                fp, _ = ws.search_objective(yp, cfg.mu_res_init)
-                fm, _ = ws.search_objective(ym, cfg.mu_res_init)
+                fp, _ = ws.search_objective(yp, MU_RES_INIT)
+                fm, _ = ws.search_objective(ym, MU_RES_INIT)
                 fd = (fp - fm) / (2.0 * step)
                 assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(fd), abs(grad[idx]))
 

@@ -97,6 +97,23 @@ def test_solve_malformed_model_json_exits_config(tmp_path, capsys, harmonics):
     assert "malformed model JSON" in err["message"]
 
 
+@pytest.mark.parametrize("size", ["sites", "dim"])
+def test_non_integral_model_size_exits_config(tmp_path, capsys, size):
+    out = tmp_path / "o"
+    if size == "sites":
+        source = ["--builtin", "driven_ring", "--param", "sites=3.5"]
+    else:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dim": 2.7, "omega": 1.0, "harmonics": [
+            {"m": 0, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]}))
+        source = ["--model", str(path)]
+    assert main(["solve", *source, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert f"{size} must be an integer" in err["message"]
+    assert not out.exists()
+
+
 def test_solve_requires_exactly_one_source(tmp_path, capsys):
     code = main(
         ["solve", "--builtin", "static", "--model", "x.json", "--out", str(tmp_path / "o")]
@@ -258,14 +275,17 @@ def test_variational_matches_solve_ground(tmp_path):
 
 
 def test_variational_nonconvergence_exits_four(tmp_path, capsys):
+    # d = 1 under a strong scalar drive, certified at M = 2: with no restarts
+    # the only start ends on a replica cut by the truncation edge
+    model = tmp_path / "scalar.json"
+    model.write_text(json.dumps(
+        {"dim": 1, "omega": 1.818, "harmonics": [
+            {"m": 0, "re": [[-0.317]], "im": [[0]]},
+            {"m": 1, "re": [[-0.929]], "im": [[0.875]]},
+        ]}
+    ))
     code = main(
-        [
-            "variational",
-            "--builtin", "two_level_circular",
-            "--max-iters", "1",
-            "--restarts", "1",
-            "--out", str(tmp_path / "o"),
-        ]
+        ["variational", "--model", str(model), "--restarts", "0", "--out", str(tmp_path / "o")]
     )
     assert code == 4
     payload = json.loads((tmp_path / "o" / "variational.json").read_text())
@@ -377,6 +397,17 @@ def test_perturb_fixture_reproduces_contrast(tmp_path):
     assert min(float(r["overlap_label"]) for r in rows) >= 0.999
 
 
+def test_perturb_model_without_base_model_exits_config(tmp_path, capsys):
+    # the --pert-model was ignored and the shipped fixture ran instead
+    out = tmp_path / "o"
+    code = main(["perturb", "--pert-model", str(tmp_path / "missing.json"), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "--model or --builtin" in err["message"]
+    assert not out.exists()
+
+
 def test_determinism_identical_runs(tmp_path):
     outs = []
     for tag in ("a", "b"):
@@ -433,18 +464,25 @@ def test_variational_fixed_truncation_checks_tol_deg(tmp_path):
 def test_variational_budget_defaults_come_from_the_config():
     args = build_parser().parse_args(["variational", "--builtin", "static", "--out", "o"])
     config = ft.VariationalConfig()
-    assert args.max_iters == config.max_iterations
     assert args.restarts == config.restarts
     assert args.seed == config.seed
 
 
-@pytest.mark.parametrize("option", [["--restarts", "-1"], ["--max-iters", "0"]])
+@pytest.mark.parametrize("option", [["--restarts", "-1"]])
 def test_variational_invalid_budget_exits_config(tmp_path, capsys, option):
     out = tmp_path / "o"
     code = main(["variational", "--builtin", "static", *option, "--out", str(out)])
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config"
+    assert not out.exists()
+
+
+def test_variational_has_no_max_iters_option(tmp_path, capsys):
+    # a penalty stage stops after STAGE_ITERATIONS: no iteration budget to set
+    out = tmp_path / "o"
+    assert main(["variational", "--builtin", "static", "--max-iters", "5", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --max-iters 5" in capsys.readouterr().err
     assert not out.exists()
 
 

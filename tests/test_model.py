@@ -167,6 +167,21 @@ def test_unknown_model_and_bad_params():
         ft.builtin_model("static", {"nonexistent": 1.0})
 
 
+def test_non_integral_sizes_are_refused():
+    # 3.5 sites and dim 2.7 were truncated to a 3-site ring and d = 2
+    with pytest.raises(ft.ModelError, match="sites must be an integer"):
+        ft.builtin_model("driven_ring", {"sites": 3.5})
+    entries = [{"m": 0, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]
+    with pytest.raises(ft.ModelError, match="dim must be an integer"):
+        from_json_dict({"dim": 2.7, "omega": 1.0, "harmonics": entries})
+    with pytest.raises(ft.ModelError, match="dim must be an integer"):
+        FourierHamiltonian(dim=float("nan"), omega=1.0)
+    # an integral float is a size
+    assert ft.builtin_model("driven_ring", {"sites": 3.0}).dim == 3
+    h = from_json_dict({"dim": 2.0, "omega": 1.0, "harmonics": entries})
+    assert type(h.dim) is int and h.dim == 2
+
+
 def test_missing_partner_completed_at_construction():
     h1 = np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex)
     h = FourierHamiltonian(dim=2, omega=1.0, harmonics={1: h1})

@@ -105,8 +105,8 @@ def test_windowed_eigenvalues_lie_in_window(name, monkeypatch):
     seen = []
     diagonalize = sambe.diagonalize
 
-    def recording(s, residual_tol=1e-10, window=None):
-        vals, vecs = diagonalize(s, residual_tol, window)
+    def recording(s, window=None):
+        vals, vecs = diagonalize(s, window)
         seen.append((s.shape[0], window, vals))
         return vals, vecs
 
@@ -759,10 +759,11 @@ def test_certify_truncation_static_settles_immediately():
     assert ft.certify_truncation(h) == 2
 
 
-def test_certify_truncation_caps_out():
+def test_certify_truncation_caps_out(monkeypatch):
+    monkeypatch.setattr(sambe, "MAX_TRUNCATION", 1)
     h = ft.builtin_model("two_level_linear")
-    with pytest.raises(ft.TruncationError):
-        ft.certify_truncation(h, max_truncation=1)
+    with pytest.raises(ft.TruncationError, match="up to M=1"):
+        ft.certify_truncation(h)
 
 
 def test_auto_solve_solves_each_cutoff_once(monkeypatch):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import floqtriplet as ft
+from floqtriplet import variational
 from floqtriplet.variational import VariationalConfig, _Workspace
 from floqtriplet.variational import _deflation_basis, _minimize_one, _random_start, _static_start
+from floqtriplet.variational import MU_NORM, MU_RES_INIT, RESIDUAL_TOL
 from floqtriplet.variational import REPLICA_LOSS_TOL, _replica_loss
 
 from conftest import CIRCULAR_DEFAULT, random_mode
@@ -22,13 +24,12 @@ def test_objective_at_exact_eigenstate_is_ebar():
 
 def test_objective_scaling_rule():
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
-    cfg = VariationalConfig()
     mode = ft.FloquetMode.from_block([0.0, 1.0], 0, 2)
     doubled = ft.FloquetMode(2.0 * mode.coeffs)
-    f1 = ft.objective(mode, h, cfg)
-    f2 = ft.objective(doubled, h, cfg)
+    f1 = ft.objective(mode, h)
+    f2 = ft.objective(doubled, h)
     # quadratic-form scaling of the energy term plus mu_norm * (4-1)^2
-    assert abs(f2 - (4.0 * f1 + cfg.mu_norm * 9.0)) <= 1e-10
+    assert abs(f2 - (4.0 * f1 + MU_NORM * 9.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("search", ["real", "complex"])
@@ -67,21 +68,20 @@ def test_objective_dominates_ground_on_random_modes(spectra):
 def test_gradient_matches_finite_differences(name):
     h = ft.builtin_model(name)
     m = max(2, h.max_harmonic + 1)
-    cfg = VariationalConfig()
-    ws = _Workspace(h, m, cfg, complex_search=True)
+    ws = _Workspace(h, m, complex_search=True)
     rng = np.random.default_rng(37)
     step = 1e-6
     for _ in range(20):
         x = random_mode(rng, m, h.dim).flat()
         y = ws.pack(x)
-        _, grad = ws.search_objective(y, cfg.mu_res_init)
+        _, grad = ws.search_objective(y, MU_RES_INIT)
         probes = rng.integers(0, y.size, size=6)
         for idx in probes:
             yp, ym = y.copy(), y.copy()
             yp[idx] += step
             ym[idx] -= step
-            fp, _ = ws.search_objective(yp, cfg.mu_res_init)
-            fm, _ = ws.search_objective(ym, cfg.mu_res_init)
+            fp, _ = ws.search_objective(yp, MU_RES_INIT)
+            fm, _ = ws.search_objective(ym, MU_RES_INIT)
             fd = (fp - fm) / (2.0 * step)
             scale = max(1.0, abs(fd), abs(grad[idx]))
             assert abs(fd - grad[idx]) <= 1e-5 * scale
@@ -150,29 +150,29 @@ def test_minimize_excited_circular(ground_results):
     assert abs(excited.avg_energy - (-CIRCULAR_DEFAULT["ebar"]["plus"])) <= 1e-6
 
 
-def test_nonconvergence_is_flagged_with_trace():
+def test_nonconvergence_is_flagged_with_trace(monkeypatch):
+    # one Newton iteration in one stage leaves every start unconverged
+    monkeypatch.setattr(variational, "STAGE_ITERATIONS", 1)
+    monkeypatch.setattr(variational, "MU_RES_MAX", MU_RES_INIT)
     h = ft.builtin_model("two_level_circular")
-    cfg = VariationalConfig(
-        max_iterations=1, restarts=1, mu_res_init=1e3, mu_res_max=1e4
-    )
-    result = ft.minimize_ground(h, 4, cfg)
+    result = ft.minimize_ground(h, 4, VariationalConfig(restarts=1))
     assert not result.converged
     assert result.trace  # the iteration history is preserved
-    assert result.residual > cfg.residual_tol
+    assert result.residual > RESIDUAL_TOL
 
 
-def test_stall_at_mu_max_is_flagged_after_every_stage():
+def test_stall_at_mu_max_is_flagged_after_every_stage(monkeypatch):
     # a residual tolerance no start can reach drives the continuation
     # through every penalty stage, into the line-search stall at large mu
+    monkeypatch.setattr(variational, "RESIDUAL_TOL", 1e-300)
     h = ft.builtin_model("two_level_linear")
-    cfg = VariationalConfig(residual_tol=1e-300, restarts=1)
     start = time.perf_counter()
-    result = ft.minimize_ground(h, 4, cfg)
+    result = ft.minimize_ground(h, 4, VariationalConfig(restarts=1))
     elapsed = time.perf_counter() - start
     assert not result.converged
     mus = [stage["mu_res"] for stage in result.trace]
     assert mus == [1e3 * 10.0**k for k in range(10)]
-    assert mus[-1] == cfg.mu_res_max
+    assert mus[-1] == variational.MU_RES_MAX
     assert np.isfinite(result.residual)
     assert elapsed < 60.0
 
@@ -196,15 +196,6 @@ def test_stationarity_implies_functional_equivalence(ground_results, spectra):
         x = result.mode.flat()
         ebar_op = float(np.real(np.vdot(x, a @ x)))
         assert abs(ebar_op - result.avg_energy) <= 1e-8
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        VariationalConfig(mu_norm=-1.0)
-    with pytest.raises(ValueError):
-        VariationalConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        VariationalConfig(residual_tol=0.0)
 
 
 def test_config_rejects_negative_restarts():
@@ -240,21 +231,20 @@ def test_real_model_ground_is_real(name, ground_results, spectra):
 def test_real_search_gradient_matches_finite_differences(name):
     h = ft.builtin_model(name)
     m = max(2, h.max_harmonic + 1)
-    cfg = VariationalConfig()
-    ws = _Workspace(h, m, cfg)
+    ws = _Workspace(h, m)
     assert ws.real
     rng = np.random.default_rng(41)
     step = 1e-6
     for _ in range(20):
         y = random_mode(rng, m, h.dim).flat().real
-        _, grad = ws.search_objective(y, cfg.mu_res_init)
+        _, grad = ws.search_objective(y, MU_RES_INIT)
         assert grad.dtype == np.float64 and grad.shape == y.shape
         for idx in rng.integers(0, y.size, size=6):
             yp, ym = y.copy(), y.copy()
             yp[idx] += step
             ym[idx] -= step
-            fp, _ = ws.search_objective(yp, cfg.mu_res_init)
-            fm, _ = ws.search_objective(ym, cfg.mu_res_init)
+            fp, _ = ws.search_objective(yp, MU_RES_INIT)
+            fm, _ = ws.search_objective(ym, MU_RES_INIT)
             fd = (fp - fm) / (2.0 * step)
             scale = max(1.0, abs(fd), abs(grad[idx]))
             assert abs(fd - grad[idx]) <= 1e-5 * scale
@@ -273,25 +263,24 @@ def test_search_hessian_matches_finite_differences(search, deflated):
         # a block mode: the whole replica ladder is in the basis
         vec = rng.normal(size=h.dim) + (1j * rng.normal(size=h.dim) if search == "complex" else 0.0)
         found = [ft.FloquetMode.from_block(vec / np.linalg.norm(vec), 0, m)]
-    cfg = VariationalConfig()
-    ws = _Workspace(h, m, cfg, _deflation_basis(found))
+    ws = _Workspace(h, m, _deflation_basis(found))
     assert ws.real == (search == "real")
     assert (ws.orth_hessian is not None) == deflated
     step = 1e-5
     for _ in range(3):
         y = ws.pack(random_mode(rng, m, h.dim).flat())
-        hess = ws.search_hessian(y, cfg.mu_res_init)
+        hess = ws.search_hessian(y, MU_RES_INIT)
         if not ws.real:
             # the documented phase term 8 mu_norm v v^T, v = i x / |x|
             v = ws.pack(1j * ws.unpack(y)) / np.linalg.norm(y)
-            hess = hess - 8.0 * cfg.mu_norm * np.outer(v, v)
+            hess = hess - 8.0 * MU_NORM * np.outer(v, v)
         fd = np.empty_like(hess)
         for idx in range(y.size):
             yp, ym = y.copy(), y.copy()
             yp[idx] += step
             ym[idx] -= step
-            _, gp = ws.search_objective(yp, cfg.mu_res_init)
-            _, gm = ws.search_objective(ym, cfg.mu_res_init)
+            _, gp = ws.search_objective(yp, MU_RES_INIT)
+            _, gm = ws.search_objective(ym, MU_RES_INIT)
             fd[:, idx] = (gp - gm) / (2.0 * step)
         assert np.abs(fd - hess).max() <= 1e-8 * np.abs(hess).max()
 
@@ -300,9 +289,8 @@ def test_start_fallen_into_origin_ends_after_its_stage():
     # F is even in x and eps(x) is scale-free, so the origin is stationary at
     # every mu; a start there is ended instead of run up to mu_res_max
     h = ft.builtin_model("two_level_linear")
-    cfg = VariationalConfig()
-    ws = _Workspace(h, 4, cfg)
-    x, converged, trace = _minimize_one(ws, 1e-20 * _static_start(h, 4, 0, ws.real), cfg)
+    ws = _Workspace(h, 4)
+    x, converged, trace = _minimize_one(ws, 1e-20 * _static_start(h, 4, 0, ws.real))
     assert not converged
     assert len(trace) == 1 and trace[0]["iterations"] == 0
     assert np.linalg.norm(x) <= 1e-8
@@ -337,13 +325,11 @@ def test_ground_search_reaches_the_lowest_of_five_states():
 def _record_starts(monkeypatch, fail_start=None):
     """Wrap _minimize_one to record each start's converged flag, reporting
     start number fail_start as unconverged."""
-    from floqtriplet import variational
-
     flags = []
     real = variational._minimize_one
 
-    def wrapped(ws, x0, config):
-        x, ok, trace = real(ws, x0, config)
+    def wrapped(ws, x0):
+        x, ok, trace = real(ws, x0)
         if len(flags) == fail_start:
             ok = False
         flags.append(ok)
@@ -377,7 +363,7 @@ def test_missed_state_flags_the_result(monkeypatch):
     result = ft.minimize_ground(h, 8, VariationalConfig(restarts=0))
     assert flags == [True, False]
     assert not result.converged
-    assert result.residual <= VariationalConfig().residual_tol
+    assert result.residual <= RESIDUAL_TOL
 
 
 def test_search_needs_a_state_left_to_find():
@@ -391,13 +377,12 @@ def test_stalled_start_at_a_near_degenerate_pair_is_polished():
     # two states of the 12-site ring lie 6e-7 apart in quasi-energy; this
     # start ends its stages at residual 5e-8 in a mix of them
     h = ft.builtin_model("driven_ring", {"sites": 12})
-    cfg = VariationalConfig()
-    ws = _Workspace(h, 8, cfg)
+    ws = _Workspace(h, 8)
     x0 = _random_start(np.random.default_rng(4), 8, h.dim, ws.real)
-    x, converged, trace = _minimize_one(ws, x0, cfg)
-    assert trace[-1]["residual"] > cfg.residual_tol
+    x, converged, trace = _minimize_one(ws, x0)
+    assert trace[-1]["residual"] > RESIDUAL_TOL
     assert converged
-    assert ws.residual_of(x) <= cfg.residual_tol
+    assert ws.residual_of(x) <= RESIDUAL_TOL
 
 
 def _scalar_drive():
@@ -415,7 +400,7 @@ def test_truncation_damaged_state_is_not_counted():
     # zone), which was counted as the ground, Ebar = 0.104
     h = _scalar_drive()
     result = ft.minimize_ground(h, 2, VariationalConfig(restarts=0))
-    assert result.residual <= VariationalConfig().residual_tol
+    assert result.residual <= RESIDUAL_TOL
     assert _replica_loss(result.mode) > REPLICA_LOSS_TOL
     assert not result.converged
 
@@ -434,9 +419,8 @@ def test_complex_deflation_basis_takes_complex_search(ground_results, spectra):
     m = spectra["two_level_linear"].metadata["truncation"]
     ground = ground_results["two_level_linear"].mode
     phased = ft.FloquetMode(np.exp(1j * np.pi / 3.0) * ground.coeffs)
-    cfg = VariationalConfig()
-    assert _Workspace(h, m, cfg, _deflation_basis([ground])).real
-    assert not _Workspace(h, m, cfg, _deflation_basis([phased])).real
+    assert _Workspace(h, m, _deflation_basis([ground])).real
+    assert not _Workspace(h, m, _deflation_basis([phased])).real
     plain = ft.minimize_excited(h, m, found=[ground])
     rotated = ft.minimize_excited(h, m, found=[phased])
     assert plain.converged and rotated.converged
@@ -447,7 +431,7 @@ def test_complex_harmonics_take_complex_search(spectra):
     # a time shift makes the harmonics complex and keeps every (eps, Ebar)
     h = time_shifted(ft.builtin_model("two_level_linear"), 0.3)
     m = spectra["two_level_linear"].metadata["truncation"]
-    ws = _Workspace(h, m, VariationalConfig())
+    ws = _Workspace(h, m)
     assert not ws.real
     # T realified: the search variables are [Re x; Im x]
     n = (2 * m + 1) * h.dim
@@ -458,28 +442,12 @@ def test_complex_harmonics_take_complex_search(spectra):
     assert abs(result.avg_energy - min(spectra["two_level_linear"].avg_energies)) <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"residual_tol": float("nan")},
-        {"residual_tol": float("inf")},
-        {"mu_res_init": float("nan")},
-        {"mu_res_max": float("nan")},
-        {"mu_res_max": float("inf")},
-        {"mu_norm": float("inf")},
-        {"mu_res_init": 1e3, "mu_res_max": 1e2},
-        {"max_iterations": 2.5},
-        {"restarts": 1.5},
-    ],
-)
+@pytest.mark.parametrize("kwargs", [{"restarts": 1.5}])
 def test_config_rejects_values_that_break_the_search(kwargs):
     with pytest.raises(ValueError):
         VariationalConfig(**kwargs)
 
 
-def test_config_keeps_tiny_tolerance_and_integer_counts():
-    assert VariationalConfig(residual_tol=1e-300).residual_tol == 1e-300
-    cfg = VariationalConfig(max_iterations=np.int64(5), restarts=np.int64(2))
-    assert type(cfg.max_iterations) is int and cfg.max_iterations == 5
+def test_config_keeps_integer_counts():
+    cfg = VariationalConfig(restarts=np.int64(2))
     assert type(cfg.restarts) is int and cfg.restarts == 2
-    assert VariationalConfig(mu_res_init=1e4, mu_res_max=1e4).mu_res_max == 1e4
