@@ -442,7 +442,9 @@ def test_complex_harmonics_take_complex_search(spectra):
     assert abs(result.avg_energy - min(spectra["two_level_linear"].avg_energies)) <= 1e-8
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": 1.5}])
+# the case keeps its id from the table that also held the tolerance and
+# penalty fields, now module constants
+@pytest.mark.parametrize("kwargs", [pytest.param({"restarts": 1.5}, id="kwargs8")])
 def test_config_rejects_values_that_break_the_search(kwargs):
     with pytest.raises(ValueError):
         VariationalConfig(**kwargs)
