@@ -24,7 +24,14 @@ from .model import (
     builtin_model,
     combine,
 )
-from .sambe import Spectrum, _replica_overlaps, _resolve_tol_deg, solve_spectrum, wrap_distance
+from .sambe import (
+    Spectrum,
+    _gap_clusters,
+    _replica_overlaps,
+    _resolve_tol_deg,
+    solve_spectrum,
+    wrap_distance,
+)
 
 
 @dataclass(eq=False)
@@ -81,6 +88,41 @@ def overlap_matrix(spec_a: Spectrum, spec_b: Spectrum) -> np.ndarray:
     a = np.stack([t.mode.coeffs for t in spec_a])  # (states, blocks, dim)
     b = np.stack([t.mode.coeffs for t in spec_b])
     return _replica_overlaps(a[:, None], b[None]).max(axis=-1)
+
+
+def mode_agreement(
+    spec_a: Spectrum, spec_b: Spectrum, partner: np.ndarray, ebar_tol: float
+) -> list[tuple[list[int], float]]:
+    """Smallest singular value of the complex overlap block <<Phi_a_i | Phi_b_j>>
+    of each (quasi-energy group, Ebar-tie) set of spec_a, with j = partner[i].
+
+    A set is the states of one degenerate group of spec_a whose Ebar are
+    joined by gaps of at most ebar_tol.  Inside such a set the individual
+    modes are arbitrary and only the subspace is fixed, and the block's
+    singular values are the cosines of the angles between the two
+    subspaces.  The oracle keeps each state on its centroid-zone replica,
+    but the Sambe route moves the members of a group onto one common
+    replica, so each block is taken at the harmonic shift of the set's
+    spec_a modes that maximizes its Frobenius norm.  Returns (states,
+    sigma_min) per set.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, t in enumerate(spec_a):
+        groups.setdefault(t.group_id, []).append(i)
+    ebars = spec_a.avg_energies
+    out = []
+    for members in groups.values():
+        members = np.asarray(members)
+        for tie in _gap_clusters(ebars[members], ebar_tol):
+            states = np.sort(members[tie])
+            a = np.stack([spec_a[i].mode.coeffs for i in states])
+            b = np.stack([spec_b[partner[i]].mode.coeffs for i in states])
+            weights = np.sum(_replica_overlaps(a[:, None], b[None]) ** 2, axis=(0, 1))
+            k = int(np.argmax(weights)) - (a.shape[1] - 1)
+            shifted = np.column_stack([spec_a[i].mode.shift(k)[0].flat() for i in states])
+            block = shifted.conj().T @ b.reshape(len(states), -1).T
+            out.append(([int(i) for i in states], float(np.linalg.svd(block, compute_uv=False).min())))
+    return out
 
 
 @dataclass(eq=False)

@@ -560,12 +560,21 @@ def group_degeneracies(
         members = [reps[int(i)] for i in np.sort(cluster)]
         lam0 = members[0].quasi_energy_raw
         ks = [int(np.round((m.quasi_energy_raw - lam0) / omega)) for m in members]
+        # a shift by more than 2M loses a whole member, so only targets
+        # within 2M of every member can align them; at a small omega the
+        # members can lie farther apart than 4M, with no such target
+        reach = 2 * members[0].mode.truncation
+        targets = range(max(min(ks), max(ks) - reach), min(max(ks), min(ks) + reach) + 1)
+        if not targets:
+            raise TruncationError(
+                f"replica alignment loses weight >= 1: members lie {max(ks) - min(ks)} "
+                f"replicas apart, more than 4M = {2 * reach}; increase M"
+            )
         # a shifted mode is an eigenvector only up to a residual of about
         # ||H|| * sqrt(lost): keep that inside the 1e-10 residual certificate
         # of `diagonalize`, where certification cannot see it
         lost, target = min(
-            (sum(m.mode.shift(t - k)[1] for m, k in zip(members, ks)), t)
-            for t in range(min(ks), max(ks) + 1)
+            (sum(m.mode.shift(t - k)[1] for m, k in zip(members, ks)), t) for t in targets
         )
         if lost > 1e-20:
             raise TruncationError(

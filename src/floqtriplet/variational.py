@@ -19,8 +19,10 @@ method, not inputs: mu_res starts at MU_RES_INIT = 1e3 and is grown tenfold
 per stage (continuation), up to MU_RES_MAX = 1e12, until the eigen-residual
 of the iterate is at most RESIDUAL_TOL = 1e-9; mu_norm = MU_NORM = 10 and
 mu_orth = MU_ORTH = 100.  Each stage is an unconstrained minimization by
-trust-region Newton (scipy's trust-exact, Moré & Sorensen subproblems)
-with the analytic Hessian below, warm-started from the previous stage.
+trust-region Newton with Moré & Sorensen subproblems and the analytic
+Hessian below, warm-started from the previous stage: `_newton_stage`
+(module `_trust_region`), a step-for-step port of scipy's trust-exact in
+array code, run through scipy's `minimize` as a custom method.
 The minimizer's residual falls as 1/mu_res, so after the first stage a
 Newton step lands each stage in one or two iterations.
 
@@ -53,7 +55,8 @@ complex search F is flat along the global phase, v = pack(i x) / |x|, and
 the Hessian handed to the solver adds the curvature 8 mu_norm v v^T, the
 radial curvature at unit norm: the gradient has no component along v, so
 the steps are unchanged, but the Hessian is no longer singular, which keeps
-trust-exact off its slow hard-case path.  Degenerate states (a ring's
+the Newton stage off its hard-case path, a singular-vector estimate
+with a Python loop over the unknowns.  Degenerate states (a ring's
 +k and -k pairs, say) leave other directions in which F is flat to
 rounding, or curved and nearly flat: every Hessian gets a diagonal shift of
 y.size * eps times its largest diagonal entry, so that it factors, and
@@ -112,6 +115,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
+from ._trust_region import _newton_stage
 from .model import FourierHamiltonian
 from .sambe import (
     FloquetMode,
@@ -134,6 +138,10 @@ RESIDUAL_TOL = 1e-9
 # about 25, from a random start; a longer one creeps along a nearly flat
 # valley between degenerate states, which the next, stiffer stage settles
 STAGE_ITERATIONS = 30
+# gradient norm that ends a stage; at large mu_res the gradient cannot
+# reach it in floating point, and the stage ends once the quadratic model
+# predicts no further decrease
+STAGE_GTOL = 1e-10
 # a start that ends its stages with an eigen-residual below POLISH_RESIDUAL
 # sits at a pair of nearly degenerate states, and POLISH_ITERATIONS
 # Rayleigh-quotient iterations take it to one of them (on the 12-site ring
@@ -262,7 +270,8 @@ class _Workspace:
         hess = np.add.outer(a, a)
         hess *= t
         hess += (2.0 * mu_res) * self.t_sq
-        hess[np.diag_indices_from(hess)] += 2.0 * mu_res * d * d + 4.0 * MU_NORM * (q - 1.0)
+        diag = hess.reshape(-1)[:: hess.shape[0] + 1]  # the diagonal, as a view
+        diag += 2.0 * mu_res * d * d + 4.0 * MU_NORM * (q - 1.0)
         # rank-one terms: -(8 mu / q) r r^T, 8 mu_norm y y^T and, in the
         # complex search, the phase term (8 mu_norm / q) v v^T
         cols = [y]
@@ -278,9 +287,8 @@ class _Workspace:
         if self.orth_hessian is not None:
             hess += self.orth_hessian
         # rounding-level shift, so that a Hessian singular to rounding
-        # factors without trust-exact's hard-case search
-        shift = y.size * np.finfo(float).eps * np.abs(hess.diagonal()).max()
-        hess[np.diag_indices_from(hess)] += shift
+        # factors without the Newton stage's hard-case search
+        diag += y.size * np.finfo(float).eps * np.abs(diag).max()
         return hess
 
     def pack(self, x: np.ndarray) -> np.ndarray:
@@ -362,17 +370,19 @@ def _minimize_one(ws: _Workspace, y: np.ndarray) -> tuple[np.ndarray, bool, list
         # trust-region Newton on the analytic Hessian: on the 3-site ring at
         # M = 8 L-BFGS-B took 35-250 iterations per stage and spent three
         # quarters of the search inside scipy; Newton lands every stage after
-        # the first in one or two iterations.  At large mu the gradient
-        # cannot reach gtol in floating point, and the stage ends once the
-        # quadratic model predicts no further decrease.
+        # the first in one or two iterations.  The stage is `_newton_stage`,
+        # scipy's trust-exact ported without its Python overhead, which took
+        # three quarters of the search in turn.  It is still called through
+        # scipy's minimize, the boundary at which perfbench's tracer counts
+        # optimizer calls and objective evaluations.
         res = minimize(
             ws.search_objective,
             y,
             args=(mu,),
             jac=True,
             hess=ws.search_hessian,
-            method="trust-exact",
-            options={"gtol": 1e-10, "maxiter": STAGE_ITERATIONS},
+            method=_newton_stage,
+            options={"gtol": STAGE_GTOL, "maxiter": STAGE_ITERATIONS},
         )
         y = res.x
         residual = ws.residual_of(y)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet.cli import build_parser, main
+from floqtriplet import oracle
+from floqtriplet.cli import MODE_SIGMA_MIN, build_parser, main
 
 from conftest import CIRCULAR_DEFAULT
 
@@ -173,7 +175,7 @@ def test_compare_ring_rows_unchanged(tmp_path):
     assert_allclose(got, [r[1:] for r in RING_COMPARE_ROWS], rtol=0, atol=1e-12)
 
 
-def test_compare_far_levels_take_modes_on_the_sambe_replica(tmp_path, recwarn):
+def test_compare_far_levels_take_modes_on_the_sambe_replica(tmp_path, recwarn, capsys):
     # levels at +-100, 67 omega from zero: the oracle once kept the
     # coefficients around m = 0, all roundoff (tail weight 1, overlaps 0.3)
     out = tmp_path / "run"
@@ -183,6 +185,36 @@ def test_compare_far_levels_take_modes_on_the_sambe_replica(tmp_path, recwarn):
     assert not [w for w in recwarn if "tail weight" in str(w.message)]
     for row in read_csv(out / "compare.csv"):
         assert float(row["overlap"]) >= 1.0 - 1e-9
+    # and the mode gate passes them
+    sigma = float(capsys.readouterr().out.split("smallest mode singular value")[1])
+    assert sigma >= MODE_SIGMA_MIN
+
+
+def test_compare_rotated_oracle_modes_exit_gate(tmp_path, capsys, monkeypatch):
+    # the oracle's two modes turned 0.3 rad into each other, with every eps
+    # and Ebar kept: only the mode gate can see it
+    solve = oracle.oracle_spectrum
+
+    def rotated(h, truncation, **kwargs):
+        spec = solve(h, truncation, **kwargs)
+        a, b = spec[0].mode.coeffs, spec[1].mode.coeffs
+        c, s = np.cos(0.3), np.sin(0.3)
+        turned = [
+            dataclasses.replace(spec[0], mode=ft.FloquetMode(c * a + s * b)),
+            dataclasses.replace(spec[1], mode=ft.FloquetMode(c * b - s * a)),
+        ]
+        return ft.Spectrum(triplets=turned, metadata=spec.metadata)
+
+    monkeypatch.setattr(oracle, "oracle_spectrum", rotated)
+    out = tmp_path / "run"
+    assert main(["compare", "--builtin", "two_level_linear", "--out", str(out)]) == 3
+    for row in read_csv(out / "compare.csv"):
+        assert float(row["delta_eps"]) <= 1e-6 and float(row["delta_ebar"]) <= 1e-6
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "gate" and "mode subspaces disagree" in err["message"]
+    assert [row["states"] for row in err["rows"]] == [[0], [1]]
+    for row in err["rows"]:
+        assert abs(row["sigma_min"] - np.cos(0.3)) <= 1e-9
 
 
 @pytest.mark.filterwarnings("ignore:Fourier tail weight")

@@ -424,6 +424,24 @@ def test_group_degeneracies_wrapped_boundary():
     assert len(groups) == 1 and groups[0].size == 2
 
 
+@pytest.mark.parametrize("omega, aligned", [(0.5, True), (1e-5, False)])
+def test_replica_alignment_tries_only_targets_within_reach(monkeypatch, omega, aligned):
+    # two static levels 1 apart are replicas 1 / omega apart; a scan of every
+    # target between them took 2e5 shifts and 2.9 s to raise at omega = 1e-5
+    truncation = 1
+    shifts = []
+    shift = ft.FloquetMode.shift
+    monkeypatch.setattr(ft.FloquetMode, "shift", lambda mode, k: shifts.append(k) or shift(mode, k))
+    h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": omega})
+    if aligned:
+        assert sambe.solve_at_truncation(h, truncation)[0].group_size == 2
+    else:
+        with pytest.raises(ft.TruncationError, match="replica alignment"):
+            sambe.solve_at_truncation(h, truncation)
+    # two members, each shifted to at most the 4M + 1 targets within 2M
+    assert len(shifts) <= 2 * (4 * truncation + 1)
+
+
 def test_average_energy_block_singleton_static_ground():
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
     mode = ft.FloquetMode.from_block([1.0, 0.0], 0, 2)

@@ -2,12 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import floqtriplet as ft
 from floqtriplet import variational
 from floqtriplet.variational import VariationalConfig, _Workspace
 from floqtriplet.variational import _deflation_basis, _minimize_one, _random_start, _static_start
-from floqtriplet.variational import MU_NORM, MU_RES_INIT, RESIDUAL_TOL
+from floqtriplet.variational import MU_NORM, MU_RES_INIT, MU_RES_MAX, RESIDUAL_TOL
+from floqtriplet.variational import STAGE_GTOL, STAGE_ITERATIONS, _newton_stage, _orthogonal_start
 from floqtriplet.variational import REPLICA_LOSS_TOL, _replica_loss
 
 from conftest import CIRCULAR_DEFAULT, random_mode
@@ -283,6 +285,40 @@ def test_search_hessian_matches_finite_differences(search, deflated):
             _, gm = ws.search_objective(ym, MU_RES_INIT)
             fd[:, idx] = (gp - gm) / (2.0 * step)
         assert np.abs(fd - hess).max() <= 1e-8 * np.abs(hess).max()
+
+
+def _stage_workspace(name):
+    if name == "ring":
+        h = ft.builtin_model("driven_ring", {"sites": 3})
+        return h, _Workspace(h, 4)
+    if name == "complex":
+        h = time_shifted(ft.builtin_model("two_level_linear"), 0.3)
+        return h, _Workspace(h, 4)
+    h = ft.builtin_model("driven_ring", {"sites": 3})
+    return h, _Workspace(h, 4, _deflation_basis([ft.solve_spectrum(h, 4)[0].mode]))
+
+
+@pytest.mark.parametrize("name", ["ring", "complex", "deflated"])
+def test_newton_stage_takes_scipy_trust_exact_steps(name):
+    # the in-package port against scipy's own trust-exact, stage by stage:
+    # each stage of the scipy continuation is run again from its start by
+    # the port, with the same objective, Hessian and options
+    h, ws = _stage_workspace(name)
+    assert ws.real == (name != "complex")
+    options = {"gtol": STAGE_GTOL, "maxiter": STAGE_ITERATIONS}
+    for seed in range(10):
+        y = ws.pack(_random_start(np.random.default_rng(seed), 4, h.dim, ws.real))
+        if ws.deflation is not None:
+            y = _orthogonal_start(y, ws.deflation)
+        mu = MU_RES_INIT
+        while mu <= MU_RES_MAX:
+            kwargs = dict(args=(mu,), jac=True, hess=ws.search_hessian, options=options)
+            ref = minimize(ws.search_objective, y, method="trust-exact", **kwargs)
+            port = minimize(ws.search_objective, y, method=_newton_stage, **kwargs)
+            assert np.abs(port.x - ref.x).max() <= 1e-7, (seed, mu)
+            assert abs(port.nit - ref.nit) <= 1, (seed, mu)
+            y = ref.x
+            mu *= 10.0
 
 
 def test_start_fallen_into_origin_ends_after_its_stage():
