@@ -75,6 +75,7 @@ quasi-energy, average energy), ordered by average energy.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -97,7 +98,8 @@ class SolverError(RuntimeError):
 # the guard counts complex entries either way, which is conservative.
 MAX_DENSE_BYTES = 2 * 1024**3
 
-# Folded quasi-energy drift below which the larger of two cutoffs is certified.
+# Largest quasi-energy and average-energy error bound a certified cutoff may
+# carry (`_truncation_bounds`); a fixed cutoff above it warns.
 QUASI_TOL = 1e-9
 
 # Largest cutoff M the doubling loop of `certify_truncation` tries.
@@ -829,8 +831,10 @@ def solve_at_truncation(
 ) -> Spectrum:
     """Solve the eigentriplet spectrum at a fixed harmonic cutoff.
 
-    metadata["edge_weight_max"] is the largest weight a returned mode keeps
-    in the |m| = M blocks; it is reported, not checked.
+    metadata["eps_bound"] and metadata["ebar_bound"] bound how far the
+    truncation moved the quasi-energies and average energies (see
+    `_truncation_bounds`); they are reported here, and checked by
+    `solve_spectrum`.
     """
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     # S is not held past the eigensolve: the later stages apply it through
@@ -848,24 +852,252 @@ def solve_at_truncation(
         "model_hash": model_hash(h),
     }
     spectrum = resolve_degeneracies(groups, h, metadata)
-    # weight left in the |m| = M blocks: large means M is below convergence
-    coeffs = np.stack([t.mode.coeffs for t in spectrum])
-    edge = np.abs(np.arange(-truncation, truncation + 1)) == truncation
-    spectrum.metadata["edge_weight_max"] = float(
-        np.sum(np.abs(coeffs[:, edge]) ** 2, axis=(1, 2)).max()
-    )
+    eps_bound, ebar_bound = _truncation_bounds(h, spectrum)
+    spectrum.metadata["eps_bound"] = eps_bound
+    spectrum.metadata["ebar_bound"] = ebar_bound
     return spectrum
 
 
+def _truncation_bounds(h: FourierHamiltonian, spectrum: Spectrum) -> tuple[float, float]:
+    """Bounds on the quasi-energy and average-energy error of the cutoff M.
+
+    Each mode x is padded with K = max harmonic zero blocks on each side
+    and S is applied once to all of them: that is the untruncated S_inf x,
+    since S_inf x vanishes past |p| = M + K.  Per degenerate group X with
+    H_X = X^H S X, the residual R = S_inf X - X H_X holds the in-window
+    residual of the group's subspace and the leak into |p| > M; r_i is the
+    norm of its column i.  The grouping by tol_deg is not part of it: a
+    group's subspace, not each member, is what the eigensolve resolved.
+
+    S_inf is Hermitian with spectrum {eps_j + k omega}, d values per
+    period.  The folded eps are clustered on the circle: neighbours whose
+    hulls, widened by their radii rho_C, overlap must merge, so that each
+    cluster holds as many exact quasi-energies per period as states, all
+    within rho_C of its Ritz values (Kahan's theorem; rho_C^2 = w_C, the
+    weight below).  Neighbours also merge when that lowers the largest
+    bound among the clusters the merge touches.  Kato-Temple for the
+    cluster (Kato 1949; Temple 1928; Parlett ch. 11) then bounds the
+    distance from its Ritz values to those quasi-energies by w_C / delta_C,
+    where delta_C is the gap from the cluster to the nearest outside
+    cluster minus that cluster's radius, wrap-aware; the neighbour across
+    the seam may be the cluster's own replica at omega, as for d = 1.  The
+    weight w_C is sum_C r_i^2 for a cluster of one group; a cluster of
+    several takes each member on the replica nearest the first member's
+    raw eigenvalue, and w_C = ||S_inf Q - Q Q^H S_inf Q||_F^2 for an
+    orthonormal basis Q of them.  A group reports the mean of its members'
+    raw eigenvalues, within the group's `residual` of those Ritz values:
+    that spread is tol_deg's, not M's.
+
+    The average-energy bound is the estimate 2 (M + K) max_C w_C / omega.
+    Ebar = <S> - omega <N> on any mode.  The leak moves weight past
+    |p| = M, where the diagonal p omega lies about omega or more from the
+    eigenvalue: about w_C / omega^2 of weight, which moves the centroid
+    <N> by at most M + K per unit weight, twice over for the renormalized
+    window.  It is an estimate, checked against solves at larger M (see the
+    tests): on about 1,100 cutoffs of random models with d <= 6 and
+    harmonics <= 3, the Ebar error stays below a third of it wherever it
+    is below 1e-6, and below it wherever it is below 1e-2.  Far from
+    convergence it can fall short, by up to 3.5 times (M = 2 on a random
+    model, M = 1 and 2 on the 6-site ring), where it is 1e-4 or more.
+
+    A cluster with no gap (delta_C at most its own radius: a lone cluster
+    that overlaps its own replica) gets infinite bounds.  Returns the
+    largest bound of each kind over the clusters.
+    """
+    truncation = spectrum.metadata["truncation"]
+    reach = h.max_harmonic
+    count = len(spectrum)
+    nb = 2 * truncation + 1
+    coeffs = np.stack([t.mode.coeffs for t in spectrum])
+    raw = np.array([t.quasi_energy_raw for t in spectrum])
+    gids = np.array([t.group_id for t in spectrum])
+
+    def padded(members, shifts):
+        """The members' modes as columns, each shifted by -k harmonics, with
+        room for the shift plus K zero blocks on each side."""
+        pad = reach + int(np.abs(shifts).max())
+        x = np.zeros((len(members), nb + 2 * pad, h.dim), dtype=complex)
+        for row, (i, k) in enumerate(zip(members, shifts)):
+            x[row, pad - k : pad - k + nb] = coeffs[i]
+        return x.reshape(len(members), -1).T
+
+    # the residual of each group's subspace; a singleton's H_X is its
+    # Rayleigh quotient, for all of them from one product
+    x = padded(range(count), np.zeros(count, dtype=int))
+    sx = _apply_blocks(h, x, h.omega)
+    residual = sx - np.real(np.sum(x.conj() * sx, axis=0)) * x
+    for gid in {t.group_id for t in spectrum if t.group_size > 1}:
+        cols = np.flatnonzero(gids == gid)
+        residual[:, cols] = sx[:, cols] - x[:, cols] @ (x[:, cols].conj().T @ sx[:, cols])
+    r2 = np.sum(np.abs(residual) ** 2, axis=0)
+
+    def cluster_weights(ends):
+        """sum_C r_i^2 for a cluster of one group, which is orthonormal as it
+        stands; for one of several, ||S_inf Q - Q Q^H S_inf Q||_F^2 with Q an
+        orthonormal basis of the members, each on the replica whose raw
+        eigenvalue lies nearest the first member's.  One application of S
+        serves every such Q."""
+        clusters = [order[p] for p in _cluster_positions(ends, count)]
+        weights = np.array([r2[c].sum() for c in clusters])
+        mixed = [a for a, c in enumerate(clusters) if np.unique(gids[c]).size > 1]
+        if not mixed:
+            return weights
+        members = np.concatenate([clusters[a] for a in mixed])
+        shifts = np.concatenate(
+            [np.round((raw[clusters[a]] - raw[clusters[a][0]]) / h.omega) for a in mixed]
+        ).astype(int)
+        x = padded(members, shifts)
+        cuts = np.cumsum([0] + [clusters[a].size for a in mixed])
+        spans = list(zip(cuts[:-1], cuts[1:]))
+        q = np.concatenate([np.linalg.qr(x[:, s:e])[0] for s, e in spans], axis=1)
+        sq = _apply_blocks(h, q, h.omega)
+        for a, (s, e) in zip(mixed, spans):
+            qa, sqa = q[:, s:e], sq[:, s:e]
+            weights[a] = np.sum(np.abs(sqa - qa @ (qa.conj().T @ sqa)) ** 2)
+        return weights
+
+    eps = spectrum.quasi_energies
+    order = np.argsort(eps, kind="stable")
+    values = eps[order]
+    # gaps[i] runs from sorted value i to the next, the last across the seam
+    gaps = np.append(np.diff(values), values[0] + h.omega - values[-1])
+    ends, weights = np.arange(count), r2[order]
+    while True:
+        ends, weights = _merge_clusters(gaps, ends, weights)
+        weights = cluster_weights(ends)
+        if ends.size == 1 or not _overlaps(gaps, ends, weights).any():
+            break
+    eps_bound = float(_cluster_bounds(gaps, ends, weights).max())
+    if eps_bound == np.inf:
+        return eps_bound, eps_bound
+    return eps_bound, float(2 * (truncation + reach) * weights.max() / h.omega)
+
+
+# --- clusters of folded quasi-energies on the circle ------------------------
+#
+# A cluster is a run of the sorted folded values, held by the sorted position
+# it ends at (`ends`, ascending) and by its weight sum r^2; the gap after it,
+# gaps[end], runs to the next cluster, the last one across the zone seam.
+
+def _cluster_positions(ends: np.ndarray, count: int) -> list[np.ndarray]:
+    """Sorted positions of each cluster; the first may run across the seam."""
+    starts = (np.roll(ends, 1) + 1) % count
+    return [(s + np.arange((e - s) % count + 1)) % count for s, e in zip(starts, ends)]
+
+
+def _cluster_deltas(gaps, ends, weights, idx=None) -> np.ndarray:
+    """The delta of each cluster (or of those in idx): the smaller of the
+    gaps on its two sides, each minus the radius sqrt(weight) of the
+    cluster beyond it (itself, when it is the only one)."""
+    n = ends.size
+    idx = np.arange(n) if idx is None else np.asarray(idx)
+    right = gaps[ends]
+    rho = np.sqrt(weights)
+    return np.minimum(right[idx] - rho[(idx + 1) % n], right[idx - 1] - rho[idx - 1])
+
+
+def _cluster_bounds(gaps, ends, weights, idx=None) -> np.ndarray:
+    """weight / delta of each cluster (or of those in idx), infinite where
+    the cluster has no gap: delta at most its own radius, which only a lone
+    cluster that overlaps its own replica can have once the clusters that
+    must merge have merged."""
+    delta = _cluster_deltas(gaps, ends, weights, idx)
+    return _bound_of(weights if idx is None else weights[idx], delta)
+
+
+def _bound_of(weights, delta):
+    gapped = delta > np.sqrt(weights)
+    return np.where(gapped, weights / np.where(gapped, delta, 1.0), np.inf)
+
+
+def _overlaps(gaps, ends, weights) -> np.ndarray:
+    """Whether each cluster and the next one overlap, widened by their radii."""
+    rho = np.sqrt(weights)
+    return gaps[ends] <= rho + rho[(np.arange(rho.size) + 1) % rho.size]
+
+
+def _join_overlapping(gaps, ends, weights):
+    """Join every cluster to the next one it overlaps, until none does; a
+    single cluster left ends before the widest gap."""
+    while ends.size > 1:
+        keep = ~_overlaps(gaps, ends, weights)
+        if keep.all():
+            break
+        if not keep.any():
+            return ends[[np.argmax(gaps[ends])]], np.array([weights.sum()])
+        # each kept cut closes a run of clusters; the runs after the last
+        # kept cut wrap around to the first
+        kept = np.flatnonzero(keep)
+        sums = np.diff(np.concatenate([[0.0], np.cumsum(weights)[kept]]))
+        sums[0] += weights[kept[-1] + 1 :].sum()
+        ends, weights = ends[kept], sums
+    return ends, weights
+
+
+def _joined(ends, weights, a):
+    """The clusters with a joined to the next one (the first one, for the
+    last), and the index of the joined cluster."""
+    joined = a if a < ends.size - 1 else 0
+    merged = np.delete(weights, a)
+    merged[joined] += weights[a]
+    return np.delete(ends, a), merged, joined
+
+
+def _lowers_bound(gaps, ends, weights) -> np.ndarray:
+    """Whether joining each cluster a to the next lowers the largest bound
+    among the clusters the join touches: a - 1, the joined one, a + 2."""
+    n = ends.size
+    if n < 4:  # a - 1 and a + 2 coincide with each other or with the join
+        helps = []
+        for a in range(n):
+            before = _cluster_bounds(gaps, ends, weights, [(a + k) % n for k in (-1, 0, 1, 2)])
+            new_ends, new_weights, j = _joined(ends, weights, a)
+            after = _cluster_bounds(
+                gaps, new_ends, new_weights, [(j + k) % (n - 1) for k in (-1, 0, 1)]
+            )
+            helps.append(after.max() < before.max())
+        return np.array(helps)
+
+    idx = np.arange(n)
+
+    def at(v, k):  # at(v, k)[a] = v[a + k]
+        return v[(idx + k) % n]
+
+    right, rho = gaps[ends], np.sqrt(weights)
+    bounds = _cluster_bounds(gaps, ends, weights)
+    before = np.max([at(bounds, k) for k in (-1, 0, 1, 2)], axis=0)
+    joined = weights + at(weights, 1)
+    radius = np.sqrt(joined)
+    after = np.max([
+        _bound_of(joined, np.minimum(at(right, 1) - at(rho, 2), at(right, -1) - at(rho, -1))),
+        _bound_of(at(weights, -1), np.minimum(at(right, -1) - radius, at(right, -2) - at(rho, -2))),
+        _bound_of(at(weights, 2), np.minimum(at(right, 2) - at(rho, 3), at(right, 1) - radius)),
+    ], axis=0)
+    return after < before
+
+
+def _merge_clusters(gaps, ends, weights):
+    """Join the clusters that must merge, then those whose join lowers the
+    bound, smallest gap first, until no join is left."""
+    ends, weights = _join_overlapping(gaps, ends, weights)
+    while ends.size > 1:
+        helps = np.flatnonzero(_lowers_bound(gaps, ends, weights))
+        if not helps.size:
+            break
+        a = helps[np.argmin(gaps[ends[helps]])]
+        ends, weights, _ = _joined(ends, weights, a)
+    return ends, weights
+
+
 def certify_truncation(h: FourierHamiltonian) -> int:
-    """Smallest certified cutoff: double M until quasi-energies settle.
+    """Smallest certified cutoff: double M until the truncation bounds hold.
 
     Starting from the largest harmonic index of the model (at least 1),
-    returns the first M = 2*M_prev at which every folded quasi-energy moved
-    less than QUASI_TOL from the M_prev solve (wrap-aware, matched after
-    sorting), and raises TruncationError when none up to MAX_TRUNCATION
-    does.  The harmonic cutoff is the one approximation in the whole
-    construction, so it is certified rather than guessed.
+    returns the first M at which both bounds of `_truncation_bounds`, on
+    every quasi-energy and every average energy, are below QUASI_TOL, and
+    raises TruncationError when none up to MAX_TRUNCATION is.  The harmonic
+    cutoff is the one approximation in the whole construction, so it is
+    certified rather than guessed.
     """
     return _certified_spectrum(h, None).metadata["truncation"]
 
@@ -873,22 +1105,22 @@ def certify_truncation(h: FourierHamiltonian) -> int:
 def _certified_spectrum(h: FourierHamiltonian, tol_deg: float | None) -> Spectrum:
     """The doubling loop of `certify_truncation`, returning its last solve."""
     m = max(1, h.max_harmonic)
-    prev: np.ndarray | None = None
     while m <= MAX_TRUNCATION:
         try:
             spectrum = solve_at_truncation(h, m, tol_deg)
-            eps = np.sort(spectrum.quasi_energies)
         except TruncationError:
-            eps = None
-        if eps is not None and prev is not None:
-            drift = wrap_distance(eps, prev, h.omega).max()
-            if drift < QUASI_TOL:
+            pass
+        else:
+            if _bound(spectrum) < QUASI_TOL:
                 return spectrum
-        prev = eps
         m *= 2
     raise TruncationError(
-        f"quasi-energies did not settle below {QUASI_TOL} up to M={MAX_TRUNCATION}"
+        f"truncation bounds did not fall below {QUASI_TOL} up to M={MAX_TRUNCATION}"
     )
+
+
+def _bound(spectrum: Spectrum) -> float:
+    return max(spectrum.metadata["eps_bound"], spectrum.metadata["ebar_bound"])
 
 
 def solve_spectrum(
@@ -897,11 +1129,22 @@ def solve_spectrum(
     tol_deg: float | None = None,
 ) -> Spectrum:
     """Full pipeline: diagonalize, select, resolve; 'auto' returns the
-    certifying solve, so the certified cutoff is solved once."""
+    certifying solve, so the certified cutoff is solved once.  A fixed
+    cutoff whose truncation bound exceeds QUASI_TOL is solved all the same,
+    with a RuntimeWarning."""
     auto = truncation == "auto"
     if auto:
         spectrum = _certified_spectrum(h, tol_deg)
     else:
         spectrum = solve_at_truncation(h, int(truncation), tol_deg)
+        if not _bound(spectrum) < QUASI_TOL:
+            warnings.warn(
+                f"truncation M={truncation} is below convergence: error bound "
+                f"{_bound(spectrum):.3e} (eps {spectrum.metadata['eps_bound']:.3e}, "
+                f"ebar {spectrum.metadata['ebar_bound']:.3e}) exceeds {QUASI_TOL:.0e}; "
+                f"increase M",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     spectrum.metadata["truncation_auto"] = auto
     return spectrum

@@ -74,6 +74,13 @@ def random_mode(rng: np.random.Generator, truncation: int, dim: int) -> ft.Floqu
     return ft.FloquetMode(coeffs).normalized()
 
 
+def padded(mode: ft.FloquetMode, extra: int) -> ft.FloquetMode:
+    """The mode with `extra` zero blocks on each side, at truncation M + extra:
+    a shift by |k| <= extra then loses nothing.  A mode at its certified M
+    has no spare blocks, so a replica shift inside M would cut it."""
+    return ft.FloquetMode(np.pad(mode.coeffs, ((extra, extra), (0, 0))))
+
+
 def time_shifted(h: ft.FourierHamiltonian, tau: float) -> ft.FourierHamiltonian:
     """The drive shifted in time, H'(t) = H(t + tau): H_m -> H_m e^{i m omega tau}.
 
@@ -96,15 +103,17 @@ def full_solve(h: ft.FourierHamiltonian, truncation: int, tol_deg: float | None 
     return ft.resolve_degeneracies(ft.group_degeneracies(reps, h, tol_deg), h)
 
 
-def assert_same_triplets(a, b, omega: float, tol: float):
-    """Every (eps, Ebar) of `a` matched one-to-one in `b` within tol (eps wrapped)."""
+def assert_same_triplets(a, b, omega: float, tol: float, tol_ebar: float | None = None):
+    """Every (eps, Ebar) of `a` matched one-to-one in `b` within tol (eps
+    wrapped), Ebar within tol_ebar if given."""
     assert len(a) == len(b)
+    tol_ebar = tol if tol_ebar is None else tol_ebar
     unused = list(b)
     for t in a:
         match = next(
             (
                 u for u in unused
-                if abs(u.avg_energy - t.avg_energy) <= tol
+                if abs(u.avg_energy - t.avg_energy) <= tol_ebar
                 and ft.wrap_distance(u.quasi_energy, t.quasi_energy, omega) <= tol
             ),
             None,

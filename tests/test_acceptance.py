@@ -15,7 +15,7 @@ from floqtriplet.cli import main
 from floqtriplet.sambe import Representative
 from floqtriplet.variational import MU_RES_INIT, _Workspace
 
-from conftest import BUILTIN_NAMES, CIRCULAR_DEFAULT, random_mode
+from conftest import BUILTIN_NAMES, CIRCULAR_DEFAULT, padded, random_mode
 
 DRIVEN_NAMES = ("two_level_circular", "two_level_linear", "driven_ring")
 
@@ -256,8 +256,8 @@ def test_criterion_09_replica_invariance(spectra):
         m = spec.metadata["truncation"]
         for t in spec:
             for k in range(-(m // 2), m // 2 + 1):
-                shifted, _ = t.mode.shift(k)
-                shifted = shifted.normalized()
+                shifted, lost = padded(t.mode, abs(k)).shift(k)
+                assert lost == 0.0
                 assert abs(
                     ft.average_energy_functional(shifted, h) - t.avg_energy
                 ) <= 1e-10

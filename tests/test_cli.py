@@ -152,14 +152,16 @@ def test_compare_circular_within_gate(tmp_path):
 
 
 # compare.csv of the default 6-site ring, recorded from the oracle with
-# Taylor step factors, whose U(T) test_oracle checks against extended precision
+# Taylor step factors, whose U(T) test_oracle checks against extended precision,
+# and the Sambe route at its certified M = 4 (bounds 4.8e-10 in eps, 7.6e-10
+# in Ebar; the M = 8 solve moved Ebar by at most 4.0e-10)
 RING_COMPARE_ROWS = [
-    (0, 2.830957746002838e-09, 1.27077370848383e-09, 1.0),
-    (1, 5.417431170329223e-09, 3.1078701612230475e-08, 0.9999999999999998),
-    (2, 7.393837542224446e-09, 2.2829556578507493e-08, 1.0),
-    (3, 7.393837986313656e-09, 2.2829559020998147e-08, 0.9999999999999999),
-    (4, 5.417431836463038e-09, 3.1078698947695216e-08, 1.0),
-    (5, 2.830957246402477e-09, 1.2707745966622497e-09, 0.9999999999999997),
+    (0, 2.826337441863558e-09, 1.1893672713370051e-09, 0.9999999999999997),
+    (1, 5.40003952664847e-09, 3.068335274747369e-08, 0.9999999999999988),
+    (2, 7.393820666834472e-09, 2.282922961782674e-08, 1.0),
+    (3, 7.393821110923682e-09, 2.282923006191595e-08, 0.9999999999999998),
+    (4, 5.40003952664847e-09, 3.0683352858495994e-08, 0.9999999999999988),
+    (5, 2.826336498173987e-09, 1.1893659390693756e-09, 0.9999999999999999),
 ]
 
 
@@ -220,16 +222,18 @@ def test_compare_rotated_oracle_modes_exit_gate(tmp_path, capsys, monkeypatch):
 @pytest.mark.filterwarnings("ignore:Fourier tail weight")
 def test_compare_forced_truncation_exits_gate(tmp_path, capsys):
     # deliberately small M (with the clustering tolerance loosened so the
-    # starved solve still completes): the cross-method gate catches it
-    code = main(
-        [
-            "compare",
-            "--builtin", "two_level_linear",
-            "--harmonics", "2",
-            "--tol-deg", "1e-4",
-            "--out", str(tmp_path / "o"),
-        ]
-    )
+    # starved solve still completes): the Sambe solve warns with its bound,
+    # and the cross-method gate catches it
+    with pytest.warns(RuntimeWarning, match="M=2 is below convergence"):
+        code = main(
+            [
+                "compare",
+                "--builtin", "two_level_linear",
+                "--harmonics", "2",
+                "--tol-deg", "1e-4",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
     assert code == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "gate"
@@ -306,22 +310,39 @@ def test_variational_matches_solve_ground(tmp_path):
     assert abs(float(var_rows[0]["ebar"]) - float(solve_rows[0]["ebar"])) <= 1e-6
 
 
+# d = 1 under a strong scalar drive: its one Floquet state has Ebar = H_0
+SCALAR_DRIVE = {"dim": 1, "omega": 1.818, "harmonics": [
+    {"m": 0, "re": [[-0.317]], "im": [[0]]},
+    {"m": 1, "re": [[-0.929]], "im": [[0.875]]},
+]}
+
+
 def test_variational_nonconvergence_exits_four(tmp_path, capsys):
-    # d = 1 under a strong scalar drive, certified at M = 2: with no restarts
-    # the only start ends on a replica cut by the truncation edge
+    # d = 1 under a strong scalar drive at M = 2, below its certified M = 8:
+    # with no restarts the only start ends on a replica cut by the truncation edge
     model = tmp_path / "scalar.json"
-    model.write_text(json.dumps(
-        {"dim": 1, "omega": 1.818, "harmonics": [
-            {"m": 0, "re": [[-0.317]], "im": [[0]]},
-            {"m": 1, "re": [[-0.929]], "im": [[0.875]]},
-        ]}
-    ))
+    model.write_text(json.dumps(SCALAR_DRIVE))
     code = main(
-        ["variational", "--model", str(model), "--restarts", "0", "--out", str(tmp_path / "o")]
+        ["variational", "--model", str(model), "--harmonics", "2", "--restarts", "0",
+         "--out", str(tmp_path / "o")]
     )
     assert code == 4
     payload = json.loads((tmp_path / "o" / "variational.json").read_text())
     assert payload["converged"] is False
+
+
+def test_scalar_drive_auto_cutoff_gives_h0(tmp_path):
+    # the drive leaves eps alone and moves only the mode, which needs M of
+    # about 8: the leak bound, not eps, certifies it there
+    model = tmp_path / "scalar.json"
+    model.write_text(json.dumps(SCALAR_DRIVE))
+    assert main(["solve", "--model", str(model), "--out", str(tmp_path / "s")]) == 0
+    metadata = json.loads((tmp_path / "s" / "spectrum.json").read_text())["metadata"]
+    assert metadata["truncation"] >= 8
+    assert main(["variational", "--model", str(model), "--out", str(tmp_path / "v")]) == 0
+    payload = json.loads((tmp_path / "v" / "variational.json").read_text())
+    assert payload["converged"] is True
+    assert abs(payload["avg_energy"] - (-0.317)) <= 1e-6
 
 
 def test_sweep_static_gap_crossing(tmp_path):

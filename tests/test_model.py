@@ -225,7 +225,7 @@ def test_pickle_round_trip(name):
 
 
 def test_auto_solve_serializes_the_model_once(monkeypatch):
-    # the ring certifies at M = 8 after four rungs; the hash is computed once
+    # the ring certifies at M = 4 after three rungs; the hash is computed once
     calls = []
     to_json_dict = FourierHamiltonian.to_json_dict
 
@@ -236,7 +236,7 @@ def test_auto_solve_serializes_the_model_once(monkeypatch):
     monkeypatch.setattr(FourierHamiltonian, "to_json_dict", counted)
     h = ft.builtin_model("driven_ring")
     spec = ft.solve_spectrum(h, "auto")
-    assert spec.metadata["truncation"] == 8
+    assert spec.metadata["truncation"] == 4
     assert calls == [h]
     assert spec.metadata["model_hash"] == ft.model_hash(ft.builtin_model("driven_ring"))
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     CIRCULAR_DEFAULT,
     assert_same_triplets,
     full_solve,
+    padded,
     random_mode,
     time_shifted,
 )
@@ -294,10 +296,83 @@ def test_dense_guard_counts_the_eigensolver_copy(monkeypatch):
     assert len(sambe.solve_at_truncation(h, 8)) == 3
 
 
-def test_edge_weight_reported_below_convergence():
+def test_truncation_bound_warns_below_convergence():
+    # at M = 3 this model is 0.06 off in eps and 0.24 in Ebar against M = 32
     h = ft.builtin_model("two_level_linear", {"v": 2.5, "omega": 0.9})
-    assert ft.solve_spectrum(h, 3).metadata["edge_weight_max"] >= 1e-3
-    assert ft.solve_spectrum(h, "auto").metadata["edge_weight_max"] <= 1e-15
+    with pytest.warns(RuntimeWarning, match=r"M=3 is below convergence: error bound inf"):
+        spec = ft.solve_spectrum(h, 3)
+    assert len(spec) == 2
+    auto = ft.solve_spectrum(h, "auto")
+    assert max(auto.metadata["eps_bound"], auto.metadata["ebar_bound"]) < sambe.QUASI_TOL
+    ring = ft.builtin_model("driven_ring")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = ft.solve_spectrum(ring, 4)
+    assert max(spec.metadata["eps_bound"], spec.metadata["ebar_bound"]) < sambe.QUASI_TOL
+
+
+def test_cluster_without_a_gap_has_an_infinite_bound():
+    # at M = 3 the two states' residual radii cover the zone: they merge into
+    # one cluster that overlaps its own replica, so nothing bounds it
+    h = ft.builtin_model("two_level_linear", {"v": 2.5, "omega": 0.9})
+    spec = sambe.solve_at_truncation(h, 3)
+    assert spec.metadata["eps_bound"] == spec.metadata["ebar_bound"] == np.inf
+
+
+BOUND_CASES = [(name, {}) for name in BUILTIN_NAMES] + [
+    ("two_level_linear", {"v": 2.5, "omega": 0.9}),
+] + [
+    # the benchmark's ring corners: solve-large, compare-oracle, variational-ground
+    ("driven_ring", {"sites": sites, "v": v, "omega": omega})
+    for sites in (3, 6, 48) for v in (0.45, 0.55) for omega in (2.2, 2.4)
+]
+
+
+@pytest.mark.parametrize("name, params", BOUND_CASES)
+def test_certified_spectrum_is_within_its_bounds(name, params):
+    h = ft.builtin_model(name, params)
+    spec = ft.solve_spectrum(h, "auto")
+    eps_bound, ebar_bound = spec.metadata["eps_bound"], spec.metadata["ebar_bound"]
+    assert max(eps_bound, ebar_bound) < sambe.QUASI_TOL
+    again = ft.solve_spectrum(h, 2 * spec.metadata["truncation"])
+    # 1e-12 of rounding on top of the bounds, which can be 1e-25
+    assert_same_triplets(spec, again, h.omega, eps_bound + 1e-12, ebar_bound + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, params, truncation",
+    [("two_level_linear", {"v": 2.5, "omega": 0.9}, m) for m in (4, 5, 6, 8)]
+    + [("driven_ring", {}, m) for m in (4, 8)]
+    + [("driven_ring", {"sites": 48, "v": 0.5, "omega": 2.3}, m) for m in (2, 4)],
+)
+def test_fixed_cutoff_is_within_its_bounds(name, params, truncation):
+    # below convergence too: at M = 4 both strong-drive states merge into
+    # one cluster, whose bound (0.18) still holds against M = 32
+    h = ft.builtin_model(name, params)
+    spec = sambe.solve_at_truncation(h, truncation)
+    reference = sambe.solve_at_truncation(h, 32 if h.dim < 48 else 16)
+    assert_same_triplets(
+        spec, reference, h.omega,
+        spec.metadata["eps_bound"] + 1e-12, spec.metadata["ebar_bound"] + 1e-12,
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lowers_bound_matches_join_by_join(seed):
+    # the batched test of every join against joining each cluster in turn
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    gaps = rng.uniform(0.0, 1.0, n)
+    ends = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    weights = rng.uniform(0.0, 0.05, ends.size) ** 2
+    got = sambe._lowers_bound(gaps, ends, weights)
+    m = ends.size
+    for a in range(m):
+        before = sambe._cluster_bounds(gaps, ends, weights)[[(a + k) % m for k in (-1, 0, 1, 2)]]
+        new_ends, new_weights, j = sambe._joined(ends, weights, a)
+        after = sambe._cluster_bounds(gaps, new_ends, new_weights)
+        after = after[[(j + k) % (m - 1) for k in (-1, 0, 1)]]
+        assert got[a] == (after.max() < before.max())
 
 
 def test_select_representatives_static():
@@ -581,10 +656,13 @@ def test_replica_covariance_interior(name, spectra):
     h = ft.builtin_model(name)
     spec = spectra[name]
     m = spec.metadata["truncation"]
-    vals, vecs = ft.diagonalize(ft.build_sambe(h, m))
+    # S at M + |k|, where the shifted mode keeps all of its weight
+    solves = {k: ft.diagonalize(ft.build_sambe(h, m + k)) for k in range(m // 2 + 1)}
     for t in spec:
         for k in range(-(m // 2), m // 2 + 1):
-            shifted, lost = t.mode.shift(k)
+            vals, vecs = solves[abs(k)]
+            shifted, lost = padded(t.mode, abs(k)).shift(k)
+            assert lost == 0.0
             target = t.quasi_energy_raw + k * h.omega
             j = int(np.argmin(np.abs(vals - target)))
             assert abs(vals[j] - target) <= 1e-6
@@ -598,8 +676,8 @@ def test_replica_invariance_of_functionals(name, spectra):
     m = spec.metadata["truncation"]
     for t in spec:
         for k in range(-(m // 2), m // 2 + 1):
-            shifted, lost = t.mode.shift(k)
-            shifted = shifted.normalized()
+            shifted, lost = padded(t.mode, abs(k)).shift(k)
+            assert lost == 0.0
             ebar = ft.average_energy_functional(shifted, h)
             assert abs(ebar - t.avg_energy) <= 1e-10
             eps = ft.quasi_energy_functional(shifted, h)
@@ -773,8 +851,9 @@ def test_hellmann_feynman_analogue():
 
 
 def test_certify_truncation_static_settles_immediately():
+    # no drive: every residual and leak is 0, so the first rung certifies
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
-    assert ft.certify_truncation(h) == 2
+    assert ft.certify_truncation(h) == 1
 
 
 def test_certify_truncation_caps_out(monkeypatch):

@@ -423,8 +423,9 @@ def test_stalled_start_at_a_near_degenerate_pair_is_polished():
 
 def _scalar_drive():
     """d = 1 under a strong scalar drive: its one Floquet state has
-    Ebar = H_0 exactly, and Sambe certifies M = 2 although the mode, a
-    Bessel series, needs M of about 8."""
+    Ebar = H_0 exactly; the mode, a Bessel series, needs M of about 8,
+    where Sambe certifies it, and M = 2 and 4 leave truncation-damaged
+    replicas."""
     return ft.FourierHamiltonian(
         dim=1, omega=1.818, harmonics={0: [[-0.317]], 1: [[-0.929 + 0.875j]]}
     )
