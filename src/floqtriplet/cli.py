@@ -123,8 +123,10 @@ def _finite_arg(text: str) -> float:
 
 
 def _write_json(path: Path, payload: dict):
+    """Write strict JSON: a NaN or infinity in the payload raises
+    ValueError rather than leaving a file strict parsers reject."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):

@@ -98,8 +98,9 @@ class SolverError(RuntimeError):
 # the guard counts complex entries either way, which is conservative.
 MAX_DENSE_BYTES = 2 * 1024**3
 
-# Largest quasi-energy and average-energy error bound a certified cutoff may
-# carry (`_truncation_bounds`); a fixed cutoff above it warns.
+# Largest quasi-energy error bound and average-energy error estimate a
+# certified cutoff may carry (`_truncation_bounds`); a fixed cutoff above it
+# warns.
 QUASI_TOL = 1e-9
 
 # Largest cutoff M the doubling loop of `certify_truncation` tries.
@@ -665,7 +666,14 @@ class Spectrum:
         return [t.mode for t in self.triplets]
 
     def to_json_dict(self) -> dict:
-        return {"states": [_record(t) for t in self.triplets], "metadata": self.metadata}
+        """States and metadata as strict JSON data: a non-finite metadata
+        value (the infinite truncation figures of a cutoff with no gap) is
+        written as None."""
+        metadata = {
+            key: None if isinstance(value, float) and not np.isfinite(value) else value
+            for key, value in self.metadata.items()
+        }
+        return {"states": [_record(t) for t in self.triplets], "metadata": metadata}
 
     @staticmethod
     def from_json_dict(payload: dict) -> "Spectrum":
@@ -831,10 +839,10 @@ def solve_at_truncation(
 ) -> Spectrum:
     """Solve the eigentriplet spectrum at a fixed harmonic cutoff.
 
-    metadata["eps_bound"] and metadata["ebar_bound"] bound how far the
-    truncation moved the quasi-energies and average energies (see
-    `_truncation_bounds`); they are reported here, and checked by
-    `solve_spectrum`.
+    metadata["eps_bound"] bounds how far the truncation moved the
+    quasi-energies and metadata["ebar_estimate"] estimates how far it moved
+    the average energies (see `_truncation_bounds`); they are reported here,
+    and checked by `solve_spectrum`.
     """
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     # S is not held past the eigensolve: the later stages apply it through
@@ -852,14 +860,15 @@ def solve_at_truncation(
         "model_hash": model_hash(h),
     }
     spectrum = resolve_degeneracies(groups, h, metadata)
-    eps_bound, ebar_bound = _truncation_bounds(h, spectrum)
+    eps_bound, ebar_estimate = _truncation_bounds(h, spectrum)
     spectrum.metadata["eps_bound"] = eps_bound
-    spectrum.metadata["ebar_bound"] = ebar_bound
+    spectrum.metadata["ebar_estimate"] = ebar_estimate
     return spectrum
 
 
 def _truncation_bounds(h: FourierHamiltonian, spectrum: Spectrum) -> tuple[float, float]:
-    """Bounds on the quasi-energy and average-energy error of the cutoff M.
+    """Bound on the quasi-energy error of the cutoff M, and estimate of its
+    average-energy error.
 
     Each mode x is padded with K = max harmonic zero blocks on each side
     and S is applied once to all of them: that is the untruncated S_inf x,
@@ -888,7 +897,8 @@ def _truncation_bounds(h: FourierHamiltonian, spectrum: Spectrum) -> tuple[float
     raw eigenvalues, within the group's `residual` of those Ritz values:
     that spread is tol_deg's, not M's.
 
-    The average-energy bound is the estimate 2 (M + K) max_C w_C / omega.
+    The average-energy figure is the estimate 2 (M + K) max_C w_C / omega,
+    not a bound.
     Ebar = <S> - omega <N> on any mode.  The leak moves weight past
     |p| = M, where the diagonal p omega lies about omega or more from the
     eigenvalue: about w_C / omega^2 of weight, which moves the centroid
@@ -901,8 +911,8 @@ def _truncation_bounds(h: FourierHamiltonian, spectrum: Spectrum) -> tuple[float
     model, M = 1 and 2 on the 6-site ring), where it is 1e-4 or more.
 
     A cluster with no gap (delta_C at most its own radius: a lone cluster
-    that overlaps its own replica) gets infinite bounds.  Returns the
-    largest bound of each kind over the clusters.
+    that overlaps its own replica) gets an infinite bound and estimate.
+    Returns the largest bound and the largest estimate over the clusters.
     """
     truncation = spectrum.metadata["truncation"]
     reach = h.max_harmonic
@@ -985,29 +995,19 @@ def _cluster_positions(ends: np.ndarray, count: int) -> list[np.ndarray]:
     return [(s + np.arange((e - s) % count + 1)) % count for s, e in zip(starts, ends)]
 
 
-def _cluster_deltas(gaps, ends, weights, idx=None) -> np.ndarray:
-    """The delta of each cluster (or of those in idx): the smaller of the
-    gaps on its two sides, each minus the radius sqrt(weight) of the
-    cluster beyond it (itself, when it is the only one)."""
-    n = ends.size
-    idx = np.arange(n) if idx is None else np.asarray(idx)
-    right = gaps[ends]
-    rho = np.sqrt(weights)
-    return np.minimum(right[idx] - rho[(idx + 1) % n], right[idx - 1] - rho[idx - 1])
-
-
 def _cluster_bounds(gaps, ends, weights, idx=None) -> np.ndarray:
-    """weight / delta of each cluster (or of those in idx), infinite where
-    the cluster has no gap: delta at most its own radius, which only a lone
+    """weight / delta of each cluster (or of those in idx), delta the smaller
+    of the gaps on its two sides, each minus the radius sqrt(weight) of the
+    cluster beyond it (itself, when it is the only one).  Infinite where the
+    cluster has no gap: delta at most its own radius, which only a lone
     cluster that overlaps its own replica can have once the clusters that
     must merge have merged."""
-    delta = _cluster_deltas(gaps, ends, weights, idx)
-    return _bound_of(weights if idx is None else weights[idx], delta)
-
-
-def _bound_of(weights, delta):
-    gapped = delta > np.sqrt(weights)
-    return np.where(gapped, weights / np.where(gapped, delta, 1.0), np.inf)
+    n = ends.size
+    idx = np.arange(n) if idx is None else np.asarray(idx)
+    right, rho = gaps[ends], np.sqrt(weights)
+    delta = np.minimum(right[idx] - rho[(idx + 1) % n], right[idx - 1] - rho[idx - 1])
+    gapped = delta > rho[idx]
+    return np.where(gapped, weights[idx] / np.where(gapped, delta, 1.0), np.inf)
 
 
 def _overlaps(gaps, ends, weights) -> np.ndarray:
@@ -1038,42 +1038,25 @@ def _joined(ends, weights, a):
     """The clusters with a joined to the next one (the first one, for the
     last), and the index of the joined cluster."""
     joined = a if a < ends.size - 1 else 0
-    merged = np.delete(weights, a)
+    merged = np.concatenate((weights[:a], weights[a + 1 :]))
     merged[joined] += weights[a]
-    return np.delete(ends, a), merged, joined
+    return np.concatenate((ends[:a], ends[a + 1 :])), merged, joined
 
 
 def _lowers_bound(gaps, ends, weights) -> np.ndarray:
     """Whether joining each cluster a to the next lowers the largest bound
     among the clusters the join touches: a - 1, the joined one, a + 2."""
     n = ends.size
-    if n < 4:  # a - 1 and a + 2 coincide with each other or with the join
-        helps = []
-        for a in range(n):
-            before = _cluster_bounds(gaps, ends, weights, [(a + k) % n for k in (-1, 0, 1, 2)])
-            new_ends, new_weights, j = _joined(ends, weights, a)
-            after = _cluster_bounds(
-                gaps, new_ends, new_weights, [(j + k) % (n - 1) for k in (-1, 0, 1)]
-            )
-            helps.append(after.max() < before.max())
-        return np.array(helps)
-
-    idx = np.arange(n)
-
-    def at(v, k):  # at(v, k)[a] = v[a + k]
-        return v[(idx + k) % n]
-
-    right, rho = gaps[ends], np.sqrt(weights)
     bounds = _cluster_bounds(gaps, ends, weights)
-    before = np.max([at(bounds, k) for k in (-1, 0, 1, 2)], axis=0)
-    joined = weights + at(weights, 1)
-    radius = np.sqrt(joined)
-    after = np.max([
-        _bound_of(joined, np.minimum(at(right, 1) - at(rho, 2), at(right, -1) - at(rho, -1))),
-        _bound_of(at(weights, -1), np.minimum(at(right, -1) - radius, at(right, -2) - at(rho, -2))),
-        _bound_of(at(weights, 2), np.minimum(at(right, 2) - at(rho, 3), at(right, 1) - radius)),
-    ], axis=0)
-    return after < before
+    helps = []
+    for a in range(n):
+        before = bounds[[(a + k) % n for k in (-1, 0, 1, 2)]].max()
+        new_ends, new_weights, j = _joined(ends, weights, a)
+        after = _cluster_bounds(
+            gaps, new_ends, new_weights, [(j + k) % (n - 1) for k in (-1, 0, 1)]
+        )
+        helps.append(after.max() < before)
+    return np.array(helps)
 
 
 def _merge_clusters(gaps, ends, weights):
@@ -1090,14 +1073,14 @@ def _merge_clusters(gaps, ends, weights):
 
 
 def certify_truncation(h: FourierHamiltonian) -> int:
-    """Smallest certified cutoff: double M until the truncation bounds hold.
+    """Smallest certified cutoff: double M until the truncation figures hold.
 
     Starting from the largest harmonic index of the model (at least 1),
-    returns the first M at which both bounds of `_truncation_bounds`, on
-    every quasi-energy and every average energy, are below QUASI_TOL, and
-    raises TruncationError when none up to MAX_TRUNCATION is.  The harmonic
-    cutoff is the one approximation in the whole construction, so it is
-    certified rather than guessed.
+    returns the first M at which the quasi-energy bound and the
+    average-energy estimate of `_truncation_bounds` are both below
+    QUASI_TOL, and raises TruncationError when none up to MAX_TRUNCATION
+    is.  The harmonic cutoff is the one approximation in the whole
+    construction, so it is certified rather than guessed.
     """
     return _certified_spectrum(h, None).metadata["truncation"]
 
@@ -1115,12 +1098,12 @@ def _certified_spectrum(h: FourierHamiltonian, tol_deg: float | None) -> Spectru
                 return spectrum
         m *= 2
     raise TruncationError(
-        f"truncation bounds did not fall below {QUASI_TOL} up to M={MAX_TRUNCATION}"
+        f"truncation error figures did not fall below {QUASI_TOL} up to M={MAX_TRUNCATION}"
     )
 
 
 def _bound(spectrum: Spectrum) -> float:
-    return max(spectrum.metadata["eps_bound"], spectrum.metadata["ebar_bound"])
+    return max(spectrum.metadata["eps_bound"], spectrum.metadata["ebar_estimate"])
 
 
 def solve_spectrum(
@@ -1130,8 +1113,8 @@ def solve_spectrum(
 ) -> Spectrum:
     """Full pipeline: diagonalize, select, resolve; 'auto' returns the
     certifying solve, so the certified cutoff is solved once.  A fixed
-    cutoff whose truncation bound exceeds QUASI_TOL is solved all the same,
-    with a RuntimeWarning."""
+    cutoff whose eps bound or Ebar estimate exceeds QUASI_TOL is solved all
+    the same, with a RuntimeWarning."""
     auto = truncation == "auto"
     if auto:
         spectrum = _certified_spectrum(h, tol_deg)
@@ -1139,9 +1122,9 @@ def solve_spectrum(
         spectrum = solve_at_truncation(h, int(truncation), tol_deg)
         if not _bound(spectrum) < QUASI_TOL:
             warnings.warn(
-                f"truncation M={truncation} is below convergence: error bound "
-                f"{_bound(spectrum):.3e} (eps {spectrum.metadata['eps_bound']:.3e}, "
-                f"ebar {spectrum.metadata['ebar_bound']:.3e}) exceeds {QUASI_TOL:.0e}; "
+                f"truncation M={truncation} is below convergence: eps bound "
+                f"{spectrum.metadata['eps_bound']:.3e}, ebar estimate "
+                f"{spectrum.metadata['ebar_estimate']:.3e}, limit {QUASI_TOL:.0e}; "
                 f"increase M",
                 RuntimeWarning,
                 stacklevel=2,

@@ -62,6 +62,23 @@ def test_solve_json_round_trip_bitwise(tmp_path):
     assert payload == again
 
 
+def test_solve_without_a_gap_writes_strict_json(tmp_path):
+    # at M = 3 this model's one cluster overlaps its own replica: both
+    # truncation figures are infinite and are written as null
+    out = tmp_path / "run"
+    argv = ["solve", "--builtin", "two_level_linear", "--param", "v=2.5",
+            "--param", "omega=0.9", "--harmonics", "3", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="M=3 is below convergence"):
+        assert main(argv) == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    payload = json.loads((out / "spectrum.json").read_text(), parse_constant=reject)
+    assert payload["metadata"]["eps_bound"] is None
+    assert payload["metadata"]["ebar_estimate"] is None
+
+
 def test_solve_from_explicit_harmonics_file(tmp_path):
     h = ft.builtin_model("two_level_circular")
     path = tmp_path / "model.json"

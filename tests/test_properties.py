@@ -100,13 +100,13 @@ def test_reported_residuals_and_average_energies_match_dense_matrices(h, loose):
 @settings(max_examples=25, deadline=None)
 @given(h=driven_models())
 def test_certified_spectrum_is_within_its_bounds(h):
-    # the quasi-energy bound is Kato-Temple's; the average-energy bound is an
-    # estimate, and this is where it is checked on models nobody picked
+    # the quasi-energy bound is Kato-Temple's; the average-energy figure is
+    # an estimate, and this is where it is checked on models nobody picked
     spec = ft.solve_spectrum(h, "auto")
-    eps_bound, ebar_bound = spec.metadata["eps_bound"], spec.metadata["ebar_bound"]
-    assert max(eps_bound, ebar_bound) < sambe.QUASI_TOL
+    eps_bound, ebar_estimate = spec.metadata["eps_bound"], spec.metadata["ebar_estimate"]
+    assert max(eps_bound, ebar_estimate) < sambe.QUASI_TOL
     again = sambe.solve_at_truncation(h, 2 * spec.metadata["truncation"])
-    assert_same_triplets(spec, again, h.omega, eps_bound + 1e-12, ebar_bound + 1e-12)
+    assert_same_triplets(spec, again, h.omega, eps_bound + 1e-12, ebar_estimate + 1e-12)
 
 
 @settings(max_examples=50, deadline=None)
