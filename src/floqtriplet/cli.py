@@ -76,10 +76,7 @@ def _resolve_model(args) -> FourierHamiltonian:
     if bool(args.model) == bool(args.builtin):
         raise ModelError("give exactly one of --model or --builtin")
     if args.model:
-        path = Path(args.model)
-        if not path.exists():
-            raise ModelError(f"model file not found: {path}")
-        h = load_model(str(path))
+        h = load_model(args.model)
     else:
         h = builtin_model(args.builtin, _parse_params(args.param))
     _check_harmonics(args, h)

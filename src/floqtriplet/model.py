@@ -312,8 +312,13 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
 
 
 def load_model(path: str) -> FourierHamiltonian:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    """The model in a JSON file; a file that cannot be read is a ModelError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ModelError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
+    return from_json_dict(payload)
 
 
 def model_hash(h: FourierHamiltonian) -> str:

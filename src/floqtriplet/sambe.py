@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg
@@ -870,35 +871,38 @@ def _truncation_bounds(h: FourierHamiltonian, spectrum: Spectrum) -> tuple[float
     """Bound on the quasi-energy error of the cutoff M, and estimate of its
     average-energy error.
 
-    Each mode x is padded with K = max harmonic zero blocks on each side
-    and S is applied once to all of them: that is the untruncated S_inf x,
-    since S_inf x vanishes past |p| = M + K.  Per degenerate group X with
-    H_X = X^H S X, the residual R = S_inf X - X H_X holds the in-window
-    residual of the group's subspace and the leak into |p| > M; r_i is the
-    norm of its column i.  The grouping by tol_deg is not part of it: a
-    group's subspace, not each member, is what the eigensolve resolved.
-
     S_inf is Hermitian with spectrum {eps_j + k omega}, d values per
-    period.  The folded eps are clustered on the circle: neighbours whose
-    hulls, widened by their radii rho_C, overlap must merge, so that each
-    cluster holds as many exact quasi-energies per period as states, all
-    within rho_C of its Ritz values (Kahan's theorem; rho_C^2 = w_C, the
-    weight below).  Neighbours also merge when that lowers the largest
-    bound among the clusters the merge touches.  Kato-Temple for the
-    cluster (Kato 1949; Temple 1928; Parlett ch. 11) then bounds the
-    distance from its Ritz values to those quasi-energies by w_C / delta_C,
-    where delta_C is the gap from the cluster to the nearest outside
-    cluster minus that cluster's radius, wrap-aware; the neighbour across
-    the seam may be the cluster's own replica at omega, as for d = 1.  The
-    weight w_C is sum_C r_i^2 for a cluster of one group; a cluster of
-    several takes each member on the replica nearest the first member's
-    raw eigenvalue, and w_C = ||S_inf Q - Q Q^H S_inf Q||_F^2 for an
-    orthonormal basis Q of them.  A group reports the mean of its members'
-    raw eigenvalues, within the group's `residual` of those Ritz values:
-    that spread is tol_deg's, not M's.
+    period.  The folded eps are unrolled at their widest gap on the circle,
+    so that no cluster of them crosses the cut, and each mode x is taken on
+    the replica whose raw eigenvalue is its unrolled eps, padded with
+    K + |shift| zero blocks on each side (K = max harmonic): one application
+    of S to all of them is the untruncated S_inf X.  With
+    Y = S_inf X - X diag(eps), G = X^H X, A = X^H Y and B = Y^H Y, a run C
+    of neighbouring states has the weight
+    w_C = tr(G_C^-1 B_C) - tr(G_C^-1 A_C^H G_C^-1 A_C) = ||S_inf Q - Q Q^H S_inf Q||_F^2
+    for an orthonormal basis Q of its modes: the in-window residual of that
+    subspace plus its leak into |p| > M.  Y is residual-sized, so the
+    difference does not cancel.  Its Ritz values are those of Q^H S_inf Q.
 
-    The average-energy figure is the estimate 2 (M + K) max_C w_C / omega,
-    not a bound.
+    The clusterings tried are the single-linkage levels of the unrolled
+    eps, one per gap, and the level where every state stands alone.  A
+    level whose neighbouring clusters overlap, their Ritz values widened by
+    the radii rho_C = sqrt(w_C), is skipped; in the others each cluster
+    holds as many exact quasi-energies per period as states, within rho_C
+    of its Ritz values (Kahan's theorem), and Kato-Temple (Kato 1949;
+    Temple 1928; Parlett ch. 11) bounds their distance from its Ritz values
+    by w_C / delta_C, delta_C the gap to the nearest outside cluster minus
+    that cluster's radius; across the seam the neighbour may be the
+    cluster's own replica at omega, as for d = 1.  A state reports the Ritz
+    value of its degenerate group, not of its cluster, and below
+    convergence the groups of a cluster couple: the bound adds the largest
+    distance between the cluster's sorted Ritz values and its groups'.  The
+    level with the smallest bound is kept.  A group reports the mean of its
+    members' raw eigenvalues, within the group's `residual` of its Ritz
+    values: that spread is tol_deg's, not M's.
+
+    The average-energy figure is the estimate 2 (M + K) max_C w_C / omega
+    of the kept level, not a bound.
     Ebar = <S> - omega <N> on any mode.  The leak moves weight past
     |p| = M, where the diagonal p omega lies about omega or more from the
     eigenvalue: about w_C / omega^2 of weight, which moves the centroid
@@ -910,166 +914,78 @@ def _truncation_bounds(h: FourierHamiltonian, spectrum: Spectrum) -> tuple[float
     convergence it can fall short, by up to 3.5 times (M = 2 on a random
     model, M = 1 and 2 on the 6-site ring), where it is 1e-4 or more.
 
-    A cluster with no gap (delta_C at most its own radius: a lone cluster
-    that overlaps its own replica) gets an infinite bound and estimate.
-    Returns the largest bound and the largest estimate over the clusters.
+    When every level overlaps (a lone cluster that overlaps its own
+    replica) nothing bounds the error: both figures are infinite.
     """
-    truncation = spectrum.metadata["truncation"]
-    reach = h.max_harmonic
-    count = len(spectrum)
-    nb = 2 * truncation + 1
-    coeffs = np.stack([t.mode.coeffs for t in spectrum])
-    raw = np.array([t.quasi_energy_raw for t in spectrum])
-    gids = np.array([t.group_id for t in spectrum])
-
-    def padded(members, shifts):
-        """The members' modes as columns, each shifted by -k harmonics, with
-        room for the shift plus K zero blocks on each side."""
-        pad = reach + int(np.abs(shifts).max())
-        x = np.zeros((len(members), nb + 2 * pad, h.dim), dtype=complex)
-        for row, (i, k) in enumerate(zip(members, shifts)):
-            x[row, pad - k : pad - k + nb] = coeffs[i]
-        return x.reshape(len(members), -1).T
-
-    # the residual of each group's subspace; a singleton's H_X is its
-    # Rayleigh quotient, for all of them from one product
-    x = padded(range(count), np.zeros(count, dtype=int))
-    sx = _apply_blocks(h, x, h.omega)
-    residual = sx - np.real(np.sum(x.conj() * sx, axis=0)) * x
-    for gid in {t.group_id for t in spectrum if t.group_size > 1}:
-        cols = np.flatnonzero(gids == gid)
-        residual[:, cols] = sx[:, cols] - x[:, cols] @ (x[:, cols].conj().T @ sx[:, cols])
-    r2 = np.sum(np.abs(residual) ** 2, axis=0)
-
-    def cluster_weights(ends):
-        """sum_C r_i^2 for a cluster of one group, which is orthonormal as it
-        stands; for one of several, ||S_inf Q - Q Q^H S_inf Q||_F^2 with Q an
-        orthonormal basis of the members, each on the replica whose raw
-        eigenvalue lies nearest the first member's.  One application of S
-        serves every such Q."""
-        clusters = [order[p] for p in _cluster_positions(ends, count)]
-        weights = np.array([r2[c].sum() for c in clusters])
-        mixed = [a for a, c in enumerate(clusters) if np.unique(gids[c]).size > 1]
-        if not mixed:
-            return weights
-        members = np.concatenate([clusters[a] for a in mixed])
-        shifts = np.concatenate(
-            [np.round((raw[clusters[a]] - raw[clusters[a][0]]) / h.omega) for a in mixed]
-        ).astype(int)
-        x = padded(members, shifts)
-        cuts = np.cumsum([0] + [clusters[a].size for a in mixed])
-        spans = list(zip(cuts[:-1], cuts[1:]))
-        q = np.concatenate([np.linalg.qr(x[:, s:e])[0] for s, e in spans], axis=1)
-        sq = _apply_blocks(h, q, h.omega)
-        for a, (s, e) in zip(mixed, spans):
-            qa, sqa = q[:, s:e], sq[:, s:e]
-            weights[a] = np.sum(np.abs(sqa - qa @ (qa.conj().T @ sqa)) ** 2)
-        return weights
-
+    omega, truncation, reach = h.omega, spectrum.metadata["truncation"], h.max_harmonic
     eps = spectrum.quasi_energies
     order = np.argsort(eps, kind="stable")
     values = eps[order]
-    # gaps[i] runs from sorted value i to the next, the last across the seam
-    gaps = np.append(np.diff(values), values[0] + h.omega - values[-1])
-    ends, weights = np.arange(count), r2[order]
-    while True:
-        ends, weights = _merge_clusters(gaps, ends, weights)
-        weights = cluster_weights(ends)
-        if ends.size == 1 or not _overlaps(gaps, ends, weights).any():
-            break
-    eps_bound = float(_cluster_bounds(gaps, ends, weights).max())
-    if eps_bound == np.inf:
-        return eps_bound, eps_bound
-    return eps_bound, float(2 * (truncation + reach) * weights.max() / h.omega)
+    cut = int(np.argmax(np.append(np.diff(values), values[0] + omega - values[-1]))) + 1
+    order = np.roll(order, -cut)
+    unrolled = np.concatenate([values[cut:] - omega, values[:cut]])
+    raw = np.array([spectrum[i].quasi_energy_raw for i in order])
+    shifts = np.round((raw - unrolled) / omega).astype(int).tolist()
+    pad = reach + max(map(abs, shifts))
+    nb = 2 * truncation + 1
+    x = np.zeros((len(order), nb + 2 * pad, h.dim), dtype=complex)
+    for row, (i, k) in enumerate(zip(order, shifts)):
+        x[row, pad - k : pad - k + nb] = spectrum[i].mode.coeffs
+    x = x.reshape(len(order), -1).T
+    y = _apply_blocks(h, x, omega) - x * unrolled
+    gram, cross, resid = x.conj().T @ x, x.conj().T @ y, y.conj().T @ y
 
+    blocks = np.stack([cross, resid, cross + gram * unrolled])  # A, B, X^H S_inf X
 
-# --- clusters of folded quasi-energies on the circle ------------------------
-#
-# A cluster is a run of the sorted folded values, held by the sorted position
-# it ends at (`ends`, ascending) and by its weight sum r^2; the gap after it,
-# gaps[end], runs to the next cluster, the last one across the zone seam.
+    def runs(breaks):
+        """The runs (first, last) of unrolled positions, broken after each
+        position where breaks is true."""
+        lasts = np.append(np.flatnonzero(breaks), len(order) - 1)
+        return list(zip(np.append(0, lasts[:-1] + 1).tolist(), lasts.tolist()))
 
-def _cluster_positions(ends: np.ndarray, count: int) -> list[np.ndarray]:
-    """Sorted positions of each cluster; the first may run across the seam."""
-    starts = (np.roll(ends, 1) + 1) % count
-    return [(s + np.arange((e - s) % count + 1)) % count for s, e in zip(starts, ends)]
+    # the clusterings, joined by gaps <= tol; a degenerate group is a run
+    # too, as its members share one eps
+    steps = np.diff(unrolled)
+    levels = [runs(steps > tol) for tol in [-np.inf, *sorted(set(steps.tolist()))]]
+    groups = runs(np.diff([spectrum[i].group_id for i in order]) != 0)
 
+    # w_C and the Ritz values of every run, in the orthonormal basis
+    # X_C V s^-1/2 of its span (G_C = V diag(s) V^H), batched by length
+    ritz = {}
+    every = sorted(set(groups).union(*levels), key=lambda r: r[1] - r[0])
+    for size, batch in groupby(every, key=lambda r: r[1] - r[0] + 1):
+        batch = list(batch)
+        idx = np.array([first for first, _ in batch])[:, None] + np.arange(size)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        scales, vecs = np.linalg.eigh(gram[rows, cols])
+        basis = vecs / np.sqrt(scales)[:, None, :]
+        a, b, sq = np.swapaxes(basis, -1, -2).conj() @ blocks[:, rows, cols] @ basis
+        w = np.trace(b, axis1=-2, axis2=-1).real - np.sum(np.abs(a) ** 2, axis=(-2, -1))
+        ritz.update(zip(batch, zip(np.maximum(w, 0.0), np.linalg.eigvalsh(sq))))
+    # each state reports its group's Ritz value; a cluster's Ritz values lie
+    # up to `split` from those
+    own = np.concatenate([ritz[group][1] for group in groups])
+    figures = {}
+    for (first, last), (w, theta) in ritz.items():
+        split = np.abs(theta - sorted(own[first : last + 1])).max()
+        figures[first, last] = (w, theta[0], theta[-1], split)
 
-def _cluster_bounds(gaps, ends, weights, idx=None) -> np.ndarray:
-    """weight / delta of each cluster (or of those in idx), delta the smaller
-    of the gaps on its two sides, each minus the radius sqrt(weight) of the
-    cluster beyond it (itself, when it is the only one).  Infinite where the
-    cluster has no gap: delta at most its own radius, which only a lone
-    cluster that overlaps its own replica can have once the clusters that
-    must merge have merged."""
-    n = ends.size
-    idx = np.arange(n) if idx is None else np.asarray(idx)
-    right, rho = gaps[ends], np.sqrt(weights)
-    delta = np.minimum(right[idx] - rho[(idx + 1) % n], right[idx - 1] - rho[idx - 1])
-    gapped = delta > rho[idx]
-    return np.where(gapped, weights[idx] / np.where(gapped, delta, 1.0), np.inf)
-
-
-def _overlaps(gaps, ends, weights) -> np.ndarray:
-    """Whether each cluster and the next one overlap, widened by their radii."""
-    rho = np.sqrt(weights)
-    return gaps[ends] <= rho + rho[(np.arange(rho.size) + 1) % rho.size]
-
-
-def _join_overlapping(gaps, ends, weights):
-    """Join every cluster to the next one it overlaps, until none does; a
-    single cluster left ends before the widest gap."""
-    while ends.size > 1:
-        keep = ~_overlaps(gaps, ends, weights)
-        if keep.all():
-            break
-        if not keep.any():
-            return ends[[np.argmax(gaps[ends])]], np.array([weights.sum()])
-        # each kept cut closes a run of clusters; the runs after the last
-        # kept cut wrap around to the first
-        kept = np.flatnonzero(keep)
-        sums = np.diff(np.concatenate([[0.0], np.cumsum(weights)[kept]]))
-        sums[0] += weights[kept[-1] + 1 :].sum()
-        ends, weights = ends[kept], sums
-    return ends, weights
-
-
-def _joined(ends, weights, a):
-    """The clusters with a joined to the next one (the first one, for the
-    last), and the index of the joined cluster."""
-    joined = a if a < ends.size - 1 else 0
-    merged = np.concatenate((weights[:a], weights[a + 1 :]))
-    merged[joined] += weights[a]
-    return np.concatenate((ends[:a], ends[a + 1 :])), merged, joined
-
-
-def _lowers_bound(gaps, ends, weights) -> np.ndarray:
-    """Whether joining each cluster a to the next lowers the largest bound
-    among the clusters the join touches: a - 1, the joined one, a + 2."""
-    n = ends.size
-    bounds = _cluster_bounds(gaps, ends, weights)
-    helps = []
-    for a in range(n):
-        before = bounds[[(a + k) % n for k in (-1, 0, 1, 2)]].max()
-        new_ends, new_weights, j = _joined(ends, weights, a)
-        after = _cluster_bounds(
-            gaps, new_ends, new_weights, [(j + k) % (n - 1) for k in (-1, 0, 1)]
-        )
-        helps.append(after.max() < before)
-    return np.array(helps)
-
-
-def _merge_clusters(gaps, ends, weights):
-    """Join the clusters that must merge, then those whose join lowers the
-    bound, smallest gap first, until no join is left."""
-    ends, weights = _join_overlapping(gaps, ends, weights)
-    while ends.size > 1:
-        helps = np.flatnonzero(_lowers_bound(gaps, ends, weights))
-        if not helps.size:
-            break
-        a = helps[np.argmin(gaps[ends[helps]])]
-        ends, weights, _ = _joined(ends, weights, a)
-    return ends, weights
+    best = (np.inf, np.inf)
+    for level in levels:
+        w, lo, hi, split = np.array([figures[run] for run in level]).T
+        rho = np.sqrt(w)
+        # gaps[a] runs from cluster a to the next, the last to the first's
+        # replica; each neighbour's exact values lie within its radius
+        gaps = np.append(lo[1:], lo[0] + omega) - hi
+        rho_next = np.append(rho[1:], rho[0])
+        if np.any(gaps <= rho + rho_next):
+            continue
+        gaps_prev, rho_prev = np.append(gaps[-1], gaps[:-1]), np.append(rho[-1], rho[:-1])
+        delta = np.minimum(gaps - rho_next, gaps_prev - rho_prev)
+        bound = float((w / delta + split).max())
+        if bound < best[0]:
+            best = (bound, float(2 * (truncation + reach) * w.max() / omega))
+    return best
 
 
 def certify_truncation(h: FourierHamiltonian) -> int:

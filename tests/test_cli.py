@@ -98,6 +98,23 @@ def test_solve_missing_model_file_exits_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--model", "{dir}"],  # a directory where the model file should be
+        ["perturb", "--builtin", "static", "--pert-model", "{dir}/absent.json"],
+    ],
+)
+def test_unreadable_model_file_exits_config(tmp_path, capsys, argv):
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert f"cannot read model file {argv[-1]}" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "harmonics",
     [
         {"0": 1},  # a mapping instead of a list of entries

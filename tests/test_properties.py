@@ -109,6 +109,32 @@ def test_certified_spectrum_is_within_its_bounds(h):
     assert_same_triplets(spec, again, h.omega, eps_bound + 1e-12, ebar_estimate + 1e-12)
 
 
+def eps_distance(a, b, omega):
+    """Largest wrap distance between the folded quasi-energies of two
+    spectra under the best one-to-one matching, which on the circle is one
+    of the cyclic matchings of their sorted values."""
+    x, y = np.sort(a.quasi_energies), np.sort(b.quasi_energies)
+    return min(ft.wrap_distance(x, np.roll(y, r), omega).max() for r in range(y.size))
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=st.booleans().flatmap(lambda real: driven_models(real=real)))
+def test_eps_bound_holds_below_convergence(h):
+    # the first two rungs of the doubling loop, where the bound is loose or
+    # infinite; a rung whose replica selection fails reports no bound
+    reference = sambe.solve_at_truncation(h, 32)
+    start = max(1, h.max_harmonic)
+    for truncation in (start, 2 * start):
+        try:
+            spec = sambe.solve_at_truncation(h, truncation)
+        except ft.TruncationError:
+            continue
+        eps_bound = spec.metadata["eps_bound"]
+        if np.isfinite(eps_bound):
+            tol = eps_bound + reference.metadata["eps_bound"] + 1e-12
+            assert eps_distance(spec, reference, h.omega) <= tol
+
+
 @settings(max_examples=50, deadline=None)
 @given(h=driven_models(real=True), tau=st.floats(min_value=0.05, max_value=0.95))
 def test_real_model_matches_its_time_shifted_complex_copy(h, tau):

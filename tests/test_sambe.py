@@ -320,19 +320,35 @@ def test_cluster_without_a_gap_has_an_infinite_bound():
     assert spec.metadata["eps_bound"] == spec.metadata["ebar_estimate"] == np.inf
 
 
-BOUND_CASES = [(name, {}) for name in BUILTIN_NAMES] + [
-    ("two_level_linear", {"v": 2.5, "omega": 0.9}),
+# each case with the cutoff M that certifies it: no rung later than this
+BOUND_CASES = [
+    ("static", {}, 1),
+    ("two_level_circular", {}, 1),
+    ("two_level_linear", {}, 4),
+    ("driven_ring", {}, 4),
+    ("two_level_linear", {"v": 2.5, "omega": 0.9}, 16),
 ] + [
     # the benchmark's ring corners: solve-large, compare-oracle, variational-ground
-    ("driven_ring", {"sites": sites, "v": v, "omega": omega})
-    for sites in (3, 6, 48) for v in (0.45, 0.55) for omega in (2.2, 2.4)
+    ("driven_ring", {"sites": sites, "v": v, "omega": omega}, certified)
+    for sites, certified_at in (
+        (3, {(0.45, 2.2): 4, (0.45, 2.4): 4, (0.55, 2.2): 8, (0.55, 2.4): 4}),
+        (6, {(0.45, 2.2): 8, (0.45, 2.4): 4, (0.55, 2.2): 8, (0.55, 2.4): 4}),
+        (48, {(0.45, 2.2): 4, (0.45, 2.4): 4, (0.55, 2.2): 4, (0.55, 2.4): 4}),
+    )
+    for (v, omega), certified in certified_at.items()
 ]
 
 
-@pytest.mark.parametrize("name, params", BOUND_CASES)
-def test_certified_spectrum_is_within_its_bounds(name, params):
+@pytest.mark.parametrize(
+    "name, params, certified",
+    BOUND_CASES,
+    # the ids the cases had before the certified M joined them
+    ids=[f"{name}-params{i}" for i, (name, _, _) in enumerate(BOUND_CASES)],
+)
+def test_certified_spectrum_is_within_its_bounds(name, params, certified):
     h = ft.builtin_model(name, params)
     spec = ft.solve_spectrum(h, "auto")
+    assert spec.metadata["truncation"] == certified
     eps_bound, ebar_estimate = spec.metadata["eps_bound"], spec.metadata["ebar_estimate"]
     assert max(eps_bound, ebar_estimate) < sambe.QUASI_TOL
     again = ft.solve_spectrum(h, 2 * spec.metadata["truncation"])
