@@ -144,6 +144,15 @@ class FourierHamiltonian:
         return rates, stack
 
     @cached_property
+    def _spectral_reach(self) -> tuple[float, float, float]:
+        # (lambda_min(H_0), lambda_max(H_0), sum_{m != 0} ||H_m||_2): the part
+        # of the Sambe energy window that depends on the model alone
+        h0 = self.harmonics.get(0, np.zeros((self.dim, self.dim)))
+        levels = np.linalg.eigvalsh(h0)
+        drive = sum(np.linalg.norm(mat, 2) for m, mat in self.harmonics.items() if m != 0)
+        return float(levels[0]), float(levels[-1]), drive
+
+    @cached_property
     def _hash(self) -> str:
         # cached per instance: the harmonics are a read-only mapping of
         # write-protected arrays, so the serialized model never changes

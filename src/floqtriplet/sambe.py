@@ -32,52 +32,37 @@ eigenspace of S with raw eigenvalue lam the average energy is
 
 The kept replica has centroid <N> in [-1/2, 1/2), and its Ebar = <T> lies
 inside the instantaneous spectrum of H(t), because T is a compression of
-multiplication by H(t).  Weyl's inequality bounds that spectrum by
-[lambda_min(H_0) - D, lambda_max(H_0) + D] with D = sum_{m != 0} ||H_m||_2,
-so every raw eigenvalue that can hold a kept replica lies within
-omega/2 of that range.  The one dense eigensolve per cutoff therefore
-computes only the eigenpairs inside this window (LAPACK MRRR), padded
-so that no tol_deg cluster holding a kept replica is cut at an edge (see
-`_energy_window`), and certifies the residuals of those pairs alone.
+multiplication by H(t).  The one dense eigensolve per cutoff (LAPACK MRRR)
+computes only the eigenpairs in the window of raw eigenvalues that this
+allows (`_energy_window`), in real arithmetic when every H_m is real
+(`build_energy_matrix`), and certifies their residuals.
 
-When every harmonic H_m is real, H(t)* = H(-t) (the drive is symmetric
-under time reversal about t = 0) and S is real symmetric: it is built as
-float64 and the one eigh call dispatches to dsyevr, the real MRRR routine,
-at about a quarter of the flops and half the memory of zheevr.  Any
-complex H_m gives a complex128 S.  The model alone decides, in
-`build_energy_matrix`; the dense-memory guard counts complex entries
-either way, which is conservative for a real S.
+Everything after the eigensolve is one pass over arrays (`_rung`), with S
+and T applied through the harmonics, never as n x n matrices:
 
-`select_representatives` then clusters the raw (unfolded)
-eigenvalues, diagonalizes N inside each cluster and keeps, per physical
-state, the one replica with centroid in [-1/2, 1/2); each kept vector x
-carries its own Rayleigh quotient x^H S x as raw eigenvalue.  States whose
-folded quasi-energies coincide are grouped and aligned to one replica, and
-`group_degeneracies` gives every member the mean of the aligned raw
-eigenvalues (the only mean taken).  Each group is resolved by
-diagonalizing the average-energy block
+- selection: raw eigenvalues within tol_deg form clusters; N is
+  diagonalized in each (one product for all single vectors, one batched
+  eigh per larger size) and per physical state the replica with centroid
+  in [-1/2, 1/2) is kept.  T is applied once to the d kept modes X, and
+  S X = T X + omega N X gives each its raw eigenvalue x^H S x.
+- grouping: states whose folded quasi-energies coincide share one replica
+  (its shift and lost weight read from the modes' block weights) and the
+  mean of their aligned raw eigenvalues, the only mean taken; T is applied
+  again only to members moved there.
+- resolution: each group's block Hbar = X_g^H (T X)_g, the one-period
+  average (1/T) int <Phi_i(t)|H(t)|Phi_j(t)> dt, is diagonalized, one
+  batched eigh per group size, and rotates X and T X.
+- certification: `_truncation_bounds` takes S_inf X from that T X.
 
-    Hbar[i, j] = sum_{m,m'} <phi_i^(m)| H_{m-m'} |phi_j^(m')>,
-
-which equals the one-period average (1/T) int <Phi_i(t)|H(t)|Phi_j(t)> dt.
-These later stages work on all states at once and apply S and T through
-the harmonics, never as n x n matrices.  Nearly every cluster and group
-has one member, the 1 x 1 case of its eigh with rotation 1: the centroids
-N|v|^2 of all single-vector clusters come from one product, a singleton
-group keeps its raw eigenvalue with no replica alignment, and eigh runs
-only on clusters and groups of two or more.  One application of S to the
-kept vectors gives every raw eigenvalue and selection residual; one
-application of T to the stacked group members X gives every block
-X_g^H (T X)_g, and with it the residuals ||(T X + omega N X) R - lam X R||
-of the rotated states.  The result is the eigentriplet spectrum (mode,
-quasi-energy, average energy), ordered by average energy.
+Mode and triplet objects are built once, for the returned solve, ordered
+by average energy; `select_representatives`, `group_degeneracies` and
+`resolve_degeneracies` are thin wrappers over the same pass.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from itertools import groupby
 
 import numpy as np
 import scipy.linalg
@@ -112,14 +97,13 @@ MAX_TRUNCATION = 64
 EIGEN_RESIDUAL_TOL = 1e-10
 
 
-def fold_reported(value: float, omega: float) -> float:
+def fold_reported(value, omega: float):
     """Fold with the zone seam snapped: values within 1e-12 * omega below
     omega report as 0.0, so floating-point noise around an integer multiple
-    of omega cannot flip a state across the Brillouin-zone boundary."""
-    f = float(np.mod(value, omega))
-    if omega - f <= 1e-12 * omega:
-        return 0.0
-    return f
+    of omega cannot flip a state across the zone boundary; elementwise on an
+    array."""
+    folded = np.where(omega - np.mod(value, omega) <= 1e-12 * omega, 0.0, np.mod(value, omega))
+    return folded if np.ndim(value) else float(folded)
 
 
 def _resolve_tol_deg(tol_deg: float | None, omega: float) -> float:
@@ -321,16 +305,18 @@ def build_sambe(h: FourierHamiltonian, truncation: int) -> np.ndarray:
 def _apply_blocks(h: FourierHamiltonian, x: np.ndarray, number_weight: float) -> np.ndarray:
     """(T + number_weight * N) @ x through the harmonics: T for weight 0,
     S for weight omega.  x holds stacked coefficients, shape (n,) or (n, k);
-    no n x n matrix is formed."""
+    no n x n matrix is formed; a harmonic with no imaginary part acts as a
+    real matrix, so a real x gives a real result."""
     nb = x.shape[0] // h.dim
     truncation = (nb - 1) // 2
     _require_truncation(h, truncation)
     blocks = x.reshape(nb, h.dim, -1)
-    dtype = np.result_type(x, *h.harmonics.values())  # a real x may meet complex H_m
+    mats = {m: mat.real if not mat.imag.any() else mat for m, mat in h.harmonics.items()}
+    dtype = np.result_type(x, *mats.values())  # a real x may meet complex H_m
     out = (number_weight * np.arange(-truncation, truncation + 1)[:, None, None] * blocks).astype(
         dtype, copy=False
     )
-    for m, mat in h.harmonics.items():
+    for m, mat in mats.items():
         # block row p collects H_m @ phi^(p - m)
         out[max(m, 0) : nb + min(m, 0)] += mat @ blocks[max(-m, 0) : nb - max(m, 0)]
     return out.reshape(x.shape)
@@ -341,17 +327,14 @@ def diagonalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix with a residual certificate.
 
-    LAPACK MRRR (dsyevr for a real symmetric s, zheevr for a complex one;
-    scipy picks by dtype) computes the full spectrum, or with window =
-    (lo, hi) only the eigenpairs with lo < lam <= hi; `solve_at_truncation`
-    passes `_energy_window`, which holds every pair that replica selection
-    can keep.  Returns (eigenvalues ascending, eigenvectors as columns).
-    Residuals ||S v - lam v|| of the returned pairs are checked against
-    EIGEN_RESIDUAL_TOL * max(|lam|, 1), the maximum taken over the returned
-    eigenvalues.  A windowed solve that fails this check is done again on
-    the full spectrum, keeping the pairs inside the window: the windowed
-    MRRR can return a bad pair (on a real S that splits into exactly
-    degenerate blocks) where the full solve of the same S does not.
+    LAPACK MRRR (dsyevr or zheevr, by dtype) computes the full spectrum, or
+    with window = (lo, hi) only the pairs with lo < lam <= hi (each cutoff
+    passes `_energy_window`).  Returns (eigenvalues ascending, eigenvectors
+    as columns), their residuals ||S v - lam v|| checked against
+    EIGEN_RESIDUAL_TOL * max(|lam|, 1) over the returned eigenvalues.  A
+    windowed solve that fails the check is redone on the full spectrum,
+    keeping the pairs in the window: windowed MRRR can return a bad pair, on
+    a real S that splits into exactly degenerate blocks, where that does not.
     """
     s = np.asarray(s)
     herm_defect = np.linalg.norm(s - s.conj().T)
@@ -392,38 +375,30 @@ def _worst_residual(s: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple[
     return float(residuals.max(initial=0.0)), scale
 
 
-def _energy_window(
-    h: FourierHamiltonian, truncation: int, tol_deg: float
-) -> tuple[float, float]:
-    """Raw-eigenvalue window holding every pair `select_representatives` keeps.
+def _energy_window(h: FourierHamiltonian, truncation: int, tol_deg: float) -> tuple[float, float]:
+    """Raw-eigenvalue window holding every pair replica selection keeps.
 
     A kept vector has Ebar inside [E_lo, E_hi] = lambda_min/max(H_0) -+
-    sum_{m != 0} ||H_m||_2 (Weyl) and centroid in [-1/2, 1/2), so its raw
-    eigenvalue lies in [E_lo - omega/2, E_hi + omega/2].  The pad of
-    n*tol_deg + 1e-9*omega covers the 9-decimal centroid rounding and a
-    transitive tol_deg cluster (at most n members) around a kept vector,
-    so no such cluster is cut at an edge.  The members of a cluster that is
-    cut and lie inside the window are still outside the unpadded range, so
-    none of them passes the centroid test.
+    sum_{m != 0} ||H_m||_2 (Weyl, computed once per model) and centroid in
+    [-1/2, 1/2), so its raw eigenvalue lies in [E_lo - omega/2, E_hi +
+    omega/2].  The pad of n*tol_deg + 1e-9*omega covers the 9-decimal
+    centroid rounding and a transitive tol_deg cluster (at most n members)
+    around a kept vector; the members of a cut cluster that lie inside the
+    window are outside the unpadded range, so none passes the centroid test.
     """
-    h0 = h.harmonics.get(0, np.zeros((h.dim, h.dim)))
-    levels = np.linalg.eigvalsh(h0)
-    drive = sum(np.linalg.norm(mat, 2) for m, mat in h.harmonics.items() if m != 0)
+    lowest, highest, drive = h._spectral_reach
     pad = (2 * truncation + 1) * h.dim * tol_deg + 1e-9 * h.omega
     reach = drive + 0.5 * h.omega + pad
-    return float(levels[0] - reach), float(levels[-1] + reach)
+    return lowest - reach, highest + reach
 
 
-# --- representative selection ---------------------------------------------
+# --- the pass after the eigensolve -----------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Representative:
-    """One physical state per Brillouin zone, before degeneracy resolution.
-
+    """One physical state per Brillouin zone, before degeneracy resolution:
     quasi_energy_raw is the Rayleigh quotient x^H S x of the stored mode,
-    the eigenvalue of the selected replica; quasi_energy is its fold into
-    [0, omega).
-    """
+    the eigenvalue of the selected replica, and quasi_energy its fold."""
 
     mode: FloquetMode
     quasi_energy: float
@@ -452,81 +427,70 @@ def _gap_clusters(
     return clusters
 
 
-def _in_zone(centroids: np.ndarray) -> np.ndarray:
-    """Which centroids <N> lie in [-1/2, 1/2), the kept replica's zone."""
-    # round: of seam replicas (centroids -1/2, +1/2 at resonance) keep one
-    centroids = np.round(centroids, 9)
-    return (centroids >= -0.5) & (centroids < 0.5)
+def _select(vals, vecs, h: FourierHamiltonian, truncation: int, tol_deg: float):
+    """`select_representatives` as arrays: the kept modes as normalized
+    complex columns X, T X, the raw eigenvalues and their folds."""
+    number = _number_diagonal(truncation, h.dim)
+    order = np.argsort(vals, kind="stable")
+    firsts = np.append(0, np.flatnonzero(np.diff(vals[order]) > tol_deg) + 1)
+    sizes = np.diff(np.append(firsts, vals.size))
+    parts, keys = [], []
+    for size in sorted(set(sizes.tolist())):
+        first = firsts[sizes == size]
+        basis = vecs.T[order[first[:, None] + np.arange(size)]]  # (clusters, size, n)
+        if size == 1:
+            kept, centroids = basis[:, 0], np.abs(basis[:, 0]) ** 2 @ number
+        else:
+            centroids, rotation = np.linalg.eigh((basis.conj() * number) @ basis.transpose(0, 2, 1))
+            kept = rotation.transpose(0, 2, 1) @ basis  # row j: sum_i R_ij v_i
+        # the kept replica's zone [-1/2, 1/2), rounded: of seam replicas
+        # (centroids -1/2, +1/2 at resonance) keep one
+        zone = (np.round(centroids, 9) >= -0.5) & (np.round(centroids, 9) < 0.5)
+        parts.append(kept[zone])
+        # in cluster order, single vectors first
+        keys.append(np.repeat(first + (size > 1) * vals.size, size).reshape(zone.shape)[zone])
+    modes = np.concatenate(parts)[np.argsort(np.concatenate(keys), kind="stable")].T
+    if modes.shape[1] != h.dim:
+        raise TruncationError(
+            f"found {modes.shape[1]} replica families, expected {h.dim}: "
+            f"truncation M={truncation} is too small, increase M"
+        )
+    # T X in the modes' own dtype (real for a real S), complex from here on
+    x = modes / np.linalg.norm(modes, axis=0)
+    tx = _apply_blocks(h, x, 0.0)
+    lams = np.real(np.sum(x.conj() * (tx + h.omega * number[:, None] * x), axis=0))
+    eps = fold_reported(lams, h.omega)
+    order = np.lexsort((lams, eps))
+    return x[:, order].astype(complex), tx[:, order].astype(complex), lams[order], eps[order]
 
 
 def select_representatives(
-    eigvals: np.ndarray,
-    eigvecs: np.ndarray,
-    h: FourierHamiltonian,
-    truncation: int,
+    eigvals: np.ndarray, eigvecs: np.ndarray, h: FourierHamiltonian, truncation: int,
     tol_deg: float | None = None,
 ) -> list[Representative]:
-    """Pick exactly d physical states from the raw Sambe spectrum.
-
-    Raw (unfolded) eigenvalues within tol_deg of each other form a cluster.
-    N restricted to a cluster is diagonalized, which resolves
-    Ebar = lam - omega*<N> there; a k-harmonic shift moves the centroid <N>
-    by exactly k, so per physical state the one replica with centroid in
-    [-1/2, 1/2) is kept.  A cluster of one eigenvector v is the 1 x 1 case,
-    with rotation 1 and centroid N @ |v|^2: the centroids of all such
-    clusters come from one product, and eigh runs only on clusters of two
-    or more.  One application of S to all kept vectors x then gives each
-    its own raw eigenvalue, the Rayleigh quotient lam = Re(x^H S x), and
-    residual ||S x - lam x||.  Anything but d kept states means the
-    truncation is eating states; that raises TruncationError with the
-    advice to increase M.
-    """
-    omega, d = h.omega, h.dim
-    tol_deg = _resolve_tol_deg(tol_deg, omega)
-    number = _number_diagonal(truncation, d)
-    clusters = _gap_clusters(eigvals, tol_deg)
-    singles = eigvecs[:, [c[0] for c in clusters if c.size == 1]]
-    parts = [singles[:, _in_zone(number @ np.abs(singles) ** 2)]]
-    for cluster in clusters:
-        if cluster.size > 1:
-            basis = eigvecs[:, cluster]
-            centroids, rotation = np.linalg.eigh(basis.conj().T @ (number[:, None] * basis))
-            parts.append(basis @ rotation[:, _in_zone(centroids)])
-    modes = np.concatenate(parts, axis=1)
-    if modes.shape[1] != d:
-        raise TruncationError(
-            f"found {modes.shape[1]} replica families, expected {d}: "
-            f"truncation M={truncation} is too small, increase M"
-        )
-    sx = _apply_blocks(h, modes, omega)
-    lams = np.real(np.sum(modes.conj() * sx, axis=0))
-    residuals = np.linalg.norm(sx - lams * modes, axis=0)
-    # each mode is divided by its own norm, as FloquetMode.normalized does,
-    # into an array of its own
-    reps = [
-        Representative(
-            mode=FloquetMode.from_flat(x / np.linalg.norm(x), d),
-            quasi_energy=fold_reported(lam, omega),
-            quasi_energy_raw=float(lam),
-            residual=float(res),
-        )
-        for x, lam, res in zip(np.ascontiguousarray(modes.T, dtype=complex), lams, residuals)
+    """Pick exactly d physical states from the raw Sambe spectrum: per
+    cluster of raw eigenvalues within tol_deg, N diagonalized inside it
+    resolves Ebar = lam - omega*<N>, and per state the replica with centroid
+    in [-1/2, 1/2) is kept, with its Rayleigh quotient lam = Re(x^H S x) and
+    residual ||S x - lam x||, ordered by (quasi-energy, lam).  Anything but
+    d kept states raises TruncationError (increase M)."""
+    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
+    x, tx, lams, eps = _select(eigvals, eigvecs, h, truncation, tol_deg)
+    sx = tx + h.omega * _number_diagonal(truncation, h.dim)[:, None] * x
+    residuals = np.linalg.norm(sx - lams * x, axis=0).tolist()
+    return [
+        Representative(FloquetMode(c), *values)
+        for c, *values in zip(np.ascontiguousarray(x.T).reshape(len(eps), -1, h.dim),
+                              eps.tolist(), lams.tolist(), residuals)
     ]
-    reps.sort(key=lambda r: (r.quasi_energy, r.quasi_energy_raw))
-    return reps
 
-
-# --- degeneracy grouping and resolution ------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class DegenerateGroup:
-    """Representatives sharing a quasi-energy.
-
-    Member modes are replica-aligned and all carry the group's raw
-    eigenvalue, the mean of their aligned Rayleigh quotients, so their
-    average-energy block is the physical average-energy operator restricted
-    to the degenerate subspace.  quasi_energy is the fold of that mean.
-    """
+    """Representatives sharing a quasi-energy, replica-aligned, all carrying
+    the group's raw eigenvalue (the mean of their aligned Rayleigh quotients,
+    quasi_energy its fold), so their average-energy block is the physical
+    average-energy operator restricted to the degenerate subspace."""
 
     members: tuple[Representative, ...]
     quasi_energy: float
@@ -536,68 +500,77 @@ class DegenerateGroup:
         return len(self.members)
 
 
-def group_degeneracies(
-    reps: list[Representative],
-    h: FourierHamiltonian,
-    tol_deg: float | None = None,
-) -> list[DegenerateGroup]:
-    """Cluster representatives with |eps_i - eps_j| <= tol_deg (wrapped).
-
-    The Brillouin-zone boundary is treated as wrapped, so eps near 0 and
-    near omega may form one group.  Members of a group are shifted to the
-    common replica that drops the least weight past the truncation edge;
-    the mean lam of their shifted raw eigenvalues then becomes every
-    member's quasi_energy_raw, with quasi_energy = fold_reported(lam).  This
-    is the one place raw eigenvalues are averaged.  A singleton group is
-    its representative as given: the mean of one raw eigenvalue is that
-    eigenvalue, and there is nothing to align.
-    """
-    omega = h.omega
-    tol_deg = _resolve_tol_deg(tol_deg, omega)
-    folded = np.array([r.quasi_energy for r in reps])
-    groups: list[DegenerateGroup] = []
-    for cluster in _gap_clusters(folded, tol_deg, omega):
-        if cluster.size == 1:
-            rep = reps[int(cluster[0])]
-            groups.append(DegenerateGroup(members=(rep,), quasi_energy=rep.quasi_energy))
-            continue
-        members = [reps[int(i)] for i in np.sort(cluster)]
-        lam0 = members[0].quasi_energy_raw
-        ks = [int(np.round((m.quasi_energy_raw - lam0) / omega)) for m in members]
-        # a shift by more than 2M loses a whole member, so only targets
-        # within 2M of every member can align them; at a small omega the
-        # members can lie farther apart than 4M, with no such target
-        reach = 2 * members[0].mode.truncation
-        targets = range(max(min(ks), max(ks) - reach), min(max(ks), min(ks) + reach) + 1)
-        if not targets:
+def _group(x, lams, eps, h: FourierHamiltonian, tol_deg: float):
+    """`group_degeneracies` as arrays: the columns in group order, the group
+    of each, the groups' raw eigenvalues and quasi-energies, and X with the
+    members that alignment moves replaced, with a mask of those."""
+    omega, truncation = h.omega, (x.shape[0] // h.dim - 1) // 2
+    clusters = _gap_clusters(eps, tol_deg, omega)
+    sizes = np.array([c.size for c in clusters])
+    cols = np.concatenate([np.sort(c) for c in clusters])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    ks = np.round((lams[cols] - lams[cols[starts]][owner]) / omega).astype(int)
+    targets = np.minimum.reduceat(ks, starts)
+    nb, reach = 2 * truncation + 1, 2 * truncation
+    for g in np.flatnonzero(targets < np.maximum.reduceat(ks, starts)).tolist():
+        members = slice(starts[g], starts[g] + sizes[g])
+        k = ks[members]
+        # a shift by more than 2M loses a whole member: only targets within
+        # 2M of every member align them, and at a small omega there may be none
+        span = np.arange(max(k.min(), k.max() - reach), min(k.max(), k.min() + reach) + 1)
+        if not span.size:
             raise TruncationError(
-                f"replica alignment loses weight >= 1: members lie {max(ks) - min(ks)} "
+                f"replica alignment loses weight >= 1: members lie {k.max() - k.min()} "
                 f"replicas apart, more than 4M = {2 * reach}; increase M"
             )
+        # a shift by s drops the last s blocks of each member, or the first -s
+        weights = np.sum(np.abs(x[:, cols[members]].reshape(nb, h.dim, -1)) ** 2, axis=1).T
+        s, block = (span[:, None] - k)[..., None], np.arange(nb)
+        lost = np.sum(weights * ((block >= nb - s) | (block < -s)), axis=(1, 2))
         # a shifted mode is an eigenvector only up to a residual of about
-        # ||H|| * sqrt(lost): keep that inside the 1e-10 residual certificate
-        # of `diagonalize`, where certification cannot see it
-        lost, target = min(
-            (sum(m.mode.shift(t - k)[1] for m, k in zip(members, ks)), t) for t in targets
-        )
-        if lost > 1e-20:
-            raise TruncationError(
-                f"replica alignment loses weight {lost:.2e}; increase M"
-            )
-        lam = float(np.mean([m.quasi_energy_raw + (target - k) * omega
-                             for m, k in zip(members, ks)]))
-        eps = fold_reported(lam, omega)
+        # ||H|| * sqrt(lost), kept inside the certificate of `diagonalize`
+        if lost.min() > 1e-20:
+            raise TruncationError(f"replica alignment loses weight {lost.min():.2e}; increase M")
+        targets[g] = span[np.argmin(lost)]
+    shifts = targets[owner] - ks
+    group_lams = np.add.reduceat(lams[cols] + shifts * omega, starts) / sizes
+    # a singleton group is its representative as given
+    group_eps = np.where(sizes > 1, fold_reported(group_lams, omega), eps[cols[starts]])
+    moved = np.bincount(cols[shifts != 0], minlength=x.shape[1]) > 0
+    x = x.copy() if moved.any() else x
+    for col, k in zip(cols[shifts != 0].tolist(), shifts[shifts != 0].tolist()):
+        x[:, col] = FloquetMode.from_flat(x[:, col], h.dim).shift(k)[0].normalized().flat()
+    by_eps = np.argsort(group_eps, kind="stable")
+    rank = np.argsort(by_eps)[owner]
+    order = np.argsort(rank, kind="stable")
+    return cols[order], rank[order], group_lams[by_eps], group_eps[by_eps], x, moved
+
+
+def group_degeneracies(
+    reps: list[Representative], h: FourierHamiltonian, tol_deg: float | None = None
+) -> list[DegenerateGroup]:
+    """Cluster representatives with |eps_i - eps_j| <= tol_deg, wrapped at
+    the zone boundary.  Members of a group are shifted to the common replica
+    that drops the least weight past the truncation edge, and the mean lam
+    of their shifted raw eigenvalues (the one place raw eigenvalues are
+    averaged) becomes every member's quasi_energy_raw, with quasi_energy =
+    fold_reported(lam); a singleton group keeps its representative's."""
+    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
+    if not reps:
+        return []
+    x = np.column_stack([r.mode.flat() for r in reps])
+    lams, eps = np.array([(r.quasi_energy_raw, r.quasi_energy) for r in reps]).T
+    cols, gids, group_lams, group_eps, x, moved = _group(x, lams, eps, h, tol_deg)
+    groups = []
+    for g, members in enumerate(np.split(cols, np.flatnonzero(np.diff(gids)) + 1)):
+        eps, lam = float(group_eps[g]), float(group_lams[g])
         aligned = tuple(
-            replace(
-                m,
-                mode=m.mode if k == target else m.mode.shift(target - k)[0].normalized(),
-                quasi_energy=eps,
-                quasi_energy_raw=lam,
-            )
-            for m, k in zip(members, ks)
+            replace(reps[i], quasi_energy=eps, quasi_energy_raw=lam,
+                    mode=FloquetMode.from_flat(x[:, i], h.dim) if moved[i] else reps[i].mode)
+            for i in members
         )
-        groups.append(DegenerateGroup(members=aligned, quasi_energy=eps))
-    groups.sort(key=lambda g: g.quasi_energy)
+        groups.append(DegenerateGroup(aligned, eps))
     return groups
 
 
@@ -697,72 +670,65 @@ def _record(obj) -> dict:
     return record
 
 
-def resolve_degeneracies(
-    groups: list[DegenerateGroup],
-    h: FourierHamiltonian,
-    metadata: dict | None = None,
-) -> Spectrum:
-    """Diagonalize each group's average-energy block into eigentriplets.
+def _resolve(x, tx, lams, eps, gids, h: FourierHamiltonian) -> dict:
+    """`resolve_degeneracies` as arrays, on members X and T X in group order
+    with their groups' raw eigenvalues and quasi-energies: the resolved
+    states as columns, in the order of their triplets."""
+    number = _number_diagonal((x.shape[0] // h.dim - 1) // 2, h.dim)
+    ebars = np.real(np.sum(x.conj() * tx, axis=0))
+    tied = np.zeros(gids.size, dtype=bool)
+    starts = np.flatnonzero(np.diff(gids, prepend=-1))
+    sizes = np.diff(np.append(starts, gids.size))
+    hbar = x.conj().T @ tx if sizes.max() > 1 else None
+    for size in sorted(set(sizes[sizes > 1].tolist())):
+        idx = starts[sizes == size][:, None] + np.arange(size)
+        block = hbar[idx[:, :, None], idx[:, None, :]]
+        ebars[idx], rotation = np.linalg.eigh(0.5 * (block + block.conj().transpose(0, 2, 1)))
+        rotation = rotation.transpose(0, 2, 1)  # row j of R^T X^T: sum_i R_ij x_i
+        x[:, idx] = (rotation @ x.T[idx]).transpose(2, 0, 1)
+        tx[:, idx] = (rotation @ tx.T[idx]).transpose(2, 0, 1)
+        scale = np.maximum(1.0, np.abs(ebars[idx]).max(axis=1))[:, None]
+        close = np.diff(ebars[idx], axis=1) <= 1e-10 * scale
+        tied[idx[:, 1:]] |= close
+        tied[idx[:, :-1]] |= close
+    norms = np.linalg.norm(x, axis=0)
+    residuals = np.linalg.norm(tx + h.omega * number[:, None] * x - lams * x, axis=0) / norms
+    x /= norms
+    tx /= norms
+    order = np.lexsort((np.argmax(np.abs(x), axis=0), eps, ebars))
+    states = dict(ebars=ebars, lams=lams, eps=eps, gids=gids, sizes=np.repeat(sizes, sizes),
+                  tied=tied, residuals=residuals)
+    return dict(x=x[:, order], tx=tx[:, order], **{k: v[order] for k, v in states.items()})
 
-    One application of T to the stacked member modes X gives T X for every
-    group; a group's block is X_g^H (T X)_g, and a singleton's block is its
-    1 x 1 Ebar, which needs no eigh.  Members are rotated into the
-    eigenbasis R of their block; the rotated states remain quasi-energy
-    eigenstates because the members share one raw eigenvalue lam, which
-    every triplet of the group reports, and their residuals
-    ||(T X + omega N X) R - lam X R|| need no second application.
-    Triplets are ordered by average energy ascending, with ties broken by
-    quasi-energy and then by the index of the largest-magnitude coefficient
-    (reproducibility).  Residual average-energy degeneracies, neighbours in
-    a group within 1e-10 * max(|Ebar|, 1) of each other, are flagged, not
-    interpreted.
-    """
+
+def _spectrum(states: dict, h: FourierHamiltonian, metadata: dict | None) -> Spectrum:
+    """The eigentriplets of resolved states; residual_max joins a copy of metadata."""
+    keys = ("eps", "ebars", "lams", "residuals", "gids", "sizes", "tied")
+    coeffs = np.ascontiguousarray(states["x"].T).reshape(states["x"].shape[1], -1, h.dim)
+    triplets = [
+        EigenTriplet(FloquetMode(c), *values)
+        for c, *values in zip(coeffs, *(states[k].tolist() for k in keys))
+    ]
+    meta = dict(metadata or {})
+    meta.setdefault("residual_max", float(states["residuals"].max()))
+    return Spectrum(triplets=triplets, metadata=meta)
+
+
+def resolve_degeneracies(
+    groups: list[DegenerateGroup], h: FourierHamiltonian, metadata: dict | None = None
+) -> Spectrum:
+    """Diagonalize each group's average-energy block X_g^H (T X)_g into
+    eigentriplets.  The rotated members share the group's raw eigenvalue
+    lam, with residual ||(T X + omega N X) R - lam X R||.  Triplets are
+    ordered by average energy, then quasi-energy, then the index of the
+    largest-magnitude coefficient; neighbours in a group within
+    1e-10 * max(|Ebar|, 1) of each other are flagged, not interpreted."""
     if not groups:
         return Spectrum(triplets=[], metadata=metadata or {})
-    gids = [gid for gid, group in enumerate(groups) for _ in group.members]
+    gids = np.repeat(np.arange(len(groups)), [group.size for group in groups])
     x = np.column_stack([m.mode.flat() for group in groups for m in group.members])
-    tx = _apply_blocks(h, x, 0.0)
-    truncation = groups[0].members[0].mode.truncation
-    sx = tx + h.omega * _number_diagonal(truncation, h.dim)[:, None] * x
-    ebars = np.real(np.sum(x.conj() * tx, axis=0))
-    tied = np.zeros(len(gids), dtype=bool)
-    start = 0
-    for group in groups:
-        g = slice(start, start + group.size)
-        start = g.stop
-        if group.size == 1:
-            continue
-        block = x[:, g].conj().T @ tx[:, g]
-        ebars[g], rotation = np.linalg.eigh(0.5 * (block + block.conj().T))
-        x[:, g] = x[:, g] @ rotation
-        sx[:, g] = sx[:, g] @ rotation
-        scale = max(1.0, float(np.abs(ebars[g]).max()))
-        for ties in _gap_clusters(ebars[g], 1e-10 * scale):
-            tied[g.start + ties] = ties.size > 1
-    lams = np.array([groups[gid].members[0].quasi_energy_raw for gid in gids])
-    norms = np.linalg.norm(x, axis=0)
-    residuals = np.linalg.norm(sx - lams * x, axis=0) / norms
-    x /= norms
-    peaks = np.argmax(np.abs(x), axis=0)
-    order = np.lexsort((peaks, [groups[gid].quasi_energy for gid in gids], ebars))
-    triplets = []
-    for a in order:
-        group = groups[gids[a]]
-        triplets.append(
-            EigenTriplet(
-                mode=FloquetMode.from_flat(x[:, a].copy(), h.dim),
-                quasi_energy=group.quasi_energy,
-                avg_energy=float(ebars[a]),
-                quasi_energy_raw=group.members[0].quasi_energy_raw,
-                residual=float(residuals[a]),
-                group_id=gids[a],
-                group_size=group.size,
-                ebar_degenerate=bool(tied[a]),
-            )
-        )
-    meta = dict(metadata or {})
-    meta.setdefault("residual_max", float(residuals.max()))
-    return Spectrum(triplets=triplets, metadata=meta)
+    lams, eps = np.array([(g.members[0].quasi_energy_raw, g.quasi_energy) for g in groups])[gids].T
+    return _spectrum(_resolve(x, _apply_blocks(h, x, 0.0), lams, eps, gids, h), h, metadata)
 
 
 # --- functionals ------------------------------------------------------------
@@ -835,197 +801,231 @@ def average_energy_matrix(
 
 # --- end-to-end solve -------------------------------------------------------
 
-def solve_at_truncation(
-    h: FourierHamiltonian, truncation: int, tol_deg: float | None = None
-) -> Spectrum:
-    """Solve the eigentriplet spectrum at a fixed harmonic cutoff.
+def _rung(h: FourierHamiltonian, truncation: int, tol_deg: float) -> tuple[dict, float, float]:
+    """One cutoff: the windowed eigensolve, then one pass over its kept
+    modes.  Returns the resolved states and the two figures of
+    `_truncation_bounds`; no mode or triplet object is built."""
+    # S, the eigenpairs and the unresolved modes do not outlive their stage:
+    # the later stages apply S through the harmonics and reuse that memory
+    pairs = diagonalize(build_sambe(h, truncation), window=_energy_window(h, truncation, tol_deg))
+    x, tx, lams, eps = _select(*pairs, h, truncation, tol_deg)
+    del pairs
+    cols, gids, group_lams, group_eps, x, moved = _group(x, lams, eps, h, tol_deg)
+    if moved.any():
+        tx[:, moved] = _apply_blocks(h, x[:, moved], 0.0)
+    states = _resolve(x[:, cols], tx[:, cols], group_lams[gids], group_eps[gids], gids, h)
+    del x, tx
+    return (states, *_truncation_bounds(h, truncation, states))
 
-    metadata["eps_bound"] bounds how far the truncation moved the
-    quasi-energies and metadata["ebar_estimate"] estimates how far it moved
-    the average energies (see `_truncation_bounds`); they are reported here,
-    and checked by `solve_spectrum`.
-    """
-    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
-    # S is not held past the eigensolve: the later stages apply it through
-    # the harmonics, and their batched work reuses its memory
-    window = _energy_window(h, truncation, tol_deg)
-    vals, vecs = diagonalize(build_sambe(h, truncation), window=window)
-    reps = select_representatives(vals, vecs, h, truncation, tol_deg)
-    groups = group_degeneracies(reps, h, tol_deg)
-    metadata = {
-        "truncation": truncation,
-        "tol_deg": tol_deg,
-        "solver": "sambe-eigh",
-        "dim": h.dim,
-        "omega": h.omega,
-        "model_hash": model_hash(h),
-    }
-    spectrum = resolve_degeneracies(groups, h, metadata)
-    eps_bound, ebar_estimate = _truncation_bounds(h, spectrum)
-    spectrum.metadata["eps_bound"] = eps_bound
-    spectrum.metadata["ebar_estimate"] = ebar_estimate
+
+def _solved(h, truncation, tol_deg, states, eps_bound, ebar_estimate) -> Spectrum:
+    metadata = dict(truncation=truncation, tol_deg=tol_deg, solver="sambe-eigh", dim=h.dim,
+                    omega=h.omega, model_hash=model_hash(h))
+    spectrum = _spectrum(states, h, metadata)
+    spectrum.metadata.update(eps_bound=eps_bound, ebar_estimate=ebar_estimate)
     return spectrum
 
 
-def _truncation_bounds(h: FourierHamiltonian, spectrum: Spectrum) -> tuple[float, float]:
+def solve_at_truncation(
+    h: FourierHamiltonian, truncation: int, tol_deg: float | None = None
+) -> Spectrum:
+    """Solve the eigentriplet spectrum at a fixed harmonic cutoff, with the
+    truncation figures metadata["eps_bound"] (a bound on the quasi-energy
+    error) and metadata["ebar_estimate"] (see `_truncation_bounds`)."""
+    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
+    return _solved(h, truncation, tol_deg, *_rung(h, truncation, tol_deg))
+
+
+def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     """Bound on the quasi-energy error of the cutoff M, and estimate of its
-    average-energy error.
+    average-energy error (both infinite when no clustering has a gap).
 
-    S_inf is Hermitian with spectrum {eps_j + k omega}, d values per
-    period.  The folded eps are unrolled at their widest gap on the circle,
-    so that no cluster of them crosses the cut, and each mode x is taken on
-    the replica whose raw eigenvalue is its unrolled eps, padded with
-    K + |shift| zero blocks on each side (K = max harmonic): one application
-    of S to all of them is the untruncated S_inf X.  With
-    Y = S_inf X - X diag(eps), G = X^H X, A = X^H Y and B = Y^H Y, a run C
-    of neighbouring states has the weight
-    w_C = tr(G_C^-1 B_C) - tr(G_C^-1 A_C^H G_C^-1 A_C) = ||S_inf Q - Q Q^H S_inf Q||_F^2
-    for an orthonormal basis Q of its modes: the in-window residual of that
-    subspace plus its leak into |p| > M.  Y is residual-sized, so the
-    difference does not cancel.  Its Ritz values are those of Q^H S_inf Q.
+    S_inf has spectrum {eps_j + k omega}.  The folded eps are unrolled at
+    their widest gap, and each mode x is taken on the replica k harmonics
+    away whose raw eigenvalue is its unrolled eps; there S_inf x is
+    T x + omega (N - k) x plus the leak of the K = max|m| edge blocks.  With
+    Y = S_inf X - X diag(eps), G = X^H X, A = X^H Y and B = Y^H Y, a run C of
+    neighbouring states has the weight w_C = tr(G_C^-1 B_C) -
+    tr(G_C^-1 A_C^H G_C^-1 A_C) = ||S_inf Q - Q Q^H S_inf Q||_F^2 and Ritz
+    values those of Q^H S_inf Q, Q an orthonormal basis of its modes.  G, A
+    and B come from a frame in which modes farther apart than 2M + 2K
+    blocks, which share none, are moved to that distance.
 
-    The clusterings tried are the single-linkage levels of the unrolled
-    eps, one per gap, and the level where every state stands alone.  A
+    The clusterings are the single-linkage levels of the unrolled eps.  A
     level whose neighbouring clusters overlap, their Ritz values widened by
-    the radii rho_C = sqrt(w_C), is skipped; in the others each cluster
-    holds as many exact quasi-energies per period as states, within rho_C
-    of its Ritz values (Kahan's theorem), and Kato-Temple (Kato 1949;
-    Temple 1928; Parlett ch. 11) bounds their distance from its Ritz values
-    by w_C / delta_C, delta_C the gap to the nearest outside cluster minus
-    that cluster's radius; across the seam the neighbour may be the
-    cluster's own replica at omega, as for d = 1.  A state reports the Ritz
-    value of its degenerate group, not of its cluster, and below
-    convergence the groups of a cluster couple: the bound adds the largest
-    distance between the cluster's sorted Ritz values and its groups'.  The
-    level with the smallest bound is kept.  A group reports the mean of its
-    members' raw eigenvalues, within the group's `residual` of its Ritz
-    values: that spread is tol_deg's, not M's.
-
-    The average-energy figure is the estimate 2 (M + K) max_C w_C / omega
-    of the kept level, not a bound.
-    Ebar = <S> - omega <N> on any mode.  The leak moves weight past
-    |p| = M, where the diagonal p omega lies about omega or more from the
-    eigenvalue: about w_C / omega^2 of weight, which moves the centroid
-    <N> by at most M + K per unit weight, twice over for the renormalized
-    window.  It is an estimate, checked against solves at larger M (see the
-    tests): on about 1,100 cutoffs of random models with d <= 6 and
-    harmonics <= 3, the Ebar error stays below a third of it wherever it
-    is below 1e-6, and below it wherever it is below 1e-2.  Far from
-    convergence it can fall short, by up to 3.5 times (M = 2 on a random
-    model, M = 1 and 2 on the 6-site ring), where it is 1e-4 or more.
-
-    When every level overlaps (a lone cluster that overlaps its own
-    replica) nothing bounds the error: both figures are infinite.
+    rho_C = sqrt(w_C), is skipped; in the others each cluster holds as many
+    exact quasi-energies as states within rho_C of its Ritz values (Kahan),
+    and Kato-Temple (Parlett ch. 11) bounds their distance by w_C / delta_C,
+    delta_C the gap to the nearest outside cluster (maybe its own replica
+    across the seam) less that cluster's radius.  A state reports its
+    group's Ritz value, so the bound adds the largest distance between a
+    cluster's sorted Ritz values and its groups'.  The level with the
+    smallest bound is kept.  The Ebar figure is the estimate 2 (M + K) max_C
+    w_C / omega of that level: the leak moves about w_C / omega^2 of weight
+    past |p| = M, moving <N> by at most M + K per unit weight, twice over for
+    the renormalized window.  On 1,100 random cutoffs (d <= 6, harmonics <= 3)
+    the Ebar error stays below a third of it where it is below 1e-6 and below
+    it where below 1e-2; far from convergence it can fall short 3.5 times.
     """
-    omega, truncation, reach = h.omega, spectrum.metadata["truncation"], h.max_harmonic
-    eps = spectrum.quasi_energies
-    order = np.argsort(eps, kind="stable")
-    values = eps[order]
+    omega, reach, dim = h.omega, h.max_harmonic, h.dim
+    nb, count = 2 * truncation + 1, states["eps"].size
+    order = np.argsort(states["eps"], kind="stable")
+    values = states["eps"][order]
     cut = int(np.argmax(np.append(np.diff(values), values[0] + omega - values[-1]))) + 1
     order = np.roll(order, -cut)
     unrolled = np.concatenate([values[cut:] - omega, values[:cut]])
-    raw = np.array([spectrum[i].quasi_energy_raw for i in order])
-    shifts = np.round((raw - unrolled) / omega).astype(int).tolist()
-    pad = reach + max(map(abs, shifts))
-    nb = 2 * truncation + 1
-    x = np.zeros((len(order), nb + 2 * pad, h.dim), dtype=complex)
-    for row, (i, k) in enumerate(zip(order, shifts)):
-        x[row, pad - k : pad - k + nb] = spectrum[i].mode.coeffs
-    x = x.reshape(len(order), -1).T
-    y = _apply_blocks(h, x, omega) - x * unrolled
-    gram, cross, resid = x.conj().T @ x, x.conj().T @ y, y.conj().T @ y
-
+    shifts = np.round((states["lams"][order] - unrolled) / omega).astype(int)
+    # each mode as a row of blocks; on its replica, S_inf x - eps x over the
+    # window and the K blocks past each edge
+    x = states["x"].T[order].reshape(count, nb, dim)
+    span = nb + 2 * reach
+    y = np.zeros((count, span, dim), dtype=complex)
+    diagonal = omega * (np.arange(-truncation, truncation + 1) - shifts[:, None])[:, :, None]
+    y[:, reach : reach + nb] = states["tx"].T[order].reshape(count, nb, dim)
+    y[:, reach : reach + nb] += diagonal * x
+    y[:, reach : reach + nb] -= x * unrolled[:, None, None]
+    for m, mat in h.harmonics.items():  # the leak of H_m from the m edge blocks
+        edge = slice(reach + nb, reach + nb + m) if m > 0 else slice(reach + m, reach)
+        y[:, edge] += (x[:, nb - m :] if m > 0 else x[:, : -m]) @ mat.T
+    # replica k puts block p at harmonic p - k: the frame holds each mode's
+    # y blocks from its offset -k on, distances between offsets cut to span
+    offsets = np.array(sorted(set((-shifts).tolist())))
+    start = np.append(0, np.cumsum(np.minimum(np.diff(offsets), span)))
+    start = start[np.searchsorted(offsets, -shifts)][:, None]
+    frame = np.zeros((2 * count, start.max() + span, dim), dtype=complex)
+    frame[np.arange(count)[:, None], start + reach + np.arange(nb)] = x
+    frame[np.arange(count, 2 * count)[:, None], start + np.arange(span)] = y
+    del x, y
+    frame = frame.reshape(2 * count, -1)
+    gram, cross = np.split(frame[:count].conj() @ frame.T, 2, axis=1)
+    resid = frame[count:].conj() @ frame[count:].T
     blocks = np.stack([cross, resid, cross + gram * unrolled])  # A, B, X^H S_inf X
 
-    def runs(breaks):
-        """The runs (first, last) of unrolled positions, broken after each
-        position where breaks is true."""
-        lasts = np.append(np.flatnonzero(breaks), len(order) - 1)
-        return list(zip(np.append(0, lasts[:-1] + 1).tolist(), lasts.tolist()))
-
-    # the clusterings, joined by gaps <= tol; a degenerate group is a run
-    # too, as its members share one eps
+    # every level's clusters, joined by gaps <= tol, as runs (first, last) of
+    # unrolled positions, and every group (whose members share one eps)
     steps = np.diff(unrolled)
-    levels = [runs(steps > tol) for tol in [-np.inf, *sorted(set(steps.tolist()))]]
-    groups = runs(np.diff([spectrum[i].group_id for i in order]) != 0)
+    breaks = steps > np.array([-np.inf, *sorted(set(steps.tolist()))])[:, None]
+    level, firsts = np.nonzero(np.column_stack([np.ones(len(breaks), bool), breaks]))
+    lasts = np.nonzero(np.column_stack([breaks, np.ones(len(breaks), bool)]))[1]
+    group_firsts = np.flatnonzero(np.diff(states["gids"][order], prepend=-1))
+    keys = np.append(firsts, group_firsts) * count
+    keys += np.append(lasts, np.append(group_firsts[1:], count) - 1)
+    runs = np.array(sorted(set(keys.tolist())))
+    inverse = np.searchsorted(runs, keys)
+    first, length = runs // count, runs % count - runs // count + 1
+    run, groups = inverse[: firsts.size], inverse[firsts.size :]
 
-    # w_C and the Ritz values of every run, in the orthonormal basis
-    # X_C V s^-1/2 of its span (G_C = V diag(s) V^H), batched by length
-    ritz = {}
-    every = sorted(set(groups).union(*levels), key=lambda r: r[1] - r[0])
-    for size, batch in groupby(every, key=lambda r: r[1] - r[0] + 1):
-        batch = list(batch)
-        idx = np.array([first for first, _ in batch])[:, None] + np.arange(size)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        scales, vecs = np.linalg.eigh(gram[rows, cols])
-        basis = vecs / np.sqrt(scales)[:, None, :]
-        a, b, sq = np.swapaxes(basis, -1, -2).conj() @ blocks[:, rows, cols] @ basis
-        w = np.trace(b, axis1=-2, axis2=-1).real - np.sum(np.abs(a) ** 2, axis=(-2, -1))
-        ritz.update(zip(batch, zip(np.maximum(w, 0.0), np.linalg.eigvalsh(sq))))
-    # each state reports its group's Ritz value; a cluster's Ritz values lie
-    # up to `split` from those
-    own = np.concatenate([ritz[group][1] for group in groups])
-    figures = {}
-    for (first, last), (w, theta) in ritz.items():
-        split = np.abs(theta - sorted(own[first : last + 1])).max()
-        figures[first, last] = (w, theta[0], theta[-1], split)
+    # w_C and the Ritz values of a run (basis X_C V s^-1/2, G_C = V diag(s)
+    # V^H; one batched eigh per length) once a level holding it may be kept.
+    # Until then, with eta = ||G_C - I||_F < 1, w_C >= tr(B_C) / (1 + eta) -
+    # ||A_C||_F^2 / (1 - eta)^2 (sums over C x C from 2D prefix sums, less
+    # their rounding), and its Ritz values lie within its Rayleigh quotients
+    theta = np.zeros((runs.size, length.max()))
+    known = np.zeros(runs.size, dtype=bool)
 
-    best = (np.inf, np.inf)
-    for level in levels:
-        w, lo, hi, split = np.array([figures[run] for run in level]).T
-        rho = np.sqrt(w)
-        # gaps[a] runs from cluster a to the next, the last to the first's
-        # replica; each neighbour's exact values lie within its radius
-        gaps = np.append(lo[1:], lo[0] + omega) - hi
-        rho_next = np.append(rho[1:], rho[0])
-        if np.any(gaps <= rho + rho_next):
-            continue
-        gaps_prev, rho_prev = np.append(gaps[-1], gaps[:-1]), np.append(rho[-1], rho[:-1])
-        delta = np.minimum(gaps - rho_next, gaps_prev - rho_prev)
-        bound = float((w / delta + split).max())
-        if bound < best[0]:
-            best = (bound, float(2 * (truncation + reach) * w.max() / omega))
-    return best
+    def resolve(need):
+        for size in sorted(set(length[need].tolist())):
+            batch = np.flatnonzero(need & (length == size))
+            idx = first[batch][:, None] + np.arange(size)
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            scales, vecs = np.linalg.eigh(gram[rows, cols])
+            basis = vecs / np.sqrt(scales)[:, None, :]
+            a, b, sq = np.swapaxes(basis, -1, -2).conj() @ blocks[:, rows, cols] @ basis
+            trace = np.trace(b, axis1=-2, axis2=-1).real
+            w[batch] = np.maximum(trace - np.sum(np.abs(a) ** 2, axis=(-2, -1)), 0.0)
+            theta[batch, :size] = np.linalg.eigvalsh(sq)
+        known[need] = True
+
+    parts = [np.abs(gram - np.eye(count)) ** 2, np.diag(resid.diagonal().real), np.abs(cross) ** 2]
+    p = np.zeros((3, count + 1, count + 1))
+    p[:, 1:, 1:] = np.cumsum(np.cumsum(parts, axis=1), axis=2)
+    end = first + length
+    rounding = 8 * count * np.finfo(float).eps * p[:, -1, -1, None] * [[1], [-1], [1]]
+    sums = p[:, end, end] - p[:, first, end] - p[:, end, first] + p[:, first, first]
+    eta, trace_b, norm_a = sums + rounding
+    eta = np.sqrt(eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(eta < 1, np.maximum(trace_b / (1 + eta) - norm_a / (1 - eta) ** 2, 0.0), 0.0)
+    # every state alone and every group: a state reports its group's Ritz
+    # value, and a cluster's sorted Ritz values lie up to `split` from those
+    resolve((np.bincount(groups, minlength=runs.size) > 0) | (length == 1))
+    member = np.arange(theta.shape[1]) < length[:, None]
+    within = np.minimum(first[:, None] + np.arange(theta.shape[1]), count - 1)
+    of_group = np.repeat(groups, length[groups])
+    own = theta[of_group, np.arange(count) - first[of_group]]
+    owned = np.sort(np.where(member, own[within], np.inf), axis=1)
+    quotients = theta[np.searchsorted(runs, np.arange(count) * (count + 1)), 0][within]
+    lowest = np.where(member, quotients, np.inf).min(axis=1)
+    highest = np.where(member, quotients, -np.inf).max(axis=1)
+
+    # every level at once, one entry per cluster: gaps[e] runs from cluster e
+    # to the next of its level, the last to the first's replica.  A level
+    # not fully resolved scores a lower bound; levels are resolved, the most
+    # promising first, until no other can reach the best score
+    entry = np.arange(run.size)
+    level_starts = np.flatnonzero(np.diff(level, prepend=-1))
+    head = level_starts[level]
+    tail = np.append(level_starts[1:], run.size)[level] - 1
+    after = np.where(entry == tail, head, entry + 1)
+    before = np.where(entry == head, tail, entry - 1)
+    wrap = np.where(entry == tail, omega, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            rho = np.sqrt(w[run])
+            lo = np.where(known, theta[:, 0], lowest)[run]
+            hi = np.where(known, theta[np.arange(runs.size), length - 1], highest)[run]
+            split = np.where(member & known[:, None], np.abs(theta - owned), 0.0).max(axis=1)
+            gaps = lo[after] + wrap - hi
+            skip = np.logical_or.reduceat(gaps <= rho + rho[after], level_starts)
+            delta = np.minimum(gaps - rho[after], gaps[before] - rho[before])
+            scores = np.maximum.reduceat(w[run] / delta + split[run], level_starts)
+            exact = np.logical_and.reduceat(known[run], level_starts)
+            kept = np.flatnonzero(exact & ~skip & (scores < np.inf))
+            best = scores[kept].min(initial=np.inf)
+            todo = ~exact & ~skip & (scores <= best)
+            if not todo.any():
+                break
+            if best == np.inf:
+                todo = scores == scores[todo].min()
+            resolve((np.bincount(run[todo[level]], minlength=runs.size) > 0) & ~known)
+    if not kept.size:
+        return np.inf, np.inf
+    best = kept[np.argmin(scores[kept])]
+    w_max = np.maximum.reduceat(w[run], level_starts)[best]
+    return float(scores[best]), float(2 * (truncation + reach) * w_max / omega)
 
 
 def certify_truncation(h: FourierHamiltonian) -> int:
-    """Smallest certified cutoff: double M until the truncation figures hold.
-
-    Starting from the largest harmonic index of the model (at least 1),
-    returns the first M at which the quasi-energy bound and the
-    average-energy estimate of `_truncation_bounds` are both below
-    QUASI_TOL, and raises TruncationError when none up to MAX_TRUNCATION
-    is.  The harmonic cutoff is the one approximation in the whole
-    construction, so it is certified rather than guessed.
-    """
+    """Smallest certified cutoff: doubling M from the largest harmonic index
+    (at least 1), the first at which the quasi-energy bound and the Ebar
+    estimate of `_truncation_bounds` are both below QUASI_TOL; TruncationError
+    when none up to MAX_TRUNCATION is.  The harmonic cutoff is the one
+    approximation in the construction, so it is certified, not guessed."""
     return _certified_spectrum(h, None).metadata["truncation"]
 
 
 def _certified_spectrum(h: FourierHamiltonian, tol_deg: float | None) -> Spectrum:
-    """The doubling loop of `certify_truncation`, returning its last solve."""
+    """The doubling loop of `certify_truncation`, returning the spectrum of
+    its last rung, the only one whose triplets are built."""
+    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     m = max(1, h.max_harmonic)
     while m <= MAX_TRUNCATION:
         try:
-            spectrum = solve_at_truncation(h, m, tol_deg)
+            states, *figures = _rung(h, m, tol_deg)
         except TruncationError:
             pass
         else:
-            if _bound(spectrum) < QUASI_TOL:
-                return spectrum
+            if max(figures) < QUASI_TOL:
+                return _solved(h, m, tol_deg, states, *figures)
+            del states  # not held through the next eigensolve
         m *= 2
     raise TruncationError(
         f"truncation error figures did not fall below {QUASI_TOL} up to M={MAX_TRUNCATION}"
     )
 
 
-def _bound(spectrum: Spectrum) -> float:
-    return max(spectrum.metadata["eps_bound"], spectrum.metadata["ebar_estimate"])
-
-
 def solve_spectrum(
-    h: FourierHamiltonian,
-    truncation: int | str = "auto",
-    tol_deg: float | None = None,
+    h: FourierHamiltonian, truncation: int | str = "auto", tol_deg: float | None = None
 ) -> Spectrum:
     """Full pipeline: diagonalize, select, resolve; 'auto' returns the
     certifying solve, so the certified cutoff is solved once.  A fixed
@@ -1036,7 +1036,7 @@ def solve_spectrum(
         spectrum = _certified_spectrum(h, tol_deg)
     else:
         spectrum = solve_at_truncation(h, int(truncation), tol_deg)
-        if not _bound(spectrum) < QUASI_TOL:
+        if not max(spectrum.metadata["eps_bound"], spectrum.metadata["ebar_estimate"]) < QUASI_TOL:
             warnings.warn(
                 f"truncation M={truncation} is below convergence: eps bound "
                 f"{spectrum.metadata['eps_bound']:.3e}, ebar estimate "

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +297,35 @@ def test_dense_guard_counts_the_eigensolver_copy(monkeypatch):
     assert len(sambe.solve_at_truncation(h, 8)) == 3
 
 
+def test_truncation_bound_memory_does_not_grow_with_replica_offsets():
+    # 24 static levels in [0, 4] at omega = 1e-3 sit up to 4000 replicas
+    # apart; padding every mode by its offset took 276 MB in this solve
+    levels = np.sort(np.random.default_rng(0).uniform(0, 4, 24))
+    h = ft.builtin_model("static", {"levels": tuple(levels), "omega": 1e-3})
+    tracemalloc.start()
+    try:
+        spec = sambe.solve_at_truncation(h, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert (spec.metadata["eps_bound"], spec.metadata["ebar_estimate"]) == (0.0, 0.0)
+    assert_allclose(np.sort(spec.avg_energies), levels, atol=1e-12)
+
+
+def test_energy_window_reuses_the_model_terms():
+    # lambda(H_0) and the drive norms are computed once per model; the window
+    # is the same to the bit as when they were computed at every cutoff
+    h = ft.builtin_model("driven_ring", {"sites": 6, "v": 0.5})
+    levels = np.linalg.eigvalsh(h.harmonics[0])
+    drive = sum(np.linalg.norm(mat, 2) for m, mat in h.harmonics.items() if m != 0)
+    for m in (1, 2, 4):
+        tol = 1e-8 * h.omega
+        reach = drive + 0.5 * h.omega + (2 * m + 1) * h.dim * tol + 1e-9 * h.omega
+        assert sambe._energy_window(h, m, tol) == (levels[0] - reach, levels[-1] + reach)
+    assert h._spectral_reach is h._spectral_reach
+
+
 def test_truncation_bound_warns_below_convergence():
     # at M = 3 this model is 0.06 off in eps and 0.24 in Ebar against M = 32
     h = ft.builtin_model("two_level_linear", {"v": 2.5, "omega": 0.9})
@@ -354,6 +384,40 @@ def test_certified_spectrum_is_within_its_bounds(name, params, certified):
     again = ft.solve_spectrum(h, 2 * spec.metadata["truncation"])
     # 1e-12 of rounding on top of the bounds, which can be 1e-25
     assert_same_triplets(spec, again, h.omega, eps_bound + 1e-12, ebar_estimate + 1e-12)
+
+
+# the BOUND_CASES solved at their certified M and at the rung below it by the
+# staged pipeline (select, group, resolve, bound) that the one pass replaced
+BOUND_CASE_PINS = json.loads((Path(__file__).parent / "bound_case_pins.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "pin",
+    BOUND_CASE_PINS,
+    ids=[f"{p['name']}-{sorted(p['params'].values())}-M{p['truncation']}" for p in BOUND_CASE_PINS],
+)
+def test_bound_cases_keep_their_pinned_values(pin):
+    h = ft.builtin_model(pin["name"], pin["params"])
+    spec = sambe.solve_at_truncation(h, pin["truncation"])
+    unused = list(zip(pin["eps"], pin["ebar"]))
+    for t in spec:
+        match = next(
+            (
+                (eps, ebar) for eps, ebar in unused
+                if abs(t.avg_energy - ebar) <= 1e-13
+                and ft.wrap_distance(t.quasi_energy, eps, h.omega) <= 1e-13
+            ),
+            None,
+        )
+        assert match is not None, (t.quasi_energy, t.avg_energy)
+        unused.remove(match)
+    # 1e-10 relative, above the rounding each figure carries: the split term
+    # of eps_bound compares Ritz values of size omega to a few ulps, and w is
+    # the square of residuals that rounding moves by about 1e-29
+    for key, floor in (("eps_bound", 1e-15), ("ebar_estimate", 1e-25)):
+        expected = np.inf if pin[key] is None else pin[key]
+        value = spec.metadata[key]
+        assert value == expected or abs(value - expected) <= 1e-10 * expected + floor, key
 
 
 @pytest.mark.parametrize(
@@ -865,13 +929,15 @@ def test_certify_truncation_caps_out(monkeypatch):
 def test_auto_solve_solves_each_cutoff_once(monkeypatch):
     h = ft.builtin_model("driven_ring")
     seen = []
-    solve = sambe.solve_at_truncation
+    solve = sambe._rung
 
-    def counting(h, truncation, tol_deg=None):
+    # each rung is one eigensolve and one pass; only the accepted one builds
+    # its triplets
+    def counting(h, truncation, tol_deg):
         seen.append(truncation)
         return solve(h, truncation, tol_deg)
 
-    monkeypatch.setattr(sambe, "solve_at_truncation", counting)
+    monkeypatch.setattr(sambe, "_rung", counting)
     spec = ft.solve_spectrum(h, "auto")
     assert seen == [2**k for k in range(len(seen))]
     assert seen[-1] == spec.metadata["truncation"]
