@@ -100,11 +100,12 @@ def mode_agreement(
     joined by gaps of at most ebar_tol.  Inside such a set the individual
     modes are arbitrary and only the subspace is fixed, and the block's
     singular values are the cosines of the angles between the two
-    subspaces.  The oracle keeps each state on its centroid-zone replica,
-    but the Sambe route moves the members of a group onto one common
-    replica, so each block is taken at the harmonic shift of the set's
-    spec_a modes that maximizes its Frobenius norm.  Returns (states,
-    sigma_min) per set.
+    subspaces.  Both routes keep each state on its centroid-zone replica,
+    with <N> in [-1/2, 1/2), and no Ebar tie spans two replicas; only a
+    seam state at <N> = +-1/2 may sit one replica apart, where the oracle's
+    round-half-to-even picks the other.  So each block is taken at the
+    harmonic shift of the set's spec_a modes that maximizes its Frobenius
+    norm.  Returns (states, sigma_min) per set.
     """
     groups: dict[int, list[int]] = {}
     for i, t in enumerate(spec_a):

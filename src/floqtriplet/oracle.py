@@ -377,7 +377,9 @@ def oracle_spectrum(
     k = round((eps - Ebar) / omega), so that by eps_raw = Ebar + omega <N>
     its Fourier centroid <N> lies within 1/2 of m = 0, the zone the Sambe
     route keeps.  A level far from 0 (a static offset of many omega) puts
-    its weight near m = 0 all the same.
+    its weight near m = 0 all the same.  quasi_energy_raw is the cluster's
+    quasi-energy on that replica, the multiple of omega from the reported
+    one nearest eps_raw.
     """
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     mono = propagate_period(h, config)
@@ -399,12 +401,15 @@ def oracle_spectrum(
             mode, tail = mode_from_propagation(
                 h, vec0, theta_group - 2.0 * np.pi * k, truncation, config
             )
+            # the group's quasi-energy on the replica the mode was rephased to
+            rephased = theta_group / h.period - k * h.omega
+            eps_raw = eps_group + h.omega * round((rephased - eps_group) / h.omega)
             triplets.append(
                 EigenTriplet(
                     mode=mode,
                     quasi_energy=eps_group,
                     avg_energy=float(ebars[a]),
-                    quasi_energy_raw=eps_group,
+                    quasi_energy_raw=eps_raw,
                     residual=tail,
                     group_id=gid,
                     group_size=cluster.size,

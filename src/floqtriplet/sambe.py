@@ -45,13 +45,17 @@ and T applied through the harmonics, never as n x n matrices:
   eigh per larger size) and per physical state the replica with centroid
   in [-1/2, 1/2) is kept.  T is applied once to the d kept modes X, and
   S X = T X + omega N X gives each its raw eigenvalue x^H S x.
-- grouping: states whose folded quasi-energies coincide share one replica
-  (its shift and lost weight read from the modes' block weights) and the
-  mean of their aligned raw eigenvalues, the only mean taken; T is applied
-  again only to members moved there.
-- resolution: each group's block Hbar = X_g^H (T X)_g, the one-period
-  average (1/T) int <Phi_i(t)|H(t)|Phi_j(t)> dt, is diagonalized, one
-  batched eigh per group size, and rotates X and T X.
+- grouping: states whose folded quasi-energies coincide form a group.
+  Every member keeps its own replica and carries the group's mean raw
+  eigenvalue, the only mean taken, on that replica: the mean over members
+  brought to the first one's replica, plus k*omega.
+- resolution: for each set of a group's members on one replica, the block
+  Hbar = X_s^H (T X)_s, the one-period average (1/T) int <Phi_i(t)|H(t)|
+  Phi_j(t)> dt, is diagonalized, one batched eigh per set size, and
+  rotates X and T X.  Members k != 0 replicas apart share no block: moved
+  to one replica they lie in one S-eigenspace, where Hbar = lam - omega*N
+  is diagonal on the N-eigenvectors `_select` kept, and their Ebar differ
+  by omega*(k + <N>_i - <N>_j) != 0.
 - certification: `_truncation_bounds` takes S_inf X from that T X.
 
 Mode and triplet objects are built once, for the returned solve, ordered
@@ -89,7 +93,7 @@ MAX_DENSE_BYTES = 2 * 1024**3
 # warns.
 QUASI_TOL = 1e-9
 
-# Largest cutoff M the doubling loop of `certify_truncation` tries.
+# Largest cutoff M the doubling loop of `_certified_spectrum` tries.
 MAX_TRUNCATION = 64
 
 # Largest eigenpair residual ||S v - lam v|| `diagonalize` accepts, relative
@@ -487,10 +491,12 @@ def select_representatives(
 
 @dataclass(frozen=True, eq=False)
 class DegenerateGroup:
-    """Representatives sharing a quasi-energy, replica-aligned, all carrying
-    the group's raw eigenvalue (the mean of their aligned Rayleigh quotients,
-    quasi_energy its fold), so their average-energy block is the physical
-    average-energy operator restricted to the degenerate subspace."""
+    """Representatives sharing a quasi-energy, each on its own replica and
+    carrying the group's raw eigenvalue there (the mean of the members'
+    Rayleigh quotients on the first one's replica, plus k*omega; the
+    group's quasi_energy its fold), ordered by replica; the members on one
+    replica span the degenerate subspace that `resolve_degeneracies`
+    diagonalizes the average-energy operator in."""
 
     members: tuple[Representative, ...]
     quasi_energy: float
@@ -500,77 +506,46 @@ class DegenerateGroup:
         return len(self.members)
 
 
-def _group(x, lams, eps, h: FourierHamiltonian, tol_deg: float):
-    """`group_degeneracies` as arrays: the columns in group order, the group
-    of each, the groups' raw eigenvalues and quasi-energies, and X with the
-    members that alignment moves replaced, with a mask of those."""
-    omega, truncation = h.omega, (x.shape[0] // h.dim - 1) // 2
+def _group(lams, eps, omega: float, tol_deg: float):
+    """`group_degeneracies` as arrays: the members in group order (by
+    replica inside a group), the group of each, and each one's raw
+    eigenvalue and quasi-energy."""
     clusters = _gap_clusters(eps, tol_deg, omega)
     sizes = np.array([c.size for c in clusters])
     cols = np.concatenate([np.sort(c) for c in clusters])
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(sizes.size), sizes)
     ks = np.round((lams[cols] - lams[cols[starts]][owner]) / omega).astype(int)
-    targets = np.minimum.reduceat(ks, starts)
-    nb, reach = 2 * truncation + 1, 2 * truncation
-    for g in np.flatnonzero(targets < np.maximum.reduceat(ks, starts)).tolist():
-        members = slice(starts[g], starts[g] + sizes[g])
-        k = ks[members]
-        # a shift by more than 2M loses a whole member: only targets within
-        # 2M of every member align them, and at a small omega there may be none
-        span = np.arange(max(k.min(), k.max() - reach), min(k.max(), k.min() + reach) + 1)
-        if not span.size:
-            raise TruncationError(
-                f"replica alignment loses weight >= 1: members lie {k.max() - k.min()} "
-                f"replicas apart, more than 4M = {2 * reach}; increase M"
-            )
-        # a shift by s drops the last s blocks of each member, or the first -s
-        weights = np.sum(np.abs(x[:, cols[members]].reshape(nb, h.dim, -1)) ** 2, axis=1).T
-        s, block = (span[:, None] - k)[..., None], np.arange(nb)
-        lost = np.sum(weights * ((block >= nb - s) | (block < -s)), axis=(1, 2))
-        # a shifted mode is an eigenvector only up to a residual of about
-        # ||H|| * sqrt(lost), kept inside the certificate of `diagonalize`
-        if lost.min() > 1e-20:
-            raise TruncationError(f"replica alignment loses weight {lost.min():.2e}; increase M")
-        targets[g] = span[np.argmin(lost)]
-    shifts = targets[owner] - ks
-    group_lams = np.add.reduceat(lams[cols] + shifts * omega, starts) / sizes
+    group_lams = np.add.reduceat(lams[cols] - ks * omega, starts) / sizes
     # a singleton group is its representative as given
     group_eps = np.where(sizes > 1, fold_reported(group_lams, omega), eps[cols[starts]])
-    moved = np.bincount(cols[shifts != 0], minlength=x.shape[1]) > 0
-    x = x.copy() if moved.any() else x
-    for col, k in zip(cols[shifts != 0].tolist(), shifts[shifts != 0].tolist()):
-        x[:, col] = FloquetMode.from_flat(x[:, col], h.dim).shift(k)[0].normalized().flat()
-    by_eps = np.argsort(group_eps, kind="stable")
-    rank = np.argsort(by_eps)[owner]
-    order = np.argsort(rank, kind="stable")
-    return cols[order], rank[order], group_lams[by_eps], group_eps[by_eps], x, moved
+    rank = np.argsort(np.argsort(group_eps, kind="stable"))[owner]
+    order = np.lexsort((ks, rank))
+    member_lams = group_lams[owner] + ks * omega
+    return cols[order], rank[order], member_lams[order], group_eps[owner][order]
 
 
 def group_degeneracies(
     reps: list[Representative], h: FourierHamiltonian, tol_deg: float | None = None
 ) -> list[DegenerateGroup]:
     """Cluster representatives with |eps_i - eps_j| <= tol_deg, wrapped at
-    the zone boundary.  Members of a group are shifted to the common replica
-    that drops the least weight past the truncation edge, and the mean lam
-    of their shifted raw eigenvalues (the one place raw eigenvalues are
-    averaged) becomes every member's quasi_energy_raw, with quasi_energy =
-    fold_reported(lam); a singleton group keeps its representative's."""
+    the zone boundary.  Members keep their modes; each one's raw eigenvalue
+    lam_i, k_i = round((lam_i - lam_first) / omega) replicas from the first
+    member's, becomes the group mean lam of lam_j - k_j * omega (the one
+    place raw eigenvalues are averaged) plus k_i * omega, with quasi_energy
+    = fold_reported(lam); a singleton group keeps its representative's."""
     tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     if not reps:
         return []
-    x = np.column_stack([r.mode.flat() for r in reps])
     lams, eps = np.array([(r.quasi_energy_raw, r.quasi_energy) for r in reps]).T
-    cols, gids, group_lams, group_eps, x, moved = _group(x, lams, eps, h, tol_deg)
+    cols, gids, lams, eps = _group(lams, eps, h.omega, tol_deg)
     groups = []
-    for g, members in enumerate(np.split(cols, np.flatnonzero(np.diff(gids)) + 1)):
-        eps, lam = float(group_eps[g]), float(group_lams[g])
-        aligned = tuple(
-            replace(reps[i], quasi_energy=eps, quasi_energy_raw=lam,
-                    mode=FloquetMode.from_flat(x[:, i], h.dim) if moved[i] else reps[i].mode)
-            for i in members
+    for members in np.split(np.arange(gids.size), np.flatnonzero(np.diff(gids)) + 1):
+        grouped = tuple(
+            replace(reps[cols[j]], quasi_energy=float(eps[j]), quasi_energy_raw=float(lams[j]))
+            for j in members
         )
-        groups.append(DegenerateGroup(aligned, eps))
+        groups.append(DegenerateGroup(grouped, float(eps[members[0]])))
     return groups
 
 
@@ -594,11 +569,12 @@ def average_energy_block(modes: list[FloquetMode], h: FourierHamiltonian) -> np.
 class EigenTriplet:
     """(mode, quasi-energy, average energy) with solver provenance.
 
-    quasi_energy_raw is the raw eigenvalue the degenerate group shares
-    (set in `group_degeneracies`) and quasi_energy is its fold_reported
-    value in [0, omega).  group_id indexes the degenerate group the state
-    was resolved in; ebar_degenerate flags a residual average-energy
-    degeneracy inside that group.
+    quasi_energy_raw is the degenerate group's raw eigenvalue on the
+    state's own replica (set in `group_degeneracies`), so that avg_energy =
+    quasi_energy_raw - omega * <N> for its centroid <N>, and quasi_energy is
+    its fold_reported value in [0, omega).  group_id indexes the degenerate
+    group the state was resolved in; ebar_degenerate flags a residual
+    average-energy degeneracy among its members on the same replica.
     """
 
     mode: FloquetMode
@@ -671,13 +647,17 @@ def _record(obj) -> dict:
 
 
 def _resolve(x, tx, lams, eps, gids, h: FourierHamiltonian) -> dict:
-    """`resolve_degeneracies` as arrays, on members X and T X in group order
-    with their groups' raw eigenvalues and quasi-energies: the resolved
-    states as columns, in the order of their triplets."""
+    """`resolve_degeneracies` as arrays, on members X and T X in group order,
+    by replica inside a group, with their raw eigenvalues and quasi-energies:
+    the resolved states as columns, in the order of their triplets."""
     number = _number_diagonal((x.shape[0] // h.dim - 1) // 2, h.dim)
     ebars = np.real(np.sum(x.conj() * tx, axis=0))
     tied = np.zeros(gids.size, dtype=bool)
-    starts = np.flatnonzero(np.diff(gids, prepend=-1))
+    # one set per group and replica: a member starts a new set in a new
+    # group or at a raw eigenvalue more than omega/2 from the previous one's
+    new = np.diff(gids, prepend=-1) != 0
+    new[1:] |= np.abs(np.diff(lams)) > 0.5 * h.omega
+    starts = np.flatnonzero(new)
     sizes = np.diff(np.append(starts, gids.size))
     hbar = x.conj().T @ tx if sizes.max() > 1 else None
     for size in sorted(set(sizes[sizes > 1].tolist())):
@@ -696,7 +676,7 @@ def _resolve(x, tx, lams, eps, gids, h: FourierHamiltonian) -> dict:
     x /= norms
     tx /= norms
     order = np.lexsort((np.argmax(np.abs(x), axis=0), eps, ebars))
-    states = dict(ebars=ebars, lams=lams, eps=eps, gids=gids, sizes=np.repeat(sizes, sizes),
+    states = dict(ebars=ebars, lams=lams, eps=eps, gids=gids, sizes=np.bincount(gids)[gids],
                   tied=tied, residuals=residuals)
     return dict(x=x[:, order], tx=tx[:, order], **{k: v[order] for k, v in states.items()})
 
@@ -717,17 +697,18 @@ def _spectrum(states: dict, h: FourierHamiltonian, metadata: dict | None) -> Spe
 def resolve_degeneracies(
     groups: list[DegenerateGroup], h: FourierHamiltonian, metadata: dict | None = None
 ) -> Spectrum:
-    """Diagonalize each group's average-energy block X_g^H (T X)_g into
-    eigentriplets.  The rotated members share the group's raw eigenvalue
-    lam, with residual ||(T X + omega N X) R - lam X R||.  Triplets are
-    ordered by average energy, then quasi-energy, then the index of the
-    largest-magnitude coefficient; neighbours in a group within
+    """Diagonalize the average-energy block X_s^H (T X)_s of each set of a
+    group's members on one replica (raw eigenvalues within omega/2) into
+    eigentriplets.  The rotated members keep their raw eigenvalue lam, with
+    residual ||(T X + omega N X) R - lam X R||.  Triplets are ordered by
+    average energy, then quasi-energy, then the index of the
+    largest-magnitude coefficient; neighbours in a set within
     1e-10 * max(|Ebar|, 1) of each other are flagged, not interpreted."""
     if not groups:
         return Spectrum(triplets=[], metadata=metadata or {})
     gids = np.repeat(np.arange(len(groups)), [group.size for group in groups])
     x = np.column_stack([m.mode.flat() for group in groups for m in group.members])
-    lams, eps = np.array([(g.members[0].quasi_energy_raw, g.quasi_energy) for g in groups])[gids].T
+    lams, eps = np.array([(m.quasi_energy_raw, g.quasi_energy) for g in groups for m in g.members]).T
     return _spectrum(_resolve(x, _apply_blocks(h, x, 0.0), lams, eps, gids, h), h, metadata)
 
 
@@ -810,10 +791,8 @@ def _rung(h: FourierHamiltonian, truncation: int, tol_deg: float) -> tuple[dict,
     pairs = diagonalize(build_sambe(h, truncation), window=_energy_window(h, truncation, tol_deg))
     x, tx, lams, eps = _select(*pairs, h, truncation, tol_deg)
     del pairs
-    cols, gids, group_lams, group_eps, x, moved = _group(x, lams, eps, h, tol_deg)
-    if moved.any():
-        tx[:, moved] = _apply_blocks(h, x[:, moved], 0.0)
-    states = _resolve(x[:, cols], tx[:, cols], group_lams[gids], group_eps[gids], gids, h)
+    cols, gids, lams, eps = _group(lams, eps, h.omega, tol_deg)
+    states = _resolve(x[:, cols], tx[:, cols], lams, eps, gids, h)
     del x, tx
     return (states, *_truncation_bounds(h, truncation, states))
 

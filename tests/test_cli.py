@@ -175,6 +175,29 @@ def test_compare_static_exits_zero(tmp_path):
         assert float(row["delta_ebar"]) <= 1e-12
 
 
+def test_compare_resonant_direct_sum_exits_zero(tmp_path):
+    # a random driven pair beside its copy raised by 3 omega: every state is
+    # folded degenerate with one 3 replicas away, and both gates hold
+    rng = np.random.default_rng(4)
+    omega = 1.3
+    a0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h0 = 0.5 * (a0 + a0.conj().T)
+    h1 = 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    zero = np.zeros((2, 2))
+    h = ft.FourierHamiltonian(dim=4, omega=omega, harmonics={
+        0: np.block([[h0, zero], [zero, h0 + 3 * omega * np.eye(2)]]),
+        1: np.block([[h1, zero], [zero, h1]]),
+    })
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    out = tmp_path / "run"
+    assert main(["compare", "--model", str(path), "--out", str(out)]) == 0
+    assert len(read_csv(out / "compare.csv")) == 4
+    spec = ft.solve_spectrum(h)
+    assert [t.group_size for t in spec] == [2, 2, 2, 2]
+    assert all(-0.5 <= t.mode.centroid() < 0.5 for t in spec)
+
+
 def test_compare_circular_within_gate(tmp_path):
     out = tmp_path / "run"
     code = main(["compare", "--builtin", "two_level_circular", "--out", str(out)])

@@ -340,3 +340,13 @@ def test_cross_method_agreement(name, spectra, oracle_spectra):
             spec_s[i].quasi_energy, spec_o[j].quasi_energy, h.omega
         ) <= 1e-6
         assert abs(spec_s[i].avg_energy - spec_o[j].avg_energy) <= 1e-6
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_oracle_raw_quasi_energy_is_on_the_mode_replica(name, oracle_spectra):
+    # eps_raw is the group's quasi-energy on the replica each mode was
+    # rephased to, so Ebar = eps_raw - omega <N> holds state by state
+    h = ft.builtin_model(name)
+    for t in oracle_spectra[name]:
+        assert abs(t.quasi_energy_raw - h.omega * t.mode.centroid() - t.avg_energy) <= 1e-6
+        assert ft.wrap_distance(t.quasi_energy_raw, t.quasi_energy, h.omega) <= 1e-12 * h.omega

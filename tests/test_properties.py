@@ -7,6 +7,7 @@ real.
 """
 
 import numpy as np
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,10 +92,45 @@ def test_reported_residuals_and_average_energies_match_dense_matrices(h, loose):
         x = t.mode.flat()
         assert abs(t.residual - np.linalg.norm(s @ x - t.quasi_energy_raw * x)) <= 1e-12
         assert abs(t.avg_energy - np.real(np.vdot(x, t_mat @ x))) <= 1e-12
+    # every state on its own centroid-zone replica, carrying its group's raw
+    # eigenvalue there: a group's raw values differ by whole multiples of omega
     raws = {}
     for t in spec:
-        raws.setdefault(t.group_id, set()).add(t.quasi_energy_raw)
-    assert all(len(values) == 1 for values in raws.values())
+        raws.setdefault(t.group_id, []).append(t.quasi_energy_raw)
+        assert -0.5 - 1e-9 <= t.mode.centroid() < 0.5 + 1e-9
+    for values in raws.values():
+        offsets = (np.array(values) - values[0]) / h.omega
+        assert np.abs(offsets - np.round(offsets)).max() <= 1e-12
+
+
+@st.composite
+def resonant_sums(draw):
+    """A random model A (d <= 3, one harmonic, real or complex) and the
+    direct sum of A and A + k omega, k = 1..5: every state of the sum is
+    folded degenerate with its partner k replicas away."""
+    block = real_block if draw(st.booleans()) else complex_block
+    dim = draw(st.integers(min_value=1, max_value=3))
+    omega = draw(st.floats(min_value=0.6, max_value=3.0, allow_nan=False))
+    k = draw(st.integers(min_value=1, max_value=5))
+    h0, h1 = block(draw, dim), block(draw, dim)
+    h0 = 0.5 * (h0 + h0.conj().T)
+    a = ft.FourierHamiltonian(dim=dim, omega=omega, harmonics={0: h0, 1: h1})
+    total = ft.FourierHamiltonian(dim=2 * dim, omega=omega, harmonics={
+        0: scipy.linalg.block_diag(h0, h0 + k * omega * np.eye(dim)),
+        1: scipy.linalg.block_diag(h1, h1),
+    })
+    return a, total, k
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=resonant_sums())
+def test_resonant_direct_sums_keep_every_state_in_its_zone(case):
+    a, total, k = case
+    spec_a, spec = ft.solve_spectrum(a, "auto"), ft.solve_spectrum(total, "auto")
+    expected = np.sort(np.concatenate([spec_a.avg_energies, spec_a.avg_energies + k * a.omega]))
+    assert np.abs(spec.avg_energies - expected).max() <= 1e-9
+    for t in spec:
+        assert -0.5 - 1e-9 <= t.mode.centroid() < 0.5 + 1e-9
 
 
 @settings(max_examples=25, deadline=None)

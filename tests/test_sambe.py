@@ -562,22 +562,35 @@ def test_group_degeneracies_wrapped_boundary():
     assert len(groups) == 1 and groups[0].size == 2
 
 
-@pytest.mark.parametrize("omega, aligned", [(0.5, True), (1e-5, False)])
-def test_replica_alignment_tries_only_targets_within_reach(monkeypatch, omega, aligned):
-    # two static levels 1 apart are replicas 1 / omega apart; a scan of every
-    # target between them took 2e5 shifts and 2.9 s to raise at omega = 1e-5
+@pytest.mark.parametrize("omega, within_reach", [(0.5, True), (1e-5, False)])
+def test_replica_alignment_tries_only_targets_within_reach(monkeypatch, omega, within_reach):
+    # two static levels 1 apart fold onto one quasi-energy 1 / omega replicas
+    # apart, within 4M of each other only at omega = 0.5; either way each
+    # state keeps its own replica, so no mode is shifted and M = 1 solves
     truncation = 1
+    assert within_reach == (1.0 / omega <= 4 * truncation)
     shifts = []
     shift = ft.FloquetMode.shift
     monkeypatch.setattr(ft.FloquetMode, "shift", lambda mode, k: shifts.append(k) or shift(mode, k))
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": omega})
-    if aligned:
-        assert sambe.solve_at_truncation(h, truncation)[0].group_size == 2
-    else:
-        with pytest.raises(ft.TruncationError, match="replica alignment"):
-            sambe.solve_at_truncation(h, truncation)
-    # two members, each shifted to at most the 4M + 1 targets within 2M
-    assert len(shifts) <= 2 * (4 * truncation + 1)
+    spec = sambe.solve_at_truncation(h, truncation)
+    assert [t.group_size for t in spec] == [2, 2]
+    assert_allclose(spec.avg_energies, [0.0, 1.0], atol=1e-12)
+    assert_allclose([t.mode.centroid() for t in spec], [0.0, 0.0], atol=1e-12)
+    assert shifts == []
+
+
+@pytest.mark.parametrize("omega", [0.5, 1 / 3, 0.25, 0.1, 1e-3])
+def test_resonant_static_levels_certify_at_the_first_cutoff(omega):
+    # levels 0 and 1 fold onto one quasi-energy 1 / omega replicas apart; on
+    # its own replica each is exact at M = 1, whatever the distance
+    h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": omega})
+    spec = ft.solve_spectrum(h, "auto")
+    assert spec.metadata["truncation"] == 1
+    assert [t.group_size for t in spec] == [2, 2]
+    assert_allclose(spec.avg_energies, [0.0, 1.0], atol=1e-12)
+    assert_allclose([t.quasi_energy_raw for t in spec], [0.0, 1.0], atol=1e-12)
+    assert_allclose([t.mode.centroid() for t in spec], [0.0, 0.0], atol=1e-12)
 
 
 def test_average_energy_block_singleton_static_ground():
@@ -643,15 +656,24 @@ def test_resolution_invariant_under_input_rotation():
     groups = ft.group_degeneracies(reps, h)
     baseline = ft.resolve_degeneracies(groups, h)
 
+    # the degenerate eigenspace: every member shifted onto the first one's
+    # replica, where all share its raw eigenvalue
+    first = groups[0].members[0]
+    aligned = []
+    for member in groups[0].members:
+        k = round((member.quasi_energy_raw - first.quasi_energy_raw) / h.omega)
+        shifted, lost = member.mode.shift(-k)
+        assert lost <= 1e-20
+        aligned.append(shifted.flat())
     rng = np.random.default_rng(11)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     c, _ = np.linalg.qr(a)
-    basis = np.column_stack([m.mode.flat() for m in groups[0].members]) @ c
+    basis = np.column_stack(aligned) @ c
     rotated_reps = [
         Representative(
             ft.FloquetMode.from_flat(basis[:, i], 2),
-            groups[0].members[i].quasi_energy,
-            groups[0].members[i].quasi_energy_raw,
+            first.quasi_energy,
+            first.quasi_energy_raw,
             groups[0].members[i].residual,
         )
         for i in range(2)
@@ -659,7 +681,7 @@ def test_resolution_invariant_under_input_rotation():
     rotated = ft.resolve_degeneracies(ft.group_degeneracies(rotated_reps, h), h)
     assert_allclose(rotated.avg_energies, baseline.avg_energies, atol=1e-10)
     for t_rot, t_base in zip(rotated, baseline):
-        assert abs(t_rot.mode.inner(t_base.mode)) >= 1.0 - 1e-9
+        assert ft.replica_overlap(t_rot.mode, t_base.mode)[0] >= 1.0 - 1e-9
 
 
 def test_quasi_energy_functional_on_eigenmode(spectra):
@@ -1029,8 +1051,8 @@ def test_fold_reported_snaps_seam():
 )
 def test_static_models_recover_levels(levels, omega):
     h = ft.builtin_model("static", {"levels": levels, "omega": omega})
-    # auto truncation: widely separated fold-degenerate levels need the
-    # window to span their replica-ladder offset before they share a rung
+    # fold-degenerate levels, however many replicas apart, each keep their
+    # own replica
     spec = ft.solve_spectrum(h, "auto", tol_deg=1e-10 * omega)
     assert_allclose(np.sort(spec.avg_energies), np.sort(levels), atol=1e-9)
     expected = [fold_reported(lv, omega) for lv in levels]
