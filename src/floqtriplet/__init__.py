@@ -5,8 +5,16 @@ Solves time-periodic quantum Hamiltonians for the complete eigentriplet
 diagonalization with degeneracy resolution by the average-energy operator,
 an independent monodromy-propagation oracle, and a variational
 ground-state solver.
+
+Importing the package loads the model and extended-space layers only
+(numpy and scipy.linalg); the oracle, variational and analysis names load
+their modules, and scipy.integrate and scipy.optimize with them, on first
+use.
 """
 
+from importlib import import_module as _import_module
+
+from ._config import VariationalConfig
 from .model import (
     FourierHamiltonian,
     ModelError,
@@ -21,6 +29,7 @@ from .sambe import (
     DegenerateGroup,
     EigenTriplet,
     FloquetMode,
+    PropagationError,
     Representative,
     SolverError,
     Spectrum,
@@ -41,31 +50,50 @@ from .sambe import (
     solve_spectrum,
     wrap_distance,
 )
-from .oracle import (
-    MonodromyResult,
-    PropagationConfig,
-    PropagationError,
-    mode_from_propagation,
-    oracle_spectrum,
-    propagate_period,
-    propagate_trajectory,
-    time_averaged_energy,
-)
-from .variational import (
-    VariationalConfig,
-    VariationalResult,
-    minimize_excited,
-    minimize_ground,
-    objective,
-)
-from .analysis import (
-    TrackingReport,
-    TruncatedSpectrum,
-    degeneracy_contrast_fixture,
-    order_and_truncate,
-    overlap_matrix,
-    perturb_and_track,
-    truncation_convergence_curve,
-)
+
+# Names re-exported from the layers that import scipy.integrate or
+# scipy.optimize: each import waits for the first access (PEP 562).  The
+# attribute is read from its module on every access and never copied here,
+# so rebinding it there (a tracer, a test's monkeypatch) shows through.
+_LAZY = {
+    "oracle": (
+        "MonodromyResult",
+        "PropagationConfig",
+        "mode_from_propagation",
+        "oracle_spectrum",
+        "propagate_period",
+        "propagate_trajectory",
+        "time_averaged_energy",
+    ),
+    "variational": (
+        "VariationalResult",
+        "minimize_excited",
+        "minimize_ground",
+        "objective",
+    ),
+    "analysis": (
+        "TrackingReport",
+        "TruncatedSpectrum",
+        "degeneracy_contrast_fixture",
+        "order_and_truncate",
+        "overlap_matrix",
+        "perturb_and_track",
+        "truncation_convergence_curve",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_HOME})
+
 
 __version__ = "0.1.0"

@@ -17,16 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, oracle, sambe, variational
+# only the layers `solve` runs load here; the oracle, variational and
+# analysis layers (with scipy.integrate and scipy.optimize) load inside the
+# commands that run them
+from . import sambe
+from ._config import VariationalConfig
 from .model import (
     FourierHamiltonian,
     ModelError,
     builtin_model,
     load_model,
 )
-from .oracle import PropagationError
-from .sambe import SolverError, TruncationError, wrap_distance
-from .variational import VariationalConfig
+from .sambe import PropagationError, SolverError, TruncationError, wrap_distance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,12 +159,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from scipy.optimize import linear_sum_assignment
+
+    from . import analysis, oracle
+
     h = _resolve_model(args)
     spec_s = sambe.solve_spectrum(h, args.harmonics, args.tol_deg)
     spec_o = oracle.oracle_spectrum(h, spec_s.metadata["truncation"], tol_deg=args.tol_deg)
     overlaps = analysis.overlap_matrix(spec_s, spec_o)
-    from scipy.optimize import linear_sum_assignment
-
     rows_idx, cols_idx = linear_sum_assignment(1.0 - overlaps)
     rows = []
     worst = 0.0
@@ -207,6 +211,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_variational(args) -> int:
+    from . import variational
+
     h = _resolve_model(args)
     tol_deg = sambe._resolve_tol_deg(args.tol_deg, h.omega)
     config = VariationalConfig(restarts=args.restarts, seed=args.seed)
@@ -235,8 +241,10 @@ def cmd_variational(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.builtin:
-        raise ModelError("sweep needs --builtin with --param defaults")
+    from . import analysis
+
+    if not args.builtin or args.model:
+        raise ModelError("sweep needs --builtin with --param defaults, and no --model")
     params = _parse_params(args.param)
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
@@ -261,6 +269,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from . import analysis
+
     if args.builtin or args.model:
         h = _resolve_model(args)
         if not args.pert_model:
@@ -350,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        if args.param and not args.builtin:
+            # --param overrides a built-in's parameters; nothing reads it otherwise
+            raise ModelError("--param sets built-in model parameters and needs --builtin")
         return args.func(args)
     except (ModelError, ValueError) as exc:
         print(json.dumps({"kind": "config", "message": str(exc)}))

@@ -46,6 +46,7 @@ from .sambe import (
     FloquetMode,
     Spectrum,
     EigenTriplet,
+    PropagationError,
     _gap_clusters,
     _resolve_tol_deg,
     fold_reported,
@@ -72,10 +73,6 @@ _CHAIN_BLOCK = 64
 
 # largest Frobenius defect ||U^H U - 1|| of U(T) that propagation accepts
 UNITARITY_TOL = 1e-12
-
-
-class PropagationError(RuntimeError):
-    """Raised when unitarity or periodicity drifts beyond tolerance."""
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,10 @@ eigenspace of S with raw eigenvalue lam the average energy is
 
 The kept replica has centroid <N> in [-1/2, 1/2), and its Ebar = <T> lies
 inside the instantaneous spectrum of H(t), because T is a compression of
-multiplication by H(t).  The one dense eigensolve per cutoff (LAPACK MRRR)
-computes only the eigenpairs in the window of raw eigenvalues that this
-allows (`_energy_window`), in real arithmetic when every H_m is real
-(`build_energy_matrix`), and certifies their residuals.
+multiplication by H(t).  The one dense eigensolve per cutoff (LAPACK dsyevr
+or zheevr) computes only the eigenpairs in the window of raw eigenvalues
+that this allows (`_energy_window`), in real arithmetic when every H_m is
+real (`build_energy_matrix`), and certifies their residuals.
 
 Everything after the eigensolve is one pass over arrays (`_rung`), with S
 and T applied through the harmonics, never as n x n matrices:
@@ -80,6 +80,12 @@ class TruncationError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Raised when the dense eigensolver fails or leaves large residuals."""
+
+
+# the oracle raises it; it lives with the other convergence failures so that
+# the CLI's exit-code map does not import the oracle
+class PropagationError(RuntimeError):
+    """Raised when unitarity or periodicity drifts beyond tolerance."""
 
 
 # Largest dense extended-space solve that will be started: S (16 * n^2
@@ -331,14 +337,17 @@ def diagonalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix with a residual certificate.
 
-    LAPACK MRRR (dsyevr or zheevr, by dtype) computes the full spectrum, or
-    with window = (lo, hi) only the pairs with lo < lam <= hi (each cutoff
-    passes `_energy_window`).  Returns (eigenvalues ascending, eigenvectors
-    as columns), their residuals ||S v - lam v|| checked against
-    EIGEN_RESIDUAL_TOL * max(|lam|, 1) over the returned eigenvalues.  A
-    windowed solve that fails the check is redone on the full spectrum,
-    keeping the pairs in the window: windowed MRRR can return a bad pair, on
-    a real S that splits into exactly degenerate blocks, where that does not.
+    LAPACK dsyevr or zheevr (by dtype) computes the full spectrum, or with
+    window = (lo, hi) only the pairs with lo < lam <= hi (each cutoff passes
+    `_energy_window`).  These drivers use MRRR only for the full spectrum;
+    a window is solved by bisection and inverse iteration (?stebz and
+    ?stein) on the tridiagonal form.  Returns (eigenvalues ascending,
+    eigenvectors as columns), their residuals ||S v - lam v|| checked
+    against EIGEN_RESIDUAL_TOL * max(|lam|, 1) over the returned
+    eigenvalues.  A windowed solve that fails the check is redone on the
+    full spectrum, keeping the pairs in the window: the windowed solve can
+    return a bad pair, on a real S that splits into exactly degenerate
+    blocks, where the full one does not.
     """
     s = np.asarray(s)
     herm_defect = np.linalg.norm(s - s.conj().T)
@@ -360,7 +369,8 @@ def diagonalize(
 
 
 def _eigh(s: np.ndarray, window: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
-    """MRRR eigenpairs of s, inside the window if one is given."""
+    """Eigenpairs of s by LAPACK ?syevr / ?heevr: MRRR for the full
+    spectrum, bisection and inverse iteration inside a window."""
     try:
         return scipy.linalg.eigh(
             s, subset_by_value=window, driver="evr", check_finite=False

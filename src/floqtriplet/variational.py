@@ -107,7 +107,6 @@ race most of the time, which is why starts begin orthogonal to them.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -115,6 +114,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
+from ._config import VariationalConfig
 from ._trust_region import _newton_stage
 from .model import FourierHamiltonian
 from .sambe import (
@@ -152,21 +152,6 @@ POLISH_ITERATIONS = 3
 # centroid zone is cut by the truncation edge: the root of the weight cut,
 # about its relative residual in the untruncated space, is held to 1e-6
 REPLICA_LOSS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class VariationalConfig:
-    # random starts beyond one per Floquet state still to reach
-    restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "restarts", operator.index(self.restarts))
-        except TypeError:
-            raise ValueError(f"restarts must be an integer, got {self.restarts!r}") from None
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
 
 
 @dataclass(eq=False)

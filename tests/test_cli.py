@@ -314,6 +314,17 @@ def test_compare_starved_selection_exits_nonconvergence(tmp_path, capsys):
     assert err["kind"] == "convergence"
 
 
+def test_oracle_propagation_failure_exits_nonconvergence(tmp_path, capsys, monkeypatch):
+    # a PropagationError from the oracle reaches the exit-code map of main
+    def drifting(*args, **kwargs):
+        raise ft.PropagationError("unitarity defect 1.0e-3 exceeds 1.0e-12")
+
+    monkeypatch.setattr(oracle, "propagate_period", drifting)
+    assert main(["compare", "--builtin", "static", "--out", str(tmp_path / "o")]) == 4
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"kind": "convergence", "message": "unitarity defect 1.0e-3 exceeds 1.0e-12"}
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_solve_nonfinite_omega_exits_config(tmp_path, capsys, value):
     code = main(
@@ -561,6 +572,39 @@ def test_invalid_tol_deg_exits_config(tmp_path, capsys, command, value):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config"
     assert "tol_deg must be finite and > 0" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "variational", "sweep", "perturb"])
+def test_param_with_a_model_file_exits_config(tmp_path, capsys, command):
+    # --param was dropped on the --model path: solve ran the 4-site ring
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"builtin": "driven_ring", "params": {"sites": 4}}))
+    extra = {"sweep": SWEEP_ARGS, "perturb": ["--pert-model", str(model)]}.get(command, [])
+    out = tmp_path / "o"
+    argv = [command, "--model", str(model), *extra, "--param", "sites=48", "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config" and "--param" in err["message"]
+    assert not out.exists()
+
+
+def test_perturb_fixture_rejects_param(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["perturb", "--param", "v=0.3", "--out", str(out)]) == 2
+    assert "--param" in json.loads(capsys.readouterr().out.strip().splitlines()[-1])["message"]
+    assert not out.exists()
+
+
+def test_sweep_with_a_model_file_exits_config(tmp_path, capsys):
+    # sweep varies a built-in's parameter; a --model beside --builtin was ignored
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"builtin": "driven_ring", "params": {"sites": 4}}))
+    out = tmp_path / "o"
+    argv = ["sweep", "--builtin", "static", "--model", str(model), *SWEEP_ARGS, "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config" and "--model" in err["message"]
     assert not out.exists()
 
 
