@@ -32,10 +32,10 @@ eigenspace of S with raw eigenvalue lam the average energy is
 
 The kept replica has centroid <N> in [-1/2, 1/2), and its Ebar = <T> lies
 inside the instantaneous spectrum of H(t), because T is a compression of
-multiplication by H(t).  The one dense eigensolve per cutoff (LAPACK dsyevr
-or zheevr) computes only the eigenpairs in the window of raw eigenvalues
-that this allows (`_energy_window`), in real arithmetic when every H_m is
-real (`build_energy_matrix`), and certifies their residuals.
+multiplication by H(t).  The one dense eigensolve per cutoff (`_eigh`, by
+divide and conquer) returns only the eigenpairs in the window of raw
+eigenvalues that this allows (`_energy_window`), in real arithmetic when
+every H_m is real (`build_energy_matrix`), and certifies their residuals.
 
 Everything after the eigensolve is one pass over arrays (`_rung`), with S
 and T applied through the harmonics, never as n x n matrices:
@@ -69,7 +69,7 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .model import FourierHamiltonian, ModelError, model_hash
 
@@ -88,10 +88,10 @@ class PropagationError(RuntimeError):
     """Raised when unitarity or periodicity drifts beyond tolerance."""
 
 
-# Largest dense extended-space solve that will be started: S (16 * n^2
-# bytes) plus the eigensolver's copy (zheevr allocates about 2x S), so
-# 3 * 16 * n^2 bytes are counted against it.  A real S needs half of that;
-# the guard counts complex entries either way, which is conservative.
+# Largest dense extended-space solve that will be started.  While dstevd
+# runs, `_eigh` holds S, its reduced copy, the tridiagonal's real
+# eigenvectors and an n^2 workspace: 3 * 16 * n^2 bytes for a complex S,
+# counted for a real S too (which needs two thirds of that).
 MAX_DENSE_BYTES = 2 * 1024**3
 
 # Largest quasi-energy error bound and average-energy error estimate a
@@ -278,8 +278,7 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     H(t)* = H(-t), make T real symmetric) and complex128 otherwise; this is
     the one place that choice is made.  M below the largest stored harmonic
     index would silently drop physics and is rejected, and so is a solve
-    above MAX_DENSE_BYTES (ModelError, before allocating).  The guard counts
-    16 bytes per entry for either dtype, which is conservative for a real T.
+    above MAX_DENSE_BYTES (ModelError, before allocating).
     """
     _require_truncation(h, truncation)
     nb = 2 * truncation + 1
@@ -337,30 +336,20 @@ def diagonalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix with a residual certificate.
 
-    LAPACK dsyevr or zheevr (by dtype) computes the full spectrum, or with
-    window = (lo, hi) only the pairs with lo < lam <= hi (each cutoff passes
-    `_energy_window`).  These drivers use MRRR only for the full spectrum;
-    a window is solved by bisection and inverse iteration (?stebz and
-    ?stein) on the tridiagonal form.  Returns (eigenvalues ascending,
-    eigenvectors as columns), their residuals ||S v - lam v|| checked
-    against EIGEN_RESIDUAL_TOL * max(|lam|, 1) over the returned
-    eigenvalues.  A windowed solve that fails the check is redone on the
-    full spectrum, keeping the pairs in the window: the windowed solve can
-    return a bad pair, on a real S that splits into exactly degenerate
-    blocks, where the full one does not.
+    `_eigh` computes the full spectrum, or with window = (lo, hi) only the
+    pairs with lo < lam <= hi (each cutoff passes `_energy_window`).
+    Returns (eigenvalues ascending, eigenvectors as columns), their
+    residuals ||S v - lam v|| checked against EIGEN_RESIDUAL_TOL *
+    max(|lam|, 1) over the returned eigenvalues.
     """
     s = np.asarray(s)
     herm_defect = np.linalg.norm(s - s.conj().T)
-    if herm_defect > 1e-12 * max(1.0, np.linalg.norm(s)):
+    if not herm_defect <= 1e-12 * max(1.0, np.linalg.norm(s)):
         raise SolverError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     vals, vecs = _eigh(s, window)
-    worst, scale = _worst_residual(s, vals, vecs)
-    if worst > EIGEN_RESIDUAL_TOL * scale and window is not None:
-        vals, vecs = _eigh(s, None)
-        keep = (vals > window[0]) & (vals <= window[1])
-        vals, vecs = vals[keep], vecs[:, keep]
-        worst, scale = _worst_residual(s, vals, vecs)
-    if worst > EIGEN_RESIDUAL_TOL * scale:
+    scale = max(np.abs(vals).max(initial=0.0), 1.0)
+    worst = np.linalg.norm(s @ vecs - vecs * vals, axis=0).max(initial=0.0)
+    if not worst <= EIGEN_RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigensolver residual {worst:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * "
             f"{scale:.3e}; matrix size {s.shape[0]}"
@@ -369,24 +358,32 @@ def diagonalize(
 
 
 def _eigh(s: np.ndarray, window: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of s by LAPACK ?syevr / ?heevr: MRRR for the full
-    spectrum, bisection and inverse iteration inside a window."""
-    try:
-        return scipy.linalg.eigh(
-            s, subset_by_value=window, driver="evr", check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"eigensolver failed: {exc}; size={s.shape[0]}, "
-            f"norm={np.linalg.norm(s):.3e}"
-        ) from exc
+    """Eigenpairs of s, one LAPACK path for either dtype: dsytrd / zhetrd
+    reduce the lower triangle to a real tridiagonal Q^H s Q, dstevd solves
+    it by divide and conquer (Gu & Eisenstat 1995), and dormqr / zunmqr
+    apply Q, stored as reflectors, to the columns in the window only."""
+    n = s.shape[0]
 
+    def call(name, *args, **kwargs):
+        *out, info = getattr(scipy.linalg.lapack, name)(*args, **kwargs)
+        if info:
+            raise SolverError(f"eigensolver failed: {name} info {info}; size={n}")
+        return out
 
-def _worst_residual(s: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
-    """Largest ||S v - lam v|| over the pairs, and the scale max(|lam|, 1)."""
-    scale = max(float(np.abs(vals).max(initial=0.0)), 1.0)
-    residuals = np.linalg.norm(s @ vecs - vecs * vals, axis=0)
-    return float(residuals.max(initial=0.0)), scale
+    trd, mqr = ("zhetrd", "zunmqr") if np.iscomplexobj(s) else ("dsytrd", "dormqr")
+    (lwork,) = call(trd + "_lwork", n, lower=1)
+    c, d, e, tau = call(trd, s, lower=1, lwork=int(lwork.real))
+    vals, z = call("dstevd", d, e if n > 1 else [0.0])  # len(e) >= 1
+    if window is not None:
+        keep = (vals > window[0]) & (vals <= window[1])
+        vals, z = vals[keep], z[:, keep]
+    vecs = z.astype(c.dtype, copy=False)
+    if n > 1 and vals.size:
+        # Q = diag(1, Q'), Q' the reflectors in c[1:, :-1], read in place
+        reflectors = c.ravel(order="F")[1 : n * n - n + 1].reshape(n, n - 1, order="F")
+        lwork = call(mqr, "L", "N", reflectors, tau, vecs[1:], -1)[1][0]
+        vecs[1:] = call(mqr, "L", "N", reflectors, tau, vecs[1:], int(lwork.real))[0]
+    return vals, vecs
 
 
 def _energy_window(h: FourierHamiltonian, truncation: int, tol_deg: float) -> tuple[float, float]:
@@ -848,11 +845,12 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     delta_C the gap to the nearest outside cluster (maybe its own replica
     across the seam) less that cluster's radius.  A state reports its
     group's Ritz value, so the bound adds the largest distance between a
-    cluster's sorted Ritz values and its groups'.  The level with the
-    smallest bound is kept.  The Ebar figure is the estimate 2 (M + K) max_C
-    w_C / omega of that level: the leak moves about w_C / omega^2 of weight
-    past |p| = M, moving <N> by at most M + K per unit weight, twice over for
-    the renormalized window.  On 1,100 random cutoffs (d <= 6, harmonics <= 3)
+    cluster's sorted Ritz values and its groups'.  Of the levels whose bound
+    is within rounding (8 eps omega) of the smallest, the finest is kept.
+    The Ebar figure is the estimate 2 (M + K) max_C w_C / omega of that
+    level: the leak moves about w_C / omega^2 of weight past |p| = M,
+    moving <N> by at most M + K per unit weight, twice over for the
+    renormalized window.  On 1,100 random cutoffs (d <= 6, harmonics <= 3)
     the Ebar error stays below a third of it where it is below 1e-6 and below
     it where below 1e-2; far from convergence it can fall short 3.5 times.
     """
@@ -958,6 +956,7 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     after = np.where(entry == tail, head, entry + 1)
     before = np.where(entry == head, tail, entry - 1)
     wrap = np.where(entry == tail, omega, 0.0)
+    margin = 8 * np.finfo(float).eps * omega  # Ritz values in [-omega, omega)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             rho = np.sqrt(w[run])
@@ -971,7 +970,7 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
             exact = np.logical_and.reduceat(known[run], level_starts)
             kept = np.flatnonzero(exact & ~skip & (scores < np.inf))
             best = scores[kept].min(initial=np.inf)
-            todo = ~exact & ~skip & (scores <= best)
+            todo = ~exact & ~skip & (scores <= best + margin)
             if not todo.any():
                 break
             if best == np.inf:
@@ -979,7 +978,7 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
             resolve((np.bincount(run[todo[level]], minlength=runs.size) > 0) & ~known)
     if not kept.size:
         return np.inf, np.inf
-    best = kept[np.argmin(scores[kept])]
+    best = kept[scores[kept] <= best + margin][0]
     w_max = np.maximum.reduceat(w[run], level_starts)[best]
     return float(scores[best]), float(2 * (truncation + reach) * w_max / omega)
 

@@ -95,10 +95,13 @@ def time_shifted(h: ft.FourierHamiltonian, tau: float) -> ft.FourierHamiltonian:
 
 
 def full_solve(h: ft.FourierHamiltonian, truncation: int, tol_deg: float | None = None):
-    """The fixed-cutoff pipeline on the full Sambe spectrum (no value window)."""
+    """The fixed-cutoff pipeline on the full Sambe spectrum (no value window),
+    its eigenpairs from numpy.linalg.eigh (?syevd / ?heevd): the reduction
+    and divide and conquer of `diagonalize`, but LAPACK's own driver and
+    back-transform of every column."""
     if tol_deg is None:
         tol_deg = 1e-8 * h.omega
-    vals, vecs = ft.diagonalize(ft.build_sambe(h, truncation))
+    vals, vecs = np.linalg.eigh(ft.build_sambe(h, truncation))
     reps = ft.select_representatives(vals, vecs, h, truncation, tol_deg)
     return ft.resolve_degeneracies(ft.group_degeneracies(reps, h, tol_deg), h)
 

@@ -175,7 +175,7 @@ def test_eps_bound_holds_below_convergence(h):
 @given(h=driven_models(real=True), tau=st.floats(min_value=0.05, max_value=0.95))
 def test_real_model_matches_its_time_shifted_complex_copy(h, tau):
     # H(t + tau) has the same triplets; its harmonics H_m e^{i m omega tau} are
-    # complex, so the real (dsyevr) solve is checked against the complex one
+    # complex, so the real (dsytrd) solve is checked against the complex one
     shifted = time_shifted(h, tau * h.period)
     truncation = max(1, h.max_harmonic)
     assert ft.build_sambe(h, truncation).dtype == np.float64
@@ -201,6 +201,65 @@ def test_windowed_solve_matches_full_spectrum(h, truncation, loose):
         assert_same_triplets(windowed, full, h.omega, 1e-12)
     else:
         assert windowed == full
+
+
+@st.composite
+def hermitian_windows(draw):
+    """A Hermitian matrix and a value window: the Sambe matrix of a random
+    model (real or complex), one with exactly degenerate levels (A + A, its
+    rows and columns permuted), one that splits into exact blocks (A + B,
+    permuted) or a 1 x 1 matrix.  The window's edges lie in gaps of the
+    spectrum wider than the clustering tolerance, among them the same gap
+    twice (an empty window)."""
+    kind = draw(st.sampled_from(["model", "degenerate", "blocks", "scalar"]))
+    block = real_block if draw(st.booleans()) else complex_block
+
+    def hermitian(n):
+        a = block(draw, n)
+        return a + a.conj().T
+
+    if kind == "model":
+        h = draw(st.booleans().flatmap(lambda real: driven_models(real=real)))
+        s = ft.build_sambe(h, max(draw(st.integers(1, 4)), h.max_harmonic))
+    elif kind == "scalar":
+        s = hermitian(1)
+    else:
+        a = hermitian(draw(st.integers(1, 4)))
+        b = a if kind == "degenerate" else hermitian(draw(st.integers(1, 4)))
+        order = np.asarray(draw(st.permutations(range(a.shape[0] + b.shape[0]))))
+        s = scipy.linalg.block_diag(a, b)[order][:, order]
+    values = np.linalg.eigvalsh(s)
+    tol = 1e-8 * max(1.0, np.abs(values).max())
+    gaps = np.flatnonzero(np.diff(values) > tol)
+    edges = [values[0] - 1.0, *(0.5 * (values[gaps] + values[gaps + 1])), values[-1] + 1.0]
+    lo, hi = sorted(draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2)))
+    return s, (edges[lo], edges[hi]), tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=hermitian_windows())
+def test_windowed_diagonalize_matches_numpy_eigh(case):
+    # the windowed kernel against the whole spectrum of numpy.linalg.eigh
+    # (?syevd / ?heevd, LAPACK's own driver), kept inside (lo, hi]: the same
+    # pairs, eigenvectors compared per cluster within tol as subspaces.  That
+    # driver shares the kernel's reduction, so the count in the window also
+    # comes from the inertia of S - x I (Sylvester), which shares nothing
+    s, (lo, hi), tol = case
+    vals, vecs = ft.diagonalize(s, (lo, hi))
+    ref_vals, ref_vecs = np.linalg.eigh(s)
+    inside = (ref_vals > lo) & (ref_vals <= hi)
+    ref_vals, ref_vecs = ref_vals[inside], ref_vecs[:, inside]
+    assert vals.shape == ref_vals.shape and vecs.shape == ref_vecs.shape
+
+    def below(x):
+        _, d, _ = scipy.linalg.ldl(s - x * np.eye(s.shape[0]), hermitian=True)
+        return int(np.sum(np.linalg.eigvalsh(d) < 0))  # d: 1 x 1 and 2 x 2 blocks
+
+    assert vals.size == below(hi) - below(lo)
+    assert np.all(np.abs(vals - ref_vals) <= 1e-12 * np.maximum(np.abs(ref_vals), 1.0))
+    for cluster in sambe._gap_clusters(ref_vals, tol):
+        overlap = ref_vecs[:, cluster].conj().T @ vecs[:, cluster]
+        assert np.linalg.svd(overlap, compute_uv=False).min() >= 1 - 1e-10
 
 
 def brute_force_clusters(values, tol, period):

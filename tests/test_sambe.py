@@ -167,6 +167,19 @@ def test_apply_blocks_takes_real_vectors():
         assert_allclose(sambe._apply_blocks(h, x, 0.0), t @ x, atol=1e-13)
 
 
+def _perturbing_stevd(column):
+    """scipy's dstevd with 1e-6 of the last eigenvector added to the one at
+    `column` (an index into the full spectrum, given its size)."""
+    stevd = scipy.linalg.lapack.dstevd
+
+    def perturbed(*args, **kwargs):
+        vals, vecs, info = stevd(*args, **kwargs)
+        vecs[:, column(vals.size)] += 1e-6 * vecs[:, -1]
+        return vals, vecs, info
+
+    return perturbed
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.3], ids=["real", "complex"])
 def test_diagonalize_checks_hold_in_both_dtypes(tau, monkeypatch):
     h = ft.builtin_model("driven_ring")
@@ -176,62 +189,46 @@ def test_diagonalize_checks_hold_in_both_dtypes(tau, monkeypatch):
     skewed[0, 1] += 1e-6
     with pytest.raises(ft.SolverError, match="not Hermitian"):
         ft.diagonalize(skewed)
+    skewed[0, 1] = skewed[1, 0] = np.nan
+    with pytest.raises(ft.SolverError, match="not Hermitian"):
+        ft.diagonalize(skewed)
 
-    eigh = scipy.linalg.eigh
-
-    def perturbed(*args, **kwargs):
-        vals, vecs = eigh(*args, **kwargs)
-        vecs = vecs.copy()
-        vecs[:, 0] += 1e-6 * vecs[:, -1]
-        return vals, vecs
-
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
-    with pytest.raises(ft.SolverError, match="residual"):
-        ft.diagonalize(s)
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
-    with pytest.raises(ft.SolverError, match="eigensolver failed"):
-        ft.diagonalize(s)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg.lapack, "dstevd", _perturbing_stevd(lambda n: 0))
+        with pytest.raises(ft.SolverError, match="residual"):
+            ft.diagonalize(s)
+    # each LAPACK call of this dtype's path reporting a nonzero info
+    prefix, names = ("d", ("sytrd", "ormqr")) if tau == 0.0 else ("z", ("hetrd", "unmqr"))
+    for name in [prefix + names[0] + "_lwork", *(prefix + n for n in names), "dstevd"]:
+        call = getattr(scipy.linalg.lapack, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg.lapack, name, lambda *a, f=call, **k: (*f(*a, **k)[:-1], 1))
+            with pytest.raises(ft.SolverError, match=f"eigensolver failed: {name} info 1"):
+                ft.diagonalize(s)
 
 
 def test_windowed_eigensolve_certifies_residuals(monkeypatch):
-    # the middle pair lies inside the window in the windowed solve and in
-    # its full-spectrum fallback, so the bad pair reaches the check either way
+    # the middle pair of the spectrum lies inside the window, so the bad
+    # pair reaches the check
     h = ft.builtin_model("driven_ring")
-    eigh = scipy.linalg.eigh
-
-    def perturbed(*args, **kwargs):
-        vals, vecs = eigh(*args, **kwargs)
-        vecs = vecs.copy()
-        vecs[:, vals.size // 2] += 1e-6 * vecs[:, -1]
-        return vals, vecs
-
-    monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _perturbing_stevd(lambda n: n // 2))
     with pytest.raises(ft.SolverError, match="residual"):
         sambe.solve_at_truncation(h, 4)
 
 
-def test_failed_windowed_solve_falls_back_to_full_spectrum(monkeypatch):
-    # a windowed solve that returns a bad pair is redone on the full spectrum
-    s = ft.build_sambe(ft.builtin_model("driven_ring"), 2)
+@pytest.mark.parametrize("tau", [0.0, 0.3], ids=["real", "complex"])
+def test_windowed_solve_returns_the_full_solves_pairs_in_the_window(tau):
+    # the window keeps the full solve's pairs with lo < lam <= hi and back-
+    # transforms only those: the same eigenvalues, the same vectors
+    h = ft.builtin_model("driven_ring")
+    s = ft.build_sambe(time_shifted(h, tau * h.period), 2)
     window = (-1.0, 1.5)
-    vals_full, vecs_full = scipy.linalg.eigh(s)
-    eigh = scipy.linalg.eigh
-
-    def bad_window(*args, **kwargs):
-        vals, vecs = eigh(*args, **kwargs)
-        if kwargs.get("subset_by_value") is not None:
-            vecs = vecs.copy()
-            vecs[:, 0] += 1e-6 * vecs[:, -1]
-        return vals, vecs
-
-    monkeypatch.setattr(scipy.linalg, "eigh", bad_window)
+    vals_full, vecs_full = ft.diagonalize(s)
     vals, vecs = ft.diagonalize(s, window=window)
     inside = (vals_full > window[0]) & (vals_full <= window[1])
     assert 0 < vals.size < s.shape[0]
-    assert_allclose(vals, vals_full[inside], atol=1e-12)
+    assert np.array_equal(vals, vals_full[inside])
+    assert_allclose(vecs, vecs_full[:, inside], atol=1e-13)
     assert np.linalg.norm(s @ vecs - vecs * vals, axis=0).max() <= 1e-12
 
 
@@ -281,7 +278,7 @@ def test_dense_build_guard_raises_before_allocating():
 
 def test_dense_guard_counts_the_eigensolver_copy(monkeypatch):
     # 3-site ring at M = 8: n = 51; a limit between one matrix (16 n^2) and
-    # the solve (S plus zheevr's copy, 3 * 16 n^2) must refuse the solve
+    # the solve (the four n x n arrays of `_eigh`, 3 * 16 n^2) must refuse it
     h = ft.builtin_model("driven_ring", {"sites": 3})
     n = 17 * 3
     monkeypatch.setattr(sambe, "MAX_DENSE_BYTES", 32 * n**2)
