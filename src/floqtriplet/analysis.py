@@ -28,7 +28,6 @@ from .sambe import (
     Spectrum,
     _gap_clusters,
     _replica_overlaps,
-    _resolve_tol_deg,
     solve_spectrum,
     wrap_distance,
 )
@@ -167,7 +166,6 @@ def perturb_and_track(
     v: FourierHamiltonian,
     strength: float,
     truncation: int | str = "auto",
-    tol_deg: float | None = None,
 ) -> TrackingReport:
     """Solve h and h + strength*v, pair states both ways, report drift.
 
@@ -175,9 +173,9 @@ def perturb_and_track(
     position; pairing (b) matches by nearest (eps, ebar) label.  The
     documented regime is strength <= 1e-3 * omega.
     """
-    spec0 = solve_spectrum(h, truncation, tol_deg)
+    spec0 = solve_spectrum(h, truncation)
     hp = combine(h, v, strength)
-    spec1 = solve_spectrum(hp, spec0.metadata["truncation"], tol_deg)
+    spec1 = solve_spectrum(hp, spec0.metadata["truncation"])
 
     order0 = np.argsort(spec0.quasi_energies, kind="stable")
     order1 = np.argsort(spec1.quasi_energies, kind="stable")
@@ -254,36 +252,41 @@ def sweep_values(
     axis: str,
     values: np.ndarray,
     truncation: int | str = "auto",
-    tol_deg: float | None = None,
 ) -> list[dict]:
     """Solve a builtin model along a parameter axis with label continuity.
 
     Returns one record per grid point with the spectrum's (eps, ebar)
     arrays reordered so that state i at one point continues state i at the
-    previous point (nearest-label assignment).  Dotted axis names such as
-    "levels.1" index into list-valued parameters.  Per-point failures are
-    recorded and the sweep continues; a bad tol_deg fails the whole sweep.
+    previous point (nearest-label assignment).  A list-valued parameter is
+    swept one entry at a time, by a dotted axis name such as "levels.1".
+    Per-point failures are recorded and the sweep continues; an axis that
+    names no parameter, or no single entry of a list, fails the whole sweep.
     """
     if name not in MODEL_DEFAULTS:
         raise ModelError(f"unknown model {name!r}")
-    _resolve_tol_deg(tol_deg, 1.0)  # checks a given tol_deg; omega only sets the default
     merged = {**MODEL_DEFAULTS[name], **base_params}
+    key, dot, index = axis.partition(".")
+    if key not in merged:
+        raise ModelError(f"sweep axis {axis!r} is not a parameter of {name!r}")
+    listed = isinstance(merged[key], (list, tuple))
+    if dot and not listed:
+        raise ModelError(f"sweep axis {axis!r} does not index a list parameter")
+    if listed and not (index.isdecimal() and int(index) < len(merged[key])):
+        raise ModelError(
+            f"sweep axis {axis!r} names no entry of the list {key!r}: "
+            f"sweep one of {key}.0 to {key}.{len(merged[key]) - 1}"
+        )
     records: list[dict] = []
     previous: Spectrum | None = None
     for value in values:
         params = {k: (list(v) if isinstance(v, (list, tuple)) else v) for k, v in merged.items()}
-        if "." in axis:
-            key, idx = axis.split(".", 1)
-            if key not in params or not isinstance(params[key], list):
-                raise ModelError(f"sweep axis {axis!r} does not index a list parameter")
-            params[key][int(idx)] = float(value)
+        if listed:
+            params[key][int(index)] = float(value)
         else:
-            if axis not in params:
-                raise ModelError(f"sweep axis {axis!r} is not a parameter of {name!r}")
-            params[axis] = float(value)
+            params[key] = float(value)
         try:
             h = builtin_model(name, params)
-            spectrum = solve_spectrum(h, truncation, tol_deg)
+            spectrum = solve_spectrum(h, truncation)
         except Exception as exc:  # per-point failure: record, continue
             records.append({"value": float(value), "error": str(exc)})
             continue

@@ -149,7 +149,7 @@ def _state_rows(states) -> tuple[list[str], list[list]]:
 
 def cmd_solve(args) -> int:
     h = _resolve_model(args)
-    spectrum = sambe.solve_spectrum(h, args.harmonics, args.tol_deg)
+    spectrum = sambe.solve_spectrum(h, args.harmonics)
     spectrum.metadata["timestamp"] = datetime.datetime.now().isoformat()
     out = Path(args.out)
     _write_json(out / "spectrum.json", spectrum.to_json_dict())
@@ -164,8 +164,8 @@ def cmd_compare(args) -> int:
     from . import analysis, oracle
 
     h = _resolve_model(args)
-    spec_s = sambe.solve_spectrum(h, args.harmonics, args.tol_deg)
-    spec_o = oracle.oracle_spectrum(h, spec_s.metadata["truncation"], tol_deg=args.tol_deg)
+    spec_s = sambe.solve_spectrum(h, args.harmonics)
+    spec_o = oracle.oracle_spectrum(h, spec_s.metadata["truncation"])
     overlaps = analysis.overlap_matrix(spec_s, spec_o)
     rows_idx, cols_idx = linear_sum_assignment(1.0 - overlaps)
     rows = []
@@ -214,10 +214,9 @@ def cmd_variational(args) -> int:
     from . import variational
 
     h = _resolve_model(args)
-    tol_deg = sambe._resolve_tol_deg(args.tol_deg, h.omega)
     config = VariationalConfig(restarts=args.restarts, seed=args.seed)
     if args.harmonics == "auto":
-        truncation = sambe.solve_spectrum(h, "auto", tol_deg).metadata["truncation"]
+        truncation = sambe.solve_spectrum(h, "auto").metadata["truncation"]
     else:
         truncation = int(args.harmonics)
     result = variational.minimize_ground(h, truncation, config)
@@ -249,9 +248,7 @@ def cmd_sweep(args) -> int:
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)
-    records = analysis.sweep_values(
-        args.builtin, params, args.sweep_param, values, args.harmonics, args.tol_deg
-    )
+    records = analysis.sweep_values(args.builtin, params, args.sweep_param, values, args.harmonics)
     rows: list[list] = []
     errors = []
     for record in records:
@@ -284,7 +281,7 @@ def cmd_perturb(args) -> int:
         if args.strength is not None:
             strength = args.strength
     _check_harmonics(args, h, v)
-    report = analysis.perturb_and_track(h, v, strength, args.harmonics, args.tol_deg)
+    report = analysis.perturb_and_track(h, v, strength, args.harmonics)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "tracking.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -305,7 +302,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--harmonics", type=_truncation_arg, default="auto", metavar="M|auto"
     )
-    parser.add_argument("--tol-deg", type=float, default=None)
     parser.add_argument("--out", required=True, help="output directory")
 
 

@@ -64,12 +64,14 @@ class FourierHamiltonian:
     omega : float
         Drive angular frequency (> 0); the period is T = 2*pi/omega.
     harmonics : dict[int, ndarray]
-        Map from harmonic index m to the d x d matrix H_m.  If only one of
-        the pair (m, -m) is given, the partner is filled in as the conjugate
-        transpose, which enforces H(t)^dagger = H(t) exactly.  Matrices that
-        are exactly zero are dropped.  Stored as a read-only mapping of
-        read-only copies in ascending m, so every sum over the harmonics
-        runs in the same order however the model was given.
+        Map from harmonic index m to the d x d matrix H_m; an index must be
+        integral (1 and 1.0 alike), and two keys of one index are refused.
+        If only one of the pair (m, -m) is given, the partner is filled in
+        as the conjugate transpose, which enforces H(t)^dagger = H(t)
+        exactly.  Matrices that are exactly zero are dropped.  Stored as a
+        read-only mapping of read-only copies in ascending m, so every sum
+        over the harmonics runs in the same order however the model was
+        given.
 
     Raises ModelError("invalid Hamiltonian: ...") unless the completed
     model passes `validate`.
@@ -86,8 +88,11 @@ class FourierHamiltonian:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "omega", float(self.omega))
         completed: dict[int, np.ndarray] = {}
-        for m, mat in self.harmonics.items():
-            completed[int(m)] = _as_matrix(mat, self.dim)
+        for key, mat in self.harmonics.items():
+            m = _whole_number(key, "harmonic index")
+            if m in completed:
+                raise ModelError(f"harmonic index {m} is given twice")
+            completed[m] = _as_matrix(mat, self.dim)
         for m in list(completed):
             if -m not in completed:
                 partner = completed[m].conj().T.copy()
@@ -309,10 +314,14 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
     harmonics: dict[int, np.ndarray] = {}
     try:
         for entry in entries:
-            m = int(entry["m"])
+            m = _whole_number(entry["m"], "harmonic index m")
+            if m in harmonics:
+                raise ModelError(f"harmonic index m={m} is given twice")
             harmonics[m] = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(
                 entry["im"], dtype=float
             )
+    except ModelError as exc:
+        raise ModelError(f"malformed model JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(
             f"malformed model JSON: harmonics must be a list of {{m, re, im}} entries ({exc!r})"

@@ -48,7 +48,7 @@ from .sambe import (
     EigenTriplet,
     PropagationError,
     _gap_clusters,
-    _resolve_tol_deg,
+    _tol_deg,
     fold_reported,
 )
 
@@ -361,14 +361,14 @@ def oracle_spectrum(
     h: FourierHamiltonian,
     truncation: int,
     config: PropagationConfig = PropagationConfig(),
-    tol_deg: float | None = None,
 ) -> Spectrum:
     """Eigentriplet spectrum from the monodromy route alone.
 
     Quasi-energies come from the eigenphases of U(T); degenerate eigenphase
-    clusters are resolved by diagonalizing the explicit time-averaged
-    energy matrix within the cluster, and every member reports the
-    cluster's wrap-aware mean quasi-energy, as `sambe` does.  Each mode is
+    clusters (gaps within sambe.TOL_DEG * omega) are resolved by
+    diagonalizing the explicit time-averaged energy matrix within the
+    cluster, and every member reports the cluster's wrap-aware mean
+    quasi-energy, as `sambe` does.  Each mode is
     taken on the replica that the state's own Simpson Ebar selects: the
     trajectory is rephased by eps_raw = eps - k omega with
     k = round((eps - Ebar) / omega), so that by eps_raw = Ebar + omega <N>
@@ -378,7 +378,7 @@ def oracle_spectrum(
     quasi-energy on that replica, the multiple of omega from the reported
     one nearest eps_raw.
     """
-    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
+    tol_deg = _tol_deg(h.omega)
     mono = propagate_period(h, config)
     eps = mono.quasi_energies(h.period)
     clusters = _gap_clusters(eps, tol_deg, h.omega)

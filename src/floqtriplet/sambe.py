@@ -40,15 +40,15 @@ every H_m is real (`build_energy_matrix`), and certifies their residuals.
 Everything after the eigensolve is one pass over arrays (`_rung`), with S
 and T applied through the harmonics, never as n x n matrices:
 
-- selection: raw eigenvalues within tol_deg form clusters; N is
+- selection: raw eigenvalues within TOL_DEG * omega form clusters; N is
   diagonalized in each (one product for all single vectors, one batched
   eigh per larger size) and per physical state the replica with centroid
   in [-1/2, 1/2) is kept.  T is applied once to the d kept modes X, and
   S X = T X + omega N X gives each its raw eigenvalue x^H S x.
-- grouping: states whose folded quasi-energies coincide form a group.
-  Every member keeps its own replica and carries the group's mean raw
-  eigenvalue, the only mean taken, on that replica: the mean over members
-  brought to the first one's replica, plus k*omega.
+- grouping: states whose folded quasi-energies lie within TOL_DEG * omega
+  form a group.  Every member keeps its own replica and carries the
+  group's mean raw eigenvalue, the only mean taken, on that replica: the
+  mean over members brought to the first one's replica, plus k*omega.
 - resolution: for each set of a group's members on one replica, the block
   Hbar = X_s^H (T X)_s, the one-period average (1/T) int <Phi_i(t)|H(t)|
   Phi_j(t)> dt, is diagonalized, one batched eigh per set size, and
@@ -106,6 +106,11 @@ MAX_TRUNCATION = 64
 # to max(|lam|, 1).
 EIGEN_RESIDUAL_TOL = 1e-10
 
+# Degeneracy tolerance, relative to omega: raw eigenvalues, and folded
+# quasi-energies, joined by gaps within TOL_DEG * omega form one cluster,
+# here and in the oracle.
+TOL_DEG = 1e-8
+
 
 def fold_reported(value, omega: float):
     """Fold with the zone seam snapped: values within 1e-12 * omega below
@@ -116,13 +121,9 @@ def fold_reported(value, omega: float):
     return folded if np.ndim(value) else float(folded)
 
 
-def _resolve_tol_deg(tol_deg: float | None, omega: float) -> float:
-    """The degeneracy tolerance: 1e-8 * omega by default, else finite and > 0."""
-    if tol_deg is None:
-        return 1e-8 * omega
-    if not (np.isfinite(tol_deg) and tol_deg > 0):
-        raise ModelError(f"tol_deg must be finite and > 0, got {tol_deg!r}")
-    return tol_deg
+def _tol_deg(omega: float) -> float:
+    """The degeneracy tolerance TOL_DEG * omega, read at call time."""
+    return TOL_DEG * omega
 
 
 def wrap_distance(a, b, omega: float):
@@ -386,19 +387,20 @@ def _eigh(s: np.ndarray, window: tuple[float, float] | None) -> tuple[np.ndarray
     return vals, vecs
 
 
-def _energy_window(h: FourierHamiltonian, truncation: int, tol_deg: float) -> tuple[float, float]:
+def _energy_window(h: FourierHamiltonian, truncation: int) -> tuple[float, float]:
     """Raw-eigenvalue window holding every pair replica selection keeps.
 
     A kept vector has Ebar inside [E_lo, E_hi] = lambda_min/max(H_0) -+
     sum_{m != 0} ||H_m||_2 (Weyl, computed once per model) and centroid in
     [-1/2, 1/2), so its raw eigenvalue lies in [E_lo - omega/2, E_hi +
-    omega/2].  The pad of n*tol_deg + 1e-9*omega covers the 9-decimal
-    centroid rounding and a transitive tol_deg cluster (at most n members)
-    around a kept vector; the members of a cut cluster that lie inside the
-    window are outside the unpadded range, so none passes the centroid test.
+    omega/2].  The pad of n*tol + 1e-9*omega, tol = TOL_DEG * omega, covers
+    the 9-decimal centroid rounding and a transitive tol cluster (at most n
+    members) around a kept vector; the members of a cut cluster that lie
+    inside the window are outside the unpadded range, so none passes the
+    centroid test.
     """
     lowest, highest, drive = h._spectral_reach
-    pad = (2 * truncation + 1) * h.dim * tol_deg + 1e-9 * h.omega
+    pad = (2 * truncation + 1) * h.dim * _tol_deg(h.omega) + 1e-9 * h.omega
     reach = drive + 0.5 * h.omega + pad
     return lowest - reach, highest + reach
 
@@ -438,12 +440,12 @@ def _gap_clusters(
     return clusters
 
 
-def _select(vals, vecs, h: FourierHamiltonian, truncation: int, tol_deg: float):
+def _select(vals, vecs, h: FourierHamiltonian, truncation: int):
     """`select_representatives` as arrays: the kept modes as normalized
     complex columns X, T X, the raw eigenvalues and their folds."""
     number = _number_diagonal(truncation, h.dim)
     order = np.argsort(vals, kind="stable")
-    firsts = np.append(0, np.flatnonzero(np.diff(vals[order]) > tol_deg) + 1)
+    firsts = np.append(0, np.flatnonzero(np.diff(vals[order]) > _tol_deg(h.omega)) + 1)
     sizes = np.diff(np.append(firsts, vals.size))
     parts, keys = [], []
     for size in sorted(set(sizes.tolist())):
@@ -476,17 +478,15 @@ def _select(vals, vecs, h: FourierHamiltonian, truncation: int, tol_deg: float):
 
 
 def select_representatives(
-    eigvals: np.ndarray, eigvecs: np.ndarray, h: FourierHamiltonian, truncation: int,
-    tol_deg: float | None = None,
+    eigvals: np.ndarray, eigvecs: np.ndarray, h: FourierHamiltonian, truncation: int
 ) -> list[Representative]:
     """Pick exactly d physical states from the raw Sambe spectrum: per
-    cluster of raw eigenvalues within tol_deg, N diagonalized inside it
+    cluster of raw eigenvalues within TOL_DEG * omega, N diagonalized in it
     resolves Ebar = lam - omega*<N>, and per state the replica with centroid
     in [-1/2, 1/2) is kept, with its Rayleigh quotient lam = Re(x^H S x) and
     residual ||S x - lam x||, ordered by (quasi-energy, lam).  Anything but
     d kept states raises TruncationError (increase M)."""
-    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
-    x, tx, lams, eps = _select(eigvals, eigvecs, h, truncation, tol_deg)
+    x, tx, lams, eps = _select(eigvals, eigvecs, h, truncation)
     sx = tx + h.omega * _number_diagonal(truncation, h.dim)[:, None] * x
     residuals = np.linalg.norm(sx - lams * x, axis=0).tolist()
     return [
@@ -513,11 +513,11 @@ class DegenerateGroup:
         return len(self.members)
 
 
-def _group(lams, eps, omega: float, tol_deg: float):
+def _group(lams, eps, omega: float):
     """`group_degeneracies` as arrays: the members in group order (by
     replica inside a group), the group of each, and each one's raw
     eigenvalue and quasi-energy."""
-    clusters = _gap_clusters(eps, tol_deg, omega)
+    clusters = _gap_clusters(eps, _tol_deg(omega), omega)
     sizes = np.array([c.size for c in clusters])
     cols = np.concatenate([np.sort(c) for c in clusters])
     starts = np.cumsum(sizes) - sizes
@@ -532,20 +532,18 @@ def _group(lams, eps, omega: float, tol_deg: float):
     return cols[order], rank[order], member_lams[order], group_eps[owner][order]
 
 
-def group_degeneracies(
-    reps: list[Representative], h: FourierHamiltonian, tol_deg: float | None = None
-) -> list[DegenerateGroup]:
-    """Cluster representatives with |eps_i - eps_j| <= tol_deg, wrapped at
-    the zone boundary.  Members keep their modes; each one's raw eigenvalue
-    lam_i, k_i = round((lam_i - lam_first) / omega) replicas from the first
-    member's, becomes the group mean lam of lam_j - k_j * omega (the one
-    place raw eigenvalues are averaged) plus k_i * omega, with quasi_energy
-    = fold_reported(lam); a singleton group keeps its representative's."""
-    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
+def group_degeneracies(reps: list[Representative], h: FourierHamiltonian) -> list[DegenerateGroup]:
+    """Cluster representatives with |eps_i - eps_j| <= TOL_DEG * omega,
+    wrapped at the zone boundary.  Members keep their modes; each one's raw
+    eigenvalue lam_i, k_i = round((lam_i - lam_first) / omega) replicas from
+    the first member's, becomes the group mean lam of lam_j - k_j * omega
+    (the one place raw eigenvalues are averaged) plus k_i * omega, with
+    quasi_energy = fold_reported(lam); a singleton group keeps its
+    representative's."""
     if not reps:
         return []
     lams, eps = np.array([(r.quasi_energy_raw, r.quasi_energy) for r in reps]).T
-    cols, gids, lams, eps = _group(lams, eps, h.omega, tol_deg)
+    cols, gids, lams, eps = _group(lams, eps, h.omega)
     groups = []
     for members in np.split(np.arange(gids.size), np.flatnonzero(np.diff(gids)) + 1):
         grouped = tuple(
@@ -767,59 +765,52 @@ def assembled_average_energy(spectrum: Spectrum, h: FourierHamiltonian) -> np.nd
 
 
 def average_energy_matrix(
-    spectrum: Spectrum, h: FourierHamiltonian, projected: bool = True
+    spectrum: Spectrum, h: FourierHamiltonian
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average-energy matrix over the d resolved states, plus phase matrix.
 
-    Returns (hbar, phases) where hbar[i, j] = <<Phi_i| H |Phi_j>> and
-    phases = diag(e^{-i eps_i T}).  With projected=True, entries between
-    distinct quasi-energy groups are zeroed, which makes hbar block-diagonal
-    and commuting with the phase matrix by construction; projected=False
-    gives the uncontracted matrix for contrast.
+    Returns (hbar, phases) where hbar[i, j] = <<Phi_i| H |Phi_j>> within a
+    quasi-energy group and 0 between groups, and phases = diag(e^{-i eps_i
+    T}): hbar is block-diagonal and commutes with the phase matrix by
+    construction (`average_energy_block` gives the uncontracted matrix).
     """
-    modes = spectrum.modes
-    hbar = average_energy_block(modes, h)
-    if projected:
-        gids = np.array([t.group_id for t in spectrum])
-        mask = gids[:, None] == gids[None, :]
-        hbar = np.where(mask, hbar, 0.0)
+    hbar = average_energy_block(spectrum.modes, h)
+    gids = np.array([t.group_id for t in spectrum])
+    hbar = np.where(gids[:, None] == gids[None, :], hbar, 0.0)
     phases = np.diag(np.exp(-1j * spectrum.quasi_energies * h.period))
     return hbar, phases
 
 
 # --- end-to-end solve -------------------------------------------------------
 
-def _rung(h: FourierHamiltonian, truncation: int, tol_deg: float) -> tuple[dict, float, float]:
+def _rung(h: FourierHamiltonian, truncation: int) -> tuple[dict, float, float]:
     """One cutoff: the windowed eigensolve, then one pass over its kept
     modes.  Returns the resolved states and the two figures of
     `_truncation_bounds`; no mode or triplet object is built."""
     # S, the eigenpairs and the unresolved modes do not outlive their stage:
     # the later stages apply S through the harmonics and reuse that memory
-    pairs = diagonalize(build_sambe(h, truncation), window=_energy_window(h, truncation, tol_deg))
-    x, tx, lams, eps = _select(*pairs, h, truncation, tol_deg)
+    pairs = diagonalize(build_sambe(h, truncation), window=_energy_window(h, truncation))
+    x, tx, lams, eps = _select(*pairs, h, truncation)
     del pairs
-    cols, gids, lams, eps = _group(lams, eps, h.omega, tol_deg)
+    cols, gids, lams, eps = _group(lams, eps, h.omega)
     states = _resolve(x[:, cols], tx[:, cols], lams, eps, gids, h)
     del x, tx
     return (states, *_truncation_bounds(h, truncation, states))
 
 
-def _solved(h, truncation, tol_deg, states, eps_bound, ebar_estimate) -> Spectrum:
-    metadata = dict(truncation=truncation, tol_deg=tol_deg, solver="sambe-eigh", dim=h.dim,
-                    omega=h.omega, model_hash=model_hash(h))
+def _solved(h, truncation, states, eps_bound, ebar_estimate) -> Spectrum:
+    metadata = dict(truncation=truncation, tol_deg=_tol_deg(h.omega), solver="sambe-eigh",
+                    dim=h.dim, omega=h.omega, model_hash=model_hash(h))
     spectrum = _spectrum(states, h, metadata)
     spectrum.metadata.update(eps_bound=eps_bound, ebar_estimate=ebar_estimate)
     return spectrum
 
 
-def solve_at_truncation(
-    h: FourierHamiltonian, truncation: int, tol_deg: float | None = None
-) -> Spectrum:
+def solve_at_truncation(h: FourierHamiltonian, truncation: int) -> Spectrum:
     """Solve the eigentriplet spectrum at a fixed harmonic cutoff, with the
     truncation figures metadata["eps_bound"] (a bound on the quasi-energy
     error) and metadata["ebar_estimate"] (see `_truncation_bounds`)."""
-    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
-    return _solved(h, truncation, tol_deg, *_rung(h, truncation, tol_deg))
+    return _solved(h, truncation, *_rung(h, truncation))
 
 
 def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
@@ -989,22 +980,21 @@ def certify_truncation(h: FourierHamiltonian) -> int:
     estimate of `_truncation_bounds` are both below QUASI_TOL; TruncationError
     when none up to MAX_TRUNCATION is.  The harmonic cutoff is the one
     approximation in the construction, so it is certified, not guessed."""
-    return _certified_spectrum(h, None).metadata["truncation"]
+    return _certified_spectrum(h).metadata["truncation"]
 
 
-def _certified_spectrum(h: FourierHamiltonian, tol_deg: float | None) -> Spectrum:
+def _certified_spectrum(h: FourierHamiltonian) -> Spectrum:
     """The doubling loop of `certify_truncation`, returning the spectrum of
     its last rung, the only one whose triplets are built."""
-    tol_deg = _resolve_tol_deg(tol_deg, h.omega)
     m = max(1, h.max_harmonic)
     while m <= MAX_TRUNCATION:
         try:
-            states, *figures = _rung(h, m, tol_deg)
+            states, *figures = _rung(h, m)
         except TruncationError:
             pass
         else:
             if max(figures) < QUASI_TOL:
-                return _solved(h, m, tol_deg, states, *figures)
+                return _solved(h, m, states, *figures)
             del states  # not held through the next eigensolve
         m *= 2
     raise TruncationError(
@@ -1012,18 +1002,16 @@ def _certified_spectrum(h: FourierHamiltonian, tol_deg: float | None) -> Spectru
     )
 
 
-def solve_spectrum(
-    h: FourierHamiltonian, truncation: int | str = "auto", tol_deg: float | None = None
-) -> Spectrum:
+def solve_spectrum(h: FourierHamiltonian, truncation: int | str = "auto") -> Spectrum:
     """Full pipeline: diagonalize, select, resolve; 'auto' returns the
     certifying solve, so the certified cutoff is solved once.  A fixed
     cutoff whose eps bound or Ebar estimate exceeds QUASI_TOL is solved all
     the same, with a RuntimeWarning."""
     auto = truncation == "auto"
     if auto:
-        spectrum = _certified_spectrum(h, tol_deg)
+        spectrum = _certified_spectrum(h)
     else:
-        spectrum = solve_at_truncation(h, int(truncation), tol_deg)
+        spectrum = solve_at_truncation(h, int(truncation))
         if not max(spectrum.metadata["eps_bound"], spectrum.metadata["ebar_estimate"]) < QUASI_TOL:
             warnings.warn(
                 f"truncation M={truncation} is below convergence: eps bound "

@@ -94,16 +94,14 @@ def time_shifted(h: ft.FourierHamiltonian, tau: float) -> ft.FourierHamiltonian:
     return ft.FourierHamiltonian(dim=h.dim, omega=h.omega, harmonics=harmonics)
 
 
-def full_solve(h: ft.FourierHamiltonian, truncation: int, tol_deg: float | None = None):
+def full_solve(h: ft.FourierHamiltonian, truncation: int):
     """The fixed-cutoff pipeline on the full Sambe spectrum (no value window),
     its eigenpairs from numpy.linalg.eigh (?syevd / ?heevd): the reduction
     and divide and conquer of `diagonalize`, but LAPACK's own driver and
     back-transform of every column."""
-    if tol_deg is None:
-        tol_deg = 1e-8 * h.omega
     vals, vecs = np.linalg.eigh(ft.build_sambe(h, truncation))
-    reps = ft.select_representatives(vals, vecs, h, truncation, tol_deg)
-    return ft.resolve_degeneracies(ft.group_degeneracies(reps, h, tol_deg), h)
+    reps = ft.select_representatives(vals, vecs, h, truncation)
+    return ft.resolve_degeneracies(ft.group_degeneracies(reps, h), h)
 
 
 def assert_same_triplets(a, b, omega: float, tol: float, tol_ebar: float | None = None):

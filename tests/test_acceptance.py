@@ -253,7 +253,7 @@ def test_criterion_08_block_structure(spectra):
         "static", {"levels": (0.0, 1.0), "omega": 0.5}
     )
     for name, spec in cases.items():
-        hbar, phases = ft.average_energy_matrix(spec, models[name], projected=True)
+        hbar, phases = ft.average_energy_matrix(spec, models[name])
         comm = hbar @ phases - phases @ hbar
         assert np.abs(comm).max() <= 1e-12
 

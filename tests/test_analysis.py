@@ -199,17 +199,15 @@ def test_sweep_values_records_failures():
     assert "error" in records[1]
 
 
-def test_sweep_values_bad_tol_deg_fails_whole_sweep():
-    from floqtriplet.analysis import sweep_values
-    from floqtriplet.model import ModelError
-
-    with pytest.raises(ModelError, match="tol_deg must be finite and > 0"):
-        sweep_values("static", {}, "omega", np.array([0.6, 0.7]), 2, float("inf"))
-
-
 def test_sweep_values_unknown_axis():
     from floqtriplet.analysis import sweep_values
     from floqtriplet.model import ModelError
 
+    params = {"levels": [0.0, 1.0], "omega": 0.5}
     with pytest.raises(ModelError):
-        sweep_values("static", {"levels": [0.0, 1.0], "omega": 0.5}, "gap", np.array([1.0]), 2)
+        sweep_values("static", params, "gap", np.array([1.0]), 2)
+    # an index past the list raised IndexError, a negative one too; a bare list
+    # axis solved a one-level model
+    for axis in ("levels.5", "levels.-3", "levels"):
+        with pytest.raises(ModelError, match="sweep one of levels.0 to levels.1"):
+            sweep_values("static", params, axis, np.array([1.0]), 2)

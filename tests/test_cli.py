@@ -121,6 +121,9 @@ def test_unreadable_model_file_exits_config(tmp_path, capsys, argv):
         [{"m": 0, "re": [[1.0]]}],  # no "im"
         [{"m": 0, "re": [[1.0]], "im": [[0.0], [1.0, 2.0]]}],  # ragged rows
         3,
+        [{"m": 1.5, "re": [[1.0]], "im": [[0.0]]}],  # solved as m = 1
+        # the second m = 0 entry replaced the first
+        [{"m": 0, "re": [[1.0]], "im": [[0.0]]}, {"m": 0, "re": [[-2.0]], "im": [[0.0]]}],
     ],
 )
 def test_solve_malformed_model_json_exits_config(tmp_path, capsys, harmonics):
@@ -278,16 +281,14 @@ def test_compare_rotated_oracle_modes_exit_gate(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:Fourier tail weight")
 def test_compare_forced_truncation_exits_gate(tmp_path, capsys):
-    # deliberately small M (with the clustering tolerance loosened so the
-    # starved solve still completes): the Sambe solve warns with its bound,
-    # and the cross-method gate catches it
+    # deliberately small M: the Sambe solve warns with its bound, and the
+    # cross-method gate catches it
     with pytest.warns(RuntimeWarning, match="M=2 is below convergence"):
         code = main(
             [
                 "compare",
                 "--builtin", "two_level_linear",
                 "--harmonics", "2",
-                "--tol-deg", "1e-4",
                 "--out", str(tmp_path / "o"),
             ]
         )
@@ -560,18 +561,30 @@ SWEEP_ARGS = ["--sweep-param", "omega", "--sweep-start", "2.0", "--sweep-stop", 
               "--sweep-count", "2"]
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
-@pytest.mark.parametrize("command", ["solve", "compare", "sweep", "variational"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "0.05"])
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep", "variational", "perturb"])
 def test_invalid_tol_deg_exits_config(tmp_path, capsys, command, value):
+    # the degeneracy tolerance is the constant sambe.TOL_DEG, and every
+    # --tol-deg is refused; a loose 0.05 gave the ring residuals of 6e-3
+    # under an eps bound of 5e-10
     out = tmp_path / "o"
     extra = SWEEP_ARGS if command == "sweep" else []
     code = main(
         [command, "--builtin", "driven_ring", *extra, "--tol-deg", value, "--out", str(out)]
     )
     assert code == 2
+    assert "unrecognized arguments: --tol-deg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_axis_past_a_list_exits_config(tmp_path, capsys):
+    # exited 1 with an IndexError traceback
+    out = tmp_path / "o"
+    argv = ["sweep", "--builtin", "static", "--sweep-param", "levels.5", "--sweep-start", "0",
+            "--sweep-stop", "1", "--sweep-count", "2", "--out", str(out)]
+    assert main(argv) == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["kind"] == "config"
-    assert "tol_deg must be finite and > 0" in err["message"]
+    assert err["kind"] == "config" and "levels.0 to levels.1" in err["message"]
     assert not out.exists()
 
 
@@ -605,13 +618,6 @@ def test_sweep_with_a_model_file_exits_config(tmp_path, capsys):
     assert main(argv) == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config" and "--model" in err["message"]
-    assert not out.exists()
-
-
-def test_variational_fixed_truncation_checks_tol_deg(tmp_path):
-    out = tmp_path / "o"
-    argv = ["variational", "--builtin", "static", "--harmonics", "2", "--tol-deg", "nan"]
-    assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
 
 

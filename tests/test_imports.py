@@ -6,6 +6,7 @@ The import checks run in a fresh interpreter, since this test session has
 loaded every layer already.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -102,3 +103,13 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ft.no_such_name
     assert not hasattr(ft, "minimize")
+
+
+def test_no_public_function_takes_a_degeneracy_tolerance():
+    # the tolerance is the constant sambe.TOL_DEG, read at call time
+    for module in EXPORTS:
+        mod = import_module(f"floqtriplet.{module}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != mod.__name__:
+                continue
+            assert "tol_deg" not in inspect.signature(obj).parameters, f"{module}.{name}"

@@ -180,6 +180,20 @@ def test_non_integral_sizes_are_refused():
     assert ft.builtin_model("driven_ring", {"sites": 3.0}).dim == 3
     h = from_json_dict({"dim": 2.0, "omega": 1.0, "harmonics": entries})
     assert type(h.dim) is int and h.dim == 2
+    # harmonic index 1.6 was stored as 1, overwriting the H_1 given first, and
+    # a JSON "m": 1.7 solved as m = 1
+    with pytest.raises(ft.ModelError, match="harmonic index must be an integer, got 1.6"):
+        FourierHamiltonian(dim=1, omega=1.0, harmonics={1: [[0.1]], 1.6: [[0.3]]})
+    with pytest.raises(ft.ModelError, match="harmonic index m must be an integer, got 1.7"):
+        from_json_dict({"dim": 2, "omega": 1.0, "harmonics": [{**entries[0], "m": 1.7}]})
+    # two keys of one index, and a repeated m, kept the last one
+    with pytest.raises(ft.ModelError, match="harmonic index 1 is given twice"):
+        FourierHamiltonian(dim=1, omega=1.0, harmonics={1: [[0.1]], "1": [[0.3]]})
+    with pytest.raises(ft.ModelError, match="harmonic index m=0 is given twice"):
+        from_json_dict({"dim": 2, "omega": 1.0, "harmonics": entries + entries})
+    # an integral float is an index
+    h = FourierHamiltonian(dim=1, omega=1.0, harmonics={0: [[1.0]], 1.0: [[0.1]]})
+    assert list(h.harmonics) == [-1, 0, 1] and all(type(m) is int for m in h.harmonics)
 
 
 def test_missing_partner_completed_at_construction():
@@ -248,7 +262,7 @@ def test_harmonics_stored_in_ascending_order():
 
 
 def test_solve_independent_of_harmonic_order():
-    # the static level 1 and the driven level 1e-8 fold exactly tol_deg apart,
+    # the static level 1 and the driven level 1e-8 fold exactly TOL_DEG * omega apart,
     # so the last bit of every sum over the harmonics decides the cutoff
     h = FourierHamiltonian(
         dim=2, omega=1.0, harmonics={0: np.diag([1.0, 1e-8]), 1: np.diag([0.0, 1j])}

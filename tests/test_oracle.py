@@ -300,13 +300,6 @@ def test_propagate_period_rotated_degenerate_eigenvectors():
     assert_allclose(np.sort(distance), [0.0, 0.0, 0.2], atol=1e-10)
 
 
-@pytest.mark.parametrize("tol_deg", [float("inf"), float("nan"), -1.0, 0.0])
-def test_oracle_spectrum_rejects_invalid_tol_deg(tol_deg):
-    h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5})
-    with pytest.raises(ft.ModelError, match="tol_deg must be finite and > 0"):
-        ft.oracle_spectrum(h, truncation=3, tol_deg=tol_deg)
-
-
 def test_oracle_resolves_degenerate_static_pair():
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5})
     spec = ft.oracle_spectrum(h, truncation=3)

@@ -7,6 +7,7 @@ real.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -50,7 +51,7 @@ def driven_models(draw, real=False):
 
 @settings(max_examples=25, deadline=None)
 @given(h=driven_models())
-# a static level 1 (= 0 mod omega) and a driven level 1e-8 fold exactly tol_deg apart
+# a static level 1 (= 0 mod omega) and a driven level 1e-8 fold exactly TOL_DEG * omega apart
 @example(h=ft.FourierHamiltonian(
     dim=2, omega=1.0, harmonics={0: np.diag([1.0, 1e-8]), 1: np.diag([0.0, 1j])}
 ))
@@ -84,7 +85,10 @@ def test_random_models_give_consistent_triplets(h):
 @given(h=st.booleans().flatmap(lambda real: driven_models(real=real)), loose=st.booleans())
 def test_reported_residuals_and_average_energies_match_dense_matrices(h, loose):
     # the batched stages against the dense S and T of the certified cutoff
-    spec = ft.solve_spectrum(h, "auto", 1e-3 * h.omega if loose else None)
+    with pytest.MonkeyPatch.context() as patch:
+        if loose:
+            patch.setattr(sambe, "TOL_DEG", 1e-3)
+        spec = ft.solve_spectrum(h, "auto")
     truncation = spec.metadata["truncation"]
     s = ft.build_sambe(h, truncation)
     t_mat = ft.build_energy_matrix(h, truncation)
@@ -189,13 +193,15 @@ def test_real_model_matches_its_time_shifted_complex_copy(h, tau):
 @settings(max_examples=25, deadline=None)
 @given(h=driven_models(), truncation=st.integers(1, 6), loose=st.booleans())
 def test_windowed_solve_matches_full_spectrum(h, truncation, loose):
-    tol_deg = 1e-3 * h.omega if loose else None
     outcomes = []
-    for solve in (sambe.solve_at_truncation, full_solve):
-        try:
-            outcomes.append(solve(h, max(truncation, h.max_harmonic), tol_deg))
-        except ft.TruncationError as exc:
-            outcomes.append(type(exc))
+    with pytest.MonkeyPatch.context() as patch:
+        if loose:
+            patch.setattr(sambe, "TOL_DEG", 1e-3)
+        for solve in (sambe.solve_at_truncation, full_solve):
+            try:
+                outcomes.append(solve(h, max(truncation, h.max_harmonic)))
+            except ft.TruncationError as exc:
+                outcomes.append(type(exc))
     windowed, full = outcomes
     if isinstance(windowed, ft.Spectrum) and isinstance(full, ft.Spectrum):
         assert_same_triplets(windowed, full, h.omega, 1e-12)

@@ -233,10 +233,12 @@ def test_windowed_solve_returns_the_full_solves_pairs_in_the_window(tau):
 
 
 @pytest.mark.parametrize("tol_scale", [1e-3, None], ids=["tol_deg=1e-3*omega", "default"])
-def test_windowed_solve_on_split_real_matrix(tol_scale):
+def test_windowed_solve_on_split_real_matrix(monkeypatch, tol_scale):
     # a real S that splits into exactly degenerate blocks: the windowed dsyevr
     # returned a pair with residual 2.2e-5 at M = 2 on this model, which
-    # failed its auto solve at tol_deg = 1e-3 * omega
+    # failed its auto solve at a degeneracy tolerance of 1e-3 * omega
+    if tol_scale is not None:
+        monkeypatch.setattr(sambe, "TOL_DEG", tol_scale)
     omega = 1.2695056077187155
     h = ft.FourierHamiltonian(
         dim=4,
@@ -247,10 +249,9 @@ def test_windowed_solve_on_split_real_matrix(tol_scale):
             2: np.diag([0.0, 0.0, 0.0, -0.09981224240877817]),
         },
     )
-    tol_deg = None if tol_scale is None else tol_scale * omega
-    fixed = sambe.solve_at_truncation(h, 2, tol_deg)
+    fixed = sambe.solve_at_truncation(h, 2)
     assert max(t.residual for t in fixed) <= 1e-12
-    spec = ft.solve_spectrum(h, "auto", tol_deg)
+    spec = ft.solve_spectrum(h, "auto")
     assert spec.metadata["truncation"] == 16
     assert max(t.residual for t in spec) <= 1e-13
 
@@ -319,7 +320,7 @@ def test_energy_window_reuses_the_model_terms():
     for m in (1, 2, 4):
         tol = 1e-8 * h.omega
         reach = drive + 0.5 * h.omega + (2 * m + 1) * h.dim * tol + 1e-9 * h.omega
-        assert sambe._energy_window(h, m, tol) == (levels[0] - reach, levels[-1] + reach)
+        assert sambe._energy_window(h, m) == (levels[0] - reach, levels[-1] + reach)
     assert h._spectral_reach is h._spectral_reach
 
 
@@ -555,7 +556,7 @@ def test_group_degeneracies_wrapped_boundary():
         Representative(mode_a, 1e-10, 1e-10, 0.0),
         Representative(mode_b, omega - 1e-10, omega - 1e-10, 0.0),
     ]
-    groups = ft.group_degeneracies(reps, h, tol_deg=1e-8)
+    groups = ft.group_degeneracies(reps, h)
     assert len(groups) == 1 and groups[0].size == 2
 
 
@@ -796,7 +797,7 @@ def test_projected_energy_matrix_commutes_with_phases(name, spectra):
         else ft.solve_spectrum(ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5}), 4)
     )
     hh = h if name != "static" else ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.5})
-    hbar, phases = ft.average_energy_matrix(spec, hh, projected=True)
+    hbar, phases = ft.average_energy_matrix(spec, hh)
     comm = hbar @ phases - phases @ hbar
     assert np.abs(comm).max() <= 1e-12
 
@@ -818,7 +819,7 @@ def test_unprojected_energy_matrix_does_not_commute(spectra):
     comm = hbar @ phases - phases @ hbar
     assert np.abs(comm).max() > 1e-6
     # zeroing the cross-group entries restores commutation
-    hbar_proj, phases_proj = ft.average_energy_matrix(spec, h, projected=True)
+    hbar_proj, phases_proj = ft.average_energy_matrix(spec, h)
     assert np.abs(hbar_proj @ phases_proj - phases_proj @ hbar_proj).max() <= 1e-12
 
 
@@ -952,9 +953,9 @@ def test_auto_solve_solves_each_cutoff_once(monkeypatch):
 
     # each rung is one eigensolve and one pass; only the accepted one builds
     # its triplets
-    def counting(h, truncation, tol_deg):
+    def counting(h, truncation):
         seen.append(truncation)
-        return solve(h, truncation, tol_deg)
+        return solve(h, truncation)
 
     monkeypatch.setattr(sambe, "_rung", counting)
     spec = ft.solve_spectrum(h, "auto")
@@ -1050,7 +1051,9 @@ def test_static_models_recover_levels(levels, omega):
     h = ft.builtin_model("static", {"levels": levels, "omega": omega})
     # fold-degenerate levels, however many replicas apart, each keep their
     # own replica
-    spec = ft.solve_spectrum(h, "auto", tol_deg=1e-10 * omega)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sambe, "TOL_DEG", 1e-10)
+        spec = ft.solve_spectrum(h, "auto")
     assert_allclose(np.sort(spec.avg_energies), np.sort(levels), atol=1e-9)
     expected = [fold_reported(lv, omega) for lv in levels]
     for eps in spec.quasi_energies:
@@ -1085,12 +1088,3 @@ def test_replica_overlap_matches_shift_loop():
     zero = ft.FloquetMode(np.zeros((5, 2)))
     assert ft.replica_overlap(zero, random_mode(rng, 2, 2)) == (0.0, 0)
     assert _shift_loop_overlap(zero, random_mode(rng, 2, 2)) == (0.0, 0)
-
-
-@pytest.mark.parametrize("tol_deg", [float("inf"), float("nan"), -1.0, 0.0])
-def test_solve_rejects_invalid_tol_deg(tol_deg):
-    h = ft.builtin_model("driven_ring")
-    with pytest.raises(ft.ModelError, match="tol_deg must be finite and > 0"):
-        sambe.solve_at_truncation(h, 4, tol_deg)
-    with pytest.raises(ft.ModelError, match="tol_deg must be finite and > 0"):
-        ft.solve_spectrum(h, "auto", tol_deg)
