@@ -158,6 +158,14 @@ class FourierHamiltonian:
         return float(levels[0]), float(levels[-1]), drive
 
     @cached_property
+    def _sectors(self):
+        # the exact symmetry sectors of the Sambe matrix (`_sectors.find`),
+        # found once per model like _spectral_reach; imported on first use
+        from ._sectors import find
+
+        return find(self)
+
+    @cached_property
     def _hash(self) -> str:
         # cached per instance: the harmonics are a read-only mapping of
         # write-protected arrays, so the serialized model never changes

@@ -32,10 +32,14 @@ eigenspace of S with raw eigenvalue lam the average energy is
 
 The kept replica has centroid <N> in [-1/2, 1/2), and its Ebar = <T> lies
 inside the instantaneous spectrum of H(t), because T is a compression of
-multiplication by H(t).  The one dense eigensolve per cutoff (`_eigh`, by
+multiplication by H(t).  The dense eigensolve of a cutoff (`_eigh`, by
 divide and conquer) returns only the eigenpairs in the window of raw
 eigenvalues that this allows (`_energy_window`), in real arithmetic when
 every H_m is real (`build_energy_matrix`), and certifies their residuals.
+
+- sectors: when a model's exact symmetry sectors (`_sectors`) split an S
+  of SECTOR_MIN_SIZE or more, each block is solved so, and its pairs are
+  certified against S.
 
 Everything after the eigensolve is one pass over arrays (`_rung`), with S
 and T applied through the harmonics, never as n x n matrices:
@@ -105,6 +109,11 @@ MAX_TRUNCATION = 64
 # Largest eigenpair residual ||S v - lam v|| `diagonalize` accepts, relative
 # to max(|lam|, 1).
 EIGEN_RESIDUAL_TOL = 1e-10
+
+# Smallest Sambe matrix, n = (2M+1) d, solved in symmetry sectors
+# (`_sectors`): below it the detection and the extra calls per block cost
+# more than the smaller eigensolves save.
+SECTOR_MIN_SIZE = 128
 
 # Degeneracy tolerance, relative to omega: raw eigenvalues, and folded
 # quasi-energies, joined by gaps within TOL_DEG * omega form one cluster,
@@ -270,6 +279,20 @@ def _number_diagonal(truncation: int, dim: int) -> np.ndarray:
     return np.repeat(np.arange(-truncation, truncation + 1), dim)
 
 
+def _dense_guard(h: FourierHamiltonian, truncation: int):
+    """The checks of `build_energy_matrix` before it allocates."""
+    _require_truncation(h, truncation)
+    size = (2 * truncation + 1) * h.dim
+    nbytes = 16 * size**2
+    if 3 * nbytes > MAX_DENSE_BYTES:
+        raise ModelError(
+            f"truncation M={truncation} needs a dense {size} x {size} matrix of "
+            f"{nbytes / 1024**3:.2f} GiB, {3 * nbytes / 1024**3:.2f} GiB for the solve, "
+            f"above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB limit; lower M or the "
+            f"model dimension"
+        )
+
+
 def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     """Block-Toeplitz matrix of the one-period averaged energy form.
 
@@ -281,18 +304,10 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     index would silently drop physics and is rejected, and so is a solve
     above MAX_DENSE_BYTES (ModelError, before allocating).
     """
-    _require_truncation(h, truncation)
+    _dense_guard(h, truncation)
     nb = 2 * truncation + 1
     d = h.dim
     size = nb * d
-    nbytes = 16 * size**2
-    if 3 * nbytes > MAX_DENSE_BYTES:
-        raise ModelError(
-            f"truncation M={truncation} needs a dense {size} x {size} matrix of "
-            f"{nbytes / 1024**3:.2f} GiB, {3 * nbytes / 1024**3:.2f} GiB for the solve, "
-            f"above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB limit; lower M or the "
-            f"model dimension"
-        )
     real = not any(mat.imag.any() for mat in h.harmonics.values())
     t = np.zeros((size, size), dtype=float if real else complex)
     blocks = t.reshape(nb, d, nb, d)  # blocks[p, :, q, :] is block (p, q), a view
@@ -789,7 +804,12 @@ def _rung(h: FourierHamiltonian, truncation: int) -> tuple[dict, float, float]:
     `_truncation_bounds`; no mode or triplet object is built."""
     # S, the eigenpairs and the unresolved modes do not outlive their stage:
     # the later stages apply S through the harmonics and reuse that memory
-    pairs = diagonalize(build_sambe(h, truncation), window=_energy_window(h, truncation))
+    _dense_guard(h, truncation)  # the full n, before the sectors are looked for
+    sectors, window = _split(h, truncation), _energy_window(h, truncation)
+    if sectors is None or sectors.basis is None:
+        pairs = diagonalize(build_sambe(h, truncation), window=window)
+    else:
+        pairs = sectors.solve(h, truncation, window)
     x, tx, lams, eps = _select(*pairs, h, truncation)
     del pairs
     cols, gids, lams, eps = _group(lams, eps, h.omega)
@@ -798,9 +818,16 @@ def _rung(h: FourierHamiltonian, truncation: int) -> tuple[dict, float, float]:
     return (states, *_truncation_bounds(h, truncation, states))
 
 
+def _split(h: FourierHamiltonian, truncation: int):
+    """The model's symmetry sectors, looked for only from SECTOR_MIN_SIZE on."""
+    return h._sectors if (2 * truncation + 1) * h.dim >= SECTOR_MIN_SIZE else None
+
+
 def _solved(h, truncation, states, eps_bound, ebar_estimate) -> Spectrum:
+    sectors = _split(h, truncation)
     metadata = dict(truncation=truncation, tol_deg=_tol_deg(h.omega), solver="sambe-eigh",
-                    dim=h.dim, omega=h.omega, model_hash=model_hash(h))
+                    dim=h.dim, omega=h.omega, model_hash=model_hash(h),
+                    sectors=sectors and sectors.dims, sector_coupling=sectors and sectors.coupling)
     spectrum = _spectrum(states, h, metadata)
     spectrum.metadata.update(eps_bound=eps_bound, ebar_estimate=ebar_estimate)
     return spectrum

@@ -67,6 +67,20 @@ def ground_results(models, spectra):
     return out
 
 
+def random_complex_model(dim: int, seed: int, omega: float = 2.0) -> ft.FourierHamiltonian:
+    """A seeded random complex model with no symmetry: H_0 = A + A^H and
+    H_1, H_2 of 0.3 and 0.1 times that scale, A, H_1 and H_2 complex
+    Gaussian with entries of variance 1 / dim."""
+    rng = np.random.default_rng(seed)
+
+    def gauss():
+        return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2 * dim)
+
+    a = gauss()
+    harmonics = {0: a + a.conj().T, 1: 0.3 * gauss(), 2: 0.1 * gauss()}
+    return ft.FourierHamiltonian(dim=dim, omega=omega, harmonics=harmonics)
+
+
 def random_mode(rng: np.random.Generator, truncation: int, dim: int) -> ft.FloquetMode:
     coeffs = rng.normal(size=(2 * truncation + 1, dim)) + 1j * rng.normal(
         size=(2 * truncation + 1, dim)

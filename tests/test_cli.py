@@ -60,6 +60,22 @@ def test_solve_json_round_trip_bitwise(tmp_path):
     payload["metadata"].pop("timestamp", None)
     again["metadata"].pop("timestamp", None)
     assert payload == again
+    # a matrix this small is solved whole, its sectors not looked for
+    assert payload["metadata"]["sectors"] is None
+    assert payload["metadata"]["sector_coupling"] is None
+
+
+def test_solve_json_round_trip_keeps_the_sectors(tmp_path):
+    # the 24-site ring certifies at M = 4 (n = 216) in four symmetry sectors
+    out = tmp_path / "run"
+    assert main(["solve", "--builtin", "driven_ring", "--param", "sites=24", "--out", str(out)]) == 0
+    payload = json.loads((out / "spectrum.json").read_text())
+    again = json.loads(json.dumps(ft.Spectrum.from_json_dict(payload).to_json_dict(), allow_nan=False))
+    payload["metadata"].pop("timestamp", None)
+    again["metadata"].pop("timestamp", None)
+    assert payload == again
+    assert sorted(payload["metadata"]["sectors"]) == [[5, 6], [6, 5], [6, 7], [7, 6]]
+    assert 0.0 <= payload["metadata"]["sector_coupling"] <= 1e-13
 
 
 def test_solve_without_a_gap_writes_strict_json(tmp_path):

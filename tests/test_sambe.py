@@ -116,13 +116,29 @@ def test_windowed_eigenvalues_lie_in_window(name, monkeypatch):
     monkeypatch.setattr(sambe, "diagonalize", recording)
     for m in (4, 8):
         sambe.solve_at_truncation(h, m)
-    assert len(seen) == 2
+    # one windowed eigensolve per symmetry sector block and cutoff
+    blocks = [len(getattr(sambe._split(h, m), "dims", None) or [None]) for m in (4, 8)]
+    assert len(seen) == sum(blocks)
     for size, (lo, hi), vals in seen:
         assert 0 < vals.size <= size
         assert np.all((vals > lo) & (vals <= hi))
     if name == "driven_ring":
         # the window holds about one replica of each state, not all 2M+1
-        assert seen[-1][2].size < seen[-1][0] // 4
+        last = seen[-blocks[-1]:]
+        assert sum(vals.size for _, _, vals in last) < sum(size for size, _, _ in last) // 4
+
+
+def test_small_rungs_are_solved_whole():
+    # the 3-site ring's rungs stay below SECTOR_MIN_SIZE: its sectors are
+    # never looked for, and the metadata says so
+    h = ft.builtin_model("driven_ring", {"sites": 3})
+    spec = ft.solve_spectrum(h, "auto")
+    assert (2 * spec.metadata["truncation"] + 1) * h.dim < sambe.SECTOR_MIN_SIZE
+    assert spec.metadata["sectors"] is spec.metadata["sector_coupling"] is None
+    assert "_sectors" not in h.__dict__
+    # the 48-site ring's are above it
+    spec = ft.solve_spectrum(ft.builtin_model("driven_ring", {"sites": 48}), "auto")
+    assert len(spec.metadata["sectors"]) == 4
 
 
 @pytest.mark.parametrize(
@@ -984,6 +1000,8 @@ def test_spectrum_json_round_trip_bitwise(spectra):
         assert t1.quasi_energy_raw == t0.quasi_energy_raw
         assert t1.residual == t0.residual
         assert np.array_equal(t1.mode.coeffs, t0.mode.coeffs)
+    assert back.metadata == json.loads(json.dumps(spec.metadata))
+    assert back.metadata["sectors"] is back.metadata["sector_coupling"] is None
 
 
 def test_spectrum_ordering_and_count(spectra):
