@@ -58,8 +58,9 @@ from .model import FourierHamiltonian
 # magnitude share a cluster.
 MERGE = 1e-3
 
-# A sketch row whose distance from the span of the rows before it is below
-# RANK_TOL times the size of its terms is taken as dependent.
+# Relative size below which a sketch row's distance from the span of the
+# rows before it, a coupling of two eigenvectors of Z by the harmonics, or
+# X less its identity part counts as zero.
 RANK_TOL = 1e-8
 
 # Largest off-sector entry of V^H H_m V, relative to the norm of the stacked
@@ -196,11 +197,6 @@ def _block_eigh(inner, sizes):
     return values, rotation
 
 
-def _same(ids_a, ids_b):
-    """(rows, cols) of the pairs with ids_a[row] == ids_b[col]."""
-    return np.nonzero(ids_a[:, None] == ids_b[None, :])
-
-
 def find(h: FourierHamiltonian) -> Sectors:
     """The exact symmetry sectors of the Sambe matrix of h (see the module
     docstring), or Sectors(coupling) when S is not split."""
@@ -237,7 +233,7 @@ def find(h: FourierHamiltonian) -> Sectors:
         if np.array_equal(joined[joined], root):
             break
         root = joined[joined]
-    rows, cols = _same(cluster, cluster)
+    rows, cols = np.nonzero(cluster[:, None] == cluster)
     tied = np.unique(np.where((rows == cols) & single[rows], root[rows], d + np.arange(rows.size)),
                      return_inverse=True)[1]
     x = np.zeros((d, d), dtype=mats.dtype)
@@ -265,7 +261,7 @@ def find(h: FourierHamiltonian) -> Sectors:
         sector = slice(start, start + size)
         fvalues, fbasis = np.linalg.eigh(zf[sector, sector])
         ids = _clusters(np.concatenate([fvalues, zs[sector]]), tol)
-        rows, cols = _same(ids[:size], ids[size:])
+        rows, cols = np.nonzero(ids[:size, None] == ids[size:])  # rows in Z_f's basis
         if not rows.size <= MAX_UNKNOWNS * size:
             continue
         sub = hat[:, sector, sector]
