@@ -158,9 +158,9 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
     l, r = rng.random((len(left), count, d)) - 0.5, rng.random((count, d)) - 0.5
     a = ((signs[:, None, None] * l) @ left).sum(axis=0)  # rows sum_m sign_m l_m^T L_m
     b = r @ np.swapaxes(right, 1, 2)  # b[m, k] = (R_m r_k)^T
-    # term k of row k is a_k r_k^T - sum_m l_mk b_mk^T, read at (rows, cols)
-    first = (a[:, :, None] * r[:, None, :])[:, rows, cols]
-    second = (np.swapaxes(l, 0, 1).transpose(0, 2, 1) @ np.swapaxes(b, 0, 1))[:, rows, cols]
+    # row k is a_k r_k^T - sum_m l_mk b_mk^T, read at (rows, cols)
+    first = a[:, rows] * r[:, cols]
+    second = (l[:, :, rows] * b[:, :, cols]).sum(axis=0)
     coef, size = first - second, np.abs(first) + np.abs(second)
     if tied is not None:
         merge = tied[:, None] == np.arange(unknowns)
@@ -168,8 +168,12 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
     size = np.sqrt(unknowns) * size.max()
     # the most independent rows first: the columns of Q past them span the
     # orthogonal complement of the rows, the null space
-    q, triangle, _ = scipy.linalg.qr(coef.conj().T, pivoting=True, check_finite=False)
-    rank = int(np.count_nonzero(np.abs(triangle.diagonal()) > RANK_TOL * size))
+    geqp3, orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), (coef,))
+    packed, _, tau, _, info = geqp3(coef.conj().T)
+    q, _, info_q = orgqr(packed[:, :unknowns], tau)
+    if info or info_q:
+        raise sambe.SolverError(f"sector detection failed: geqp3 info {info}, orgqr info {info_q}")
+    rank = int(np.count_nonzero(np.abs(packed.diagonal()) > RANK_TOL * size))
     if rank == unknowns:
         return None
     values = q[:, rank:] @ rng.standard_normal(unknowns - rank)
