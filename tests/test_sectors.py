@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -202,6 +203,23 @@ def test_split_pairs_are_certified_against_the_full_matrix():
     skewed = _sectors.Sectors(sectors.coupling, sectors.basis @ turn, sectors.labels, sectors.rotated)
     with pytest.raises(ft.SolverError, match="residual .* on the full matrix"):
         skewed.solve(h, 4, sambe._energy_window(h, 4))
+
+
+def test_block_pairs_are_certified(monkeypatch):
+    # the middle pair of every block's spectrum lies inside the window: the
+    # perturbed one reaches the residual check of its block
+    stevd = scipy.linalg.lapack.dstevd
+
+    def perturbed(*args, **kwargs):
+        vals, vecs, info = stevd(*args, **kwargs)
+        vecs[:, vals.size // 2] += 1e-6 * vecs[:, -1]
+        return vals, vecs, info
+
+    h = ft.builtin_model("driven_ring")
+    assert len(h._sectors.dims) == 4
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", perturbed)
+    with pytest.raises(ft.SolverError, match="residual"):
+        sambe.solve_at_truncation(h, 4)
 
 
 def test_sector_metadata_is_strict_json():
