@@ -2,9 +2,10 @@
 
 Exit codes are a contract for CI: 0 success, 2 configuration problem,
 3 cross-validation gate violation, 4 solver non-convergence.  Full-fidelity
-results go to JSON, analyst-facing tables to CSV; numeric fields use
-shortest round-trip float formatting so re-reading a result reproduces it
-bitwise.
+results go to compact UTF-8 JSON (written by orjson), analyst-facing tables
+to CSV; numeric fields use shortest round-trip float formatting so
+re-reading a result reproduces it bitwise, and a NaN or infinity bound for
+a JSON file is refused rather than written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,11 +123,39 @@ def _finite_arg(text: str) -> float:
     return value
 
 
+def _finite(obj) -> bool:
+    """Whether every float in a payload of dicts, lists, numbers, strings
+    and numpy values is finite."""
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        try:
+            # a flat list of numbers, such as a row of mode coefficients: a
+            # NaN or infinity makes the sum non-finite, and a sum that
+            # overflows from finite terms is settled term by term
+            return math.isfinite(sum(obj)) or all(map(math.isfinite, obj))
+        except TypeError:
+            return all(map(_finite, obj))
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, (np.floating, np.ndarray)):
+        return bool(np.isfinite(obj).all())
+    return True
+
+
 def _write_json(path: Path, payload: dict):
-    """Write strict JSON: a NaN or infinity in the payload raises
-    ValueError rather than leaving a file strict parsers reject."""
+    """Write strict JSON as compact UTF-8 with shortest round-trip floats.
+
+    orjson writes a NaN or infinity as null, so the payload is checked
+    first: a non-finite value raises ValueError and writes nothing, no
+    directory either."""
+    import orjson
+
+    if not _finite(payload):
+        raise ValueError("Out of range float values are not JSON compliant")
+    data = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_bytes(data)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import floqtriplet as ft
 from floqtriplet import oracle
-from floqtriplet.cli import MODE_SIGMA_MIN, build_parser, main
+from floqtriplet.cli import MODE_SIGMA_MIN, _write_json, build_parser, main
 
 from conftest import CIRCULAR_DEFAULT
 
@@ -93,6 +93,38 @@ def test_solve_without_a_gap_writes_strict_json(tmp_path):
     payload = json.loads((out / "spectrum.json").read_text(), parse_constant=reject)
     assert payload["metadata"]["eps_bound"] is None
     assert payload["metadata"]["ebar_estimate"] is None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: {"states": [{"coeffs_re": [[0.5, 0.25], [0.125, x]]}]},
+        lambda x: {"metadata": {"eps_bound": x}},
+        lambda x: {"metadata": {"residual_max": np.float64(x)}},
+    ],
+    ids=["coefficient", "dict-value", "numpy-scalar"],
+)
+def test_write_json_refuses_non_finite_values(tmp_path, place, value):
+    # orjson would write them as null: the writer refuses them before
+    # creating anything
+    path = tmp_path / "o" / "spectrum.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(path, place(value))
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 2.2999999999999998e-08, 0.30020186236348767],
+)
+def test_write_json_round_trips_edge_floats_bitwise(tmp_path, value):
+    # at the largest float the row's sum overflows though every term is finite
+    path = tmp_path / "o" / "spectrum.json"
+    _write_json(path, {"coeffs_re": [[value, value, -value]], "eps_bound": np.float64(value)})
+    back = json.loads(path.read_text(encoding="utf-8"))
+    got = [*back["coeffs_re"][0], back["eps_bound"]]
+    assert np.array(got).tobytes() == np.array([value, value, -value, value]).tobytes()
 
 
 def test_solve_from_explicit_harmonics_file(tmp_path):
@@ -510,6 +542,23 @@ def test_sweep_single_point(tmp_path):
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == 2
     assert {r["lambda"] for r in rows} == {"1.0"}
+
+
+def test_sweep_failed_points_write_sweep_errors(tmp_path):
+    # M = 0 is below the model's harmonic order at every point: each point
+    # fails and is recorded, and the sweep still exits 0
+    out = tmp_path / "o"
+    code = main(
+        ["sweep", "--builtin", "two_level_linear", "--harmonics", "0",
+         "--sweep-param", "v", "--sweep-start", "0.1", "--sweep-stop", "0.2",
+         "--sweep-count", "2", "--out", str(out)]
+    )
+    assert code == 0
+    assert (out / "sweep.csv").read_text() == "lambda,state,eps,ebar\n"
+    errors = json.loads((out / "sweep_errors.json").read_text())["errors"]
+    assert [sorted(e) for e in errors] == [["error", "value"]] * 2
+    assert [e["value"] for e in errors] == [0.1, 0.2]
+    assert all("below the largest harmonic index" in e["error"] for e in errors)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

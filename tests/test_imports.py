@@ -65,8 +65,19 @@ def loaded_after(tmp_path, argv: list[str]) -> set[str]:
 
 def test_solve_loads_only_the_model_and_sambe_layers(tmp_path):
     loaded = loaded_after(tmp_path, ["solve", "--builtin", "static"])
-    assert {"floqtriplet.model", "floqtriplet.sambe"} <= loaded
+    assert {"floqtriplet.model", "floqtriplet.sambe", "orjson"} <= loaded
     assert not loaded & set(HEAVY)
+
+
+def test_import_and_compare_leave_orjson_unloaded(tmp_path):
+    # orjson loads inside the JSON writer; compare writes CSV only
+    assert "orjson" not in loaded_after(tmp_path, ["compare", "--builtin", "static"])
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, floqtriplet; print('orjson' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert run.stdout.strip() == "False"
 
 
 def test_variational_loads_no_oracle(tmp_path):
