@@ -4,8 +4,8 @@ Exit codes are a contract for CI: 0 success, 2 configuration problem,
 3 cross-validation gate violation, 4 solver non-convergence.  Full-fidelity
 results go to compact UTF-8 JSON (written by orjson), analyst-facing tables
 to CSV; numeric fields use shortest round-trip float formatting so
-re-reading a result reproduces it bitwise, and a NaN or infinity bound for
-a JSON file is refused rather than written.
+re-reading a result reproduces it bitwise, and a NaN or infinity in a JSON
+result is refused rather than written.
 """
 
 from __future__ import annotations

@@ -47,17 +47,16 @@ HEAVY = ("scipy.optimize", "scipy.integrate", "floqtriplet.oracle",
          "floqtriplet.variational", "floqtriplet.analysis")
 
 
-def loaded_after(tmp_path, argv: list[str]) -> set[str]:
-    """The modules of a fresh interpreter after `cli.main(argv)` exits 0."""
-    script = (
-        "import json, sys\n"
-        "from floqtriplet import cli\n"
-        "assert cli.main(json.loads(sys.argv[1])) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+def loaded_after(tmp_path, argv: list[str] | None) -> set[str]:
+    """The modules of a fresh interpreter after `cli.main(argv)` exits 0,
+    or after `import floqtriplet` alone when argv is None."""
+    script = "import json, sys\nimport floqtriplet\n"
+    if argv is not None:
+        script += "from floqtriplet import cli\nassert cli.main(json.loads(sys.argv[1])) == 0\n"
+    script += "print(json.dumps(sorted(sys.modules)))\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([*argv, "--out", str(tmp_path / "o")])],
+        [sys.executable, "-c", script, json.dumps([*(argv or []), "--out", str(tmp_path / "o")])],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     return set(json.loads(run.stdout.strip().splitlines()[-1]))
@@ -72,12 +71,7 @@ def test_solve_loads_only_the_model_and_sambe_layers(tmp_path):
 def test_import_and_compare_leave_orjson_unloaded(tmp_path):
     # orjson loads inside the JSON writer; compare writes CSV only
     assert "orjson" not in loaded_after(tmp_path, ["compare", "--builtin", "static"])
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys, floqtriplet; print('orjson' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
-    )
-    assert run.stdout.strip() == "False"
+    assert "orjson" not in loaded_after(tmp_path, None)
 
 
 def test_variational_loads_no_oracle(tmp_path):
