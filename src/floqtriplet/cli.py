@@ -246,7 +246,7 @@ def cmd_variational(args) -> int:
     h = _resolve_model(args)
     config = VariationalConfig(restarts=args.restarts, seed=args.seed)
     if args.harmonics == "auto":
-        truncation = sambe.solve_spectrum(h, "auto").metadata["truncation"]
+        truncation = sambe.certify_truncation(h)
     else:
         truncation = int(args.harmonics)
     result = variational.minimize_ground(h, truncation, config)

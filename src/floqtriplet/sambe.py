@@ -103,7 +103,7 @@ MAX_DENSE_BYTES = 2 * 1024**3
 # warns.
 QUASI_TOL = 1e-9
 
-# Largest cutoff M the doubling loop of `_certified_spectrum` tries.
+# Largest cutoff M the doubling loop of `_certified_rung` tries.
 MAX_TRUNCATION = 64
 
 # Largest eigenpair residual ||S v - lam v|| `diagonalize` accepts, relative
@@ -1007,12 +1007,18 @@ def certify_truncation(h: FourierHamiltonian) -> int:
     estimate of `_truncation_bounds` are both below QUASI_TOL; TruncationError
     when none up to MAX_TRUNCATION is.  The harmonic cutoff is the one
     approximation in the construction, so it is certified, not guessed."""
-    return _certified_spectrum(h).metadata["truncation"]
+    return _certified_rung(h)[0]
 
 
 def _certified_spectrum(h: FourierHamiltonian) -> Spectrum:
-    """The doubling loop of `certify_truncation`, returning the spectrum of
-    its last rung, the only one whose triplets are built."""
+    """The spectrum of the certified cutoff, the only rung whose triplets
+    are built."""
+    return _solved(h, *_certified_rung(h))
+
+
+def _certified_rung(h: FourierHamiltonian) -> tuple[int, dict, float, float]:
+    """The doubling loop of `certify_truncation`: the certified cutoff, its
+    resolved states and its two truncation figures."""
     m = max(1, h.max_harmonic)
     while m <= MAX_TRUNCATION:
         try:
@@ -1021,7 +1027,7 @@ def _certified_spectrum(h: FourierHamiltonian) -> Spectrum:
             pass
         else:
             if max(figures) < QUASI_TOL:
-                return _solved(h, m, states, *figures)
+                return m, states, *figures
             del states  # not held through the next eigensolve
         m *= 2
     raise TruncationError(

@@ -15,16 +15,28 @@ the result reports eps_raw = x^H T x + x^H omega N x.  Quasi-energy
 stationarity is equivalent to x being an eigenvector of S, so the feasible
 set of the penalty formulation is exactly the eigenstate manifold, on
 which F reduces to the average energy.  The weights are constants of the
-method, not inputs: mu_res starts at MU_RES_INIT = 1e3 and is grown tenfold
-per stage (continuation), up to MU_RES_MAX = 1e12, until the eigen-residual
-of the iterate is at most RESIDUAL_TOL = 1e-9; mu_norm = MU_NORM = 10 and
-mu_orth = MU_ORTH = 100.  Each stage is an unconstrained minimization by
-trust-region Newton with Moré & Sorensen subproblems and the analytic
-Hessian below, warm-started from the previous stage: `_newton_stage`
-(module `_trust_region`), a step-for-step port of scipy's trust-exact in
-array code, run through scipy's `minimize` as a custom method.
-The minimizer's residual falls as 1/mu_res, so after the first stage a
-Newton step lands each stage in one or two iterations.
+method, not inputs: mu_res starts at MU_RES_INIT = 1e3 and grows from
+stage to stage (continuation), up to MU_RES_MAX = 1e12, until the
+eigen-residual of the iterate is at most RESIDUAL_TOL = 1e-9; mu_norm =
+MU_NORM = 10 and mu_orth = MU_ORTH = 100.  Each stage is an unconstrained
+minimization by trust-region Newton with Moré & Sorensen subproblems and
+the analytic Hessian below, warm-started from the previous stage:
+`_newton_stage` (module `_trust_region`), a step-for-step port of scipy's
+trust-exact in array code, run through scipy's `minimize` as a custom
+method.
+
+The minimizer's residual falls as 1/mu_res, as the constraint of a
+quadratic penalty does, c(x_mu) ~ -lambda*/mu (Nocedal & Wright, Numerical
+Optimization, 2nd ed., sec. 17.1; extrapolation along the penalty
+trajectory goes back to Fiacco & McCormick's SUMT, 1968), and a Newton
+step lands each stage after the first in one or two iterations.  So the
+schedule extrapolates: once mu_res times the residual holds within a
+factor STEADY_RATIO = 1.5 of the previous stage's, the next stage runs at
+the mu_res that law predicts brings the residual to JUMP_TARGET = 1/10 of
+RESIDUAL_TOL, at least ten times the last; otherwise (after the first
+stage, at a creeping near-degenerate pair, after a jump that fell short)
+mu_res grows tenfold.  Either step is capped at MU_RES_MAX, so the last
+stage of a start that does not converge runs at MU_RES_MAX.
 
 Everything is computed in real search variables y, chosen once per
 workspace: y = x when the model is real (every H_m real, so
@@ -126,11 +138,16 @@ from .sambe import (
     fold_reported,
 )
 
-# the penalty schedule (module docstring): ten stages, mu_res = 1e3 ... 1e12;
-# RESIDUAL_TOL is an order below the 1e-8 contract so that functional
-# equivalence holds with margin at every converged result
+# the penalty schedule (module docstring, `_next_mu`): mu_res from 1e3 up to
+# 1e12, tenfold per stage until mu_res times the residual holds within
+# STEADY_RATIO from one stage to the next, then straight to the stage whose
+# 1/mu_res residual is JUMP_TARGET * RESIDUAL_TOL; RESIDUAL_TOL is an order
+# below the 1e-8 contract so that functional equivalence holds with margin
+# at every converged result
 MU_RES_INIT = 1e3
 MU_RES_MAX = 1e12
+STEADY_RATIO = 1.5
+JUMP_TARGET = 0.1
 MU_NORM = 10.0
 MU_ORTH = 100.0
 RESIDUAL_TOL = 1e-9
@@ -340,15 +357,31 @@ def _static_start(
     return x.reshape(-1)
 
 
+def _next_mu(mu: float, scaled: float, previous: float | None) -> float:
+    """mu_res of the stage after an unconverged one at mu whose mu_res times
+    residual is scaled, the previous stage's being previous (None after the
+    first stage).  Where the two agree within STEADY_RATIO the residual
+    follows its 1/mu_res law, and the next stage is the one that law puts at
+    JUMP_TARGET * RESIDUAL_TOL; else, or if that is nearer, ten times mu.
+    Never above MU_RES_MAX."""
+    step = 10.0 * mu
+    if previous is not None and previous / STEADY_RATIO <= scaled <= previous * STEADY_RATIO:
+        step = max(step, scaled / (JUMP_TARGET * RESIDUAL_TOL))
+    return min(step, MU_RES_MAX)
+
+
 def _minimize_one(ws: _Workspace, y: np.ndarray) -> tuple[np.ndarray, bool, list[dict]]:
     """Penalty continuation from one start y in the search variables;
     returns (y, converged, trace).
 
-    Each stage runs at most STAGE_ITERATIONS Newton iterations.  A start
-    that ends nearly converged is polished by `_rayleigh_polish`, which the
-    trace, a record of the stages, leaves out.
+    Each stage runs at most STAGE_ITERATIONS Newton iterations, and
+    `_next_mu` picks the next stage's mu_res: tenfold, or, once the
+    residual follows its 1/mu_res law, straight to the stage that law says
+    converges.  A start that ends nearly converged is polished by
+    `_rayleigh_polish`, which the trace, a record of the stages, leaves out.
     """
     mu = MU_RES_INIT
+    previous = None  # mu_res times the residual, one stage back
     trace: list[dict] = []
     converged = False
     while True:
@@ -387,7 +420,8 @@ def _minimize_one(ws: _Workspace, y: np.ndarray) -> tuple[np.ndarray, bool, list
         collapsed = float(y @ y) <= np.finfo(float).eps
         if mu >= MU_RES_MAX or collapsed:
             break
-        mu *= 10.0
+        scaled = mu * residual
+        mu, previous = _next_mu(mu, scaled, previous), scaled
     if not converged and residual <= POLISH_RESIDUAL:
         y = _rayleigh_polish(ws, y)
         converged = ws.residual_of(y) <= RESIDUAL_TOL

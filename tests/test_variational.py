@@ -9,6 +9,7 @@ from floqtriplet import variational
 from floqtriplet.variational import VariationalConfig, _Workspace
 from floqtriplet.variational import _deflation_basis, _minimize_one, _random_start, _static_start
 from floqtriplet.variational import MU_NORM, MU_RES_INIT, MU_RES_MAX, RESIDUAL_TOL
+from floqtriplet.variational import JUMP_TARGET, STEADY_RATIO, _next_mu
 from floqtriplet.variational import STAGE_GTOL, STAGE_ITERATIONS, _newton_stage, _orthogonal_start
 from floqtriplet.variational import REPLICA_LOSS_TOL, _replica_loss
 
@@ -173,10 +174,57 @@ def test_stall_at_mu_max_is_flagged_after_every_stage(monkeypatch):
     elapsed = time.perf_counter() - start
     assert not result.converged
     mus = [stage["mu_res"] for stage in result.trace]
-    assert mus == [1e3 * 10.0**k for k in range(10)]
-    assert mus[-1] == variational.MU_RES_MAX
+    assert mus[0] == MU_RES_INIT
+    assert all(b >= 10.0 * a for a, b in zip(mus, mus[1:]))
+    assert max(mus) <= MU_RES_MAX
+    assert mus[-1] == MU_RES_MAX
     assert np.isfinite(result.residual)
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("scaled", [9.3e2, 1e5])  # the 1/mu law, and a residual that did not fall
+def test_schedule_never_passes_mu_max(scaled):
+    # a stage just below MU_RES_MAX: neither the jump nor the tenfold step
+    # may run a stage above it (an uncapped step once ran one at 9.3e12)
+    mu = 9.3e11
+    assert _next_mu(mu, scaled, previous=scaled) == MU_RES_MAX
+    assert _next_mu(mu, scaled, previous=None) == MU_RES_MAX
+    assert _next_mu(MU_RES_MAX / 10, 5e3, previous=1e3) == MU_RES_MAX
+
+
+def test_schedule_jumps_only_on_the_one_over_mu_law():
+    # mu * residual steady within STEADY_RATIO: straight to the stage the law
+    # puts at JUMP_TARGET * RESIDUAL_TOL, never less than tenfold
+    target = JUMP_TARGET * RESIDUAL_TOL
+    assert _next_mu(1e4, 0.5, previous=0.5 * STEADY_RATIO) == pytest.approx(0.5 / target)
+    assert _next_mu(1e4, 0.5, previous=0.5 / STEADY_RATIO) == pytest.approx(0.5 / target)
+    assert _next_mu(1e4, 1e-8, previous=1e-8) == 1e5
+    # the first stage, a creep and a jump that fell short grow tenfold
+    assert _next_mu(1e3, 0.5, previous=None) == 1e4
+    assert _next_mu(1e4, 0.5, previous=0.5 * STEADY_RATIO * 1.01) == 1e5
+    assert _next_mu(1e9, 20.0, previous=0.5) == 1e10
+
+
+@pytest.mark.parametrize(
+    "name, params", [("driven_ring", {"sites": 3}), ("two_level_linear", {})]
+)
+def test_converged_starts_need_at_most_four_stages(name, params, monkeypatch):
+    # the tenfold schedule took 6-7 stages per start here; once two stages
+    # agree on mu * residual the next one converges
+    traces = []
+    real = variational._minimize_one
+
+    def wrapped(ws, y0):
+        y, ok, trace = real(ws, y0)
+        traces.append((ok, trace))
+        return y, ok, trace
+
+    monkeypatch.setattr(variational, "_minimize_one", wrapped)
+    h = ft.builtin_model(name, params)
+    result = ft.minimize_ground(h, 8)
+    assert result.converged
+    assert traces and all(len(trace) <= 4 for ok, trace in traces if ok)
+    assert all(ok for ok, _ in traces)
 
 
 def test_minimize_excited_linear(ground_results, spectra):
@@ -417,6 +465,7 @@ def test_stalled_start_at_a_near_degenerate_pair_is_polished():
     x0 = _random_start(np.random.default_rng(4), 8, h.dim, ws.real)
     x, converged, trace = _minimize_one(ws, x0)
     assert trace[-1]["residual"] > RESIDUAL_TOL
+    assert max(stage["mu_res"] for stage in trace) <= MU_RES_MAX
     assert converged
     assert ws.residual_of(x) <= RESIDUAL_TOL
 
