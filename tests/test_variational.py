@@ -212,19 +212,11 @@ def test_converged_starts_need_at_most_four_stages(name, params, monkeypatch):
     # the tenfold schedule took 6-7 stages per start here; once two stages
     # agree on mu * residual the next one converges
     traces = []
-    real = variational._minimize_one
-
-    def wrapped(ws, y0):
-        y, ok, trace = real(ws, y0)
-        traces.append((ok, trace))
-        return y, ok, trace
-
-    monkeypatch.setattr(variational, "_minimize_one", wrapped)
-    h = ft.builtin_model(name, params)
-    result = ft.minimize_ground(h, 8)
+    flags = _record_starts(monkeypatch, traces=traces)
+    result = ft.minimize_ground(ft.builtin_model(name, params), 8)
     assert result.converged
-    assert traces and all(len(trace) <= 4 for ok, trace in traces if ok)
-    assert all(ok for ok, _ in traces)
+    assert flags and all(flags)
+    assert all(len(trace) <= 4 for trace in traces)
 
 
 def test_minimize_excited_linear(ground_results, spectra):
@@ -406,9 +398,10 @@ def test_ground_search_reaches_the_lowest_of_five_states():
     assert abs(result.avg_energy - min(ft.solve_spectrum(h, 16).avg_energies)) <= 1e-6
 
 
-def _record_starts(monkeypatch, fail_start=None):
-    """Wrap _minimize_one to record each start's converged flag, reporting
-    start number fail_start as unconverged."""
+def _record_starts(monkeypatch, fail_start=None, traces=None):
+    """Wrap _minimize_one to record each start's converged flag (and its
+    stage trace into traces, if given), reporting start number fail_start
+    as unconverged."""
     flags = []
     real = variational._minimize_one
 
@@ -417,6 +410,8 @@ def _record_starts(monkeypatch, fail_start=None):
         if len(flags) == fail_start:
             ok = False
         flags.append(ok)
+        if traces is not None:
+            traces.append(trace)
         return x, ok, trace
 
     monkeypatch.setattr(variational, "_minimize_one", wrapped)
