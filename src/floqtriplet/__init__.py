@@ -8,8 +8,7 @@ ground-state solver.
 
 Importing the package loads the model and extended-space layers only
 (numpy and scipy.linalg); the oracle, variational and analysis names load
-their modules, and scipy.integrate and scipy.optimize with them, on first
-use.
+their modules on first use, and the analysis layer scipy.optimize with it.
 """
 
 from importlib import import_module as _import_module
@@ -51,8 +50,8 @@ from .sambe import (
     wrap_distance,
 )
 
-# Names re-exported from the layers that import scipy.integrate or
-# scipy.optimize: each import waits for the first access (PEP 562).  The
+# Names re-exported from the layers that `import floqtriplet` leaves
+# unloaded: each import waits for the first access (PEP 562).  The
 # attribute is read from its module on every access and never copied here,
 # so rebinding it there (a tracer, a test's monkeypatch) shows through.
 _LAZY = {

@@ -1,8 +1,9 @@
 """The variational solver's settings, apart from the solver itself.
 
-`variational` imports scipy.optimize; the CLI reads the defaults of its
-`--restarts` and `--seed` options from `VariationalConfig` while it builds
-the parser, so the class lives where that costs only the standard library.
+`import floqtriplet` exports `VariationalConfig`, and the CLI reads the
+defaults of its `--restarts` and `--seed` options from it while it builds
+the parser; the class lives here so that neither loads the variational
+layer, and this module costs only the standard library.
 """
 
 from __future__ import annotations

@@ -76,12 +76,14 @@ SEED = 2010
 
 @dataclass(frozen=True, eq=False)
 class _Rotated:
-    """The harmonics V^H H_m V, in the fields `sambe.build_sambe` reads."""
+    """The harmonics V^H H_m V, in the fields `sambe.build_sambe` reads;
+    V is unitary, so the spectral reach is the model's own."""
 
     dim: int
     omega: float
     harmonics: dict
     max_harmonic: int
+    _spectral_reach: tuple[float, float, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,5 +291,6 @@ def find(h: FourierHamiltonian) -> Sectors:
     harmonics.update({-m: mat.conj().T for m, mat in list(harmonics.items())})
     if 0 in ms:
         harmonics[0] = 0.5 * (hat[ms == 0][0] + hat[ms == 0][0].conj().T)
-    rotated = _Rotated(d, h.omega, dict(sorted(harmonics.items())), h.max_harmonic)
+    harmonics = dict(sorted(harmonics.items()))
+    rotated = _Rotated(d, h.omega, harmonics, h.max_harmonic, h._spectral_reach)
     return Sectors(coupling, basis, labels, rotated)

@@ -5,11 +5,10 @@ pp. 169-200; Moré & Sorensen 1983) spends most of a stage in Python
 around its O(n^3) steps: a ScalarFunction set-up per call, a finiteness
 check per solve, np.eye per factorization, a scipy.linalg.norm per vector
 norm and a Hessian at every proposed point, rejected ones too.
-`_newton_stage` takes the same steps with the same LAPACK and BLAS calls
-(the 1-norms of the singular-value estimate as np.abs(x).sum(), the same
+`minimize` takes the same steps with the same LAPACK and BLAS calls (the
+1-norms of the singular-value estimate as np.abs(x).sum(), the same
 reduction) and forms the Hessian only at the accepted points it steps
-from.  It is a custom method for scipy's `minimize`, through which
-`variational` calls it.
+from.  `variational` calls it directly.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import math
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
-from scipy.optimize import OptimizeResult
 
 _INITIAL_RADIUS = 1.0
 _MAX_RADIUS = 1000.0
@@ -209,56 +207,48 @@ def _interpolate(lambda_lb: float, lambda_ub: float) -> float:
     )
 
 
-def _newton_stage(fun, x0, args=(), jac=None, hess=None, *, gtol, maxiter, **_) -> OptimizeResult:
-    """scipy's trust-exact, step for step, as a custom `minimize` method:
-    `minimize(fun, x0, args, jac=True, hess=hess, method=_newton_stage,
-    options={"gtol": ..., "maxiter": ...})`.
+def minimize(fun, x0, args, hess, gtol: float, maxiter: int) -> tuple[np.ndarray, float, int]:
+    """One trust-exact stage from x0; returns (x, F(x), nit).
 
-    Starts at radius 1, accepts a step when the actual decrease exceeds
-    _ETA of the predicted one, quarters the radius below a ratio of 1/4 and
-    doubles it, up to 1000, above 3/4 on the boundary.  nit counts every
-    step, rejected ones too.  A stage ends, with scipy's status codes, when
-    the gradient norm falls below gtol (0), after maxiter steps (1), when
-    the quadratic model predicts no decrease (2) or when the subproblem
-    fails (3).  Unlike scipy, it does not evaluate fun at a step it then
-    stops on for (2); nothing reads that value.
+    fun(x, *args) returns (F, grad F) and hess(x, *args) the Hessian.  fun
+    is evaluated once at x0 and once per proposed point, and an accepted
+    point's gradient is the one evaluated with it, so a stage makes nit + 1
+    evaluations.  Starts at radius 1, accepts a step when the actual
+    decrease exceeds _ETA of the predicted one, quarters the radius below a
+    ratio of 1/4 and doubles it, up to 1000, above 3/4 on the boundary.  nit
+    counts every step, rejected ones too.  A stage ends when the gradient
+    norm falls below gtol, after maxiter steps, when the quadratic model
+    predicts no decrease or when the subproblem fails.
     """
     x = np.asarray(x0, dtype=float).flatten()
-    f = fun(x, *args)
-    g = jac(x, *args)
+    f, g = fun(x, *args)
     g_norm = _nrm2(g)
     model = None
     radius = _INITIAL_RADIUS
-    status = k = 0
-    while g_norm >= gtol:
+    k = 0
+    while g_norm >= gtol and k < maxiter:
         if model is None:
             model = _TrustModel(g, hess(x, *args))
         try:
             p, hits_boundary = model.solve(radius)
         except np.linalg.LinAlgError:
-            status = 3
             break
         # f - (f + ...), as scipy computes it: at large mu_res the model's
         # decrease rounds away against f, which is what ends such a stage
         predicted_value = f + np.dot(g, p) + 0.5 * np.dot(p, np.dot(model.hess, p))
         predicted_reduction = f - predicted_value
         if predicted_reduction <= 0:
-            status = 2
             break
         x_new = x + p
-        f_new = fun(x_new, *args)
+        f_new, g_new = fun(x_new, *args)
         rho = (f - f_new) / predicted_reduction
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75 and hits_boundary:
             radius = min(2 * radius, _MAX_RADIUS)
         if rho > _ETA:
-            x, f = x_new, f_new
-            g = jac(x, *args)
+            x, f, g = x_new, f_new, g_new
             g_norm = _nrm2(g)
             model = None
         k += 1
-        if k >= maxiter and g_norm >= gtol:
-            status = 1
-            break
-    return OptimizeResult(x=x, fun=f, nit=k, status=status, success=status == 0)
+    return x, f, k

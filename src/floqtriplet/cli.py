@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 # only the layers `solve` runs load here; the oracle, variational and
-# analysis layers (with scipy.integrate and scipy.optimize) load inside the
-# commands that run them
+# analysis layers (and scipy.optimize, for the assignments of `compare` and
+# the analysis layer) load inside the commands that run them
 from . import sambe
 from ._config import VariationalConfig
 from .model import (

@@ -98,6 +98,11 @@ class PropagationError(RuntimeError):
 # counted for a real S too (which needs two thirds of that).
 MAX_DENSE_BYTES = 2 * 1024**3
 
+# Largest distance of a level from zero, in units of omega, that a model may
+# reach: at 2^52 omega one ulp of a float64 eigenvalue is omega, so the
+# replica of an eigenvalue, its multiple of omega, is no longer resolved.
+MAX_REACH = 2.0**52
+
 # Largest quasi-energy error bound and average-energy error estimate a
 # certified cutoff may carry (`_truncation_bounds`); a fixed cutoff above it
 # warns.
@@ -282,6 +287,15 @@ def _number_diagonal(truncation: int, dim: int) -> np.ndarray:
 def _dense_guard(h: FourierHamiltonian, truncation: int):
     """The checks of `build_energy_matrix` before it allocates."""
     _require_truncation(h, truncation)
+    lowest, highest, drive = h._spectral_reach
+    reach = max(-lowest, highest) + drive
+    if reach + 0.5 * h.omega >= MAX_REACH * h.omega:
+        raise ModelError(
+            f"the model's levels reach {reach:.3e} from zero, which with omega/2 is "
+            f"at or above the limit 2^52 * omega = {MAX_REACH * h.omega:.3e} "
+            f"(omega = {h.omega:.6g}): one ulp of such a level is omega or more, so "
+            f"its replica is not resolved; shift H_0 toward zero or raise omega"
+        )
     size = (2 * truncation + 1) * h.dim
     nbytes = 16 * size**2
     if 3 * nbytes > MAX_DENSE_BYTES:

@@ -21,9 +21,8 @@ eigen-residual of the iterate is at most RESIDUAL_TOL = 1e-9; mu_norm =
 MU_NORM = 10 and mu_orth = MU_ORTH = 100.  Each stage is an unconstrained
 minimization by trust-region Newton with Moré & Sorensen subproblems and
 the analytic Hessian below, warm-started from the previous stage:
-`_newton_stage` (module `_trust_region`), a step-for-step port of scipy's
-trust-exact in array code, run through scipy's `minimize` as a custom
-method.
+`minimize` (module `_trust_region`), a step-for-step port of scipy's
+trust-exact in array code.
 
 The minimizer's residual falls as 1/mu_res, as the constraint of a
 quadratic penalty does, c(x_mu) ~ -lambda*/mu (Nocedal & Wright, Numerical
@@ -124,10 +123,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._config import VariationalConfig
-from ._trust_region import _newton_stage
+from ._trust_region import minimize
 from .model import FourierHamiltonian
 from .sambe import (
     FloquetMode,
@@ -388,29 +386,17 @@ def _minimize_one(ws: _Workspace, y: np.ndarray) -> tuple[np.ndarray, bool, list
         # trust-region Newton on the analytic Hessian: on the 3-site ring at
         # M = 8 L-BFGS-B took 35-250 iterations per stage and spent three
         # quarters of the search inside scipy; Newton lands every stage after
-        # the first in one or two iterations.  The stage is `_newton_stage`,
+        # the first in one or two iterations.  The stage is `minimize`,
         # scipy's trust-exact ported without its Python overhead, which took
-        # three quarters of the search in turn.  It is still called through
-        # scipy's minimize, the boundary at which perfbench's tracer counts
-        # optimizer calls and objective evaluations.
-        res = minimize(
-            ws.search_objective,
-            y,
-            args=(mu,),
-            jac=True,
-            hess=ws.search_hessian,
-            method=_newton_stage,
-            options={"gtol": STAGE_GTOL, "maxiter": STAGE_ITERATIONS},
+        # three quarters of the search in turn.  It is called by that name,
+        # with the objective first, the boundary at which perfbench's tracer
+        # counts optimizer calls and objective evaluations.
+        y, value, nit = minimize(
+            ws.search_objective, y, (mu,), ws.search_hessian, STAGE_GTOL, STAGE_ITERATIONS
         )
-        y = res.x
         residual = ws.residual_of(y)
         trace.append(
-            {
-                "mu_res": mu,
-                "objective": float(res.fun),
-                "residual": residual,
-                "iterations": int(res.nit),
-            }
+            {"mu_res": mu, "objective": float(value), "residual": residual, "iterations": nit}
         )
         if residual <= RESIDUAL_TOL:
             converged = True

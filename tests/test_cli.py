@@ -397,6 +397,35 @@ def test_solve_oversized_dense_matrix_exits_config(tmp_path, capsys):
     assert "M=64" in err["message"] and "GiB" in err["message"]
 
 
+def _far_levels(level: float) -> dict:
+    """Two levels at +-level, coupled by a weak drive at omega = 1."""
+    return {"dim": 2, "omega": 1.0, "harmonics": [
+        {"m": 0, "re": [[level, 0], [0, -level]], "im": [[0, 0], [0, 0]]},
+        {"m": 1, "re": [[0, 0.1], [0.1, 0]], "im": [[0, 0], [0, 0]]},
+    ]}
+
+
+@pytest.mark.parametrize("level", [1e20, 1e16])
+@pytest.mark.parametrize("command", ["solve", "compare", "variational"])
+def test_levels_beyond_float64_replica_resolution_exit_config(tmp_path, capsys, command, level):
+    # at 2^52 omega one ulp of a level is omega: at 1e20 the replica shifts
+    # overflowed int64, at 1e16 the ladder ran to M = 64 and exited 4
+    model = tmp_path / "far.json"
+    model.write_text(json.dumps(_far_levels(level)))
+    assert main([command, "--model", str(model), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "2^52 * omega" in err["message"] and f"{level:.3e}" in err["message"]
+
+
+def test_levels_within_float64_replica_resolution_solve(tmp_path):
+    model = tmp_path / "far.json"
+    model.write_text(json.dumps(_far_levels(1e12)))
+    assert main(["solve", "--model", str(model), "--out", str(tmp_path / "o")]) == 0
+    payload = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+    assert payload["metadata"]["truncation"] == 2
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_solve_nonfinite_harmonic_exits_config(tmp_path, capsys, value):
     path = tmp_path / "model.json"

@@ -75,9 +75,18 @@ def test_import_and_compare_leave_orjson_unloaded(tmp_path):
 
 
 def test_variational_loads_no_oracle(tmp_path):
+    # the Newton stages are called directly, not through scipy.optimize
     loaded = loaded_after(tmp_path, ["variational", "--builtin", "static"])
-    assert {"scipy.optimize", "floqtriplet.variational"} <= loaded
-    assert not loaded & {"scipy.integrate", "floqtriplet.oracle", "floqtriplet.analysis"}
+    assert "floqtriplet.variational" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.integrate", "floqtriplet.oracle",
+                         "floqtriplet.analysis"}
+
+
+def test_compare_leaves_scipy_integrate_unloaded(tmp_path):
+    # the oracle averages by the trapezoid rule in numpy
+    loaded = loaded_after(tmp_path, ["compare", "--builtin", "static"])
+    assert "floqtriplet.oracle" in loaded
+    assert "scipy.integrate" not in loaded
 
 
 @pytest.mark.parametrize(

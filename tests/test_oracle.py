@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import simpson
 from scipy.linalg import expm
 
 import floqtriplet as ft
@@ -258,6 +259,23 @@ def test_time_averaged_energy_uniform_superposition():
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
     traj = ft.propagate_trajectory(h, np.array([1.0, 1.0]) / np.sqrt(2.0))
     assert abs(ft.time_averaged_energy(h, traj) - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("driven_ring", {"sites": 6}), ("two_level_linear", {"delta": 200.0, "v": 3.0})],
+)
+def test_time_averaged_energy_matches_simpson(name, params):
+    # the trapezoid rule against the Simpson rule it replaced, on the same
+    # nodes and integrand: both are exact to rounding on this periodic one
+    h = ft.builtin_model(name, params)
+    mono = ft.propagate_period(h)
+    for vec in mono.eigenvectors.T:
+        traj = ft.propagate_trajectory(h, vec)
+        _, integrand = oracle._cross_energy_matrix(h, [traj])
+        tgrid = np.linspace(0.0, h.period, traj.shape[0])
+        reference = simpson(integrand[0, 0], x=tgrid).real / h.period
+        assert abs(ft.time_averaged_energy(h, traj) - reference) <= 1e-13 * max(1.0, abs(reference))
 
 
 def test_time_averaged_energy_rejects_aperiodic_integrand():

@@ -312,6 +312,17 @@ def test_dense_guard_counts_the_eigensolver_copy(monkeypatch):
     assert len(sambe.solve_at_truncation(h, 8)) == 3
 
 
+def test_dense_guard_refuses_levels_at_the_float64_replica_limit():
+    # the reach plus omega/2 is refused from 2^52 omega on, where one ulp of
+    # a level is omega; at omega = 0.5 every sum here is exact in float64
+    limit = sambe.MAX_REACH * 0.5
+    inside = ft.builtin_model("static", {"levels": (0.0, limit - 0.5), "omega": 0.5})
+    sambe._dense_guard(inside, 1)
+    at = ft.builtin_model("static", {"levels": (-(limit - 0.25), 0.0), "omega": 0.5})
+    with pytest.raises(ft.ModelError, match=r"2\^52 \* omega = 2\.252e\+15"):
+        sambe._dense_guard(at, 1)
+
+
 def test_truncation_bound_memory_does_not_grow_with_replica_offsets():
     # 24 static levels in [0, 4] at omega = 1e-3 sit up to 4000 replicas
     # apart; padding every mode by its offset took 276 MB in this solve

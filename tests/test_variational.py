@@ -5,12 +5,12 @@ import pytest
 from scipy.optimize import minimize
 
 import floqtriplet as ft
-from floqtriplet import variational
+from floqtriplet import _trust_region, variational
 from floqtriplet.variational import VariationalConfig, _Workspace
 from floqtriplet.variational import _deflation_basis, _minimize_one, _random_start, _static_start
 from floqtriplet.variational import MU_NORM, MU_RES_INIT, MU_RES_MAX, RESIDUAL_TOL
 from floqtriplet.variational import JUMP_TARGET, STEADY_RATIO, _next_mu
-from floqtriplet.variational import STAGE_GTOL, STAGE_ITERATIONS, _newton_stage, _orthogonal_start
+from floqtriplet.variational import STAGE_GTOL, STAGE_ITERATIONS, _orthogonal_start
 from floqtriplet.variational import REPLICA_LOSS_TOL, _replica_loss
 
 from conftest import CIRCULAR_DEFAULT, random_mode
@@ -342,21 +342,35 @@ def _stage_workspace(name):
 def test_newton_stage_takes_scipy_trust_exact_steps(name):
     # the in-package port against scipy's own trust-exact, stage by stage:
     # each stage of the scipy continuation is run again from its start by
-    # the port, with the same objective, Hessian and options
+    # the port, with the same objective, Hessian and stopping rules
     h, ws = _stage_workspace(name)
     assert ws.real == (name != "complex")
     options = {"gtol": STAGE_GTOL, "maxiter": STAGE_ITERATIONS}
+    evaluations = 0
+
+    def counted(y, mu):
+        nonlocal evaluations
+        evaluations += 1
+        return ws.search_objective(y, mu)
+
     for seed in range(10):
         y = ws.pack(_random_start(np.random.default_rng(seed), 4, h.dim, ws.real))
         if ws.deflation is not None:
             y = _orthogonal_start(y, ws.deflation)
         mu = MU_RES_INIT
         while mu <= MU_RES_MAX:
-            kwargs = dict(args=(mu,), jac=True, hess=ws.search_hessian, options=options)
-            ref = minimize(ws.search_objective, y, method="trust-exact", **kwargs)
-            port = minimize(ws.search_objective, y, method=_newton_stage, **kwargs)
-            assert np.abs(port.x - ref.x).max() <= 1e-7, (seed, mu)
-            assert abs(port.nit - ref.nit) <= 1, (seed, mu)
+            ref = minimize(ws.search_objective, y, args=(mu,), jac=True,
+                           hess=ws.search_hessian, method="trust-exact", options=options)
+            evaluations = 0
+            x, value, nit = _trust_region.minimize(
+                counted, y, (mu,), ws.search_hessian, STAGE_GTOL, STAGE_ITERATIONS
+            )
+            assert np.abs(x - ref.x).max() <= 1e-7, (seed, mu)
+            assert abs(nit - ref.nit) <= 1, (seed, mu)
+            # once at the start and once per proposed point; an accepted
+            # point's gradient comes with its value
+            assert evaluations == nit + 1, (seed, mu)
+            assert value == ws.search_objective(x, mu)[0]
             y = ref.x
             mu *= 10.0
 
