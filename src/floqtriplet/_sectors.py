@@ -41,7 +41,8 @@ The random numbers come from one fixed seed, so a model's sectors are
 deterministic, and a real model (every H_m real) stays in real
 arithmetic, so its blocks are real.  A split is kept only if every
 off-sector entry of V^H H_m V is at most COUPLING_TOL times the norm of the
-harmonics; otherwise S is solved whole.
+harmonics.  This module only finds the split; `sambe` solves S, one block
+per sector when there is one.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import sambe
 from .model import FourierHamiltonian
+from .sambe import SolverError
 
 # Eigenvalues of Z (and of X and G) closer than MERGE times the largest
 # magnitude share a cluster.
@@ -75,29 +76,17 @@ SEED = 2010
 
 
 @dataclass(frozen=True, eq=False)
-class _Rotated:
-    """The harmonics V^H H_m V, in the fields `sambe.build_sambe` reads;
-    V is unitary, so the spectral reach is the model's own."""
-
-    dim: int
-    omega: float
-    harmonics: dict
-    max_harmonic: int
-    _spectral_reach: tuple[float, float, float]
-
-
-@dataclass(frozen=True, eq=False)
 class Sectors:
     """The sectors of one model.  coupling is the largest relative
     off-sector entry measured (0.0 for a single sector); the other fields
     are None unless the split is kept: basis holds v_1..v_d as columns,
     labels[parity][i] is the sector of v_i on even (0) and odd (1)
-    harmonics, and rotated has the harmonics V^H H_m V."""
+    harmonics, and rotated is the model with the harmonics V^H H_m V."""
 
     coupling: float
     basis: np.ndarray | None = None
     labels: np.ndarray | None = None
-    rotated: _Rotated | None = None
+    rotated: FourierHamiltonian | None = None
 
     @property
     def dims(self) -> list[list[int]] | None:
@@ -107,35 +96,6 @@ class Sectors:
             return None
         count = int(self.labels.max()) + 1
         return np.stack([np.bincount(row, minlength=count) for row in self.labels], axis=1).tolist()
-
-    def solve(self, h: FourierHamiltonian, truncation: int, window) -> tuple[np.ndarray, np.ndarray]:
-        """The windowed eigenpairs of the Sambe matrix of h, one
-        `diagonalize` per sector, embedded back in ascending order and
-        certified against the full S through the harmonics."""
-        s = sambe.build_sambe(self.rotated, truncation)
-        owner = self.labels[np.arange(-truncation, truncation + 1) % 2].ravel()
-        rows = [np.flatnonzero(owner == sector) for sector in range(int(owner.max()) + 1)]
-        blocks = [s[np.ix_(idx, idx)] for idx in rows]
-        del s
-        solved = [sambe.diagonalize(block, window=window) for block in blocks]
-        del blocks
-        vals = np.concatenate([pair[0] for pair in solved])
-        order = np.argsort(vals, kind="stable")
-        coeffs = np.zeros((owner.size, vals.size), dtype=solved[0][1].dtype)
-        starts = np.cumsum([0] + [pair[0].size for pair in solved])
-        for idx, start, (_, vecs) in zip(rows, starts, solved):
-            coeffs[idx, start : start + vecs.shape[1]] = vecs
-        vals, coeffs = vals[order], coeffs[:, order]
-        vecs = (self.basis @ coeffs.reshape(-1, h.dim, vals.size)).reshape(coeffs.shape)
-        scale = max(np.abs(vals).max(initial=0.0), 1.0)
-        residual = sambe._apply_blocks(h, vecs, h.omega) - vecs * vals
-        worst = np.linalg.norm(residual, axis=0).max(initial=0.0)
-        if not worst <= sambe.EIGEN_RESIDUAL_TOL * scale:
-            raise sambe.SolverError(
-                f"eigensolver residual {worst:.3e} on the full matrix exceeds "
-                f"{sambe.EIGEN_RESIDUAL_TOL:.1e} * {scale:.3e}; matrix size {owner.size}"
-            )
-        return vals, vecs
 
 
 def _clusters(values: np.ndarray, tol: float) -> np.ndarray:
@@ -174,7 +134,7 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
     packed, _, tau, _, info = geqp3(coef.conj().T)
     q, _, info_q = orgqr(packed[:, :unknowns], tau)
     if info or info_q:
-        raise sambe.SolverError(f"sector detection failed: geqp3 info {info}, orgqr info {info_q}")
+        raise SolverError(f"sector detection failed: geqp3 info {info}, orgqr info {info_q}")
     rank = int(np.count_nonzero(np.abs(packed.diagonal()) > RANK_TOL * size))
     if rank == unknowns:
         return None
@@ -287,10 +247,9 @@ def find(h: FourierHamiltonian) -> Sectors:
     coupling = float(np.abs(np.where(off, hat, 0.0)).max() / norm)
     if not coupling <= COUPLING_TOL:
         return Sectors(coupling)
-    harmonics = {int(m): mat for m, mat in zip(ms, hat) if m > 0}
-    harmonics.update({-m: mat.conj().T for m, mat in list(harmonics.items())})
-    if 0 in ms:
-        harmonics[0] = 0.5 * (hat[ms == 0][0] + hat[ms == 0][0].conj().T)
-    harmonics = dict(sorted(harmonics.items()))
-    rotated = _Rotated(d, h.omega, harmonics, h.max_harmonic, h._spectral_reach)
+    harmonics = {int(m): mat for m, mat in zip(ms, hat) if m >= 0}  # the constructor adds m < 0
+    if 0 in harmonics:
+        harmonics[0] = 0.5 * (harmonics[0] + harmonics[0].conj().T)
+    rotated = FourierHamiltonian(d, h.omega, harmonics)
+    rotated.__dict__["_spectral_reach"] = h._spectral_reach  # V is unitary: the model's own
     return Sectors(coupling, basis, labels, rotated)

@@ -246,6 +246,35 @@ def truncation_convergence_curve() -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(keeps), np.asarray(weights)
 
 
+def _sweep_points(name: str, base_params: dict, axis: str, values: np.ndarray) -> list[dict]:
+    """The builtin parameters of each grid point of `sweep_values`; an
+    axis that names no parameter, or no single entry of a list, is a
+    ModelError."""
+    if name not in MODEL_DEFAULTS:
+        raise ModelError(f"unknown model {name!r}")
+    merged = {**MODEL_DEFAULTS[name], **base_params}
+    key, dot, index = axis.partition(".")
+    if key not in merged:
+        raise ModelError(f"sweep axis {axis!r} is not a parameter of {name!r}")
+    listed = isinstance(merged[key], (list, tuple))
+    if dot and not listed:
+        raise ModelError(f"sweep axis {axis!r} does not index a list parameter")
+    if listed and not (index.isdecimal() and int(index) < len(merged[key])):
+        raise ModelError(
+            f"sweep axis {axis!r} names no entry of the list {key!r}: "
+            f"sweep one of {key}.0 to {key}.{len(merged[key]) - 1}"
+        )
+    points = []
+    for value in values:
+        params = {k: (list(v) if isinstance(v, (list, tuple)) else v) for k, v in merged.items()}
+        if listed:
+            params[key][int(index)] = float(value)
+        else:
+            params[key] = float(value)
+        points.append(params)
+    return points
+
+
 def sweep_values(
     name: str,
     base_params: dict,
@@ -262,28 +291,9 @@ def sweep_values(
     Per-point failures are recorded and the sweep continues; an axis that
     names no parameter, or no single entry of a list, fails the whole sweep.
     """
-    if name not in MODEL_DEFAULTS:
-        raise ModelError(f"unknown model {name!r}")
-    merged = {**MODEL_DEFAULTS[name], **base_params}
-    key, dot, index = axis.partition(".")
-    if key not in merged:
-        raise ModelError(f"sweep axis {axis!r} is not a parameter of {name!r}")
-    listed = isinstance(merged[key], (list, tuple))
-    if dot and not listed:
-        raise ModelError(f"sweep axis {axis!r} does not index a list parameter")
-    if listed and not (index.isdecimal() and int(index) < len(merged[key])):
-        raise ModelError(
-            f"sweep axis {axis!r} names no entry of the list {key!r}: "
-            f"sweep one of {key}.0 to {key}.{len(merged[key]) - 1}"
-        )
     records: list[dict] = []
     previous: Spectrum | None = None
-    for value in values:
-        params = {k: (list(v) if isinstance(v, (list, tuple)) else v) for k, v in merged.items()}
-        if listed:
-            params[key][int(index)] = float(value)
-        else:
-            params[key] = float(value)
+    for value, params in zip(values, _sweep_points(name, base_params, axis, values)):
         try:
             h = builtin_model(name, params)
             spectrum = solve_spectrum(h, truncation)

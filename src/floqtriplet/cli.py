@@ -93,7 +93,7 @@ def _check_harmonics(args, *models: FourierHamiltonian):
     TruncationError for it, which would exit 4."""
     if args.harmonics == "auto":
         return
-    order = max(h.max_harmonic for h in models)
+    order = max((h.max_harmonic for h in models), default=0)
     if args.harmonics < order:
         raise ModelError(
             f"--harmonics {args.harmonics} is below the largest harmonic index "
@@ -278,6 +278,14 @@ def cmd_sweep(args) -> int:
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)
+    models = []
+    for point in analysis._sweep_points(args.builtin, params, args.sweep_param, values):
+        try:
+            models.append(builtin_model(args.builtin, point))
+        except ValueError:
+            pass  # recorded as a failed point by the sweep
+    # at every point: a harmonic can vanish at one, as the drive does at v = 0
+    _check_harmonics(args, *models)
     records = analysis.sweep_values(args.builtin, params, args.sweep_param, values, args.harmonics)
     rows: list[list] = []
     errors = []
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert = sub.add_parser("perturb", help="perturbation tracking experiment")
     _add_model_arguments(p_pert)
     p_pert.add_argument("--pert-model", help="path to the perturbation model JSON")
-    p_pert.add_argument("--strength", type=float, default=None)
+    p_pert.add_argument("--strength", type=_finite_arg, default=None)
     p_pert.set_defaults(func=cmd_perturb)
     return parser
 

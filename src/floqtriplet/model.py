@@ -167,10 +167,15 @@ class FourierHamiltonian:
 
     @cached_property
     def _hash(self) -> str:
-        # cached per instance: the harmonics are a read-only mapping of
-        # write-protected arrays, so the serialized model never changes
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        # SHA-256 of the little-endian bytes of dim, omega and, per stored m
+        # in ascending order, m, Re H_m and Im H_m, with +0.0 for signed
+        # zeros; cached like _spectral_reach, the harmonics never change
+        digest = hashlib.sha256(np.int64(self.dim).astype("<i8").tobytes())
+        digest.update(np.float64(self.omega).astype("<f8").tobytes())
+        for m, mat in self.harmonics.items():
+            digest.update(np.int64(m).astype("<i8").tobytes())
+            digest.update((np.stack([mat.real, mat.imag]) + 0.0).astype("<f8").tobytes())
+        return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -349,5 +354,5 @@ def load_model(path: str) -> FourierHamiltonian:
 
 def model_hash(h: FourierHamiltonian) -> str:
     """Stable content hash of the model, recorded in spectrum metadata;
-    serialized once per model and cached on it."""
+    computed once per model and cached on it."""
     return h._hash

@@ -37,9 +37,9 @@ divide and conquer) returns only the eigenpairs in the window of raw
 eigenvalues that this allows (`_energy_window`), in real arithmetic when
 every H_m is real (`build_energy_matrix`), and certifies their residuals.
 
-- sectors: when a model's exact symmetry sectors (`_sectors`) split an S
-  of SECTOR_MIN_SIZE or more, each block is solved so, and its pairs are
-  certified against S.
+- sectors: when a model's exact symmetry sectors (found by `_sectors`)
+  split an S of SECTOR_MIN_SIZE or more, `_window_pairs` solves each block
+  so and certifies the pairs, embedded back, against the full S.
 
 Everything after the eigensolve is one pass over arrays (`_rung`), with S
 and T applied through the harmonics, never as n x n matrices:
@@ -377,14 +377,21 @@ def diagonalize(
     if not herm_defect <= 1e-12 * max(1.0, np.linalg.norm(s)):
         raise SolverError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     vals, vecs = _eigh(s, window)
+    _check_residuals(s @ vecs, vals, vecs)
+    return vals, vecs
+
+
+def _check_residuals(product, vals, vecs, where: str = ""):
+    """SolverError unless every residual ||S v - lam v||, S v given as the
+    columns of product, is within EIGEN_RESIDUAL_TOL * max(|lam|, 1) over
+    the eigenvalues vals; where says which matrix S is."""
     scale = max(np.abs(vals).max(initial=0.0), 1.0)
-    worst = np.linalg.norm(s @ vecs - vecs * vals, axis=0).max(initial=0.0)
+    worst = np.linalg.norm(product - vecs * vals, axis=0).max(initial=0.0)
     if not worst <= EIGEN_RESIDUAL_TOL * scale:
         raise SolverError(
-            f"eigensolver residual {worst:.3e} exceeds {EIGEN_RESIDUAL_TOL:.1e} * "
-            f"{scale:.3e}; matrix size {s.shape[0]}"
+            f"eigensolver residual {worst:.3e}{where} exceeds {EIGEN_RESIDUAL_TOL:.1e} * "
+            f"{scale:.3e}; matrix size {vecs.shape[0]}"
         )
-    return vals, vecs
 
 
 def _eigh(s: np.ndarray, window: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
@@ -818,18 +825,42 @@ def _rung(h: FourierHamiltonian, truncation: int) -> tuple[dict, float, float]:
     `_truncation_bounds`; no mode or triplet object is built."""
     # S, the eigenpairs and the unresolved modes do not outlive their stage:
     # the later stages apply S through the harmonics and reuse that memory
-    _dense_guard(h, truncation)  # the full n, before the sectors are looked for
-    sectors, window = _split(h, truncation), _energy_window(h, truncation)
-    if sectors is None or sectors.basis is None:
-        pairs = diagonalize(build_sambe(h, truncation), window=window)
-    else:
-        pairs = sectors.solve(h, truncation, window)
+    pairs = _window_pairs(h, truncation)
     x, tx, lams, eps = _select(*pairs, h, truncation)
     del pairs
     cols, gids, lams, eps = _group(lams, eps, h.omega)
     states = _resolve(x[:, cols], tx[:, cols], lams, eps, gids, h)
     del x, tx
     return (states, *_truncation_bounds(h, truncation, states))
+
+
+def _window_pairs(h: FourierHamiltonian, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of S in `_energy_window`, ascending and certified:
+    one `diagonalize` of S, or, when the model's sectors split it
+    (`_split`), one per sector block of the S of the rotated harmonics
+    V^H H_m V, the pairs embedded back with V and certified against the
+    full S through the harmonics."""
+    _dense_guard(h, truncation)  # the full n, before the sectors are looked for
+    sectors, window = _split(h, truncation), _energy_window(h, truncation)
+    if sectors is None or sectors.basis is None:
+        return diagonalize(build_sambe(h, truncation), window=window)
+    s = build_sambe(sectors.rotated, truncation)
+    owner = sectors.labels[np.arange(-truncation, truncation + 1) % 2].ravel()
+    rows = [np.flatnonzero(owner == sector) for sector in range(int(owner.max()) + 1)]
+    blocks = [s[np.ix_(idx, idx)] for idx in rows]
+    del s
+    solved = [diagonalize(block, window=window) for block in blocks]
+    del blocks
+    vals = np.concatenate([pair[0] for pair in solved])
+    order = np.argsort(vals, kind="stable")
+    coeffs = np.zeros((owner.size, vals.size), dtype=solved[0][1].dtype)
+    starts = np.cumsum([0] + [pair[0].size for pair in solved])
+    for idx, start, (_, vecs) in zip(rows, starts, solved):
+        coeffs[idx, start : start + vecs.shape[1]] = vecs
+    vals, coeffs = vals[order], coeffs[:, order]
+    vecs = (sectors.basis @ coeffs.reshape(-1, h.dim, vals.size)).reshape(coeffs.shape)
+    _check_residuals(_apply_blocks(h, vecs, h.omega), vals, vecs, " on the full matrix")
+    return vals, vecs
 
 
 def _split(h: FourierHamiltonian, truncation: int):

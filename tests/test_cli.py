@@ -574,20 +574,20 @@ def test_sweep_single_point(tmp_path):
 
 
 def test_sweep_failed_points_write_sweep_errors(tmp_path):
-    # M = 0 is below the model's harmonic order at every point: each point
-    # fails and is recorded, and the sweep still exits 0
+    # omega = 0 gives no model: that point fails and is recorded, the other
+    # one is solved, and the sweep still exits 0
     out = tmp_path / "o"
     code = main(
-        ["sweep", "--builtin", "two_level_linear", "--harmonics", "0",
-         "--sweep-param", "v", "--sweep-start", "0.1", "--sweep-stop", "0.2",
+        ["sweep", "--builtin", "two_level_linear",
+         "--sweep-param", "omega", "--sweep-start", "0.0", "--sweep-stop", "1.5",
          "--sweep-count", "2", "--out", str(out)]
     )
     assert code == 0
-    assert (out / "sweep.csv").read_text() == "lambda,state,eps,ebar\n"
+    assert [r["lambda"] for r in read_csv(out / "sweep.csv")] == ["1.5", "1.5"]
     errors = json.loads((out / "sweep_errors.json").read_text())["errors"]
-    assert [sorted(e) for e in errors] == [["error", "value"]] * 2
-    assert [e["value"] for e in errors] == [0.1, 0.2]
-    assert all("below the largest harmonic index" in e["error"] for e in errors)
+    assert [sorted(e) for e in errors] == [["error", "value"]]
+    assert [e["value"] for e in errors] == [0.0]
+    assert "omega(nonpositive)" in errors[0]["error"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -611,6 +611,32 @@ def test_perturb_fixture_reproduces_contrast(tmp_path):
     rows = read_csv(out / "tracking.csv")
     assert max(float(r["overlap_qorder"]) for r in rows) <= 0.9
     assert min(float(r["overlap_label"]) for r in rows) >= 0.999
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--builtin", "static", "--pert-model", "{pert}"],
+        ["--builtin", "static", "--pert-model", "{pert}", "--strength", "1e-3"],
+        ["--strength", "1e-3"],  # the shipped fixture
+    ],
+)
+def test_perturb_writes_one_row_per_state(tmp_path, argv):
+    pert = tmp_path / "v.json"
+    pert.write_text(json.dumps({"builtin": "static", "params": {"levels": [-1.0, 1.0]}}))
+    out = tmp_path / "o"
+    assert main(["perturb", *(arg.format(pert=pert) for arg in argv), "--out", str(out)]) == 0
+    assert [r["state"] for r in read_csv(out / "tracking.csv")] == ["0", "1"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_perturb_nonfinite_strength_exits_config(tmp_path, capsys, value):
+    # a plain float let inf through to the model check, after a numpy warning
+    out = tmp_path / "o"
+    assert main(["perturb", "--strength", value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--strength" in err and "expected a finite number" in err
+    assert not out.exists()
 
 
 def test_perturb_model_without_base_model_exits_config(tmp_path, capsys):
@@ -668,6 +694,27 @@ def test_invalid_tol_deg_exits_config(tmp_path, capsys, command, value):
     )
     assert code == 2
     assert "unrecognized arguments: --tol-deg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perturb", "--builtin", "static"], "perturb needs --pert-model"),
+        (["perturb", "--builtin", "static", "--pert-model", "{pert}"], "dimension mismatch: 2 vs 3"),
+        (["solve", "--builtin", "static", "--param", "omega"], "--param expects key=value"),
+        (["sweep", "--builtin", "static", *SWEEP_ARGS[:-1], "0"], "--sweep-count must be >= 1"),
+        (["sweep", "--builtin", "static", "--sweep-param", "omega.1", *SWEEP_ARGS[2:]],
+         "does not index a list parameter"),
+    ],
+)
+def test_inconsistent_arguments_exit_config(tmp_path, capsys, argv, message):
+    pert = tmp_path / "v.json"
+    pert.write_text(json.dumps({"builtin": "static", "params": {"levels": [0.0, 1.0, 2.0]}}))
+    out = tmp_path / "o"
+    assert main([*(arg.format(pert=pert) for arg in argv), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config" and message in err["message"]
     assert not out.exists()
 
 
@@ -785,12 +832,16 @@ def test_readme_cli_examples_parse():
         assert args.command == argv[1]
 
 
-@pytest.mark.parametrize("command", ["solve", "variational", "compare"])
+@pytest.mark.parametrize("command", ["solve", "variational", "compare", "sweep"])
 def test_harmonics_below_model_order_exits_config(tmp_path, capsys, command):
     # M = 0 cannot hold the m = +-1 drive at all: a bad input, not a
-    # convergence failure of the solver
+    # convergence failure of the solver.  A sweep is checked at every point
+    # before any is solved: at its first, v = 0, the drive vanishes
     out = tmp_path / "o"
-    code = main([command, "--builtin", "two_level_linear", "--harmonics", "0", "--out", str(out)])
+    extra = {"sweep": ["--sweep-param", "v", "--sweep-start", "0", "--sweep-stop", "0.2",
+                       "--sweep-count", "3"]}.get(command, [])
+    code = main([command, "--builtin", "two_level_linear", *extra, "--harmonics", "0",
+                 "--out", str(out)])
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config"

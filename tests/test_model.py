@@ -1,5 +1,7 @@
+import hashlib
 import json
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
+from floqtriplet import model
 from floqtriplet.model import SIGMA_X, SIGMA_Y, SIGMA_Z, FourierHamiltonian, from_json_dict
 
 
@@ -78,8 +81,6 @@ def test_caller_array_is_copied():
 
 
 def test_model_validated_once_at_construction(monkeypatch):
-    from floqtriplet import model
-
     calls = []
     real = model.validate
     monkeypatch.setattr(model, "validate", lambda h: calls.append(h) or real(h))
@@ -241,18 +242,39 @@ def test_pickle_round_trip(name):
 def test_auto_solve_serializes_the_model_once(monkeypatch):
     # the ring certifies at M = 4 after three rungs; the hash is computed once
     calls = []
-    to_json_dict = FourierHamiltonian.to_json_dict
+    sha256 = hashlib.sha256
 
-    def counted(self):
-        calls.append(self)
-        return to_json_dict(self)
+    def counted(data):
+        calls.append(data)
+        return sha256(data)
 
-    monkeypatch.setattr(FourierHamiltonian, "to_json_dict", counted)
+    monkeypatch.setattr(model, "hashlib", SimpleNamespace(sha256=counted))
     h = ft.builtin_model("driven_ring")
     spec = ft.solve_spectrum(h, "auto")
     assert spec.metadata["truncation"] == 4
-    assert calls == [h]
+    assert len(calls) == 1
     assert spec.metadata["model_hash"] == ft.model_hash(ft.builtin_model("driven_ring"))
+
+
+def test_model_hash_sees_one_ulp():
+    h = ft.builtin_model("two_level_linear")
+    h0 = np.array(h.harmonics[0])
+    h0[0, 0] = np.nextafter(h0[0, 0].real, np.inf)
+    moved = FourierHamiltonian(dim=2, omega=h.omega, harmonics={0: h0, 1: h.harmonics[1]})
+    assert moved.harmonics[0][0, 0] != h.harmonics[0][0, 0]
+    assert ft.model_hash(moved) != ft.model_hash(h)
+
+
+def test_model_hash_ignores_the_sign_of_zero():
+    plus = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    minus = plus.copy()
+    minus.real[0, 1] = minus.real[1, 0] = -0.0
+    minus.imag[0, 0] = -0.0
+    drive = np.array([[0.0, 0.2], [0.3, 0.0]], dtype=complex)
+    a = FourierHamiltonian(dim=2, omega=1.3, harmonics={0: plus, 1: drive})
+    b = FourierHamiltonian(dim=2, omega=1.3, harmonics={0: minus, 1: drive})
+    assert np.signbit(b.harmonics[0].real[0, 1]) and np.signbit(b.harmonics[0].imag[0, 0])
+    assert ft.model_hash(a) == ft.model_hash(b)
 
 
 def test_harmonics_stored_in_ascending_order():

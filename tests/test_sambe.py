@@ -149,7 +149,7 @@ def test_small_rungs_are_solved_whole():
         ("two_level_circular", {}),
         ("two_level_linear", {}),
         ("driven_ring", {}),
-        # the benchmark's solve-large input: n = 816 at its certified M = 8
+        # the benchmark's solve-large input: n = 432 at its certified M = 4, in four sectors
         ("driven_ring", {"sites": 48, "v": 0.5, "omega": 2.3}),
     ],
 )

@@ -200,9 +200,10 @@ def test_split_pairs_are_certified_against_the_full_matrix():
     sectors = h._sectors
     turn = np.eye(h.dim)
     turn[:2, :2] = [[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]
-    skewed = _sectors.Sectors(sectors.coupling, sectors.basis @ turn, sectors.labels, sectors.rotated)
+    h.__dict__["_sectors"] = _sectors.Sectors(sectors.coupling, sectors.basis @ turn, sectors.labels,
+                                              sectors.rotated)
     with pytest.raises(ft.SolverError, match="residual .* on the full matrix"):
-        skewed.solve(h, 4, sambe._energy_window(h, 4))
+        sambe._window_pairs(h, 4)
 
 
 def test_block_pairs_are_certified(monkeypatch):
