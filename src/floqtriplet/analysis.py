@@ -173,8 +173,8 @@ def perturb_and_track(
     position; pairing (b) matches by nearest (eps, ebar) label.  The
     documented regime is strength <= 1e-3 * omega.
     """
+    hp = combine(h, v, strength)  # refuses a mismatched v before any solve
     spec0 = solve_spectrum(h, truncation)
-    hp = combine(h, v, strength)
     spec1 = solve_spectrum(hp, spec0.metadata["truncation"])
 
     order0 = np.argsort(spec0.quasi_energies, kind="stable")

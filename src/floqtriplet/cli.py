@@ -245,11 +245,7 @@ def cmd_variational(args) -> int:
 
     h = _resolve_model(args)
     config = VariationalConfig(restarts=args.restarts, seed=args.seed)
-    if args.harmonics == "auto":
-        truncation = sambe.certify_truncation(h)
-    else:
-        truncation = int(args.harmonics)
-    result = variational.minimize_ground(h, truncation, config)
+    result = variational.minimize_ground(h, args.harmonics, config)
     out = Path(args.out)
     _write_json(out / "variational.json", result.to_json_dict())
     _write_csv(out / "variational.csv", *_state_rows([result]))

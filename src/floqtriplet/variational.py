@@ -89,16 +89,18 @@ about a quarter of the time.  A search therefore runs its starts one
 after another, each begun orthogonal to and repelling (by the deflation
 term) every state the earlier ones reached, so that each start can only
 add a new state, and it stops once all d = h.dim Floquet states, the
-found ones included, are reached.  Only then is the lowest of them
-certainly the answer and the result converged; a search that misses a
-state returns the lowest one it reached flagged unconverged, never a
-silent wrong answer.  A converged start counts only if it is a physical
-state: an eigenvector of the truncated S can be a replica cut by the
-truncation edge, whose Ebar is no state's, so a start is rejected when the
-shift to its replica with centroid in [-1/2, 1/2) loses more than
-REPLICA_LOSS_TOL of weight past the edge.  The starts are the static start
-and random ones, at most config.restarts more than there are states to
-reach, so the cost grows with d.
+found ones included, are reached, or, in a ground search at the certified
+cutoff, once the trace sum rule proves that no state left can be lower
+(`minimize_ground`).  Only then is the lowest of them certainly the
+answer and the result converged; a search that misses a state returns the
+lowest one it reached flagged unconverged, never a silent wrong answer.
+A converged start counts only if it is a physical state: an eigenvector
+of the truncated S can be a replica cut by the truncation edge, whose Ebar
+is no state's, so a start is rejected when the shift to its replica with
+centroid in [-1/2, 1/2) loses more than REPLICA_LOSS_TOL of weight past
+the edge.  The starts are the static start and random ones, at most
+config.restarts more than there are states to reach, so the cost grows
+with d.
 
 Deflation covers whole replica ladders: every found mode is orthogonal to
 its own harmonic shifts, which carry the same average energy, so
@@ -133,6 +135,7 @@ from .sambe import (
     _record,
     _replica_ladder,
     build_energy_matrix,
+    certify_truncation,
     fold_reported,
 )
 
@@ -460,7 +463,11 @@ def _search(
     truncation: int,
     config: VariationalConfig,
     found: list[FloquetMode],
+    certified: bool = False,
 ) -> VariationalResult:
+    """The search of `minimize_ground` and `minimize_excited`; certified,
+    for a ground search at the certified cutoff, lets the trace sum rule
+    end it early."""
     if len(found) >= h.dim:
         raise ValueError(f"all {h.dim} Floquet states are already found")
     ws = _Workspace(h, truncation, _deflation_basis(found))
@@ -488,6 +495,8 @@ def _search(
             rejected.append(candidate)
         else:
             states.append(candidate)
+            if certified and _ground_is_proven(h, states):
+                return min(states, key=lambda r: r.avg_energy)
     if len(found) + len(states) == h.dim:
         # every Floquet state is reached, so the lowest is the answer
         return min(states, key=lambda r: r.avg_energy)
@@ -500,6 +509,17 @@ def _search(
         best = min(stalled or rejected, key=lambda r: r.residual)
     best.converged = False
     return best
+
+
+def _ground_is_proven(h: FourierHamiltonian, states: list[VariationalResult]) -> bool:
+    """The trace sum rule of `minimize_ground`: no state outside states,
+    the ones a ground search reached, lies below the lowest of them."""
+    lowest, highest, drive = h._spectral_reach
+    ebars = [r.avg_energy for r in states]
+    h0 = h.harmonics.get(0)
+    rest = (0.0 if h0 is None else float(np.trace(h0).real)) - sum(ebars)
+    margin = h.dim * 1e-6 * max(1.0, max(-lowest, highest) + drive)
+    return rest - (h.dim - len(ebars) - 1) * (highest + drive) - margin > min(ebars)
 
 
 def _orthogonal_start(y0: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -521,7 +541,7 @@ def _replica_loss(mode: FloquetMode) -> float:
 
 def minimize_ground(
     h: FourierHamiltonian,
-    truncation: int,
+    truncation: int | str,
     config: VariationalConfig = VariationalConfig(),
 ) -> VariationalResult:
     """Lowest average-energy triplet by penalized minimization.
@@ -531,8 +551,30 @@ def minimize_ground(
     the lowest; the starts are the deterministic static start and random
     ones, at most config.restarts more than there are states.  If a state
     is missed the result has converged=False (see `_search`).
+
+    truncation 'auto' searches at the cutoff `certify_truncation` gives, as
+    `solve_spectrum` does, and there the trace sum rule may end the search
+    early.  The d states form a basis at every t, so their Ebar sum to
+    Tr H_0; T is a compression of multiplication by H(t), so every Ebar is
+    at most U = lambda_max(H_0) + sum_{m != 0} ||H_m||_2 (Weyl).  After each
+    state reached, with k reached, the d - k others sum to R = Tr H_0 minus
+    the k Ebar, so none of them is below R - (d - k - 1) U.  Once that
+    exceeds the lowest Ebar reached by the margin below, the lowest is the
+    ground, returned converged: the same start's result the exhaustive
+    search would return.  The margin is d * 1e-6 * max(1, reach), reach =
+    max |lambda(H_0)| + sum_{m != 0} ||H_m||_2 (as in `_dense_guard`): it
+    allows each of the d Ebar in the sum the package's 1e-6 Ebar contract
+    at the model's energy scale.  What they are actually off by is smaller
+    by more than two orders: the certified cutoff holds each state's Ebar
+    truncation figure below QUASI_TOL = 1e-9, and a reached Ebar, at
+    eigen-residual RESIDUAL_TOL = 1e-9, is off by about that times the
+    energy scale.  At a fixed cutoff the sum's truncation error is not
+    known, so the rule does not apply and every state is reached.
     """
-    return _search(h, truncation, config, [])
+    certified = truncation == "auto"
+    if certified:
+        truncation = certify_truncation(h)
+    return _search(h, truncation, config, [], certified)
 
 
 def minimize_excited(

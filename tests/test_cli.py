@@ -491,6 +491,20 @@ def test_scalar_drive_auto_cutoff_gives_h0(tmp_path):
     assert abs(payload["avg_energy"] - (-0.317)) <= 1e-6
 
 
+def test_far_split_levels_certified_variational_gives_the_sambe_ground(tmp_path):
+    # H_0 = diag(+-1000): every start aimed at the upper level fell into the
+    # origin and the search exited 4; at the certified cutoff the sum rule
+    # proves the ground without that level
+    harmonics = {0: np.diag([1000.0, -1000.0]), 1: [[0.0, 0.1], [0.1, 0.0]]}
+    h = ft.FourierHamiltonian(dim=2, omega=1.0, harmonics=harmonics)
+    model = tmp_path / "far.json"
+    model.write_text(json.dumps(h.to_json_dict()))
+    assert main(["variational", "--model", str(model), "--out", str(tmp_path / "v")]) == 0
+    payload = json.loads((tmp_path / "v" / "variational.json").read_text())
+    assert payload["converged"] is True
+    assert abs(payload["avg_energy"] - min(ft.solve_spectrum(h).avg_energies)) <= 1e-6
+
+
 def test_sweep_static_gap_crossing(tmp_path):
     out = tmp_path / "run"
     code = main(
@@ -647,6 +661,29 @@ def test_perturb_model_without_base_model_exits_config(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config"
     assert "--model or --builtin" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [({"levels": [0.0, 1.0, 2.0]}, "dimension mismatch"), ({"omega": 0.9}, "drive frequency mismatch")],
+)
+def test_perturb_mismatched_model_exits_config_before_any_solve(tmp_path, capsys, monkeypatch, params, message):
+    # the base model was solved in full before the perturbation was checked
+    from floqtriplet import analysis
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("solve_spectrum ran before the perturbation was checked")
+
+    monkeypatch.setattr(analysis, "solve_spectrum", unexpected)
+    pert = tmp_path / "v.json"
+    pert.write_text(json.dumps({"builtin": "static", "params": params}))
+    out = tmp_path / "o"
+    code = main(["perturb", "--builtin", "static", "--pert-model", str(pert), "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert message in err["message"]
     assert not out.exists()
 
 

@@ -30,9 +30,9 @@ def real_block(draw, n):
 
 
 @st.composite
-def driven_models(draw, real=False):
+def driven_models(draw, real=False, max_dim=4):
     block = real_block if real else complex_block
-    dim = draw(st.integers(min_value=1, max_value=4))
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
     omega = draw(st.floats(min_value=0.8, max_value=3.0, allow_nan=False))
     n_static = draw(st.integers(min_value=0, max_value=dim))
     n_driven = dim - n_static
@@ -207,6 +207,17 @@ def test_windowed_solve_matches_full_spectrum(h, truncation, loose):
         assert_same_triplets(windowed, full, h.omega, 1e-12)
     else:
         assert windowed == full
+
+
+@settings(max_examples=10, deadline=None)
+@given(h=st.booleans().flatmap(lambda real: driven_models(real=real, max_dim=3)))
+def test_sum_rule_ground_is_the_exhaustive_search_ground(h):
+    # at the certified cutoff the trace sum rule may end the ground search
+    # before every state is reached: it must return the same start's result
+    auto = ft.minimize_ground(h, "auto")
+    exhaustive = ft.minimize_ground(h, sambe.certify_truncation(h))
+    assert np.float64(auto.avg_energy).tobytes() == np.float64(exhaustive.avg_energy).tobytes()
+    assert auto.to_json_dict() == exhaustive.to_json_dict()  # converged, seed, mode, ...
 
 
 @st.composite

@@ -459,6 +459,52 @@ def test_missed_state_flags_the_result(monkeypatch):
     assert result.residual <= RESIDUAL_TOL
 
 
+def test_certified_ring_ground_takes_one_start(monkeypatch):
+    # the states not reached sum to Tr H_0 minus the static start's Ebar,
+    # and none can lie below it: the two other starts are not run
+    h = ft.builtin_model("driven_ring", {"sites": 3})
+    flags = _record_starts(monkeypatch)
+    result = ft.minimize_ground(h, "auto")
+    assert flags == [True]
+    flags.clear()
+    exhaustive = ft.minimize_ground(h, ft.certify_truncation(h))
+    assert flags == [True] * h.dim
+    assert result.converged
+    assert result.to_json_dict() == exhaustive.to_json_dict()
+
+
+def test_sum_rule_goes_on_past_a_state_above_the_ground(monkeypatch):
+    # aimed at the top level of H_0, the static start reaches a state above
+    # the ground, which the sum rule cannot prove lowest
+    h = ft.builtin_model("driven_ring", {"sites": 3})
+    static = variational._static_start
+
+    def top_start(h, truncation, level, real):
+        return static(h, truncation, h.dim - 1, real)
+
+    monkeypatch.setattr(variational, "_static_start", top_start)
+    flags = _record_starts(monkeypatch)
+    result = ft.minimize_ground(h, "auto")
+    ground = min(ft.solve_spectrum(h).avg_energies)
+    assert len(flags) > 1 and all(flags)
+    assert result.converged and result.seed is not None
+    assert abs(result.avg_energy - ground) <= 1e-6
+
+
+def test_sum_rule_proves_the_ground_a_missed_state_cannot_undercut(monkeypatch):
+    # the second start is reported unconverged; at the certified cutoff the
+    # sum rule has already proven the first state the ground, at a fixed
+    # one the missed state flags the result (test_missed_state_flags_the_result)
+    h = ft.builtin_model("two_level_linear")
+    config = VariationalConfig(restarts=0)
+    flags = _record_starts(monkeypatch, fail_start=1)
+    assert ft.minimize_ground(h, "auto", config).converged
+    assert flags == [True]
+    flags.clear()
+    assert not ft.minimize_ground(h, ft.certify_truncation(h), config).converged
+    assert flags == [True, False]
+
+
 def test_search_needs_a_state_left_to_find():
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
     modes = [ft.FloquetMode.from_block(v, 0, 2) for v in ([1.0, 0.0], [0.0, 1.0])]
