@@ -28,6 +28,7 @@ from .sambe import (
     Spectrum,
     _gap_clusters,
     _replica_overlaps,
+    _require_truncation,
     solve_spectrum,
     wrap_distance,
 )
@@ -171,9 +172,12 @@ def perturb_and_track(
 
     Pairing (a) sorts both spectra by folded quasi-energy and matches by
     position; pairing (b) matches by nearest (eps, ebar) label.  The
-    documented regime is strength <= 1e-3 * omega.
+    documented regime is strength <= 1e-3 * omega.  Both are solved at h's
+    cutoff; one below the order of h + strength*v is a ModelError.
     """
     hp = combine(h, v, strength)  # refuses a mismatched v before any solve
+    if truncation != "auto":
+        _require_truncation(hp, truncation)
     spec0 = solve_spectrum(h, truncation)
     spec1 = solve_spectrum(hp, spec0.metadata["truncation"])
 
@@ -289,13 +293,25 @@ def sweep_values(
     previous point (nearest-label assignment).  A list-valued parameter is
     swept one entry at a time, by a dotted axis name such as "levels.1".
     Per-point failures are recorded and the sweep continues; an axis that
-    names no parameter, or no single entry of a list, fails the whole sweep.
+    names no parameter, or no single entry of a list, or a fixed cutoff below
+    any point's harmonic order, fails the whole sweep before any solve.
     """
+    models: list[FourierHamiltonian | Exception] = []
+    for params in _sweep_points(name, base_params, axis, values):
+        try:
+            models.append(builtin_model(name, params))
+        except Exception as exc:  # per-point failure: recorded below
+            models.append(exc)
+    if truncation != "auto":
+        for h in models:
+            if isinstance(h, FourierHamiltonian):
+                _require_truncation(h, truncation)
     records: list[dict] = []
     previous: Spectrum | None = None
-    for value, params in zip(values, _sweep_points(name, base_params, axis, values)):
+    for value, h in zip(values, models):
         try:
-            h = builtin_model(name, params)
+            if isinstance(h, Exception):
+                raise h
             spectrum = solve_spectrum(h, truncation)
         except Exception as exc:  # per-point failure: record, continue
             records.append({"value": float(value), "error": str(exc)})

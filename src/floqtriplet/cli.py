@@ -80,25 +80,8 @@ def _resolve_model(args) -> FourierHamiltonian:
     if bool(args.model) == bool(args.builtin):
         raise ModelError("give exactly one of --model or --builtin")
     if args.model:
-        h = load_model(args.model)
-    else:
-        h = builtin_model(args.builtin, _parse_params(args.param))
-    _check_harmonics(args, h)
-    return h
-
-
-def _check_harmonics(args, *models: FourierHamiltonian):
-    """A fixed --harmonics below a model's largest harmonic index is a bad
-    input (exit 2), not a convergence failure; the library raises
-    TruncationError for it, which would exit 4."""
-    if args.harmonics == "auto":
-        return
-    order = max((h.max_harmonic for h in models), default=0)
-    if args.harmonics < order:
-        raise ModelError(
-            f"--harmonics {args.harmonics} is below the largest harmonic index "
-            f"{order} of the model"
-        )
+        return load_model(args.model)
+    return builtin_model(args.builtin, _parse_params(args.param))
 
 
 def _truncation_arg(text: str):
@@ -274,14 +257,6 @@ def cmd_sweep(args) -> int:
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)
-    models = []
-    for point in analysis._sweep_points(args.builtin, params, args.sweep_param, values):
-        try:
-            models.append(builtin_model(args.builtin, point))
-        except ValueError:
-            pass  # recorded as a failed point by the sweep
-    # at every point: a harmonic can vanish at one, as the drive does at v = 0
-    _check_harmonics(args, *models)
     records = analysis.sweep_values(args.builtin, params, args.sweep_param, values, args.harmonics)
     rows: list[list] = []
     errors = []
@@ -314,7 +289,6 @@ def cmd_perturb(args) -> int:
         h, v, strength = analysis.degeneracy_contrast_fixture()
         if args.strength is not None:
             strength = args.strength
-    _check_harmonics(args, h, v)
     report = analysis.perturb_and_track(h, v, strength, args.harmonics)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

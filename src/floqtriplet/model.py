@@ -316,8 +316,13 @@ def builtin_model(name: str, params: dict | None = None) -> FourierHamiltonian:
 
 def from_json_dict(payload: dict) -> FourierHamiltonian:
     """Build a model from either schema: explicit harmonics or builtin+params."""
+    if not isinstance(payload, dict):
+        raise ModelError(f"malformed model JSON: expected an object, got {type(payload).__name__}")
     if "builtin" in payload:
-        return builtin_model(payload["builtin"], payload.get("params") or {})
+        params = payload.get("params") or {}
+        if not isinstance(params, dict):
+            raise ModelError(f"malformed model JSON: params must be an object, got {type(params).__name__}")
+        return builtin_model(payload["builtin"], params)
     try:
         dim = payload["dim"]
         omega = float(payload["omega"])
@@ -343,12 +348,14 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
 
 
 def load_model(path: str) -> FourierHamiltonian:
-    """The model in a JSON file; a file that cannot be read is a ModelError."""
+    """The model in a JSON file; a file that cannot be read or decoded is a ModelError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ModelError(f"model file {path} is not UTF-8 JSON: {exc}") from exc
     return from_json_dict(payload)
 
 

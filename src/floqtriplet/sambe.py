@@ -79,7 +79,8 @@ from .model import FourierHamiltonian, ModelError, model_hash
 
 
 class TruncationError(RuntimeError):
-    """Raised when the harmonic cutoff M is too small for the model."""
+    """Raised when the harmonic cutoff M is too small to hold or certify the
+    d states; an M below the model's harmonic order is a ModelError."""
 
 
 class SolverError(RuntimeError):
@@ -273,7 +274,7 @@ def _replica_ladder(
 
 def _require_truncation(h: FourierHamiltonian, truncation: int):
     if truncation < h.max_harmonic:
-        raise TruncationError(
+        raise ModelError(
             f"truncation M={truncation} is below the largest harmonic index "
             f"{h.max_harmonic} of the model"
         )
@@ -835,11 +836,11 @@ def _rung(h: FourierHamiltonian, truncation: int) -> tuple[dict, float, float]:
 
 
 def _window_pairs(h: FourierHamiltonian, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of S in `_energy_window`, ascending and certified:
-    one `diagonalize` of S, or, when the model's sectors split it
-    (`_split`), one per sector block of the S of the rotated harmonics
-    V^H H_m V, the pairs embedded back with V and certified against the
-    full S through the harmonics."""
+    """The eigenpairs of S in `_energy_window`, certified: one `diagonalize`
+    of S, or, when the model's sectors split it (`_split`), one per sector
+    block of the S of the rotated harmonics V^H H_m V, the pairs embedded
+    back with V block after block (`_select` sorts them) and certified
+    against the full S through the harmonics."""
     _dense_guard(h, truncation)  # the full n, before the sectors are looked for
     sectors, window = _split(h, truncation), _energy_window(h, truncation)
     if sectors is None or sectors.basis is None:
@@ -852,12 +853,10 @@ def _window_pairs(h: FourierHamiltonian, truncation: int) -> tuple[np.ndarray, n
     solved = [diagonalize(block, window=window) for block in blocks]
     del blocks
     vals = np.concatenate([pair[0] for pair in solved])
-    order = np.argsort(vals, kind="stable")
     coeffs = np.zeros((owner.size, vals.size), dtype=solved[0][1].dtype)
     starts = np.cumsum([0] + [pair[0].size for pair in solved])
     for idx, start, (_, vecs) in zip(rows, starts, solved):
         coeffs[idx, start : start + vecs.shape[1]] = vecs
-    vals, coeffs = vals[order], coeffs[:, order]
     vecs = (sectors.basis @ coeffs.reshape(-1, h.dim, vals.size)).reshape(coeffs.shape)
     _check_residuals(_apply_blocks(h, vecs, h.omega), vals, vecs, " on the full matrix")
     return vals, vecs

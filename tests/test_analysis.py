@@ -199,6 +199,44 @@ def test_sweep_values_records_failures():
     assert "error" in records[1]
 
 
+def _count_solves(monkeypatch):
+    from floqtriplet import analysis
+
+    solved = []
+    monkeypatch.setattr(analysis, "solve_spectrum", lambda *args: solved.append(args))
+    return solved
+
+
+def test_sweep_values_refuses_a_cutoff_below_any_point_order_before_solving(monkeypatch):
+    # at the first point, v = 0, the drive vanishes; the next points have it
+    from floqtriplet.analysis import sweep_values
+
+    solved = _count_solves(monkeypatch)
+    with pytest.raises(ft.ModelError, match="M=0 is below the largest harmonic index 1"):
+        sweep_values("two_level_linear", {}, "v", np.array([0.0, 0.1, 0.2]), 0)
+    assert solved == []
+
+
+def _one_harmonic(h, m):
+    return ft.FourierHamiltonian(dim=h.dim, omega=h.omega, harmonics={m: np.array([[0, 1], [1, 0]], complex)})
+
+
+def test_perturb_and_track_refuses_a_cutoff_below_the_perturbed_order_before_solving(monkeypatch):
+    h = ft.builtin_model("two_level_linear")
+    solved = _count_solves(monkeypatch)
+    with pytest.raises(ft.ModelError, match="M=4 is below the largest harmonic index 5"):
+        ft.perturb_and_track(h, _one_harmonic(h, 5), 1e-6, 4)
+    assert solved == []
+
+
+def test_perturb_and_track_refuses_a_perturbation_above_the_certified_cutoff():
+    # h certifies at M = 4; the m = 5 perturbation does not fit there
+    h = ft.builtin_model("two_level_linear")
+    assert ft.certify_truncation(h) == 4
+    with pytest.raises(ft.ModelError, match="M=4 is below the largest harmonic index 5"):
+        ft.perturb_and_track(h, _one_harmonic(h, 5), 1e-6)
+
+
 def test_sweep_values_unknown_axis():
     from floqtriplet.analysis import sweep_values
     from floqtriplet.model import ModelError

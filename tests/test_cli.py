@@ -886,6 +886,45 @@ def test_harmonics_below_model_order_exits_config(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _one_harmonic_model(path, m):
+    path.write_text(json.dumps({"dim": 2, "omega": 1.5, "harmonics": [
+        {"m": m, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("harmonics", [["--harmonics", "0"], ["--harmonics", "4"], []],
+                         ids=["fixed-0", "fixed-4", "auto"])
+def test_perturb_below_the_perturbed_order_exits_config(tmp_path, capsys, harmonics):
+    # two_level_linear certifies at M = 4; the m = 5 perturbation exited 4 at
+    # the auto cutoff, as a convergence failure, after the base model's solve
+    pert = _one_harmonic_model(tmp_path / "v5.json", 5)
+    out = tmp_path / "o"
+    code = main(["perturb", "--builtin", "two_level_linear", "--pert-model", pert, *harmonics,
+                 "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "is below the largest harmonic index" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content", [b"3", b"null", b"true", b"[]", b'{"builtin": "static", "params": 3}', b"\xff\xfe{}", b""],
+    ids=["number", "null", "true", "list", "params-number", "not-utf-8", "empty"],
+)
+def test_model_file_that_is_not_a_json_object_exits_config(tmp_path, capsys, content):
+    # a number, null or true crashed with a TypeError, and so did a number
+    # for a built-in's params; a decode failure did not name the file
+    model = tmp_path / "m.json"
+    model.write_bytes(content)
+    out = tmp_path / "o"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "malformed model JSON" in err["message"] or str(model) in err["message"]
+    assert not out.exists()
+
+
 def test_harmonics_at_model_order_is_accepted(tmp_path):
     # the static model has no drive, so M = 0 is its own order
     assert main(["solve", "--builtin", "static", "--harmonics", "0", "--out", str(tmp_path / "o")]) == 0

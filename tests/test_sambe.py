@@ -56,8 +56,17 @@ def test_build_sambe_exactly_hermitian():
 
 def test_build_sambe_rejects_small_truncation():
     h = ft.builtin_model("two_level_linear")
-    with pytest.raises(ft.TruncationError):
+    with pytest.raises(ft.ModelError):
         ft.build_sambe(h, 0)
+
+
+@pytest.mark.parametrize("entry", [ft.solve_spectrum, ft.minimize_ground])
+def test_cutoff_below_model_order_is_a_model_error(entry):
+    # M = 0 cannot hold the m = +-1 drive: it drops part of H(t) rather than
+    # approximating it, a bad input and not a convergence failure
+    h = ft.builtin_model("two_level_linear")
+    with pytest.raises(ft.ModelError, match="below the largest harmonic index 1"):
+        entry(h, 0)
 
 
 @pytest.mark.parametrize("name", ["two_level_circular", "driven_ring"])
