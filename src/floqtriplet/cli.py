@@ -165,7 +165,7 @@ def cmd_solve(args) -> int:
     spectrum = sambe.solve_spectrum(h, args.harmonics)
     spectrum.metadata["timestamp"] = datetime.datetime.now().isoformat()
     out = Path(args.out)
-    _write_json(out / "spectrum.json", spectrum.to_json_dict())
+    _write_json(out / "spectrum.json", spectrum._payload(lists=False))
     _write_csv(out / "spectrum.csv", *_state_rows(spectrum))
     print(f"solved {len(spectrum)} states at M={spectrum.metadata['truncation']}")
     return EXIT_OK

@@ -151,10 +151,12 @@ class FourierHamiltonian:
     @cached_property
     def _spectral_reach(self) -> tuple[float, float, float]:
         # (lambda_min(H_0), lambda_max(H_0), sum_{m != 0} ||H_m||_2): the part
-        # of the Sambe energy window that depends on the model alone
-        h0 = self.harmonics.get(0, np.zeros((self.dim, self.dim)))
-        levels = np.linalg.eigvalsh(h0)
+        # of the Sambe energy window that depends on the model alone; with no
+        # H_0 stored its levels are 0, and no d x d zero matrix is built
         drive = sum(np.linalg.norm(mat, 2) for m, mat in self.harmonics.items() if m != 0)
+        if 0 not in self.harmonics:
+            return 0.0, 0.0, drive
+        levels = np.linalg.eigvalsh(self.harmonics[0])
         return float(levels[0]), float(levels[-1]), drive
 
     @cached_property

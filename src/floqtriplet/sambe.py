@@ -39,7 +39,7 @@ every H_m is real (`build_energy_matrix`), and certifies their residuals.
 
 - sectors: when a model's exact symmetry sectors (found by `_sectors`)
   split an S of SECTOR_MIN_SIZE or more, `_window_pairs` solves each block
-  so and certifies the pairs, embedded back, against the full S.
+  so and returns the pairs in the sector basis V.
 
 Everything after the eigensolve is one pass over arrays (`_rung`), with S
 and T applied through the harmonics, never as n x n matrices:
@@ -48,7 +48,15 @@ and T applied through the harmonics, never as n x n matrices:
   diagonalized in each (one product for all single vectors, one batched
   eigh per larger size) and per physical state the replica with centroid
   in [-1/2, 1/2) is kept.  T is applied once to the d kept modes X, and
-  S X = T X + omega N X gives each its raw eigenvalue x^H S x.
+  S X = T X + omega N X gives each its raw eigenvalue x^H S x.  Split
+  pairs are selected in the sector basis, where N is the same; only the
+  pairs of the clusters that keep a mode are embedded, and certified
+  against the full S through their S P = T P + omega N P, which also
+  gives T X.
+- leak floor (the auto ladder only): each kept mode's edge leak outside
+  every kept mode's window bounds every level's Ebar figure from below
+  (`_leak_floor`); a rung whose floor is 2 QUASI_TOL or more cannot
+  certify and ends there.
 - grouping: states whose folded quasi-energies lie within TOL_DEG * omega
   form a group.  Every member keeps its own replica and carries the
   group's mean raw eigenvalue, the only mean taken, on that replica: the
@@ -477,37 +485,69 @@ def _gap_clusters(
     return clusters
 
 
-def _select(vals, vecs, h: FourierHamiltonian, truncation: int):
+def _select(vals, vecs, h: FourierHamiltonian, truncation: int, basis=None):
     """`select_representatives` as arrays: the kept modes as normalized
-    complex columns X, T X, the raw eigenvalues and their folds."""
+    complex columns X, T X, the raw eigenvalues and their folds.
+
+    With a sector basis V the pairs come in the sector layout of
+    `_window_pairs`.  V acts inside each harmonic block, so N, and with it
+    every cluster's rotation and centroids, is the same there; only the
+    pairs of the clusters that keep a mode are embedded, and they are
+    certified against the full S through the one S P = T P + omega N P
+    that also gives T X."""
     number = _number_diagonal(truncation, h.dim)
     order = np.argsort(vals, kind="stable")
     firsts = np.append(0, np.flatnonzero(np.diff(vals[order]) > _tol_deg(h.omega)) + 1)
     sizes = np.diff(np.append(firsts, vals.size))
-    parts, keys = [], []
+    clusters, keys = [], []
     for size in sorted(set(sizes.tolist())):
         first = firsts[sizes == size]
-        basis = vecs.T[order[first[:, None] + np.arange(size)]]  # (clusters, size, n)
+        idx = order[first[:, None] + np.arange(size)]
+        members = vecs.T[idx]  # (clusters, size, n)
         if size == 1:
-            kept, centroids = basis[:, 0], np.abs(basis[:, 0]) ** 2 @ number
+            rotation, centroids = None, (np.abs(members[:, 0]) ** 2 @ number)[:, None]
         else:
-            centroids, rotation = np.linalg.eigh((basis.conj() * number) @ basis.transpose(0, 2, 1))
-            kept = rotation.transpose(0, 2, 1) @ basis  # row j: sum_i R_ij v_i
+            centroids, rotation = np.linalg.eigh((members.conj() * number) @ members.transpose(0, 2, 1))
+            rotation = rotation.transpose(0, 2, 1)  # row j: sum_i R_ij v_i
         # the kept replica's zone [-1/2, 1/2), rounded: of seam replicas
         # (centroids -1/2, +1/2 at resonance) keep one
         zone = (np.round(centroids, 9) >= -0.5) & (np.round(centroids, 9) < 0.5)
-        parts.append(kept[zone])
+        kept = zone.any(axis=1)
+        clusters.append((idx[kept], None if rotation is None else rotation[kept], zone[kept]))
         # in cluster order, single vectors first
         keys.append(np.repeat(first + (size > 1) * vals.size, size).reshape(zone.shape)[zone])
-    modes = np.concatenate(parts)[np.argsort(np.concatenate(keys), kind="stable")].T
-    if modes.shape[1] != h.dim:
+    ranking = np.argsort(np.concatenate(keys), kind="stable")
+    if ranking.size != h.dim:
         raise TruncationError(
-            f"found {modes.shape[1]} replica families, expected {h.dim}: "
+            f"found {ranking.size} replica families, expected {h.dim}: "
             f"truncation M={truncation} is too small, increase M"
         )
-    # T X in the modes' own dtype (real for a real S), complex from here on
-    x = modes / np.linalg.norm(modes, axis=0)
-    tx = _apply_blocks(h, x, 0.0)
+
+    def kept_modes(pairs, column):
+        """The kept combinations of the pairs, pair j in column column[j]."""
+        parts = []
+        for idx, rotation, zone in clusters:
+            members = pairs.T[column[idx]]
+            parts.append(members[:, 0][zone[:, 0]] if rotation is None else (rotation @ members)[zone])
+        return np.concatenate(parts)[ranking].T
+
+    if basis is None:
+        # T X in the modes' own dtype (real for a real S), complex from here on
+        modes = kept_modes(vecs, np.arange(vals.size))
+        norms = np.linalg.norm(modes, axis=0)
+        x = modes / norms
+        tx = _apply_blocks(h, x, 0.0)
+    else:
+        cols = np.concatenate([idx.ravel() for idx, _, _ in clusters])
+        column = np.zeros(vals.size, dtype=int)
+        column[cols] = np.arange(cols.size)
+        pairs = (basis @ vecs[:, cols].reshape(-1, h.dim, cols.size)).reshape(-1, cols.size)
+        tpairs = _apply_blocks(h, pairs, 0.0)
+        _check_residuals(tpairs + h.omega * number[:, None] * pairs, vals[cols], pairs,
+                         " on the full matrix")
+        modes = kept_modes(pairs, column)
+        norms = np.linalg.norm(modes, axis=0)
+        x, tx = modes / norms, kept_modes(tpairs, column) / norms
     lams = np.real(np.sum(x.conj() * (tx + h.omega * number[:, None] * x), axis=0))
     eps = fold_reported(lams, h.omega)
     order = np.lexsort((lams, eps))
@@ -661,11 +701,16 @@ class Spectrum:
         """States and metadata as strict JSON data: a non-finite metadata
         value (the infinite truncation figures of a cutoff with no gap) is
         written as None."""
+        return self._payload()
+
+    def _payload(self, lists: bool = True) -> dict:
+        """`to_json_dict`, with each mode's coefficients as float64 arrays
+        unless lists: orjson writes those as it writes the lists."""
         metadata = {
             key: None if isinstance(value, float) and not np.isfinite(value) else value
             for key, value in self.metadata.items()
         }
-        return {"states": [_record(t) for t in self.triplets], "metadata": metadata}
+        return {"states": [_record(t, lists) for t in self.triplets], "metadata": metadata}
 
     @staticmethod
     def from_json_dict(payload: dict) -> "Spectrum":
@@ -679,12 +724,13 @@ class Spectrum:
         return Spectrum(triplets=triplets, metadata=dict(payload["metadata"]))
 
 
-def _record(obj) -> dict:
+def _record(obj, lists: bool = True) -> dict:
     """JSON record of a state: the dataclass's fields other than mode, in
-    declaration order, then the mode as coeffs_re and coeffs_im."""
+    declaration order, then the mode as coeffs_re and coeffs_im, nested
+    lists or (lists false) contiguous float64 arrays."""
     record = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "mode"}
-    record["coeffs_re"] = obj.mode.coeffs.real.tolist()
-    record["coeffs_im"] = obj.mode.coeffs.imag.tolist()
+    for key, part in (("coeffs_re", obj.mode.coeffs.real), ("coeffs_im", obj.mode.coeffs.imag)):
+        record[key] = part.tolist() if lists else np.ascontiguousarray(part)
     return record
 
 
@@ -820,31 +866,37 @@ def average_energy_matrix(
 
 # --- end-to-end solve -------------------------------------------------------
 
-def _rung(h: FourierHamiltonian, truncation: int) -> tuple[dict, float, float]:
+def _rung(h: FourierHamiltonian, truncation: int, certify: bool = False):
     """One cutoff: the windowed eigensolve, then one pass over its kept
     modes.  Returns the resolved states and the two figures of
-    `_truncation_bounds`; no mode or triplet object is built."""
+    `_truncation_bounds`; no mode or triplet object is built.  With certify
+    (the auto ladder) a cutoff whose `_leak_floor` proves it cannot certify
+    returns None as soon as its modes are kept."""
     # S, the eigenpairs and the unresolved modes do not outlive their stage:
     # the later stages apply S through the harmonics and reuse that memory
-    pairs = _window_pairs(h, truncation)
-    x, tx, lams, eps = _select(*pairs, h, truncation)
-    del pairs
+    vals, vecs, basis = _window_pairs(h, truncation)
+    x, tx, lams, eps = _select(vals, vecs, h, truncation, basis)
+    del vals, vecs
+    # the factor 2 covers the rounding of the floor and of the figures
+    if certify and _leak_floor(h, truncation, x, lams, eps) >= 2 * QUASI_TOL:
+        return None
     cols, gids, lams, eps = _group(lams, eps, h.omega)
     states = _resolve(x[:, cols], tx[:, cols], lams, eps, gids, h)
     del x, tx
     return (states, *_truncation_bounds(h, truncation, states))
 
 
-def _window_pairs(h: FourierHamiltonian, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of S in `_energy_window`, certified: one `diagonalize`
-    of S, or, when the model's sectors split it (`_split`), one per sector
-    block of the S of the rotated harmonics V^H H_m V, the pairs embedded
-    back with V block after block (`_select` sorts them) and certified
-    against the full S through the harmonics."""
+def _window_pairs(h: FourierHamiltonian, truncation: int):
+    """The eigenpairs of S in `_energy_window` and the sector basis V: one
+    `diagonalize` of S, with V None, or, when the model's sectors split it
+    (`_split`), one per sector block of the S of the rotated harmonics
+    V^H H_m V.  Split pairs stay in that sector layout, rows in harmonic
+    order holding the coefficients on V's columns, zero off their sector;
+    `_select` embeds and certifies against the full S the ones it keeps."""
     _dense_guard(h, truncation)  # the full n, before the sectors are looked for
     sectors, window = _split(h, truncation), _energy_window(h, truncation)
     if sectors is None or sectors.basis is None:
-        return diagonalize(build_sambe(h, truncation), window=window)
+        return (*diagonalize(build_sambe(h, truncation), window=window), None)
     s = build_sambe(sectors.rotated, truncation)
     owner = sectors.labels[np.arange(-truncation, truncation + 1) % 2].ravel()
     rows = [np.flatnonzero(owner == sector) for sector in range(int(owner.max()) + 1)]
@@ -857,9 +909,64 @@ def _window_pairs(h: FourierHamiltonian, truncation: int) -> tuple[np.ndarray, n
     starts = np.cumsum([0] + [pair[0].size for pair in solved])
     for idx, start, (_, vecs) in zip(rows, starts, solved):
         coeffs[idx, start : start + vecs.shape[1]] = vecs
-    vecs = (sectors.basis @ coeffs.reshape(-1, h.dim, vals.size)).reshape(coeffs.shape)
-    _check_residuals(_apply_blocks(h, vecs, h.omega), vals, vecs, " on the full matrix")
-    return vals, vecs
+    return vals, coeffs, sectors.basis
+
+
+def _leak_floor(h: FourierHamiltonian, truncation: int, x, lams, eps) -> float:
+    """A lower bound of every level's Ebar figure in `_truncation_bounds`,
+    from the kept modes X alone, before they are grouped.
+
+    Each mode is placed on the replica `_truncation_bounds` uses: eps
+    unrolled at its widest gap, k_i = round((lam_i - eps_i) / omega).  Let
+    l_i be the part of its edge leak sum_m H_m x_i^(edge) that falls outside
+    the union of all kept modes' windows, and r the number of distinct k_i.
+    The floor is 2 (M + K) max_i ||l_i||^2 / (omega r).
+
+    Proof: P_C leaves the rows outside the union alone, so for every
+    cluster C of every level w_C = ||(I - P_C) Y_C G_C^-1/2||_F^2 >=
+    ||L_C||_F^2 / lambda_max(G) >= max_{i in C} ||l_i||^2 / lambda_max(G),
+    and lambda_max(G) <= r because the modes on one shift are orthonormal
+    eigenvectors.  So every level's figure 2 (M + K) max_C w_C / omega is
+    at least the floor, and so is infinity, the figure when no level is
+    kept.  `_resolve` rotates only inside a group's members on one replica,
+    which share a shift, so ||L_C||_F is unchanged for every cluster that
+    holds them whole: every cluster but those of the finest level, one state
+    each.  A finest level that splits such a set S is kept only when every
+    radius rho_j lies below the spread of S's Ritz values, at most
+    |S| TOL_DEG omega, and certifies only when sum_S w_j < 2 QUASI_TOL |S|
+    TOL_DEG omega; the floor is then below 4 (M + K) |S| TOL_DEG QUASI_TOL /
+    r, far under 2 QUASI_TOL while (2M + 1) d fits MAX_DENSE_BYTES.
+
+    Grouping moves each eps by at most count * TOL_DEG * omega, so every
+    gap within twice that of the widest is tried as the cut, and the
+    smallest floor is returned."""
+    omega, reach, dim, count = h.omega, h.max_harmonic, h.dim, eps.size
+    nb = 2 * truncation + 1
+    blocks = x.reshape(nb, dim, count)
+    # the K leak blocks past each edge, harmonics -M-K..-M-1 and M+1..M+K
+    # on the mode's own replica
+    leak = np.zeros((2 * reach, dim, count), dtype=x.dtype)
+    for m, mat in h.harmonics.items():
+        if m > 0:
+            leak[reach : reach + m] += mat @ blocks[nb - m :]
+        elif m < 0:
+            leak[reach + m : reach] += mat @ blocks[: -m]
+    harmonic = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+    harmonic += np.sign(harmonic) * truncation
+    order = np.argsort(eps, kind="stable")
+    weight, lams, values = np.sum(np.abs(leak) ** 2, axis=1).T[order], lams[order], eps[order]
+    gaps = np.append(np.diff(values), values[0] + omega - values[-1])
+    floor = np.inf
+    for cut in np.flatnonzero(gaps >= gaps.max() - 2 * count * _tol_deg(omega)) + 1:
+        shifts = np.round((lams - values + omega * (np.arange(count) >= cut)) / omega).astype(int)
+        replicas = np.unique(shifts)
+        # replica k puts block p at harmonic p - k: inside the window of a
+        # mode on replica k' when |p - k + k'| <= M
+        at = harmonic - shifts[:, None]
+        inside = (np.abs(at[:, :, None] + replicas) <= truncation).any(axis=2)
+        worst = np.where(inside, 0.0, weight).sum(axis=1).max(initial=0.0)
+        floor = min(floor, 2 * (truncation + reach) * worst / (omega * replicas.size))
+    return floor
 
 
 def _split(h: FourierHamiltonian, truncation: int):
@@ -905,10 +1012,12 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     exact quasi-energies as states within rho_C of its Ritz values (Kahan),
     and Kato-Temple (Parlett ch. 11) bounds their distance by w_C / delta_C,
     delta_C the gap to the nearest outside cluster (maybe its own replica
-    across the seam) less that cluster's radius.  A state reports its
-    group's Ritz value, so the bound adds the largest distance between a
-    cluster's sorted Ritz values and its groups'.  Of the levels whose bound
-    is within rounding (8 eps omega) of the smallest, the finest is kept.
+    across the seam) less that cluster's radius.  The bound adds the
+    largest distance between a cluster's sorted Ritz values and its
+    groups'.  A state reports no Ritz value, though: it reports its group's
+    mean raw eigenvalue (`_group`), and no term here covers the move from
+    its own eigenvalue to that mean.  Of the levels whose bound is within
+    rounding (8 eps omega) of the smallest, the finest is kept.
     The Ebar figure is the estimate 2 (M + K) max_C w_C / omega of that
     level: the leak moves about w_C / omega^2 of weight past |p| = M,
     moving <N> by at most M + K per unit weight, twice over for the
@@ -1049,7 +1158,8 @@ def certify_truncation(h: FourierHamiltonian) -> int:
     """Smallest certified cutoff: doubling M from the largest harmonic index
     (at least 1), the first at which the quasi-energy bound and the Ebar
     estimate of `_truncation_bounds` are both below QUASI_TOL; TruncationError
-    when none up to MAX_TRUNCATION is.  The harmonic cutoff is the one
+    when none up to MAX_TRUNCATION is, ModelError when the model's largest
+    harmonic index is above it.  The harmonic cutoff is the one
     approximation in the construction, so it is certified, not guessed."""
     return _certified_rung(h)[0]
 
@@ -1062,17 +1172,24 @@ def _certified_spectrum(h: FourierHamiltonian) -> Spectrum:
 
 def _certified_rung(h: FourierHamiltonian) -> tuple[int, dict, float, float]:
     """The doubling loop of `certify_truncation`: the certified cutoff, its
-    resolved states and its two truncation figures."""
+    resolved states and its two truncation figures.  A model whose largest
+    harmonic index is above MAX_TRUNCATION is a ModelError: no rung could
+    hold it."""
+    if h.max_harmonic > MAX_TRUNCATION:
+        raise ModelError(
+            f"the largest harmonic index {h.max_harmonic} of the model is above "
+            f"MAX_TRUNCATION = {MAX_TRUNCATION}, the largest cutoff 'auto' tries; "
+            f"give a fixed cutoff M >= {h.max_harmonic}"
+        )
     m = max(1, h.max_harmonic)
     while m <= MAX_TRUNCATION:
         try:
-            states, *figures = _rung(h, m)
+            rung = _rung(h, m, certify=True)
         except TruncationError:
-            pass
-        else:
-            if max(figures) < QUASI_TOL:
-                return m, states, *figures
-            del states  # not held through the next eigensolve
+            rung = None
+        if rung is not None and max(rung[1:]) < QUASI_TOL:
+            return m, *rung
+        del rung  # not held through the next eigensolve
         m *= 2
     raise TruncationError(
         f"truncation error figures did not fall below {QUASI_TOL} up to M={MAX_TRUNCATION}"

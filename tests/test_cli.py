@@ -928,3 +928,36 @@ def test_model_file_that_is_not_a_json_object_exits_config(tmp_path, capsys, con
 def test_harmonics_at_model_order_is_accepted(tmp_path):
     # the static model has no drive, so M = 0 is its own order
     assert main(["solve", "--builtin", "static", "--harmonics", "0", "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "variational"])
+def test_huge_dim_without_harmonics_exits_config(tmp_path, capsys, command):
+    # with no H_0 stored the model's level reach built a d x d zero matrix,
+    # and the dense-matrix guard read it before its size check: a traceback
+    model = tmp_path / "m.json"
+    model.write_text('{"dim": 1000000000, "omega": 1.0, "harmonics": []}')
+    out = tmp_path / "o"
+    assert main([command, "--model", str(model), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "dense" in err["message"] and "GiB limit" in err["message"]
+    assert not out.exists()
+
+
+def test_harmonic_above_the_largest_auto_cutoff_exits_config(tmp_path, capsys):
+    # m = 65 is above MAX_TRUNCATION = 64, so no rung of the auto cutoff can
+    # hold it: a configuration limit (exit 2), not a convergence failure;
+    # a fixed cutoff of 65 solves the same model
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"dim": 1, "omega": 1.0, "harmonics": [
+        {"m": 0, "re": [[0.5]], "im": [[0.0]]}, {"m": 65, "re": [[0.1]], "im": [[0.0]]}]}))
+    for command in ("solve", "variational"):
+        out = tmp_path / command
+        assert main([command, "--model", str(model), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["kind"] == "config"
+        assert "MAX_TRUNCATION = 64" in err["message"]
+        assert not out.exists()
+    with pytest.warns(RuntimeWarning, match="below convergence"):
+        code = main(["solve", "--model", str(model), "--harmonics", "65", "--out", str(tmp_path / "f")])
+    assert code == 0

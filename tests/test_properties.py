@@ -320,3 +320,57 @@ def test_gap_clusters_match_connected_components(period, points, tol, circle):
     if not circle:
         starts = [values[c[0]] for c in clusters]
         assert starts == sorted(starts)
+
+
+@st.composite
+def floor_models(draw):
+    """A random model (d <= 6, harmonics |m| <= 3, real or complex), or
+    (split=True) the direct sum of one (d <= 3) and itself raised by k omega,
+    k = 0..3, which `_sectors` splits."""
+    block = real_block if draw(st.booleans()) else complex_block
+    split = draw(st.booleans())
+    dim = draw(st.integers(min_value=1, max_value=3 if split else 6))
+    omega = draw(st.floats(min_value=0.8, max_value=3.0, allow_nan=False))
+    h0 = block(draw, dim)
+    harmonics = {0: 0.5 * (h0 + h0.conj().T)}
+    for m in range(1, draw(st.integers(min_value=0, max_value=3)) + 1):
+        harmonics[m] = block(draw, dim) / m
+    if split:
+        k = draw(st.integers(min_value=0, max_value=3))
+        raised = {m: mat + (m == 0) * k * omega * np.eye(dim) for m, mat in harmonics.items()}
+        harmonics = {m: scipy.linalg.block_diag(mat, raised[m]) for m, mat in harmonics.items()}
+    return ft.FourierHamiltonian(dim=harmonics[0].shape[0], omega=omega, harmonics=harmonics), split
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=floor_models())
+def test_leak_floor_is_below_every_rung_figure(case):
+    # the auto ladder gives a rung up once its leak floor reaches 2 QUASI_TOL:
+    # the floor must lie below the Ebar figure that rung's fixed solve reports,
+    # and the auto cutoff must be the first rung whose fixed solve clears
+    # QUASI_TOL.  The two figures are equal when one state carries the worst
+    # leak alone, and the figure's w is a difference of squares that rounds
+    # to 0 where w is below about 1e-16 of the squared residual: rounding
+    # slack, relative and 1e-12 QUASI_TOL absolute, far below the 2 QUASI_TOL
+    # the ladder compares the floor with
+    h, split = case
+    with pytest.MonkeyPatch.context() as patch:
+        if split:
+            patch.setattr(sambe, "SECTOR_MIN_SIZE", 0)
+        certified = ft.solve_spectrum(h, "auto").metadata["truncation"]
+        first, truncation = None, max(1, h.max_harmonic)
+        while truncation <= certified:
+            try:
+                spec = sambe.solve_at_truncation(h, truncation)
+            except ft.TruncationError:
+                truncation *= 2
+                continue
+            vals, vecs, basis = sambe._window_pairs(h, truncation)
+            x, _, lams, eps = sambe._select(vals, vecs, h, truncation, basis)
+            floor = sambe._leak_floor(h, truncation, x, lams, eps)
+            assert floor <= spec.metadata["ebar_estimate"] * (1 + 1e-12) + 1e-12 * sambe.QUASI_TOL
+            figures = spec.metadata["eps_bound"], spec.metadata["ebar_estimate"]
+            if first is None and max(figures) < sambe.QUASI_TOL:
+                first = truncation
+            truncation *= 2
+    assert first == certified

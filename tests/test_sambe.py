@@ -990,9 +990,9 @@ def test_auto_solve_solves_each_cutoff_once(monkeypatch):
 
     # each rung is one eigensolve and one pass; only the accepted one builds
     # its triplets
-    def counting(h, truncation):
+    def counting(h, truncation, **options):
         seen.append(truncation)
-        return solve(h, truncation)
+        return solve(h, truncation, **options)
 
     monkeypatch.setattr(sambe, "_rung", counting)
     spec = ft.solve_spectrum(h, "auto")

@@ -203,7 +203,7 @@ def test_split_pairs_are_certified_against_the_full_matrix():
     h.__dict__["_sectors"] = _sectors.Sectors(sectors.coupling, sectors.basis @ turn, sectors.labels,
                                               sectors.rotated)
     with pytest.raises(ft.SolverError, match="residual .* on the full matrix"):
-        sambe._window_pairs(h, 4)
+        sambe.solve_at_truncation(h, 4)
 
 
 def test_block_pairs_are_certified(monkeypatch):
