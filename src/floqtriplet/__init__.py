@@ -8,7 +8,7 @@ ground-state solver.
 
 Importing the package loads the model and extended-space layers only
 (numpy and scipy.linalg); the oracle, variational and analysis names load
-their modules on first use, and the analysis layer scipy.optimize with it.
+their modules on first use, and none of them loads scipy.optimize.
 """
 
 from importlib import import_module as _import_module

@@ -171,7 +171,10 @@ def find(h: FourierHamiltonian) -> Sectors:
     d, ms = h.dim, np.array(list(h.harmonics))
     real = not any(mat.imag.any() for mat in h.harmonics.values())
     mats = np.array([mat.real if real else mat for mat in h.harmonics.values()])
-    norm = np.linalg.norm(mats)
+    # through a power-of-two scale, which is exact: the norm of entries all
+    # below about 1e-154 underflows to 0 unscaled
+    scale = 2.0 ** np.frexp(np.abs(mats).max())[1]
+    norm = scale * np.linalg.norm(mats / scale)
     rng = np.random.default_rng(SEED)
 
     z = np.zeros((2, d, d), dtype=mats.dtype)  # Z and Z_f

@@ -15,7 +15,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import (
     MODEL_DEFAULTS,
@@ -126,6 +125,68 @@ def mode_agreement(
     return out
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """The columns of the least-cost one-to-one pairing of a square cost
+    matrix: row i pairs with column cols[i].
+
+    Crouse's shortest augmenting path (IEEE Trans. Aerosp. Electron. Syst.
+    52, 1679 (2016)), step for step as scipy.optimize.linear_sum_assignment
+    takes it, so ties pair as there: the unvisited columns are scanned from
+    a list that starts in descending order and loses a column by moving the
+    last one into its place, and among those of least reduced cost the last
+    unassigned one in scan order is taken, else the first.  A non-square or
+    non-finite cost is a ValueError.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost must be a square matrix, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost has a non-finite entry")
+    n = len(cost)
+    # numpy only where a whole row is scanned: scalar steps are cheaper on lists
+    u, v = [0.0] * n, np.zeros(n)
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    unreached = np.full(n, np.inf)
+    for start in range(n):
+        # the unvisited columns, with each one's shortest path cost so far
+        # and the row before it on that path, all in scan order
+        remaining, scan, via = np.arange(n - 1, -1, -1), unreached.copy(), np.empty(n, dtype=int)
+        rows, cols, costs = [start], [], []  # visited, each column with its final path cost
+        i, lowest = start, 0.0
+        while True:
+            reduced = lowest + cost[i][remaining] - u[i] - v[remaining]
+            better = reduced < scan
+            scan[better] = reduced[better]
+            via[better] = i
+            lowest = float(scan.min())
+            ties = np.flatnonzero(scan == lowest).tolist()
+            free = [t for t in ties if row4col[remaining[t]] < 0]
+            index = free[-1] if free else ties[0]
+            j = int(remaining[index])
+            path[j] = int(via[index])
+            cols.append(j)
+            costs.append(lowest)
+            remaining[index], scan[index], via[index] = remaining[-1], scan[-1], via[-1]
+            remaining, scan, via = remaining[:-1], scan[:-1], via[:-1]
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows.append(i)
+        # rows[k] is assigned to cols[k - 1], so the cost of its column is costs[k - 1]
+        u[start] += lowest
+        for row, final in zip(rows[1:], costs):
+            u[row] += lowest - final
+        for col, final in zip(cols, costs):
+            v[col] -= lowest - final
+        while True:  # augment along the path back to the start row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return np.array(col4row)
+
+
 @dataclass(eq=False)
 class TrackingReport:
     """Per-state label drifts and overlaps under a perturbation."""
@@ -155,11 +216,7 @@ def _label_assignment(spec0: Spectrum, spec1: Spectrum, omega: float) -> np.ndar
     eps1, ebar1 = spec1.quasi_energies, spec1.avg_energies
     deps = wrap_distance(eps0[:, None], eps1[None, :], omega) / omega
     debar = np.abs(ebar0[:, None] - ebar1[None, :]) / omega
-    cost = np.hypot(deps, debar)
-    rows, cols = linear_sum_assignment(cost)
-    assignment = np.empty(len(spec0), dtype=int)
-    assignment[rows] = cols
-    return assignment
+    return _assignment(np.hypot(deps, debar))
 
 
 def perturb_and_track(

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 # only the layers `solve` runs load here; the oracle, variational and
-# analysis layers (and scipy.optimize, for the assignments of `compare` and
-# the analysis layer) load inside the commands that run them
+# analysis layers load inside the commands that run them
 from . import sambe
 from ._config import VariationalConfig
 from .model import (
@@ -172,18 +171,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from scipy.optimize import linear_sum_assignment
-
     from . import analysis, oracle
 
     h = _resolve_model(args)
     spec_s = sambe.solve_spectrum(h, args.harmonics)
     spec_o = oracle.oracle_spectrum(h, spec_s.metadata["truncation"])
     overlaps = analysis.overlap_matrix(spec_s, spec_o)
-    rows_idx, cols_idx = linear_sum_assignment(1.0 - overlaps)
+    partner = analysis._assignment(1.0 - overlaps)
     rows = []
     worst = 0.0
-    for i, j in zip(rows_idx, cols_idx):
+    for i, j in enumerate(partner):
         deps = float(
             wrap_distance(spec_s[i].quasi_energy, spec_o[j].quasi_energy, h.omega)
         )
@@ -201,8 +198,6 @@ def cmd_compare(args) -> int:
     ]
     # the modes: states whose Ebar agree within the gate may mix in either
     # route, so each set of them is compared as a subspace
-    partner = np.empty(len(spec_s), dtype=int)
-    partner[rows_idx] = cols_idx
     sets = analysis.mode_agreement(spec_s, spec_o, partner, args.gate)
     sigma = min(s for _, s in sets)
     mode_offending = [{"states": states, "sigma_min": s} for states, s in sets if s < MODE_SIGMA_MIN]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,8 +35,11 @@ class ModelError(ValueError):
 
 
 def _whole_number(value, name: str) -> int:
-    """value as an int if it is integral (3 and 3.0 alike), else ModelError:
-    a size of 3.5 is refused, not truncated to 3."""
+    """value as an int if it is an integral number (3, 3.0 and numpy
+    integers alike), else ModelError: a size of 3.5 is refused, not
+    truncated to 3, and true or "3" is refused, not read as 1 or 3."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -316,6 +320,14 @@ def builtin_model(name: str, params: dict | None = None) -> FourierHamiltonian:
 
 # --- JSON model schema (consumed by the CLI) ------------------------------
 
+def _numeric(value, name: str):
+    """value itself if it is a number or an array of numbers, else
+    ModelError: float() would read true as 1.0 and "1" as 1.0."""
+    if np.asarray(value).dtype.kind not in "iuf":
+        raise ModelError(f"{name} must be numeric, got {reprlib.repr(value)}")
+    return value
+
+
 def from_json_dict(payload: dict) -> FourierHamiltonian:
     """Build a model from either schema: explicit harmonics or builtin+params."""
     if not isinstance(payload, dict):
@@ -327,9 +339,9 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
         return builtin_model(payload["builtin"], params)
     try:
         dim = payload["dim"]
-        omega = float(payload["omega"])
+        omega = float(_numeric(payload["omega"], "omega"))
         entries = payload["harmonics"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
     harmonics: dict[int, np.ndarray] = {}
     try:
@@ -337,9 +349,8 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
             m = _whole_number(entry["m"], "harmonic index m")
             if m in harmonics:
                 raise ModelError(f"harmonic index m={m} is given twice")
-            harmonics[m] = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(
-                entry["im"], dtype=float
-            )
+            re, im = (_numeric(entry[part], f"{part} of harmonic m={m}") for part in ("re", "im"))
+            harmonics[m] = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     except ModelError as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:

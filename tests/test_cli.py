@@ -201,6 +201,29 @@ def test_non_integral_model_size_exits_config(tmp_path, capsys, size):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"dim": True}, "dim"),
+        ({"omega": "1"}, "omega"),
+        ({"omega": True}, "omega"),
+        ({"harmonics": [{"m": "1", "re": [[0.1]], "im": [[0.0]]}]}, "harmonic index m"),
+        ({"harmonics": [{"m": 0, "re": [["1"]], "im": [[0.0]]}]}, "re of harmonic m=0"),
+    ],
+)
+def test_bool_or_string_for_a_model_number_exits_config(tmp_path, capsys, change, field):
+    # each was read as a number (true as 1, "1" as 1) and solved with exit 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"dim": 1, "omega": 1.0, "harmonics": [{"m": 0, "re": [[1.0]], "im": [[0.0]]}], **change}))
+    out = tmp_path / "o"
+    assert main(["solve", "--model", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert f"{field} must be" in err["message"]
+    assert not out.exists()
+
+
 def test_solve_requires_exactly_one_source(tmp_path, capsys):
     code = main(
         ["solve", "--builtin", "static", "--model", "x.json", "--out", str(tmp_path / "o")]

@@ -82,6 +82,19 @@ def test_variational_loads_no_oracle(tmp_path):
                          "floqtriplet.analysis"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--builtin", "static"],
+    ["sweep", "--builtin", "static", "--sweep-param", "omega", "--sweep-start", "1",
+     "--sweep-stop", "2", "--sweep-count", "2"],
+    ["perturb"],
+])
+def test_pairing_commands_leave_scipy_optimize_unloaded(tmp_path, argv):
+    # states are paired by the in-package analysis._assignment
+    loaded = loaded_after(tmp_path, argv)
+    assert "floqtriplet.analysis" in loaded
+    assert "scipy.optimize" not in loaded
+
+
 def test_compare_leaves_scipy_integrate_unloaded(tmp_path):
     # the oracle averages by the trapezoid rule in numpy
     loaded = loaded_after(tmp_path, ["compare", "--builtin", "static"])

@@ -187,14 +187,17 @@ def test_non_integral_sizes_are_refused():
         FourierHamiltonian(dim=1, omega=1.0, harmonics={1: [[0.1]], 1.6: [[0.3]]})
     with pytest.raises(ft.ModelError, match="harmonic index m must be an integer, got 1.7"):
         from_json_dict({"dim": 2, "omega": 1.0, "harmonics": [{**entries[0], "m": 1.7}]})
-    # two keys of one index, and a repeated m, kept the last one
-    with pytest.raises(ft.ModelError, match="harmonic index 1 is given twice"):
+    # a string index was read as a number, so "1" beside 1 was a second key of
+    # index 1; a repeated m kept the last one
+    with pytest.raises(ft.ModelError, match="harmonic index must be an integer, got '1'"):
         FourierHamiltonian(dim=1, omega=1.0, harmonics={1: [[0.1]], "1": [[0.3]]})
     with pytest.raises(ft.ModelError, match="harmonic index m=0 is given twice"):
         from_json_dict({"dim": 2, "omega": 1.0, "harmonics": entries + entries})
-    # an integral float is an index
+    # an integral float is an index, and a numpy integer a size and an index
     h = FourierHamiltonian(dim=1, omega=1.0, harmonics={0: [[1.0]], 1.0: [[0.1]]})
     assert list(h.harmonics) == [-1, 0, 1] and all(type(m) is int for m in h.harmonics)
+    h = FourierHamiltonian(dim=np.int64(1), omega=1.0, harmonics={np.int32(1): [[0.1]]})
+    assert type(h.dim) is int and list(h.harmonics) == [-1, 1]
 
 
 def test_missing_partner_completed_at_construction():

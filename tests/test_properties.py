@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import floqtriplet as ft
 from floqtriplet import sambe
+from floqtriplet.analysis import _assignment
 
 from conftest import assert_same_triplets, full_solve, time_shifted
 
@@ -374,3 +375,41 @@ def test_leak_floor_is_below_every_rung_figure(case):
                 first = truncation
             truncation *= 2
     assert first == certified
+
+
+def assignment_cost(kind: str, d: int, rng) -> np.ndarray:
+    """A square cost of one kind: ties are common in all but "uniform"."""
+    if kind == "uniform":
+        return rng.uniform(size=(d, d))
+    if kind == "integer":
+        return rng.integers(0, 3, size=(d, d)).astype(float)
+    if kind == "one-decimal":
+        return np.round(rng.uniform(size=(d, d)), 1)
+    if kind == "constant":
+        return np.full((d, d), rng.uniform())
+    # 1 - |overlap| of two nearly equal bases, as `compare` pairs them
+    return 1.0 - np.eye(d)[rng.permutation(d)] + 1e-3 * rng.uniform(size=(d, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    kind=st.sampled_from(["uniform", "integer", "one-decimal", "constant", "near-permutation"]),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_assignment_is_scipys_linear_sum_assignment(d, kind, seed, bad):
+    # scipy is the independent reference: the same columns, ties included
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(seed)
+    cost = assignment_cost(kind, d, rng)
+    rows, expected = linear_sum_assignment(cost)
+    cols = _assignment(cost)
+    assert cols.tolist() == expected.tolist()
+    assert cost[np.arange(d), cols].sum() == cost[rows, expected].sum()
+    with pytest.raises(ValueError, match="square"):
+        _assignment(cost[:, 1:])
+    cost[rng.integers(d), rng.integers(d)] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _assignment(cost)

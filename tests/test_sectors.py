@@ -7,6 +7,7 @@ models.  A split solve must equal the unsplit one to rounding.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,18 @@ def test_ring_sectors_are_reflection_and_half_period():
     # period each of those into two that swap on odd harmonics
     dims = sorted(ft.builtin_model("driven_ring", {"sites": 48})._sectors.dims)
     assert dims == [[11, 12], [12, 11], [12, 13], [13, 12]]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-300])
+def test_tiny_models_have_the_unit_scale_sectors(scale):
+    # every entry below about 1e-154: the plain norm of the harmonics is 0
+    h = ft.FourierHamiltonian(2, 1.0, {0: scale * np.diag([1.0, -1.0]),
+                                       1: scale * np.array([[0.0, 1.0], [1.0, 0.0]])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sectors = _sectors.find(h)
+    assert sectors.labels.tolist() == [[0, 1], [1, 0]]
+    assert sectors.coupling <= _sectors.COUPLING_TOL
 
 
 def test_random_complex_model_is_not_split():
