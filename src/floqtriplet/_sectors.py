@@ -38,8 +38,8 @@ Appl. Math. 27, 125 (2010)):
    (x_i, -g_i) on odd ones.
 
 The random numbers come from one fixed seed, so a model's sectors are
-deterministic, and a real model (every H_m real) stays in real
-arithmetic, so its blocks are real.  A split is kept only if every
+deterministic, and a real model stays in real arithmetic (the model's
+`_arithmetic_harmonics`), so its blocks are real.  A split is kept only if every
 off-sector entry of V^H H_m V is at most COUPLING_TOL times the norm of the
 harmonics.  This module only finds the split; `sambe` solves S, one block
 per sector when there is one.
@@ -169,8 +169,8 @@ def find(h: FourierHamiltonian) -> Sectors:
     if set(h.harmonics) <= {0}:
         return Sectors(0.0)  # no drive: S is already block-diagonal in the harmonics
     d, ms = h.dim, np.array(list(h.harmonics))
-    real = not any(mat.imag.any() for mat in h.harmonics.values())
-    mats = np.array([mat.real if real else mat for mat in h.harmonics.values()])
+    mats = np.array(list(h._arithmetic_harmonics.values()))
+    real = np.isrealobj(mats)
     # through a power-of-two scale, which is exact: the norm of entries all
     # below about 1e-154 underflows to 0 unscaled
     scale = 2.0 ** np.frexp(np.abs(mats).max())[1]

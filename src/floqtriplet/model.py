@@ -49,8 +49,16 @@ def _whole_number(value, name: str) -> int:
     return int(number)
 
 
-def _as_matrix(a, dim: int) -> np.ndarray:
-    m = np.array(a, dtype=complex)  # a copy: the caller's array stays writable and unshared
+def _numeric(value, name: str, kinds: str = "iuf"):
+    """value itself if it is a number or an array of numbers of a numpy kind
+    in kinds, else ModelError: float() would read true as 1.0 and "1" as 1.0."""
+    if np.asarray(value).dtype.kind not in kinds:
+        raise ModelError(f"{name} must be numeric, got {reprlib.repr(value)}")
+    return value
+
+
+def _as_matrix(a, dim: int, name: str) -> np.ndarray:
+    m = np.array(_numeric(a, name, "iufc"), dtype=complex)  # a copy, unshared
     if m.shape != (dim, dim):
         raise ValueError(f"harmonic matrix has shape {m.shape}, expected {(dim, dim)}")
     m.setflags(write=False)
@@ -90,13 +98,13 @@ class FourierHamiltonian:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", float(_numeric(self.omega, "omega")))
         completed: dict[int, np.ndarray] = {}
         for key, mat in self.harmonics.items():
             m = _whole_number(key, "harmonic index")
             if m in completed:
                 raise ModelError(f"harmonic index {m} is given twice")
-            completed[m] = _as_matrix(mat, self.dim)
+            completed[m] = _as_matrix(mat, self.dim, f"harmonic m={m}")
         for m in list(completed):
             if -m not in completed:
                 partner = completed[m].conj().T.copy()
@@ -151,6 +159,13 @@ class FourierHamiltonian:
             [mat.ravel() for mat in self.harmonics.values()], dtype=complex
         ).reshape(len(rates), self.dim * self.dim)
         return rates, stack
+
+    @cached_property
+    def _arithmetic_harmonics(self) -> Mapping[int, np.ndarray]:
+        # the harmonics in the model's arithmetic, chosen here once: float64
+        # views when every H_m is exactly real (S and T real symmetric), else complex
+        real = not any(mat.imag.any() for mat in self.harmonics.values())
+        return MappingProxyType({m: mat.real if real else mat for m, mat in self.harmonics.items()})
 
     @cached_property
     def _spectral_reach(self) -> tuple[float, float, float]:
@@ -303,7 +318,8 @@ _BUILDERS = {
 def builtin_model(name: str, params: dict | None = None) -> FourierHamiltonian:
     """Resolve a named benchmark model to its FourierHamiltonian.
 
-    Unknown names or parameters outside the documented domain raise
+    Unknown names, parameters outside the documented domain, and a bool or
+    string where a number belongs (as a value or a list entry) raise
     ModelError.  Omitted parameters take the defaults in MODEL_DEFAULTS.
     """
     if name not in _BUILDERS:
@@ -314,19 +330,11 @@ def builtin_model(name: str, params: dict | None = None) -> FourierHamiltonian:
     for key, value in (params or {}).items():
         if key not in merged:
             raise ModelError(f"model {name!r} has no parameter {key!r}")
-        merged[key] = value
+        merged[key] = _numeric(value, key)
     return _BUILDERS[name](merged)
 
 
 # --- JSON model schema (consumed by the CLI) ------------------------------
-
-def _numeric(value, name: str):
-    """value itself if it is a number or an array of numbers, else
-    ModelError: float() would read true as 1.0 and "1" as 1.0."""
-    if np.asarray(value).dtype.kind not in "iuf":
-        raise ModelError(f"{name} must be numeric, got {reprlib.repr(value)}")
-    return value
-
 
 def from_json_dict(payload: dict) -> FourierHamiltonian:
     """Build a model from either schema: explicit harmonics or builtin+params."""

@@ -34,8 +34,9 @@ The kept replica has centroid <N> in [-1/2, 1/2), and its Ebar = <T> lies
 inside the instantaneous spectrum of H(t), because T is a compression of
 multiplication by H(t).  The dense eigensolve of a cutoff (`_eigh`, by
 divide and conquer) returns only the eigenpairs in the window of raw
-eigenvalues that this allows (`_energy_window`), in real arithmetic when
-every H_m is real (`build_energy_matrix`), and certifies their residuals.
+eigenvalues that this allows (`_energy_window`), in the model's arithmetic
+(`FourierHamiltonian._arithmetic_harmonics`: real when every H_m is real),
+and certifies their residuals.
 
 - sectors: when a model's exact symmetry sectors (found by `_sectors`)
   split an S of SECTOR_MIN_SIZE or more, `_window_pairs` solves each block
@@ -320,30 +321,27 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     """Block-Toeplitz matrix of the one-period averaged energy form.
 
     x^H T x equals (1/T) int_0^T <Phi(t)|H(t)|Phi(t)> dt for the mode with
-    stacked coefficients x; block (m, m') = H_{m-m'}.  The result is float64
-    when every harmonic has an exactly zero imaginary part (real H_m, i.e.
-    H(t)* = H(-t), make T real symmetric) and complex128 otherwise; this is
-    the one place that choice is made.  M below the largest stored harmonic
-    index would silently drop physics and is rejected, and so is a solve
-    above MAX_DENSE_BYTES (ModelError, before allocating).
+    stacked coefficients x; block (m, m') = H_{m-m'}, in the model's
+    arithmetic (`FourierHamiltonian._arithmetic_harmonics`): float64 when
+    every harmonic is exactly real, complex128 otherwise.  M below the
+    largest stored harmonic index would silently drop physics and is
+    rejected, and so is a solve above MAX_DENSE_BYTES (ModelError, before
+    allocating).
     """
     _dense_guard(h, truncation)
-    nb = 2 * truncation + 1
-    d = h.dim
-    size = nb * d
-    real = not any(mat.imag.any() for mat in h.harmonics.values())
-    t = np.zeros((size, size), dtype=float if real else complex)
+    nb, d, mats = 2 * truncation + 1, h.dim, h._arithmetic_harmonics
+    t = np.zeros((nb * d, nb * d), dtype=np.result_type(float, *mats.values()))
     blocks = t.reshape(nb, d, nb, d)  # blocks[p, :, q, :] is block (p, q), a view
-    for m, mat in h.harmonics.items():
+    for m, mat in mats.items():
         rows = np.arange(max(m, 0), nb + min(m, 0))
-        blocks[rows, :, rows - m, :] = mat.real if real else mat
+        blocks[rows, :, rows - m, :] = mat
     return t
 
 
 def build_sambe(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     """Hermitian Floquet matrix S = T + omega*N of size (2M+1)*d for H(t) - i d/dt:
     block (m, m') = H_{m-m'} + m*omega*delta_{mm'}*I.  Real symmetric
-    (float64) when every H_m is real, complex128 otherwise, as decided by
+    (float64) for a real model, complex128 otherwise, as
     `build_energy_matrix`."""
     s = build_energy_matrix(h, truncation)
     s[np.diag_indices_from(s)] += h.omega * _number_diagonal(truncation, h.dim)
@@ -353,17 +351,15 @@ def build_sambe(h: FourierHamiltonian, truncation: int) -> np.ndarray:
 def _apply_blocks(h: FourierHamiltonian, x: np.ndarray, number_weight: float) -> np.ndarray:
     """(T + number_weight * N) @ x through the harmonics: T for weight 0,
     S for weight omega.  x holds stacked coefficients, shape (n,) or (n, k);
-    no n x n matrix is formed; a harmonic with no imaginary part acts as a
-    real matrix, so a real x gives a real result."""
+    no n x n matrix is formed; the harmonics act in the model's arithmetic,
+    so a real x gives a real result for a real model."""
     nb = x.shape[0] // h.dim
     truncation = (nb - 1) // 2
     _require_truncation(h, truncation)
-    blocks = x.reshape(nb, h.dim, -1)
-    mats = {m: mat.real if not mat.imag.any() else mat for m, mat in h.harmonics.items()}
+    blocks, mats = x.reshape(nb, h.dim, -1), h._arithmetic_harmonics
     dtype = np.result_type(x, *mats.values())  # a real x may meet complex H_m
-    out = (number_weight * np.arange(-truncation, truncation + 1)[:, None, None] * blocks).astype(
-        dtype, copy=False
-    )
+    out = number_weight * np.arange(-truncation, truncation + 1)[:, None, None] * blocks
+    out = out.astype(dtype, copy=False)
     for m, mat in mats.items():
         # block row p collects H_m @ phi^(p - m)
         out[max(m, 0) : nb + min(m, 0)] += mat @ blocks[max(-m, 0) : nb - max(m, 0)]
@@ -487,7 +483,8 @@ def _gap_clusters(
 
 def _select(vals, vecs, h: FourierHamiltonian, truncation: int, basis=None):
     """`select_representatives` as arrays: the kept modes as normalized
-    complex columns X, T X, the raw eigenvalues and their folds.
+    complex columns X, T X, the raw eigenvalues and their folds, ordered
+    by (fold, raw eigenvalue).
 
     With a sector basis V the pairs come in the sector layout of
     `_window_pairs`.  V acts inside each harmonic block, so N, and with it
@@ -499,10 +496,9 @@ def _select(vals, vecs, h: FourierHamiltonian, truncation: int, basis=None):
     order = np.argsort(vals, kind="stable")
     firsts = np.append(0, np.flatnonzero(np.diff(vals[order]) > _tol_deg(h.omega)) + 1)
     sizes = np.diff(np.append(firsts, vals.size))
-    clusters, keys = [], []
+    clusters = []
     for size in sorted(set(sizes.tolist())):
-        first = firsts[sizes == size]
-        idx = order[first[:, None] + np.arange(size)]
+        idx = order[firsts[sizes == size][:, None] + np.arange(size)]
         members = vecs.T[idx]  # (clusters, size, n)
         if size == 1:
             rotation, centroids = None, (np.abs(members[:, 0]) ** 2 @ number)[:, None]
@@ -514,12 +510,10 @@ def _select(vals, vecs, h: FourierHamiltonian, truncation: int, basis=None):
         zone = (np.round(centroids, 9) >= -0.5) & (np.round(centroids, 9) < 0.5)
         kept = zone.any(axis=1)
         clusters.append((idx[kept], None if rotation is None else rotation[kept], zone[kept]))
-        # in cluster order, single vectors first
-        keys.append(np.repeat(first + (size > 1) * vals.size, size).reshape(zone.shape)[zone])
-    ranking = np.argsort(np.concatenate(keys), kind="stable")
-    if ranking.size != h.dim:
+    found = sum(int(zone.sum()) for _, _, zone in clusters)
+    if found != h.dim:
         raise TruncationError(
-            f"found {ranking.size} replica families, expected {h.dim}: "
+            f"found {found} replica families, expected {h.dim}: "
             f"truncation M={truncation} is too small, increase M"
         )
 
@@ -529,15 +523,10 @@ def _select(vals, vecs, h: FourierHamiltonian, truncation: int, basis=None):
         for idx, rotation, zone in clusters:
             members = pairs.T[column[idx]]
             parts.append(members[:, 0][zone[:, 0]] if rotation is None else (rotation @ members)[zone])
-        return np.concatenate(parts)[ranking].T
+        return np.concatenate(parts).T
 
-    if basis is None:
-        # T X in the modes' own dtype (real for a real S), complex from here on
-        modes = kept_modes(vecs, np.arange(vals.size))
-        norms = np.linalg.norm(modes, axis=0)
-        x = modes / norms
-        tx = _apply_blocks(h, x, 0.0)
-    else:
+    pairs, column = vecs, np.arange(vals.size)
+    if basis is not None:
         cols = np.concatenate([idx.ravel() for idx, _, _ in clusters])
         column = np.zeros(vals.size, dtype=int)
         column[cols] = np.arange(cols.size)
@@ -545,9 +534,11 @@ def _select(vals, vecs, h: FourierHamiltonian, truncation: int, basis=None):
         tpairs = _apply_blocks(h, pairs, 0.0)
         _check_residuals(tpairs + h.omega * number[:, None] * pairs, vals[cols], pairs,
                          " on the full matrix")
-        modes = kept_modes(pairs, column)
-        norms = np.linalg.norm(modes, axis=0)
-        x, tx = modes / norms, kept_modes(tpairs, column) / norms
+    modes = kept_modes(pairs, column)
+    norms = np.linalg.norm(modes, axis=0)
+    x = modes / norms
+    # T X in the modes' own dtype (real for a real S), complex from here on
+    tx = _apply_blocks(h, x, 0.0) if basis is None else kept_modes(tpairs, column) / norms
     lams = np.real(np.sum(x.conj() * (tx + h.omega * number[:, None] * x), axis=0))
     eps = fold_reported(lams, h.omega)
     order = np.lexsort((lams, eps))
@@ -912,6 +903,20 @@ def _window_pairs(h: FourierHamiltonian, truncation: int):
     return vals, coeffs, sectors.basis
 
 
+def _edge_leak(h: FourierHamiltonian, x: np.ndarray) -> np.ndarray:
+    """The K = max|m| blocks of S_inf x past each edge of the window, for
+    the stacked coefficients x of shape (n, k): per column, the harmonics
+    -M-K..-M-1 and M+1..M+K of sum_m H_m x^(p - m), shape (k, 2K, d)."""
+    reach, mats, nb = h.max_harmonic, h._arithmetic_harmonics, x.shape[0] // h.dim
+    rows = np.ascontiguousarray(x.T).reshape(-1, nb, h.dim)
+    leak = np.zeros((len(rows), 2 * reach, h.dim), dtype=np.result_type(x, *mats.values()))
+    for m, mat in mats.items():  # H_m carries the m edge blocks past the edge
+        edge = slice(reach, reach + m) if m > 0 else slice(reach + m, reach)
+        # cast first: numpy rounds a mixed real-complex row product differently
+        leak[:, edge] += (rows[:, nb - m :] if m > 0 else rows[:, : -m]) @ mat.T.astype(leak.dtype)
+    return leak
+
+
 def _leak_floor(h: FourierHamiltonian, truncation: int, x, lams, eps) -> float:
     """A lower bound of every level's Ebar figure in `_truncation_bounds`,
     from the kept modes X alone, before they are grouped.
@@ -940,21 +945,12 @@ def _leak_floor(h: FourierHamiltonian, truncation: int, x, lams, eps) -> float:
     Grouping moves each eps by at most count * TOL_DEG * omega, so every
     gap within twice that of the widest is tried as the cut, and the
     smallest floor is returned."""
-    omega, reach, dim, count = h.omega, h.max_harmonic, h.dim, eps.size
-    nb = 2 * truncation + 1
-    blocks = x.reshape(nb, dim, count)
-    # the K leak blocks past each edge, harmonics -M-K..-M-1 and M+1..M+K
-    # on the mode's own replica
-    leak = np.zeros((2 * reach, dim, count), dtype=x.dtype)
-    for m, mat in h.harmonics.items():
-        if m > 0:
-            leak[reach : reach + m] += mat @ blocks[nb - m :]
-        elif m < 0:
-            leak[reach + m : reach] += mat @ blocks[: -m]
+    omega, reach, count = h.omega, h.max_harmonic, eps.size
+    # the harmonics of the leak blocks, on the mode's own replica
     harmonic = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
     harmonic += np.sign(harmonic) * truncation
     order = np.argsort(eps, kind="stable")
-    weight, lams, values = np.sum(np.abs(leak) ** 2, axis=1).T[order], lams[order], eps[order]
+    weight, lams, values = np.sum(np.abs(_edge_leak(h, x)) ** 2, axis=2)[order], lams[order], eps[order]
     gaps = np.append(np.diff(values), values[0] + omega - values[-1])
     floor = np.inf
     for cut in np.flatnonzero(gaps >= gaps.max() - 2 * count * _tol_deg(omega)) + 1:
@@ -1037,14 +1033,10 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     # window and the K blocks past each edge
     x = states["x"].T[order].reshape(count, nb, dim)
     span = nb + 2 * reach
-    y = np.zeros((count, span, dim), dtype=complex)
     diagonal = omega * (np.arange(-truncation, truncation + 1) - shifts[:, None])[:, :, None]
-    y[:, reach : reach + nb] = states["tx"].T[order].reshape(count, nb, dim)
-    y[:, reach : reach + nb] += diagonal * x
-    y[:, reach : reach + nb] -= x * unrolled[:, None, None]
-    for m, mat in h.harmonics.items():  # the leak of H_m from the m edge blocks
-        edge = slice(reach + nb, reach + nb + m) if m > 0 else slice(reach + m, reach)
-        y[:, edge] += (x[:, nb - m :] if m > 0 else x[:, : -m]) @ mat.T
+    window = states["tx"].T[order].reshape(count, nb, dim) + diagonal * x - x * unrolled[:, None, None]
+    below, above = np.split(_edge_leak(h, x.reshape(count, -1).T), 2, axis=1)
+    y = np.concatenate([below, window, above], axis=1)
     # replica k puts block p at harmonic p - k: the frame holds each mode's
     # y blocks from its offset -k on, distances between offsets cut to span
     offsets = np.array(sorted(set((-shifts).tolist())))
@@ -1053,7 +1045,7 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     frame = np.zeros((2 * count, start.max() + span, dim), dtype=complex)
     frame[np.arange(count)[:, None], start + reach + np.arange(nb)] = x
     frame[np.arange(count, 2 * count)[:, None], start + np.arange(span)] = y
-    del x, y
+    del x, y, window, below, above
     frame = frame.reshape(2 * count, -1)
     gram, cross = np.split(frame[:count].conj() @ frame.T, 2, axis=1)
     resid = frame[count:].conj() @ frame[count:].T
@@ -1104,8 +1096,8 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     eta = np.sqrt(eta)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(eta < 1, np.maximum(trace_b / (1 + eta) - norm_a / (1 - eta) ** 2, 0.0), 0.0)
-    # every state alone and every group: a state reports its group's Ritz
-    # value, and a cluster's sorted Ritz values lie up to `split` from those
+    # every state alone, whose Rayleigh quotients bound a run not yet resolved, and
+    # every group, whose Ritz values `split` compares each cluster's sorted ones with
     resolve((np.bincount(groups, minlength=runs.size) > 0) | (length == 1))
     member = np.arange(theta.shape[1]) < length[:, None]
     within = np.minimum(first[:, None] + np.arange(theta.shape[1]), count - 1)

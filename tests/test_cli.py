@@ -209,6 +209,10 @@ def test_non_integral_model_size_exits_config(tmp_path, capsys, size):
         ({"omega": True}, "omega"),
         ({"harmonics": [{"m": "1", "re": [[0.1]], "im": [[0.0]]}]}, "harmonic index m"),
         ({"harmonics": [{"m": 0, "re": [["1"]], "im": [[0.0]]}]}, "re of harmonic m=0"),
+        # a "builtin" key selects the named-model schema, which ignores the rest
+        ({"builtin": "static", "params": {"omega": "1", "levels": ["0", "1"]}}, "omega"),
+        ({"builtin": "static", "params": {"levels": ["0", "1"]}}, "levels"),
+        ({"builtin": "driven_ring", "params": {"v": True}}, "v"),
     ],
 )
 def test_bool_or_string_for_a_model_number_exits_config(tmp_path, capsys, change, field):

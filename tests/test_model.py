@@ -200,6 +200,34 @@ def test_non_integral_sizes_are_refused():
     assert type(h.dim) is int and list(h.harmonics) == [-1, 1]
 
 
+def test_bool_or_string_for_a_number_is_refused():
+    # float() read true as 1.0 and "1" as 1.0, and a complex array took both
+    refused = [
+        (dict(omega="1"), "omega"),
+        (dict(omega=True), "omega"),
+        (dict(omega=1.0, harmonics={1: [["1"]]}), "harmonic m=1"),
+        (dict(omega=1.0, harmonics={1: [[True]]}), "harmonic m=1"),
+    ]
+    for kwargs, field in refused:
+        with pytest.raises(ft.ModelError, match=f"{field} must be numeric"):
+            FourierHamiltonian(dim=1, **kwargs)
+    for name, params, field in [
+        ("static", {"omega": "1", "levels": ["0", "1"]}, "omega"),
+        ("static", {"levels": ["0", "1"]}, "levels"),
+        ("static", {"levels": [False, True]}, "levels"),
+        ("driven_ring", {"v": True}, "v"),
+        ("driven_ring", {"sites": "3"}, "sites"),
+    ]:
+        with pytest.raises(ft.ModelError, match=f"{field} must be numeric"):
+            ft.builtin_model(name, params)
+    # whole floats, numpy numbers and complex matrices stay numbers
+    h = FourierHamiltonian(dim=1, omega=np.float32(2.0), harmonics={0: np.array([[1]]), 1: [[0.5j]]})
+    assert h.omega == 2.0 and h.harmonics[1][0, 0] == 0.5j
+    ring = ft.builtin_model("driven_ring", {"sites": 4.0, "v": np.float64(0.3), "omega": np.int64(2)})
+    assert ring.dim == 4 and ring.omega == 2.0
+    assert ft.builtin_model("static", {"levels": np.array([0, 1])}).dim == 2
+
+
 def test_missing_partner_completed_at_construction():
     h1 = np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex)
     h = FourierHamiltonian(dim=2, omega=1.0, harmonics={1: h1})

@@ -20,6 +20,7 @@ from conftest import (
     assert_same_triplets,
     full_solve,
     padded,
+    random_complex_model,
     random_mode,
     time_shifted,
 )
@@ -191,6 +192,62 @@ def test_apply_blocks_takes_real_vectors():
         s, t = ft.build_sambe(h, 4), ft.build_energy_matrix(h, 4)
         assert_allclose(sambe._apply_blocks(h, x, h.omega), s @ x, atol=1e-13)
         assert_allclose(sambe._apply_blocks(h, x, 0.0), t @ x, atol=1e-13)
+
+
+def test_model_arithmetic_is_chosen_once(models):
+    # float64 for every built-in, complex once the ring's drive is shifted in
+    # time; the dense matrices and the matrix-free products follow it
+    ring = models["driven_ring"]
+    cases = [(h, np.float64) for h in models.values()]
+    cases.append((time_shifted(ring, 0.3 * ring.period), np.complex128))
+    rng = np.random.default_rng(8)
+    for h, dtype in cases:
+        assert h._arithmetic_harmonics is h._arithmetic_harmonics  # cached
+        assert {mat.dtype for mat in h._arithmetic_harmonics.values()} == {np.dtype(dtype)}
+        x = rng.normal(size=(3 * h.dim, 2))
+        assert ft.build_energy_matrix(h, 1).dtype == dtype
+        assert sambe._apply_blocks(h, x, 0.0).dtype == dtype
+        assert sambe._apply_blocks(h, x + 0j, 0.0).dtype == np.complex128
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_edge_leak_matches_the_dense_rows_past_the_cutoff(real):
+    # S_inf x past each edge: the rows |p| > M of the S of cutoff M + K, on
+    # each mode padded with K zero blocks on either side
+    h = random_complex_model(3, seed=21)
+    if real:
+        h = ft.FourierHamiltonian(h.dim, h.omega, {m: mat.real for m, mat in h.harmonics.items() if m >= 0})
+    truncation, reach = 2, h.max_harmonic
+    assert reach == 2 and np.isrealobj(ft.build_sambe(h, reach)) == real
+    rng = np.random.default_rng(22)
+    modes = [random_mode(rng, truncation, h.dim) for _ in range(4)]
+    harmonic = np.repeat(np.arange(-truncation - reach, truncation + reach + 1), h.dim)
+    dense = ft.build_sambe(h, truncation + reach)
+    reference = dense[np.abs(harmonic) > truncation] @ np.column_stack([padded(m, reach).flat() for m in modes])
+    leak = sambe._edge_leak(h, np.column_stack([m.flat() for m in modes]))
+    assert leak.shape == (4, 2 * reach, h.dim)
+    assert_allclose(leak.reshape(4, -1).T, reference, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "name, params, truncation, split",
+    [
+        # both levels fold to quasi-energy 0: ordered by raw eigenvalue
+        ("static", {"omega": 0.1}, 1, False),
+        ("driven_ring", {}, 4, False),
+        # n = 204: selected in the sector basis
+        ("driven_ring", {"sites": 12}, 8, True),
+    ],
+)
+def test_select_orders_modes_by_quasi_energy_then_raw_eigenvalue(name, params, truncation, split):
+    h = ft.builtin_model(name, params)
+    vals, vecs, basis = sambe._window_pairs(h, truncation)
+    assert (basis is not None) == split
+    x, tx, lams, eps = sambe._select(vals, vecs, h, truncation, basis)
+    assert x.shape == tx.shape == ((2 * truncation + 1) * h.dim, h.dim)
+    assert np.array_equal(np.lexsort((lams, eps)), np.arange(h.dim))
+    if name == "static":
+        assert eps.tolist() == [0.0, 0.0] and lams.tolist() == [0.0, 1.0]
 
 
 def _perturbing_stevd(column):
