@@ -57,7 +57,6 @@ from .sambe import (
 _LAZY = {
     "oracle": (
         "MonodromyResult",
-        "PropagationConfig",
         "mode_from_propagation",
         "oracle_spectrum",
         "propagate_period",

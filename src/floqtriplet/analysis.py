@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    MODEL_DEFAULTS,
     FourierHamiltonian,
     ModelError,
+    _builtin_params,
     builtin_model,
     combine,
 )
@@ -308,12 +308,10 @@ def truncation_convergence_curve() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_points(name: str, base_params: dict, axis: str, values: np.ndarray) -> list[dict]:
-    """The builtin parameters of each grid point of `sweep_values`; an
-    axis that names no parameter, or no single entry of a list, is a
-    ModelError."""
-    if name not in MODEL_DEFAULTS:
-        raise ModelError(f"unknown model {name!r}")
-    merged = {**MODEL_DEFAULTS[name], **base_params}
+    """The builtin parameters of each grid point of `sweep_values`; a base
+    parameter of the wrong type or shape, and an axis that names no
+    parameter or no single entry of a list, is a ModelError."""
+    merged = _builtin_params(name, base_params)
     key, dot, index = axis.partition(".")
     if key not in merged:
         raise ModelError(f"sweep axis {axis!r} is not a parameter of {name!r}")
@@ -349,9 +347,9 @@ def sweep_values(
     arrays reordered so that state i at one point continues state i at the
     previous point (nearest-label assignment).  A list-valued parameter is
     swept one entry at a time, by a dotted axis name such as "levels.1".
-    Per-point failures are recorded and the sweep continues; an axis that
-    names no parameter, or no single entry of a list, or a fixed cutoff below
-    any point's harmonic order, fails the whole sweep before any solve.
+    Per-point failures are recorded and the sweep continues; a refused base
+    parameter or axis (`_sweep_points`), or a fixed cutoff below any point's
+    harmonic order, fails the whole sweep before any solve.
     """
     models: list[FourierHamiltonian | Exception] = []
     for params in _sweep_points(name, base_params, axis, values):

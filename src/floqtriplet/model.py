@@ -42,6 +42,8 @@ def _whole_number(value, name: str) -> int:
         raise ModelError(f"{name} must be an integer, got {value!r}")
     try:
         number = float(value)
+    except OverflowError:  # an integer beyond float64: no size or index is that large
+        raise ModelError(f"{name} is out of range, got {reprlib.repr(value)}") from None
     except (TypeError, ValueError):
         number = float("nan")
     if not number.is_integer():
@@ -49,11 +51,26 @@ def _whole_number(value, name: str) -> int:
     return int(number)
 
 
-def _numeric(value, name: str, kinds: str = "iuf"):
+def _numeric(value, name: str, kinds: str = "iuf", ndim: int | None = None):
     """value itself if it is a number or an array of numbers of a numpy kind
-    in kinds, else ModelError: float() would read true as 1.0 and "1" as 1.0."""
-    if np.asarray(value).dtype.kind not in kinds:
+    in kinds, with at most ndim axes if ndim is given, else ModelError:
+    float() would read true as 1.0 and "1" as 1.0, and numpy would promote
+    [true, 1.5] to [1.0, 1.5], so a list's entries are checked first."""
+    entries = [value]
+    for entry in entries:  # grows by each nested list's entries
+        if isinstance(entry, (list, tuple)):
+            entries.extend(entry)
+        elif isinstance(entry, (bool, np.bool_, str, bytes)):
+            raise ModelError(f"{name} must be numeric, got {reprlib.repr(value)}")
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in kinds:
         raise ModelError(f"{name} must be numeric, got {reprlib.repr(value)}")
+    if ndim is not None and array.ndim > ndim:
+        shape = "a number" if ndim == 0 else "a number or a flat list"
+        raise ModelError(f"{name} must be {shape}, got {reprlib.repr(value)}")
     return value
 
 
@@ -98,7 +115,7 @@ class FourierHamiltonian:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "omega", float(_numeric(self.omega, "omega")))
+        object.__setattr__(self, "omega", float(_numeric(self.omega, "omega", ndim=0)))
         completed: dict[int, np.ndarray] = {}
         for key, mat in self.harmonics.items():
             m = _whole_number(key, "harmonic index")
@@ -315,22 +332,26 @@ _BUILDERS = {
 }
 
 
-def builtin_model(name: str, params: dict | None = None) -> FourierHamiltonian:
-    """Resolve a named benchmark model to its FourierHamiltonian.
-
-    Unknown names, parameters outside the documented domain, and a bool or
-    string where a number belongs (as a value or a list entry) raise
-    ModelError.  Omitted parameters take the defaults in MODEL_DEFAULTS.
-    """
-    if name not in _BUILDERS:
-        raise ModelError(
-            f"unknown model {name!r}; known: {', '.join(sorted(_BUILDERS))}"
-        )
+def _builtin_params(name: str, params: dict) -> dict:
+    """MODEL_DEFAULTS[name] updated by params, else ModelError: an unknown
+    name or key, or a value not of its default's type and shape (a number,
+    and for levels a number or a flat list)."""
+    if not isinstance(name, str) or name not in _BUILDERS:
+        known = ", ".join(sorted(_BUILDERS))
+        raise ModelError(f"unknown model {reprlib.repr(name)}; known: {known}")
     merged = dict(MODEL_DEFAULTS[name])
-    for key, value in (params or {}).items():
+    for key, value in params.items():
         if key not in merged:
             raise ModelError(f"model {name!r} has no parameter {key!r}")
-        merged[key] = _numeric(value, key)
+        merged[key] = _numeric(value, key, ndim=np.ndim(MODEL_DEFAULTS[name][key]))
+    return merged
+
+
+def builtin_model(name: str, params: dict | None = None) -> FourierHamiltonian:
+    """Resolve a named benchmark model to its FourierHamiltonian, with
+    omitted parameters taken from MODEL_DEFAULTS.  ModelError for a param
+    refused by `_builtin_params` or outside the model's documented domain."""
+    merged = _builtin_params(name, params or {})
     return _BUILDERS[name](merged)
 
 
@@ -347,7 +368,7 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
         return builtin_model(payload["builtin"], params)
     try:
         dim = payload["dim"]
-        omega = float(_numeric(payload["omega"], "omega"))
+        omega = float(_numeric(payload["omega"], "omega", ndim=0))
         entries = payload["harmonics"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc

@@ -35,7 +35,6 @@ quasi-energy, the value `sambe` reports for a merged group.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -54,13 +53,16 @@ from .sambe import (
 )
 
 
+# steps of the uniform grid over one period, for U(T) and every trajectory
+STEPS_PER_PERIOD = 4096
+
 # steps per block of the Taylor exponential in _step_propagators: large enough
 # to amortize the per-matmul overhead, small enough that the batched
 # temporaries stay far below the (steps, d, d) factor array itself
 _STEP_BLOCK = 256
 
 # largest 1-norm of -i dt H that the Taylor polynomial takes unscaled: the
-# built-ins at the default 4096 steps stay below 2.2e-3 (order 4-5), so only
+# built-ins at STEPS_PER_PERIOD steps stay below 2.2e-3 (order 4-5), so only
 # strong drives or few steps are scaled and squared
 _TAYLOR_THETA = 0.05
 
@@ -68,29 +70,12 @@ _TAYLOR_THETA = 0.05
 _UNIT_ROUNDOFF = 2.0**-53
 
 # steps per block of the blocked sequential product in _chain: about the
-# square root of the default 4096 steps, which balances the batched products
+# square root of STEPS_PER_PERIOD, which balances the batched products
 # inside the blocks against the sequential carry across them
 _CHAIN_BLOCK = 64
 
 # largest Frobenius defect ||U^H U - 1|| of U(T) that propagation accepts
 UNITARITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PropagationConfig:
-    steps_per_period: int = 4096
-    richardson: bool = False
-
-    def __post_init__(self):
-        try:
-            steps = operator.index(self.steps_per_period)
-        except TypeError:
-            raise ValueError(
-                f"steps_per_period must be an integer, got {self.steps_per_period!r}"
-            ) from None
-        if steps < 64:
-            raise ValueError("steps_per_period must be >= 64")
-        object.__setattr__(self, "steps_per_period", steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +90,6 @@ class MonodromyResult:
     eigenphases: np.ndarray
     eigenvectors: np.ndarray
     unitarity_defect: float
-    step_error_estimate: float | None = None
 
     def quasi_energies(self, period: float) -> np.ndarray:
         return self.eigenphases / period
@@ -196,66 +180,36 @@ def _monodromy_matrix(h: FourierHamiltonian, steps: int) -> np.ndarray:
     return u @ (3.0 * np.eye(h.dim) - u.conj().T @ u) / 2.0
 
 
-def propagate_period(
-    h: FourierHamiltonian, config: PropagationConfig = PropagationConfig()
-) -> MonodromyResult:
+def propagate_period(h: FourierHamiltonian) -> MonodromyResult:
     """Monodromy operator U(T) and its eigenphase decomposition.
 
     The eigenvectors are the complex Schur vectors of U(T), sorted by
     eigenphase: for a unitary matrix the Schur form is diagonal, so they are
     orthonormal eigenvectors, inside degenerate eigenphase clusters too.
-    With config.richardson, the largest eigenphase shift against a half-step
-    solve is reported as a step error estimate.
     """
-    u = _monodromy_matrix(h, config.steps_per_period)
+    u = _monodromy_matrix(h, STEPS_PER_PERIOD)
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(h.dim)))
     if defect > UNITARITY_TOL:
         raise PropagationError(
             f"unitarity drift {defect:.3e} exceeds {UNITARITY_TOL:.1e} "
-            f"(steps={config.steps_per_period}, dim={h.dim})"
+            f"(steps={STEPS_PER_PERIOD}, dim={h.dim})"
         )
     schur, vecs = scipy.linalg.schur(u, output="complex")
     theta = np.mod(-np.angle(np.diag(schur)), 2.0 * np.pi)
     order = np.argsort(theta, kind="stable")
     theta, vecs = theta[order], vecs[:, order]
-    estimate = None
-    if config.richardson:
-        coarse = _monodromy_matrix(h, config.steps_per_period // 2)
-        ev_c = np.linalg.eigvals(coarse)
-        theta_c = np.sort(np.mod(-np.angle(ev_c), 2.0 * np.pi))
-        estimate = _circular_shift(theta, theta_c) / h.period
     return MonodromyResult(
-        u_matrix=u,
-        eigenphases=theta,
-        eigenvectors=vecs,
-        unitarity_defect=defect,
-        step_error_estimate=estimate,
+        u_matrix=u, eigenphases=theta, eigenvectors=vecs, unitarity_defect=defect
     )
 
 
-def _circular_shift(theta: np.ndarray, theta_c: np.ndarray) -> float:
-    """Largest phase move between two sorted eigenphase sets in [0, 2*pi).
-
-    Phases are paired one to one around the circle: an eigenphase just above
-    0 at one step size may sit just below 2*pi at the other, so the pairing
-    is the cyclic shift of the sorted order with the smallest worst wrapped
-    distance.
-    """
-    gaps = np.abs(theta - np.stack([np.roll(theta_c, k) for k in range(theta.size)]))
-    return float(np.min(np.max(np.minimum(gaps, 2.0 * np.pi - gaps), axis=1)))
-
-
-def propagate_trajectory(
-    h: FourierHamiltonian,
-    initial: np.ndarray,
-    config: PropagationConfig = PropagationConfig(),
-) -> np.ndarray:
-    """Samples Psi(t_j), j = 0..N, on the uniform step grid over one period.
+def propagate_trajectory(h: FourierHamiltonian, initial: np.ndarray) -> np.ndarray:
+    """Samples Psi(t_j), j = 0..N = STEPS_PER_PERIOD, on the uniform step grid over one period.
 
     The samples are the partial products of the step factors applied to
     the initial state, formed by the blocked product of `_chain`.
     """
-    steps = config.steps_per_period
+    steps = STEPS_PER_PERIOD
     samples = np.empty((steps + 1, h.dim), dtype=complex)
     start = np.asarray(initial, dtype=complex).reshape(h.dim, 1)
     _chain(_step_propagators(h, steps), start, samples[:, :, None])
@@ -263,11 +217,7 @@ def propagate_trajectory(
 
 
 def mode_from_propagation(
-    h: FourierHamiltonian,
-    initial: np.ndarray,
-    eigenphase: float,
-    truncation: int,
-    config: PropagationConfig = PropagationConfig(),
+    h: FourierHamiltonian, initial: np.ndarray, eigenphase: float, truncation: int
 ) -> tuple[FloquetMode, float]:
     """Floquet mode from a propagated monodromy eigenvector.
 
@@ -281,8 +231,8 @@ def mode_from_propagation(
     """
     period = h.period
     eps = eigenphase / period
-    samples = propagate_trajectory(h, initial, config)
-    n = config.steps_per_period
+    samples = propagate_trajectory(h, initial)
+    n = samples.shape[0] - 1
     tgrid = np.arange(n) * (period / n)
     phi_samples = samples[:n] * np.exp(1j * eps * tgrid)[:, None]
     # Phi(t_j) = sum_m phi^(m) e^{+2 pi i m j / N}  =>  forward FFT / N
@@ -359,11 +309,7 @@ def _wrapped_mean(values: np.ndarray, omega: float) -> float:
     return fold_reported(float(np.mean(unwrapped)), omega)
 
 
-def oracle_spectrum(
-    h: FourierHamiltonian,
-    truncation: int,
-    config: PropagationConfig = PropagationConfig(),
-) -> Spectrum:
+def oracle_spectrum(h: FourierHamiltonian, truncation: int) -> Spectrum:
     """Eigentriplet spectrum from the monodromy route alone.
 
     Quasi-energies come from the eigenphases of U(T); degenerate eigenphase
@@ -381,25 +327,21 @@ def oracle_spectrum(
     one nearest eps_raw.
     """
     tol_deg = _tol_deg(h.omega)
-    mono = propagate_period(h, config)
+    mono = propagate_period(h)
     eps = mono.quasi_energies(h.period)
     clusters = _gap_clusters(eps, tol_deg, h.omega)
     triplets: list[EigenTriplet] = []
     for gid, members in enumerate(sorted(clusters, key=lambda c: eps[np.sort(c)[0]])):
         eps_group = _wrapped_mean(eps[members], h.omega)
         cluster = np.sort(members)
-        trajectories = [
-            propagate_trajectory(h, mono.eigenvectors[:, i], config) for i in cluster
-        ]
+        trajectories = [propagate_trajectory(h, mono.eigenvectors[:, i]) for i in cluster]
         block, _ = _cross_energy_matrix(h, trajectories)
         ebars, rotation = np.linalg.eigh(block)
         theta_group = float(mono.eigenphases[cluster[0]])
         for a in range(cluster.size):
             vec0 = mono.eigenvectors[:, cluster] @ rotation[:, a]
             k = round((theta_group / h.period - ebars[a]) / h.omega)
-            mode, tail = mode_from_propagation(
-                h, vec0, theta_group - 2.0 * np.pi * k, truncation, config
-            )
+            mode, tail = mode_from_propagation(h, vec0, theta_group - 2.0 * np.pi * k, truncation)
             # the group's quasi-energy on the replica the mode was rephased to
             rephased = theta_group / h.period - k * h.omega
             eps_raw = eps_group + h.omega * round((rephased - eps_group) / h.omega)
@@ -421,7 +363,7 @@ def oracle_spectrum(
         "solver": "monodromy",
         "dim": h.dim,
         "omega": h.omega,
-        "steps_per_period": config.steps_per_period,
+        "steps_per_period": STEPS_PER_PERIOD,
         "unitarity_defect": mono.unitarity_defect,
     }
     return Spectrum(triplets=triplets, metadata=metadata)

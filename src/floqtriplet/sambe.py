@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal
 
 import numpy as np
 import scipy.linalg.lapack
@@ -309,9 +310,10 @@ def _dense_guard(h: FourierHamiltonian, truncation: int):
     size = (2 * truncation + 1) * h.dim
     nbytes = 16 * size**2
     if 3 * nbytes > MAX_DENSE_BYTES:
+        gib = Decimal(nbytes) / 1024**3  # a huge dim's size overflows a float
         raise ModelError(
             f"truncation M={truncation} needs a dense {size} x {size} matrix of "
-            f"{nbytes / 1024**3:.2f} GiB, {3 * nbytes / 1024**3:.2f} GiB for the solve, "
+            f"{gib:.2f} GiB, {3 * gib:.2f} GiB for the solve, "
             f"above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB limit; lower M or the "
             f"model dimension"
         )

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet import oracle
+from floqtriplet import analysis, oracle
 from floqtriplet.cli import MODE_SIGMA_MIN, _write_json, build_parser, main
 
 from conftest import CIRCULAR_DEFAULT
@@ -213,10 +213,18 @@ def test_non_integral_model_size_exits_config(tmp_path, capsys, size):
         ({"builtin": "static", "params": {"omega": "1", "levels": ["0", "1"]}}, "omega"),
         ({"builtin": "static", "params": {"levels": ["0", "1"]}}, "levels"),
         ({"builtin": "driven_ring", "params": {"v": True}}, "v"),
+        # a bool next to numbers in a list was promoted by numpy to 1.0
+        ({"builtin": "static", "params": {"levels": [True, 1.5]}}, "levels"),
+        ({"dim": 2, "harmonics": [{"m": 0, "re": [[True, 1.0], [1.0, 0.0]],
+                                   "im": [[0.0, 0.0], [0.0, 0.0]]}]}, "re of harmonic m=0"),
+        # a list where a number belongs raised an uncaught TypeError
+        ({"builtin": "static", "params": {"omega": [1]}}, "omega"),
+        ({"builtin": "static", "params": {"levels": [[0, 1]]}}, "levels"),
     ],
 )
 def test_bool_or_string_for_a_model_number_exits_config(tmp_path, capsys, change, field):
-    # each was read as a number (true as 1, "1" as 1) and solved with exit 0
+    # each was read as a number (true as 1, "1" as 1) and solved with exit 0,
+    # or escaped the exit codes with a traceback
     path = tmp_path / "model.json"
     path.write_text(json.dumps(
         {"dim": 1, "omega": 1.0, "harmonics": [{"m": 0, "re": [[1.0]], "im": [[0.0]]}], **change}))
@@ -226,6 +234,33 @@ def test_bool_or_string_for_a_model_number_exits_config(tmp_path, capsys, change
     assert err["kind"] == "config"
     assert f"{field} must be" in err["message"]
     assert not out.exists()
+
+
+def test_list_param_where_a_number_belongs_exits_config(tmp_path, capsys, monkeypatch):
+    # solve raised an uncaught TypeError; sweep recorded it at every point
+    # and exited 0
+    solves = []
+    monkeypatch.setattr(analysis, "solve_spectrum", lambda *a: solves.append(a))
+    sweep = ["--sweep-param", "v", "--sweep-start", "0.1", "--sweep-stop", "0.2",
+             "--sweep-count", "2"]
+    for argv, message in [
+        (["solve", "--builtin", "two_level_linear", "--param", "v=0.4,0.5"],
+         "v must be a number, got [0.4, 0.5]"),
+        (["sweep", "--builtin", "two_level_linear", "--param", "delta=1,2", *sweep],
+         "delta must be a number, got [1.0, 2.0]"),
+    ]:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"kind": "config", "message": message}
+        assert not out.exists()
+    assert solves == []
+    # one level, given as a number or a one-entry list, is still a static model
+    for levels in ("0", "0,1"):
+        out = tmp_path / f"levels{levels}"
+        assert main(["solve", "--builtin", "static", "--param", f"levels={levels}",
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out / "spectrum.csv")) == levels.count(",") + 1
 
 
 def test_solve_requires_exactly_one_source(tmp_path, capsys):
@@ -968,6 +1003,22 @@ def test_huge_dim_without_harmonics_exits_config(tmp_path, capsys, command):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config"
     assert "dense" in err["message"] and "GiB limit" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim, message", [
+    # the dense-limit message divided a size beyond float range: OverflowError
+    ("1e308", "GiB limit"),
+    # float() of a JSON integer beyond float range: OverflowError
+    ("1" + "0" * 400, "dim is out of range"),
+], ids=["1e308", "10**400"])
+def test_dim_beyond_float_range_exits_config(tmp_path, capsys, dim, message):
+    model = tmp_path / "m.json"
+    model.write_text(f'{{"dim": {dim}, "omega": 1.0, "harmonics": []}}')
+    out = tmp_path / "o"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config" and message in err["message"]
     assert not out.exists()
 
 

@@ -33,7 +33,7 @@ EXPORTS = {
               "certify_truncation", "diagonalize", "group_degeneracies",
               "quasi_energy_functional", "replica_overlap", "resolve_degeneracies",
               "select_representatives", "solve_spectrum", "wrap_distance"),
-    "oracle": ("MonodromyResult", "PropagationConfig", "PropagationError",
+    "oracle": ("MonodromyResult", "PropagationError",
                "mode_from_propagation", "oracle_spectrum", "propagate_period",
                "propagate_trajectory", "time_averaged_energy"),
     "variational": ("VariationalConfig", "VariationalResult", "minimize_excited",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet import model
+from floqtriplet import model, oracle
 from floqtriplet.model import SIGMA_X, SIGMA_Y, SIGMA_Z, FourierHamiltonian, from_json_dict
 
 
@@ -87,7 +88,8 @@ def test_model_validated_once_at_construction(monkeypatch):
     h = ft.builtin_model("two_level_linear")
     assert len(calls) == 1
     ft.solve_spectrum(h, "auto")
-    ft.oracle_spectrum(h, 4, ft.PropagationConfig(steps_per_period=64))
+    monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", 64)
+    ft.oracle_spectrum(h, 4)
     ft.minimize_ground(h, 4, ft.VariationalConfig(restarts=0))
     assert len(calls) == 1
 
@@ -166,6 +168,9 @@ def test_unknown_model_and_bad_params():
         ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": -1.0})
     with pytest.raises(ft.ModelError):
         ft.builtin_model("static", {"nonexistent": 1.0})
+    # a JSON list as the name raised an uncaught TypeError (unhashable)
+    with pytest.raises(ft.ModelError, match="unknown model"):
+        from_json_dict({"builtin": ["static"]})
 
 
 def test_non_integral_sizes_are_refused():
@@ -217,6 +222,9 @@ def test_bool_or_string_for_a_number_is_refused():
         ("static", {"levels": [False, True]}, "levels"),
         ("driven_ring", {"v": True}, "v"),
         ("driven_ring", {"sites": "3"}, "sites"),
+        # numpy promoted a bool next to numbers to 1.0
+        ("static", {"levels": [True, 1.5]}, "levels"),
+        ("static", {"levels": (1.5, np.bool_(True))}, "levels"),
     ]:
         with pytest.raises(ft.ModelError, match=f"{field} must be numeric"):
             ft.builtin_model(name, params)
@@ -226,6 +234,31 @@ def test_bool_or_string_for_a_number_is_refused():
     ring = ft.builtin_model("driven_ring", {"sites": 4.0, "v": np.float64(0.3), "omega": np.int64(2)})
     assert ring.dim == 4 and ring.omega == 2.0
     assert ft.builtin_model("static", {"levels": np.array([0, 1])}).dim == 2
+
+
+def test_wrong_shape_for_a_number_is_refused():
+    # a list where a number belongs raised an uncaught TypeError from float()
+    for name, params, message in [
+        ("static", {"omega": [1]}, "omega must be a number"),
+        ("static", {"levels": [[0, 1]]}, "levels must be a number or a flat list"),
+        ("static", {"levels": [0, [1]]}, "levels must be numeric"),
+        ("two_level_linear", {"v": [0.4, 0.5]}, "v must be a number"),
+        ("driven_ring", {"sites": [6]}, "sites must be a number"),
+    ]:
+        with pytest.raises(ft.ModelError, match=re.escape(message)):
+            ft.builtin_model(name, params)
+    with pytest.raises(ft.ModelError, match="omega must be a number"):
+        FourierHamiltonian(dim=1, omega=np.array([1.0]))
+    # a bool inside a matrix, and an integer too large for any size or index
+    with pytest.raises(ft.ModelError, match="harmonic m=0 must be numeric"):
+        FourierHamiltonian(dim=2, omega=1.0, harmonics={0: [[True, 1.0], [1.0, 0.0]]})
+    with pytest.raises(ft.ModelError, match="dim is out of range"):
+        FourierHamiltonian(dim=10**400, omega=1.0)
+    # one level as a number or a one-entry list, and numpy scalars, are accepted
+    assert ft.builtin_model("static", {"levels": 0}).dim == 1
+    assert ft.builtin_model("static", {"levels": [0.5]}).dim == 1
+    h = ft.builtin_model("static", {"levels": np.float64(0.5), "omega": np.array(0.7)})
+    assert h.dim == 1 and h.omega == 0.7
 
 
 def test_missing_partner_completed_at_construction():

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 import floqtriplet as ft
 from floqtriplet import oracle
 from floqtriplet.oracle import (
-    PropagationConfig,
     PropagationError,
     _chain,
     _monodromy_matrix,
@@ -68,37 +67,6 @@ def test_unitarity_tolerance_enforced(monkeypatch):
         ft.propagate_period(h)
 
 
-def test_propagation_config_domain():
-    with pytest.raises(ValueError):
-        PropagationConfig(steps_per_period=32)
-    with pytest.raises(ValueError, match="integer"):
-        PropagationConfig(steps_per_period=100.5)
-    config = PropagationConfig(steps_per_period=np.int64(128))
-    assert type(config.steps_per_period) is int and config.steps_per_period == 128
-
-
-def test_richardson_estimate_small():
-    h = ft.builtin_model("two_level_circular")
-    mono = ft.propagate_period(h, PropagationConfig(richardson=True))
-    assert mono.step_error_estimate is not None
-    assert mono.step_error_estimate <= 1e-6
-
-
-@pytest.mark.parametrize("offset", [1e-10, -1e-10])
-def test_richardson_estimate_across_seam(offset):
-    # shift H_0 so that one quasi-energy sits 1e-10 from the 0 / omega seam:
-    # the half-step solve may put it on the other side of 2*pi
-    h = ft.builtin_model("two_level_linear", {"v": 1.5, "omega": 1.1})
-    eps0 = ft.propagate_period(h).quasi_energies(h.period)[0]
-    harmonics = dict(h.harmonics)
-    harmonics[0] = harmonics[0] - (eps0 - offset) * np.eye(2)
-    shifted = ft.FourierHamiltonian(dim=2, omega=h.omega, harmonics=harmonics)
-    mono = ft.propagate_period(shifted, PropagationConfig(richardson=True))
-    distance = ft.wrap_distance(mono.quasi_energies(h.period), 0.0, h.omega)
-    assert np.min(distance) <= 2e-10
-    assert mono.step_error_estimate <= 1e-6
-
-
 def _assert_factors_match_expm(h, steps, tol):
     dt = h.period / steps
     factors = _step_propagators(h, steps)
@@ -157,7 +125,7 @@ def test_monodromy_matches_extended_precision():
 
 @pytest.mark.parametrize("steps", [64, 300, 4096])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_blocked_products_match_sequential_loop(name, steps):
+def test_blocked_products_match_sequential_loop(name, steps, monkeypatch):
     # the blocked product of the step factors reassociates the plain
     # sequential one; 300 steps end in a partial block of 44
     h = ft.builtin_model(name)
@@ -171,7 +139,8 @@ def test_blocked_products_match_sequential_loop(name, steps):
         expected[j + 1] = factor @ expected[j]
     u = u @ (3.0 * np.eye(h.dim) - u.conj().T @ u) / 2.0
     assert np.abs(_monodromy_matrix(h, steps) - u).max() <= 1e-13
-    samples = ft.propagate_trajectory(h, initial, PropagationConfig(steps_per_period=steps))
+    monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", steps)
+    samples = ft.propagate_trajectory(h, initial)
     assert np.abs(samples - expected).max() <= 1e-13
 
 
@@ -287,11 +256,12 @@ def test_time_averaged_energy_rejects_aperiodic_integrand():
 
 
 @pytest.mark.parametrize("name", ["static", "two_level_circular", "two_level_linear", "driven_ring"])
-def test_step_halving_stability(name, spectra):
+def test_step_halving_stability(name, spectra, monkeypatch):
     h = ft.builtin_model(name)
     eps = {}
     for steps in (4096, 8192):
-        mono = ft.propagate_period(h, PropagationConfig(steps_per_period=steps))
+        monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", steps)
+        mono = ft.propagate_period(h)
         eps[steps] = np.sort(mono.quasi_energies(h.period))
     assert np.max(np.abs(eps[4096] - eps[8192])) <= 1e-8
 

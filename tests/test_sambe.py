@@ -92,6 +92,18 @@ def test_diagonalize_static_ladder():
     assert np.linalg.norm(s @ vecs - vecs * vals) <= 1e-10 * np.linalg.norm(s)
 
 
+@pytest.mark.parametrize("defect", [1e-6, 1j, np.nan])
+def test_diagonalize_refuses_a_non_hermitian_matrix(defect):
+    s = ft.build_sambe(ft.builtin_model("two_level_linear"), 1).astype(complex)
+    s[0, 1] += defect
+    with pytest.raises(ft.SolverError, match="matrix is not Hermitian"):
+        ft.diagonalize(s)
+    # a defect far below 1e-12 of the matrix norm is rounding, not asymmetry
+    s[0, 1] = s[1, 0].conj() + 1e-16
+    vals, _ = ft.diagonalize(s)
+    assert vals.size == s.shape[0]
+
+
 def test_diagonalize_one_dimensional_ladder():
     c = 0.37
     h = ft.FourierHamiltonian(dim=1, omega=1.1, harmonics={0: np.array([[c]])})

@@ -244,9 +244,10 @@ def test_sector_metadata_is_strict_json():
     assert ft.Spectrum.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))).metadata == payload
 
 
-def test_oracle_does_not_use_the_sectors():
+def test_oracle_does_not_use_the_sectors(monkeypatch):
     # the time-domain check stays independent of the Sambe route's sectors
     assert "_sectors" not in Path(oracle.__file__).read_text()
     h = ft.builtin_model("two_level_linear")
-    ft.oracle_spectrum(h, 4, ft.PropagationConfig(steps_per_period=64))
+    monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", 64)
+    ft.oracle_spectrum(h, 4)
     assert "_sectors" not in h.__dict__
