@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -40,6 +41,11 @@ EXIT_NONCONVERGENCE = 4
 # this; every built-in, 36 benchmark rings and 18 random and strongly driven
 # models give at least 1 - 7.1e-12
 MODE_SIGMA_MIN = 1.0 - 1e-6
+# Bytes a sweep holds per grid point until it ends (the point's model, its
+# record and its CSV rows), by tracemalloc at the built-ins' defaults: 1.8 KB
+# for `static` to 4.3 KB for the 6-site `driven_ring`, the largest taken.
+# `sambe.MAX_DENSE_BYTES` over it bounds --sweep-count.
+SWEEP_POINT_BYTES = 4300
 
 
 class GateError(RuntimeError):
@@ -251,6 +257,13 @@ def cmd_sweep(args) -> int:
     params = _parse_params(args.param)
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
+    limit = sambe.MAX_DENSE_BYTES // SWEEP_POINT_BYTES
+    if args.sweep_count > limit:
+        raise ModelError(
+            f"--sweep-count {args.sweep_count} is above the limit {limit}: a sweep holds "
+            f"about {SWEEP_POINT_BYTES} bytes per point until it ends, and {limit} points "
+            f"fill the {sambe.MAX_DENSE_BYTES / 1024**3:.0f} GiB limit"
+        )
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)
     records = analysis.sweep_values(args.builtin, params, args.sweep_param, values, args.harmonics)
     rows: list[list] = []
@@ -317,12 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="diagonalize and resolve a spectrum")
     _add_model_arguments(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_compare = sub.add_parser("compare", help="cross-validate against propagation")
     _add_model_arguments(p_compare)
     p_compare.add_argument("--gate", type=_gate_arg, default=1e-6)
-    p_compare.set_defaults(func=cmd_compare)
 
     p_var = sub.add_parser("variational", help="variational ground state")
     _add_model_arguments(p_var)
@@ -334,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random starts beyond one per Floquet state",
     )
     p_var.add_argument("--seed", type=int, default=defaults.seed, help="first random-restart seed")
-    p_var.set_defaults(func=cmd_variational)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep with label continuity")
     _add_model_arguments(p_sweep)
@@ -342,27 +352,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep-start", type=_finite_arg, required=True)
     p_sweep.add_argument("--sweep-stop", type=_finite_arg, required=True)
     p_sweep.add_argument("--sweep-count", type=int, required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_pert = sub.add_parser("perturb", help="perturbation tracking experiment")
     _add_model_arguments(p_pert)
     p_pert.add_argument("--pert-model", help="path to the perturbation model JSON")
     p_pert.add_argument("--strength", type=_finite_arg, default=None)
-    p_pert.set_defaults(func=cmd_perturb)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: argparse keeps no
+    state between parses (it copies `--param`'s default list before
+    appending), and the command function is looked up per call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         if args.param and not args.builtin:
             # --param overrides a built-in's parameters; nothing reads it otherwise
             raise ModelError("--param sets built-in model parameters and needs --builtin")
-        return args.func(args)
+        # looked up at call time, so a cmd_* rebound on the module is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (ModelError, ValueError) as exc:
         print(json.dumps({"kind": "config", "message": str(exc)}))
         return EXIT_CONFIG

@@ -378,8 +378,15 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
             m = _whole_number(entry["m"], "harmonic index m")
             if m in harmonics:
                 raise ModelError(f"harmonic index m={m} is given twice")
-            re, im = (_numeric(entry[part], f"{part} of harmonic m={m}") for part in ("re", "im"))
-            harmonics[m] = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+            re, im = (
+                np.asarray(_numeric(entry[part], f"{part} of harmonic m={m}"), dtype=float)
+                for part in ("re", "im")
+            )
+            if re.shape != im.shape:  # re + 1j * im would broadcast one against the other
+                raise ModelError(
+                    f"re and im of harmonic m={m} must have one shape, got {re.shape} and {im.shape}"
+                )
+            harmonics[m] = re + 1j * im
     except ModelError as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:

@@ -78,6 +78,7 @@ by average energy; `select_representatives`, `group_degeneracies` and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
@@ -317,6 +318,15 @@ def _dense_guard(h: FourierHamiltonian, truncation: int):
             f"above the {MAX_DENSE_BYTES / 1024**3:.0f} GiB limit; lower M or the "
             f"model dimension"
         )
+    # n (reach + M omega)^2 bounds ||S||_F^2; past float range the eigensolver
+    # and its residual check overflow
+    scale = float(reach + truncation * h.omega)
+    if not math.isfinite(size * scale * scale):
+        raise ModelError(
+            f"omega = {h.omega:.6g} at truncation M={truncation}: a {size} x {size} Floquet "
+            f"matrix with entries up to reach + M * omega = {scale:.3e} has a squared norm "
+            f"past the float limit {np.finfo(float).max:.3e}; lower omega"
+        )
 
 
 def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
@@ -327,8 +337,8 @@ def build_energy_matrix(h: FourierHamiltonian, truncation: int) -> np.ndarray:
     arithmetic (`FourierHamiltonian._arithmetic_harmonics`): float64 when
     every harmonic is exactly real, complex128 otherwise.  M below the
     largest stored harmonic index would silently drop physics and is
-    rejected, and so is a solve above MAX_DENSE_BYTES (ModelError, before
-    allocating).
+    rejected, and so is a solve above MAX_DENSE_BYTES or one whose squared
+    norm would overflow float range (ModelError, before allocating).
     """
     _dense_guard(h, truncation)
     nb, d, mats = 2 * truncation + 1, h.dim, h._arithmetic_harmonics

@@ -9,8 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet import analysis, oracle
-from floqtriplet.cli import MODE_SIGMA_MIN, _write_json, build_parser, main
+from floqtriplet import analysis, cli, oracle, sambe
+from floqtriplet.cli import MODE_SIGMA_MIN, SWEEP_POINT_BYTES, _write_json, build_parser, main
 
 from conftest import CIRCULAR_DEFAULT
 
@@ -172,6 +172,8 @@ def test_unreadable_model_file_exits_config(tmp_path, capsys, argv):
         [{"m": 1.5, "re": [[1.0]], "im": [[0.0]]}],  # solved as m = 1
         # the second m = 0 entry replaced the first
         [{"m": 0, "re": [[1.0]], "im": [[0.0]]}, {"m": 0, "re": [[-2.0]], "im": [[0.0]]}],
+        # re + 1j * im broadcast a scalar re against a 1 x 1 im: solved as 0.5
+        [{"m": 0, "re": 0.5, "im": [[0]]}],
     ],
 )
 def test_solve_malformed_model_json_exits_config(tmp_path, capsys, harmonics):
@@ -459,6 +461,26 @@ def test_solve_oversized_dense_matrix_exits_config(tmp_path, capsys):
     assert "M=64" in err["message"] and "GiB" in err["message"]
 
 
+@pytest.mark.parametrize("omega", [1e308, 1e200])
+@pytest.mark.parametrize("command", ["solve", "variational", "compare"])
+def test_drive_frequency_past_float_range_exits_config(tmp_path, capsys, monkeypatch, command, omega):
+    # n (reach + M omega)^2 overflowed: the eigensolver failed (exit 4) at
+    # 1e308 and its residual check read inf at 1e200
+    def eigh(*args):
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(sambe, "_eigh", eigh)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"builtin": "driven_ring", "params": {"omega": omega}}))
+    out = tmp_path / "o"
+    assert main([command, "--model", str(model), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert f"omega = {omega:.6g}" in err["message"] and "M=1" in err["message"]
+    assert "float limit" in err["message"]
+    assert not out.exists()
+
+
 def _far_levels(level: float) -> dict:
     """Two levels at +-level, coupled by a weak drive at omega = 1."""
     return {"dim": 2, "omega": 1.0, "harmonics": [
@@ -664,6 +686,42 @@ def test_sweep_failed_points_write_sweep_errors(tmp_path):
     assert [sorted(e) for e in errors] == [["error", "value"]]
     assert [e["value"] for e in errors] == [0.0]
     assert "omega(nonpositive)" in errors[0]["error"]
+
+
+SWEEP_LIMIT = sambe.MAX_DENSE_BYTES // SWEEP_POINT_BYTES
+
+
+class _Linspace(Exception):
+    pass
+
+
+def _no_linspace(*args, **kwargs):
+    raise _Linspace
+
+
+@pytest.mark.parametrize("count", [10**12, SWEEP_LIMIT + 1])
+def test_sweep_count_past_the_memory_limit_exits_config(tmp_path, capsys, monkeypatch, count):
+    # np.linspace of 10**12 points escaped main as a numpy _ArrayMemoryError;
+    # the count is refused before any grid is allocated
+    monkeypatch.setattr(np, "linspace", _no_linspace)
+    out = tmp_path / "o"
+    code = main(
+        ["sweep", "--builtin", "two_level_linear", "--sweep-param", "v", "--sweep-start", "0",
+         "--sweep-stop", "1", "--sweep-count", str(count), "--out", str(out)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert f"--sweep-count {count} is above the limit {SWEEP_LIMIT}" in err["message"]
+    assert not out.exists()
+
+
+def test_sweep_count_at_the_memory_limit_reaches_the_grid(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "linspace", _no_linspace)
+    with pytest.raises(_Linspace):
+        main(["sweep", "--builtin", "two_level_linear", "--sweep-param", "v", "--sweep-start",
+              "0", "--sweep-stop", "1", "--sweep-count", str(SWEEP_LIMIT),
+              "--out", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -914,6 +972,42 @@ def test_invalid_harmonics_exits_config(tmp_path, capsys, value):
 def test_seed_only_on_variational(tmp_path, capsys, argv):
     assert main(argv + ["--seed", "7", "--out", str(tmp_path / "o")]) == 2
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    for i in range(3):
+        assert main(["solve", "--builtin", "static", "--out", str(tmp_path / str(i))]) == 0
+    assert built == [1]
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # main reuses one parser: neither a --param nor a refused argv may reach
+    # the next call, which solves the default 6-site ring
+    ring = ["solve", "--builtin", "driven_ring"]
+    assert main([*ring, "--param", "sites=4", "--out", str(tmp_path / "a")]) == 0
+    assert len(read_csv(tmp_path / "a" / "spectrum.csv")) == 4
+    assert main([*ring, "--param", "sites=5", "--bogus", "--out", str(tmp_path / "r")]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main([*ring, "--out", str(tmp_path / "b")]) == 0
+    assert len(read_csv(tmp_path / "b" / "spectrum.csv")) == 6
+    assert cli._parser().parse_args([*ring, "--out", "o"]).param == []
+
+
+def test_main_runs_the_command_bound_on_the_module_at_call_time(tmp_path, monkeypatch):
+    # the benchmark's tracer rebinds cli.cmd_* after the parser is built
+    assert main(["solve", "--builtin", "static", "--out", str(tmp_path / "a")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.builtin) or 0)
+    assert main(["solve", "--builtin", "static", "--out", str(tmp_path / "b")]) == 0
+    assert seen == ["static"]
+    assert not (tmp_path / "b").exists()
 
 
 def test_readme_cli_examples_parse():

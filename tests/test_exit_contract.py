@@ -1,23 +1,34 @@
-"""The exit contract of `solve --model` over hostile model files.
+"""The exit contract of `cli.main` over hostile model files and argv.
 
 Small valid payloads of both model schemas (explicit harmonics, and a
 built-in with params) are mutated: a type swap at any node, a list nested
 one level deeper or flattened, a bool inside a list, a missing or an extra
 key, non-finite and extreme values, a duplicate or non-integral m, a
-non-Hermitian +/- pair, and a huge dim, only with empty harmonics so that
-nothing large is allocated.  Whatever the file holds, `cli.main` returns
-0, 2, 3 or 4, raises nothing, and leaves no output directory when it fails.
+non-Hermitian +/- pair, a re of another shape than its im, and a huge dim,
+only with empty harmonics so that nothing large is allocated.  Whatever the
+file holds, `solve --model` returns 0, 2, 3 or 4, raises nothing, and leaves
+no output directory when it fails.
+
+Valid argv of all five commands are mutated too, by option: dropped, given
+twice, moved, swapped in value with another, given a junk or extreme value,
+or joined by an unknown flag.  Every call returns 0, 2, 3 or 4 through the
+one parser `main` keeps per process, and an argv the parser refuses starts
+no solve.
 """
 
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floqtriplet import cli, oracle, sambe
 from floqtriplet.cli import main
 from floqtriplet.model import MODEL_DEFAULTS
 
@@ -108,18 +119,23 @@ def mutate(data, payload):
 
 def break_harmonics(data, payload):
     """A valid explicit payload with a repeated m, a -m partner that is not
-    the conjugate transpose, or a huge dim with no harmonics."""
-    kind = data.draw(st.sampled_from(["repeat m", "pair", "huge dim"]))
+    the conjugate transpose, a re of another shape than its im, or a huge
+    dim with no harmonics; and the kind drawn."""
+    kind = data.draw(st.sampled_from(["repeat m", "pair", "re shape", "huge dim"]))
     if kind == "huge dim":
         return {**payload, "dim": data.draw(st.sampled_from([10**9, 10**18, 2**63])),
-                "harmonics": []}
+                "harmonics": []}, kind
     if payload["harmonics"]:
         entry = json.loads(json.dumps(data.draw(st.sampled_from(payload["harmonics"]))))
-        if kind == "pair":
+        if kind == "re shape":
+            # its re replaced by a scalar or a row, which re + 1j * im would broadcast
+            payload["harmonics"].remove(entry)
+            entry["re"] = entry["re"][0][0] if data.draw(st.booleans()) else entry["re"][0]
+        elif kind == "pair":
             entry["m"] = -entry["m"] if entry["m"] else 1
             entry["re"] = [[x + 0.25 for x in row] for row in entry["re"]]
         payload["harmonics"].append(entry)
-    return payload
+    return payload, kind
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,9 +143,12 @@ def break_harmonics(data, payload):
 def test_solve_model_keeps_the_exit_contract(data, schema):
     payload = data.draw(schema)
     broken = "harmonics" in payload and data.draw(st.booleans())
+    reshaped = False
     if broken:
-        payload = break_harmonics(data, payload)
-    for _ in range(data.draw(st.integers(min_value=0 if broken else 1, max_value=2))):
+        payload, kind = break_harmonics(data, payload)
+        reshaped = kind == "re shape" and bool(payload["harmonics"])
+    mutations = data.draw(st.integers(min_value=0 if broken else 1, max_value=2))
+    for _ in range(mutations):
         payload = mutate(data, payload)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -138,3 +157,92 @@ def test_solve_model_keeps_the_exit_contract(data, schema):
         code = main(["solve", "--model", str(path), "--out", str(out)])
         assert code in (0, 2, 3, 4)
         assert code == 0 or not out.exists()
+        if reshaped and not mutations:
+            assert code == 2
+
+
+# --- argv --------------------------------------------------------------------
+
+# values that stand in for any option's value: junk, extremes, a flag, a key=value
+ODD_VALUES = ["x", "", "-1", "0", "1", "nan", "inf", "-inf", "1e308", "-1e308", "1" + "0" * 30,
+              "1,2", "=", "--out", "v=1e308", "omega=-1", "levels=x", "sites=1e9"]
+UNKNOWN = [["--bogus"], ["-z", "1"], ["--tol-deg", "0.05"], ["--steps", "64"], ["extra"], ["-h"]]
+
+
+def base_argv(command: str, builtin: str, pert: Path) -> list[list[str]]:
+    """A valid argv of command on builtin, as option-value pairs; --out last."""
+    argv = [["--builtin", builtin], ["--param", "omega=0.9"], ["--harmonics", "auto"]]
+    if command == "compare":
+        argv.append(["--gate", "1e-6"])
+    elif command == "variational":
+        argv += [["--restarts", "2"], ["--seed", "3"]]
+    elif command == "sweep":
+        param = "levels.1" if builtin == "static" else "v"
+        argv += [["--sweep-param", param], ["--sweep-start", "0.1"], ["--sweep-stop", "0.3"],
+                 ["--sweep-count", "2"]]
+    elif command == "perturb":
+        argv += [["--pert-model", str(pert)], ["--strength", "1e-3"]]
+    return argv
+
+
+def mutate_argv(data, pairs: list[list[str]]) -> list[list[str]]:
+    """pairs with one hostile change: an option dropped, given twice, swapped
+    in order or value with another, given an odd value, or an unknown flag
+    added.  --out keeps its value, so nothing is written outside the test's
+    directory."""
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "swap order", "swap value", "odd",
+                                      "unknown"]))
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    j = data.draw(st.integers(0, len(pairs) - 1))
+    if kind == "drop":
+        del pairs[i]
+    elif kind == "duplicate":
+        pairs.insert(j, list(pairs[i]))
+    elif kind == "swap order":
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    elif kind == "swap value" and "--out" not in (pairs[i][0], pairs[j][0]):
+        pairs[i][1:], pairs[j][1:] = pairs[j][1:], pairs[i][1:]
+    elif kind == "odd" and pairs[i][0] != "--out":
+        pairs[i][1:] = [data.draw(st.sampled_from(ODD_VALUES))]
+    elif kind == "unknown":
+        pairs.insert(j, list(data.draw(st.sampled_from(UNKNOWN))))
+    return pairs
+
+
+@pytest.mark.filterwarnings("ignore:truncation M=", "ignore:Fourier tail weight")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["solve", "compare", "variational", "sweep",
+                                                "perturb"]),
+       builtin=st.sampled_from(["static", "two_level_linear"]))
+def test_every_command_keeps_the_exit_contract_over_mutated_argv(data, command, builtin):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # the contract, not the oracle's accuracy, is under test: 64 steps keep
+        # a compare fast; the static model's oracle is exact at any count, and
+        # two_level_linear's exits 3 at the gate
+        mp.setattr(oracle, "STEPS_PER_PERIOD", 64)
+        rungs = []
+        rung = sambe._rung
+        mp.setattr(sambe, "_rung", lambda *args, **kwargs: rungs.append(1) or rung(*args, **kwargs))
+        pert = Path(tmp) / "pert.json"
+        pert.write_text(json.dumps({"builtin": builtin, "params": {"omega": 0.9}}))
+        out = Path(tmp) / "out"
+        pairs = [*base_argv(command, builtin, pert), ["--out", str(out)]]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            pairs = mutate_argv(data, pairs)
+        argv = [command, *(token for pair in pairs for token in pair)]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli._parser().parse_args(argv)
+            refused = None
+        except SystemExit as exc:
+            refused = exc.code
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if refused is not None:  # by the parser: no solve started
+            assert code == (0 if refused == 0 else 2)
+            assert not rungs
+        # compare writes the table its gate read (exit 3), variational its
+        # unconverged result (exit 4); every other failure writes nothing
+        assert code == 0 or (command, code) in {("compare", 3), ("variational", 4)} \
+            or not out.exists()
