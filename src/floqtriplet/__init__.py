@@ -7,8 +7,10 @@ an independent monodromy-propagation oracle, and a variational
 ground-state solver.
 
 Importing the package loads the model and extended-space layers only
-(numpy and scipy.linalg); the oracle, variational and analysis names load
-their modules on first use, and none of them loads scipy.optimize.
+(numpy and scipy's LAPACK/BLAS extension modules, loaded by `_lapack`
+without the scipy.linalg package); the oracle, variational and analysis
+names load their modules on first use, and none of them loads
+scipy.optimize.
 """
 
 from importlib import import_module as _import_module

@@ -50,8 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .model import FourierHamiltonian
 from .sambe import SolverError
 
@@ -130,7 +130,9 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
     size = np.sqrt(unknowns) * size.max()
     # the most independent rows first: the columns of Q past them span the
     # orthogonal complement of the rows, the null space
-    geqp3, orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), (coef,))
+    # the routines get_lapack_funcs picks for coef: orgqr is ungqr when complex
+    names = ("zgeqp3", "zungqr") if np.iscomplexobj(coef) else ("dgeqp3", "dorgqr")
+    geqp3, orgqr = (getattr(_lapack.lapack, name) for name in names)
     packed, _, tau, _, info = geqp3(coef.conj().T)
     q, _, info_q = orgqr(packed[:, :unknowns], tau)
     if info or info_q:

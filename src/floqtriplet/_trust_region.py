@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs, solve_triangular
+
+from . import _lapack
 
 _INITIAL_RADIUS = 1.0
 _MAX_RADIUS = 1000.0
@@ -27,14 +28,13 @@ _SUBPROBLEM_ITERATIONS = 25
 _UPDATE_COEFF = 0.01  # theta of Conn, Gould & Toint (7.3.14)
 
 # the 1-d norms and the infinity norm from the routines scipy.linalg.norm calls
-_nrm2 = get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
-_lange = get_lapack_funcs("lange", dtype=np.float64, ilp64="preferred")
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+_nrm2, _lange = _lapack.blas.dnrm2, _lapack.lapack.dlange
+_potrf, _potrs, _trtrs = _lapack.lapack.dpotrf, _lapack.lapack.dpotrs, _lapack.lapack.dtrtrs
 
 
-def _upper_solve(u: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """u^-1 b (u^-T b for trans=1) for the upper Cholesky factor u."""
-    x, info = _trtrs(u, b, lower=0, trans=trans)
+def _triangular_solve(a: np.ndarray, b: np.ndarray, lower: int = 0, trans: int = 0) -> np.ndarray:
+    """a^-1 b (a^-T b for trans=1) for the triangular a, upper unless lower=1."""
+    x, info = _trtrs(a, b, lower=lower, trans=trans)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
@@ -61,7 +61,7 @@ def _smallest_singular(u: np.ndarray) -> tuple[float, np.ndarray]:
         else:
             w[k] = wm
             p[k + 1 :] = pm
-    v = _upper_solve(u, w)
+    v = _triangular_solve(u, w)
     v_norm = _nrm2(v)
     return _nrm2(w) / v_norm, v / v_norm
 
@@ -135,7 +135,7 @@ class _TrustModel:
                 if p_norm <= radius and lam == 0:  # interior Newton step
                     hits_boundary = False
                     break
-                w = _upper_solve(u, p, trans=1)
+                w = _triangular_solve(u, p, trans=1)
                 w_norm = _nrm2(w)
                 # Newton's update of lambda (Nocedal & Wright 4.44)
                 lambda_new = lam + (p_norm / w_norm) ** 2 * (p_norm - radius) / radius
@@ -187,8 +187,12 @@ class _TrustModel:
                 v = np.zeros(g.size)
                 v[k - 1] = 1
                 if k != 1:
-                    v[: k - 1] = solve_triangular(
-                        u[: k - 1, : k - 1], -u[: k - 1, k - 1], check_finite=False
+                    # u^-1 b on the leading block, a strided view, solved as
+                    # scipy's solve_triangular solves a block that is not
+                    # Fortran-ordered: its transpose, lower, with trans=1 (a
+                    # 1 x 1 block, Fortran-ordered there, gives the same quotient)
+                    v[: k - 1] = _triangular_solve(
+                        u[: k - 1, : k - 1].T, -u[: k - 1, k - 1], lower=1, trans=1
                     )
                 lambda_lb = max(lambda_lb, lam + delta / _nrm2(v) ** 2)
                 lam = _interpolate(lambda_lb, lambda_ub)

@@ -41,11 +41,15 @@ EXIT_NONCONVERGENCE = 4
 # this; every built-in, 36 benchmark rings and 18 random and strongly driven
 # models give at least 1 - 7.1e-12
 MODE_SIGMA_MIN = 1.0 - 1e-6
-# Bytes a sweep holds per grid point until it ends (the point's model, its
-# record and its CSV rows), by tracemalloc at the built-ins' defaults: 1.8 KB
-# for `static` to 4.3 KB for the 6-site `driven_ring`, the largest taken.
+# Bytes a sweep holds per grid point until it ends (the point's model with its
+# cached sectors, its record and its CSV rows), by tracemalloc: 1.8 KB for
+# `static` to 4.9 KB for the 6-site `driven_ring` at the built-ins' defaults,
+# and 2.2 to 2.5 times the model's harmonic bytes on the 24- to 96-site rings
+# (69 KB of 28 KB at 24 sites).  A point is taken as SWEEP_POINT_BYTES or
+# SWEEP_HARMONIC_FACTOR times its model's harmonic bytes, the larger;
 # `sambe.MAX_DENSE_BYTES` over it bounds --sweep-count.
 SWEEP_POINT_BYTES = 4300
+SWEEP_HARMONIC_FACTOR = 3
 
 
 class GateError(RuntimeError):
@@ -249,6 +253,22 @@ def cmd_variational(args) -> int:
     return EXIT_OK
 
 
+def _sweep_point_bytes(name: str, params: dict, axis: str, ends: list[float]) -> int:
+    """Bytes a sweep holds per grid point, sized by the larger model at the
+    grid's two ends; an end that is no model fails as a point, holding only
+    its record."""
+    from . import analysis
+
+    harmonic_bytes = [0]
+    for point in analysis._sweep_points(name, params, axis, ends):
+        try:
+            h = builtin_model(name, point)
+        except Exception:  # recorded as that point's failure by the sweep
+            continue
+        harmonic_bytes.append(sum(mat.nbytes for mat in h.harmonics.values()))
+    return max(SWEEP_POINT_BYTES, SWEEP_HARMONIC_FACTOR * max(harmonic_bytes))
+
+
 def cmd_sweep(args) -> int:
     from . import analysis
 
@@ -257,11 +277,14 @@ def cmd_sweep(args) -> int:
     params = _parse_params(args.param)
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
-    limit = sambe.MAX_DENSE_BYTES // SWEEP_POINT_BYTES
+    point_bytes = _sweep_point_bytes(
+        args.builtin, params, args.sweep_param, [args.sweep_start, args.sweep_stop]
+    )
+    limit = sambe.MAX_DENSE_BYTES // point_bytes
     if args.sweep_count > limit:
         raise ModelError(
             f"--sweep-count {args.sweep_count} is above the limit {limit}: a sweep holds "
-            f"about {SWEEP_POINT_BYTES} bytes per point until it ends, and {limit} points "
+            f"about {point_bytes} bytes per point until it ends, and {limit} points "
             f"fill the {sambe.MAX_DENSE_BYTES / 1024**3:.0f} GiB limit"
         )
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)

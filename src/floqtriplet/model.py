@@ -188,8 +188,10 @@ class FourierHamiltonian:
     def _spectral_reach(self) -> tuple[float, float, float]:
         # (lambda_min(H_0), lambda_max(H_0), sum_{m != 0} ||H_m||_2): the part
         # of the Sambe energy window that depends on the model alone; with no
-        # H_0 stored its levels are 0, and no d x d zero matrix is built
-        drive = sum(np.linalg.norm(mat, 2) for m, mat in self.harmonics.items() if m != 0)
+        # H_0 stored its levels are 0, and no d x d zero matrix is built; a
+        # drive that sums past float range is inf, which _dense_guard refuses
+        with np.errstate(over="ignore"):
+            drive = sum(np.linalg.norm(mat, 2) for m, mat in self.harmonics.items() if m != 0)
         if 0 not in self.harmonics:
             return 0.0, 0.0, drive
         levels = np.linalg.eigvalsh(self.harmonics[0])

@@ -39,8 +39,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .model import FourierHamiltonian
 from .sambe import (
     FloquetMode,
@@ -180,6 +180,21 @@ def _monodromy_matrix(h: FourierHamiltonian, steps: int) -> np.ndarray:
     return u @ (3.0 * np.eye(h.dim) - u.conj().T @ u) / 2.0
 
 
+def _complex_schur(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, Z) with u = Z T Z^H, by zgees as scipy.linalg.schur(u,
+    output="complex") calls it: finite input, a workspace query, no sort,
+    u kept."""
+    u = np.asarray_chkfinite(u)
+    zgees = _lapack.lapack.zgees
+    lwork = zgees(lambda x: None, u, lwork=-1)[-2][0].real
+    schur, _, _, vecs, _, info = zgees(lambda x: None, u, lwork=int(lwork), overwrite_a=0, sort_t=0)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return schur, vecs
+
+
 def propagate_period(h: FourierHamiltonian) -> MonodromyResult:
     """Monodromy operator U(T) and its eigenphase decomposition.
 
@@ -194,7 +209,7 @@ def propagate_period(h: FourierHamiltonian) -> MonodromyResult:
             f"unitarity drift {defect:.3e} exceeds {UNITARITY_TOL:.1e} "
             f"(steps={STEPS_PER_PERIOD}, dim={h.dim})"
         )
-    schur, vecs = scipy.linalg.schur(u, output="complex")
+    schur, vecs = _complex_schur(u)
     theta = np.mod(-np.angle(np.diag(schur)), 2.0 * np.pi)
     order = np.argsort(theta, kind="stable")
     theta, vecs = theta[order], vecs[:, order]

@@ -84,8 +84,8 @@ from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 
 import numpy as np
-import scipy.linalg.lapack
 
+from . import _lapack
 from .model import FourierHamiltonian, ModelError, model_hash
 
 
@@ -419,7 +419,7 @@ def _eigh(s: np.ndarray, window: tuple[float, float] | None) -> tuple[np.ndarray
     n = s.shape[0]
 
     def call(name, *args, **kwargs):
-        *out, info = getattr(scipy.linalg.lapack, name)(*args, **kwargs)
+        *out, info = getattr(_lapack.lapack, name)(*args, **kwargs)
         if info:
             raise SolverError(f"eigensolver failed: {name} info {info}; size={n}")
         return out

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,14 @@ from numpy.testing import assert_allclose
 
 import floqtriplet as ft
 from floqtriplet import analysis, cli, oracle, sambe
-from floqtriplet.cli import MODE_SIGMA_MIN, SWEEP_POINT_BYTES, _write_json, build_parser, main
+from floqtriplet.cli import (
+    MODE_SIGMA_MIN,
+    SWEEP_HARMONIC_FACTOR,
+    SWEEP_POINT_BYTES,
+    _write_json,
+    build_parser,
+    main,
+)
 
 from conftest import CIRCULAR_DEFAULT
 
@@ -481,6 +489,24 @@ def test_drive_frequency_past_float_range_exits_config(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "variational", "compare"])
+def test_drive_norms_summing_past_float_range_exit_config_without_warning(tmp_path, capsys, command):
+    # each ||H_m||_2 is finite, their sum is inf: refused by the reach limit,
+    # with no overflow warning on the way
+    entry = {"re": [[1e308]], "im": [[0.0]]}
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"dim": 1, "omega": 1.0, "harmonics": [
+        {"m": 0, "re": [[0.5]], "im": [[0.0]]}, {"m": 1, **entry}, {"m": 2, **entry}]}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--model", str(model), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "reach inf from zero" in err["message"]
+    assert not out.exists()
+
+
 def _far_levels(level: float) -> dict:
     """Two levels at +-level, coupled by a weak drive at omega = 1."""
     return {"dim": 2, "omega": 1.0, "harmonics": [
@@ -722,6 +748,29 @@ def test_sweep_count_at_the_memory_limit_reaches_the_grid(tmp_path, monkeypatch)
         main(["sweep", "--builtin", "two_level_linear", "--sweep-param", "v", "--sweep-start",
               "0", "--sweep-stop", "1", "--sweep-count", str(SWEEP_LIMIT),
               "--out", str(tmp_path / "o")])
+
+
+def test_sweep_count_limit_scales_with_the_model(tmp_path, capsys, monkeypatch):
+    # a 24-site ring holds about 69 KB per point: the grid the built-ins'
+    # limit admits would pass 2 GiB about fifteen times over
+    monkeypatch.setattr(np, "linspace", _no_linspace)
+    harmonic_bytes = 3 * 16 * 24**2  # H_0, H_1 and H_-1, complex 24 x 24
+    limit = sambe.MAX_DENSE_BYTES // (SWEEP_HARMONIC_FACTOR * harmonic_bytes)
+    out = tmp_path / "o"
+    code = main(
+        ["sweep", "--builtin", "driven_ring", "--param", "sites=24", "--sweep-param", "v",
+         "--sweep-start", "0", "--sweep-stop", "1", "--sweep-count", str(SWEEP_LIMIT),
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert f"--sweep-count {SWEEP_LIMIT} is above the limit {limit}" in err["message"]
+    assert not out.exists()
+    with pytest.raises(_Linspace):
+        main(["sweep", "--builtin", "driven_ring", "--param", "sites=24", "--sweep-param", "v",
+              "--sweep-start", "0", "--sweep-stop", "1", "--sweep-count", str(limit),
+              "--out", str(out)])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

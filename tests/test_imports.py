@@ -3,9 +3,12 @@
 `import floqtriplet` and the CLI load the model and extended-space layers
 only; the oracle, variational and analysis names resolve on first access.
 The import checks run in a fresh interpreter, since this test session has
-loaded every layer already.
+loaded every layer already.  LAPACK and BLAS come from scipy's extension
+modules, loaded by `_lapack` without the scipy.linalg package, or from
+scipy.linalg itself when that cannot be done.
 """
 
+import importlib.machinery
 import inspect
 import json
 import os
@@ -14,10 +17,13 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import floqtriplet as ft
-from floqtriplet import oracle
+from floqtriplet import _lapack, oracle, sambe
+
+from conftest import random_complex_model
 
 SRC = Path(ft.__file__).resolve().parent.parent
 
@@ -47,10 +53,10 @@ HEAVY = ("scipy.optimize", "scipy.integrate", "floqtriplet.oracle",
          "floqtriplet.variational", "floqtriplet.analysis")
 
 
-def loaded_after(tmp_path, argv: list[str] | None) -> set[str]:
+def loaded_after(tmp_path, argv: list[str] | None, package: str = "floqtriplet") -> set[str]:
     """The modules of a fresh interpreter after `cli.main(argv)` exits 0,
-    or after `import floqtriplet` alone when argv is None."""
-    script = "import json, sys\nimport floqtriplet\n"
+    or after `import <package>` alone when argv is None."""
+    script = f"import json, sys\nimport {package}\n"
     if argv is not None:
         script += "from floqtriplet import cli\nassert cli.main(json.loads(sys.argv[1])) == 0\n"
     script += "print(json.dumps(sorted(sys.modules)))\n"
@@ -100,6 +106,69 @@ def test_compare_leaves_scipy_integrate_unloaded(tmp_path):
     loaded = loaded_after(tmp_path, ["compare", "--builtin", "static"])
     assert "floqtriplet.oracle" in loaded
     assert "scipy.integrate" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["solve", "--builtin", "driven_ring"],
+    ["compare", "--builtin", "driven_ring"],
+    ["variational", "--builtin", "driven_ring", "--param", "sites=3"],
+])
+def test_cli_loads_lapack_without_the_scipy_linalg_package(tmp_path, argv):
+    # `_lapack` loads scipy's _flapack and _fblas from their files
+    loaded = loaded_after(tmp_path, argv, "floqtriplet.cli")
+    assert "scipy.linalg" not in loaded
+    assert not any(name.startswith("scipy.linalg.") for name in loaded)
+
+
+def test_scipy_linalg_still_imports_whole_after_the_package():
+    # the loader takes its modules back out of sys.modules, where a later
+    # import of scipy.linalg would find them and not bind them to the package
+    script = ("import floqtriplet, scipy.linalg\nfrom floqtriplet import _lapack\n"
+              "assert scipy.linalg._flapack.dstevd is _lapack.lapack.dstevd\n"
+              "assert scipy.linalg._fblas.dnrm2 is _lapack.blas.dnrm2\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                   check=True)
+
+
+def test_loader_takes_the_extension_modules_of_this_scipy():
+    assert _lapack.lapack.__name__ == "scipy.linalg._flapack"
+    assert _lapack.blas.__name__ == "scipy.linalg._fblas"
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    for name in _lapack.LAPACK:
+        assert getattr(_lapack.lapack, name) is getattr(scipy.linalg.lapack, name)
+    assert _lapack.blas.dnrm2 is scipy.linalg.blas.dnrm2
+
+
+def _ilp64_layout(directory: Path) -> Path:
+    """directory with scipy's _flapack and _fblas files linked in, beside an
+    ILP64 _flapack_64 (an empty file: it is never loaded)."""
+    real = Path(_lapack.lapack.__file__).parent
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    for name in ("_flapack", "_fblas"):
+        (directory / (name + suffix)).symlink_to(real / (name + suffix))
+    (directory / f"_flapack_64{suffix}").touch()
+    return directory
+
+
+@pytest.mark.parametrize("layout", [Path, _ilp64_layout], ids=["empty", "ilp64"])
+def test_loader_falls_back_to_scipy_linalg_with_the_same_eigenpairs(tmp_path, monkeypatch, layout):
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    lapack, blas = _lapack.load(layout(tmp_path))
+    assert lapack is scipy.linalg.lapack and blas is scipy.linalg.blas
+    matrices = [ft.build_sambe(ft.builtin_model("driven_ring"), 3),
+                ft.build_sambe(random_complex_model(12, 7), 3)]
+    assert [s.dtype for s in matrices] == [np.float64, np.complex128]
+    direct = [sambe._eigh(s, window) for s in matrices for window in (None, (-1.0, 1.0))]
+    monkeypatch.setattr(_lapack, "lapack", lapack)
+    fallback = [sambe._eigh(s, window) for s in matrices for window in (None, (-1.0, 1.0))]
+    for (vals, vecs), (fvals, fvecs) in zip(direct, fallback):
+        assert vals.size and np.array_equal(vals, fvals) and np.array_equal(vecs, fvecs)
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import floqtriplet as ft
-from floqtriplet import sambe
+from floqtriplet import _lapack, sambe
 from floqtriplet.sambe import Representative, fold_reported
 
 from conftest import (
@@ -265,7 +264,7 @@ def test_select_orders_modes_by_quasi_energy_then_raw_eigenvalue(name, params, t
 def _perturbing_stevd(column):
     """scipy's dstevd with 1e-6 of the last eigenvector added to the one at
     `column` (an index into the full spectrum, given its size)."""
-    stevd = scipy.linalg.lapack.dstevd
+    stevd = _lapack.lapack.dstevd
 
     def perturbed(*args, **kwargs):
         vals, vecs, info = stevd(*args, **kwargs)
@@ -289,15 +288,15 @@ def test_diagonalize_checks_hold_in_both_dtypes(tau, monkeypatch):
         ft.diagonalize(skewed)
 
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg.lapack, "dstevd", _perturbing_stevd(lambda n: 0))
+        patch.setattr(_lapack.lapack, "dstevd", _perturbing_stevd(lambda n: 0))
         with pytest.raises(ft.SolverError, match="residual"):
             ft.diagonalize(s)
     # each LAPACK call of this dtype's path reporting a nonzero info
     prefix, names = ("d", ("sytrd", "ormqr")) if tau == 0.0 else ("z", ("hetrd", "unmqr"))
     for name in [prefix + names[0] + "_lwork", *(prefix + n for n in names), "dstevd"]:
-        call = getattr(scipy.linalg.lapack, name)
+        call = getattr(_lapack.lapack, name)
         with monkeypatch.context() as patch:
-            patch.setattr(scipy.linalg.lapack, name, lambda *a, f=call, **k: (*f(*a, **k)[:-1], 1))
+            patch.setattr(_lapack.lapack, name, lambda *a, f=call, **k: (*f(*a, **k)[:-1], 1))
             with pytest.raises(ft.SolverError, match=f"eigensolver failed: {name} info 1"):
                 ft.diagonalize(s)
 
@@ -306,7 +305,7 @@ def test_windowed_eigensolve_certifies_residuals(monkeypatch):
     # the middle pair of the spectrum lies inside the window, so the bad
     # pair reaches the check
     h = ft.builtin_model("driven_ring")
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", _perturbing_stevd(lambda n: n // 2))
+    monkeypatch.setattr(_lapack.lapack, "dstevd", _perturbing_stevd(lambda n: n // 2))
     with pytest.raises(ft.SolverError, match="residual"):
         sambe.solve_at_truncation(h, 4)
 

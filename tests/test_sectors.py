@@ -12,12 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import floqtriplet as ft
-from floqtriplet import _sectors, oracle, sambe
+from floqtriplet import _lapack, _sectors, oracle, sambe
 
 from conftest import assert_same_triplets, random_complex_model
 
@@ -222,7 +221,7 @@ def test_split_pairs_are_certified_against_the_full_matrix():
 def test_block_pairs_are_certified(monkeypatch):
     # the middle pair of every block's spectrum lies inside the window: the
     # perturbed one reaches the residual check of its block
-    stevd = scipy.linalg.lapack.dstevd
+    stevd = _lapack.lapack.dstevd
 
     def perturbed(*args, **kwargs):
         vals, vecs, info = stevd(*args, **kwargs)
@@ -231,7 +230,7 @@ def test_block_pairs_are_certified(monkeypatch):
 
     h = ft.builtin_model("driven_ring")
     assert len(h._sectors.dims) == 4
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", perturbed)
+    monkeypatch.setattr(_lapack.lapack, "dstevd", perturbed)
     with pytest.raises(ft.SolverError, match="residual"):
         sambe.solve_at_truncation(h, 4)
 
