@@ -5,13 +5,17 @@ whole package's __init__, most of a cold start.  `lapack` and `blas` are
 scipy's f2py extension modules `_flapack` and `_fblas`, loaded from their
 files in scipy's linalg directory, so that __init__ never runs; their
 routines are the very objects `scipy.linalg.lapack` and `scipy.linalg.blas`
-hand out.  When a file or a routine is missing, or an ILP64 build
+hand out.  When its file or a routine is missing, or an ILP64 build
 (`_flapack_64`, which `get_*_funcs(..., ilp64="preferred")` would pick)
-sits beside them, `lapack` and `blas` are `scipy.linalg.lapack` and
-`scipy.linalg.blas` themselves: an unknown layout costs the slower import,
-never a result.  Every routine called is the LP64 one.  The Sambe
-eigensolver and the sector detector read theirs from `lapack` at each call,
-so rebinding it there reaches their path.
+sits beside it, `lapack` is `scipy.linalg.lapack` itself, and likewise
+`blas`: an unknown layout costs the slower import, never a result.  Every
+routine called is the LP64 one.  The Sambe eigensolver and the sector
+detector read theirs from `lapack` at each call, so rebinding it there
+reaches their path.
+
+`lapack` loads with this module, `blas` on first access (PEP 562): only
+the variational route calls a BLAS routine, so the other commands never
+map `_fblas`.
 """
 
 import importlib.machinery
@@ -58,4 +62,24 @@ def load(directory: Path):
 
 
 # scipy's package directory, found without running scipy's own __init__
-lapack, blas = load(Path(importlib.util.find_spec("scipy").origin).parent / "linalg")
+_LINALG = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+
+
+def _resolve(directory: Path, name: str, routines: tuple[str, ...], wrapper: str):
+    """The extension module `name` in directory, or the scipy.linalg module
+    `wrapper` when it cannot be had."""
+    try:
+        return _extension(directory, name, routines)
+    except ImportError:
+        return importlib.import_module(wrapper)
+
+
+lapack = _resolve(_LINALG, "_flapack", LAPACK, "scipy.linalg.lapack")
+
+
+def __getattr__(name: str):
+    if name == "blas":
+        global blas
+        blas = _resolve(_LINALG, "_fblas", BLAS, "scipy.linalg.blas")
+        return blas
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

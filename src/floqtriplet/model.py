@@ -354,7 +354,10 @@ def builtin_model(name: str, params: dict | None = None) -> FourierHamiltonian:
     omitted parameters taken from MODEL_DEFAULTS.  ModelError for a param
     refused by `_builtin_params` or outside the model's documented domain."""
     merged = _builtin_params(name, params or {})
-    return _BUILDERS[name](merged)
+    # an infinite param times a zero entry is nan, which the constructor
+    # refuses: no numpy warning on the way
+    with np.errstate(invalid="ignore"):
+        return _BUILDERS[name](merged)
 
 
 # --- JSON model schema (consumed by the CLI) ------------------------------

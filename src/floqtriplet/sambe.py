@@ -54,10 +54,10 @@ and T applied through the harmonics, never as n x n matrices:
   pairs of the clusters that keep a mode are embedded, and certified
   against the full S through their S P = T P + omega N P, which also
   gives T X.
-- leak floor (the auto ladder only): each kept mode's edge leak outside
-  every kept mode's window bounds every level's Ebar figure from below
-  (`_leak_floor`); a rung whose floor is 2 QUASI_TOL or more cannot
-  certify and ends there.
+- leak floor: each kept mode's edge leak outside every kept mode's window
+  bounds every level's Ebar figure from below (`_leak_floor`), and the
+  reported figure is never below it; in the auto ladder a rung whose floor
+  is 2 QUASI_TOL or more cannot certify and ends there.
 - grouping: states whose folded quasi-energies lie within TOL_DEG * omega
   form a group.  Every member keeps its own replica and carries the
   group's mean raw eigenvalue, the only mean taken, on that replica: the
@@ -81,7 +81,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal
 
 import numpy as np
 
@@ -311,6 +310,8 @@ def _dense_guard(h: FourierHamiltonian, truncation: int):
     size = (2 * truncation + 1) * h.dim
     nbytes = 16 * size**2
     if 3 * nbytes > MAX_DENSE_BYTES:
+        from decimal import Decimal  # only here: a cold solve never loads it
+
         gib = Decimal(nbytes) / 1024**3  # a huge dim's size overflows a float
         raise ModelError(
             f"truncation M={truncation} needs a dense {size} x {size} matrix of "
@@ -872,21 +873,26 @@ def average_energy_matrix(
 def _rung(h: FourierHamiltonian, truncation: int, certify: bool = False):
     """One cutoff: the windowed eigensolve, then one pass over its kept
     modes.  Returns the resolved states and the two figures of
-    `_truncation_bounds`; no mode or triplet object is built.  With certify
-    (the auto ladder) a cutoff whose `_leak_floor` proves it cannot certify
-    returns None as soon as its modes are kept."""
+    `_truncation_bounds`, the Ebar one never below the `_leak_floor` it
+    proves; no mode or triplet object is built.  With certify (the auto
+    ladder) a cutoff whose floor proves it cannot certify returns None as
+    soon as its modes are kept."""
     # S, the eigenpairs and the unresolved modes do not outlive their stage:
     # the later stages apply S through the harmonics and reuse that memory
     vals, vecs, basis = _window_pairs(h, truncation)
     x, tx, lams, eps = _select(vals, vecs, h, truncation, basis)
     del vals, vecs
+    floor = _leak_floor(h, truncation, x, lams, eps)
     # the factor 2 covers the rounding of the floor and of the figures
-    if certify and _leak_floor(h, truncation, x, lams, eps) >= 2 * QUASI_TOL:
+    if certify and floor >= 2 * QUASI_TOL:
         return None
     cols, gids, lams, eps = _group(lams, eps, h.omega)
     states = _resolve(x[:, cols], tx[:, cols], lams, eps, gids, h)
     del x, tx
-    return (states, *_truncation_bounds(h, truncation, states))
+    eps_bound, ebar_estimate = _truncation_bounds(h, truncation, states)
+    # the estimate's w is a difference of squares that can round to 0 below
+    # a floor the leak proves
+    return states, eps_bound, max(ebar_estimate, floor)
 
 
 def _window_pairs(h: FourierHamiltonian, truncation: int):
@@ -967,14 +973,15 @@ def _leak_floor(h: FourierHamiltonian, truncation: int, x, lams, eps) -> float:
     floor = np.inf
     for cut in np.flatnonzero(gaps >= gaps.max() - 2 * count * _tol_deg(omega)) + 1:
         shifts = np.round((lams - values + omega * (np.arange(count) >= cut)) / omega).astype(int)
-        replicas = np.unique(shifts)
+        # not np.unique, whose plain form loads numpy.ma on numpy 2
+        replicas = np.array(sorted(set(shifts.tolist())))
         # replica k puts block p at harmonic p - k: inside the window of a
         # mode on replica k' when |p - k + k'| <= M
         at = harmonic - shifts[:, None]
         inside = (np.abs(at[:, :, None] + replicas) <= truncation).any(axis=2)
         worst = np.where(inside, 0.0, weight).sum(axis=1).max(initial=0.0)
         floor = min(floor, 2 * (truncation + reach) * worst / (omega * replicas.size))
-    return floor
+    return float(floor)
 
 
 def _split(h: FourierHamiltonian, truncation: int):

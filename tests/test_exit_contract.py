@@ -6,8 +6,9 @@ one level deeper or flattened, a bool inside a list, a missing or an extra
 key, non-finite and extreme values, a duplicate or non-integral m, a
 non-Hermitian +/- pair, a re of another shape than its im, and a huge dim,
 only with empty harmonics so that nothing large is allocated.  Whatever the
-file holds, `solve --model` returns 0, 2, 3 or 4, raises nothing, and leaves
-no output directory when it fails.
+file holds, `solve --model` and `variational --model` return 0, 2, 3 or 4
+and raise nothing; a failed solve leaves no output directory, and a
+variational run writes only its result, flagged when exit 4.
 
 Valid argv of all five commands are mutated too, by option: dropped, given
 twice, moved, swapped in value with another, given a junk or extreme value,
@@ -138,9 +139,13 @@ def break_harmonics(data, payload):
     return payload, kind
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), schema=st.sampled_from([explicit_payloads(), builtin_payloads()]))
-def test_solve_model_keeps_the_exit_contract(data, schema):
+PAYLOADS = st.sampled_from([explicit_payloads(), builtin_payloads()])
+
+
+def run_on_mutated_model(data, schema, command: str, tmp: str) -> tuple[int, Path]:
+    """The exit code of `command --model` on a drawn payload, broken and
+    mutated, and its output directory; a payload whose only defect is a
+    reshaped re must exit 2."""
     payload = data.draw(schema)
     broken = "harmonics" in payload and data.draw(st.booleans())
     reshaped = False
@@ -150,15 +155,36 @@ def test_solve_model_keeps_the_exit_contract(data, schema):
     mutations = data.draw(st.integers(min_value=0 if broken else 1, max_value=2))
     for _ in range(mutations):
         payload = mutate(data, payload)
+    path = Path(tmp) / "model.json"
+    path.write_text(json.dumps(payload))
+    out = Path(tmp) / "out"
+    code = main([command, "--model", str(path), "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if reshaped and not mutations:
+        assert code == 2
+    return code, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), schema=PAYLOADS)
+def test_solve_model_keeps_the_exit_contract(data, schema):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
-        path.write_text(json.dumps(payload))
-        out = Path(tmp) / "out"
-        code = main(["solve", "--model", str(path), "--out", str(out)])
-        assert code in (0, 2, 3, 4)
+        code, out = run_on_mutated_model(data, schema, "solve", tmp)
         assert code == 0 or not out.exists()
-        if reshaped and not mutations:
-            assert code == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), schema=PAYLOADS)
+def test_variational_model_keeps_the_exit_contract(data, schema):
+    # exits 2 and 3 write nothing; exit 4 writes the unconverged result it
+    # flags, or nothing when the cutoff cannot be certified
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, out = run_on_mutated_model(data, schema, "variational", tmp)
+        if code in (2, 3):
+            assert not out.exists()
+        elif code == 0 or out.exists():
+            assert json.loads((out / "variational.json").read_text())["converged"] is (code == 0)
 
 
 # --- argv --------------------------------------------------------------------

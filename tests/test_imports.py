@@ -5,7 +5,9 @@ only; the oracle, variational and analysis names resolve on first access.
 The import checks run in a fresh interpreter, since this test session has
 loaded every layer already.  LAPACK and BLAS come from scipy's extension
 modules, loaded by `_lapack` without the scipy.linalg package, or from
-scipy.linalg itself when that cannot be done.
+scipy.linalg itself when that cannot be done; BLAS only on the variational
+route.  No command loads numpy.ma or decimal beyond what `import numpy`
+loads.
 """
 
 import importlib.machinery
@@ -53,6 +55,16 @@ HEAVY = ("scipy.optimize", "scipy.integrate", "floqtriplet.oracle",
          "floqtriplet.variational", "floqtriplet.analysis")
 
 
+def fresh(script: str, *args: str):
+    """The JSON a fresh interpreter prints last, running script with args."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
 def loaded_after(tmp_path, argv: list[str] | None, package: str = "floqtriplet") -> set[str]:
     """The modules of a fresh interpreter after `cli.main(argv)` exits 0,
     or after `import <package>` alone when argv is None."""
@@ -60,12 +72,19 @@ def loaded_after(tmp_path, argv: list[str] | None, package: str = "floqtriplet")
     if argv is not None:
         script += "from floqtriplet import cli\nassert cli.main(json.loads(sys.argv[1])) == 0\n"
     script += "print(json.dumps(sorted(sys.modules)))\n"
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([*(argv or []), "--out", str(tmp_path / "o")])],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
-    )
-    return set(json.loads(run.stdout.strip().splitlines()[-1]))
+    return set(fresh(script, json.dumps([*(argv or []), "--out", str(tmp_path / "o")])))
+
+
+def cold_run(tmp_path, argv: list[str]) -> tuple[set[str], bool]:
+    """The modules a fresh interpreter loads for `cli.main(argv)` beyond
+    those of a bare `import numpy` (numpy 1.x imports numpy.ma and
+    numpy.random with it), and whether `_lapack.blas` was resolved."""
+    script = ("import json, sys\nimport numpy\nbare = set(sys.modules)\n"
+              "from floqtriplet import _lapack, cli\n"
+              "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+              "print(json.dumps([sorted(set(sys.modules) - bare), 'blas' in vars(_lapack)]))\n")
+    loaded, blas = fresh(script, json.dumps([*argv, "--out", str(tmp_path / "o")]))
+    return set(loaded), blas
 
 
 def test_solve_loads_only_the_model_and_sambe_layers(tmp_path):
@@ -121,10 +140,33 @@ def test_cli_loads_lapack_without_the_scipy_linalg_package(tmp_path, argv):
     assert not any(name.startswith("scipy.linalg.") for name in loaded)
 
 
+@pytest.mark.parametrize("argv", [
+    # the 48-site ring is solved in its symmetry sectors
+    ["solve", "--builtin", "driven_ring", "--param", "sites=48"],
+    ["compare", "--builtin", "driven_ring"],
+    ["sweep", "--builtin", "static", "--sweep-param", "omega", "--sweep-start", "1",
+     "--sweep-stop", "2", "--sweep-count", "2"],
+])
+def test_sambe_commands_load_no_masked_arrays_decimal_or_blas(tmp_path, argv):
+    # a plain np.unique loads numpy.ma on numpy 2; only the variational
+    # route calls a BLAS routine
+    loaded, blas = cold_run(tmp_path, argv)
+    assert not loaded & {"numpy.ma", "decimal"}
+    assert not blas
+
+
+def test_variational_loads_blas_but_no_masked_arrays_or_decimal(tmp_path):
+    loaded, blas = cold_run(tmp_path, ["variational", "--builtin", "driven_ring", "--param", "sites=3"])
+    assert not loaded & {"numpy.ma", "decimal"}
+    assert blas
+
+
 def test_scipy_linalg_still_imports_whole_after_the_package():
     # the loader takes its modules back out of sys.modules, where a later
     # import of scipy.linalg would find them and not bind them to the package
+    # (`_lapack.blas` is first resolved after that import)
     script = ("import floqtriplet, scipy.linalg\nfrom floqtriplet import _lapack\n"
+              "assert 'blas' not in vars(_lapack)\n"
               "assert scipy.linalg._flapack.dstevd is _lapack.lapack.dstevd\n"
               "assert scipy.linalg._fblas.dnrm2 is _lapack.blas.dnrm2\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -141,6 +183,8 @@ def test_loader_takes_the_extension_modules_of_this_scipy():
     for name in _lapack.LAPACK:
         assert getattr(_lapack.lapack, name) is getattr(scipy.linalg.lapack, name)
     assert _lapack.blas.dnrm2 is scipy.linalg.blas.dnrm2
+    with pytest.raises(AttributeError, match="no attribute 'no_such_module'"):
+        _lapack.no_such_module
 
 
 def _ilp64_layout(directory: Path) -> Path:
@@ -159,8 +203,11 @@ def test_loader_falls_back_to_scipy_linalg_with_the_same_eigenpairs(tmp_path, mo
     import scipy.linalg.blas
     import scipy.linalg.lapack
 
-    lapack, blas = _lapack.load(layout(tmp_path))
+    directory = layout(tmp_path)
+    lapack, blas = _lapack.load(directory)
     assert lapack is scipy.linalg.lapack and blas is scipy.linalg.blas
+    # the module's own `lapack` and `blas` fall back one at a time
+    assert _lapack._resolve(directory, "_flapack", _lapack.LAPACK, "scipy.linalg.lapack") is lapack
     matrices = [ft.build_sambe(ft.builtin_model("driven_ring"), 3),
                 ft.build_sambe(random_complex_model(12, 7), 3)]
     assert [s.dtype for s in matrices] == [np.float64, np.complex128]

@@ -55,6 +55,15 @@ def test_validate_flags_nonfinite_entries(bad):
         FourierHamiltonian(dim=2, omega=1.0, harmonics={0: h0})
 
 
+@pytest.mark.parametrize("name, key", [("two_level_circular", "v"), ("two_level_linear", "v"),
+                                       ("two_level_linear", "delta"), ("driven_ring", "v")])
+@pytest.mark.filterwarnings("error")
+def test_infinite_builtin_param_is_refused_without_warning(name, key):
+    # inf times a Pauli matrix's zero entries is nan: refused as non-finite
+    with pytest.raises(ft.ModelError, match=r"^invalid Hamiltonian: .*finite\(m="):
+        ft.builtin_model(name, {key: np.inf})
+
+
 @pytest.mark.parametrize("given, zero", [(1, -1), (-1, 1)])
 def test_pruned_partner_is_not_hermitian(given, zero):
     # the zero member of a given pair is pruned, leaving H_m without H_{-m}

@@ -523,6 +523,19 @@ def test_bound_cases_keep_their_pinned_values(pin):
         assert value == expected or abs(value - expected) <= 1e-10 * expected + floor, key
 
 
+def test_ebar_estimate_is_never_below_the_leak_floor():
+    # the estimate's w, a difference of squares, rounds to 0.0 here, while
+    # the edge leak outside the window proves a figure of 3.95e-51
+    a = 1.49091125e-13
+    h = ft.FourierHamiltonian(dim=1, omega=1.0, harmonics={0: np.array([[-a]]), 1: np.array([[a]])})
+    vals, vecs, basis = sambe._window_pairs(h, 1)
+    x, _, lams, eps = sambe._select(vals, vecs, h, 1, basis)
+    floor = sambe._leak_floor(h, 1, x, lams, eps)
+    assert floor > 0.0
+    assert sambe.solve_at_truncation(h, 1).metadata["ebar_estimate"] >= floor
+    assert ft.solve_spectrum(h).metadata["ebar_estimate"] >= floor
+
+
 @pytest.mark.parametrize(
     "name, params, truncation",
     [("two_level_linear", {"v": 2.5, "omega": 0.9}, m) for m in (4, 5, 6, 8)]
