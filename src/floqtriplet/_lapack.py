@@ -51,16 +51,6 @@ def _extension(directory: Path, name: str, routines: tuple[str, ...]):
     return module
 
 
-def load(directory: Path):
-    """(lapack, blas): the extension modules in directory, or scipy.linalg's."""
-    try:
-        return _extension(directory, "_flapack", LAPACK), _extension(directory, "_fblas", BLAS)
-    except ImportError:
-        from scipy.linalg import blas, lapack
-
-        return lapack, blas
-
-
 # scipy's package directory, found without running scipy's own __init__
 _LINALG = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
 

@@ -9,12 +9,17 @@ each factor unitary because H(t_mid) is Hermitian.  The factors are
 computed in fixed blocks of steps by a Taylor exponential, scaled and
 squared when a step is long, with its order chosen so that the first
 dropped term is below the float64 unit roundoff; the polynomial is
-evaluated in matmuls batched over the block, and the block size bounds the
-batched temporaries and so the peak memory.  Their sequential product,
+evaluated in matmuls batched over the block.  Their sequential product,
 for U(T) and for each propagated trajectory alike, is formed blockwise
 (`_chain`): the products inside blocks of steps are batched over all
 blocks, and only the carry across block boundaries is sequential, so the
 product makes no Python call per step; U(T) keeps only the final product.
+The factors are made and chained one chunk of steps at a time
+(`_propagate`), the state carried from chunk to chunk, so what bounds the
+memory of a propagation is the chunk: O(chunk d^2) of factors and
+temporaries, plus a trajectory's (N + 1) d samples, at any step count N.
+A chunk is whole blocks of both kinds, so the result is bit for bit the
+one that all N factors held at once would give.
 A final polar correction strips the accumulated factor roundoff (up to a
 few 1e-13 over 4096 steps) so the result is unitary to working precision.
 The eigenphases of U(T) give the quasi-energies folded into [0, omega),
@@ -57,8 +62,8 @@ from .sambe import (
 STEPS_PER_PERIOD = 4096
 
 # steps per block of the Taylor exponential in _step_propagators: large enough
-# to amortize the per-matmul overhead, small enough that the batched
-# temporaries stay far below the (steps, d, d) factor array itself
+# to amortize the per-matmul overhead, small enough that the two batched
+# temporaries stay below the chunk of factors they are made for
 _STEP_BLOCK = 256
 
 # largest 1-norm of -i dt H that the Taylor polynomial takes unscaled: the
@@ -73,6 +78,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 # square root of STEPS_PER_PERIOD, which balances the batched products
 # inside the blocks against the sequential carry across them
 _CHAIN_BLOCK = 64
+
+# steps per chunk of the streamed propagation in _propagate, which holds one
+# chunk of step factors, O(_CHUNK d^2), at a time.  A whole number of
+# _STEP_BLOCK Taylor blocks, and so of _CHAIN_BLOCK chain blocks: every
+# factor, block product and carry is then the one that the whole
+# (steps, d, d) array would give, bit for bit
+_CHUNK = 1024
 
 # largest Frobenius defect ||U^H U - 1|| of U(T) that propagation accepts
 UNITARITY_TOL = 1e-12
@@ -95,8 +107,11 @@ class MonodromyResult:
         return self.eigenphases / period
 
 
-def _step_propagators(h: FourierHamiltonian, steps: int) -> np.ndarray:
-    """Midpoint factors exp(-i H(t_mid) dt) for each step, unitary to
+def _step_propagators(
+    h: FourierHamiltonian, steps: int, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Midpoint factors exp(-i H(t_mid) dt) for steps lo..hi-1 of the grid
+    of `steps` steps per period (all of them by default), unitary to
     working precision.
 
     The array is filled with H(t_mid), then overwritten block by block of
@@ -105,15 +120,20 @@ def _step_propagators(h: FourierHamiltonian, steps: int) -> np.ndarray:
     _TAYLOR_THETA, the order p is the smallest whose first dropped term
     (||A||_1 / 2^s)^(p+1) / (p+1)! is at most 2^-53, and the polynomial is
     evaluated by Horner's rule in batched matmuls.  The blocks bound the
-    temporaries and so the peak memory.
+    temporaries; with lo a multiple of _STEP_BLOCK they are the blocks of
+    the whole grid, so a range gives the same factors as the whole grid.
     """
+    hi = steps if hi is None else hi
     dt = h.period / steps
-    mids = (np.arange(steps) + 0.5) * dt
-    out = np.empty((steps, h.dim, h.dim), dtype=complex)
-    for j, tm in enumerate(mids):
+    mids = (np.arange(lo, hi) + 0.5) * dt
+    out = np.empty((hi - lo, h.dim, h.dim), dtype=complex)
+    # Python floats evaluate faster than numpy scalars, to the same bits
+    for j, tm in enumerate(mids.tolist()):
         out[j] = h.eval_at_time(tm)
     eye = np.eye(h.dim)
-    for start in range(0, steps, _STEP_BLOCK):
+    # the two block-sized buffers the matmuls alternate between
+    buffers = np.empty((2, min(_STEP_BLOCK, hi - lo), h.dim, h.dim), dtype=complex)
+    for start in range(0, hi - lo, _STEP_BLOCK):
         a = out[start : start + _STEP_BLOCK]
         a *= -1j * dt
         norm = float(np.abs(a).sum(axis=-2).max())
@@ -123,14 +143,16 @@ def _step_propagators(h: FourierHamiltonian, steps: int) -> np.ndarray:
         order = 1
         while scaled ** (order + 1) / math.factorial(order + 1) > _UNIT_ROUNDOFF:
             order += 1
+        poly, spare = buffers[:, : len(a)]
         # I + A (I + A/2 (... (I + A/p))), innermost first
-        poly = a / order + eye
+        np.divide(a, order, out=poly)
+        poly += eye
         for k in range(order - 1, 0, -1):
-            poly = a @ poly
+            poly, spare = np.matmul(a, poly, out=spare), poly
             poly /= k
             poly += eye
         for _ in range(squarings):
-            poly = poly @ poly
+            poly, spare = np.matmul(poly, poly, out=spare), poly
         a[...] = poly
     return out
 
@@ -144,8 +166,8 @@ def _chain(
     (B = _CHAIN_BLOCK) form whole blocks: their products come from B - 1
     matmuls batched over all blocks, and the state is carried across the
     block boundaries by one small product per block; the last N % B steps
-    run one by one.  With samples of shape (N + 1, d, k), every partial
-    product F_{j-1} ... F_0 @ start is written to samples[j]: each block is
+    run one by one.  With samples of shape (N, d, k), every partial
+    product F_j ... F_0 @ start is written to samples[j]: each block is
     filled from its start state by B more matmuls batched over blocks.  No
     partial products of the factors themselves are kept.
     """
@@ -159,23 +181,40 @@ def _chain(
     for b, product in enumerate(products):
         starts[b + 1] = product @ starts[b]
     if samples is not None:
-        samples[0] = start
         filled = starts[:-1]
         for k in range(_CHAIN_BLOCK):
             filled = blocks[:, k] @ filled
-            samples[k + 1 : full + 1 : _CHAIN_BLOCK] = filled
+            samples[k:full:_CHAIN_BLOCK] = filled
     cur = starts[-1]
     for j in range(full, factors.shape[0]):
         cur = factors[j] @ cur
         if samples is not None:
-            samples[j + 1] = cur
+            samples[j] = cur
     return cur
 
 
+def _propagate(
+    h: FourierHamiltonian, steps: int, start: np.ndarray, samples: np.ndarray | None = None
+) -> np.ndarray:
+    """F_{N-1} ... F_1 F_0 @ start over the N = steps factors of one period,
+    with samples[j] = F_j ... F_0 @ start as in `_chain`.
+
+    The factors are made (`_step_propagators`) and chained (`_chain`) one
+    chunk of _CHUNK steps at a time, the state carried from chunk to chunk,
+    so only one chunk of factors is held; the chunk being whole blocks of
+    both, the result is that of chaining all N factors at once.
+    """
+    for lo in range(0, steps, _CHUNK):
+        hi = min(lo + _CHUNK, steps)
+        chunk = None if samples is None else samples[lo:hi]
+        start = _chain(_step_propagators(h, steps, lo, hi), start, chunk)
+    return start
+
+
 def _monodromy_matrix(h: FourierHamiltonian, steps: int) -> np.ndarray:
-    """U(T) as the blocked product of the step factors (only U(T) is kept),
-    then one polar step."""
-    u = _chain(_step_propagators(h, steps), np.eye(h.dim, dtype=complex))
+    """U(T) as the streamed blocked product of the step factors (only U(T)
+    is kept), then one polar step."""
+    u = _propagate(h, steps, np.eye(h.dim, dtype=complex))
     # one Newton-Schulz polar step removes the accumulated factor roundoff
     return u @ (3.0 * np.eye(h.dim) - u.conj().T @ u) / 2.0
 
@@ -222,12 +261,13 @@ def propagate_trajectory(h: FourierHamiltonian, initial: np.ndarray) -> np.ndarr
     """Samples Psi(t_j), j = 0..N = STEPS_PER_PERIOD, on the uniform step grid over one period.
 
     The samples are the partial products of the step factors applied to
-    the initial state, formed by the blocked product of `_chain`.
+    the initial state, formed by the streamed blocked product of `_propagate`.
     """
     steps = STEPS_PER_PERIOD
     samples = np.empty((steps + 1, h.dim), dtype=complex)
     start = np.asarray(initial, dtype=complex).reshape(h.dim, 1)
-    _chain(_step_propagators(h, steps), start, samples[:, :, None])
+    samples[0] = start[:, 0]
+    _propagate(h, steps, start, samples[1:, :, None])
     return samples
 
 
@@ -302,7 +342,7 @@ def _cross_energy_matrix(
     hblock = np.empty((_STEP_BLOCK, h.dim, h.dim), dtype=complex)
     for lo in range(0, n + 1, _STEP_BLOCK):
         nodes = tgrid[lo : lo + _STEP_BLOCK]
-        for j, t in enumerate(nodes):
+        for j, t in enumerate(nodes.tolist()):
             hblock[j] = h.eval_at_time(t)
         # (nodes, d, d) @ (nodes, d, k) -> H(t_j) Psi_i(t_j), back to (k, nodes, d)
         psi = stack[:, lo : lo + nodes.size].transpose(1, 2, 0)

@@ -6,9 +6,10 @@ one level deeper or flattened, a bool inside a list, a missing or an extra
 key, non-finite and extreme values, a duplicate or non-integral m, a
 non-Hermitian +/- pair, a re of another shape than its im, and a huge dim,
 only with empty harmonics so that nothing large is allocated.  Whatever the
-file holds, `solve --model` and `variational --model` return 0, 2, 3 or 4
-and raise nothing; a failed solve leaves no output directory, and a
-variational run writes only its result, flagged when exit 4.
+file holds, `solve --model`, `compare --model` and `variational --model`
+return 0, 2, 3 or 4 and raise nothing; a failed solve leaves no output
+directory, a compare writes its table on exits 0 and 3 and nothing on exit
+2, and a variational run writes only its result, flagged when exit 4.
 
 Valid argv of all five commands are mutated too, by option: dropped, given
 twice, moved, swapped in value with another, given a junk or extreme value,
@@ -185,6 +186,22 @@ def test_variational_model_keeps_the_exit_contract(data, schema):
             assert not out.exists()
         elif code == 0 or out.exists():
             assert json.loads((out / "variational.json").read_text())["converged"] is (code == 0)
+
+
+@pytest.mark.filterwarnings("ignore:truncation M=", "ignore:Fourier tail weight")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), schema=PAYLOADS)
+def test_compare_model_keeps_the_exit_contract(data, schema):
+    # 64 steps, one partial chunk of the streamed oracle, keep a compare fast;
+    # exit 2 writes nothing, exits 0 and 3 write the table the gate read
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "STEPS_PER_PERIOD", 64)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, out = run_on_mutated_model(data, schema, "compare", tmp)
+        if code == 2:
+            assert not out.exists()
+        elif code in (0, 3):
+            assert (out / "compare.csv").is_file()
 
 
 # --- argv --------------------------------------------------------------------

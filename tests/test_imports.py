@@ -188,13 +188,13 @@ def test_loader_takes_the_extension_modules_of_this_scipy():
 
 
 def _ilp64_layout(directory: Path) -> Path:
-    """directory with scipy's _flapack and _fblas files linked in, beside an
-    ILP64 _flapack_64 (an empty file: it is never loaded)."""
+    """directory with scipy's _flapack and _fblas files linked in, each beside
+    its ILP64 build _flapack_64 or _fblas_64 (empty files: never loaded)."""
     real = Path(_lapack.lapack.__file__).parent
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     for name in ("_flapack", "_fblas"):
         (directory / (name + suffix)).symlink_to(real / (name + suffix))
-    (directory / f"_flapack_64{suffix}").touch()
+        (directory / f"{name}_64{suffix}").touch()
     return directory
 
 
@@ -204,10 +204,10 @@ def test_loader_falls_back_to_scipy_linalg_with_the_same_eigenpairs(tmp_path, mo
     import scipy.linalg.lapack
 
     directory = layout(tmp_path)
-    lapack, blas = _lapack.load(directory)
-    assert lapack is scipy.linalg.lapack and blas is scipy.linalg.blas
     # the module's own `lapack` and `blas` fall back one at a time
-    assert _lapack._resolve(directory, "_flapack", _lapack.LAPACK, "scipy.linalg.lapack") is lapack
+    lapack = _lapack._resolve(directory, "_flapack", _lapack.LAPACK, "scipy.linalg.lapack")
+    blas = _lapack._resolve(directory, "_fblas", _lapack.BLAS, "scipy.linalg.blas")
+    assert lapack is scipy.linalg.lapack and blas is scipy.linalg.blas
     matrices = [ft.build_sambe(ft.builtin_model("driven_ring"), 3),
                 ft.build_sambe(random_complex_model(12, 7), 3)]
     assert [s.dtype for s in matrices] == [np.float64, np.complex128]

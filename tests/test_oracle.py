@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -142,6 +144,58 @@ def test_blocked_products_match_sequential_loop(name, steps, monkeypatch):
     monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", steps)
     samples = ft.propagate_trajectory(h, initial)
     assert np.abs(samples - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("steps", [300, 1000])
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, {}) for name in BUILTIN_NAMES] + [("two_level_linear", {"delta": 200.0})],
+    ids=[*BUILTIN_NAMES, "delta200"],
+)
+def test_streamed_chunks_give_the_one_chunk_result_bit_for_bit(name, params, steps, monkeypatch):
+    # chunks of one Taylor block, the last one partial (300 = 256 + 44 and
+    # 1000 = 3 * 256 + 232 steps), against one chunk of all steps: every
+    # factor, block product and carry is the same floating-point operation,
+    # the squared factors of delta = 200 too
+    assert oracle._CHUNK % oracle._STEP_BLOCK == 0 and oracle._STEP_BLOCK % oracle._CHAIN_BLOCK == 0
+    h = ft.builtin_model(name, params)
+    initial = np.linspace(1.0, 2.0, h.dim) + 0.5j
+    monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", steps)
+    results = []
+    for chunk in (oracle._STEP_BLOCK, steps):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        results.append((_monodromy_matrix(h, steps), ft.propagate_trajectory(h, initial)))
+    for streamed, whole in zip(*results):
+        assert np.array_equal(streamed, whole)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagation_memory_grows_by_the_samples_alone(monkeypatch):
+    # the step factors are held one chunk at a time: from 4096 to 16384
+    # steps on the 12-site ring the tracemalloc peak of U(T) grows by at
+    # most a 256 KiB margin, and that of a trajectory by its extra samples,
+    # dN d 16 bytes, plus the margin; all factors held at once would add
+    # dN d^2 16 bytes, 28 MB
+    h = ft.builtin_model("driven_ring", {"sites": 12})
+    initial = np.full(h.dim, 1.0 / np.sqrt(h.dim), dtype=complex)
+    _monodromy_matrix(h, 64)  # caches the model's harmonic stack
+    peaks = []
+    for steps in (4096, 16384):
+        monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", steps)
+        peaks.append((_traced_peak(_monodromy_matrix, h, steps),
+                      _traced_peak(ft.propagate_trajectory, h, initial)))
+    margin = 256 * 1024
+    samples = (16384 - 4096) * h.dim * 16
+    assert peaks[1][0] - peaks[0][0] <= margin
+    assert peaks[1][1] - peaks[0][1] <= samples + margin
 
 
 def test_mode_from_propagation_static_single_block():
