@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from floqtriplet import cli, oracle, sambe
 from floqtriplet.cli import main
-from floqtriplet.model import MODEL_DEFAULTS
+from floqtriplet.model import MODEL_DEFAULTS, ModelError, load_model
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -143,10 +143,9 @@ def break_harmonics(data, payload):
 PAYLOADS = st.sampled_from([explicit_payloads(), builtin_payloads()])
 
 
-def run_on_mutated_model(data, schema, command: str, tmp: str) -> tuple[int, Path]:
-    """The exit code of `command --model` on a drawn payload, broken and
-    mutated, and its output directory; a payload whose only defect is a
-    reshaped re must exit 2."""
+def write_mutated_model(data, schema, path: Path) -> bool:
+    """Write a drawn payload, broken and mutated, to path; whether its only
+    defect is a reshaped re (a file that must be refused)."""
     payload = data.draw(schema)
     broken = "harmonics" in payload and data.draw(st.booleans())
     reshaped = False
@@ -156,12 +155,20 @@ def run_on_mutated_model(data, schema, command: str, tmp: str) -> tuple[int, Pat
     mutations = data.draw(st.integers(min_value=0 if broken else 1, max_value=2))
     for _ in range(mutations):
         payload = mutate(data, payload)
-    path = Path(tmp) / "model.json"
     path.write_text(json.dumps(payload))
+    return reshaped and not mutations
+
+
+def run_on_mutated_model(data, schema, command: str, tmp: str, *extra: str) -> tuple[int, Path]:
+    """The exit code of `command --model` on a drawn payload, broken and
+    mutated, with the extra argv, and its output directory; a payload whose
+    only defect is a reshaped re must exit 2."""
+    path = Path(tmp) / "model.json"
+    refused = write_mutated_model(data, schema, path)
     out = Path(tmp) / "out"
-    code = main([command, "--model", str(path), "--out", str(out)])
+    code = main([command, "--model", str(path), *extra, "--out", str(out)])
     assert code in (0, 2, 3, 4)
-    if reshaped and not mutations:
+    if refused:
         assert code == 2
     return code, out
 
@@ -202,6 +209,31 @@ def test_compare_model_keeps_the_exit_contract(data, schema):
             assert not out.exists()
         elif code in (0, 3):
             assert (out / "compare.csv").is_file()
+
+
+@pytest.mark.filterwarnings("ignore:truncation M=", "ignore:Fourier tail weight")
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), schema=PAYLOADS, pert_schema=PAYLOADS)
+def test_perturb_model_keeps_the_exit_contract(data, schema, pert_schema):
+    # both files drawn, broken and mutated; a perturbation file that must be
+    # refused, or one of another dimension, exits 2 and writes nothing
+    with tempfile.TemporaryDirectory() as tmp:
+        pert = Path(tmp) / "pert.json"
+        refused = write_mutated_model(data, pert_schema, pert)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, out = run_on_mutated_model(data, schema, "perturb", tmp, "--pert-model", str(pert))
+        dims = []
+        for path in (Path(tmp) / "model.json", pert):
+            try:
+                dims.append(load_model(path).dim)
+            except (ModelError, ValueError):  # the errors the CLI exits 2 on
+                pass
+        if refused or (len(dims) == 2 and dims[0] != dims[1]):
+            assert code == 2
+        if code == 2:
+            assert not out.exists()
+        elif code == 0:
+            assert (out / "tracking.csv").is_file()
 
 
 # --- argv --------------------------------------------------------------------

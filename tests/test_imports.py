@@ -3,10 +3,11 @@
 `import floqtriplet` and the CLI load the model and extended-space layers
 only; the oracle, variational and analysis names resolve on first access.
 The import checks run in a fresh interpreter, since this test session has
-loaded every layer already.  LAPACK and BLAS come from scipy's extension
-modules, loaded by `_lapack` without the scipy.linalg package, or from
-scipy.linalg itself when that cannot be done; BLAS only on the variational
-route.  No command loads numpy.ma or decimal beyond what `import numpy`
+loaded every layer already.  LAPACK and BLAS come from the OpenBLAS numpy
+links, bound by `_lapack`, so no command imports scipy; where numpy's
+symbols are missing, from scipy's extension modules, loaded without the
+scipy.linalg package, or from scipy.linalg itself when that cannot be done.
+BLAS resolves only on the variational route.  No command loads numpy.ma or decimal beyond what `import numpy`
 loads.
 """
 
@@ -134,10 +135,13 @@ def test_compare_leaves_scipy_integrate_unloaded(tmp_path):
     ["variational", "--builtin", "driven_ring", "--param", "sites=3"],
 ])
 def test_cli_loads_lapack_without_the_scipy_linalg_package(tmp_path, argv):
-    # `_lapack` loads scipy's _flapack and _fblas from their files
+    # `_lapack` binds numpy's OpenBLAS, or loads scipy's _flapack and _fblas
+    # from their files
     loaded = loaded_after(tmp_path, argv, "floqtriplet.cli")
     assert "scipy.linalg" not in loaded
     assert not any(name.startswith("scipy.linalg.") for name in loaded)
+    if _lapack._OPENBLAS is not None:
+        assert not any(name == "scipy" or name.startswith("scipy.") for name in loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,36 +166,57 @@ def test_variational_loads_blas_but_no_masked_arrays_or_decimal(tmp_path):
 
 
 def test_scipy_linalg_still_imports_whole_after_the_package():
-    # the loader takes its modules back out of sys.modules, where a later
-    # import of scipy.linalg would find them and not bind them to the package
+    # neither binding leaves a module of scipy.linalg behind in sys.modules,
+    # where a later import of scipy.linalg would find it unbound to the package
     # (`_lapack.blas` is first resolved after that import)
     script = ("import floqtriplet, scipy.linalg\nfrom floqtriplet import _lapack\n"
               "assert 'blas' not in vars(_lapack)\n"
-              "assert scipy.linalg._flapack.dstevd is _lapack.lapack.dstevd\n"
-              "assert scipy.linalg._fblas.dnrm2 is _lapack.blas.dnrm2\n")
+              "assert scipy.linalg.lapack.dstevd is scipy.linalg._flapack.dstevd\n"
+              "assert scipy.linalg.blas.dnrm2 is scipy.linalg._fblas.dnrm2\n"
+              "_lapack.blas.dnrm2([3.0, 4.0]) == 5.0 or sys.exit(1)\n"
+              "w = scipy.linalg.eigh([[2.0, 1.0], [1.0, 2.0]], eigvals_only=True)\n"
+              "assert list(w) == [1.0, 3.0], w\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-                   check=True)
+    subprocess.run([sys.executable, "-c", "import sys\n" + script],
+                   env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
-def test_loader_takes_the_extension_modules_of_this_scipy():
-    assert _lapack.lapack.__name__ == "scipy.linalg._flapack"
-    assert _lapack.blas.__name__ == "scipy.linalg._fblas"
-    import scipy.linalg.blas
-    import scipy.linalg.lapack
-
+@pytest.mark.skipif(_lapack._OPENBLAS is None, reason="numpy links no OpenBLAS with LAPACKE symbols")
+def test_loader_binds_the_openblas_numpy_links():
     for name in _lapack.LAPACK:
-        assert getattr(_lapack.lapack, name) is getattr(scipy.linalg.lapack, name)
-    assert _lapack.blas.dnrm2 is scipy.linalg.blas.dnrm2
+        assert getattr(_lapack.lapack, name).__self__ is _lapack._OPENBLAS
+    assert _lapack.blas.dnrm2.__self__ is _lapack._OPENBLAS
     with pytest.raises(AttributeError, match="no attribute 'no_such_module'"):
         _lapack.no_such_module
+
+
+# a fresh interpreter in which numpy's extension cannot be opened: `_lapack`
+# takes scipy's loader; prints the name of its `lapack` and the eigenpairs of
+# a real and a complex S, full and windowed, as lists
+FALLBACK = """
+import json, sys
+import numpy.linalg._umath_linalg as umath
+umath.__file__ = sys.argv[1]
+import numpy as np
+import floqtriplet as ft
+from floqtriplet import _lapack, sambe
+sys.path.insert(0, sys.argv[2])
+from conftest import random_complex_model
+assert _lapack._OPENBLAS is None
+matrices = [ft.build_sambe(ft.builtin_model("driven_ring"), 3),
+            ft.build_sambe(random_complex_model(12, 7), 3)]
+pairs = [sambe._eigh(s, window) for s in matrices for window in (None, (-1.0, 1.0))]
+print(json.dumps([_lapack.lapack.__name__, _lapack.blas.__name__,
+                  [[vals.tolist(), vecs.real.tolist(), vecs.imag.tolist()] for vals, vecs in pairs]]))
+"""
 
 
 def _ilp64_layout(directory: Path) -> Path:
     """directory with scipy's _flapack and _fblas files linked in, each beside
     its ILP64 build _flapack_64 or _fblas_64 (empty files: never loaded)."""
-    real = Path(_lapack.lapack.__file__).parent
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    real = _lapack._linalg_directory()
+    suffix = next(s for s in importlib.machinery.EXTENSION_SUFFIXES
+                  if (real / f"_flapack{s}").is_file())
     for name in ("_flapack", "_fblas"):
         (directory / (name + suffix)).symlink_to(real / (name + suffix))
         (directory / f"{name}_64{suffix}").touch()
@@ -216,6 +241,13 @@ def test_loader_falls_back_to_scipy_linalg_with_the_same_eigenpairs(tmp_path, mo
     fallback = [sambe._eigh(s, window) for s in matrices for window in (None, (-1.0, 1.0))]
     for (vals, vecs), (fvals, fvecs) in zip(direct, fallback):
         assert vals.size and np.array_equal(vals, fvals) and np.array_equal(vecs, fvecs)
+    # without numpy's symbols the module itself takes scipy's extension files,
+    # and gives the same eigenpairs
+    name, blas_name, pairs = fresh(FALLBACK, str(tmp_path / "absent.so"),
+                                   str(Path(__file__).parent))
+    assert (name, blas_name) == ("scipy.linalg._flapack", "scipy.linalg._fblas")
+    for (vals, vecs), (fvals, re, im) in zip(direct, pairs):
+        assert np.array_equal(vals, fvals) and np.array_equal(vecs, np.array(re) + 1j * np.array(im))
 
 
 @pytest.mark.parametrize(
