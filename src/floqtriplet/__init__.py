@@ -8,7 +8,7 @@ ground-state solver.
 
 Importing the package loads the model and extended-space layers only
 (numpy; `_lapack` binds the LAPACK and BLAS routines of the OpenBLAS
-numpy links, and takes scipy's extension modules only where numpy has
+numpy links, and imports scipy.linalg's wrappers only where numpy has
 none); the oracle, variational and analysis names load their modules on
 first use, and none of them loads scipy.optimize.
 """

@@ -15,28 +15,18 @@ package leaves to the wrapper as the wrapper does, and calls the LAPACKE
 The results are the same bit for bit (tests/test_lapack.py).
 
 When numpy's extension or one of those symbols cannot be had (numpy 1.x,
-an MKL or conda build, Windows), `lapack` and `blas` are scipy's f2py
-extension modules `_flapack` and `_fblas`, loaded from their files in
-scipy's linalg directory so that the scipy.linalg package's __init__, most
-of a cold start, never runs.  When such a file or a routine is missing, or
-an ILP64 build (`_flapack_64`) sits beside it, they are
-`scipy.linalg.lapack` and `scipy.linalg.blas` themselves: an unknown layout
-costs the slower import, never a result.  Only this fallback imports
-scipy.  The Sambe eigensolver and the sector detector read their routines
-from `lapack` at each call, so rebinding it there reaches their path.
-
-`lapack` resolves with this module, `blas` on first access (PEP 562): only
-the variational route calls a BLAS routine.
+an MKL or conda build, Windows), `lapack` and `blas` are
+`scipy.linalg.lapack` and `scipy.linalg.blas`, and only then is scipy
+imported.  A cold process then pays for the whole `scipy.linalg` package:
+importing this module takes about 0.22 s there and peaks at 56 MB of RSS
+(README, "Library quick start").  Both names are bound with this module.
+The Sambe eigensolver and the sector detector read their routines from
+`lapack` at each call, so rebinding it there reaches their path.
 """
 
 import ctypes
 import functools
-import importlib
-import importlib.machinery
-import importlib.util
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 
@@ -280,58 +270,11 @@ def _openblas():
         return None
 
 
-# --- the fallback: scipy's f2py extension modules ---------------------------
-
-def _extension(directory: Path, name: str, routines: tuple[str, ...]):
-    """The extension module `name` from its file in directory, holding every
-    routine; ImportError when that cannot be had."""
-    suffixes = importlib.machinery.EXTENSION_SUFFIXES
-    if any((directory / f"{name}_64{suffix}").is_file() for suffix in suffixes):
-        raise ImportError(f"an ILP64 build {name}_64 is present in {directory}")
-    paths = [directory / (name + suffix) for suffix in suffixes]
-    path = next((p for p in paths if p.is_file()), None)
-    if path is None:
-        raise ImportError(f"no {name} extension in {directory}")
-    spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
-    registered = spec.name in sys.modules
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not registered:
-        # an f2py module enters itself in sys.modules, where a later import of
-        # scipy.linalg would take it without binding it to the package
-        sys.modules.pop(spec.name, None)
-    if not all(hasattr(module, routine) for routine in routines):
-        raise ImportError(f"{path} lacks a routine of {routines}")
-    return module
-
-
-def _linalg_directory() -> Path:
-    """scipy's linalg directory, found without running scipy's own __init__."""
-    return Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
-
-
-def _resolve(directory: Path, name: str, routines: tuple[str, ...], wrapper: str):
-    """The extension module `name` in directory, or the scipy.linalg module
-    `wrapper` when it cannot be had."""
-    try:
-        return _extension(directory, name, routines)
-    except ImportError:
-        return importlib.import_module(wrapper)
-
+# --- the provider ------------------------------------------------------------
 
 _OPENBLAS = _openblas()
 if _OPENBLAS is not None:
     lapack = types.SimpleNamespace(**{name: getattr(_OPENBLAS, name) for name in LAPACK})
+    blas = types.SimpleNamespace(**{name: getattr(_OPENBLAS, name) for name in BLAS})
 else:
-    lapack = _resolve(_linalg_directory(), "_flapack", LAPACK, "scipy.linalg.lapack")
-
-
-def __getattr__(name: str):
-    if name == "blas":
-        global blas
-        if _OPENBLAS is not None:
-            blas = types.SimpleNamespace(dnrm2=_OPENBLAS.dnrm2)
-        else:
-            blas = _resolve(_linalg_directory(), "_fblas", BLAS, "scipy.linalg.blas")
-        return blas
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import blas, lapack

@@ -347,7 +347,7 @@ def _cross_energy_matrix(
         # (nodes, d, d) @ (nodes, d, k) -> H(t_j) Psi_i(t_j), back to (k, nodes, d)
         psi = stack[:, lo : lo + nodes.size].transpose(1, 2, 0)
         hpsi[:, lo : lo + nodes.size] = (hblock[: nodes.size] @ psi).transpose(2, 0, 1)
-    integrand = np.einsum("int,jnt->ijn", stack.conj(), hpsi)
+    integrand = np.einsum("int,jnt->ijn", np.conjugate(stack, out=stack), hpsi)
     out = (integrand.sum(axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])) / n
     return 0.5 * (out + out.conj().T), integrand
 

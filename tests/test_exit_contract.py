@@ -43,8 +43,9 @@ ODD = [True, False, "1", "x", None, [], {}, [1.0], [[1.0]], [True, 1.5], 0, -1, 
 
 
 @st.composite
-def explicit_payloads(draw):
-    dim = draw(st.integers(min_value=1, max_value=3))
+def explicit_payloads(draw, dim=None, omega=None):
+    """An explicit payload, on dim and omega where they are given."""
+    dim = dim or draw(st.integers(min_value=1, max_value=3))
     entries = []
     for m in draw(st.lists(st.integers(min_value=-2, max_value=2), max_size=3, unique=True)):
         re = [[draw(unit) for _ in range(dim)] for _ in range(dim)]
@@ -58,7 +59,7 @@ def explicit_payloads(draw):
         last = entries[-1]
         entries.append({"m": -last["m"], "re": [list(r) for r in zip(*last["re"])],
                         "im": [[-x for x in r] for r in zip(*last["im"])]})
-    omega = draw(st.floats(min_value=0.5, max_value=3.0))
+    omega = omega or draw(st.floats(min_value=0.5, max_value=3.0))
     return {"dim": dim, "omega": omega, "harmonics": entries}
 
 
@@ -143,34 +144,47 @@ def break_harmonics(data, payload):
 PAYLOADS = st.sampled_from([explicit_payloads(), builtin_payloads()])
 
 
-def write_mutated_model(data, schema, path: Path) -> bool:
-    """Write a drawn payload, broken and mutated, to path; whether its only
-    defect is a reshaped re (a file that must be refused)."""
+def write_mutated_model(data, schema, path: Path, least: int = 1) -> bool:
+    """Write a drawn payload, broken or mutated at least `least` times, to
+    path; whether its only defect is a reshaped re (a file that must be
+    refused)."""
     payload = data.draw(schema)
     broken = "harmonics" in payload and data.draw(st.booleans())
     reshaped = False
     if broken:
         payload, kind = break_harmonics(data, payload)
         reshaped = kind == "re shape" and bool(payload["harmonics"])
-    mutations = data.draw(st.integers(min_value=0 if broken else 1, max_value=2))
+    mutations = data.draw(st.integers(min_value=0 if broken else least, max_value=2))
     for _ in range(mutations):
         payload = mutate(data, payload)
     path.write_text(json.dumps(payload))
     return reshaped and not mutations
 
 
-def run_on_mutated_model(data, schema, command: str, tmp: str, *extra: str) -> tuple[int, Path]:
-    """The exit code of `command --model` on a drawn payload, broken and
-    mutated, with the extra argv, and its output directory; a payload whose
-    only defect is a reshaped re must exit 2."""
-    path = Path(tmp) / "model.json"
-    refused = write_mutated_model(data, schema, path)
+def run_on_model(command: str, tmp: str, refused: bool, *extra: str) -> tuple[int, Path]:
+    """The exit code of `command --model` on tmp's model.json, with the
+    extra argv, and its output directory; a model to be refused must exit 2."""
     out = Path(tmp) / "out"
-    code = main([command, "--model", str(path), *extra, "--out", str(out)])
+    code = main([command, "--model", str(Path(tmp) / "model.json"), *extra, "--out", str(out)])
     assert code in (0, 2, 3, 4)
     if refused:
         assert code == 2
     return code, out
+
+
+def run_on_mutated_model(data, schema, command: str, tmp: str, *extra: str) -> tuple[int, Path]:
+    """`run_on_model` on a drawn payload, broken and mutated; a payload whose
+    only defect is a reshaped re must exit 2."""
+    refused = write_mutated_model(data, schema, Path(tmp) / "model.json")
+    return run_on_model(command, tmp, refused, *extra)
+
+
+def loaded(path: Path):
+    """The model in path, or None where the CLI exits 2 on it."""
+    try:
+        return load_model(path)
+    except (ModelError, ValueError):  # the errors the CLI exits 2 on
+        return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,19 +229,20 @@ def test_compare_model_keeps_the_exit_contract(data, schema):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), schema=PAYLOADS, pert_schema=PAYLOADS)
 def test_perturb_model_keeps_the_exit_contract(data, schema, pert_schema):
-    # both files drawn, broken and mutated; a perturbation file that must be
-    # refused, or one of another dimension, exits 2 and writes nothing
+    # both files drawn, broken and mutated; half the perturbations are drawn
+    # on the model's own dim and omega, and may be left intact, so that the
+    # tracking runs.  A perturbation file that must be refused, or one of
+    # another dimension, exits 2 and writes nothing
     with tempfile.TemporaryDirectory() as tmp:
-        pert = Path(tmp) / "pert.json"
-        refused = write_mutated_model(data, pert_schema, pert)
+        model, pert = Path(tmp) / "model.json", Path(tmp) / "pert.json"
+        refused_model = write_mutated_model(data, schema, model)
+        h, least = loaded(model), 1
+        if data.draw(st.booleans()) and h is not None:
+            pert_schema, least = explicit_payloads(h.dim, h.omega), 0
+        refused = write_mutated_model(data, pert_schema, pert, least)
         with contextlib.redirect_stdout(io.StringIO()):
-            code, out = run_on_mutated_model(data, schema, "perturb", tmp, "--pert-model", str(pert))
-        dims = []
-        for path in (Path(tmp) / "model.json", pert):
-            try:
-                dims.append(load_model(path).dim)
-            except (ModelError, ValueError):  # the errors the CLI exits 2 on
-                pass
+            code, out = run_on_model("perturb", tmp, refused_model, "--pert-model", str(pert))
+        dims = [m.dim for m in map(loaded, (model, pert)) if m is not None]
         if refused or (len(dims) == 2 and dims[0] != dims[1]):
             assert code == 2
         if code == 2:

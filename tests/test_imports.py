@@ -5,13 +5,10 @@ only; the oracle, variational and analysis names resolve on first access.
 The import checks run in a fresh interpreter, since this test session has
 loaded every layer already.  LAPACK and BLAS come from the OpenBLAS numpy
 links, bound by `_lapack`, so no command imports scipy; where numpy's
-symbols are missing, from scipy's extension modules, loaded without the
-scipy.linalg package, or from scipy.linalg itself when that cannot be done.
-BLAS resolves only on the variational route.  No command loads numpy.ma or decimal beyond what `import numpy`
-loads.
+symbols are missing, from `scipy.linalg.lapack` and `scipy.linalg.blas`.
+No command loads numpy.ma or decimal beyond what `import numpy` loads.
 """
 
-import importlib.machinery
 import inspect
 import json
 import os
@@ -76,16 +73,15 @@ def loaded_after(tmp_path, argv: list[str] | None, package: str = "floqtriplet")
     return set(fresh(script, json.dumps([*(argv or []), "--out", str(tmp_path / "o")])))
 
 
-def cold_run(tmp_path, argv: list[str]) -> tuple[set[str], bool]:
+def cold_run(tmp_path, argv: list[str]) -> set[str]:
     """The modules a fresh interpreter loads for `cli.main(argv)` beyond
     those of a bare `import numpy` (numpy 1.x imports numpy.ma and
-    numpy.random with it), and whether `_lapack.blas` was resolved."""
+    numpy.random with it)."""
     script = ("import json, sys\nimport numpy\nbare = set(sys.modules)\n"
-              "from floqtriplet import _lapack, cli\n"
+              "from floqtriplet import cli\n"
               "assert cli.main(json.loads(sys.argv[1])) == 0\n"
-              "print(json.dumps([sorted(set(sys.modules) - bare), 'blas' in vars(_lapack)]))\n")
-    loaded, blas = fresh(script, json.dumps([*argv, "--out", str(tmp_path / "o")]))
-    return set(loaded), blas
+              "print(json.dumps(sorted(set(sys.modules) - bare)))\n")
+    return set(fresh(script, json.dumps([*argv, "--out", str(tmp_path / "o")])))
 
 
 def test_solve_loads_only_the_model_and_sambe_layers(tmp_path):
@@ -128,6 +124,7 @@ def test_compare_leaves_scipy_integrate_unloaded(tmp_path):
     assert "scipy.integrate" not in loaded
 
 
+@pytest.mark.skipif(_lapack._OPENBLAS is None, reason="numpy links no OpenBLAS with LAPACKE symbols")
 @pytest.mark.parametrize("argv", [
     None,
     ["solve", "--builtin", "driven_ring"],
@@ -135,13 +132,9 @@ def test_compare_leaves_scipy_integrate_unloaded(tmp_path):
     ["variational", "--builtin", "driven_ring", "--param", "sites=3"],
 ])
 def test_cli_loads_lapack_without_the_scipy_linalg_package(tmp_path, argv):
-    # `_lapack` binds numpy's OpenBLAS, or loads scipy's _flapack and _fblas
-    # from their files
+    # `_lapack` binds numpy's OpenBLAS: no scipy module loads at all
     loaded = loaded_after(tmp_path, argv, "floqtriplet.cli")
-    assert "scipy.linalg" not in loaded
-    assert not any(name.startswith("scipy.linalg.") for name in loaded)
-    if _lapack._OPENBLAS is not None:
-        assert not any(name == "scipy" or name.startswith("scipy.") for name in loaded)
+    assert not any(name == "scipy" or name.startswith("scipy.") for name in loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -152,25 +145,20 @@ def test_cli_loads_lapack_without_the_scipy_linalg_package(tmp_path, argv):
      "--sweep-stop", "2", "--sweep-count", "2"],
 ])
 def test_sambe_commands_load_no_masked_arrays_decimal_or_blas(tmp_path, argv):
-    # a plain np.unique loads numpy.ma on numpy 2; only the variational
-    # route calls a BLAS routine
-    loaded, blas = cold_run(tmp_path, argv)
+    # a plain np.unique loads numpy.ma on numpy 2
+    loaded = cold_run(tmp_path, argv)
     assert not loaded & {"numpy.ma", "decimal"}
-    assert not blas
 
 
 def test_variational_loads_blas_but_no_masked_arrays_or_decimal(tmp_path):
-    loaded, blas = cold_run(tmp_path, ["variational", "--builtin", "driven_ring", "--param", "sites=3"])
+    loaded = cold_run(tmp_path, ["variational", "--builtin", "driven_ring", "--param", "sites=3"])
     assert not loaded & {"numpy.ma", "decimal"}
-    assert blas
 
 
 def test_scipy_linalg_still_imports_whole_after_the_package():
     # neither binding leaves a module of scipy.linalg behind in sys.modules,
     # where a later import of scipy.linalg would find it unbound to the package
-    # (`_lapack.blas` is first resolved after that import)
     script = ("import floqtriplet, scipy.linalg\nfrom floqtriplet import _lapack\n"
-              "assert 'blas' not in vars(_lapack)\n"
               "assert scipy.linalg.lapack.dstevd is scipy.linalg._flapack.dstevd\n"
               "assert scipy.linalg.blas.dnrm2 is scipy.linalg._fblas.dnrm2\n"
               "_lapack.blas.dnrm2([3.0, 4.0]) == 5.0 or sys.exit(1)\n"
@@ -186,13 +174,11 @@ def test_loader_binds_the_openblas_numpy_links():
     for name in _lapack.LAPACK:
         assert getattr(_lapack.lapack, name).__self__ is _lapack._OPENBLAS
     assert _lapack.blas.dnrm2.__self__ is _lapack._OPENBLAS
-    with pytest.raises(AttributeError, match="no attribute 'no_such_module'"):
-        _lapack.no_such_module
 
 
 # a fresh interpreter in which numpy's extension cannot be opened: `_lapack`
-# takes scipy's loader; prints the name of its `lapack` and the eigenpairs of
-# a real and a complex S, full and windowed, as lists
+# takes scipy.linalg's modules; prints the names of its `lapack` and `blas`
+# and the eigenpairs of a real and a complex S, full and windowed, as lists
 FALLBACK = """
 import json, sys
 import numpy.linalg._umath_linalg as umath
@@ -211,41 +197,22 @@ print(json.dumps([_lapack.lapack.__name__, _lapack.blas.__name__,
 """
 
 
-def _ilp64_layout(directory: Path) -> Path:
-    """directory with scipy's _flapack and _fblas files linked in, each beside
-    its ILP64 build _flapack_64 or _fblas_64 (empty files: never loaded)."""
-    real = _lapack._linalg_directory()
-    suffix = next(s for s in importlib.machinery.EXTENSION_SUFFIXES
-                  if (real / f"_flapack{s}").is_file())
-    for name in ("_flapack", "_fblas"):
-        (directory / (name + suffix)).symlink_to(real / (name + suffix))
-        (directory / f"{name}_64{suffix}").touch()
-    return directory
-
-
-@pytest.mark.parametrize("layout", [Path, _ilp64_layout], ids=["empty", "ilp64"])
-def test_loader_falls_back_to_scipy_linalg_with_the_same_eigenpairs(tmp_path, monkeypatch, layout):
-    import scipy.linalg.blas
+def test_loader_falls_back_to_scipy_linalg_with_the_same_eigenpairs(tmp_path, monkeypatch):
     import scipy.linalg.lapack
 
-    directory = layout(tmp_path)
-    # the module's own `lapack` and `blas` fall back one at a time
-    lapack = _lapack._resolve(directory, "_flapack", _lapack.LAPACK, "scipy.linalg.lapack")
-    blas = _lapack._resolve(directory, "_fblas", _lapack.BLAS, "scipy.linalg.blas")
-    assert lapack is scipy.linalg.lapack and blas is scipy.linalg.blas
     matrices = [ft.build_sambe(ft.builtin_model("driven_ring"), 3),
                 ft.build_sambe(random_complex_model(12, 7), 3)]
     assert [s.dtype for s in matrices] == [np.float64, np.complex128]
     direct = [sambe._eigh(s, window) for s in matrices for window in (None, (-1.0, 1.0))]
-    monkeypatch.setattr(_lapack, "lapack", lapack)
+    monkeypatch.setattr(_lapack, "lapack", scipy.linalg.lapack)
     fallback = [sambe._eigh(s, window) for s in matrices for window in (None, (-1.0, 1.0))]
     for (vals, vecs), (fvals, fvecs) in zip(direct, fallback):
         assert vals.size and np.array_equal(vals, fvals) and np.array_equal(vecs, fvecs)
-    # without numpy's symbols the module itself takes scipy's extension files,
+    # without numpy's symbols the module itself takes scipy.linalg's modules,
     # and gives the same eigenpairs
     name, blas_name, pairs = fresh(FALLBACK, str(tmp_path / "absent.so"),
                                    str(Path(__file__).parent))
-    assert (name, blas_name) == ("scipy.linalg._flapack", "scipy.linalg._fblas")
+    assert (name, blas_name) == ("scipy.linalg.lapack", "scipy.linalg.blas")
     for (vals, vecs), (fvals, re, im) in zip(direct, pairs):
         assert np.array_equal(vals, fvals) and np.array_equal(vecs, np.array(re) + 1j * np.array(im))
 

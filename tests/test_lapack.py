@@ -24,10 +24,12 @@ SIZES = (1, 2, 7, 64)
 
 @pytest.fixture(scope="module")
 def scipy_routines():
-    """scipy's f2py `_flapack` and `_fblas`, as the fallback loads them."""
-    directory = _lapack._linalg_directory()
-    return (_lapack._resolve(directory, "_flapack", _lapack.LAPACK, "scipy.linalg.lapack"),
-            _lapack._resolve(directory, "_fblas", _lapack.BLAS, "scipy.linalg.blas"))
+    """scipy's f2py wrappers, `scipy.linalg.lapack` and `scipy.linalg.blas`,
+    which the fallback takes."""
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack, scipy.linalg.blas
 
 
 def assert_same(ours, theirs):

@@ -69,6 +69,15 @@ def test_unitarity_tolerance_enforced(monkeypatch):
         ft.propagate_period(h)
 
 
+def test_unitarity_tolerance_catches_a_small_drift(monkeypatch):
+    # a period product 1e-5 too long reads a defect of about 4e-10 after the
+    # polar step: over the module's own tolerance, under a looser one
+    propagate = oracle._propagate
+    monkeypatch.setattr(oracle, "_propagate", lambda *args: (1.0 + 1e-5) * propagate(*args))
+    with pytest.raises(PropagationError, match="exceeds 1.0e-12"):
+        ft.propagate_period(ft.builtin_model("two_level_circular"))
+
+
 def _assert_factors_match_expm(h, steps, tol):
     dt = h.period / steps
     factors = _step_propagators(h, steps)
@@ -260,6 +269,17 @@ def test_mode_from_propagation_tail_warning():
             h, mono.eigenvectors[:, 0], mono.eigenphases[0], truncation=1
         )
     assert tail > 1e-6
+
+
+def test_mode_from_propagation_warns_at_a_small_tail():
+    # a tail of about 1e-4: over the warning's 1e-6, under a looser threshold
+    h = ft.builtin_model("two_level_linear", {"delta": 1.0, "v": 0.4, "omega": 0.8})
+    mono = ft.propagate_period(h)
+    with pytest.warns(RuntimeWarning, match="tail weight"):
+        _, tail = ft.mode_from_propagation(
+            h, mono.eigenvectors[:, 0], mono.eigenphases[0], truncation=2
+        )
+    assert 1e-6 < tail < 1e-3
 
 
 def test_time_averaged_energy_static_eigenstate():

@@ -1141,6 +1141,16 @@ def test_residual_ebar_degeneracy_is_flagged():
     assert_allclose(spec.avg_energies, [0.25, 0.25], atol=1e-12)
 
 
+def test_resolved_ebar_split_is_not_flagged():
+    # one group of two whose Ebar differ by 5e-9, far over the tie flag's
+    # 1e-10 * max(|Ebar|, 1)
+    h = ft.builtin_model("static", {"levels": (0.25, 0.25 + 5e-9), "omega": 0.7})
+    spec = ft.solve_spectrum(h, 2)
+    assert [t.group_size for t in spec] == [2, 2]
+    assert not any(t.ebar_degenerate for t in spec)
+    assert_allclose(spec.avg_energies, [0.25, 0.25 + 5e-9], atol=1e-12)
+
+
 def test_functional_identity_quasi_minus_weighted_norm():
     # eps[Phi] - ebar_cal[Phi] = sum_m m * omega * ||phi^(m)||^2, exactly
     h = ft.builtin_model("two_level_linear")
