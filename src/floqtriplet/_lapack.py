@@ -1,5 +1,10 @@
 """The LAPACK and BLAS routines the package calls, from numpy's OpenBLAS.
 
+They are the Sambe eigensolver's (`dsytrd` / `zhetrd`, `dstevd`, `dormqr` /
+`zunmqr`), the oracle's Schur form (`zgees`) and the trust region's
+(`dlange`, `dpotrf`, `dpotrs`, `dtrtrs`, `dnrm2`).  The sector detector's
+null spaces come from numpy's own `np.linalg.svd`.
+
 numpy's wheels (numpy >= 2) link an ILP64 OpenBLAS whose LAPACKE and CBLAS
 entry points are exported as `scipy_LAPACKE_<name>_work64_` and
 `scipy_cblas_<name>64_`; dlsym on numpy's own `_umath_linalg` extension
@@ -20,8 +25,8 @@ an MKL or conda build, Windows), `lapack` and `blas` are
 imported.  A cold process then pays for the whole `scipy.linalg` package:
 importing this module takes about 0.22 s there and peaks at 56 MB of RSS
 (README, "Library quick start").  Both names are bound with this module.
-The Sambe eigensolver and the sector detector read their routines from
-`lapack` at each call, so rebinding it there reaches their path.
+The Sambe eigensolver and the oracle read their routines from `lapack` at
+each call, so rebinding it there reaches their path.
 """
 
 import ctypes
@@ -31,7 +36,7 @@ import types
 import numpy as np
 
 LAPACK = ("dsytrd", "dsytrd_lwork", "zhetrd", "zhetrd_lwork", "dstevd", "dormqr", "zunmqr",
-          "dgeqp3", "zgeqp3", "dorgqr", "zungqr", "zgees", "dlange", "dpotrf", "dpotrs", "dtrtrs")
+          "zgees", "dlange", "dpotrf", "dpotrs", "dtrtrs")
 BLAS = ("dnrm2",)
 
 # --- numpy's OpenBLAS -------------------------------------------------------
@@ -48,10 +53,6 @@ _SIGNATURES = {
     "dstevd": (_I, "cipppipipi"),
     "dormqr": (_I, "cciiipippipi"),
     "zunmqr": (_I, "cciiipippipi"),
-    "dgeqp3": (_I, "iipipppi"),
-    "zgeqp3": (_I, "iipipppip"),
-    "dorgqr": (_I, "iiipippi"),
-    "zungqr": (_I, "iiipippi"),
     "zgees": (_I, "ccpipipppipipp"),
     "dlange": (ctypes.c_double, "ciipip"),
     "dpotrf": (_I, "cipi"),
@@ -149,7 +150,7 @@ class _OpenBLAS:
                             liwork)
         return vals, z, _info(info)
 
-    # Householder products: apply, QR with column pivots, form Q
+    # the Householder back-transformation
 
     @staticmethod
     def _mqr(function, dtype, side, trans, a, tau, c, lwork):
@@ -168,40 +169,6 @@ class _OpenBLAS:
 
     def zunmqr(self, side, trans, a, tau, c, lwork):
         return self._mqr(self._zunmqr, np.complex128, side, trans, a, tau, c, lwork)
-
-    @staticmethod
-    def _geqp3(function, dtype, a, *rwork):
-        qr = np.array(a, dtype, order="F")
-        m, n = qr.shape
-        jpvt, tau = np.zeros(n, np.int64), np.zeros(min(m, n), dtype)
-        # the wrapper's workspace, which sets the block size: its result
-        lwork = 3 * (n + 1)
-        work = np.zeros(lwork, dtype)
-        info = function(_COL_MAJOR, m, n, _ref(qr.T), m or 1, _ref(jpvt), _ref(tau), _ref(work),
-                        lwork, *rwork)
-        return qr, jpvt.astype(np.int32), tau, work, _info(info)
-
-    def dgeqp3(self, a):
-        return self._geqp3(self._dgeqp3, np.float64, a)
-
-    def zgeqp3(self, a):
-        return self._geqp3(self._zgeqp3, np.complex128, a, _ref(np.empty(2 * np.shape(a)[1])))
-
-    @staticmethod
-    def _gqr(function, dtype, a, tau):
-        q, tau = np.array(a, dtype, order="F"), np.ascontiguousarray(tau, dtype)
-        m, n = q.shape
-        lwork = max(3 * n, 1)  # the wrapper's workspace, which sets the block size
-        work = np.zeros(lwork, dtype)
-        info = function(_COL_MAJOR, m, n, tau.size, _ref(q.T), m or 1, _ref(tau), _ref(work),
-                        lwork)
-        return q, work, _info(info)
-
-    def dorgqr(self, a, tau):
-        return self._gqr(self._dorgqr, np.float64, a, tau)
-
-    def zungqr(self, a, tau):
-        return self._gqr(self._zungqr, np.complex128, a, tau)
 
     # the complex Schur form
 

@@ -27,9 +27,9 @@ Appl. Math. 27, 125 (2010)):
    value of X.
 2. The equations H_m X - X H_m = 0 for every stored m are sketched by
    random bilinear forms l^T (...) r, a few more than the unknowns; the
-   null space is the orthogonal complement of the sketch's rows (a QR with
-   column pivots).  The eigenspaces of a random Hermitian X from it, less
-   the identity, are the static sectors.
+   null space is the orthogonal complement of the sketch's rows (the right
+   singular vectors of its SVD past its rank).  The eigenspaces of a random
+   Hermitian X from it, less the identity, are the static sectors.
 3. Inside each static sector, Z_f (Z with its odd terms negated) is
    G Z G^-1, so G maps Z's eigenvectors to Z_f's of the same eigenvalue:
    block-diagonal between the two bases on the clusters of both spectra.
@@ -39,10 +39,11 @@ Appl. Math. 27, 125 (2010)):
 
 The random numbers come from one fixed seed, so a model's sectors are
 deterministic, and a real model stays in real arithmetic (the model's
-`_arithmetic_harmonics`), so its blocks are real.  A split is kept only if every
-off-sector entry of V^H H_m V is at most COUPLING_TOL times the norm of the
-harmonics.  This module only finds the split; `sambe` solves S, one block
-per sector when there is one.
+`_arithmetic_harmonics`), so its blocks are real.  The sectors are numbered
+by ascending [even, odd] dimensions, so their order does not depend on the
+sketches.  A split is kept only if every off-sector entry of V^H H_m V is
+at most COUPLING_TOL times the norm of the harmonics.  This module only
+finds the split; `sambe` solves S, one block per sector when there is one.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lapack
 from .model import FourierHamiltonian
 from .sambe import SolverError
 
@@ -59,9 +59,9 @@ from .sambe import SolverError
 # magnitude share a cluster.
 MERGE = 1e-3
 
-# Relative size below which a sketch row's distance from the span of the
-# rows before it, a coupling of two eigenvectors of Z by the harmonics, or
-# X less its identity part counts as zero.
+# Relative size below which a singular value of a sketch, a coupling of two
+# eigenvectors of Z by the harmonics, or X less its identity part counts as
+# zero.
 RANK_TOL = 1e-8
 
 # Largest off-sector entry of V^H H_m V, relative to the norm of the stacked
@@ -111,7 +111,8 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
     Y R_m for every m (the stacks left and right), or None when only Y = 0
     solves; the unknowns Y[rows, cols] with one value of tied are held
     equal.  Row k of the sketch is sum_m l_mk^T (sign_m L_m Y - Y R_m) r_k
-    as a function of the unknowns; a QR with column pivots ranks it."""
+    as a function of the unknowns; the singular values of the sketch rank
+    it, and its right singular vectors past the rank span the null space."""
     d = left.shape[1]
     if not rows.size:
         return None
@@ -128,20 +129,15 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
         merge = tied[:, None] == np.arange(unknowns)
         coef, size = coef @ merge, size @ merge
     size = np.sqrt(unknowns) * size.max()
-    # the most independent rows first: the columns of Q past them span the
-    # orthogonal complement of the rows, the null space
-    # the routines get_lapack_funcs picks for coef: orgqr is ungqr when complex
-    names = ("zgeqp3", "zungqr") if np.iscomplexobj(coef) else ("dgeqp3", "dorgqr")
-    geqp3, orgqr = (getattr(_lapack.lapack, name) for name in names)
-    packed, _, tau, _, info = geqp3(coef.conj().T)
-    q, _, info_q = orgqr(packed[:, :unknowns], tau)
-    if info or info_q:
-        raise SolverError(f"sector detection failed: geqp3 info {info}, orgqr info {info_q}")
-    rank = int(np.count_nonzero(np.abs(packed.diagonal()) > RANK_TOL * size))
+    try:
+        _, singular, vh = np.linalg.svd(coef)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"sector detection failed: {exc}") from exc
+    rank = int(np.count_nonzero(singular > RANK_TOL * size))
     if rank == unknowns:
         return None
-    values = q[:, rank:] @ rng.standard_normal(unknowns - rank)
-    y = np.zeros((d, d), dtype=q.dtype)
+    values = vh[rank:].conj().T @ rng.standard_normal(unknowns - rank)
+    y = np.zeros((d, d), dtype=vh.dtype)
     y[rows, cols] = values if tied is None else values[tied]
     return y
 
@@ -245,6 +241,11 @@ def find(h: FourierHamiltonian) -> Sectors:
     labels = np.unique(keys, return_inverse=True)[1].reshape(2, d)
     if labels.max() == 0:
         return Sectors(0.0)
+    # sectors numbered by ascending [even, odd] dims, so that their order
+    # does not hang on the random sketches; equal dims keep their order
+    dims = [np.bincount(row, minlength=labels.max() + 1) for row in labels]
+    order = np.lexsort(dims[::-1])
+    labels = np.argsort(order)[labels]
 
     hat = basis.conj().T @ mats @ basis
     parity = (np.arange(2)[:, None] + ms) % 2  # of the row harmonic, per column parity and m

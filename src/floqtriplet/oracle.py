@@ -333,21 +333,20 @@ def _cross_energy_matrix(
 
     H(t_j) is evaluated once per node into blocks of at most _STEP_BLOCK
     nodes; one batched product per block gives H(t_j) Psi_i(t_j) for every
-    trajectory i.
+    trajectory i, and that block's nodes of the integrand.
     """
-    n = trajectories[0].shape[0] - 1
+    k, n = len(trajectories), trajectories[0].shape[0] - 1
     tgrid = np.linspace(0.0, h.period, n + 1)
-    stack = np.stack(trajectories)  # (k, N+1, d)
-    hpsi = np.empty_like(stack)
+    integrand = np.empty((k, k, n + 1), dtype=complex)
     hblock = np.empty((_STEP_BLOCK, h.dim, h.dim), dtype=complex)
     for lo in range(0, n + 1, _STEP_BLOCK):
         nodes = tgrid[lo : lo + _STEP_BLOCK]
         for j, t in enumerate(nodes.tolist()):
             hblock[j] = h.eval_at_time(t)
+        psi = np.stack([trajectory[lo : lo + nodes.size] for trajectory in trajectories])
         # (nodes, d, d) @ (nodes, d, k) -> H(t_j) Psi_i(t_j), back to (k, nodes, d)
-        psi = stack[:, lo : lo + nodes.size].transpose(1, 2, 0)
-        hpsi[:, lo : lo + nodes.size] = (hblock[: nodes.size] @ psi).transpose(2, 0, 1)
-    integrand = np.einsum("int,jnt->ijn", np.conjugate(stack, out=stack), hpsi)
+        hpsi = (hblock[: nodes.size] @ psi.transpose(1, 2, 0)).transpose(2, 0, 1)
+        integrand[..., lo : lo + nodes.size] = np.einsum("int,jnt->ijn", psi.conj(), hpsi)
     out = (integrand.sum(axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])) / n
     return 0.5 * (out + out.conj().T), integrand
 

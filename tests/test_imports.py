@@ -144,13 +144,13 @@ def test_cli_loads_lapack_without_the_scipy_linalg_package(tmp_path, argv):
     ["sweep", "--builtin", "static", "--sweep-param", "omega", "--sweep-start", "1",
      "--sweep-stop", "2", "--sweep-count", "2"],
 ])
-def test_sambe_commands_load_no_masked_arrays_decimal_or_blas(tmp_path, argv):
+def test_sambe_commands_load_no_masked_arrays_or_decimal(tmp_path, argv):
     # a plain np.unique loads numpy.ma on numpy 2
     loaded = cold_run(tmp_path, argv)
     assert not loaded & {"numpy.ma", "decimal"}
 
 
-def test_variational_loads_blas_but_no_masked_arrays_or_decimal(tmp_path):
+def test_variational_loads_no_masked_arrays_or_decimal(tmp_path):
     loaded = cold_run(tmp_path, ["variational", "--builtin", "driven_ring", "--param", "sites=3"])
     assert not loaded & {"numpy.ma", "decimal"}
 

@@ -3,6 +3,9 @@ wrappers give, bit for bit.
 
 Every routine of `_lapack.LAPACK`, and `dnrm2`, is called through both on
 the same inputs, and every output and `info` must be `np.array_equal`.
+The reflectors `dormqr` and `zunmqr` apply are those of scipy's own QR with
+column pivots, which the package no longer binds: the sector detector takes
+its null spaces from numpy's SVD.
 Skipped where numpy links no OpenBLAS with these symbols: there `_lapack`
 takes scipy's modules themselves.
 """
@@ -90,12 +93,12 @@ def test_tridiagonal_reduction_and_its_eigensolve(scipy_routines, n, complex_):
 def test_householder_routines(scipy_routines, n, complex_):
     rng = np.random.default_rng(100 + n)
     dtype = complex if complex_ else float
-    geqp3, orgqr, mqr = ("zgeqp3", "zungqr", "zunmqr") if complex_ else ("dgeqp3", "dorgqr", "dormqr")
+    geqp3, mqr = ("zgeqp3", "zunmqr") if complex_ else ("dgeqp3", "dormqr")
     a = rng.standard_normal((n + 3, n)).astype(dtype)
     if complex_:
         a += 1j * rng.standard_normal(a.shape)
-    qr, _, tau, _, _ = call_both(geqp3, scipy_routines, a)
-    call_both(orgqr, scipy_routines, qr, tau)
+    # the reflectors of a QR with column pivots, from the reference
+    qr, _, tau, _, _ = getattr(scipy_routines[0], geqp3)(a)
     c = rng.standard_normal((n + 3, 5)).astype(dtype)
     for trans in ("N", "C" if complex_ else "T"):
         (_, work, _) = call_both(mqr, scipy_routines, "L", trans, qr, tau, c, -1)
