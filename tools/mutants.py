@@ -6,8 +6,7 @@ with the pinned bound cases deselected (-k 'not pinned_values').  A mutant
 is killed when a test fails.  The score is printed; the exit status is
 always 0, so this is a report, not a gate.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py seam       # those whose reason holds "seam"
+    python tools/mutants.py
 
 Tier-1 must first pass on an unmutated copy.  Each run stops at its first
 failure (-x), so a survivor costs two full Tier-1 runs.  Temporary copies
@@ -78,14 +77,13 @@ def copy_of_repository(tmp: str) -> Path:
     return copy
 
 
-def main(pattern: str = "") -> int:
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         if not survives(copy_of_repository(tmp)):
             print("Tier-1 fails without a mutant: no score")
             return 0
-    chosen = [m for m in MUTANTS if pattern in m[3]]
     killed = killed_unpinned = 0
-    for file, old, new, reason in chosen:
+    for file, old, new, reason in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
             copy = copy_of_repository(tmp)
             path = copy / file
@@ -100,10 +98,10 @@ def main(pattern: str = "") -> int:
         killed_unpinned += unpinned
         verdict = "killed" if unpinned else "pins" if pinned else "SURVIVED"
         print(f"{verdict:8s} {reason}", flush=True)
-    print(f"score: {killed}/{len(chosen)} killed with the pins, "
-          f"{killed_unpinned}/{len(chosen)} without them")
+    print(f"score: {killed}/{len(MUTANTS)} killed with the pins, "
+          f"{killed_unpinned}/{len(MUTANTS)} without them")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(*sys.argv[1:2]))
+    sys.exit(main())
