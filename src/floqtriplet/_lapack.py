@@ -2,7 +2,7 @@
 
 They are the Sambe eigensolver's (`dsytrd` / `zhetrd`, `dstevd`, `dormqr` /
 `zunmqr`), the oracle's Schur form (`zgees`) and the trust region's
-(`dlange`, `dpotrf`, `dpotrs`, `dtrtrs`, `dnrm2`).  The sector detector's
+(`dpotrf`, `dpotrs`, `dtrtrs`, `dnrm2`).  The sector detector's
 null spaces come from numpy's own `np.linalg.svd`.
 
 numpy's wheels (numpy >= 2) link an ILP64 OpenBLAS whose LAPACKE and CBLAS
@@ -36,7 +36,7 @@ import types
 import numpy as np
 
 LAPACK = ("dsytrd", "dsytrd_lwork", "zhetrd", "zhetrd_lwork", "dstevd", "dormqr", "zunmqr",
-          "zgees", "dlange", "dpotrf", "dpotrs", "dtrtrs")
+          "zgees", "dpotrf", "dpotrs", "dtrtrs")
 BLAS = ("dnrm2",)
 
 # --- numpy's OpenBLAS -------------------------------------------------------
@@ -54,7 +54,6 @@ _SIGNATURES = {
     "dormqr": (_I, "cciiipippipi"),
     "zunmqr": (_I, "cciiipippipi"),
     "zgees": (_I, "ccpipipppipipp"),
-    "dlange": (ctypes.c_double, "ciipip"),
     "dpotrf": (_I, "cipi"),
     "dpotrs": (_I, "ciipipi"),
     "dtrtrs": (_I, "ccciipipi"),
@@ -185,13 +184,7 @@ class _OpenBLAS:
                            _ref(np.empty(n)), None)
         return t, int(sdim[0]), w, vs, work, _info(info)
 
-    # norms, the Cholesky factor and triangular solves of the trust region
-
-    def dlange(self, norm, a):
-        a = np.asarray(a, np.float64, order="F")
-        m, n = a.shape
-        work = _ref(np.empty(m)) if norm in "Ii" else None  # only the infinity norm uses it
-        return self._dlange(_COL_MAJOR, norm.encode(), m, n, _ref(a.T), m or 1, work)
+    # the Cholesky factor and triangular solves of the trust region
 
     def dpotrf(self, a, lower=0, clean=1, overwrite_a=0):
         c = np.array(a, np.float64, order="F")

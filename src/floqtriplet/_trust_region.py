@@ -7,8 +7,9 @@ check per solve, np.eye per factorization, a scipy.linalg.norm per vector
 norm and a Hessian at every proposed point, rejected ones too.
 `minimize` takes the same steps with the same LAPACK and BLAS calls (the
 1-norms of the singular-value estimate as np.abs(x).sum(), the same
-reduction) and forms the Hessian only at the accepted points it steps
-from.  `variational` calls it directly.
+reduction, and the Hessian's infinity norm as the largest of the
+Gershgorin row sums it already forms) and forms the Hessian only at the
+accepted points it steps from.  `variational` calls it directly.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ _K_HARD = 0.2  # ... or hard-case step error within 20%
 _SUBPROBLEM_ITERATIONS = 25
 _UPDATE_COEFF = 0.01  # theta of Conn, Gould & Toint (7.3.14)
 
-# the 1-d norms and the infinity norm from the routines scipy.linalg.norm calls
-_nrm2, _lange = _lapack.blas.dnrm2, _lapack.lapack.dlange
+# the 1-d norms from the routine scipy.linalg.norm calls
+_nrm2 = _lapack.blas.dnrm2
 _potrf, _potrs, _trtrs = _lapack.lapack.dpotrf, _lapack.lapack.dpotrs, _lapack.lapack.dtrtrs
 
 
@@ -91,7 +92,7 @@ class _TrustModel:
         row_sums = np.sum(np.abs(hess), axis=1)
         self.gershgorin_lb = np.min(diag + np.abs(diag) - row_sums)
         self.gershgorin_ub = np.max(diag - np.abs(diag) + row_sums)
-        self.hess_inf = _lange("1", hess.T)  # max row sum: hess is C-ordered
+        self.hess_inf = row_sums.max()  # hess is symmetric: its 1- and infinity norms agree
         self.hess_fro = np.linalg.norm(hess)
         # below this a gradient is too small for a reliable back substitution
         self.close_to_zero = g.size * np.finfo(float).eps * self.hess_inf

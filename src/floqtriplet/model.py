@@ -387,11 +387,13 @@ def from_json_dict(payload: dict) -> FourierHamiltonian:
                 np.asarray(_numeric(entry[part], f"{part} of harmonic m={m}"), dtype=float)
                 for part in ("re", "im")
             )
-            if re.shape != im.shape:  # re + 1j * im would broadcast one against the other
+            if re.shape != im.shape:  # im would be broadcast onto re
                 raise ModelError(
                     f"re and im of harmonic m={m} must have one shape, got {re.shape} and {im.shape}"
                 )
-            harmonics[m] = re + 1j * im
+            # not re + 1j * im: 1j * inf is an invalid multiply, with a numpy warning
+            harmonics[m] = re.astype(complex)
+            harmonics[m].imag = im
     except ModelError as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:

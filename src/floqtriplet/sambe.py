@@ -69,7 +69,9 @@ and T applied through the harmonics, never as n x n matrices:
   to one replica they lie in one S-eigenspace, where Hbar = lam - omega*N
   is diagonal on the N-eigenvectors `_select` kept, and their Ebar differ
   by omega*(k + <N>_i - <N>_j) != 0.
-- certification: `_truncation_bounds` takes S_inf X from that T X.
+- certification: `_truncation_bounds` takes S_inf X from that T X, and
+  scores every clustering level exactly, in real arithmetic when X and
+  T X are real.
 
 Mode and triplet objects are built once, for the returned solve, ordered
 by average energy; `select_representatives`, `group_degeneracies` and
@@ -1031,8 +1033,9 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     largest distance between a cluster's sorted Ritz values and its
     groups'.  A state reports no Ritz value, though: it reports its group's
     mean raw eigenvalue (`_group`), and no term here covers the move from
-    its own eigenvalue to that mean.  Of the levels whose bound is within
-    rounding (8 eps omega) of the smallest, the finest is kept.
+    its own eigenvalue to that mean.  Every level is scored exactly, and of
+    the levels whose bound is within rounding (8 eps omega) of the smallest,
+    the finest is kept.
     The Ebar figure is the estimate 2 (M + K) max_C w_C / omega of that
     level: the leak moves about w_C / omega^2 of weight past |p| = M,
     moving <N> by at most M + K per unit weight, twice over for the
@@ -1048,12 +1051,17 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     order = np.roll(order, -cut)
     unrolled = np.concatenate([values[cut:] - omega, values[:cut]])
     shifts = np.round((states["lams"][order] - unrolled) / omega).astype(int)
+    # a real model's modes are exactly real: its figures are then formed in
+    # real arithmetic, decided from the modes so no imaginary part is dropped
+    x, tx = states["x"], states["tx"]
+    if not (x.imag.any() or tx.imag.any()):
+        x, tx = x.real, tx.real
     # each mode as a row of blocks; on its replica, S_inf x - eps x over the
     # window and the K blocks past each edge
-    x = states["x"].T[order].reshape(count, nb, dim)
+    x = x.T[order].reshape(count, nb, dim)
     span = nb + 2 * reach
     diagonal = omega * (np.arange(-truncation, truncation + 1) - shifts[:, None])[:, :, None]
-    window = states["tx"].T[order].reshape(count, nb, dim) + diagonal * x - x * unrolled[:, None, None]
+    window = tx.T[order].reshape(count, nb, dim) + diagonal * x - x * unrolled[:, None, None]
     below, above = np.split(_edge_leak(h, x.reshape(count, -1).T), 2, axis=1)
     y = np.concatenate([below, window, above], axis=1)
     # replica k puts block p at harmonic p - k: the frame holds each mode's
@@ -1061,7 +1069,7 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     offsets = np.array(sorted(set((-shifts).tolist())))
     start = np.append(0, np.cumsum(np.minimum(np.diff(offsets), span)))
     start = start[np.searchsorted(offsets, -shifts)][:, None]
-    frame = np.zeros((2 * count, start.max() + span, dim), dtype=complex)
+    frame = np.zeros((2 * count, start.max() + span, dim), dtype=y.dtype)
     frame[np.arange(count)[:, None], start + reach + np.arange(nb)] = x
     frame[np.arange(count, 2 * count)[:, None], start + np.arange(span)] = y
     del x, y, window, below, above
@@ -1084,83 +1092,46 @@ def _truncation_bounds(h: FourierHamiltonian, truncation: int, states: dict):
     first, length = runs // count, runs % count - runs // count + 1
     run, groups = inverse[: firsts.size], inverse[firsts.size :]
 
-    # w_C and the Ritz values of a run (basis X_C V s^-1/2, G_C = V diag(s)
-    # V^H; one batched eigh per length) once a level holding it may be kept.
-    # Until then, with eta = ||G_C - I||_F < 1, w_C >= tr(B_C) / (1 + eta) -
-    # ||A_C||_F^2 / (1 - eta)^2 (sums over C x C from 2D prefix sums, less
-    # their rounding), and its Ritz values lie within its Rayleigh quotients
-    theta = np.zeros((runs.size, length.max()))
-    known = np.zeros(runs.size, dtype=bool)
-
-    def resolve(need):
-        for size in sorted(set(length[need].tolist())):
-            batch = np.flatnonzero(need & (length == size))
-            idx = first[batch][:, None] + np.arange(size)
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            scales, vecs = np.linalg.eigh(gram[rows, cols])
-            basis = vecs / np.sqrt(scales)[:, None, :]
-            a, b, sq = np.swapaxes(basis, -1, -2).conj() @ blocks[:, rows, cols] @ basis
-            trace = np.trace(b, axis1=-2, axis2=-1).real
-            w[batch] = np.maximum(trace - np.sum(np.abs(a) ** 2, axis=(-2, -1)), 0.0)
-            theta[batch, :size] = np.linalg.eigvalsh(sq)
-        known[need] = True
-
-    parts = [np.abs(gram - np.eye(count)) ** 2, np.diag(resid.diagonal().real), np.abs(cross) ** 2]
-    p = np.zeros((3, count + 1, count + 1))
-    p[:, 1:, 1:] = np.cumsum(np.cumsum(parts, axis=1), axis=2)
-    end = first + length
-    rounding = 8 * count * np.finfo(float).eps * p[:, -1, -1, None] * [[1], [-1], [1]]
-    sums = p[:, end, end] - p[:, first, end] - p[:, end, first] + p[:, first, first]
-    eta, trace_b, norm_a = sums + rounding
-    eta = np.sqrt(eta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(eta < 1, np.maximum(trace_b / (1 + eta) - norm_a / (1 - eta) ** 2, 0.0), 0.0)
-    # every state alone, whose Rayleigh quotients bound a run not yet resolved, and
-    # every group, whose Ritz values `split` compares each cluster's sorted ones with
-    resolve((np.bincount(groups, minlength=runs.size) > 0) | (length == 1))
+    # w_C and the Ritz values of every run (basis X_C V s^-1/2, G_C = V
+    # diag(s) V^H), one batched eigh per run length
+    w, theta = np.zeros(runs.size), np.zeros((runs.size, length.max()))
+    for size in sorted(set(length.tolist())):
+        batch = np.flatnonzero(length == size)
+        idx = first[batch][:, None] + np.arange(size)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        scales, vecs = np.linalg.eigh(gram[rows, cols])
+        basis = vecs / np.sqrt(scales)[:, None, :]
+        a, b, sq = np.swapaxes(basis, -1, -2).conj() @ blocks[:, rows, cols] @ basis
+        trace = np.trace(b, axis1=-2, axis2=-1).real
+        w[batch] = np.maximum(trace - np.sum(np.abs(a) ** 2, axis=(-2, -1)), 0.0)
+        theta[batch, :size] = np.linalg.eigvalsh(sq)
+    # each run's sorted Ritz values against those of the groups it holds
     member = np.arange(theta.shape[1]) < length[:, None]
     within = np.minimum(first[:, None] + np.arange(theta.shape[1]), count - 1)
     of_group = np.repeat(groups, length[groups])
     own = theta[of_group, np.arange(count) - first[of_group]]
     owned = np.sort(np.where(member, own[within], np.inf), axis=1)
-    quotients = theta[np.searchsorted(runs, np.arange(count) * (count + 1)), 0][within]
-    lowest = np.where(member, quotients, np.inf).min(axis=1)
-    highest = np.where(member, quotients, -np.inf).max(axis=1)
+    split = np.where(member, np.abs(theta - owned), 0.0).max(axis=1)
 
     # every level at once, one entry per cluster: gaps[e] runs from cluster e
-    # to the next of its level, the last to the first's replica.  A level
-    # not fully resolved scores a lower bound; levels are resolved, the most
-    # promising first, until no other can reach the best score
+    # to the next of its level, the last to the first's replica
     entry = np.arange(run.size)
     level_starts = np.flatnonzero(np.diff(level, prepend=-1))
     head = level_starts[level]
     tail = np.append(level_starts[1:], run.size)[level] - 1
     after = np.where(entry == tail, head, entry + 1)
     before = np.where(entry == head, tail, entry - 1)
-    wrap = np.where(entry == tail, omega, 0.0)
-    margin = 8 * np.finfo(float).eps * omega  # Ritz values in [-omega, omega)
+    rho = np.sqrt(w[run])
+    gaps = theta[run, 0][after] + np.where(entry == tail, omega, 0.0) - theta[run, length[run] - 1]
+    skip = np.logical_or.reduceat(gaps <= rho + rho[after], level_starts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            rho = np.sqrt(w[run])
-            lo = np.where(known, theta[:, 0], lowest)[run]
-            hi = np.where(known, theta[np.arange(runs.size), length - 1], highest)[run]
-            split = np.where(member & known[:, None], np.abs(theta - owned), 0.0).max(axis=1)
-            gaps = lo[after] + wrap - hi
-            skip = np.logical_or.reduceat(gaps <= rho + rho[after], level_starts)
-            delta = np.minimum(gaps - rho[after], gaps[before] - rho[before])
-            scores = np.maximum.reduceat(w[run] / delta + split[run], level_starts)
-            exact = np.logical_and.reduceat(known[run], level_starts)
-            kept = np.flatnonzero(exact & ~skip & (scores < np.inf))
-            best = scores[kept].min(initial=np.inf)
-            todo = ~exact & ~skip & (scores <= best + margin)
-            if not todo.any():
-                break
-            if best == np.inf:
-                todo = scores == scores[todo].min()
-            resolve((np.bincount(run[todo[level]], minlength=runs.size) > 0) & ~known)
+        delta = np.minimum(gaps - rho[after], gaps[before] - rho[before])
+        scores = np.maximum.reduceat(w[run] / delta + split[run], level_starts)
+    kept = np.flatnonzero(~skip & (scores < np.inf))
     if not kept.size:
         return np.inf, np.inf
-    best = kept[scores[kept] <= best + margin][0]
+    margin = 8 * np.finfo(float).eps * omega  # Ritz values in [-omega, omega)
+    best = kept[scores[kept] <= scores[kept].min() + margin][0]
     w_max = np.maximum.reduceat(w[run], level_starts)[best]
     return float(scores[best]), float(2 * (truncation + reach) * w_max / omega)
 

@@ -555,6 +555,28 @@ def test_solve_nonfinite_harmonic_exits_config(tmp_path, capsys, value):
     assert "hermiticity" not in err["message"]
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_solve_infinite_imaginary_part_exits_config_without_warning(tmp_path, capsys, value):
+    # 1j * inf is an invalid multiply: the model file is refused with no numpy warning
+    path = tmp_path / "model.json"
+    payload = {
+        "dim": 2,
+        "omega": 1.0,
+        "harmonics": [
+            {"m": 0, "re": [[1.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            {"m": 1, "re": [[0.0, 0.5], [0.5, 0.0]], "im": [[0.0, value], [0.0, 0.0]]},
+        ],
+    }
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--model", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert "finite(m=1)" in err["message"]
+
+
 def test_variational_matches_solve_ground(tmp_path):
     out_s = tmp_path / "solve"
     out_v = tmp_path / "var"

@@ -229,17 +229,20 @@ def test_compare_model_keeps_the_exit_contract(data, schema):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), schema=PAYLOADS, pert_schema=PAYLOADS)
 def test_perturb_model_keeps_the_exit_contract(data, schema, pert_schema):
-    # both files drawn, broken and mutated; half the models, and half the
-    # perturbations drawn on the model's own dim and omega, may be left
-    # intact, so that the tracking runs.  A perturbation file that must be
-    # refused, or one of another dimension, exits 2 and writes nothing
+    # both files drawn, broken and mutated; half the models may be left
+    # intact, and where the model loads, half the perturbations are intact
+    # files on its own dim and omega, so that the tracking runs.  A
+    # perturbation file that must be refused, or one of another dimension,
+    # exits 2 and writes nothing
     with tempfile.TemporaryDirectory() as tmp:
         model, pert = Path(tmp) / "model.json", Path(tmp) / "pert.json"
         refused_model = write_mutated_model(data, schema, model, data.draw(st.integers(0, 1)))
-        h, least = loaded(model), 1
-        if data.draw(st.booleans()) and h is not None:
-            pert_schema, least = explicit_payloads(h.dim, h.omega), 0
-        refused = write_mutated_model(data, pert_schema, pert, least)
+        h = loaded(model)
+        if h is not None and data.draw(st.booleans()):
+            pert.write_text(json.dumps(data.draw(explicit_payloads(h.dim, h.omega))))
+            refused = False
+        else:
+            refused = write_mutated_model(data, pert_schema, pert)
         with contextlib.redirect_stdout(io.StringIO()):
             code, out = run_on_model("perturb", tmp, refused_model, "--pert-model", str(pert))
         dims = [m.dim for m in map(loaded, (model, pert)) if m is not None]

@@ -134,8 +134,6 @@ def test_trust_region_routines(scipy_routines, n):
         for lower in (0, 1):
             call_both("dtrtrs", scipy_routines, u if not lower else u.T.copy(), b, lower=lower,
                       trans=trans)
-    for norm in ("1", "I", "M", "F"):
-        call_both("dlange", scipy_routines, norm, a)
     call_both("dnrm2", scipy_routines, b)
 
 

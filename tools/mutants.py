@@ -1,4 +1,5 @@
-"""Mutation score of the certificate, the guards and the sector detector.
+"""Mutation score of the certificate, the guards, the sector detector and
+the state pairing.
 
 Each mutant changes one line of the package.  For each, a temporary copy of
 the repository gets that change and runs Tier-1 twice: with every test, and
@@ -22,7 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMBE, ORACLE = "src/floqtriplet/sambe.py", "src/floqtriplet/oracle.py"
-SECTORS = "src/floqtriplet/_sectors.py"
+SECTORS, ANALYSIS = "src/floqtriplet/_sectors.py", "src/floqtriplet/analysis.py"
 BOUNDS = "float(scores[best]), float(2 * (truncation + reach) * w_max / omega)"
 
 # (file, old text, new text, reason); the old text occurs once in its file
@@ -56,6 +57,12 @@ MUTANTS = [
     (ORACLE, "if tail > 1e-6:", "if tail > 1e-2:", "the oracle's mode-tail warning at 1e-2"),
     (SECTORS, "singular > RANK_TOL * size", "singular > 1e4 * RANK_TOL * size",
      "the sector detector's SVD rank threshold 1e4x higher"),
+    (SAMBE, "if not worst <= EIGEN_RESIDUAL_TOL * scale:",
+     "if not worst <= 1e4 * EIGEN_RESIDUAL_TOL * scale:", "_check_residuals' tolerance 1e4x looser"),
+    (SAMBE, "if 3 * nbytes > MAX_DENSE_BYTES:", "if nbytes > MAX_DENSE_BYTES:",
+     "_dense_guard without the factor 3 of the solve's copies"),
+    (ANALYSIS, "index = free[-1] if free else ties[0]", "index = free[0] if free else ties[0]",
+     "_assignment's tie rule takes the first free column, not the last"),
 ]
 
 
