@@ -6,14 +6,18 @@ midpoint-exponential steps
     U <- exp(-i H(t_mid) dt) U,
 
 each factor unitary because H(t_mid) is Hermitian.  The factors are
-computed in fixed blocks of steps by a Taylor exponential, scaled and
-squared when a step is long, with its order chosen so that the first
-dropped term is below the float64 unit roundoff; the polynomial is
-evaluated in matmuls batched over the block.  Their sequential product,
-for U(T) and for each propagated trajectory alike, is formed blockwise
-(`_chain`): the products inside blocks of steps are batched over all
-blocks, and only the carry across block boundaries is sequential, so the
-product makes no Python call per step; U(T) keeps only the final product.
+computed in fixed blocks of steps as cos B - i sin B, B = H(t_mid) dt:
+the two Taylor series in B^2, of the order at which the first dropped
+term is below the float64 unit roundoff, evaluated in matmuls batched over
+the block, and scaled and squared when a step is long.  B is real, and so
+is every matmul of the block, when H(t) is real at every t, which holds
+exactly when every harmonic H_m is symmetric; a real B is squared by the
+double-angle step (C, S) <- ((C - S)(C + S), 2 C S).  Their sequential
+product, for U(T) and for each propagated trajectory alike, is formed
+blockwise (`_chain`): the products inside blocks of steps are batched
+over all blocks, and only the carry across block boundaries is
+sequential, so the product makes no Python call per step; U(T) keeps only
+the final product.
 The factors are made and chained one chunk of steps at a time
 (`_propagate`), the state carried from chunk to chunk, so what bounds the
 memory of a propagation is the chunk: O(chunk d^2) of factors and
@@ -61,12 +65,13 @@ from .sambe import (
 # steps of the uniform grid over one period, for U(T) and every trajectory
 STEPS_PER_PERIOD = 4096
 
-# steps per block of the Taylor exponential in _step_propagators: large enough
-# to amortize the per-matmul overhead, small enough that the two batched
-# temporaries stay below the chunk of factors they are made for
+# steps per block of the cos/sin kernel in _step_propagators: large enough to
+# amortize the per-matmul overhead, small enough that its few batched
+# temporaries (real ones for a real H(t)) stay about the size of the chunk of
+# factors they are made for
 _STEP_BLOCK = 256
 
-# largest 1-norm of -i dt H that the Taylor polynomial takes unscaled: the
+# largest 1-norm of dt H that the Taylor polynomials take unscaled: the
 # built-ins at STEPS_PER_PERIOD steps stay below 2.2e-3 (order 4-5), so only
 # strong drives or few steps are scaled and squared
 _TAYLOR_THETA = 0.05
@@ -107,6 +112,37 @@ class MonodromyResult:
         return self.eigenphases / period
 
 
+def _real_in_time(h: FourierHamiltonian) -> bool:
+    """Whether H(t) is real at every t.
+
+    With H_{-m} = H_m^dagger, H(t)* = sum_m H_m^T e^{+i m omega t}, so H(t)
+    is real exactly when every stored H_m is symmetric: the ring, the linear
+    drive and a static model, and a quarter-period shift of a real drive
+    (H_1 -> i H_1) too, whose H_1 is complex but symmetric.
+    """
+    return all(np.array_equal(mat, mat.T) for mat in h.harmonics.values())
+
+
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonals of a C-contiguous (n, d, d) batch."""
+    return x.reshape(len(x), -1)[:, :: x.shape[-1] + 1]
+
+
+def _polynomial(x: np.ndarray, coefs: list[float]) -> np.ndarray:
+    """sum_k coefs[k] x^k for a (n, d, d) batch x, by Horner's rule: one
+    batched matmul per coefficient beyond the first two, and each scalar
+    term added on the diagonals only."""
+    if len(coefs) == 1:
+        poly = np.zeros_like(x)
+    else:
+        poly = coefs[-1] * x
+        for c in coefs[-2:0:-1]:
+            _diagonal(poly)[...] += c
+            poly = x @ poly
+    _diagonal(poly)[...] += coefs[0]
+    return poly
+
+
 def _step_propagators(
     h: FourierHamiltonian, steps: int, lo: int = 0, hi: int | None = None
 ) -> np.ndarray:
@@ -115,13 +151,21 @@ def _step_propagators(
     working precision.
 
     The array is filled with H(t_mid), then overwritten block by block of
-    _STEP_BLOCK steps by a scaled and squared Taylor exponential of
-    A = -i dt H: s squarings bring the block's largest 1-norm to at most
-    _TAYLOR_THETA, the order p is the smallest whose first dropped term
-    (||A||_1 / 2^s)^(p+1) / (p+1)! is at most 2^-53, and the polynomial is
-    evaluated by Horner's rule in batched matmuls.  The blocks bound the
-    temporaries; with lo a multiple of _STEP_BLOCK they are the blocks of
-    the whole grid, so a range gives the same factors as the whole grid.
+    _STEP_BLOCK steps by cos B - i sin B = exp(-i B), B = dt H(t_mid).  B
+    is float64 when H(t) is real at every t (`_real_in_time`), so that
+    every matmul of the block is real, and complex otherwise.  s squarings
+    bring the block's largest 1-norm of B to at most _TAYLOR_THETA; the
+    order p is the smallest whose first dropped term
+    (||B||_1 / 2^s)^(p+1) / (p+1)! is at most 2^-53; the even and odd
+    Taylor terms up to degree p give cos and sin of B / 2^s by Horner's
+    rule in B^2, in p - 1 batched matmuls from p = 2 on (Higham, Functions
+    of Matrices, SIAM 2008, ch. 12).  The squarings then undo the scaling.
+    For a real B they are double-angle steps (C, S) <- ((C - S)(C + S),
+    2 C S), the square of C - i S in two real matmuls.  For a complex B
+    they square C - i S itself, in one matmul and with less roundoff than
+    the double angle.  The blocks bound the temporaries; with lo a
+    multiple of _STEP_BLOCK they are the blocks of the whole grid, so a
+    range gives the same factors as the whole grid.
     """
     hi = steps if hi is None else hi
     dt = h.period / steps
@@ -130,30 +174,36 @@ def _step_propagators(
     # Python floats evaluate faster than numpy scalars, to the same bits
     for j, tm in enumerate(mids.tolist()):
         out[j] = h.eval_at_time(tm)
-    eye = np.eye(h.dim)
-    # the two block-sized buffers the matmuls alternate between
-    buffers = np.empty((2, min(_STEP_BLOCK, hi - lo), h.dim, h.dim), dtype=complex)
+    real = _real_in_time(h)
     for start in range(0, hi - lo, _STEP_BLOCK):
         a = out[start : start + _STEP_BLOCK]
-        a *= -1j * dt
-        norm = float(np.abs(a).sum(axis=-2).max())
+        b = dt * (a.real if real else a)
+        norm = float(np.abs(b).sum(axis=-2).max())
         squarings = math.ceil(math.log2(norm / _TAYLOR_THETA)) if norm > _TAYLOR_THETA else 0
-        a /= 2.0**squarings
+        if squarings:
+            b *= 2.0**-squarings
         scaled = norm / 2.0**squarings
         order = 1
         while scaled ** (order + 1) / math.factorial(order + 1) > _UNIT_ROUNDOFF:
             order += 1
-        poly, spare = buffers[:, : len(a)]
-        # I + A (I + A/2 (... (I + A/p))), innermost first
-        np.divide(a, order, out=poly)
-        poly += eye
-        for k in range(order - 1, 0, -1):
-            poly, spare = np.matmul(a, poly, out=spare), poly
-            poly /= k
-            poly += eye
-        for _ in range(squarings):
-            poly, spare = np.matmul(poly, poly, out=spare), poly
-        a[...] = poly
+        square = b @ b
+        sin = b @ _polynomial(
+            square, [(-1) ** k / math.factorial(2 * k + 1) for k in range((order + 1) // 2)]
+        )
+        # each del frees a block-sized array once it is dead, so at most four
+        # are alive at once and none outlives its block
+        del b
+        cos = _polynomial(square, [(-1) ** k / math.factorial(2 * k) for k in range(order // 2 + 1)])
+        del square
+        if real:
+            for _ in range(squarings):
+                cos, sin = (cos - sin) @ (cos + sin), 2.0 * (cos @ sin)
+            a.real, a.imag = cos, -sin
+        else:
+            np.subtract(cos, 1j * sin, out=a)
+            for _ in range(squarings):
+                a[...] = a @ a
+        del cos, sin
     return out
 
 

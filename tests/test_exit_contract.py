@@ -44,21 +44,21 @@ ODD = [True, False, "1", "x", None, [], {}, [1.0], [[1.0]], [True, 1.5], 0, -1, 
 
 @st.composite
 def explicit_payloads(draw, dim=None, omega=None):
-    """An explicit payload, on dim and omega where they are given."""
+    """A valid explicit payload, on dim and omega where they are given: each
+    index m of 0, 1 and 2 at most once, and -m only as m's partner."""
     dim = dim or draw(st.integers(min_value=1, max_value=3))
     entries = []
-    for m in draw(st.lists(st.integers(min_value=-2, max_value=2), max_size=3, unique=True)):
+    for m in draw(st.lists(st.integers(min_value=0, max_value=2), max_size=3, unique=True)):
         re = [[draw(unit) for _ in range(dim)] for _ in range(dim)]
         im = [[draw(unit) for _ in range(dim)] for _ in range(dim)]
         if m == 0:  # Hermitian: symmetric real part, antisymmetric imaginary part
             re = [[(re[i][j] + re[j][i]) / 2 for j in range(dim)] for i in range(dim)]
             im = [[(im[i][j] - im[j][i]) / 2 for j in range(dim)] for i in range(dim)]
         entries.append({"m": m, "re": re, "im": im})
-    if entries and entries[-1]["m"] != 0 and draw(st.booleans()):
-        # the partner given explicitly, as the conjugate transpose
-        last = entries[-1]
-        entries.append({"m": -last["m"], "re": [list(r) for r in zip(*last["re"])],
-                        "im": [[-x for x in r] for r in zip(*last["im"])]})
+        if m != 0 and draw(st.booleans()):
+            # the partner given explicitly, as the conjugate transpose
+            entries.append({"m": -m, "re": [list(r) for r in zip(*re)],
+                            "im": [[-x for x in r] for r in zip(*im)]})
     omega = omega or draw(st.floats(min_value=0.5, max_value=3.0))
     return {"dim": dim, "omega": omega, "harmonics": entries}
 

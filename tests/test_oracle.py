@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from floqtriplet.oracle import (
     _step_propagators,
 )
 
-from conftest import BUILTIN_NAMES, CIRCULAR_DEFAULT
+from conftest import BUILTIN_NAMES, CIRCULAR_DEFAULT, random_complex_model
 
 
 def test_monodromy_static_diagonal():
@@ -88,24 +89,70 @@ def _assert_factors_match_expm(h, steps, tol):
         assert np.abs(factor.conj().T @ factor - np.eye(h.dim)).max() <= tol
 
 
+def quarter_period_ring() -> ft.FourierHamiltonian:
+    """The ring's drive a quarter period later, H_1 -> i H_1: a complex H_1
+    that is still symmetric, so H(t) stays real."""
+    ring = ft.builtin_model("driven_ring")
+    harmonics = {0: ring.harmonics[0], 1: 1j * ring.harmonics[1]}
+    return ft.FourierHamiltonian(dim=ring.dim, omega=ring.omega, harmonics=harmonics)
+
+
+# the built-ins, the ring's real-in-time complex copy, and a complex H(t)
+FACTOR_MODELS = {
+    **{name: functools.partial(ft.builtin_model, name) for name in BUILTIN_NAMES},
+    "quarter_period_ring": quarter_period_ring,
+    "random_complex": functools.partial(random_complex_model, 3, 5),
+}
+
+
 @pytest.mark.parametrize("steps", [64, 300, 4096])
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", FACTOR_MODELS)
 def test_step_propagators_match_per_step_loop(name, steps):
-    # every Taylor factor is the per-step matrix exponential and unitary to a
-    # few ulps; 300 steps end in a partial block.  A Taylor order two below
-    # the chosen one misses by 1e-14 to 1e-10 at these step sizes.
-    _assert_factors_match_expm(ft.builtin_model(name), steps, 2e-15)
+    # every cos/sin factor is the per-step matrix exponential and unitary to
+    # a few ulps, in real arithmetic and in complex; 300 steps end in a
+    # partial block.  A Taylor order one below the chosen one misses on every
+    # model, by 4e-15 to 7e-14 at its worst step count.
+    _assert_factors_match_expm(FACTOR_MODELS[name](), steps, 2e-15)
 
 
 @pytest.mark.parametrize(
-    "params", [{"delta": 200.0}, {"v": 40.0, "omega": 0.3}], ids=["delta200", "v40"]
+    "name, params",
+    [
+        ("two_level_linear", {"delta": 200.0}),
+        ("two_level_linear", {"v": 40.0, "omega": 0.3}),
+        ("two_level_circular", {"v": 40.0, "omega": 0.3}),
+    ],
+    ids=["delta200", "v40", "circular_v40"],
 )
-def test_step_propagators_match_expm_when_squaring(params):
-    # ||dt H||_1 reaches 6.6 and 13 here: 8 and 9 squarings, each of which
-    # can double the roundoff of the scaled factor, so the bound is 2^9 times
-    # 1e-15, the unscaled factors' worst error
-    h = ft.builtin_model("two_level_linear", params)
+def test_step_propagators_match_expm_when_squaring(name, params):
+    # ||dt H||_1 reaches 6.6, 13 and 6.7 here: 8, 9 and 8 squarings, each of
+    # which can double the roundoff of the scaled factor, so the bound is 2^9
+    # times 1e-15, the unscaled factors' worst error.  The linear drive is
+    # real in time and squared by double-angle steps; the circular one is
+    # complex and squared as it is
+    h = ft.builtin_model(name, params)
     _assert_factors_match_expm(h, 64, 5e-13)
+
+
+@pytest.mark.parametrize(
+    "h, real",
+    [
+        (ft.builtin_model("driven_ring"), True),
+        (ft.builtin_model("two_level_linear"), True),
+        (ft.builtin_model("static"), True),
+        (quarter_period_ring(), True),
+        (ft.builtin_model("two_level_circular"), False),
+        (random_complex_model(3, 5), False),
+    ],
+    ids=["driven_ring", "two_level_linear", "static", "quarter_period_ring",
+         "two_level_circular", "random_complex"],
+)
+def test_real_in_time_is_the_symmetry_of_every_harmonic(h, real):
+    # H(t) is real at every t exactly when every H_m is symmetric; the
+    # shifted ring's H_1 is complex, the circular drive's H_1 is not symmetric
+    assert oracle._real_in_time(h) is real
+    dt = h.period / 7
+    assert all(not h.eval_at_time(j * dt).imag.any() for j in range(7)) == real
 
 
 def test_monodromy_matches_extended_precision():

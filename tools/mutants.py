@@ -1,5 +1,5 @@
-"""Mutation score of the certificate, the guards, the sector detector and
-the state pairing.
+"""Mutation score of the certificate, the guards, the sector detector, the
+state pairing and the oracle's step factors.
 
 Each mutant changes one line of the package.  For each, a temporary copy of
 the repository gets that change and runs Tier-1 twice: with every test, and
@@ -55,6 +55,12 @@ MUTANTS = [
     (SAMBE, "<= 1e-10 * scale", "<= 1e-6 * scale", "_resolve's Ebar-tie flag at 1e-6, not 1e-10"),
     (ORACLE, "UNITARITY_TOL = 1e-12", "UNITARITY_TOL = 1e-6", "the oracle's UNITARITY_TOL at 1e-6"),
     (ORACLE, "if tail > 1e-6:", "if tail > 1e-2:", "the oracle's mode-tail warning at 1e-2"),
+    (ORACLE, "return all(np.array_equal(mat, mat.T) for mat in h.harmonics.values())",
+     "return True", "_real_in_time always true: a complex H(t) stepped by its real part"),
+    (ORACLE, "2.0 * (cos @ sin)", "cos @ sin", "the double-angle step's sine without its factor 2"),
+    (ORACLE, "while scaled ** (order + 1) / math.factorial(order + 1) > _UNIT_ROUNDOFF:",
+     "while scaled ** (order + 2) / math.factorial(order + 2) > _UNIT_ROUNDOFF:",
+     "the step factors' Taylor order one below the rule's"),
     (SECTORS, "singular > RANK_TOL * size", "singular > 1e4 * RANK_TOL * size",
      "the sector detector's SVD rank threshold 1e4x higher"),
     (SAMBE, "if not worst <= EIGEN_RESIDUAL_TOL * scale:",
