@@ -10,9 +10,8 @@ computed in fixed blocks of steps as cos B - i sin B, B = H(t_mid) dt:
 the two Taylor series in B^2, of the order at which the first dropped
 term is below the float64 unit roundoff, evaluated in matmuls batched over
 the block, and scaled and squared when a step is long.  B is real, and so
-is every matmul of the block, when H(t) is real at every t, which holds
-exactly when every harmonic H_m is symmetric; a real B is squared by the
-double-angle step (C, S) <- ((C - S)(C + S), 2 C S).  Their sequential
+is every matmul of the two series, when H(t) is real at every t, which
+holds exactly when every harmonic H_m is symmetric.  Their sequential
 product, for U(T) and for each propagated trajectory alike, is formed
 blockwise (`_chain`): the products inside blocks of steps are batched
 over all blocks, and only the carry across block boundaries is
@@ -153,19 +152,16 @@ def _step_propagators(
     The array is filled with H(t_mid), then overwritten block by block of
     _STEP_BLOCK steps by cos B - i sin B = exp(-i B), B = dt H(t_mid).  B
     is float64 when H(t) is real at every t (`_real_in_time`), so that
-    every matmul of the block is real, and complex otherwise.  s squarings
-    bring the block's largest 1-norm of B to at most _TAYLOR_THETA; the
-    order p is the smallest whose first dropped term
+    every matmul of the two series is real, and complex otherwise.
+    s squarings bring the block's largest 1-norm of B to at most
+    _TAYLOR_THETA; the order p is the smallest whose first dropped term
     (||B||_1 / 2^s)^(p+1) / (p+1)! is at most 2^-53; the even and odd
     Taylor terms up to degree p give cos and sin of B / 2^s by Horner's
     rule in B^2, in p - 1 batched matmuls from p = 2 on (Higham, Functions
-    of Matrices, SIAM 2008, ch. 12).  The squarings then undo the scaling.
-    For a real B they are double-angle steps (C, S) <- ((C - S)(C + S),
-    2 C S), the square of C - i S in two real matmuls.  For a complex B
-    they square C - i S itself, in one matmul and with less roundoff than
-    the double angle.  The blocks bound the temporaries; with lo a
-    multiple of _STEP_BLOCK they are the blocks of the whole grid, so a
-    range gives the same factors as the whole grid.
+    of Matrices, SIAM 2008, ch. 12), and s squarings of C - i S then undo
+    the scaling.  The blocks bound the temporaries; with lo a multiple of
+    _STEP_BLOCK they are the blocks of the whole grid, so a range gives
+    the same factors as the whole grid.
     """
     hi = steps if hi is None else hi
     dt = h.period / steps
@@ -177,7 +173,11 @@ def _step_propagators(
     real = _real_in_time(h)
     for start in range(0, hi - lo, _STEP_BLOCK):
         a = out[start : start + _STEP_BLOCK]
-        b = dt * (a.real if real else a)
+        if real:
+            b = dt * a.real
+        else:
+            a *= dt
+            b = a
         norm = float(np.abs(b).sum(axis=-2).max())
         squarings = math.ceil(math.log2(norm / _TAYLOR_THETA)) if norm > _TAYLOR_THETA else 0
         if squarings:
@@ -190,20 +190,18 @@ def _step_propagators(
         sin = b @ _polynomial(
             square, [(-1) ** k / math.factorial(2 * k + 1) for k in range((order + 1) // 2)]
         )
-        # each del frees a block-sized array once it is dead, so at most four
-        # are alive at once and none outlives its block
+        # -i sin B goes into a as soon as B is dead, and each del frees a
+        # block-sized array once it is dead, so at most three are alive at
+        # once and none outlives its block
         del b
+        np.multiply(sin, -1j, out=a)
+        del sin
         cos = _polynomial(square, [(-1) ** k / math.factorial(2 * k) for k in range(order // 2 + 1)])
         del square
-        if real:
-            for _ in range(squarings):
-                cos, sin = (cos - sin) @ (cos + sin), 2.0 * (cos @ sin)
-            a.real, a.imag = cos, -sin
-        else:
-            np.subtract(cos, 1j * sin, out=a)
-            for _ in range(squarings):
-                a[...] = a @ a
-        del cos, sin
+        a += cos
+        del cos
+        for _ in range(squarings):
+            a[...] = a @ a
     return out
 
 

@@ -45,10 +45,12 @@ ODD = [True, False, "1", "x", None, [], {}, [1.0], [[1.0]], [True, 1.5], 0, -1, 
 @st.composite
 def explicit_payloads(draw, dim=None, omega=None):
     """A valid explicit payload, on dim and omega where they are given: each
-    index m of 0, 1 and 2 at most once, and -m only as m's partner."""
+    |m| of 0, 1 and 2 at most once, with a drawn sign, and -m only as m's
+    partner."""
     dim = dim or draw(st.integers(min_value=1, max_value=3))
     entries = []
-    for m in draw(st.lists(st.integers(min_value=0, max_value=2), max_size=3, unique=True)):
+    for k in draw(st.lists(st.integers(min_value=0, max_value=2), max_size=3, unique=True)):
+        m = -k if k and draw(st.booleans()) else k
         re = [[draw(unit) for _ in range(dim)] for _ in range(dim)]
         im = [[draw(unit) for _ in range(dim)] for _ in range(dim)]
         if m == 0:  # Hermitian: symmetric real part, antisymmetric imaginary part

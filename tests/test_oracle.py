@@ -127,9 +127,8 @@ def test_step_propagators_match_per_step_loop(name, steps):
 def test_step_propagators_match_expm_when_squaring(name, params):
     # ||dt H||_1 reaches 6.6, 13 and 6.7 here: 8, 9 and 8 squarings, each of
     # which can double the roundoff of the scaled factor, so the bound is 2^9
-    # times 1e-15, the unscaled factors' worst error.  The linear drive is
-    # real in time and squared by double-angle steps; the circular one is
-    # complex and squared as it is
+    # times 1e-15, the unscaled factors' worst error.  The linear drive's
+    # series are real, the circular one's complex
     h = ft.builtin_model(name, params)
     _assert_factors_match_expm(h, 64, 5e-13)
 

@@ -57,7 +57,8 @@ MUTANTS = [
     (ORACLE, "if tail > 1e-6:", "if tail > 1e-2:", "the oracle's mode-tail warning at 1e-2"),
     (ORACLE, "return all(np.array_equal(mat, mat.T) for mat in h.harmonics.values())",
      "return True", "_real_in_time always true: a complex H(t) stepped by its real part"),
-    (ORACLE, "2.0 * (cos @ sin)", "cos @ sin", "the double-angle step's sine without its factor 2"),
+    (ORACLE, "for _ in range(squarings):", "for _ in range(squarings - 1):",
+     "the step factors squared once too few"),
     (ORACLE, "while scaled ** (order + 1) / math.factorial(order + 1) > _UNIT_ROUNDOFF:",
      "while scaled ** (order + 2) / math.factorial(order + 2) > _UNIT_ROUNDOFF:",
      "the step factors' Taylor order one below the rule's"),
