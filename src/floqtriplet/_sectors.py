@@ -37,17 +37,21 @@ Appl. Math. 27, 125 (2010)):
    labelled by the clusters of (x_i, g_i) on even harmonics and of
    (x_i, -g_i) on odd ones.
 
-The random numbers come from one fixed seed, so a model's sectors are
-deterministic, and a real model stays in real arithmetic (the model's
-`_arithmetic_harmonics`), so its blocks are real.  The sectors are numbered
-by ascending [even, odd] dimensions, so their order does not depend on the
-sketches.  A split is kept only if every off-sector entry of V^H H_m V is
-at most COUPLING_TOL times the norm of the harmonics.  This module only
-finds the split; `sambe` solves S, one block per sector when there is one.
+The random numbers are uniform draws from SHAKE-256 keyed by one fixed
+seed (`_Draws`), so a model's sectors are deterministic and finding them
+loads no `numpy.random`.  A real model stays in real arithmetic (the
+model's `_arithmetic_harmonics`), so its blocks are real.  The sectors are
+numbered by ascending [even, odd] dimensions, so their order does not
+depend on the sketches.  A split is kept only if every off-sector entry of
+V^H H_m V is at most COUPLING_TOL times the norm of the harmonics.  This
+module only finds the split; `sambe` solves S, one block per sector when
+there is one.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +102,22 @@ class Sectors:
         return np.stack([np.bincount(row, minlength=count) for row in self.labels], axis=1).tolist()
 
 
+class _Draws:
+    """Uniform draws in [-1/2, 1/2): call k of the stream reads the first
+    4 n bytes of SHAKE-256 of f"{seed}:{k}" as n little-endian 32-bit words,
+    each a multiple of 2^-32 in [0, 1).  A sketch needs no more resolution,
+    and 32-bit words take half the digest of 64-bit ones."""
+
+    def __init__(self, seed: int):
+        self.seed, self.calls = seed, 0
+
+    def __call__(self, *shape: int) -> np.ndarray:
+        key = f"{self.seed}:{self.calls}".encode()
+        digest = hashlib.shake_256(key).digest(4 * math.prod(shape))
+        self.calls += 1
+        return (np.frombuffer(digest, dtype="<u4") * 2.0**-32 - 0.5).reshape(shape)
+
+
 def _clusters(values: np.ndarray, tol: float) -> np.ndarray:
     """Cluster index of each value: sorted neighbours within tol join."""
     order = np.argsort(values, kind="stable")
@@ -106,7 +126,7 @@ def _clusters(values: np.ndarray, tol: float) -> np.ndarray:
     return ids
 
 
-def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray | None:
+def _null_solution(left, right, signs, rows, cols, draw, tied=None) -> np.ndarray | None:
     """A random Y with Y[i, j] = 0 off (rows, cols) and sign_m L_m Y =
     Y R_m for every m (the stacks left and right), or None when only Y = 0
     solves; the unknowns Y[rows, cols] with one value of tied are held
@@ -118,7 +138,7 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
         return None
     unknowns = rows.size if tied is None else int(tied.max()) + 1
     count = unknowns + 8
-    l, r = rng.random((len(left), count, d)) - 0.5, rng.random((count, d)) - 0.5
+    l, r = draw(len(left), count, d), draw(count, d)
     a = ((signs[:, None, None] * l) @ left).sum(axis=0)  # rows sum_m sign_m l_m^T L_m
     b = r @ np.swapaxes(right, 1, 2)  # b[m, k] = (R_m r_k)^T
     # row k is a_k r_k^T - sum_m l_mk b_mk^T, read at (rows, cols)
@@ -136,7 +156,7 @@ def _null_solution(left, right, signs, rows, cols, rng, tied=None) -> np.ndarray
     rank = int(np.count_nonzero(singular > RANK_TOL * size))
     if rank == unknowns:
         return None
-    values = vh[rank:].conj().T @ rng.standard_normal(unknowns - rank)
+    values = vh[rank:].conj().T @ draw(unknowns - rank)
     y = np.zeros((d, d), dtype=vh.dtype)
     y[rows, cols] = values if tied is None else values[tied]
     return y
@@ -173,7 +193,7 @@ def find(h: FourierHamiltonian) -> Sectors:
     # below about 1e-154 underflows to 0 unscaled
     scale = 2.0 ** np.frexp(np.abs(mats).max())[1]
     norm = scale * np.linalg.norm(mats / scale)
-    rng = np.random.default_rng(SEED)
+    draw = _Draws(SEED)
 
     z = np.zeros((2, d, d), dtype=mats.dtype)  # Z and Z_f
     for m, mat in zip(ms, mats):
@@ -181,7 +201,7 @@ def find(h: FourierHamiltonian) -> Sectors:
             continue
         parts = [mat] if m == 0 else [mat + mat.conj().T] + ([] if real else [1j * (mat - mat.conj().T)])
         for part in parts:
-            weight = rng.uniform(0.5, 1.5) / (np.linalg.norm(part) or 1.0)
+            weight = (1.0 + draw()) / (np.linalg.norm(part) or 1.0)
             z += weight * np.array([1, (-1) ** m])[:, None, None] * part
 
     # static sectors: X is block-diagonal on Z's clusters, and so are its
@@ -205,7 +225,7 @@ def find(h: FourierHamiltonian) -> Sectors:
                      return_inverse=True)[1]
     x = np.zeros((d, d), dtype=mats.dtype)
     if tied.max() < MAX_UNKNOWNS * d:
-        found = _null_solution(hat, hat, np.ones(ms.size), rows, cols, rng, tied)
+        found = _null_solution(hat, hat, np.ones(ms.size), rows, cols, draw, tied)
         if found is not None:
             # less the identity, which commutes with everything
             x = _hermitian(found - np.trace(found) / d * np.eye(d))
@@ -232,7 +252,7 @@ def find(h: FourierHamiltonian) -> Sectors:
         if not rows.size <= MAX_UNKNOWNS * size:
             continue
         sub = hat[:, sector, sector]
-        found = _null_solution(fbasis.conj().T @ sub @ fbasis, sub, signs, rows, cols, rng)
+        found = _null_solution(fbasis.conj().T @ sub @ fbasis, sub, signs, rows, cols, draw)
         if found is not None:
             gs[sector], rotation[sector, sector] = np.linalg.eigh(_hermitian(fbasis @ found))
             gs[sector] /= np.abs(gs[sector]).max() or 1.0

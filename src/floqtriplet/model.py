@@ -142,17 +142,25 @@ class FourierHamiltonian:
     def max_harmonic(self) -> int:
         return max((abs(m) for m in self.harmonics), default=0)
 
-    def eval_at_time(self, t: float) -> np.ndarray:
+    def eval_at_time(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """Return H(t) = sum_m H_m e^{+i m omega t}.
 
         One product of the phase vector e^{+i m omega t} with the cached
-        (K, d*d) stack of the K stored harmonics; a fresh array per call.
-        The K phases are scalar `cmath.exp` calls: for the few harmonics of
-        a model they cost less than two numpy calls on a K-element array,
-        and give the same bits.
+        (K, d*d) stack of the K stored harmonics.  The K phases are scalar
+        `cmath.exp` calls: for the few harmonics of a model they cost less
+        than two numpy calls on a K-element array, and give the same bits.
+
+        Without out, H(t) is a fresh (d, d) array.  With out, a C-contiguous
+        complex128 vector of d*d entries, H(t) is written into it row-major
+        by the same product, and out is returned: its entries are those of
+        `eval_at_time(t).ravel()`, bit for bit.  An out of another dtype,
+        length or layout raises ValueError before anything is written.
         """
         rates, stack = self._harmonic_stack
-        return np.dot([cmath.exp(rate * t) for rate in rates], stack).reshape(self.dim, self.dim)
+        phases = [cmath.exp(rate * t) for rate in rates]
+        if out is not None:
+            return np.dot(phases, stack, out=out)
+        return np.dot(phases, stack).reshape(self.dim, self.dim)
 
     def __reduce__(self):
         # rebuilt (and validated) from its parts: the read-only mapping cannot

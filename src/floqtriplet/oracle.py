@@ -5,8 +5,10 @@ midpoint-exponential steps
 
     U <- exp(-i H(t_mid) dt) U,
 
-each factor unitary because H(t_mid) is Hermitian.  The factors are
-computed in fixed blocks of steps as cos B - i sin B, B = H(t_mid) dt:
+each factor unitary because H(t_mid) is Hermitian.  H(t_mid) is written
+in place, one `eval_at_time(t, out=row)` call per step, into the rows of
+the array that then holds the factors, which are computed in fixed blocks
+of steps as cos B - i sin B, B = H(t_mid) dt:
 the two Taylor series in B^2, of the order at which the first dropped
 term is below the float64 unit roundoff, evaluated in matmuls batched over
 the block, and scaled and squared when a step is long.  B is real, and so
@@ -29,10 +31,11 @@ The eigenphases of U(T) give the quasi-energies folded into [0, omega),
 its complex Schur vectors (orthonormal eigenvectors, U(T) being unitary)
 are the Floquet modes at t = 0, and average energies come from explicit
 trapezoid averages of <Psi_i(t)|H(t)|Psi_j(t)> along the propagated
-trajectories, with H(t) Psi(t) formed for all trajectories of a cluster
-in one batched product per block of nodes; on a periodic integrand the
-trapezoid rule over the step grid is spectrally accurate (Trefethen &
-Weideman, SIAM Rev. 56, 385 (2014)).  Degenerate eigenphases are
+trajectories, with H(t) written in place into the rows of a block of
+nodes and H(t) Psi(t) formed for all trajectories of a cluster in one
+batched product per block; on a periodic integrand the trapezoid rule
+over the step grid is spectrally accurate (Trefethen & Weideman, SIAM
+Rev. 56, 385 (2014)).  Degenerate eigenphases are
 resolved by diagonalizing the time-averaged-energy matrix inside the
 degenerate subspace, the direct time-domain mirror of the extended-space
 construction in `sambe` - which is exactly what makes this an independent
@@ -149,10 +152,12 @@ def _step_propagators(
     of `steps` steps per period (all of them by default), unitary to
     working precision.
 
-    The array is filled with H(t_mid), then overwritten block by block of
-    _STEP_BLOCK steps by cos B - i sin B = exp(-i B), B = dt H(t_mid).  B
-    is float64 when H(t) is real at every t (`_real_in_time`), so that
-    every matmul of the two series is real, and complex otherwise.
+    The array is filled with H(t_mid) in place, each step's d*d row
+    written by `eval_at_time(t_mid, out=row)` with no matrix made per step,
+    then overwritten block by block of _STEP_BLOCK steps by cos B - i sin B
+    = exp(-i B), B = dt H(t_mid).  B is float64 when H(t) is real at every
+    t (`_real_in_time`), so that every matmul of the two series is real,
+    and complex otherwise.
     s squarings bring the block's largest 1-norm of B to at most
     _TAYLOR_THETA; the order p is the smallest whose first dropped term
     (||B||_1 / 2^s)^(p+1) / (p+1)! is at most 2^-53; the even and odd
@@ -167,9 +172,10 @@ def _step_propagators(
     dt = h.period / steps
     mids = (np.arange(lo, hi) + 0.5) * dt
     out = np.empty((hi - lo, h.dim, h.dim), dtype=complex)
+    rows = out.reshape(hi - lo, h.dim * h.dim)
     # Python floats evaluate faster than numpy scalars, to the same bits
     for j, tm in enumerate(mids.tolist()):
-        out[j] = h.eval_at_time(tm)
+        h.eval_at_time(tm, out=rows[j])
     real = _real_in_time(h)
     for start in range(0, hi - lo, _STEP_BLOCK):
         a = out[start : start + _STEP_BLOCK]
@@ -379,18 +385,20 @@ def _cross_energy_matrix(
     with its integrand on the N+1 grid nodes, shape (k, k, N+1): the mean
     of the nodes with the two endpoints at half weight.
 
-    H(t_j) is evaluated once per node into blocks of at most _STEP_BLOCK
-    nodes; one batched product per block gives H(t_j) Psi_i(t_j) for every
+    H(t_j) is evaluated once per node, written in place into the rows of a
+    block of at most _STEP_BLOCK nodes (`eval_at_time(t_j, out=row)`); one
+    batched product per block gives H(t_j) Psi_i(t_j) for every
     trajectory i, and that block's nodes of the integrand.
     """
     k, n = len(trajectories), trajectories[0].shape[0] - 1
     tgrid = np.linspace(0.0, h.period, n + 1)
     integrand = np.empty((k, k, n + 1), dtype=complex)
     hblock = np.empty((_STEP_BLOCK, h.dim, h.dim), dtype=complex)
+    rows = hblock.reshape(_STEP_BLOCK, h.dim * h.dim)
     for lo in range(0, n + 1, _STEP_BLOCK):
         nodes = tgrid[lo : lo + _STEP_BLOCK]
         for j, t in enumerate(nodes.tolist()):
-            hblock[j] = h.eval_at_time(t)
+            h.eval_at_time(t, out=rows[j])
         psi = np.stack([trajectory[lo : lo + nodes.size] for trajectory in trajectories])
         # (nodes, d, d) @ (nodes, d, k) -> H(t_j) Psi_i(t_j), back to (k, nodes, d)
         hpsi = (hblock[: nodes.size] @ psi.transpose(1, 2, 0)).transpose(2, 0, 1)

@@ -6,7 +6,8 @@ The import checks run in a fresh interpreter, since this test session has
 loaded every layer already.  LAPACK and BLAS come from the OpenBLAS numpy
 links, bound by `_lapack`, so no command imports scipy; where numpy's
 symbols are missing, from `scipy.linalg.lapack` and `scipy.linalg.blas`.
-No command loads numpy.ma or decimal beyond what `import numpy` loads.
+No command loads numpy.ma or decimal beyond what `import numpy` loads, and
+a `solve` loads no numpy.random.
 """
 
 import inspect
@@ -148,6 +149,13 @@ def test_sambe_commands_load_no_masked_arrays_or_decimal(tmp_path, argv):
     # a plain np.unique loads numpy.ma on numpy 2
     loaded = cold_run(tmp_path, argv)
     assert not loaded & {"numpy.ma", "decimal"}
+
+
+def test_split_solve_loads_no_numpy_random(tmp_path):
+    # the sector detector draws its sketches from hashlib's SHAKE-256
+    loaded = cold_run(tmp_path, ["solve", "--builtin", "driven_ring", "--param", "sites=48"])
+    assert "floqtriplet._sectors" in loaded
+    assert not any(name == "numpy.random" or name.startswith("numpy.random.") for name in loaded)
 
 
 def test_variational_loads_no_masked_arrays_or_decimal(tmp_path):

@@ -105,6 +105,37 @@ FACTOR_MODELS = {
 }
 
 
+@pytest.mark.parametrize("name", FACTOR_MODELS)
+def test_eval_at_time_writes_the_same_bits_into_out(name):
+    # the oracle fills its step and node rows through out: each row holds
+    # the entries of the fresh matrix, row-major, bit for bit, within one
+    # period and at times far from 0
+    h = FACTOR_MODELS[name]()
+    within = np.linspace(0.0, h.period, 11)
+    times = [*within, *(1e4 + within), *(-1e4 - within), 0.1234, -0.1234]
+    for t in times:
+        row = np.full(h.dim * h.dim, np.nan, dtype=complex)
+        assert h.eval_at_time(t, out=row) is row
+        assert row.tobytes() == h.eval_at_time(t).tobytes()
+
+
+@pytest.mark.parametrize("name", FACTOR_MODELS)
+def test_eval_at_time_refuses_an_unfit_out_unwritten(name):
+    # another dtype, another length, a strided view, or the (d, d) matrix
+    # itself: numpy's dot checks out before it writes
+    h = FACTOR_MODELS[name]()
+    n = h.dim * h.dim
+    strided = np.full(2 * n, 7.0, dtype=complex)
+    unfit = [np.full(n, 7.0, dtype=np.complex64), np.full(n, 7.0),
+             np.full(n - 1, 7.0, dtype=complex), np.full(n + 1, 7.0, dtype=complex),
+             strided[::2], np.full((h.dim, h.dim), 7.0, dtype=complex)]
+    for out in unfit:
+        with pytest.raises(ValueError):
+            h.eval_at_time(0.3, out=out)
+        assert (out == 7.0).all()
+    assert (strided == 7.0).all()
+
+
 @pytest.mark.parametrize("steps", [64, 300, 4096])
 @pytest.mark.parametrize("name", FACTOR_MODELS)
 def test_step_propagators_match_per_step_loop(name, steps):

@@ -1,5 +1,5 @@
 """Mutation score of the certificate, the guards, the sector detector, the
-state pairing and the oracle's step factors.
+state pairing, the oracle's step factors and its in-place H(t).
 
 Each mutant changes one line of the package.  For each, a temporary copy of
 the repository gets that change and runs Tier-1 twice: with every test, and
@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMBE, ORACLE = "src/floqtriplet/sambe.py", "src/floqtriplet/oracle.py"
+MODEL = "src/floqtriplet/model.py"
 SECTORS, ANALYSIS = "src/floqtriplet/_sectors.py", "src/floqtriplet/analysis.py"
 BOUNDS = "float(scores[best]), float(2 * (truncation + reach) * w_max / omega)"
 
@@ -64,6 +65,10 @@ MUTANTS = [
      "the step factors' Taylor order one below the rule's"),
     (SECTORS, "singular > RANK_TOL * size", "singular > 1e4 * RANK_TOL * size",
      "the sector detector's SVD rank threshold 1e4x higher"),
+    (SECTORS, 'return (np.frombuffer(digest, dtype="<u4") * 2.0**-32 - 0.5).reshape(shape)',
+     "return np.zeros(shape)", "the sector detector's sketch draws all zero"),
+    (MODEL, "return np.dot(phases, stack, out=out)", "return np.dot(phases, stack)",
+     "eval_at_time ignores out: the oracle's rows keep what np.empty left in them"),
     (SAMBE, "if not worst <= EIGEN_RESIDUAL_TOL * scale:",
      "if not worst <= 1e4 * EIGEN_RESIDUAL_TOL * scale:", "_check_residuals' tolerance 1e4x looser"),
     (SAMBE, "if 3 * nbytes > MAX_DENSE_BYTES:", "if nbytes > MAX_DENSE_BYTES:",
