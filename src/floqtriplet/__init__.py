@@ -7,10 +7,10 @@ an independent monodromy-propagation oracle, and a variational
 ground-state solver.
 
 Importing the package loads the model and extended-space layers only
-(numpy; `_lapack` binds the LAPACK and BLAS routines of the OpenBLAS
-numpy links, and imports scipy.linalg's wrappers only where numpy has
-none); the oracle, variational and analysis names load their modules on
-first use, and none of them loads scipy.optimize.
+(numpy; `_lapack` binds the LAPACK routines of the OpenBLAS numpy
+links, and imports scipy.linalg's wrappers only where numpy has none);
+the oracle, variational and analysis names load their modules on first
+use, and none of them loads scipy.optimize.
 """
 
 from importlib import import_module as _import_module

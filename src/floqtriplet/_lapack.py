@@ -1,32 +1,32 @@
-"""The LAPACK and BLAS routines the package calls, from numpy's OpenBLAS.
+"""The LAPACK routines the package calls, from numpy's OpenBLAS.
 
 They are the Sambe eigensolver's (`dsytrd` / `zhetrd`, `dstevd`, `dormqr` /
 `zunmqr`), the oracle's Schur form (`zgees`) and the trust region's
-(`dpotrf`, `dpotrs`, `dtrtrs`, `dnrm2`).  The sector detector's
-null spaces come from numpy's own `np.linalg.svd`.
+(`dpotrf`, `dpotrs`, `dtrtrs`).  The sector detector's null spaces and the
+trust region's norms come from numpy itself.
 
-numpy's wheels (numpy >= 2) link an ILP64 OpenBLAS whose LAPACKE and CBLAS
-entry points are exported as `scipy_LAPACKE_<name>_work64_` and
-`scipy_cblas_<name>64_`; dlsym on numpy's own `_umath_linalg` extension
-finds them among its dependencies.  `lapack` and `blas` bind them through
-ctypes, every integer an int64, so a process holds one BLAS/LAPACK library
-and never maps scipy's second copy.  Each routine takes the call
-signature of scipy's f2py wrapper of the same name, as the package calls
-it, and returns what that wrapper returns: it copies every array it
-writes, as the wrapper does with `overwrite_*` false, passes arrays
-Fortran-ordered with their own leading dimension, sizes the workspaces the
-package leaves to the wrapper as the wrapper does, and calls the LAPACKE
-`_work` variant, which runs the Fortran routine directly, as f2py does.
-The results are the same bit for bit (tests/test_lapack.py).
+numpy's wheels (numpy >= 2) link an ILP64 OpenBLAS whose LAPACKE entry
+points are exported as `scipy_LAPACKE_<name>_work64_`; dlsym on numpy's own
+`_umath_linalg` extension finds them among its dependencies.  `lapack`
+binds them through ctypes, every integer an int64, so a process holds one
+BLAS/LAPACK library and never maps scipy's second copy.  Each routine
+takes the call signature of scipy's f2py wrapper of the same name, as the
+package calls it, and returns what that wrapper returns: it copies every
+array it writes, as the wrapper does with `overwrite_*` false, passes
+arrays Fortran-ordered with their own leading dimension, sizes the
+workspaces the package leaves to the wrapper as the wrapper does, and
+calls the LAPACKE `_work` variant, which runs the Fortran routine
+directly, as f2py does.  The results are the same bit for bit
+(tests/test_lapack.py).
 
 When numpy's extension or one of those symbols cannot be had (numpy 1.x,
-an MKL or conda build, Windows), `lapack` and `blas` are
-`scipy.linalg.lapack` and `scipy.linalg.blas`, and only then is scipy
-imported.  A cold process then pays for the whole `scipy.linalg` package:
-importing this module takes about 0.22 s there and peaks at 56 MB of RSS
-(README, "Library quick start").  Both names are bound with this module.
-The Sambe eigensolver and the oracle read their routines from `lapack` at
-each call, so rebinding it there reaches their path.
+an MKL or conda build, Windows), `lapack` is `scipy.linalg.lapack`, and
+only then is scipy imported.  A cold process then pays for the whole
+`scipy.linalg` package: importing this module takes about 0.22 s there and
+peaks at 56 MB of RSS (README, "Library quick start").  `lapack` is bound
+with this module.  The Sambe eigensolver, the oracle and the trust region
+read their routines from it at each call, so rebinding it there reaches
+their path.
 """
 
 import ctypes
@@ -37,7 +37,6 @@ import numpy as np
 
 LAPACK = ("dsytrd", "dsytrd_lwork", "zhetrd", "zhetrd_lwork", "dstevd", "dormqr", "zunmqr",
           "zgees", "dpotrf", "dpotrs", "dtrtrs")
-BLAS = ("dnrm2",)
 
 # --- numpy's OpenBLAS -------------------------------------------------------
 
@@ -45,19 +44,18 @@ _COL_MAJOR = 102  # LAPACK_COL_MAJOR, the layout argument of every LAPACKE call
 _C, _I, _P = ctypes.c_char, ctypes.c_int64, ctypes.POINTER(ctypes.c_byte)
 _buffer = ctypes.c_byte.from_buffer
 
-# the LAPACKE `_work` (CBLAS for dnrm2) entry points: result type, then
-# arguments, after the layout: c a char, i an int64, p an array (or NULL)
+# the arguments of the LAPACKE `_work` entry points after the layout: c a
+# char, i an int64, p an array (or NULL); each returns an int64 info
 _SIGNATURES = {
-    "dsytrd": (_I, "cipippppi"),
-    "zhetrd": (_I, "cipippppi"),
-    "dstevd": (_I, "cipppipipi"),
-    "dormqr": (_I, "cciiipippipi"),
-    "zunmqr": (_I, "cciiipippipi"),
-    "zgees": (_I, "ccpipipppipipp"),
-    "dpotrf": (_I, "cipi"),
-    "dpotrs": (_I, "ciipipi"),
-    "dtrtrs": (_I, "ccciipipi"),
-    "dnrm2": (ctypes.c_double, "ipi"),
+    "dsytrd": "cipippppi",
+    "zhetrd": "cipippppi",
+    "dstevd": "cipppipipi",
+    "dormqr": "cciiipippipi",
+    "zunmqr": "cciiipippipi",
+    "zgees": "ccpipipppipipp",
+    "dpotrf": "cipi",
+    "dpotrs": "ciipipi",
+    "dtrtrs": "ccciipipi",
 }
 _CODES = {"c": _C, "i": _I, "p": _P}
 
@@ -92,18 +90,15 @@ def _strict_triangle(n: int, lower: bool) -> np.ndarray:
 
 
 class _OpenBLAS:
-    """numpy's LAPACKE and CBLAS routines, each with the call signature of
-    scipy's f2py wrapper of that name as the package calls it.  Every array
-    argument the routine writes is a copy, as with `overwrite_*` false."""
+    """numpy's LAPACKE routines, each with the call signature of scipy's
+    f2py wrapper of that name as the package calls it.  Every array argument
+    the routine writes is a copy, as with `overwrite_*` false."""
 
     def __init__(self, library: ctypes.CDLL):
-        for name, (restype, codes) in _SIGNATURES.items():
-            prefix = "scipy_cblas_" if name in BLAS else "scipy_LAPACKE_"
-            suffix = "64_" if name in BLAS else "_work64_"
-            function = library[prefix + name + suffix]  # AttributeError when absent
-            function.restype = restype
-            layout = () if name in BLAS else (ctypes.c_int,)
-            function.argtypes = layout + tuple(_CODES[code] for code in codes)
+        for name, codes in _SIGNATURES.items():
+            function = library[f"scipy_LAPACKE_{name}_work64_"]  # AttributeError when absent
+            function.restype = _I
+            function.argtypes = (ctypes.c_int,) + tuple(_CODES[code] for code in codes)
             setattr(self, "_" + name, function)
 
     # the tridiagonal reduction, its workspace query and the eigensolve
@@ -214,10 +209,6 @@ class _OpenBLAS:
                             n, x.size // (n or 1), _ref(a.T), n or 1, _ref(x.T), n or 1)
         return x, _info(info)
 
-    def dnrm2(self, x):
-        x = np.ascontiguousarray(x, np.float64)
-        return self._dnrm2(x.size, _ref(x), 1)
-
 
 def _openblas():
     """The routines bound to numpy's OpenBLAS, or None when numpy's
@@ -235,6 +226,5 @@ def _openblas():
 _OPENBLAS = _openblas()
 if _OPENBLAS is not None:
     lapack = types.SimpleNamespace(**{name: getattr(_OPENBLAS, name) for name in LAPACK})
-    blas = types.SimpleNamespace(**{name: getattr(_OPENBLAS, name) for name in BLAS})
 else:
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import lapack

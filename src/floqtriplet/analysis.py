@@ -351,22 +351,21 @@ def sweep_values(
     parameter or axis (`_sweep_points`), or a fixed cutoff below any point's
     harmonic order, fails the whole sweep before any solve.
     """
-    models: list[FourierHamiltonian | Exception] = []
-    for params in _sweep_points(name, base_params, axis, values):
-        try:
-            models.append(builtin_model(name, params))
-        except Exception as exc:  # per-point failure: recorded below
-            models.append(exc)
+    points = _sweep_points(name, base_params, axis, values)
     if truncation != "auto":
-        for h in models:
-            if isinstance(h, FourierHamiltonian):
-                _require_truncation(h, truncation)
+        for params in points:
+            try:
+                h = builtin_model(name, params)
+            except Exception:  # per-point failure: recorded below
+                continue
+            _require_truncation(h, truncation)
+    # each point's model, with its cached sectors, is built when the point
+    # is solved and dropped with it
     records: list[dict] = []
     previous: Spectrum | None = None
-    for value, h in zip(values, models):
+    for value, params in zip(values, points):
         try:
-            if isinstance(h, Exception):
-                raise h
+            h = builtin_model(name, params)
             spectrum = solve_spectrum(h, truncation)
         except Exception as exc:  # per-point failure: record, continue
             records.append({"value": float(value), "error": str(exc)})

@@ -41,15 +41,17 @@ EXIT_NONCONVERGENCE = 4
 # this; every built-in, 36 benchmark rings and 18 random and strongly driven
 # models give at least 1 - 7.1e-12
 MODE_SIGMA_MIN = 1.0 - 1e-6
-# Bytes a sweep holds per grid point until it ends (the point's model with its
-# cached sectors, its record and its CSV rows), by tracemalloc: 1.8 KB for
-# `static` to 4.9 KB for the 6-site `driven_ring` at the built-ins' defaults,
-# and 2.2 to 2.5 times the model's harmonic bytes on the 24- to 96-site rings
-# (69 KB of 28 KB at 24 sites).  A point is taken as SWEEP_POINT_BYTES or
-# SWEEP_HARMONIC_FACTOR times its model's harmonic bytes, the larger;
-# `sambe.MAX_DENSE_BYTES` over it bounds --sweep-count.
-SWEEP_POINT_BYTES = 4300
-SWEEP_HARMONIC_FACTOR = 3
+# Bytes a sweep holds per grid point until it ends (its record and its CSV
+# rows; each point's model is dropped once the point is solved), by
+# tracemalloc between 20 and 60 points: 0.9 to 1.8 KB for the built-ins at
+# their defaults and the rings of up to 16 sites, growing by about 80 bytes
+# a state beyond (2.3 to 4.1 KB at 24 sites, 4.1 KB at 48).  A point is
+# taken as SWEEP_POINT_BYTES or SWEEP_HARMONIC_FACTOR times its model's
+# harmonic bytes, the larger: 27.6 KB at 24 sites, for a term that grows
+# with the square of the states where what a point holds grows with their
+# number.  `sambe.MAX_DENSE_BYTES` over it bounds --sweep-count.
+SWEEP_POINT_BYTES = 2400
+SWEEP_HARMONIC_FACTOR = 1
 
 
 class GateError(RuntimeError):

@@ -21,8 +21,7 @@ eigen-residual of the iterate is at most RESIDUAL_TOL = 1e-9; mu_norm =
 MU_NORM = 10 and mu_orth = MU_ORTH = 100.  Each stage is an unconstrained
 minimization by trust-region Newton with Moré & Sorensen subproblems and
 the analytic Hessian below, warm-started from the previous stage:
-`minimize` (module `_trust_region`), a step-for-step port of scipy's
-trust-exact in array code.
+`minimize` (module `_trust_region`), on Cholesky factors from LAPACK.
 
 The minimizer's residual falls as 1/mu_res, as the constraint of a
 quadratic penalty does, c(x_mu) ~ -lambda*/mu (Nocedal & Wright, Numerical
@@ -66,8 +65,8 @@ complex search F is flat along the global phase, v = pack(i x) / |x|, and
 the Hessian handed to the solver adds the curvature 8 mu_norm v v^T, the
 radial curvature at unit norm: the gradient has no component along v, so
 the steps are unchanged, but the Hessian is no longer singular, which keeps
-the Newton stage off its hard-case path, a singular-vector estimate
-with a Python loop over the unknowns.  Degenerate states (a ring's
+the Newton stage off its hard-case path, where each trial shift adds an
+inverse-iteration solve.  Degenerate states (a ring's
 +k and -k pairs, say) leave other directions in which F is flat to
 rounding, or curved and nearly flat: every Hessian gets a diagonal shift of
 y.size * eps times its largest diagonal entry, so that it factors, and
@@ -260,7 +259,9 @@ class _Workspace:
         """Hessian of `search_objective` in the search variables, plus the
         curvature 8 mu_norm v v^T along the global phase v = i x / |x| in the
         complex search, where F itself is flat, and a diagonal shift at the
-        rounding level of the largest entry (see module docstring)."""
+        rounding level of the largest entry, both of which keep a Hessian
+        that is singular to rounding off the Newton stage's hard case (see
+        module docstring)."""
         q = float(y @ y)
         t = self.t
         sy = t @ y + self.wn * y
@@ -290,7 +291,7 @@ class _Workspace:
         if self.orth_hessian is not None:
             hess += self.orth_hessian
         # rounding-level shift, so that a Hessian singular to rounding
-        # factors without the Newton stage's hard-case search
+        # factors
         diag += y.size * np.finfo(float).eps * np.abs(diag).max()
         return hess
 
@@ -389,11 +390,11 @@ def _minimize_one(ws: _Workspace, y: np.ndarray) -> tuple[np.ndarray, bool, list
         # trust-region Newton on the analytic Hessian: on the 3-site ring at
         # M = 8 L-BFGS-B took 35-250 iterations per stage and spent three
         # quarters of the search inside scipy; Newton lands every stage after
-        # the first in one or two iterations.  The stage is `minimize`,
-        # scipy's trust-exact ported without its Python overhead, which took
-        # three quarters of the search in turn.  It is called by that name,
-        # with the objective first, the boundary at which perfbench's tracer
-        # counts optimizer calls and objective evaluations.
+        # the first in one or two iterations.  The stage is the package's own
+        # `minimize`, as scipy's trust-exact spent three quarters of the
+        # search in its Python overhead.  It is called by that name, with the
+        # objective first, the boundary at which perfbench's tracer counts
+        # optimizer calls and objective evaluations.
         y, value, nit = minimize(
             ws.search_objective, y, (mu,), ws.search_hessian, STAGE_GTOL, STAGE_ITERATIONS
         )

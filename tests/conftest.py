@@ -108,6 +108,21 @@ def time_shifted(h: ft.FourierHamiltonian, tau: float) -> ft.FourierHamiltonian:
     return ft.FourierHamiltonian(dim=h.dim, omega=h.omega, harmonics=harmonics)
 
 
+def converge_on_replica(monkeypatch, h: ft.FourierHamiltonian, truncation: int,
+                        centroid: float) -> ft.FloquetMode:
+    """Make every variational start end, converged, on the eigenvector of
+    build_sambe(h, truncation) whose centroid is nearest the given one
+    (from np.linalg.eigh); returns that mode."""
+    from floqtriplet import variational
+
+    _, vecs = np.linalg.eigh(ft.build_sambe(h, truncation))
+    modes = [ft.FloquetMode.from_flat(vec, h.dim) for vec in vecs.T]
+    mode = min(modes, key=lambda m: abs(m.centroid() - centroid))
+    monkeypatch.setattr(variational, "_minimize_one",
+                        lambda ws, y: (ws.pack(mode.flat()), True, []))
+    return mode
+
+
 def full_solve(h: ft.FourierHamiltonian, truncation: int):
     """The fixed-cutoff pipeline on the full Sambe spectrum (no value window),
     its eigenpairs from numpy.linalg.eigh (?syevd / ?heevd): the reduction

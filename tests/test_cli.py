@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import shlex
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from floqtriplet.cli import (
     main,
 )
 
-from conftest import CIRCULAR_DEFAULT
+from conftest import CIRCULAR_DEFAULT, converge_on_replica
 
 
 def read_csv(path):
@@ -595,11 +596,13 @@ SCALAR_DRIVE = {"dim": 1, "omega": 1.818, "harmonics": [
 ]}
 
 
-def test_variational_nonconvergence_exits_four(tmp_path, capsys):
+def test_variational_nonconvergence_exits_four(tmp_path, capsys, monkeypatch):
     # d = 1 under a strong scalar drive at M = 2, below its certified M = 8:
-    # with no restarts the only start ends on a replica cut by the truncation edge
+    # a start that ends on a replica cut by the truncation edge (centroid
+    # 0.84) is not counted, and with no restarts no state is reached
     model = tmp_path / "scalar.json"
     model.write_text(json.dumps(SCALAR_DRIVE))
+    converge_on_replica(monkeypatch, ft.load_model(str(model)), 2, 0.842)
     code = main(
         ["variational", "--model", str(model), "--harmonics", "2", "--restarts", "0",
          "--out", str(tmp_path / "o")]
@@ -793,6 +796,30 @@ def test_sweep_count_limit_scales_with_the_model(tmp_path, capsys, monkeypatch):
         main(["sweep", "--builtin", "driven_ring", "--param", "sites=24", "--sweep-param", "v",
               "--sweep-start", "0", "--sweep-stop", "1", "--sweep-count", str(limit),
               "--out", str(out)])
+
+
+def _sweep_peak(tmp_path, argv, count):
+    """The tracemalloc peak of a sweep of count points."""
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--sweep-count", str(count), "--out", str(tmp_path / str(count))]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_holds_one_model_at_a_time(tmp_path, capsys):
+    # every point's model, with its cached sectors, was built before any was
+    # solved: about 66 KB a point on the 24-site ring.  Each is now dropped
+    # once its point is solved, and a point holds its record and CSV rows,
+    # about 3 KB, well inside the --sweep-count bound's 27.6 KB
+    argv = ["sweep", "--builtin", "driven_ring", "--param", "sites=24", "--harmonics", "4",
+            "--sweep-param", "v", "--sweep-start", "0.1", "--sweep-stop", "0.5"]
+    _sweep_peak(tmp_path, argv, 2)  # imports and caches
+    growth = (_sweep_peak(tmp_path, argv, 18) - _sweep_peak(tmp_path, argv, 6)) / 12
+    harmonic_bytes = 3 * 16 * 24**2  # H_0, H_1 and H_-1, complex 24 x 24
+    assert growth <= harmonic_bytes / 4
+    assert growth <= cli._sweep_point_bytes("driven_ring", {"sites": 24}, "v", [0.1, 0.5])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

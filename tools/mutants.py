@@ -1,5 +1,6 @@
 """Mutation score of the certificate, the guards, the sector detector, the
-state pairing, the oracle's step factors and its in-place H(t).
+state pairing, the oracle's step factors and its in-place H(t), and the
+variational solver's trust region.
 
 Each mutant changes one line of the package.  For each, a temporary copy of
 the repository gets that change and runs Tier-1 twice: with every test, and
@@ -25,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMBE, ORACLE = "src/floqtriplet/sambe.py", "src/floqtriplet/oracle.py"
 MODEL = "src/floqtriplet/model.py"
 SECTORS, ANALYSIS = "src/floqtriplet/_sectors.py", "src/floqtriplet/analysis.py"
+TRUST = "src/floqtriplet/_trust_region.py"
 BOUNDS = "float(scores[best]), float(2 * (truncation + reach) * w_max / omega)"
 
 # (file, old text, new text, reason); the old text occurs once in its file
@@ -75,6 +77,11 @@ MUTANTS = [
      "_dense_guard without the factor 3 of the solve's copies"),
     (ANALYSIS, "index = free[-1] if free else ties[0]", "index = free[0] if free else ties[0]",
      "_assignment's tie rule takes the first free column, not the last"),
+    (TRUST, "if g_norm <= n * np.finfo(float).eps * row_sums.max():", "if False:",
+     "the trust region takes no zero step at a rounding-level gradient"),
+    (TRUST, "lower = max(lower, lam + delta / (1.0 + v @ v))", "pass",
+     "the trust region takes no lower bound from a failed factorization"),
+    (TRUST, "_K_EASY = 0.1", "_K_EASY = 1.0", "the trust region's boundary tolerance 10x looser"),
 ]
 
 
