@@ -12,12 +12,14 @@ states by quasi-energy order misidentifies them, while pairing by the
 from __future__ import annotations
 
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (
     FourierHamiltonian,
+    MODEL_DEFAULTS,
     ModelError,
     _builtin_params,
     builtin_model,
@@ -307,14 +309,25 @@ def truncation_convergence_curve() -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(keeps), np.asarray(weights)
 
 
-def _sweep_points(name: str, base_params: dict, axis: str, values: np.ndarray) -> list[dict]:
-    """The builtin parameters of each grid point of `sweep_values`; a base
-    parameter of the wrong type or shape, and an axis that names no
-    parameter or no single entry of a list, is a ModelError."""
+def _sweep_records(name: str, base_params: dict, axis: str, values: np.ndarray,
+                   truncation: int | str = "auto") -> Iterator[dict]:
+    """The records of `sweep_values`, one grid point at a time.
+
+    Every refusal is raised here, before the first record is asked for: a
+    base parameter of the wrong type or shape; an axis that names no
+    parameter, a whole-number one or no single entry of a list; a fixed
+    cutoff below any point's harmonic order.  Each point's parameters and
+    model, with its cached sectors, are made when the point is solved and
+    dropped with it (for a fixed cutoff, once before as well, to check its
+    order)."""
     merged = _builtin_params(name, base_params)
     key, dot, index = axis.partition(".")
     if key not in merged:
         raise ModelError(f"sweep axis {axis!r} is not a parameter of {name!r}")
+    # a whole number (the ring's sites) sizes the model, and states of two
+    # sizes cannot be paired from point to point
+    if isinstance(MODEL_DEFAULTS[name][key], int):
+        raise ModelError(f"sweep axis {axis!r} is a whole number: a sweep varies a real parameter")
     listed = isinstance(merged[key], (list, tuple))
     if dot and not listed:
         raise ModelError(f"sweep axis {axis!r} does not index a list parameter")
@@ -323,15 +336,48 @@ def _sweep_points(name: str, base_params: dict, axis: str, values: np.ndarray) -
             f"sweep axis {axis!r} names no entry of the list {key!r}: "
             f"sweep one of {key}.0 to {key}.{len(merged[key]) - 1}"
         )
-    points = []
-    for value in values:
+
+    def model(value) -> FourierHamiltonian:
         params = {k: (list(v) if isinstance(v, (list, tuple)) else v) for k, v in merged.items()}
         if listed:
             params[key][int(index)] = float(value)
         else:
             params[key] = float(value)
-        points.append(params)
-    return points
+        return builtin_model(name, params)
+
+    if truncation != "auto":
+        for value in values:
+            try:
+                h = model(value)
+            except Exception:  # per-point failure: recorded when the point is reached
+                continue
+            _require_truncation(h, truncation)
+    return _solved_points(model, values, truncation)
+
+
+def _solved_points(model, values: np.ndarray, truncation: int | str) -> Iterator[dict]:
+    """Each point's record as it is solved, its states paired with the last
+    solved point's."""
+    previous: Spectrum | None = None
+    for value in values:
+        try:
+            h = model(value)
+            spectrum = solve_spectrum(h, truncation)
+        except Exception as exc:  # per-point failure: record, continue
+            yield {"value": float(value), "error": str(exc)}
+            continue
+        if previous is not None:
+            assignment = _label_assignment(previous, spectrum, h.omega)
+            spectrum = Spectrum(
+                triplets=[spectrum.triplets[j] for j in assignment],
+                metadata=spectrum.metadata,
+            )
+        yield {
+            "value": float(value),
+            "eps": [t.quasi_energy for t in spectrum],
+            "ebar": [t.avg_energy for t in spectrum],
+        }
+        previous = spectrum
 
 
 def sweep_values(
@@ -348,40 +394,7 @@ def sweep_values(
     previous point (nearest-label assignment).  A list-valued parameter is
     swept one entry at a time, by a dotted axis name such as "levels.1".
     Per-point failures are recorded and the sweep continues; a refused base
-    parameter or axis (`_sweep_points`), or a fixed cutoff below any point's
-    harmonic order, fails the whole sweep before any solve.
+    parameter or axis, or a fixed cutoff below any point's harmonic order,
+    fails the whole sweep before any solve (`_sweep_records`).
     """
-    points = _sweep_points(name, base_params, axis, values)
-    if truncation != "auto":
-        for params in points:
-            try:
-                h = builtin_model(name, params)
-            except Exception:  # per-point failure: recorded below
-                continue
-            _require_truncation(h, truncation)
-    # each point's model, with its cached sectors, is built when the point
-    # is solved and dropped with it
-    records: list[dict] = []
-    previous: Spectrum | None = None
-    for value, params in zip(values, points):
-        try:
-            h = builtin_model(name, params)
-            spectrum = solve_spectrum(h, truncation)
-        except Exception as exc:  # per-point failure: record, continue
-            records.append({"value": float(value), "error": str(exc)})
-            continue
-        if previous is not None:
-            assignment = _label_assignment(previous, spectrum, h.omega)
-            spectrum = Spectrum(
-                triplets=[spectrum.triplets[j] for j in assignment],
-                metadata=spectrum.metadata,
-            )
-        records.append(
-            {
-                "value": float(value),
-                "eps": [t.quasi_energy for t in spectrum],
-                "ebar": [t.avg_energy for t in spectrum],
-            }
-        )
-        previous = spectrum
-    return records
+    return list(_sweep_records(name, base_params, axis, values, truncation))

@@ -41,17 +41,14 @@ EXIT_NONCONVERGENCE = 4
 # this; every built-in, 36 benchmark rings and 18 random and strongly driven
 # models give at least 1 - 7.1e-12
 MODE_SIGMA_MIN = 1.0 - 1e-6
-# Bytes a sweep holds per grid point until it ends (its record and its CSV
-# rows; each point's model is dropped once the point is solved), by
-# tracemalloc between 20 and 60 points: 0.9 to 1.8 KB for the built-ins at
-# their defaults and the rings of up to 16 sites, growing by about 80 bytes
-# a state beyond (2.3 to 4.1 KB at 24 sites, 4.1 KB at 48).  A point is
-# taken as SWEEP_POINT_BYTES or SWEEP_HARMONIC_FACTOR times its model's
-# harmonic bytes, the larger: 27.6 KB at 24 sites, for a term that grows
-# with the square of the states where what a point holds grows with their
-# number.  `sambe.MAX_DENSE_BYTES` over it bounds --sweep-count.
-SWEEP_POINT_BYTES = 2400
-SWEEP_HARMONIC_FACTOR = 1
+# Bytes a sweep holds per grid point until it ends.  Each point's rows are
+# written as it is solved, and its model and spectrum are dropped by the
+# next point: by tracemalloc, a solved point keeps about 25 bytes on the 3-
+# to 48-site rings, its grid value among them, and a failed one its error
+# record, about 330 bytes for a refused omega and 530 for a 244-character
+# message.  The same for every model; `sambe.MAX_DENSE_BYTES` over it
+# bounds --sweep-count.
+SWEEP_POINT_BYTES = 1024
 
 
 class GateError(RuntimeError):
@@ -152,13 +149,16 @@ def _write_json(path: Path, payload: dict):
     path.write_bytes(data)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]):
+def _write_csv(path: Path, header: list[str], rows) -> int:
+    """Write the header, then each row as it is drawn; returns their count."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
             fh.write("\n")
+    return count
 
 
 def _state_rows(states) -> tuple[list[str], list[list]]:
@@ -255,22 +255,6 @@ def cmd_variational(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point_bytes(name: str, params: dict, axis: str, ends: list[float]) -> int:
-    """Bytes a sweep holds per grid point, sized by the larger model at the
-    grid's two ends; an end that is no model fails as a point, holding only
-    its record."""
-    from . import analysis
-
-    harmonic_bytes = [0]
-    for point in analysis._sweep_points(name, params, axis, ends):
-        try:
-            h = builtin_model(name, point)
-        except Exception:  # recorded as that point's failure by the sweep
-            continue
-        harmonic_bytes.append(sum(mat.nbytes for mat in h.harmonics.values()))
-    return max(SWEEP_POINT_BYTES, SWEEP_HARMONIC_FACTOR * max(harmonic_bytes))
-
-
 def cmd_sweep(args) -> int:
     from . import analysis
 
@@ -279,31 +263,30 @@ def cmd_sweep(args) -> int:
     params = _parse_params(args.param)
     if args.sweep_count < 1:
         raise ModelError("--sweep-count must be >= 1")
-    point_bytes = _sweep_point_bytes(
-        args.builtin, params, args.sweep_param, [args.sweep_start, args.sweep_stop]
-    )
-    limit = sambe.MAX_DENSE_BYTES // point_bytes
+    limit = sambe.MAX_DENSE_BYTES // SWEEP_POINT_BYTES
     if args.sweep_count > limit:
         raise ModelError(
             f"--sweep-count {args.sweep_count} is above the limit {limit}: a sweep holds "
-            f"about {point_bytes} bytes per point until it ends, and {limit} points "
+            f"up to {SWEEP_POINT_BYTES} bytes per point until it ends, and {limit} points "
             f"fill the {sambe.MAX_DENSE_BYTES / 1024**3:.0f} GiB limit"
         )
     values = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_count)
-    records = analysis.sweep_values(args.builtin, params, args.sweep_param, values, args.harmonics)
-    rows: list[list] = []
+    records = analysis._sweep_records(args.builtin, params, args.sweep_param, values, args.harmonics)
     errors = []
-    for record in records:
-        if "error" in record:
-            errors.append(record)
-            continue
-        for state, (eps, ebar) in enumerate(zip(record["eps"], record["ebar"])):
-            rows.append([record["value"], state, eps, ebar])
+
+    def rows():
+        for record in records:
+            if "error" in record:
+                errors.append(record)
+                continue
+            for state, (eps, ebar) in enumerate(zip(record["eps"], record["ebar"])):
+                yield [record["value"], state, eps, ebar]
+
     out = Path(args.out)
-    _write_csv(out / "sweep.csv", ["lambda", "state", "eps", "ebar"], rows)
+    count = _write_csv(out / "sweep.csv", ["lambda", "state", "eps", "ebar"], rows())
     if errors:
         _write_json(out / "sweep_errors.json", {"errors": errors})
-    print(f"sweep wrote {len(rows)} rows ({len(errors)} failed points)")
+    print(f"sweep wrote {count} rows ({len(errors)} failed points)")
     return EXIT_OK
 
 

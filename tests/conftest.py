@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import floqtriplet as ft
+from floqtriplet import sambe
 
 BUILTIN_NAMES = ("static", "two_level_circular", "two_level_linear", "driven_ring")
 
@@ -131,6 +132,18 @@ def full_solve(h: ft.FourierHamiltonian, truncation: int):
     vals, vecs = np.linalg.eigh(ft.build_sambe(h, truncation))
     reps = ft.select_representatives(vals, vecs, h, truncation)
     return ft.resolve_degeneracies(ft.group_degeneracies(reps, h), h)
+
+
+def leak_floor_and_figure(h: ft.FourierHamiltonian, truncation: int) -> tuple[float, float]:
+    """One rung's `_leak_floor` and the Ebar figure of `_truncation_bounds`
+    it bounds from below, taken as `sambe._rung` takes them but before it
+    reports the larger of the two."""
+    vals, vecs, basis = sambe._window_pairs(h, truncation)
+    x, tx, lams, eps = sambe._select(vals, vecs, h, truncation, basis)
+    floor = sambe._leak_floor(h, truncation, x, lams, eps)
+    cols, gids, lams, eps = sambe._group(lams, eps, h.omega)
+    states = sambe._resolve(x[:, cols], tx[:, cols], lams, eps, gids, h)
+    return floor, sambe._truncation_bounds(h, truncation, states)[1]
 
 
 def assert_same_triplets(a, b, omega: float, tol: float, tol_ebar: float | None = None):

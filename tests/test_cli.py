@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import gc
 import json
 import shlex
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,7 +16,6 @@ import floqtriplet as ft
 from floqtriplet import analysis, cli, oracle, sambe
 from floqtriplet.cli import (
     MODE_SIGMA_MIN,
-    SWEEP_HARMONIC_FACTOR,
     SWEEP_POINT_BYTES,
     _write_json,
     build_parser,
@@ -775,51 +776,85 @@ def test_sweep_count_at_the_memory_limit_reaches_the_grid(tmp_path, monkeypatch)
               "--out", str(tmp_path / "o")])
 
 
-def test_sweep_count_limit_scales_with_the_model(tmp_path, capsys, monkeypatch):
-    # a 24-site ring holds about 69 KB per point: the grid the built-ins'
-    # limit admits would pass 2 GiB about fifteen times over
+def test_sweep_count_limit_is_the_same_for_every_model(tmp_path, capsys, monkeypatch):
+    # the limit was scaled by the model's harmonic bytes, and refused the
+    # 48-site ring above 19,418 points; a point now keeps no model-sized data
     monkeypatch.setattr(np, "linspace", _no_linspace)
-    harmonic_bytes = 3 * 16 * 24**2  # H_0, H_1 and H_-1, complex 24 x 24
-    limit = sambe.MAX_DENSE_BYTES // (SWEEP_HARMONIC_FACTOR * harmonic_bytes)
+    ring = ["sweep", "--builtin", "driven_ring", "--param", "sites=48", "--sweep-param", "v",
+            "--sweep-start", "0", "--sweep-stop", "1", "--out", str(tmp_path / "o")]
+    with pytest.raises(_Linspace):
+        main(ring + ["--sweep-count", str(SWEEP_LIMIT)])
+    assert main(ring + ["--sweep-count", str(SWEEP_LIMIT + 1)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert f"--sweep-count {SWEEP_LIMIT + 1} is above the limit {SWEEP_LIMIT}" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_holds_one_model_at_a_time(tmp_path, monkeypatch):
+    # each point's rows are written as it is solved, so what a sweep keeps
+    # grows by its grid value per solved point and by its error record per
+    # failed one.  Measured as tracemalloc's current size once the CSV is
+    # written, with the interpreter's type cache emptied (it keeps each new
+    # attribute-name string the solves look up) and after a full collection
+    # (which empties the free lists); a peak would grow with the largest
+    # transient solve.  An untraced run first makes the imports
+    retained = []
+    write_csv = cli._write_csv
+
+    def measured(*args):
+        count = write_csv(*args)
+        sys._clear_type_cache()
+        gc.collect()
+        retained.append(tracemalloc.get_traced_memory()[0])
+        return count
+
+    monkeypatch.setattr(cli, "_write_csv", measured)
+    ring = ["--sweep-param", "v", "--sweep-start", "0.1", "--sweep-stop", "0.5"]
+    sweeps = [
+        ["--builtin", "driven_ring", "--param", "sites=3", *ring],
+        ["--builtin", "driven_ring", "--param", "sites=24", "--harmonics", "4", *ring],
+        ["--builtin", "driven_ring", "--param", "sites=48", "--harmonics", "4", *ring],
+        # every point fails: omega <= 0 is no model
+        ["--builtin", "driven_ring", "--sweep-param", "omega", "--sweep-start", "-2",
+         "--sweep-stop", "-1"],
+    ]
+    for argv in sweeps:
+        try:
+            for count in (12, 2, 12):
+                if count == 2:
+                    tracemalloc.start()
+                out = tmp_path / f"{len(retained)}"
+                assert main(["sweep", *argv, "--sweep-count", str(count), "--out", str(out)]) == 0
+        finally:
+            tracemalloc.stop()
+        assert (retained[-1] - retained[-2]) / 10 <= SWEEP_POINT_BYTES, argv
+
+
+def test_sweep_writes_each_point_before_the_next_is_solved(tmp_path, monkeypatch):
+    events = []
+    solve, write_csv = analysis.solve_spectrum, cli._write_csv
+    monkeypatch.setattr(analysis, "solve_spectrum",
+                        lambda *args: events.append("solve") or solve(*args))
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: write_csv(
+        path, header, (events.append("row") or row for row in rows)))
+    assert main(["sweep", "--builtin", "two_level_linear", "--sweep-param", "v",
+                 "--sweep-start", "0.1", "--sweep-stop", "0.3", "--sweep-count", "3",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert events == ["solve", "row", "row"] * 3
+
+
+def test_sweep_of_a_whole_number_parameter_exits_config(tmp_path, capsys):
+    # a 3- and a 4-site ring have no state pairing: this failed at the
+    # second point with a non-square assignment cost, and now fails before
+    # anything is written
     out = tmp_path / "o"
-    code = main(
-        ["sweep", "--builtin", "driven_ring", "--param", "sites=24", "--sweep-param", "v",
-         "--sweep-start", "0", "--sweep-stop", "1", "--sweep-count", str(SWEEP_LIMIT),
-         "--out", str(out)]
-    )
+    code = main(["sweep", "--builtin", "driven_ring", "--sweep-param", "sites",
+                 "--sweep-start", "3", "--sweep-stop", "4", "--sweep-count", "2",
+                 "--out", str(out)])
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["kind"] == "config"
-    assert f"--sweep-count {SWEEP_LIMIT} is above the limit {limit}" in err["message"]
+    assert "sweep axis 'sites' is a whole number" in err["message"]
     assert not out.exists()
-    with pytest.raises(_Linspace):
-        main(["sweep", "--builtin", "driven_ring", "--param", "sites=24", "--sweep-param", "v",
-              "--sweep-start", "0", "--sweep-stop", "1", "--sweep-count", str(limit),
-              "--out", str(out)])
-
-
-def _sweep_peak(tmp_path, argv, count):
-    """The tracemalloc peak of a sweep of count points."""
-    tracemalloc.start()
-    try:
-        assert main(argv + ["--sweep-count", str(count), "--out", str(tmp_path / str(count))]) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_sweep_holds_one_model_at_a_time(tmp_path, capsys):
-    # every point's model, with its cached sectors, was built before any was
-    # solved: about 66 KB a point on the 24-site ring.  Each is now dropped
-    # once its point is solved, and a point holds its record and CSV rows,
-    # about 3 KB, well inside the --sweep-count bound's 27.6 KB
-    argv = ["sweep", "--builtin", "driven_ring", "--param", "sites=24", "--harmonics", "4",
-            "--sweep-param", "v", "--sweep-start", "0.1", "--sweep-stop", "0.5"]
-    _sweep_peak(tmp_path, argv, 2)  # imports and caches
-    growth = (_sweep_peak(tmp_path, argv, 18) - _sweep_peak(tmp_path, argv, 6)) / 12
-    harmonic_bytes = 3 * 16 * 24**2  # H_0, H_1 and H_-1, complex 24 x 24
-    assert growth <= harmonic_bytes / 4
-    assert growth <= cli._sweep_point_bytes("driven_ring", {"sites": 24}, "v", [0.1, 0.5])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -16,7 +16,7 @@ import floqtriplet as ft
 from floqtriplet import sambe
 from floqtriplet.analysis import _assignment
 
-from conftest import assert_same_triplets, full_solve, time_shifted
+from conftest import assert_same_triplets, full_solve, leak_floor_and_figure, time_shifted
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -349,13 +349,14 @@ def floor_models(draw):
 @given(case=floor_models())
 def test_leak_floor_is_below_every_rung_figure(case):
     # the auto ladder gives a rung up once its leak floor reaches 2 QUASI_TOL:
-    # the floor must lie below the Ebar figure that rung's fixed solve reports,
-    # and the auto cutoff must be the first rung whose fixed solve clears
-    # QUASI_TOL.  The two figures are equal when one state carries the worst
-    # leak alone, and the figure's w is a difference of squares that rounds
-    # to 0 where w is below about 1e-16 of the squared residual: rounding
-    # slack, relative and 1e-12 QUASI_TOL absolute, far below the 2 QUASI_TOL
-    # the ladder compares the floor with
+    # the floor must lie below the Ebar figure of `_truncation_bounds` at that
+    # rung (not the reported one, the larger of the two), and the auto cutoff
+    # must be the first rung whose fixed solve clears QUASI_TOL.  The two are
+    # equal when one state carries the worst leak alone, and the figure's w
+    # is a difference of squares that rounds to 0 where w is below about
+    # 1e-16 of the squared residual: rounding slack, relative and 1e-12
+    # QUASI_TOL absolute, far below the 2 QUASI_TOL the ladder compares the
+    # floor with
     h, split = case
     with pytest.MonkeyPatch.context() as patch:
         if split:
@@ -368,10 +369,8 @@ def test_leak_floor_is_below_every_rung_figure(case):
             except ft.TruncationError:
                 truncation *= 2
                 continue
-            vals, vecs, basis = sambe._window_pairs(h, truncation)
-            x, _, lams, eps = sambe._select(vals, vecs, h, truncation, basis)
-            floor = sambe._leak_floor(h, truncation, x, lams, eps)
-            assert floor <= spec.metadata["ebar_estimate"] * (1 + 1e-12) + 1e-12 * sambe.QUASI_TOL
+            floor, figure = leak_floor_and_figure(h, truncation)
+            assert floor <= figure * (1 + 1e-12) + 1e-12 * sambe.QUASI_TOL
             figures = spec.metadata["eps_bound"], spec.metadata["ebar_estimate"]
             if first is None and max(figures) < sambe.QUASI_TOL:
                 first = truncation

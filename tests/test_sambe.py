@@ -18,6 +18,7 @@ from conftest import (
     CIRCULAR_DEFAULT,
     assert_same_triplets,
     full_solve,
+    leak_floor_and_figure,
     padded,
     random_complex_model,
     random_mode,
@@ -487,6 +488,23 @@ def test_certified_spectrum_is_within_its_bounds(name, params, certified):
     again = ft.solve_spectrum(h, 2 * spec.metadata["truncation"])
     # 1e-12 of rounding on top of the bounds, which can be 1e-25
     assert_same_triplets(spec, again, h.omega, eps_bound + 1e-12, ebar_estimate + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, params, certified",
+    BOUND_CASES,
+    ids=[f"{name}-params{i}" for i, (name, _, _) in enumerate(BOUND_CASES)],
+)
+def test_leak_floor_is_below_the_figure_it_bounds(name, params, certified):
+    # at the certified rung and at the ladder's rung below it, the floor
+    # against `_truncation_bounds`' own Ebar figure, not the reported
+    # max(figure, floor): here at most 0.104 of it, on the 48-site ring at
+    # omega = 2.4
+    h = ft.builtin_model(name, params)
+    first = max(1, h.max_harmonic)  # the ladder's first rung; it doubles from there
+    for truncation in {certified, max(certified // 2, first)}:
+        floor, figure = leak_floor_and_figure(h, truncation)
+        assert floor <= figure, truncation
 
 
 # the BOUND_CASES solved at their certified M and at the rung below it by the

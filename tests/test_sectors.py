@@ -96,20 +96,38 @@ def test_random_complex_model_is_not_split():
     assert sectors.basis is None
 
 
-def test_slightly_broken_ring_symmetry_is_not_found():
-    # H_0 + 1e-5 P, P a random real symmetric matrix of unit 2-norm, breaks
-    # every symmetry of the 24-site ring: the null-space solves find none, so
-    # no coupling is even measured.  A rank threshold 1e4 times higher takes
-    # the broken symmetry for a real one and measures a coupling of 2.6e-6
+def broken_ring(strength: float) -> ft.FourierHamiltonian:
+    """The 24-site ring with H_0 + strength P, P a random real symmetric
+    matrix of unit 2-norm: every symmetry of the ring is broken."""
     ring = ft.builtin_model("driven_ring", {"sites": 24})
     p = np.random.default_rng(24).standard_normal((24, 24))
     p += p.T
     p /= np.linalg.norm(p, 2)
-    h = ft.FourierHamiltonian(dim=24, omega=ring.omega,
-                              harmonics={**ring.harmonics, 0: ring.harmonics[0] + 1e-5 * p})
+    return ft.FourierHamiltonian(dim=24, omega=ring.omega,
+                                 harmonics={**ring.harmonics, 0: ring.harmonics[0] + strength * p})
+
+
+def test_slightly_broken_ring_symmetry_is_not_found():
+    # at 1e-5 the null-space solves find no symmetry, so no coupling is even
+    # measured.  A rank threshold 1e4 times higher takes the broken symmetry
+    # for a real one and measures a coupling of 2.6e-6
+    h = broken_ring(1e-5)
     assert h._sectors.coupling == 0.0
     metadata = ft.solve_spectrum(h).metadata
     assert metadata["sectors"] is None and metadata["sector_coupling"] == 0.0
+
+
+def test_nearly_kept_ring_symmetry_is_refused_by_its_coupling():
+    # at 1e-10 the sketches find the near-symmetry, and only the coupling
+    # check refuses it: the off-sector entries of V^H H_m V are 1.2e-11 of
+    # the harmonics' norm, a hundred times COUPLING_TOL.  A split there would
+    # solve the ring as if it kept a symmetry it breaks
+    h = broken_ring(1e-10)
+    sectors = h._sectors
+    assert sectors.dims is None
+    assert _sectors.COUPLING_TOL < sectors.coupling < 1e-10
+    metadata = ft.solve_spectrum(h).metadata
+    assert metadata["sectors"] is None and metadata["sector_coupling"] == sectors.coupling
 
 
 @pytest.mark.parametrize("seed", range(12))

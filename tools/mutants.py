@@ -10,9 +10,11 @@ always 0, so this is a report, not a gate.
 
     python tools/mutants.py
 
-Tier-1 must first pass on an unmutated copy.  Each run stops at its first
-failure (-x), so a survivor costs two full Tier-1 runs.  Temporary copies
-go where `tempfile` puts them (TMPDIR).
+The working tree is copied once, at the start, and every mutant is copied
+from that snapshot, so a file edited during a run reaches none of them.
+Tier-1 must first pass on the unmutated snapshot.  Each run stops at its
+first failure (-x), so a survivor costs two full Tier-1 runs.  Temporary
+copies go where `tempfile` puts them (TMPDIR).
 """
 
 import os
@@ -69,6 +71,8 @@ MUTANTS = [
      "the sector detector's SVD rank threshold 1e4x higher"),
     (SECTORS, 'return (np.frombuffer(digest, dtype="<u4") * 2.0**-32 - 0.5).reshape(shape)',
      "return np.zeros(shape)", "the sector detector's sketch draws all zero"),
+    (SECTORS, "COUPLING_TOL = 1e-13", "COUPLING_TOL = 1e-9",
+     "the sector detector's coupling check 1e4x looser"),
     (MODEL, "return np.dot(phases, stack, out=out)", "return np.dot(phases, stack)",
      "eval_at_time ignores out: the oracle's rows keep what np.empty left in them"),
     (SAMBE, "if not worst <= EIGEN_RESIDUAL_TOL * scale:",
@@ -95,35 +99,37 @@ def survives(copy: Path, *extra: str) -> bool:
     return run.returncode == 0
 
 
-def copy_of_repository(tmp: str) -> Path:
-    """The working tree (tests read README.md too) without git or caches."""
+def copy_of(source: Path, tmp: str) -> Path:
+    """source, a directory tree, copied to tmp without git or caches."""
     copy = Path(tmp) / "repo"
-    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+    shutil.copytree(source, copy, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"))
     return copy
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        if not survives(copy_of_repository(tmp)):
+    with tempfile.TemporaryDirectory() as snapshot_dir:
+        # the working tree (tests read README.md too), as it is now
+        snapshot = copy_of(ROOT, snapshot_dir)
+        if not survives(snapshot):
             print("Tier-1 fails without a mutant: no score")
             return 0
-    killed = killed_unpinned = 0
-    for file, old, new, reason in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            copy = copy_of_repository(tmp)
-            path = copy / file
-            text = path.read_text()
-            if text.count(old) != 1:
-                print(f"stale    {reason}: {old!r} occurs {text.count(old)} times in {file}")
-                continue
-            path.write_text(text.replace(old, new))
-            pinned = not survives(copy)
-            unpinned = not survives(copy, "-k", "not pinned_values")
-        killed += pinned
-        killed_unpinned += unpinned
-        verdict = "killed" if unpinned else "pins" if pinned else "SURVIVED"
-        print(f"{verdict:8s} {reason}", flush=True)
+        killed = killed_unpinned = 0
+        for file, old, new, reason in MUTANTS:
+            with tempfile.TemporaryDirectory() as tmp:
+                copy = copy_of(snapshot, tmp)
+                path = copy / file
+                text = path.read_text()
+                if text.count(old) != 1:
+                    print(f"stale    {reason}: {old!r} occurs {text.count(old)} times in {file}")
+                    continue
+                path.write_text(text.replace(old, new))
+                pinned = not survives(copy)
+                unpinned = not survives(copy, "-k", "not pinned_values")
+            killed += pinned
+            killed_unpinned += unpinned
+            verdict = "killed" if unpinned else "pins" if pinned else "SURVIVED"
+            print(f"{verdict:8s} {reason}", flush=True)
     print(f"score: {killed}/{len(MUTANTS)} killed with the pins, "
           f"{killed_unpinned}/{len(MUTANTS)} without them")
     return 0
