@@ -123,7 +123,7 @@ class _OpenBLAS:
         work = np.zeros(1, dtype)
         info = function(_COL_MAJOR, b"L" if lower else b"U", n, None, n or 1, None, None, None,
                         _ref(work), -1)
-        return work[0].item(), _info(info)
+        return work.item(0), _info(info)
 
     def dsytrd_lwork(self, n, lower=0):
         return self._trd_lwork(self._dsytrd, np.float64, n, lower)

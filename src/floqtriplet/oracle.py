@@ -25,6 +25,12 @@ memory of a propagation is the chunk: O(chunk d^2) of factors and
 temporaries, plus a trajectory's (N + 1) d samples, at any step count N.
 A chunk is whole blocks of both kinds, so the result is bit for bit the
 one that all N factors held at once would give.
+One `oracle_spectrum` call forms each chunk's block products once, in
+U(T)'s propagation, and its trajectories reuse them: they still make
+their own factors, but only carry the state across blocks and fill their
+samples.  The shared products are (N / 64) d^2 extra complex entries, held
+for the length of the call only; a propagation outside such a call keeps
+none.
 A final polar correction strips the accumulated factor roundoff (up to a
 few 1e-13 over 4096 steps) so the result is unitary to working precision.
 The eigenphases of U(T) give the quasi-energies folded into [0, omega),
@@ -45,6 +51,7 @@ quasi-energy, the value `sambe` reports for a merged group.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -81,9 +88,12 @@ _TAYLOR_THETA = 0.05
 # the first dropped Taylor term is held below the unit roundoff of float64
 _UNIT_ROUNDOFF = 2.0**-53
 
-# steps per block of the blocked sequential product in _chain: about the
-# square root of STEPS_PER_PERIOD, which balances the batched products
-# inside the blocks against the sequential carry across them
+# steps per block of the blocked sequential product in _chain.  Per chunk
+# of _CHUNK steps it balances the B - 1 batched matmuls of the block
+# products, each over _CHUNK / B matrices, against the _CHUNK / B sequential
+# carries across the blocks, and it sets the size of the block products
+# that oracle_spectrum keeps, N / B matrices for N steps.  Any other value
+# reassociates the product and moves every U(T) at rounding level
 _CHAIN_BLOCK = 64
 
 # steps per chunk of the streamed propagation in _propagate, which holds one
@@ -95,6 +105,13 @@ _CHUNK = 1024
 
 # largest Frobenius defect ||U^H U - 1|| of U(T) that propagation accepts
 UNITARITY_TOL = 1e-12
+
+# (model, {(steps, chunk start): block products}) while an oracle_spectrum
+# call runs, so that its propagations of that model form each chunk's block
+# products once; None outside such a call, where nothing is kept
+_BLOCK_PRODUCTS: contextvars.ContextVar[tuple[FourierHamiltonian, dict] | None] = (
+    contextvars.ContextVar("block_products", default=None)
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +190,10 @@ def _step_propagators(
     mids = (np.arange(lo, hi) + 0.5) * dt
     out = np.empty((hi - lo, h.dim, h.dim), dtype=complex)
     rows = out.reshape(hi - lo, h.dim * h.dim)
+    evaluate = h.eval_at_time
     # Python floats evaluate faster than numpy scalars, to the same bits
-    for j, tm in enumerate(mids.tolist()):
-        h.eval_at_time(tm, out=rows[j])
+    for tm, row in zip(mids.tolist(), rows):
+        evaluate(tm, out=row)
     real = _real_in_time(h)
     for start in range(0, hi - lo, _STEP_BLOCK):
         a = out[start : start + _STEP_BLOCK]
@@ -211,25 +229,39 @@ def _step_propagators(
     return out
 
 
-def _chain(
-    factors: np.ndarray, start: np.ndarray, samples: np.ndarray | None = None
-) -> np.ndarray:
-    """The sequential product F_{N-1} ... F_1 F_0 @ start, blocked.
-
-    factors has shape (N, d, d) and start (d, k).  The first N - N % B steps
-    (B = _CHAIN_BLOCK) form whole blocks: their products come from B - 1
-    matmuls batched over all blocks, and the state is carried across the
-    block boundaries by one small product per block; the last N % B steps
-    run one by one.  With samples of shape (N, d, k), every partial
-    product F_j ... F_0 @ start is written to samples[j]: each block is
-    filled from its start state by B more matmuls batched over blocks.  No
-    partial products of the factors themselves are kept.
-    """
+def _block_products(factors: np.ndarray) -> np.ndarray:
+    """The products F_{bB+B-1} ... F_{bB} of the whole blocks of B =
+    _CHAIN_BLOCK steps in factors, shape (N // B, d, d): B - 1 matmuls
+    batched over all blocks."""
     full = factors.shape[0] - factors.shape[0] % _CHAIN_BLOCK
     blocks = factors[:full].reshape(-1, _CHAIN_BLOCK, *factors.shape[1:])
     products = blocks[:, 0]
     for k in range(1, _CHAIN_BLOCK):
         products = blocks[:, k] @ products
+    return products
+
+
+def _chain(
+    factors: np.ndarray,
+    start: np.ndarray,
+    samples: np.ndarray | None = None,
+    products: np.ndarray | None = None,
+) -> np.ndarray:
+    """The sequential product F_{N-1} ... F_1 F_0 @ start, blocked.
+
+    factors has shape (N, d, d) and start (d, k).  The first N - N % B steps
+    (B = _CHAIN_BLOCK) form whole blocks: their products are those of
+    `_block_products`, made here unless given, and the state is carried
+    across the block boundaries by one small product per block; the last
+    N % B steps run one by one.  With samples of shape (N, d, k), every
+    partial product F_j ... F_0 @ start is written to samples[j]: each
+    block is filled from its start state by B more matmuls batched over
+    blocks.  No partial products of the factors themselves are kept.
+    """
+    full = factors.shape[0] - factors.shape[0] % _CHAIN_BLOCK
+    blocks = factors[:full].reshape(-1, _CHAIN_BLOCK, *factors.shape[1:])
+    if products is None:
+        products = _block_products(factors)
     starts = np.empty((len(products) + 1, *start.shape), dtype=complex)
     starts[0] = start
     for b, product in enumerate(products):
@@ -256,12 +288,27 @@ def _propagate(
     The factors are made (`_step_propagators`) and chained (`_chain`) one
     chunk of _CHUNK steps at a time, the state carried from chunk to chunk,
     so only one chunk of factors is held; the chunk being whole blocks of
-    both, the result is that of chaining all N factors at once.
+    both, the result is that of chaining all N factors at once.  Inside an
+    `oracle_spectrum` call on this same model, each chunk's block products
+    come from the call's memo, put there by the first propagation that
+    reaches the chunk: they depend on the factors alone, which every
+    propagation of the model makes bit for bit the same.
     """
+    memo = _BLOCK_PRODUCTS.get()
+    shared = memo[1] if memo is not None and memo[0] is h else None
     for lo in range(0, steps, _CHUNK):
         hi = min(lo + _CHUNK, steps)
         chunk = None if samples is None else samples[lo:hi]
-        start = _chain(_step_propagators(h, steps, lo, hi), start, chunk)
+        factors = _step_propagators(h, steps, lo, hi)
+        products = None
+        if shared is not None:
+            key = (steps, lo)
+            if key not in shared:
+                shared[key] = _block_products(factors)
+            products = shared[key]
+        start = _chain(factors, start, chunk, products)
+        # freed before the next chunk's factors are made, so one chunk is held
+        del factors
     return start
 
 
@@ -395,10 +442,11 @@ def _cross_energy_matrix(
     integrand = np.empty((k, k, n + 1), dtype=complex)
     hblock = np.empty((_STEP_BLOCK, h.dim, h.dim), dtype=complex)
     rows = hblock.reshape(_STEP_BLOCK, h.dim * h.dim)
+    evaluate = h.eval_at_time
     for lo in range(0, n + 1, _STEP_BLOCK):
         nodes = tgrid[lo : lo + _STEP_BLOCK]
-        for j, t in enumerate(nodes.tolist()):
-            h.eval_at_time(t, out=rows[j])
+        for t, row in zip(nodes.tolist(), rows):
+            evaluate(t, out=row)
         psi = np.stack([trajectory[lo : lo + nodes.size] for trajectory in trajectories])
         # (nodes, d, d) @ (nodes, d, k) -> H(t_j) Psi_i(t_j), back to (k, nodes, d)
         hpsi = (hblock[: nodes.size] @ psi.transpose(1, 2, 0)).transpose(2, 0, 1)
@@ -435,45 +483,55 @@ def oracle_spectrum(h: FourierHamiltonian, truncation: int) -> Spectrum:
     its weight near m = 0 all the same.  quasi_energy_raw is the cluster's
     quasi-energy on that replica, the multiple of omega from the reported
     one nearest eps_raw.
+
+    The call's propagations of h, U(T) and every trajectory, share the
+    block products of each chunk (`_propagate`): (N / _CHAIN_BLOCK) d^2
+    complex entries for N steps, held for the length of the call only.
     """
-    tol_deg = _tol_deg(h.omega)
-    mono = propagate_period(h)
-    eps = mono.quasi_energies(h.period)
-    clusters = _gap_clusters(eps, tol_deg, h.omega)
-    triplets: list[EigenTriplet] = []
-    for gid, members in enumerate(sorted(clusters, key=lambda c: eps[np.sort(c)[0]])):
-        eps_group = _wrapped_mean(eps[members], h.omega)
-        cluster = np.sort(members)
-        trajectories = [propagate_trajectory(h, mono.eigenvectors[:, i]) for i in cluster]
-        block, _ = _cross_energy_matrix(h, trajectories)
-        ebars, rotation = np.linalg.eigh(block)
-        theta_group = float(mono.eigenphases[cluster[0]])
-        for a in range(cluster.size):
-            vec0 = mono.eigenvectors[:, cluster] @ rotation[:, a]
-            k = round((theta_group / h.period - ebars[a]) / h.omega)
-            mode, tail = mode_from_propagation(h, vec0, theta_group - 2.0 * np.pi * k, truncation)
-            # the group's quasi-energy on the replica the mode was rephased to
-            rephased = theta_group / h.period - k * h.omega
-            eps_raw = eps_group + h.omega * round((rephased - eps_group) / h.omega)
-            triplets.append(
-                EigenTriplet(
-                    mode=mode,
-                    quasi_energy=eps_group,
-                    avg_energy=float(ebars[a]),
-                    quasi_energy_raw=eps_raw,
-                    residual=tail,
-                    group_id=gid,
-                    group_size=cluster.size,
+    token = _BLOCK_PRODUCTS.set((h, {}))
+    try:
+        tol_deg = _tol_deg(h.omega)
+        mono = propagate_period(h)
+        eps = mono.quasi_energies(h.period)
+        clusters = _gap_clusters(eps, tol_deg, h.omega)
+        triplets: list[EigenTriplet] = []
+        for gid, members in enumerate(sorted(clusters, key=lambda c: eps[np.sort(c)[0]])):
+            eps_group = _wrapped_mean(eps[members], h.omega)
+            cluster = np.sort(members)
+            trajectories = [propagate_trajectory(h, mono.eigenvectors[:, i]) for i in cluster]
+            block, _ = _cross_energy_matrix(h, trajectories)
+            ebars, rotation = np.linalg.eigh(block)
+            theta_group = float(mono.eigenphases[cluster[0]])
+            for a in range(cluster.size):
+                vec0 = mono.eigenvectors[:, cluster] @ rotation[:, a]
+                k = round((theta_group / h.period - ebars[a]) / h.omega)
+                mode, tail = mode_from_propagation(
+                    h, vec0, theta_group - 2.0 * np.pi * k, truncation
                 )
-            )
-    triplets.sort(key=lambda t: (t.avg_energy, t.quasi_energy))
-    metadata = {
-        "truncation": truncation,
-        "tol_deg": tol_deg,
-        "solver": "monodromy",
-        "dim": h.dim,
-        "omega": h.omega,
-        "steps_per_period": STEPS_PER_PERIOD,
-        "unitarity_defect": mono.unitarity_defect,
-    }
-    return Spectrum(triplets=triplets, metadata=metadata)
+                # the group's quasi-energy on the replica the mode was rephased to
+                rephased = theta_group / h.period - k * h.omega
+                eps_raw = eps_group + h.omega * round((rephased - eps_group) / h.omega)
+                triplets.append(
+                    EigenTriplet(
+                        mode=mode,
+                        quasi_energy=eps_group,
+                        avg_energy=float(ebars[a]),
+                        quasi_energy_raw=eps_raw,
+                        residual=tail,
+                        group_id=gid,
+                        group_size=cluster.size,
+                    )
+                )
+        triplets.sort(key=lambda t: (t.avg_energy, t.quasi_energy))
+        metadata = {
+            "truncation": truncation,
+            "tol_deg": tol_deg,
+            "solver": "monodromy",
+            "dim": h.dim,
+            "omega": h.omega,
+            "steps_per_period": STEPS_PER_PERIOD,
+            "unitarity_defect": mono.unitarity_defect,
+        }
+        return Spectrum(triplets=triplets, metadata=metadata)
+    finally:
+        _BLOCK_PRODUCTS.reset(token)

@@ -427,8 +427,13 @@ def _eigh(s: np.ndarray, window: tuple[float, float] | None) -> tuple[np.ndarray
             raise SolverError(f"eigensolver failed: {name} info {info}; size={n}")
         return out
 
-    trd, mqr = ("zhetrd", "zunmqr") if np.iscomplexobj(s) else ("dsytrd", "dormqr")
-    (lwork,) = call(trd + "_lwork", n, lower=1)
+    # constant names: a name built per call would be a new string each
+    # solve, and each one can stay in CPython's type cache
+    if np.iscomplexobj(s):
+        trd, trd_lwork, mqr = "zhetrd", "zhetrd_lwork", "zunmqr"
+    else:
+        trd, trd_lwork, mqr = "dsytrd", "dsytrd_lwork", "dormqr"
+    (lwork,) = call(trd_lwork, n, lower=1)
     c, d, e, tau = call(trd, s, lower=1, lwork=int(lwork.real))
     vals, z = call("dstevd", d, e if n > 1 else [0.0])  # len(e) >= 1
     if window is not None:

@@ -284,6 +284,103 @@ def test_propagation_memory_grows_by_the_samples_alone(monkeypatch):
     assert peaks[1][1] - peaks[0][1] <= samples + margin
 
 
+def test_oracle_spectrum_memory_grows_by_what_it_holds_and_the_memo(monkeypatch):
+    # from 4096 to 16384 steps on the 12-site ring the tracemalloc peak of
+    # oracle_spectrum, reached in mode_from_propagation, grows by what it
+    # holds there: the cluster's k trajectories and their k^2 integrands,
+    # and the mode's samples, rephased samples, FFT and scaled FFT, dN
+    # ((k + 4) d + k^2) 16 bytes; plus the memo's (dN / 64) d^2 16 bytes of
+    # block products and the 256 KiB margin.  All factors held at once
+    # would add dN d^2 16 bytes, 28 MB
+    h = ft.builtin_model("driven_ring", {"sites": 12})
+    _monodromy_matrix(h, 64)  # caches the model's harmonic stack
+    peaks = []
+    for steps in (4096, 16384):
+        monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", steps)
+        tracemalloc.start()
+        try:
+            spectrum = oracle.oracle_spectrum(h, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    k = max(triplet.group_size for triplet in spectrum.triplets)
+    dn, d = 16384 - 4096, h.dim
+    held = dn * ((k + 4) * d + k * k) * 16
+    memo = dn // oracle._CHAIN_BLOCK * d * d * 16
+    bound = held + memo + 256 * 1024
+    assert bound < dn * d * d * 16
+    assert peaks[1] - peaks[0] <= bound
+
+
+def _recording(monkeypatch, name: str, record) -> None:
+    """Rebind oracle.<name> to a wrapper that passes its arguments and
+    result to record."""
+    fn = getattr(oracle, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(oracle, name, wrapper)
+
+
+@pytest.mark.parametrize("steps", [300, 4096])
+@pytest.mark.parametrize("name", ["driven_ring", "random_complex"])
+def test_oracle_spectrum_trajectories_match_standalone_ones_bit_for_bit(name, steps, monkeypatch):
+    # inside oracle_spectrum every trajectory takes the block products that
+    # U(T)'s propagation put in the call's memo, and must still equal a
+    # standalone propagation of its start; 4096 steps are 4 chunks, 300 are
+    # one partial chunk ending in a partial chain block (4 * 64 + 44)
+    h = FACTOR_MODELS[name]()
+    monkeypatch.setattr(oracle, "STEPS_PER_PERIOD", steps)
+    propagate = oracle.propagate_trajectory
+    made = []
+    _recording(monkeypatch, "propagate_trajectory",
+               lambda args, samples: made.append((args[1].copy(), samples)))
+    oracle.oracle_spectrum(h, 4)
+    assert len(made) == 2 * h.dim
+    for initial, samples in made:
+        assert np.array_equal(samples, propagate(h, initial))
+
+
+def test_block_products_are_formed_once_per_chunk_per_call(monkeypatch):
+    # U(T) and the 12 trajectories of the 6-site ring are 13 propagations
+    # of 4 chunks: one oracle_spectrum forms each chunk's block products
+    # once, 4 times and not 52, and a propagation outside it forms its own
+    h = ft.builtin_model("driven_ring")
+    calls = []
+    for name in ("_propagate", "_block_products"):
+        _recording(monkeypatch, name, lambda args, out, name=name: calls.append(name))
+    oracle.oracle_spectrum(h, 4)
+    assert (calls.count("_propagate"), calls.count("_block_products")) == (13, 4)
+    ft.propagate_period(h)
+    assert (calls.count("_propagate"), calls.count("_block_products")) == (14, 8)
+
+
+def test_block_product_memo_is_unset_after_the_call(monkeypatch):
+    # the memo lives for one oracle_spectrum call: unset after it returns,
+    # and after a PropagationError raised once U(T) has filled it (a period
+    # product 1e-5 too long, as in the drift test above)
+    h = ft.builtin_model("driven_ring")
+    oracle.oracle_spectrum(h, 4)
+    assert oracle._BLOCK_PRODUCTS.get() is None
+    propagate = oracle._propagate
+    memos = []
+
+    def drifted(*args):
+        out = (1.0 + 1e-5) * propagate(*args)
+        memos.append(oracle._BLOCK_PRODUCTS.get())
+        return out
+
+    monkeypatch.setattr(oracle, "_propagate", drifted)
+    with pytest.raises(PropagationError, match="exceeds 1.0e-12"):
+        oracle.oracle_spectrum(h, 4)
+    [(model, products)] = memos
+    assert model is h and len(products) == 4
+    assert oracle._BLOCK_PRODUCTS.get() is None
+
+
 def test_mode_from_propagation_static_single_block():
     h = ft.builtin_model("static", {"levels": (0.0, 1.0), "omega": 0.7})
     mono = ft.propagate_period(h)

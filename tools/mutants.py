@@ -1,6 +1,6 @@
 """Mutation score of the certificate, the guards, the sector detector, the
-state pairing, the oracle's step factors and its in-place H(t), and the
-variational solver's trust region.
+state pairing, the oracle's step factors, its in-place H(t) and its memo of
+block products, and the variational solver's trust region.
 
 Each mutant changes one line of the package.  For each, a temporary copy of
 the repository gets that change and runs Tier-1 twice: with every test, and
@@ -67,6 +67,10 @@ MUTANTS = [
     (ORACLE, "while scaled ** (order + 1) / math.factorial(order + 1) > _UNIT_ROUNDOFF:",
      "while scaled ** (order + 2) / math.factorial(order + 2) > _UNIT_ROUNDOFF:",
      "the step factors' Taylor order one below the rule's"),
+    (ORACLE, "_BLOCK_PRODUCTS.reset(token)", "pass",
+     "the oracle's block-product memo never reset: it outlives oracle_spectrum"),
+    (ORACLE, "key = (steps, lo)", "key = (steps,)",
+     "the oracle's block-product memo keyed without the chunk start"),
     (SECTORS, "singular > RANK_TOL * size", "singular > 1e4 * RANK_TOL * size",
      "the sector detector's SVD rank threshold 1e4x higher"),
     (SECTORS, 'return (np.frombuffer(digest, dtype="<u4") * 2.0**-32 - 0.5).reshape(shape)',
